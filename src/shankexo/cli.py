@@ -7,7 +7,9 @@ import json
 import sys
 
 from .gait_signals import EventDetector, WindowAssembler, read_replay_csv
-from .harness import MetricsReport, ScenarioConfig, run_scenario
+from .harness import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+                      INITIAL_THETA_FC, INITIAL_THETA_FO, MetricsReport,
+                      ScenarioConfig, run_scenario)
 from .profile import GaussianParams, ProfileEstimator
 from .tendon import identify_stiffness, load_calibration_csv
 
@@ -77,7 +79,8 @@ def _replay(args) -> int:
     detector = EventDetector()
     assembler = WindowAssembler()
     estimator = ProfileEstimator(GaussianParams(
-        args.amp_n, 15.0, 10.0, 5.0, -20.0, 25.0))
+        args.amp_n, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+        INITIAL_THETA_FC, INITIAL_THETA_FO))
     strides = 0
     for sample in read_replay_csv(args.csv):
         ev = detector.update(sample)

@@ -88,13 +88,11 @@ class ControllerState:
     f_swing_max: float = 0.0             # N, running max of the last swing
     gc_count: int = 0
     active_params: Optional[GaussianParams] = None
-    stance_peak_log: Optional[tuple[float, float]] = None  # (force N, shank deg)
     aborted: bool = False
     engaged: bool = False                # cable taut this stance
     have_swing_history: bool = False
     release_target: float = 0.0          # mm, slack hold length
     baseline_confirmed: bool = False
-    last_l_meas: float = 0.0
     last_theta_df: float = 0.0
     v_fb_state: float = 0.0              # filtered feedback velocity
 
@@ -128,9 +126,6 @@ class Controller:
                 st.active_params = new_params
             st.e_l_integral = 0.0
             st.engaged = False
-            st.stance_peak_log = None
-            if st.aborted:
-                return
             if event.gc_index < self.cfg.silent_cycles:
                 st.mode = ControlMode.SILENT
             else:
@@ -139,7 +134,7 @@ class Controller:
             if st.mode is ControlMode.SWING:
                 log.warning("out-of-order FootOff ignored (already in swing)")
                 return
-            if st.aborted or st.mode is ControlMode.SILENT:
+            if st.mode is ControlMode.SILENT:
                 return
             # Quasi-slack length recurrence from the previous swing's peak force.
             if st.have_swing_history:
@@ -158,7 +153,6 @@ class Controller:
     def tick(self, kin: KinematicSample, f_meas: float, l_meas: float,
              l_meas_rate: float, motor_pos: float, dt: float) -> VelocityCommand:
         st = self.state
-        st.last_l_meas = l_meas
         st.last_theta_df = kin.theta_df
         if self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT:
             return self._tick_abort(l_meas)
@@ -212,8 +206,6 @@ class Controller:
                         min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
                             + cfg.probe_rate, cfg.v_max))
                 return VelocityCommand(v, CommandSource.STANCE_FBFF)
-        if f_meas > (st.stance_peak_log[0] if st.stance_peak_log else -math.inf):
-            st.stance_peak_log = (f_meas, kin.theta_sk)
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
         f_rate = eval_force_rate(p, kin.theta_sk, kin.theta_sk_rate)
         v_ff = (self.tendon.lever_arm_r * math.radians(kin.theta_df_rate)

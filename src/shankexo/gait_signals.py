@@ -119,9 +119,6 @@ class EventDetector:
         self._fc_t: Optional[float] = None
         self._stance_dur: Optional[float] = None
 
-    def reset(self) -> None:
-        self.__init__(self.config)
-
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
         cfg = self.config
         if sample.t_ms < self._refractory_until:

@@ -4,14 +4,31 @@ The control path ticks at 1 kHz; every 10th tick also runs the estimation
 path (IMU sampling, event detection, stance windowing, per-stride parameter
 updates). Parameter handoff to the controller happens only at foot-contact
 ticks. Runs are fully determined by the scenario config and seed.
+
+The run log is one float64 table with a row per control tick and the
+columns of LOG_COLUMNS:
+
+    t_ms, stride       tick time (whole ms); gc_index of the last detected
+                       foot contact, -1 before the first
+    mode               index into MODES; "abort" once the safety abort latched
+    theta_*_deg        truth shank, foot-pitch and DF angles
+    f_des_n            desired force (N), 0 outside assisted stance
+    f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
+                       plant reading and velocity command (positive retracts)
+    belt_scale         phase-rate multiplier of ramps and perturbations
+    perturb_kind       0 none, 1 forward, 2 backward perturbation window
+    bio                normalized biological ankle torque, 0 while standing
+
+The report slices its columns. timeseries.csv holds the first twelve, the
+mode by name, and `perturbed` = (perturb_kind != 0).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Optional, Sequence
@@ -27,9 +44,16 @@ from .profile import (GaussianParams, ProfileEstimator, ShankByPercentGC,
                       eval_force, eval_time_profile, feature_targets)
 from .tendon import TendonModel
 
-CSV_COLUMNS = ["t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
+LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
-               "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturbed"]
+               "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturb_kind", "bio")
+MODES = [m.value for m in ControlMode] + ["abort"]
+CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
+_CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
+
+STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
+AGGREGATION_STRIDES = 10    # GCs averaged in the aggregates
+N_PERTURBATIONS = 4
 
 CONVERGENCE_SENTINEL = -1
 
@@ -148,11 +172,8 @@ class ScenarioConfig:
     plant: dict = field(default_factory=dict)
     template: dict = field(default_factory=dict)
     analysis_start: Optional[int] = None    # first stride in the aggregates
-    aggregation_strides: int = 10           # GCs averaged in the aggregates
-    n_perturbations: int = 4
     fault_spike_t_ms: Optional[float] = None
     fault_spike_n: float = 0.0
-    stance_grid_points: int = 101
 
     def validate(self) -> None:
         if self.n_strides <= 0:
@@ -208,38 +229,18 @@ class MetricsReport:
 
 # -- scenario runner ------------------------------------------------------------
 
-class _RunLog:
-    """Per-tick arrays accumulated during a run."""
-
-    def __init__(self):
-        self.t_ms: list[float] = []
-        self.stride: list[int] = []
-        self.mode: list[str] = []
-        self.theta_sk: list[float] = []
-        self.theta_ft: list[float] = []
-        self.theta_df: list[float] = []
-        self.f_des: list[float] = []
-        self.f_meas: list[float] = []
-        self.f_truth: list[float] = []
-        self.l_cable: list[float] = []
-        self.v_cmd: list[float] = []
-        self.belt_scale: list[float] = []
-        self.perturb_kind: list[int] = []
-        self.bio: list[float] = []
-
-
-def _schedule_perturbations(cfg: ScenarioConfig, rng: np.random.Generator,
-                            first: int, last: int) -> list[PerturbationSpec]:
+def _schedule_perturbations(rng: np.random.Generator, first: int,
+                            last: int) -> list[PerturbationSpec]:
     """Non-consecutive strides, half forward / half backward, fixed onset."""
-    if last - first < 2 * cfg.n_perturbations:
+    if last - first < 2 * N_PERTURBATIONS:
         raise ConfigError("not enough strides for the perturbation protocol")
     while True:
         strides = sorted(rng.choice(np.arange(first, last),
-                                    size=cfg.n_perturbations, replace=False))
+                                    size=N_PERTURBATIONS, replace=False))
         if all(b - a >= 2 for a, b in zip(strides, strides[1:])):
             break
-    kinds = [PerturbationKind.FORWARD] * (cfg.n_perturbations // 2)
-    kinds += [PerturbationKind.BACKWARD] * (cfg.n_perturbations - len(kinds))
+    kinds = [PerturbationKind.FORWARD] * (N_PERTURBATIONS // 2)
+    kinds += [PerturbationKind.BACKWARD] * (N_PERTURBATIONS - len(kinds))
     order = rng.permutation(len(kinds))
     return [PerturbationSpec(kind=kinds[int(i)],
                              affected_cycles=frozenset({int(s)}))
@@ -260,14 +261,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     else:
         # post-silent, post-convergence; clamped so short runs still report
         analysis_start = min(silent + 12,
-                             max(cfg.n_strides - cfg.aggregation_strides, silent))
+                             max(cfg.n_strides - AGGREGATION_STRIDES, silent))
 
     rng = np.random.default_rng(cfg.seed)
     perturbations: list[PerturbationSpec] = []
     ramp: Optional[RampSpec] = None
     if scenario is ScenarioKind.PERTURB:
         perturbations = _schedule_perturbations(
-            cfg, rng, first=analysis_start + 2, last=cfg.n_strides - 2)
+            rng, first=analysis_start + 2, last=cfg.n_strides - 2)
     elif scenario is ScenarioKind.SPEED_RAMP:
         lo = analysis_start + 2
         hi = max(lo + 1, cfg.n_strides - 14)
@@ -286,7 +287,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     assembler = WindowAssembler()
 
     dt = 0.001
-    log = _RunLog()
+    log = array("d")
     events: list[GaitEvent] = []
     adopted: list[GaussianParams] = []     # params active per stride
     raws: list = []                        # last accepted features per stride
@@ -329,24 +330,13 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         in_stance_ctrl = ctrl.state.mode is ControlMode.STANCE
         f_des = (eval_force(ctrl.state.active_params, kin.theta_sk)
                  if in_stance_ctrl and ctrl.state.active_params else 0.0)
-        pk = world.perturbation_kind()
-
-        log.t_ms.append(float(t_ms))
-        log.stride.append(current_stride)
-        log.mode.append(ctrl.state.mode.value if not ctrl.state.aborted
-                        else "abort")
-        log.theta_sk.append(kin.theta_sk)
-        log.theta_ft.append(kin.theta_ft)
-        log.theta_df.append(kin.theta_df)
-        log.f_des.append(f_des)
-        log.f_meas.append(reading.f_meas)
-        log.f_truth.append(reading.f_truth)
-        log.l_cable.append(reading.l_meas)
-        log.v_cmd.append(cmd.v)
-        log.belt_scale.append(world.scale)
-        log.perturb_kind.append(pk)
-        log.bio.append(biological_torque(tmpl, world.phase)
-                       if world.walking else 0.0)
+        log.extend((
+            t_ms, current_stride,
+            MODES.index("abort" if ctrl.state.aborted else ctrl.state.mode.value),
+            kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, reading.f_meas,
+            reading.f_truth, reading.l_meas, cmd.v, world.scale,
+            world.perturbation_kind(),
+            biological_torque(tmpl, world.phase) if world.walking else 0.0))
 
         f_meas_prev = reading.f_meas
         l_meas_prev = reading.l_meas
@@ -355,21 +345,19 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         if done_fc is not None and k >= done_fc + 20:
             break
 
-    report = _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
+    table = np.frombuffer(log).reshape(-1, len(LOG_COLUMNS))
+    report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,
                            analysis_start, ctrl.state.aborted)
     if cfg.output_dir:
-        write_artifacts(cfg.output_dir, log, report)
+        write_artifacts(cfg.output_dir, table, report)
     return report
 
 
 def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
                   analysis_start, aborted) -> MetricsReport:
-    t = np.asarray(log.t_ms)
-    f_des = np.asarray(log.f_des)
-    f_meas = np.asarray(log.f_meas)
-    sk = np.asarray(log.theta_sk)
-    bio = np.asarray(log.bio)
-    pk = np.asarray(log.perturb_kind)
+    col = dict(zip(LOG_COLUMNS, log.T))
+    t, sk, bio = col["t_ms"], col["theta_sk_deg"], col["bio"]
+    f_des, f_meas, pk = col["f_des_n"], col["f_meas_n"], col["perturb_kind"]
 
     fcs = [e for e in events if e.kind is GaitEventKind.FOOT_CONTACT]
     fos = {e.gc_index: e for e in events if e.kind is GaitEventKind.FOOT_OFF}
@@ -378,7 +366,6 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
     per_stride: list[StrideMetrics] = []
     prev_clean: Optional[ShankByPercentGC] = None
     prev_duration: Optional[float] = None
-    grid_n = cfg.stance_grid_points
     for n in range(n_complete):
         fc, nxt = fcs[n], fcs[n + 1]
         fo = fos.get(n)
@@ -401,8 +388,8 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
         bio_seg = bio[i0:i1]
         if peak > 1.0 and bio_seg.max() > 0.0:
             tt = t[i0:i1]
-            mech_g = resample_uniform(tt, des, grid_n)
-            bio_g = resample_uniform(tt, bio_seg, grid_n)
+            mech_g = resample_uniform(tt, des, STANCE_GRID_POINTS)
+            bio_g = resample_uniform(tt, bio_seg, STANCE_GRID_POINTS)
             try:
                 r_sk = stance_correlation(mech_g, bio_g)
             except MetricsError:
@@ -411,7 +398,7 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
                 ftime = np.array([
                     eval_time_profile(params, (ti - fc.t_ms) / prev_duration,
                                       prev_clean) for ti in tt])
-                ftime_g = resample_uniform(tt, ftime, grid_n)
+                ftime_g = resample_uniform(tt, ftime, STANCE_GRID_POINTS)
                 try:
                     r_tm = stance_correlation(ftime_g, bio_g)
                 except MetricsError:
@@ -419,7 +406,8 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
 
         swing_max = None
         if n + 1 < len(adopted):
-            swing_max = _swing_max_between(log, fo.t_ms, nxt.t_ms)
+            swing = f_meas[int(np.searchsorted(t, fo.t_ms)):i2]
+            swing_max = float(swing.max()) if len(swing) else 0.0
 
         per_stride.append(StrideMetrics(
             stride=n, t_fc_ms=fc.t_ms, stance_ratio=ratio,
@@ -429,12 +417,10 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
             theta_fc=params.theta_fc, theta_fo=params.theta_fo))
 
         if kind == 0:
-            tt_full = t[i0:i2]
-            pct = (tt_full - fc.t_ms) / duration
+            pct = (t[i0:i2] - fc.t_ms) / duration
+            grid = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
             prev_clean = ShankByPercentGC(
-                list(np.linspace(0.0, 1.0, grid_n)),
-                list(np.interp(np.linspace(0.0, 1.0, grid_n), pct,
-                               sk[i0:i2])))
+                list(grid), list(np.interp(grid, pct, sk[i0:i2])))
             prev_duration = duration
 
     targets = None
@@ -448,7 +434,7 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
         conv = convergence_stride(adopted, targets, tol=0.05)
 
     window = [s for s in per_stride if s.stride >= analysis_start]
-    block = window[:cfg.aggregation_strides] if cfg.aggregation_strides else window
+    block = window[:AGGREGATION_STRIDES]
     aggregate = {
         "analysis_start_stride": analysis_start,
         "n_strides_analyzed": len(window),
@@ -479,14 +465,6 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
                          aborted=aborted)
 
 
-def _swing_max_between(log: _RunLog, t0: float, t1: float) -> float:
-    t = np.asarray(log.t_ms)
-    i0 = int(np.searchsorted(t, t0))
-    i1 = int(np.searchsorted(t, t1))
-    seg = np.asarray(log.f_meas)[i0:i1]
-    return float(seg.max()) if len(seg) else 0.0
-
-
 def _mean(xs) -> Optional[float]:
     vals = [x for x in xs if x is not None]
     return sum(vals) / len(vals) if vals else None
@@ -502,21 +480,16 @@ def _sd(xs) -> Optional[float]:
 
 # -- artifacts -------------------------------------------------------------------
 
-def write_artifacts(out_dir: str, log: _RunLog, report: MetricsReport) -> None:
+def write_artifacts(out_dir: str, log: np.ndarray,
+                    report: MetricsReport) -> None:
+    """timeseries.csv from the run log, one row at a time; summary.json."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "timeseries.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for i in range(len(log.t_ms)):
-            w.writerow([
-                f"{log.t_ms[i]:.1f}", log.stride[i], log.mode[i],
-                f"{log.theta_sk[i]:.6f}", f"{log.theta_ft[i]:.6f}",
-                f"{log.theta_df[i]:.6f}", f"{log.f_des[i]:.6f}",
-                f"{log.f_meas[i]:.6f}", f"{log.f_truth[i]:.6f}",
-                f"{log.l_cable[i]:.6f}", f"{log.v_cmd[i]:.6f}",
-                f"{log.belt_scale[i]:.6f}",
-                1 if log.perturb_kind[i] else 0,
-            ])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for row in log:
+            t, stride, mode, *values, kind, _bio = row.tolist()
+            fh.write(_CSV_ROW % (t, stride, MODES[int(mode)], *values,
+                                 kind != 0))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")

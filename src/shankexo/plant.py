@@ -112,19 +112,9 @@ class GaitTemplate:
         return self.g_dip + self.g_plunge
 
     @property
-    def df_start(self) -> float:
-        """DF angle at foot contact (deg)."""
-        return self.theta_sk_span[0] - self.ft_peak
-
-    @property
     def plunge_rate_pu(self) -> float:
         """Peak excess slope across the terminal plunge (deg per unit u)."""
         return 2.0 * self.g_plunge / (1.0 - self.u_plunge)
-
-    @property
-    def fo_phase_of_stance(self) -> float:
-        """Stance fraction of the foot-pitch-rate minimum (the FO feature)."""
-        return 1.0
 
     def _swing_ease_gain(self) -> float:
         """Foot-pitch angle shed while the plunge rate eases out in swing."""
@@ -240,30 +230,34 @@ def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
     params.update(overrides)
     params.setdefault("ft_peak", params["g_dip"] + params["g_plunge"] + 1.5)
     tmpl = GaitTemplate(activity=act, **params)
-    tmpl = _finalize(tmpl)
-    _validate(tmpl)
+    grid = _sample_stance(tmpl)
+    tmpl = _finalize(tmpl, grid)
+    _validate(tmpl, grid)
     return tmpl
 
 
-def _finalize(tmpl: GaitTemplate) -> GaitTemplate:
-    """Locate the DF crest numerically and freeze the landmark fields."""
+def _sample_stance(tmpl: GaitTemplate) -> tuple[np.ndarray, ...]:
+    """(u, theta_sk, theta_ft, dft/du, G, dG/du) on the uniform stance grid."""
     us = np.linspace(0.0, 1.0, _GRID_N + 1)
-    df = np.empty_like(us)
-    sk = np.empty_like(us)
-    for i, u in enumerate(us):
-        s, f, _, _ = tmpl.stance_pose(float(u))
-        sk[i] = s
-        df[i] = s - f
+    rows = np.fromiter((tmpl.stance_pose(u) + tmpl._g(u) for u in us.tolist()),
+                       dtype=(float, 6), count=len(us))
+    sk, ft, _, dft, g0, g1 = rows.T
+    return us, sk, ft, dft, g0, g1
+
+
+def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
+    """Locate the DF crest numerically and freeze the landmark fields."""
+    us, sk, ft = grid[:3]
+    df = sk - ft
     i_pk = int(np.argmax(df))
     u_pk = float(us[i_pk])
-    fo_u = tmpl.fo_phase_of_stance
-    sk_fo = tmpl.stance_pose(fo_u)[0]
+    sk_fo = tmpl.stance_pose(1.0)[0]   # FO: the pitch-rate minimum, at u = 1
     return replace(tmpl,
                    df_peak=(float(df[i_pk]), u_pk),
                    landmarks=(tmpl.theta_sk_span[0], float(sk[i_pk]), float(sk_fo)))
 
 
-def _validate(tmpl: GaitTemplate) -> None:
+def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
     sk0, sk1 = tmpl.theta_sk_span
     if not (0.0 < tmpl.stance_ratio < 1.0):
         raise TemplateError("stance ratio outside (0, 1)")
@@ -276,19 +270,12 @@ def _validate(tmpl: GaitTemplate) -> None:
         raise TemplateError("excess magnitudes must be positive")
 
     t_st = tmpl.period * tmpl.stance_ratio
-    us = np.linspace(0.0, 1.0, _GRID_N + 1)
-    sk = np.empty_like(us)
-    ft = np.empty_like(us)
-    dft = np.empty_like(us)
-    for i, u in enumerate(us):
-        s, f, _, df_du = tmpl.stance_pose(float(u))
-        sk[i], ft[i], dft[i] = s, f, df_du
+    us, sk, ft, dft, g0, g1 = grid
     df = sk - ft
 
     # Foot-pitch maximum exactly at stance onset, unique over the cycle:
     # the excess is strictly positive away from contact and keeps a margin
     # once the initial descent is underway.
-    g0 = np.array([tmpl._g(float(u))[0] for u in us])
     if ft[0] != tmpl.ft_peak or np.min(g0[1:]) <= 0.0:
         raise TemplateError("foot pitch must peak uniquely at stance onset")
     if float(np.min(g0[us >= 0.08])) < 1.0:
@@ -303,7 +290,6 @@ def _validate(tmpl: GaitTemplate) -> None:
     i_rate_min = int(np.argmin(dft))
     if us[i_rate_min] < 0.999:
         raise TemplateError("foot-pitch-rate minimum must sit at stance end")
-    g1 = np.array([tmpl._g(float(u))[1] for u in us])
     dip_peak = float(np.max(g1[us <= tmpl.u_plunge]))
     if tmpl.plunge_rate_pu < 1.05 * dip_peak:
         raise TemplateError("terminal plunge must dominate the early rate dip")
@@ -416,7 +402,6 @@ class PlantState:
     force: float = 0.0            # N, truth
     migration: float = 0.0        # mm
     stride_index: int = 0
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -474,7 +459,7 @@ class GaitWorld:
         self.truth_tendon = TendonModel(config.lever_arm_r, config.k_all,
                                         config.baseline_c, 0.0)
         self.state = PlantState(
-            l_cable=config.baseline_c + config.initial_slack_mm, rng_seed=seed)
+            l_cable=config.baseline_c + config.initial_slack_mm)
         self.phase = tmpl.stance_ratio  # gait begins at swing onset
         self.t_s = 0.0
         self.scale = 1.0
@@ -487,9 +472,6 @@ class GaitWorld:
     @property
     def walking(self) -> bool:
         return self.t_s >= self.standing_s
-
-    def perturbed_now(self) -> bool:
-        return self._pert_active is not None
 
     def perturbation_kind(self) -> int:
         """0 when unperturbed, 1 during forward, 2 during backward windows."""

@@ -10,6 +10,7 @@ clamp is negligible.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -191,13 +192,8 @@ class ShankByPercentGC:
             return ths[0]
         if pct_gc >= pts[-1]:
             return ths[-1]
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid] <= pct_gc:
-                lo = mid
-            else:
-                hi = mid
+        hi = bisect.bisect_right(pts, pct_gc)
+        lo = hi - 1
         w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
         return ths[lo] + w * (ths[hi] - ths[lo])
 
