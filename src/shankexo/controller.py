@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from .profile import GaussianParams, eval_force, eval_force_rate
@@ -47,8 +47,7 @@ class SafetyStatus(Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     v: float  # mm/s, positive retracts the cable
     source: CommandSource
 
@@ -154,6 +153,13 @@ class Controller:
              l_meas_rate: float, motor_pos: float, dt: float) -> VelocityCommand:
         st = self.state
         st.last_theta_df = kin.theta_df
+        # One check covers all four: a NaN or an infinity in any makes the
+        # sum non-finite, and NaN slips through every comparison below.
+        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos):
+            if not st.aborted:
+                log.error("safety abort: non-finite input f=%r l=%r rate=%r "
+                          "pos=%r", f_meas, l_meas, l_meas_rate, motor_pos)
+            st.aborted = True
         if self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT:
             return self._tick_abort(l_meas)
         mode = st.mode
@@ -275,4 +281,8 @@ class Controller:
         return VelocityCommand(0.0, CommandSource.HOLD)
 
     def _clamp(self, v: float) -> float:
+        """Limit to the command envelope; NaN becomes a hold (zero), since
+        min/max would turn it into full retraction."""
+        if math.isnan(v):
+            return 0.0
         return max(-self.cfg.v_max, min(self.cfg.v_max, v))

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +50,7 @@ def derive_df(theta_sk: float, theta_ft: float,
     return theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
 
 
-@dataclass(frozen=True)
-class KinematicSample:
+class KinematicSample(NamedTuple):
     """One kinematic frame. Angles in deg, rates in deg/s, time in ms."""
 
     t_ms: float

@@ -5,19 +5,29 @@ path (IMU sampling, event detection, stance windowing, per-stride parameter
 updates). Parameter handoff to the controller happens only at foot-contact
 ticks. Runs are fully determined by the scenario config and seed.
 
-The run log is one float64 table with a row per control tick and the
-columns of LOG_COLUMNS:
+Only the controller and the cable form a closed loop; the gait world never
+reads cable state. So the loop advances the world one block at a time
+(plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`) and then walks the
+block's columns tick by tick: the 100 Hz estimation on the block's
+kinematics, then `Controller.tick` -> `GaitWorld.step_cable`, whose reading
+is the controller's input on the next tick. The block may run past the end
+of the run; the extra ticks are never logged.
 
-    t_ms, stride       tick time (whole ms); gc_index of the last detected
-                       foot contact, -1 before the first
+The run log is one float64 table with a row per control tick and the
+columns of LOG_COLUMNS; "block" marks the columns copied from the world
+block, the others come from the closed loop:
+
+    t_ms, stride       tick time (whole ms, block); gc_index of the last
+                       detected foot contact, -1 before the first
     mode               index into MODES; "abort" once the safety abort latched
-    theta_*_deg        truth shank, foot-pitch and DF angles
+    theta_*_deg        truth shank, foot-pitch and DF angles (block)
     f_des_n            desired force (N), 0 outside assisted stance
     f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
                        plant reading and velocity command (positive retracts)
-    belt_scale         phase-rate multiplier of ramps and perturbations
-    perturb_kind       0 none, 1 forward, 2 backward perturbation window
+    belt_scale         phase-rate multiplier of ramps and perturbations (block)
+    perturb_kind       0 none, 1 forward, 2 backward perturbation window (block)
     bio                normalized biological ankle torque, 0 while standing
+                       (block)
 
 The report slices its columns. timeseries.csv holds the first twelve, the
 mode by name, and `perturbed` = (perturb_kind != 0).
@@ -38,16 +48,19 @@ import numpy as np
 from .controller import ControlMode, Controller, ControllerConfig
 from .gait_signals import (EventDetector, GaitEvent, GaitEventKind,
                            WindowAssembler)
-from .plant import (Activity, GaitWorld, PerturbationKind, PerturbationSpec,
-                    PlantConfig, RampSpec, biological_torque, build_template)
+from .plant import (BLOCK_TICKS, Activity, GaitWorld, PerturbationKind,
+                    PerturbationSpec, PlantConfig, RampSpec, build_template)
 from .profile import (GaussianParams, ProfileEstimator, ShankByPercentGC,
-                      eval_force, eval_time_profile, feature_targets)
+                      eval_force, eval_time_profile_array,
+                      feature_targets)
 from .tendon import TendonModel
 
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
                "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturb_kind", "bio")
 MODES = [m.value for m in ControlMode] + ["abort"]
+_MODE_INDEX = {m: i for i, m in enumerate(ControlMode)}
+_ABORT_INDEX = MODES.index("abort")
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
 _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
 
@@ -291,59 +304,60 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     events: list[GaitEvent] = []
     adopted: list[GaussianParams] = []     # params active per stride
     raws: list = []                        # last accepted features per stride
-    f_meas_prev = 0.0
-    l_meas_prev = world.state.l_cable
-    l_rate_prev = 0.0
-    pos_prev = 0.0
+    # The reading of the previous tick is the controller's input.
+    f_meas = l_rate = pos = 0.0
+    l_meas = world.state.l_cable
     current_stride = -1
-    done_fc = None
-    max_ticks = int((world.standing_s + (cfg.n_strides + 6)
-                     * tmpl.period * 2.2) * 1000)
+    stop = int((world.standing_s + (cfg.n_strides + 6)
+                * tmpl.period * 2.2) * 1000)
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
+    stance = ControlMode.STANCE
+    mode = None          # the mode whose log index is in mode_index
+    mode_index = 0
 
-    for k in range(1, max_ticks + 1):
-        kin = world.advance(dt)
-        t_ms = round(world.t_s * 1000.0)
-        if k % 10 == 0 and world.walking:
-            ev = detector.update(kin)
-            window = assembler.process(kin, ev)
-            if window is not None:
-                estimator.update_from_window(window)
-            if ev is not None:
-                events.append(ev)
-                if ev.kind is GaitEventKind.FOOT_CONTACT:
-                    current_stride = ev.gc_index
-                    adopted.append(estimator.params)
-                    raws.append(estimator.last_raw)
-                    ctrl.on_event(ev, new_params=estimator.params)
-                    if ev.gc_index >= cfg.n_strides:
-                        done_fc = k
-                else:
-                    ctrl.on_event(ev)
-        f_for_ctrl = f_meas_prev
-        if spike_tick is not None and t_ms == spike_tick:
-            f_for_ctrl += cfg.fault_spike_n
-        cmd = ctrl.tick(kin, f_for_ctrl, l_meas_prev, l_rate_prev,
-                        pos_prev, dt)
-        reading = world.step_cable(cmd.v, kin, dt)
-        in_stance_ctrl = ctrl.state.mode is ControlMode.STANCE
-        f_des = (eval_force(ctrl.state.active_params, kin.theta_sk)
-                 if in_stance_ctrl and ctrl.state.active_params else 0.0)
-        log.extend((
-            t_ms, current_stride,
-            MODES.index("abort" if ctrl.state.aborted else ctrl.state.mode.value),
-            kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, reading.f_meas,
-            reading.f_truth, reading.l_meas, cmd.v, world.scale,
-            world.perturbation_kind(),
-            biological_torque(tmpl, world.phase) if world.walking else 0.0))
-
-        f_meas_prev = reading.f_meas
-        l_meas_prev = reading.l_meas
-        l_rate_prev = reading.l_meas_rate
-        pos_prev = reading.motor_pos
-        if done_fc is not None and k >= done_fc + 20:
-            break
+    k = 0
+    while k < stop:
+        block = world.advance_block(dt, min(BLOCK_TICKS, stop - k))
+        for t_ms, kin, walking, migration, scale, kind, bio in zip(
+                block.t_ms, block.kin, block.walking, block.migration,
+                block.scale, block.perturb_kind, block.bio):
+            k += 1
+            if k % 10 == 0 and walking:
+                ev = detector.update(kin)
+                window = assembler.process(kin, ev)
+                if window is not None:
+                    estimator.update_from_window(window)
+                if ev is not None:
+                    events.append(ev)
+                    if ev.kind is GaitEventKind.FOOT_CONTACT:
+                        current_stride = ev.gc_index
+                        adopted.append(estimator.params)
+                        raws.append(estimator.last_raw)
+                        ctrl.on_event(ev, new_params=estimator.params)
+                        if ev.gc_index >= cfg.n_strides:
+                            stop = min(stop, k + 20)
+                    else:
+                        ctrl.on_event(ev)
+            f_for_ctrl = f_meas
+            if spike_tick is not None and t_ms == spike_tick:
+                f_for_ctrl += cfg.fault_spike_n
+            cmd = ctrl.tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
+            f_truth, f_meas, l_meas, l_rate, pos = world.step_cable(
+                cmd.v, kin, dt, migration)
+            st = ctrl.state
+            if st.mode is not mode:   # Enum hashing is slow; modes change rarely
+                mode = st.mode
+                mode_index = _MODE_INDEX[mode]
+            f_des = (eval_force(st.active_params, kin.theta_sk)
+                     if mode is stance and st.active_params else 0.0)
+            log.extend((
+                t_ms, current_stride,
+                _ABORT_INDEX if st.aborted else mode_index,
+                kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, f_meas,
+                f_truth, l_meas, cmd.v, scale, kind, bio))
+            if k >= stop:
+                break
 
     table = np.frombuffer(log).reshape(-1, len(LOG_COLUMNS))
     report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,
@@ -395,9 +409,8 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
             except MetricsError:
                 r_sk = None
             if prev_clean is not None and prev_duration:
-                ftime = np.array([
-                    eval_time_profile(params, (ti - fc.t_ms) / prev_duration,
-                                      prev_clean) for ti in tt])
+                ftime = eval_time_profile_array(
+                    params, (tt - fc.t_ms) / prev_duration, prev_clean)
                 ftime_g = resample_uniform(tt, ftime, STANCE_GRID_POINTS)
                 try:
                     r_tm = stance_correlation(ftime_g, bio_g)

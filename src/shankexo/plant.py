@@ -14,6 +14,27 @@ Speed perturbations and ramps warp the phase rate only, never the curve
 shapes; a backward perturbation additionally injects a brief shank sway so
 the stance shank angle regresses, which is the non-steady condition the
 shank-based profile is meant to survive.
+
+Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, one simulated
+second at 1 kHz): the clock recurrence (time, ramp, perturbation window,
+phase wrap, stride, migration and sway) runs tick by tick in one scalar
+loop, then the gait curves and the biological torque of the whole block are
+evaluated with numpy. `advance(dt)` is the block of one tick. Nothing in the
+world reads cable state, so a block may run ahead of the closed loop; the
+world's scalar attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
+`state.migration`) then hold end-of-block values, and each tick's own values
+are the block's columns.
+
+Bit-equality. The block columns equal the scalar `gen_frame` and
+`biological_torque` (kept as the references the tests compare against) bit
+for bit, for any block size. That holds because the array code repeats the
+scalar operation order and uses only operations where numpy matches `math`
+exactly here: arithmetic, `sin`, `cos`, `radians` and `rint`. Where it does
+not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python operation
+stays: `math.exp` for migration, Python `**` for the torque sharpness and the
+sway, and Python `round(t, 6)` for the sample time. The force noise comes
+from the world's Generator in blocks of BLOCK_TICKS draws, which equal the
+same number of scalar `standard_normal()` draws.
 """
 
 from __future__ import annotations
@@ -21,12 +42,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .gait_signals import KinematicSample
 from .tendon import TendonModel
+
+BLOCK_TICKS = 1000   # world ticks per block: one simulated second at 1 kHz
+
 
 class TemplateError(ValueError):
     """Template parameters violate the event-feature or landmark contracts."""
@@ -190,6 +214,121 @@ def biological_torque(tmpl: GaitTemplate, phase: float) -> float:
     else:
         base = 0.5 * (1.0 + math.cos(math.pi * (u - u_pk) / (1.0 - u_pk)))
     return base ** tmpl.torque_sharpness
+
+
+def _piecewise(x: np.ndarray, knots: tuple, pieces: tuple,
+               side: str = "left") -> list[np.ndarray]:
+    """Evaluate each piece only on the x it covers.
+
+    With side="left", pieces[i] covers knots[i-1] < x <= knots[i] (the
+    `if x <= knot` chains of the scalar curves); with side="right",
+    knots[i-1] <= x < knots[i]. The last piece covers the rest. Every piece
+    returns the same number of columns, arrays or scalars.
+    """
+    seg = np.searchsorted(knots, x, side=side)
+    cols: list[np.ndarray] = []
+    for i in sorted(set(seg.tolist())):
+        at = seg == i
+        vals = pieces[i](x[at])
+        if not cols:
+            cols = [np.empty_like(x) for _ in vals]
+        for col, v in zip(cols, vals):
+            col[at] = v
+    return cols
+
+
+def _g_array(tmpl: GaitTemplate, u: np.ndarray) -> list[np.ndarray]:
+    """GaitTemplate._g over an array of stance fractions: [G, dG/du]."""
+    def rise(u):
+        v = u / tmpl.g_rise_end
+        return (tmpl.g_max * _s3(v),
+                tmpl.g_max * _ds3(v) / tmpl.g_rise_end)
+
+    def fall(u):
+        span = tmpl.g_fall_end - tmpl.g_fall_start
+        v = (u - tmpl.g_fall_start) / span
+        drop = tmpl.g_max - tmpl.g_dip
+        return tmpl.g_max - drop * _s3(v), -drop * _ds3(v) / span
+
+    def plunge(u):
+        span = 1.0 - tmpl.u_plunge
+        xi = (u - tmpl.u_plunge) / span
+        return (tmpl.g_dip + tmpl.g_plunge * (xi - np.sin(np.pi * xi) / np.pi),
+                tmpl.g_plunge * (1.0 - np.cos(np.pi * xi)) / span)
+
+    return _piecewise(
+        u, (tmpl.g_rise_end, tmpl.g_fall_start, tmpl.g_fall_end,
+            tmpl.u_plunge),
+        (rise, lambda u: (tmpl.g_max, 0.0), fall, lambda u: (tmpl.g_dip, 0.0),
+         plunge))
+
+
+def _stance_poses(tmpl: GaitTemplate, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """GaitTemplate.stance_pose over an array of stance fractions."""
+    sk0, sk1 = tmpl.theta_sk_span
+    dsk = sk1 - sk0
+    g, dg = _g_array(tmpl, u)
+    return sk0 + dsk * _s3(u), tmpl.ft_peak - g, dsk * _ds3(u), -dg
+
+
+def _swing_poses(tmpl: GaitTemplate, w: np.ndarray) -> list[np.ndarray]:
+    """GaitTemplate.swing_pose over an array of swing fractions."""
+    sk0, sk1 = tmpl.theta_sk_span
+    dsk = sk1 - sk0
+    t_sw = tmpl.period * (1.0 - tmpl.stance_ratio)
+    w_e = tmpl.swing_ease_s / t_sw
+    w_h = w_e + tmpl.swing_hold
+    ft_fo = tmpl.ft_peak - tmpl.g_end
+    gain = tmpl._swing_ease_gain()
+
+    def ease(w):
+        rate_w = tmpl.plunge_rate_pu * (t_sw / (tmpl.period * tmpl.stance_ratio))
+        xi = w / w_e
+        return (sk1,
+                ft_fo - 0.5 * rate_w * w_e * (xi + np.sin(np.pi * xi) / np.pi),
+                0.0, -0.5 * rate_w * (1.0 + np.cos(np.pi * xi)))
+
+    def ret(w):
+        v = (w - w_h) / (1.0 - w_h)
+        c = 0.5 * (1.0 + np.cos(np.pi * v))
+        dc = -0.5 * np.pi * np.sin(np.pi * v) / (1.0 - w_h)
+        return (sk0 + dsk * c, tmpl.ft_peak - (tmpl.g_end + gain) * c,
+                dsk * dc, -(tmpl.g_end + gain) * dc)
+
+    return _piecewise(w, (w_e, w_h),
+                      (ease, lambda w: (sk1, ft_fo - gain, 0.0, 0.0), ret))
+
+
+def gen_frames(tmpl: GaitTemplate, phase: np.ndarray,
+               speed_scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """gen_frame over arrays of phases in [0, 1) and speed scales:
+    (theta_ft, theta_sk, theta_df, theta_ft_rate, theta_sk_rate,
+    theta_df_rate), bit-equal to the scalar frames."""
+    rho = tmpl.stance_ratio
+    cycle_rate = speed_scale / tmpl.period
+    sk, ft, dsk, dft = _piecewise(
+        phase, (rho,),
+        (lambda p: _stance_poses(tmpl, p / rho),
+         lambda p: _swing_poses(tmpl, (p - rho) / (1.0 - rho))), side="right")
+    mult = np.where(phase < rho, cycle_rate / rho, cycle_rate / (1.0 - rho))
+    sk_rate = dsk * mult
+    ft_rate = dft * mult
+    return ft, sk, sk - ft, ft_rate, sk_rate, sk_rate - ft_rate
+
+
+def biological_torques(tmpl: GaitTemplate, phase: np.ndarray) -> np.ndarray:
+    """biological_torque over an array of phases, bit-equal to the scalar."""
+    rho = tmpl.stance_ratio
+    out = np.zeros_like(phase)
+    stance = (0.0 <= phase) & (phase <= rho)
+    u = phase[stance] / rho
+    u_pk = tmpl.df_peak[1]
+    base = np.where(u <= u_pk,
+                    0.5 * (1.0 - np.cos(np.pi * u / u_pk)),
+                    0.5 * (1.0 + np.cos(np.pi * (u - u_pk) / (1.0 - u_pk))))
+    # Python ** (C pow) and numpy power differ in the last bit.
+    out[stance] = [b ** tmpl.torque_sharpness for b in base.tolist()]
+    return out
 
 
 # -- template construction and validation -----------------------------------
@@ -404,8 +543,7 @@ class PlantState:
     stride_index: int = 0
 
 
-@dataclass(frozen=True)
-class PlantReading:
+class PlantReading(NamedTuple):
     f_truth: float
     f_meas: float
     l_meas: float
@@ -415,26 +553,47 @@ class PlantReading:
 
 def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
                tendon_truth: TendonModel, dt: float, config: PlantConfig,
-               rng: Optional[np.random.Generator] = None) -> PlantReading:
-    """Advance the cable plant one control tick under a velocity command."""
+               z: Optional[float] = None,
+               migration: Optional[float] = None) -> PlantReading:
+    """Advance the cable plant one control tick under a velocity command.
+
+    z is a standard-normal draw for the load-cell noise (None: noiseless
+    reading); migration is the tick's suit migration in mm (None:
+    state.migration).
+    """
+    if migration is None:
+        migration = state.migration
     v_target = max(-config.v_max, min(config.v_max, cmd_v))
     alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
     state.motor_v += alpha * (v_target - state.motor_v)
     state.l_cable -= state.motor_v * dt
     l_taut = (tendon_truth.lever_arm_r * math.radians(kin.theta_df)
-              + tendon_truth.baseline_c - state.migration)
+              + tendon_truth.baseline_c - migration)
     force = max(0.0, tendon_truth.k_all * (l_taut - state.l_cable))
     state.force = force
     f_meas = force
-    if rng is not None and config.force_noise_sd > 0.0:
-        f_meas = max(0.0, force + config.force_noise_sd * rng.standard_normal())
+    if z is not None and config.force_noise_sd > 0.0:
+        f_meas = max(0.0, force + config.force_noise_sd * z)
     return PlantReading(
-        f_truth=force,
-        f_meas=f_meas,
-        l_meas=state.l_cable,
-        l_meas_rate=-state.motor_v,
-        motor_pos=(config.baseline_c + config.initial_slack_mm) - state.l_cable,
-    )
+        force, f_meas, state.l_cable, -state.motor_v,
+        (config.baseline_c + config.initial_slack_mm) - state.l_cable)
+
+
+class WorldBlock(NamedTuple):
+    """Per-tick columns of one block of world ticks, as lists."""
+
+    t_ms: list           # tick time rounded to whole ms (the log's clock)
+    kin: list            # KinematicSample, its t_ms rounded to 1e-6 ms
+    walking: list        # False while standing
+    phase: list
+    scale: list          # phase-rate multiplier of ramps and perturbations
+    stride: list
+    migration: list      # mm
+    perturb_kind: list   # 0 none, 1 forward, 2 backward perturbation window
+    bio: list            # normalized biological torque, 0 while standing
+
+
+_PERTURB_CODE = {PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
 
 
 class GaitWorld:
@@ -442,7 +601,9 @@ class GaitWorld:
 
     Drives a standing segment first (all angles zero) so the controller can
     pretighten, then runs the gait from swing onset. Stride count follows
-    the phase wrap; suit migration steps once per stride.
+    the phase wrap; suit migration steps once per stride. The open-loop
+    part advances in blocks (`advance_block`); the cable (`step_cable`) is
+    stepped one tick at a time by the closed loop.
     """
 
     def __init__(self, tmpl: GaitTemplate, config: PlantConfig, seed: int = 0,
@@ -466,110 +627,106 @@ class GaitWorld:
         self._ramp_scale = 1.0
         self._pert_active: Optional[tuple[PerturbationSpec, float]] = None
         self._pert_done: set[int] = set()
-        self._sway = 0.0
-        self._sway_rate = 0.0
-
-    @property
-    def walking(self) -> bool:
-        return self.t_s >= self.standing_s
-
-    def perturbation_kind(self) -> int:
-        """0 when unperturbed, 1 during forward, 2 during backward windows."""
-        if self._pert_active is None:
-            return 0
-        return 1 if self._pert_active[0].kind is PerturbationKind.FORWARD else 2
+        self._noise = iter(())
 
     def advance(self, dt: float) -> KinematicSample:
-        """Advance time by dt and return the truth kinematics at the new time."""
-        self.t_s += dt
-        t_ms = round(self.t_s * 1000.0, 6)
-        if not self.walking:
-            return KinematicSample(t_ms, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        self._update_ramp(dt)
-        scale = self._ramp_scale
-        scale *= self._perturbation_multiplier()
-        self.scale = scale
-        self.phase = phase_advance(self.phase, dt, self.tmpl, scale)
-        if self.phase >= 1.0:
-            self.phase -= 1.0
-            self.state.stride_index += 1
-            cfg = self.config
-            self.state.migration = cfg.mig_max * (
-                1.0 - math.exp(-self.state.stride_index / cfg.mig_stride_tau))
-            self.truth_tendon.delta_l1 = self.state.migration
-        self._maybe_start_perturbation()
-        kin = gen_frame(self.tmpl, self.phase, scale, t_ms)
-        if self._update_sway(dt):
-            kin = KinematicSample(
-                kin.t_ms, kin.theta_ft, kin.theta_sk + self._sway,
-                kin.theta_df + self._sway, kin.theta_ft_rate,
-                kin.theta_sk_rate + self._sway_rate,
-                kin.theta_df_rate + self._sway_rate)
-        return kin
+        """Advance time by dt and return the truth kinematics at the new
+        time: the block of one tick."""
+        return self.advance_block(dt, 1).kin[0]
 
-    def step_cable(self, cmd_v: float, kin: KinematicSample,
-                   dt: float) -> PlantReading:
+    def advance_block(self, dt: float, n: int) -> WorldBlock:
+        """Advance n ticks of dt and return each tick's world values."""
+        tmpl, cfg, ramp = self.tmpl, self.config, self.ramp
+        perturbations, done = self.perturbations, self._pert_done
+        standing_s = self.standing_s
+        sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
+        t_s, phase, scale = self.t_s, self.phase, self.scale
+        ramp_scale, pert = self._ramp_scale, self._pert_active
+        stride, migration = self.state.stride_index, self.state.migration
+        t_col, walk_col, phase_col, scale_col = [], [], [], []
+        stride_col, mig_col, kind_col = [], [], []
+        sway_rows = []   # (tick, sway, sway rate) in backward windows
+        for i in range(n):
+            t_s += dt
+            walking = t_s >= standing_s
+            if walking:
+                if ramp is not None and stride >= ramp.start_stride:
+                    target = (ramp.low_scale if stride < ramp.start_stride
+                              + ramp.hold_strides else 1.0)
+                    if ramp_scale < target:
+                        ramp_scale = min(target,
+                                         ramp_scale + ramp.rate_per_s * dt)
+                    elif ramp_scale > target:
+                        ramp_scale = max(target,
+                                         ramp_scale - ramp.rate_per_s * dt)
+                scale = ramp_scale
+                if pert is not None:
+                    spec, t0 = pert
+                    window = 2.0 * spec.ramp_time
+                    if spec.kind is PerturbationKind.BACKWARD:
+                        window = max(window, sway_w)
+                    if t_s - t0 > window:
+                        pert = None
+                    else:
+                        scale *= spec.multiplier(t_s - t0)
+                phase = phase_advance(phase, dt, tmpl, scale)
+                if phase >= 1.0:
+                    phase -= 1.0
+                    stride += 1
+                    migration = cfg.mig_max * (
+                        1.0 - math.exp(-stride / cfg.mig_stride_tau))
+                spec = perturbations.get(stride)
+                if (spec is not None and pert is None and stride not in done
+                        and phase >= spec.onset_pct_gc):
+                    pert = (spec, t_s)
+                    done.add(stride)
+                if pert is not None and pert[0].kind is PerturbationKind.BACKWARD:
+                    tau = t_s - pert[1]
+                    if tau <= sway_w:
+                        sway_rows.append((
+                            i, -sway_a * math.sin(math.pi * tau / sway_w) ** 2,
+                            -sway_a * math.pi / sway_w
+                            * math.sin(2.0 * math.pi * tau / sway_w)))
+            t_col.append(t_s)
+            walk_col.append(walking)
+            phase_col.append(phase)
+            scale_col.append(scale)
+            stride_col.append(stride)
+            mig_col.append(migration)
+            kind_col.append(0 if pert is None else _PERTURB_CODE[pert[0].kind])
+        self.t_s, self.phase, self.scale = t_s, phase, scale
+        self._ramp_scale, self._pert_active = ramp_scale, pert
+        self.state.stride_index, self.state.migration = stride, migration
+
+        # Walking never stops once started: ticks w0.. walk, the rest stand
+        # with every angle and rate zero.
+        w0 = walk_col.index(True) if walk_col[-1] else n
+        frames = np.zeros((6, n))
+        bio = np.zeros(n)
+        if w0 < n:
+            walk_phase = np.array(phase_col[w0:])
+            frames[:, w0:] = gen_frames(tmpl, walk_phase,
+                                        np.array(scale_col[w0:]))
+            bio[w0:] = biological_torques(tmpl, walk_phase)
+        for i, sway, sway_rate in sway_rows:
+            frames[1:3, i] += sway       # theta_sk, theta_df
+            frames[4:6, i] += sway_rate  # their rates
+        t_ms6 = [round(t * 1000.0, 6) for t in t_col]
+        return WorldBlock(
+            t_ms=np.rint(np.array(t_col) * 1000.0).tolist(),
+            kin=list(map(KinematicSample._make, zip(t_ms6, *frames.tolist()))),
+            walking=walk_col, phase=phase_col, scale=scale_col,
+            stride=stride_col, migration=mig_col, perturb_kind=kind_col,
+            bio=bio.tolist())
+
+    def step_cable(self, cmd_v: float, kin: KinematicSample, dt: float,
+                   migration: Optional[float] = None) -> PlantReading:
+        """Advance the cable one tick. migration is the tick's own suit
+        migration; the default, state.migration, is the tick's own only when
+        the world advances one tick at a time."""
+        z = next(self._noise, None)
+        if z is None:
+            self._noise = iter(self.rng.standard_normal(BLOCK_TICKS).tolist())
+            z = next(self._noise)
         return step_plant(self.state, cmd_v, kin, self.truth_tendon, dt,
-                          self.config, self.rng)
-
-    # -- internal -------------------------------------------------------------
-
-    def _maybe_start_perturbation(self) -> None:
-        stride = self.state.stride_index
-        spec = self.perturbations.get(stride)
-        if spec is None or stride in self._pert_done:
-            return
-        if self.phase >= spec.onset_pct_gc and self._pert_active is None:
-            self._pert_active = (spec, self.t_s)
-            self._pert_done.add(stride)
-
-    def _perturbation_multiplier(self) -> float:
-        if self._pert_active is None:
-            return 1.0
-        spec, t0 = self._pert_active
-        tau = self.t_s - t0
-        window = 2.0 * spec.ramp_time
-        if spec.kind is PerturbationKind.BACKWARD:
-            window = max(window, self.config.sway_window_s)
-        if tau > window:
-            self._pert_active = None
-            return 1.0
-        return spec.multiplier(tau)
-
-    def _update_sway(self, dt: float) -> bool:
-        """Shank sway transient during backward perturbations."""
-        if self._pert_active is None:
-            self._sway = 0.0
-            self._sway_rate = 0.0
-            return False
-        spec, t0 = self._pert_active
-        if spec.kind is not PerturbationKind.BACKWARD:
-            self._sway = 0.0
-            self._sway_rate = 0.0
-            return False
-        w = self.config.sway_window_s
-        tau = self.t_s - t0
-        if tau > w:
-            self._sway = 0.0
-            self._sway_rate = 0.0
-            return False
-        a = self.config.sway_deg
-        self._sway = -a * math.sin(math.pi * tau / w) ** 2
-        self._sway_rate = -a * math.pi / w * math.sin(2.0 * math.pi * tau / w)
-        return True
-
-    def _update_ramp(self, dt: float) -> None:
-        ramp = self.ramp
-        if ramp is None:
-            return
-        stride = self.state.stride_index
-        if stride < ramp.start_stride:
-            return
-        if stride < ramp.start_stride + ramp.hold_strides:
-            target = ramp.low_scale
-        else:
-            target = 1.0
-        if self._ramp_scale < target:
-            self._ramp_scale = min(target, self._ramp_scale + ramp.rate_per_s * dt)
-        elif self._ramp_scale > target:
-            self._ramp_scale = max(target, self._ramp_scale - ramp.rate_per_s * dt)
+                          self.config, z, migration)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .gait_signals import StanceWindow
 
 log = logging.getLogger(__name__)
@@ -208,3 +210,26 @@ def eval_time_profile(p: GaussianParams, pct_gc: float,
     if not (0.0 <= pct_gc < 1.0):
         return 0.0
     return eval_force(p, prev_cycle.lookup(pct_gc))
+
+
+def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
+                            prev_cycle: ShankByPercentGC) -> np.ndarray:
+    """eval_time_profile over an array of percent-GC values, bit-equal to
+    the scalar: the lookup repeats ShankByPercentGC.lookup's operation order
+    (np.interp does not) and the Gaussian keeps math.exp (np.exp differs in
+    the last bit)."""
+    pts = np.asarray(prev_cycle.pct)
+    ths = np.asarray(prev_cycle.theta)
+    hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)
+    lo = hi - 1
+    w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
+    theta = np.where(pct_gc <= pts[0], ths[0],
+                     np.where(pct_gc >= pts[-1], ths[-1],
+                              ths[lo] + w * (ths[hi] - ths[lo])))
+    on = ((0.0 <= pct_gc) & (pct_gc < 1.0)
+          & (p.theta_fc < theta) & (theta < p.theta_fo))
+    th = theta[on]
+    z = (th - p.mu) / np.where(th <= p.mu, p.sigma1, p.sigma2)
+    out = np.zeros_like(pct_gc)
+    out[on] = [p.amp * math.exp(e) for e in (-0.5 * z * z).tolist()]
+    return out

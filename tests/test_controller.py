@@ -267,3 +267,39 @@ class TestPretighten:
         assert ctrl.tendon.baseline_c == pytest.approx(299.6 + 5.2 / 12.5)
         assert ctrl.state.release_target == pytest.approx(
             299.6 + cfg.release_slack_mm)
+
+
+NAN_INPUTS = ("f_meas", "l_meas", "l_meas_rate", "motor_pos")
+FINITE_INPUTS = dict(f_meas=20.0, l_meas=310.0, l_meas_rate=0.0, motor_pos=0.0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NAN_INPUTS)
+    @pytest.mark.parametrize("mode,engaged", [
+        (ControlMode.PRETIGHTEN, False), (ControlMode.SILENT, False),
+        (ControlMode.SWING, False), (ControlMode.STANCE, False),
+        (ControlMode.STANCE, True)])
+    def test_non_finite_input_aborts_without_retraction(self, mode, engaged,
+                                                        field, bad):
+        ctrl = make_controller(mode=mode, engaged=engaged)
+        ctrl.state.release_target = 320.0
+        inputs = dict(FINITE_INPUTS, **{field: bad})
+        cmd = ctrl.tick(kin(theta_sk=PARAMS.mu), inputs["f_meas"],
+                        inputs["l_meas"], inputs["l_meas_rate"],
+                        inputs["motor_pos"], 0.001)
+        assert ctrl.state.aborted
+        assert cmd.v <= 0.0
+        for l_meas in np.linspace(300.0, 330.0, 50):
+            cmd = ctrl.tick(kin(theta_sk=PARAMS.mu), 20.0, float(l_meas),
+                            0.0, 0.0, 0.001)
+            assert ctrl.state.aborted
+            assert cmd.v <= 0.0
+
+    def test_nan_command_is_not_clamped_to_the_envelope(self):
+        # A NaN kinematic rate reaches the stance feedforward; the clamp
+        # must not turn the NaN command into full retraction.
+        ctrl = make_controller()
+        cmd = ctrl.tick(kin(theta_sk=PARAMS.mu, sk_rate=math.nan),
+                        eval_force(PARAMS, PARAMS.mu), 310.0, 0.0, 0.0, 0.001)
+        assert cmd.v == 0.0

@@ -8,6 +8,8 @@ from shankexo.profile import (EstimationSkipped, GaussianParams, ParameterError,
                               ProfileEstimator, RawStrideFeatures,
                               ShankByPercentGC, eval_force, eval_force_rate,
                               eval_time_profile, extract_raw, feature_targets)
+from shankexo.profile import eval_time_profile_array
+from hypothesis import given, settings, strategies as hs
 
 TABLE_PARAMS = GaussianParams(amp=150.0, mu=15.0, sigma1=10.0, sigma2=5.0,
                               theta_fc=-25.0, theta_fo=40.0)
@@ -222,3 +224,26 @@ class TestTimeProfile:
         f_shank = eval_force(p, frozen_theta)
         assert f_time == pytest.approx(150.0, rel=1e-6)
         assert f_shank < f_time * 0.6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), n_grid=hs.integers(2, 120))
+def test_time_profile_array_equals_scalar(seed, n_grid):
+    """The report's array comparator is bit-equal to eval_time_profile,
+    including percent-GC values on grid points, at 0 and 1 and outside."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, n_grid)
+    sk = np.cumsum(rng.uniform(-1.0, 3.0, n_grid)) - 15.0
+    prev = ShankByPercentGC(list(grid), list(sk))
+    mu = float(rng.uniform(-5.0, 20.0))
+    p = GaussianParams(float(rng.uniform(50.0, 150.0)), mu,
+                       float(rng.uniform(1.0, 15.0)),
+                       float(rng.uniform(1.0, 10.0)),
+                       mu - float(rng.uniform(1.0, 30.0)),
+                       mu + float(rng.uniform(1.0, 30.0)))
+    pct = np.concatenate([rng.uniform(-0.1, 1.1, 300), grid,
+                          [0.0, 1.0, -0.0, 1.0 - 1e-16, -1e-300]])
+    got = eval_time_profile_array(p, pct, prev)
+    want = [eval_time_profile(p, float(x), prev) for x in pct]
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  np.array(want).view(np.int64))
