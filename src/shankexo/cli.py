@@ -7,10 +7,10 @@ import json
 import sys
 
 from .gait_signals import EventDetector, WindowAssembler, read_replay_csv
-from .harness import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
-                      INITIAL_THETA_FC, INITIAL_THETA_FO, MetricsReport,
-                      ScenarioConfig, run_scenario)
-from .profile import GaussianParams, ProfileEstimator
+from .harness import MetricsReport, ScenarioConfig, run_scenario
+from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+                      INITIAL_THETA_FC, INITIAL_THETA_FO, GaussianParams,
+                      ProfileEstimator)
 from .tendon import identify_stiffness, load_calibration_csv
 
 

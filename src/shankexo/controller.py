@@ -62,7 +62,6 @@ class ControllerConfig:
     map_m: float = 0.0               # N*s/mm, force-to-velocity map inertia
     map_b: float = 15.7              # N/mm, force-to-velocity map gain
     swing_target_force: float = 3.0  # N
-    amp_fraction: float = 0.15       # of body weight
     silent_cycles: int = 5
     force_ceiling: float = 300.0     # N
     position_limit_mm: float = 80.0  # +/- about the pretighten reference
@@ -153,12 +152,14 @@ class Controller:
              l_meas_rate: float, motor_pos: float, dt: float) -> VelocityCommand:
         st = self.state
         st.last_theta_df = kin.theta_df
-        # One check covers all four: a NaN or an infinity in any makes the
+        # One check covers all eight: a NaN or an infinity in any makes the
         # sum non-finite, and NaN slips through every comparison below.
-        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos):
+        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
+                             + kin.theta_sk + kin.theta_df
+                             + kin.theta_sk_rate + kin.theta_df_rate):
             if not st.aborted:
-                log.error("safety abort: non-finite input f=%r l=%r rate=%r "
-                          "pos=%r", f_meas, l_meas, l_meas_rate, motor_pos)
+                log.error("safety abort: non-finite input (f, l, rate, pos)="
+                          "%r %r", (f_meas, l_meas, l_meas_rate, motor_pos), kin)
             st.aborted = True
         if self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT:
             return self._tick_abort(l_meas)

@@ -5,6 +5,10 @@ hindfoot, shank angle is zero upright and positive with knee flexion, and the
 ankle dorsiflexion channel is the difference theta_sk - theta_ft (zero at
 upright stand). Foot contact is marked by the foot-pitch maximum, foot-off by
 the foot-pitch-rate minimum.
+
+IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
+here only: `harness` decimates its 1 kHz loop by the IMU period, and `plant`
+validates gait templates against it and the detector's thresholds.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ log = logging.getLogger(__name__)
 
 IMU_PERIOD_MS = 10.0  # 100 Hz sensor cadence
 MAX_GAP_SAMPLES = 3
+STANCE_CAPACITY = 300  # samples, >= 2 s of stance at 100 Hz
 
 
 class SignalQualityError(ValueError):
@@ -169,7 +174,7 @@ class EventDetector:
 class StanceWindow:
     """Paired shank/DF angle buffers covering one stance period."""
 
-    capacity: int = 300  # >= 2 s of stance at 100 Hz
+    capacity: int = STANCE_CAPACITY
     theta_sk_buf: list = field(default_factory=list)
     theta_df_buf: list = field(default_factory=list)
     overflowed: bool = False
@@ -209,9 +214,9 @@ class WindowAssembler:
     the extremum before handing the window out.
     """
 
-    def __init__(self, capacity: int = 300, ring_len: int = 120):
-        self._ring: deque = deque(maxlen=ring_len)
-        self.window = StanceWindow(capacity=capacity)
+    def __init__(self):
+        self._ring: deque = deque(maxlen=120)   # recent samples
+        self.window = StanceWindow()
         self._t_buf: list = []
         self.in_stance = False
 
@@ -232,9 +237,8 @@ class WindowAssembler:
         if event is not None and event.kind is GaitEventKind.FOOT_OFF:
             self.in_stance = False
             keep = sum(1 for t in self._t_buf if t <= event.t_ms)
-            done = StanceWindow(capacity=self.window.capacity)
-            done.theta_sk_buf = self.window.theta_sk_buf[:keep]
-            done.theta_df_buf = self.window.theta_df_buf[:keep]
+            done = StanceWindow(theta_sk_buf=self.window.theta_sk_buf[:keep],
+                                theta_df_buf=self.window.theta_df_buf[:keep])
             self.window.clear()
             self._t_buf.clear()
             return done
@@ -252,11 +256,9 @@ class StreamConditioner:
     and rejects gaps longer than MAX_GAP_SAMPLES with SignalLossError.
     """
 
-    def __init__(self, standing_ft: float = 0.0, standing_sk: float = 0.0,
-                 period_ms: float = IMU_PERIOD_MS):
+    def __init__(self, standing_ft: float = 0.0, standing_sk: float = 0.0):
         self.standing_ft = standing_ft
         self.standing_sk = standing_sk
-        self.period_ms = period_ms
         self._last: Optional[KinematicSample] = None
         self._prev: Optional[KinematicSample] = None
 
@@ -267,7 +269,7 @@ class StreamConditioner:
         ft = theta_ft - self.standing_ft
         sk = theta_sk - self.standing_sk
         if self._last is not None:
-            gap = round((t_ms - self._last.t_ms) / self.period_ms)
+            gap = round((t_ms - self._last.t_ms) / IMU_PERIOD_MS)
             if gap < 1:
                 raise SignalQualityError(
                     f"non-increasing stream timestamp at t={t_ms} ms")
@@ -284,7 +286,7 @@ class StreamConditioner:
 
     def _extrapolate(self, steps_ahead: int) -> KinematicSample:
         last, prev = self._last, self._prev
-        t = last.t_ms + steps_ahead * self.period_ms
+        t = last.t_ms + steps_ahead * IMU_PERIOD_MS
         if prev is None:
             return KinematicSample.from_imu(t, last.theta_ft, last.theta_sk,
                                             last.theta_ft_rate, last.theta_sk_rate)
@@ -300,10 +302,9 @@ REPLAY_HEADER = ["t_ms", "theta_ft_deg", "theta_sk_deg",
                  "theta_ft_rate_dps", "theta_sk_rate_dps"]
 
 
-def read_replay_csv(path, conditioner: Optional[StreamConditioner] = None
-                    ) -> Iterator[KinematicSample]:
+def read_replay_csv(path) -> Iterator[KinematicSample]:
     """Replay a recorded kinematic stream; the DF channel is derived, not read."""
-    cond = conditioner or StreamConditioner()
+    cond = StreamConditioner()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -1,9 +1,9 @@
 """Scenario runner: deterministic two-rate loop, metrics, and artifacts.
 
-The control path ticks at 1 kHz; every 10th tick also runs the estimation
-path (IMU sampling, event detection, stance windowing, per-stride parameter
-updates). Parameter handoff to the controller happens only at foot-contact
-ticks. Runs are fully determined by the scenario config and seed.
+The control path ticks at 1 kHz; one tick per gait_signals.IMU_PERIOD_MS
+also runs the estimation path (event detection, stance windowing, per-stride
+updates from profile.INITIAL_*). Parameters reach the controller only at
+foot-contact ticks. Runs are fully determined by the scenario config and seed.
 
 Only the controller and the cable form a closed loop; the gait world never
 reads cable state. So the loop advances the world one block at a time
@@ -46,13 +46,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import ControlMode, Controller, ControllerConfig
-from .gait_signals import (EventDetector, GaitEvent, GaitEventKind,
-                           WindowAssembler)
+from .gait_signals import (IMU_PERIOD_MS, EventDetector, GaitEvent,
+                           GaitEventKind, WindowAssembler)
 from .plant import (BLOCK_TICKS, Activity, GaitWorld, PerturbationKind,
                     PerturbationSpec, PlantConfig, RampSpec, build_template)
-from .profile import (GaussianParams, ProfileEstimator, ShankByPercentGC,
-                      eval_force, eval_time_profile_array,
-                      feature_targets)
+from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+                      INITIAL_THETA_FC, INITIAL_THETA_FO, GaussianParams,
+                      ProfileEstimator, ShankByPercentGC, eval_force,
+                      eval_time_profile_array, feature_targets)
 from .tendon import TendonModel
 
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
@@ -69,13 +70,6 @@ AGGREGATION_STRIDES = 10    # GCs averaged in the aggregates
 N_PERTURBATIONS = 4
 
 CONVERGENCE_SENTINEL = -1
-
-# Default initial profile parameters (deg); amplitude comes from the config.
-INITIAL_MU = 15.0
-INITIAL_SIGMA1 = 10.0
-INITIAL_SIGMA2 = 5.0
-INITIAL_THETA_FC = -20.0
-INITIAL_THETA_FO = 25.0
 
 
 class ConfigError(ValueError):
@@ -146,27 +140,20 @@ def convergence_stride(param_history: Sequence[GaussianParams],
     tol * |initial gap| of their targets; CONVERGENCE_SENTINEL if never."""
     if not param_history:
         raise MetricsError("empty parameter history")
-    mu_t, s1_t, s2_t = targets
-    first = param_history[0]
-    gaps = (abs(first.mu - mu_t), abs(first.sigma1 - s1_t),
-            abs(first.sigma2 - s2_t))
-    bounds = tuple(tol * g + 1e-12 for g in gaps)
 
-    def within(p: GaussianParams) -> bool:
-        return (abs(p.mu - mu_t) <= bounds[0]
-                and abs(p.sigma1 - s1_t) <= bounds[1]
-                and abs(p.sigma2 - s2_t) <= bounds[2])
+    def gaps(p: GaussianParams) -> np.ndarray:
+        return np.abs(np.array([p.mu, p.sigma1, p.sigma2]) - targets)
 
-    n = len(param_history)
-    for i in range(n):
-        if all(within(param_history[j]) for j in range(i, n)):
-            return i
-    return CONVERGENCE_SENTINEL
+    bounds = tol * gaps(param_history[0]) + 1e-12
+    n = i = len(param_history)
+    while i > 0 and np.all(gaps(param_history[i - 1]) <= bounds):
+        i -= 1
+    return i if i < n else CONVERGENCE_SENTINEL
 
 
-def resample_uniform(t: np.ndarray, y: np.ndarray, n: int = 101) -> np.ndarray:
-    """Linear resampling onto a uniform grid over [t[0], t[-1]]."""
-    grid = np.linspace(t[0], t[-1], n)
+def resample_uniform(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Linear resampling onto STANCE_GRID_POINTS points over [t[0], t[-1]]."""
+    grid = np.linspace(t[0], t[-1], STANCE_GRID_POINTS)
     return np.interp(grid, t, y)
 
 
@@ -184,7 +171,6 @@ class ScenarioConfig:
     controller: dict = field(default_factory=dict)
     plant: dict = field(default_factory=dict)
     template: dict = field(default_factory=dict)
-    analysis_start: Optional[int] = None    # first stride in the aggregates
     fault_spike_t_ms: Optional[float] = None
     fault_spike_n: float = 0.0
 
@@ -266,15 +252,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     scenario = ScenarioKind(cfg.scenario)
     tmpl = build_template(activity, **cfg.template)
     plant_cfg = PlantConfig(**cfg.plant)
-    ctrl_cfg = ControllerConfig(amp_fraction=cfg.amp_fraction,
-                                v_max=plant_cfg.v_max, **cfg.controller)
+    ctrl_cfg = ControllerConfig(v_max=plant_cfg.v_max, **cfg.controller)
     silent = ctrl_cfg.silent_cycles
-    if cfg.analysis_start is not None:
-        analysis_start = cfg.analysis_start
-    else:
-        # post-silent, post-convergence; clamped so short runs still report
-        analysis_start = min(silent + 12,
-                             max(cfg.n_strides - AGGREGATION_STRIDES, silent))
+    # post-silent, post-convergence; clamped so short runs still report
+    analysis_start = min(silent + 12,
+                         max(cfg.n_strides - AGGREGATION_STRIDES, silent))
 
     rng = np.random.default_rng(cfg.seed)
     perturbations: list[PerturbationSpec] = []
@@ -300,6 +282,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     assembler = WindowAssembler()
 
     dt = 0.001
+    imu_every = round(IMU_PERIOD_MS / (dt * 1000.0))   # ticks per IMU sample
     log = array("d")
     events: list[GaitEvent] = []
     adopted: list[GaussianParams] = []     # params active per stride
@@ -323,7 +306,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 block.t_ms, block.kin, block.walking, block.migration,
                 block.scale, block.perturb_kind, block.bio):
             k += 1
-            if k % 10 == 0 and walking:
+            if k % imu_every == 0 and walking:
                 ev = detector.update(kin)
                 window = assembler.process(kin, ev)
                 if window is not None:
@@ -402,8 +385,8 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
         bio_seg = bio[i0:i1]
         if peak > 1.0 and bio_seg.max() > 0.0:
             tt = t[i0:i1]
-            mech_g = resample_uniform(tt, des, STANCE_GRID_POINTS)
-            bio_g = resample_uniform(tt, bio_seg, STANCE_GRID_POINTS)
+            mech_g = resample_uniform(tt, des)
+            bio_g = resample_uniform(tt, bio_seg)
             try:
                 r_sk = stance_correlation(mech_g, bio_g)
             except MetricsError:
@@ -411,7 +394,7 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
             if prev_clean is not None and prev_duration:
                 ftime = eval_time_profile_array(
                     params, (tt - fc.t_ms) / prev_duration, prev_clean)
-                ftime_g = resample_uniform(tt, ftime, STANCE_GRID_POINTS)
+                ftime_g = resample_uniform(tt, ftime)
                 try:
                     r_tm = stance_correlation(ftime_g, bio_g)
                 except MetricsError:

@@ -35,6 +35,10 @@ stays: `math.exp` for migration, Python `**` for the torque sharpness and the
 sway, and Python `round(t, 6)` for the sample time. The force noise comes
 from the world's Generator in blocks of BLOCK_TICKS draws, which equal the
 same number of scalar `standard_normal()` draws.
+
+Template validation reads the numbers of the parts that run on a template
+from the modules that own them: the detector thresholds and the IMU period
+from `gait_signals`, the initial profile and the update guard from `profile`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gait_signals import KinematicSample
+from .gait_signals import IMU_PERIOD_MS, DetectorConfig, KinematicSample
+from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2, MAX_DELTA_MU,
+                      MAX_DELTA_SIGMA, SIGMA_BOUNDS, RawStrideFeatures,
+                      feature_targets)
 from .tendon import TendonModel
 
 BLOCK_TICKS = 1000   # world ticks per block: one simulated second at 1 kHz
@@ -354,12 +361,7 @@ ACTIVITY_DEFAULTS: dict[Activity, dict] = {
                       g_plunge=5.3, torque_sharpness=3.0),
 }
 
-# Detector-facing margins used by the build-time validation.
-_DELTA_ANG = 1.0
-_REFRACTORY_S = 0.200
-_ARM_FRACTION = 0.45
 _SAMPLE_ATTENUATION = 0.85   # worst-case sampled plunge extremum vs true peak
-_IMU_DT = 0.010
 
 
 def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
@@ -378,10 +380,8 @@ def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
 def _sample_stance(tmpl: GaitTemplate) -> tuple[np.ndarray, ...]:
     """(u, theta_sk, theta_ft, dft/du, G, dG/du) on the uniform stance grid."""
     us = np.linspace(0.0, 1.0, _GRID_N + 1)
-    rows = np.fromiter((tmpl.stance_pose(u) + tmpl._g(u) for u in us.tolist()),
-                       dtype=(float, 6), count=len(us))
-    sk, ft, _, dft, g0, g1 = rows.T
-    return us, sk, ft, dft, g0, g1
+    sk, ft, _, dft = _stance_poses(tmpl, us)
+    return (us, sk, ft, dft, *_g_array(tmpl, us))
 
 
 def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
@@ -438,10 +438,13 @@ def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
     # on the fixed refractory at nominal speed.
     if tmpl.g_rise_end > 0.27:
         raise TemplateError("excess rise must finish within 27 % of stance")
-    arm_worst_pu = _ARM_FRACTION * _SAMPLE_ATTENUATION * tmpl.plunge_rate_pu
-    conf_idx = int(np.searchsorted(np.maximum.accumulate(g0), _DELTA_ANG))
+    det = DetectorConfig()
+    imu_dt = IMU_PERIOD_MS / 1000.0
+    arm_worst_pu = (det.fo_arm_fraction * _SAMPLE_ATTENUATION
+                    * tmpl.plunge_rate_pu)
+    conf_idx = int(np.searchsorted(np.maximum.accumulate(g0), det.delta_ang))
     t_conf = float(us[min(conf_idx, _GRID_N)]) * t_st
-    u_first = (t_conf + _REFRACTORY_S + _IMU_DT) / t_st
+    u_first = (t_conf + det.refractory_ms / 1000.0 + imu_dt) / t_st
     for u_visible in (u_first, 0.28):
         mask = (us >= u_visible) & (us <= tmpl.u_plunge)
         if np.any(mask):
@@ -451,7 +454,7 @@ def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
                     f"pitch-rate dip {danger_pu:.1f} deg/u visible from "
                     f"u={u_visible:.2f} too close to the arming threshold "
                     f"{arm_worst_pu:.1f} deg/u")
-    if (1.0 - tmpl.u_plunge) * t_st < 0.040:
+    if (1.0 - tmpl.u_plunge) * t_st < 4 * imu_dt:
         raise TemplateError("plunge window under four IMU samples")
 
     # DF single crest at an interior phase, separated from the plateau and
@@ -468,12 +471,23 @@ def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
 
     # Landmark targets must be reachable from the default initial profile
     # parameters through the guarded update.
-    fc, mdf, fo = tmpl.landmarks
-    s1, s2, mu = (mdf - fc) / 4.0, (fo - mdf) / 4.0, mdf
-    if not (5.1 <= s1 <= 14.9 and 1.1 <= s2 <= 9.9 and 5.2 <= mu <= 24.8):
+    s1, s2, mu = feature_targets(RawStrideFeatures(*tmpl.landmarks))
+    (s1_lo, s1_hi), (s2_lo, s2_hi), (mu_lo, mu_hi) = _landmark_window()
+    if not (s1_lo <= s1 <= s1_hi and s2_lo <= s2 <= s2_hi
+            and mu_lo <= mu <= mu_hi):
         raise TemplateError(
             f"landmark targets (s1={s1:.2f}, s2={s2:.2f}, mu={mu:.2f}) "
             "incompatible with the default initial parameters and guard")
+
+
+def _landmark_window() -> tuple[tuple[float, float], ...]:
+    """(lo, hi) of the sigma1, sigma2, mu targets the first guarded update
+    accepts from the initial profile, clipped to SIGMA_BOUNDS, less margins."""
+    lo, hi = SIGMA_BOUNDS
+    return (*((max(lo, s - MAX_DELTA_SIGMA) + 0.1,
+               min(hi, s + MAX_DELTA_SIGMA) - 0.1)
+              for s in (INITIAL_SIGMA1, INITIAL_SIGMA2)),
+            (INITIAL_MU - MAX_DELTA_MU + 0.2, INITIAL_MU + MAX_DELTA_MU - 0.2))
 
 
 # -- perturbations and speed ramps -------------------------------------------
@@ -538,7 +552,6 @@ class PlantConfig:
 class PlantState:
     l_cable: float                # mm, current cable/tendon length
     motor_v: float = 0.0          # mm/s, lagged actual velocity (retraction +)
-    force: float = 0.0            # N, truth
     migration: float = 0.0        # mm
     stride_index: int = 0
 
@@ -570,7 +583,6 @@ def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
     l_taut = (tendon_truth.lever_arm_r * math.radians(kin.theta_df)
               + tendon_truth.baseline_c - migration)
     force = max(0.0, tendon_truth.k_all * (l_taut - state.l_cable))
-    state.force = force
     f_meas = force
     if z is not None and config.force_noise_sd > 0.0:
         f_meas = max(0.0, force + config.force_noise_sd * z)

@@ -30,6 +30,13 @@ MAX_DELTA_MU = 10.0     # deg
 MAX_DELTA_SIGMA = 5.0   # deg
 SIGMA_BOUNDS = (1.0, 30.0)
 
+# Default initial profile parameters (deg); the amplitude is the caller's.
+INITIAL_MU = 15.0
+INITIAL_SIGMA1 = 10.0
+INITIAL_SIGMA2 = 5.0
+INITIAL_THETA_FC = -20.0
+INITIAL_THETA_FO = 25.0
+
 
 class ParameterError(ValueError):
     """Profile parameters violate their invariants."""
@@ -103,12 +110,7 @@ def extract_raw(window: StanceWindow) -> RawStrideFeatures:
     if n < MIN_WINDOW_SAMPLES:
         raise EstimationSkipped(f"stance window too short ({n} samples)")
     df = window.theta_df_buf
-    i_max = 0
-    v_max = df[0]
-    for i in range(1, n):
-        if df[i] > v_max:
-            v_max = df[i]
-            i_max = i
+    i_max = df.index(max(df))   # max keeps the first of equal values
     sk = window.theta_sk_buf
     return RawStrideFeatures(theta_fc=sk[0], theta_mdf=sk[i_max], theta_fo=sk[-1])
 
@@ -129,9 +131,8 @@ class ProfileEstimator:
     the excursion guard leave the parameters untouched.
     """
 
-    def __init__(self, initial: GaussianParams, gain: float = UPDATE_GAIN):
+    def __init__(self, initial: GaussianParams):
         self.params = initial
-        self.gain = gain
         self.last_raw: Optional[RawStrideFeatures] = None
         self.last_accepted = False
 
@@ -149,7 +150,7 @@ class ProfileEstimator:
         if abs(d_mu) > MAX_DELTA_MU or abs(d_s1) > MAX_DELTA_SIGMA or abs(d_s2) > MAX_DELTA_SIGMA:
             log.debug("estimate rejected: excursion guard %s", raw)
             return cur
-        g = self.gain
+        g = UPDATE_GAIN
         s1 = cur.sigma1 + g * d_s1
         s2 = cur.sigma2 + g * d_s2
         mu = cur.mu + g * d_mu

@@ -269,8 +269,11 @@ class TestPretighten:
             299.6 + cfg.release_slack_mm)
 
 
-NAN_INPUTS = ("f_meas", "l_meas", "l_meas_rate", "motor_pos")
-FINITE_INPUTS = dict(f_meas=20.0, l_meas=310.0, l_meas_rate=0.0, motor_pos=0.0)
+NAN_INPUTS = ("f_meas", "l_meas", "l_meas_rate", "motor_pos",
+              "theta_sk", "theta_df", "theta_sk_rate", "theta_df_rate")
+FINITE_INPUTS = dict(f_meas=20.0, l_meas=310.0, l_meas_rate=0.0, motor_pos=0.0,
+                     theta_sk=PARAMS.mu, theta_df=PARAMS.mu, theta_sk_rate=0.0,
+                     theta_df_rate=0.0)
 
 
 class TestNonFiniteInputs:
@@ -285,7 +288,9 @@ class TestNonFiniteInputs:
         ctrl = make_controller(mode=mode, engaged=engaged)
         ctrl.state.release_target = 320.0
         inputs = dict(FINITE_INPUTS, **{field: bad})
-        cmd = ctrl.tick(kin(theta_sk=PARAMS.mu), inputs["f_meas"],
+        sample = kin(theta_sk=PARAMS.mu)._replace(
+            **{f: inputs[f] for f in NAN_INPUTS[4:]})
+        cmd = ctrl.tick(sample, inputs["f_meas"],
                         inputs["l_meas"], inputs["l_meas_rate"],
                         inputs["motor_pos"], 0.001)
         assert ctrl.state.aborted

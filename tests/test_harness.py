@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from shankexo.cli import main as cli_main
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, ConfigError,
@@ -74,6 +75,9 @@ def params_at(mu, s1, s2):
     return GaussianParams(100.0, mu, s1, s2, -30.0, 40.0)
 
 
+GAP_VALUES = hs.sampled_from([7.0, 7.9, 8.0, 8.05, 9.0])   # targets at 8
+
+
 class TestConvergenceStride:
     def test_already_at_targets(self):
         hist = [params_at(8.0, 7.0, 4.0)] * 5
@@ -97,6 +101,23 @@ class TestConvergenceStride:
     def test_empty_history_rejected(self):
         with pytest.raises(MetricsError):
             convergence_stride([], (0.0, 0.0, 0.0), 0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hist=hs.lists(hs.tuples(*[GAP_VALUES] * 3), min_size=1,
+                         max_size=12),
+           tol=hs.sampled_from([0.0, 0.05, 0.5]))
+    def test_matches_the_brute_force_definition(self, hist, tol):
+        targets = (8.0, 8.0, 8.0)
+        params = [params_at(*h) for h in hist]
+        bounds = [tol * abs(g - 8.0) + 1e-12 for g in hist[0]]
+
+        def within(h):
+            return all(abs(v - 8.0) <= b for v, b in zip(h, bounds))
+
+        want = next((i for i in range(len(hist))
+                     if all(within(h) for h in hist[i:])),
+                    CONVERGENCE_SENTINEL)
+        assert convergence_stride(params, targets, tol) == want
 
 
 class TestScenarioConfig:
