@@ -21,9 +21,9 @@ def _add_run_parser(sub) -> None:
                    default="steady")
     p.add_argument("--strides", type=int, default=60)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--amp", type=float, default=0.15,
+    p.add_argument("--amp", type=float, default=ScenarioConfig.amp_fraction,
                    help="assistance amplitude as a fraction of body weight")
-    p.add_argument("--bw-n", type=float, default=700.0,
+    p.add_argument("--bw-n", type=float, default=ScenarioConfig.body_weight,
                    help="body weight in newtons")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
@@ -107,7 +107,10 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("replay",
                            help="run the estimation pipeline over a recorded stream")
     p_rep.add_argument("csv")
-    p_rep.add_argument("--amp-n", type=float, default=105.0)
+    p_rep.add_argument("--amp-n", type=float,
+                       default=(ScenarioConfig.amp_fraction
+                                * ScenarioConfig.body_weight),
+                       help="peak assistance force in newtons")
     args = parser.parse_args(argv)
     if args.command == "run":
         return _run(args)

@@ -11,6 +11,13 @@ confirm the tendon baseline, release, walk silently for the first strides,
 then assist. Each assisted stance opens with a tightening sub-phase that
 closes the slack gap left by swing and re-estimates suit migration at the
 moment the cable first engages.
+
+Each stance tick evaluates the profile once (`eval_force_and_rate`: the
+desired force and its rate from one exp) and leaves that tick's desired
+force in `ControllerState.f_des`; the harness logs it from there. The
+per-tick guards (the safety limits, the command envelope, the swing
+anti-windup) are bare comparisons that return exactly what the min/max
+forms they replace return, NaN and infinities included.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .gait_signals import GaitEvent, GaitEventKind, KinematicSample
-from .profile import GaussianParams, eval_force, eval_force_rate
+from .profile import GaussianParams, eval_force_and_rate
 from .tendon import TendonModel, estimate_migration, tendon_length
 
 log = logging.getLogger(__name__)
@@ -84,15 +91,14 @@ class ControllerState:
     l_swing: float = 0.0                 # mm, per-cycle constant
     e_l_integral: float = 0.0            # mm*s, resets each cycle
     f_swing_max: float = 0.0             # N, running max of the last swing
-    gc_count: int = 0
     active_params: Optional[GaussianParams] = None
     aborted: bool = False
     engaged: bool = False                # cable taut this stance
     have_swing_history: bool = False
     release_target: float = 0.0          # mm, slack hold length
-    baseline_confirmed: bool = False
     last_theta_df: float = 0.0
     v_fb_state: float = 0.0              # filtered feedback velocity
+    f_des: float = 0.0                   # N, desired force of the last stance tick
 
 
 class Controller:
@@ -109,8 +115,6 @@ class Controller:
                  new_params: Optional[GaussianParams] = None) -> None:
         st = self.state
         if st.aborted:
-            if event.kind is GaitEventKind.FOOT_CONTACT:
-                st.gc_count = event.gc_index + 1
             return
         if st.mode is ControlMode.PRETIGHTEN:
             log.warning("gait event during pretighten ignored: %s", event)
@@ -119,7 +123,6 @@ class Controller:
             if st.mode is ControlMode.STANCE:
                 log.warning("out-of-order FootContact ignored (already in stance)")
                 return
-            st.gc_count = event.gc_index + 1
             if new_params is not None:
                 st.active_params = new_params
             st.e_l_integral = 0.0
@@ -161,7 +164,13 @@ class Controller:
                 log.error("safety abort: non-finite input (f, l, rate, pos)="
                           "%r %r", (f_meas, l_meas, l_meas_rate, motor_pos), kin)
             st.aborted = True
-        if self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT:
+        # safety_check's conditions as bare comparisons, so a tick inside the
+        # limits makes no call (abs(pos) > lim is pos > lim or pos < -lim).
+        cfg = self.cfg
+        lim = cfg.position_limit_mm
+        if ((st.aborted or f_meas > cfg.force_ceiling
+             or motor_pos > lim or motor_pos < -lim)
+                and self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT):
             return self._tick_abort(l_meas)
         mode = st.mode
         if mode is ControlMode.PRETIGHTEN:
@@ -198,7 +207,8 @@ class Controller:
         if p is None:
             log.warning("stance tick without profile parameters; holding")
             return VelocityCommand(0.0, CommandSource.HOLD)
-        f_des = eval_force(p, kin.theta_sk)
+        f_des, f_rate = eval_force_and_rate(p, kin.theta_sk, kin.theta_sk_rate)
+        st.f_des = f_des
         l_des = tendon_length(self.tendon, kin.theta_df, f_des)
         if not st.engaged:
             # Take up the swing slack, then probe until the cable is
@@ -214,7 +224,6 @@ class Controller:
                             + cfg.probe_rate, cfg.v_max))
                 return VelocityCommand(v, CommandSource.STANCE_FBFF)
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
-        f_rate = eval_force_rate(p, kin.theta_sk, kin.theta_sk_rate)
         v_ff = (self.tendon.lever_arm_r * math.radians(kin.theta_df_rate)
                 - f_rate / self.tendon.k_all)
         v = v_fb - v_ff
@@ -249,10 +258,11 @@ class Controller:
         st = self.state
         cfg = self.cfg
         e = target_l - l_meas
-        st.e_l_integral += e * dt
-        st.e_l_integral = max(-cfg.integral_clamp,
-                              min(cfg.integral_clamp, st.e_l_integral))
-        v = -(cfg.kp * e + cfg.ki * st.e_l_integral - cfg.kd * l_meas_rate)
+        ic = cfg.integral_clamp
+        i = st.e_l_integral + e * dt
+        i = i if i < ic else ic                      # min(ic, i)
+        st.e_l_integral = i = i if i > -ic else -ic  # max(-ic, .)
+        v = -(cfg.kp * e + cfg.ki * i - cfg.kd * l_meas_rate)
         return VelocityCommand(self._clamp(v), source)
 
     def _hold_slack(self, l_meas: float, l_meas_rate: float, dt: float,
@@ -270,7 +280,6 @@ class Controller:
         self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
                                   - self.tendon.lever_arm_r
                                   * math.radians(kin.theta_df))
-        st.baseline_confirmed = True
         st.release_target = l_meas + cfg.release_slack_mm
         st.mode = ControlMode.SILENT
         return VelocityCommand(0.0, CommandSource.HOLD)
@@ -283,7 +292,10 @@ class Controller:
 
     def _clamp(self, v: float) -> float:
         """Limit to the command envelope; NaN becomes a hold (zero), since
-        min/max would turn it into full retraction."""
-        if math.isnan(v):
+        min/max would turn it into full retraction. The comparisons are
+        max(-vm, min(vm, v)) written out, equal to it for every float."""
+        if v != v:
             return 0.0
-        return max(-self.cfg.v_max, min(self.cfg.v_max, v))
+        vm = self.cfg.v_max
+        v = v if v < vm else vm
+        return v if v > -vm else -vm

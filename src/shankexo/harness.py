@@ -14,14 +14,18 @@ is the controller's input on the next tick. The block may run past the end
 of the run; the extra ticks are never logged.
 
 The run log is one float64 table with a row per control tick and the
-columns of LOG_COLUMNS; "block" marks the columns copied from the world
+columns of LOG_COLUMNS, written a block at a time into a mapping sized for
+the run's tick bound; "block" marks the columns copied from the world
 block, the others come from the closed loop:
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
     mode               index into MODES; "abort" once the safety abort latched
     theta_*_deg        truth shank, foot-pitch and DF angles (block)
-    f_des_n            desired force (N), 0 outside assisted stance
+    f_des_n            desired force (N), 0 outside assisted stance: the
+                       controller's own ControllerState.f_des of that tick,
+                       or eval_force on an aborted stance tick, where the
+                       controller holds without evaluating the profile
     f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
                        plant reading and velocity command (positive retracts)
     belt_scale         phase-rate multiplier of ramps and perturbations (block)
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from array import array
 from dataclasses import dataclass, field, asdict
@@ -283,7 +288,6 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
 
     dt = 0.001
     imu_every = round(IMU_PERIOD_MS / (dt * 1000.0))   # ticks per IMU sample
-    log = array("d")
     events: list[GaitEvent] = []
     adopted: list[GaussianParams] = []     # params active per stride
     raws: list = []                        # last accepted features per stride
@@ -293,15 +297,27 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     current_stride = -1
     stop = int((world.standing_s + (cfg.n_strides + 6)
                 * tmpl.period * 2.2) * 1000)
+    # The log table has room for `stop` rows in an anonymous mapping, filled
+    # one block at a time: its pages become resident only as rows are
+    # written, and it never moves. A growing array would be reallocated,
+    # and copied (twice its size resident) whenever the heap left no room
+    # to grow in place.
+    width = len(LOG_COLUMNS)
+    log = memoryview(mmap.mmap(-1, stop * width * 8)).cast("d")
+    n_log = 0
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
     stance = ControlMode.STANCE
     mode = None          # the mode whose log index is in mode_index
     mode_index = 0
+    tick, step_cable = ctrl.tick, world.step_cable
+    st = ctrl.state
 
     k = 0
     while k < stop:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - k))
+        rows = array("d")
+        log_row = rows.extend
         for t_ms, kin, walking, migration, scale, kind, bio in zip(
                 block.t_ms, block.kin, block.walking, block.migration,
                 block.scale, block.perturb_kind, block.bio):
@@ -325,24 +341,29 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             f_for_ctrl = f_meas
             if spike_tick is not None and t_ms == spike_tick:
                 f_for_ctrl += cfg.fault_spike_n
-            cmd = ctrl.tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
-            f_truth, f_meas, l_meas, l_rate, pos = world.step_cable(
+            cmd = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
+            f_truth, f_meas, l_meas, l_rate, pos = step_cable(
                 cmd.v, kin, dt, migration)
-            st = ctrl.state
             if st.mode is not mode:   # Enum hashing is slow; modes change rarely
                 mode = st.mode
                 mode_index = _MODE_INDEX[mode]
-            f_des = (eval_force(st.active_params, kin.theta_sk)
-                     if mode is stance and st.active_params else 0.0)
-            log.extend((
+            f_des = 0.0
+            if mode is stance and st.active_params:
+                # The stance tick left its desired force in st.f_des; an
+                # aborted tick skipped the profile, so evaluate it here.
+                f_des = (eval_force(st.active_params, kin.theta_sk)
+                         if st.aborted else st.f_des)
+            log_row((
                 t_ms, current_stride,
                 _ABORT_INDEX if st.aborted else mode_index,
                 kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, f_meas,
                 f_truth, l_meas, cmd.v, scale, kind, bio))
             if k >= stop:
                 break
+        log[n_log:n_log + len(rows)] = rows
+        n_log += len(rows)
 
-    table = np.frombuffer(log).reshape(-1, len(LOG_COLUMNS))
+    table = np.frombuffer(log, count=n_log).reshape(-1, width)
     report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,
                            analysis_start, ctrl.state.aborted)
     if cfg.output_dir:

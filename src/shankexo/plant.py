@@ -19,11 +19,13 @@ Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, one simulated
 second at 1 kHz): the clock recurrence (time, ramp, perturbation window,
 phase wrap, stride, migration and sway) runs tick by tick in one scalar
 loop, then the gait curves and the biological torque of the whole block are
-evaluated with numpy. `advance(dt)` is the block of one tick. Nothing in the
-world reads cable state, so a block may run ahead of the closed loop; the
-world's scalar attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
-`state.migration`) then hold end-of-block values, and each tick's own values
-are the block's columns.
+evaluated with numpy. `advance(dt)` is the block of one tick, whose frame
+comes from the scalar `gen_frame` and `biological_torque`: the same bits
+without numpy's per-call overhead. Nothing in the world reads cable state,
+so a block may run ahead of the closed loop; the world's scalar attributes
+(`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
+hold end-of-block values, and each tick's own values are the block's
+columns.
 
 Bit-equality. The block columns equal the scalar `gen_frame` and
 `biological_torque` (kept as the references the tests compare against) bit
@@ -31,10 +33,15 @@ for bit, for any block size. That holds because the array code repeats the
 scalar operation order and uses only operations where numpy matches `math`
 exactly here: arithmetic, `sin`, `cos`, `radians` and `rint`. Where it does
 not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python operation
-stays: `math.exp` for migration, Python `**` for the torque sharpness and the
-sway, and Python `round(t, 6)` for the sample time. The force noise comes
-from the world's Generator in blocks of BLOCK_TICKS draws, which equal the
-same number of scalar `standard_normal()` draws.
+stays: `math.exp` for migration and Python `**` for the torque sharpness
+and the sway. The sample time is `round(t * 1000.0, 6)`. Within 4e-7 ms of
+a whole ms that is the whole ms exactly, so when every tick of a block is
+that close the block takes it from the one `np.rint` that also makes the
+log's clock; a clock that has drifted further is rounded tick by tick. The
+force noise comes from the world's Generator in blocks of BLOCK_TICKS
+draws, which equal the same number of scalar `standard_normal()` draws.
+`step_plant`'s clamps are bare comparisons that return what the `max`/`min`
+forms return, NaN included.
 
 Template validation reads the numbers of the parts that run on a template
 from the modules that own them: the detector thresholds and the IMU period
@@ -573,22 +580,47 @@ def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
     z is a standard-normal draw for the load-cell noise (None: noiseless
     reading); migration is the tick's suit migration in mm (None:
     state.migration).
+
+    The clamps are the comparisons max(lo, min(hi, x)) performs, so they
+    keep its NaN semantics: a NaN command drives at +v_max, and a NaN
+    force reads 0.
     """
     if migration is None:
         migration = state.migration
-    v_target = max(-config.v_max, min(config.v_max, cmd_v))
+    vm = config.v_max
+    v_target = cmd_v if cmd_v < vm else vm               # min(vm, cmd_v)
+    v_target = v_target if v_target > -vm else -vm       # max(-vm, .)
     alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
     state.motor_v += alpha * (v_target - state.motor_v)
     state.l_cable -= state.motor_v * dt
     l_taut = (tendon_truth.lever_arm_r * math.radians(kin.theta_df)
               + tendon_truth.baseline_c - migration)
-    force = max(0.0, tendon_truth.k_all * (l_taut - state.l_cable))
+    force = tendon_truth.k_all * (l_taut - state.l_cable)
+    force = force if force > 0.0 else 0.0                # max(0.0, force)
     f_meas = force
     if z is not None and config.force_noise_sd > 0.0:
-        f_meas = max(0.0, force + config.force_noise_sd * z)
+        f_meas = force + config.force_noise_sd * z
+        f_meas = f_meas if f_meas > 0.0 else 0.0
     return PlantReading(
         force, f_meas, state.l_cable, -state.motor_v,
         (config.baseline_c + config.initial_slack_mm) - state.l_cable)
+
+
+def _sample_clock(t_s: list) -> tuple[list, list]:
+    """(log clock, sample time) of tick times in s: np.rint(t * 1000.0), the
+    whole ms, and round(t * 1000.0, 6), the KinematicSample time.
+
+    Within 4e-7 ms of a whole ms, round(x, 6) is that whole ms exactly (the
+    exact binary value rounds to it at six decimals, and a whole number is a
+    float), so when every tick is that close the rint column serves as both.
+    A clock that has drifted further rounds tick by tick.
+    """
+    ms = np.array(t_s) * 1000.0
+    whole = np.rint(ms)
+    t_ms = whole.tolist()
+    if abs(ms - whole).max() <= 4e-7:    # NaN fails it too
+        return t_ms, t_ms
+    return t_ms, [round(x, 6) for x in ms.tolist()]
 
 
 class WorldBlock(NamedTuple):
@@ -711,25 +743,37 @@ class GaitWorld:
         self.state.stride_index, self.state.migration = stride, migration
 
         # Walking never stops once started: ticks w0.. walk, the rest stand
-        # with every angle and rate zero.
+        # with every angle and rate zero. cols are the six KinematicSample
+        # channels after t_ms, one list each.
         w0 = walk_col.index(True) if walk_col[-1] else n
-        frames = np.zeros((6, n))
-        bio = np.zeros(n)
-        if w0 < n:
-            walk_phase = np.array(phase_col[w0:])
-            frames[:, w0:] = gen_frames(tmpl, walk_phase,
-                                        np.array(scale_col[w0:]))
-            bio[w0:] = biological_torques(tmpl, walk_phase)
+        if n == 1:
+            # One tick: the scalar references give the same bits without
+            # numpy's per-call overhead. round(x) rounds half to even, as
+            # np.rint does, and round(x, 6) defines the sample time.
+            ms = t_s * 1000.0
+            t_ms, t_sample = [float(round(ms))], [round(ms, 6)]
+            frame = (0.0,) * 6
+            bio = [0.0]
+            if w0 == 0:
+                frame = gen_frame(tmpl, phase, scale)[1:]
+                bio = [biological_torque(tmpl, phase)]
+            cols = [[v] for v in frame]
+        else:
+            t_ms, t_sample = _sample_clock(t_col)
+            frames = np.zeros((6, n))
+            bio_a = np.zeros(n)
+            if w0 < n:
+                walk_phase = np.array(phase_col[w0:])
+                frames[:, w0:] = gen_frames(tmpl, walk_phase,
+                                            np.array(scale_col[w0:]))
+                bio_a[w0:] = biological_torques(tmpl, walk_phase)
+            cols, bio = frames.tolist(), bio_a.tolist()
         for i, sway, sway_rate in sway_rows:
-            frames[1:3, i] += sway       # theta_sk, theta_df
-            frames[4:6, i] += sway_rate  # their rates
-        t_ms6 = [round(t * 1000.0, 6) for t in t_col]
+            for c, d in ((1, sway), (2, sway), (4, sway_rate), (5, sway_rate)):
+                cols[c][i] += d      # theta_sk, theta_df and their rates
         return WorldBlock(
-            t_ms=np.rint(np.array(t_col) * 1000.0).tolist(),
-            kin=list(map(KinematicSample._make, zip(t_ms6, *frames.tolist()))),
-            walking=walk_col, phase=phase_col, scale=scale_col,
-            stride=stride_col, migration=mig_col, perturb_kind=kind_col,
-            bio=bio.tolist())
+            t_ms, list(map(KinematicSample._make, zip(t_sample, *cols))),
+            walk_col, phase_col, scale_col, stride_col, mig_col, kind_col, bio)
 
     def step_cable(self, cmd_v: float, kin: KinematicSample, dt: float,
                    migration: Optional[float] = None) -> PlantReading:

@@ -76,13 +76,27 @@ def eval_force(p: GaussianParams, theta: float) -> float:
     return p.amp * math.exp(-0.5 * z * z)
 
 
-def eval_force_rate(p: GaussianParams, theta: float, theta_rate: float) -> float:
-    """Time derivative of the desired force (N/s) along theta(t)."""
+def eval_force_and_rate(p: GaussianParams, theta: float,
+                        theta_rate: float) -> tuple[float, float]:
+    """Desired force (N) at theta (deg) and its time derivative (N/s) along
+    theta(t), from one exp: the controller's once-per-tick profile call.
+
+    The force is eval_force's, bit for bit. The rate is
+    f * (-(theta - mu) / sigma^2) * theta_rate; Python multiplies left to
+    right, so reusing f gives the same bits as writing amp * exp(...) out
+    in full.
+    """
     if not (p.theta_fc < theta < p.theta_fo):
-        return 0.0
+        return 0.0, 0.0
     sigma = p.sigma1 if theta <= p.mu else p.sigma2
     z = (theta - p.mu) / sigma
-    return p.amp * math.exp(-0.5 * z * z) * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
+    f = p.amp * math.exp(-0.5 * z * z)
+    return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
+
+
+def eval_force_rate(p: GaussianParams, theta: float, theta_rate: float) -> float:
+    """Time derivative of the desired force (N/s) along theta(t)."""
+    return eval_force_and_rate(p, theta, theta_rate)[1]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ def make_controller(mode=ControlMode.STANCE, engaged=True, **cfg_kw):
     ctrl.state.mode = mode
     ctrl.state.engaged = engaged
     ctrl.state.active_params = PARAMS
-    ctrl.state.baseline_confirmed = True
     ctrl.state.have_swing_history = True
     return ctrl
 
@@ -74,10 +73,11 @@ class TestEvents:
 
     def test_out_of_order_events_ignored(self):
         ctrl = make_controller(mode=ControlMode.STANCE)
-        gc = ctrl.state.gc_count
-        ctrl.on_event(fc(9))
+        newp = GaussianParams(105.0, 10.0, 6.5, 2.4, -14.0, 18.0)
+        ctrl.on_event(fc(9), new_params=newp)
         assert ctrl.state.mode is ControlMode.STANCE
-        assert ctrl.state.gc_count == gc
+        assert ctrl.state.active_params is PARAMS
+        assert ctrl.state.engaged
         ctrl2 = make_controller(mode=ControlMode.SWING)
         l0 = ctrl2.state.l_swing
         ctrl2.on_event(fo(9))
@@ -263,7 +263,6 @@ class TestPretighten:
         assert ctrl.state.mode is ControlMode.PRETIGHTEN
         cmd = ctrl.tick(kin(), 5.2, 299.6, 0.0, 0.0, 0.001)
         assert ctrl.state.mode is ControlMode.SILENT
-        assert ctrl.state.baseline_confirmed
         assert ctrl.tendon.baseline_c == pytest.approx(299.6 + 5.2 / 12.5)
         assert ctrl.state.release_target == pytest.approx(
             299.6 + cfg.release_slack_mm)

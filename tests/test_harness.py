@@ -244,3 +244,15 @@ class TestCli:
         p.write_text("\n".join(rows) + "\n")
         assert cli_main(["replay", str(p)]) == 0
         assert "strides estimated" in capsys.readouterr().out
+
+    def test_defaults_come_from_the_scenario_config(self, monkeypatch):
+        from shankexo import cli
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, "_replay", lambda args: seen.append(args) or 0)
+        assert cli_main(["run"]) == 0 and cli_main(["replay", "x.csv"]) == 0
+        run, replay = seen
+        defaults = ScenarioConfig()
+        assert run.amp == defaults.amp_fraction
+        assert run.bw_n == defaults.body_weight
+        assert replay.amp_n == defaults.amp_fraction * defaults.body_weight
