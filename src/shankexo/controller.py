@@ -1,5 +1,8 @@
 """Stance/swing control state machine emitting 1 kHz cable velocity commands.
 
+`Controller.tick` returns the command as a plain float in mm/s; the run
+log's mode column and abort marker record which branch acted.
+
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
 through 1/(M s + B) with a model feedforward equal to the tendon length rate
@@ -26,7 +29,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from .profile import GaussianParams, eval_force_and_rate
@@ -40,23 +43,6 @@ class ControlMode(Enum):
     SILENT = "silent"
     SWING = "swing"
     STANCE = "stance"
-
-
-class CommandSource(Enum):
-    SWING_PI = "swing_pi"
-    STANCE_FBFF = "stance_fbff"
-    HOLD = "hold"
-    RELEASE = "release"
-
-
-class SafetyStatus(Enum):
-    OK = "ok"
-    ABORT = "abort"
-
-
-class VelocityCommand(NamedTuple):
-    v: float  # mm/s, positive retracts the cable
-    source: CommandSource
 
 
 @dataclass
@@ -152,7 +138,8 @@ class Controller:
     # -- per-tick interface --------------------------------------------------
 
     def tick(self, kin: KinematicSample, f_meas: float, l_meas: float,
-             l_meas_rate: float, motor_pos: float, dt: float) -> VelocityCommand:
+             l_meas_rate: float, motor_pos: float, dt: float) -> float:
+        """The tick's velocity command in mm/s; positive retracts the cable."""
         st = self.state
         st.last_theta_df = kin.theta_df
         # One check covers all eight: a NaN or an infinity in any makes the
@@ -170,43 +157,42 @@ class Controller:
         lim = cfg.position_limit_mm
         if ((st.aborted or f_meas > cfg.force_ceiling
              or motor_pos > lim or motor_pos < -lim)
-                and self.safety_check(f_meas, motor_pos) is SafetyStatus.ABORT):
+                and self.safety_check(f_meas, motor_pos)):
             return self._tick_abort(l_meas)
         mode = st.mode
         if mode is ControlMode.PRETIGHTEN:
             return self._tick_pretighten(kin, f_meas, l_meas)
         if mode is ControlMode.SILENT:
-            return self._hold_slack(l_meas, l_meas_rate, dt, CommandSource.RELEASE)
+            return self._pi_toward(st.release_target, l_meas, l_meas_rate, dt)
         if mode is ControlMode.SWING:
             return self.tick_swing(l_meas, l_meas_rate, dt, f_meas)
         return self.tick_stance(kin, f_meas, l_meas, dt)
 
-    def safety_check(self, f_meas: float, motor_pos: float) -> SafetyStatus:
-        st = self.state
-        if st.aborted:
-            return SafetyStatus.ABORT
-        if f_meas > self.cfg.force_ceiling or abs(motor_pos) > self.cfg.position_limit_mm:
+    def safety_check(self, f_meas: float, motor_pos: float) -> bool:
+        """Latch and log the abort when a limit is exceeded; True once
+        aborted."""
+        st, cfg = self.state, self.cfg
+        if not st.aborted and (f_meas > cfg.force_ceiling
+                               or abs(motor_pos) > cfg.position_limit_mm):
             log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas, motor_pos)
             st.aborted = True
-            return SafetyStatus.ABORT
-        return SafetyStatus.OK
+        return st.aborted
 
     def tick_swing(self, l_meas: float, l_meas_rate: float, dt: float,
-                   f_meas: float = 0.0) -> VelocityCommand:
+                   f_meas: float = 0.0) -> float:
         st = self.state
         if f_meas > st.f_swing_max:
             st.f_swing_max = f_meas
-        return self._pi_toward(st.l_swing, l_meas, l_meas_rate, dt,
-                               CommandSource.SWING_PI)
+        return self._pi_toward(st.l_swing, l_meas, l_meas_rate, dt)
 
     def tick_stance(self, kin: KinematicSample, f_meas: float, l_meas: float,
-                    dt: float) -> VelocityCommand:
+                    dt: float) -> float:
         st = self.state
         cfg = self.cfg
         p = st.active_params
         if p is None:
             log.warning("stance tick without profile parameters; holding")
-            return VelocityCommand(0.0, CommandSource.HOLD)
+            return 0.0
         f_des, f_rate = eval_force_and_rate(p, kin.theta_sk, kin.theta_sk_rate)
         st.f_des = f_des
         l_des = tendon_length(self.tendon, kin.theta_df, f_des)
@@ -222,7 +208,7 @@ class Controller:
                 v = max(cfg.probe_rate,
                         min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
                             + cfg.probe_rate, cfg.v_max))
-                return VelocityCommand(v, CommandSource.STANCE_FBFF)
+                return v
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
         v_ff = (self.tendon.lever_arm_r * math.radians(kin.theta_df_rate)
                 - f_rate / self.tendon.k_all)
@@ -238,7 +224,7 @@ class Controller:
             # tension carried by the motor lag so the cable crosses
             # foot-off near-slack.
             v -= cfg.tail_release_rate
-        return VelocityCommand(self._clamp(v), CommandSource.STANCE_FBFF)
+        return self._clamp(v)
 
     # -- helpers --------------------------------------------------------------
 
@@ -254,7 +240,7 @@ class Controller:
         return self.state.v_fb_state
 
     def _pi_toward(self, target_l: float, l_meas: float, l_meas_rate: float,
-                   dt: float, source: CommandSource) -> VelocityCommand:
+                   dt: float) -> float:
         st = self.state
         cfg = self.cfg
         e = target_l - l_meas
@@ -263,32 +249,27 @@ class Controller:
         i = i if i < ic else ic                      # min(ic, i)
         st.e_l_integral = i = i if i > -ic else -ic  # max(-ic, .)
         v = -(cfg.kp * e + cfg.ki * i - cfg.kd * l_meas_rate)
-        return VelocityCommand(self._clamp(v), source)
-
-    def _hold_slack(self, l_meas: float, l_meas_rate: float, dt: float,
-                    source: CommandSource) -> VelocityCommand:
-        return self._pi_toward(self.state.release_target, l_meas,
-                               l_meas_rate, dt, source)
+        return self._clamp(v)
 
     def _tick_pretighten(self, kin: KinematicSample, f_meas: float,
-                         l_meas: float) -> VelocityCommand:
+                         l_meas: float) -> float:
         st = self.state
         cfg = self.cfg
         if f_meas < cfg.pretighten_force:
-            return VelocityCommand(cfg.pretighten_rate, CommandSource.STANCE_FBFF)
+            return cfg.pretighten_rate
         # Baseline confirmed: back out the zero-force length from this reading.
         self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
                                   - self.tendon.lever_arm_r
                                   * math.radians(kin.theta_df))
         st.release_target = l_meas + cfg.release_slack_mm
         st.mode = ControlMode.SILENT
-        return VelocityCommand(0.0, CommandSource.HOLD)
+        return 0.0
 
-    def _tick_abort(self, l_meas: float) -> VelocityCommand:
+    def _tick_abort(self, l_meas: float) -> float:
         # Latched: pay the cable out to the slack reference, then zero the motor.
         if l_meas < self.state.release_target - 0.5:
-            return VelocityCommand(-self.cfg.v_max, CommandSource.RELEASE)
-        return VelocityCommand(0.0, CommandSource.HOLD)
+            return -self.cfg.v_max
+        return 0.0
 
     def _clamp(self, v: float) -> float:
         """Limit to the command envelope; NaN becomes a hold (zero), since

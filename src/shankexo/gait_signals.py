@@ -33,7 +33,8 @@ class SignalQualityError(ValueError):
 
 
 class SignalLossError(RuntimeError):
-    """Stream gap beyond the tolerated number of samples."""
+    """Stream gap beyond the tolerated number of samples, or a run whose
+    gait events stop before its last stride."""
 
 
 class GaitEventKind(Enum):
@@ -199,12 +200,6 @@ class StanceWindow:
         self.overflowed = False
 
 
-def buffer_stance(window: StanceWindow, sample: KinematicSample, phase: GaitPhase) -> None:
-    """Append the sample to the window only during stance."""
-    if phase is GaitPhase.STANCE:
-        window.append(sample.theta_sk, sample.theta_df)
-
-
 class WindowAssembler:
     """Builds per-stride stance windows aligned to the event extremum samples.
 
@@ -243,7 +238,7 @@ class WindowAssembler:
             self._t_buf.clear()
             return done
         if self.in_stance:
-            buffer_stance(self.window, sample, GaitPhase.STANCE)
+            self.window.append(sample.theta_sk, sample.theta_df)
             self._t_buf.append(sample.t_ms)
         return None
 

@@ -11,7 +11,9 @@ reads cable state. So the loop advances the world one block at a time
 block's columns tick by tick: the 100 Hz estimation on the block's
 kinematics, then `Controller.tick` -> `GaitWorld.step_cable`, whose reading
 is the controller's input on the next tick. The block may run past the end
-of the run; the extra ticks are never logged.
+of the run; the extra ticks are never logged. A run ends 20 ticks after foot
+contact n_strides is confirmed; if its tick bound comes first, it raises
+SignalLossError rather than report fewer strides.
 
 The run log is one float64 table with a row per control tick and the
 columns of LOG_COLUMNS, written a block at a time into a mapping sized for
@@ -52,7 +54,7 @@ import numpy as np
 
 from .controller import ControlMode, Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, EventDetector, GaitEvent,
-                           GaitEventKind, WindowAssembler)
+                           GaitEventKind, SignalLossError, WindowAssembler)
 from .plant import (BLOCK_TICKS, Activity, GaitWorld, PerturbationKind,
                     PerturbationSpec, PlantConfig, RampSpec, build_template)
 from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
@@ -295,15 +297,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     f_meas = l_rate = pos = 0.0
     l_meas = world.state.l_cable
     current_stride = -1
-    stop = int((world.standing_s + (cfg.n_strides + 6)
-                * tmpl.period * 2.2) * 1000)
-    # The log table has room for `stop` rows in an anonymous mapping, filled
+    bound = stop = int((world.standing_s + (cfg.n_strides + 6)
+                        * tmpl.period * 2.2) * 1000)
+    # The log table has room for `bound` rows in an anonymous mapping, filled
     # one block at a time: its pages become resident only as rows are
     # written, and it never moves. A growing array would be reallocated,
     # and copied (twice its size resident) whenever the heap left no room
     # to grow in place.
     width = len(LOG_COLUMNS)
-    log = memoryview(mmap.mmap(-1, stop * width * 8)).cast("d")
+    log = memoryview(mmap.mmap(-1, bound * width * 8)).cast("d")
     n_log = 0
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
@@ -341,9 +343,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             f_for_ctrl = f_meas
             if spike_tick is not None and t_ms == spike_tick:
                 f_for_ctrl += cfg.fault_spike_n
-            cmd = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
+            v = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
             f_truth, f_meas, l_meas, l_rate, pos = step_cable(
-                cmd.v, kin, dt, migration)
+                v, kin, dt, migration)
             if st.mode is not mode:   # Enum hashing is slow; modes change rarely
                 mode = st.mode
                 mode_index = _MODE_INDEX[mode]
@@ -357,11 +359,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 t_ms, current_stride,
                 _ABORT_INDEX if st.aborted else mode_index,
                 kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, f_meas,
-                f_truth, l_meas, cmd.v, scale, kind, bio))
+                f_truth, l_meas, v, scale, kind, bio))
             if k >= stop:
                 break
         log[n_log:n_log + len(rows)] = rows
         n_log += len(rows)
+    if current_stride < cfg.n_strides:
+        raise SignalLossError(
+            f"tick bound of {bound} reached with {len(adopted)} foot contacts "
+            f"confirmed; the run needs {cfg.n_strides + 1}")
 
     table = np.frombuffer(log, count=n_log).reshape(-1, width)
     report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,

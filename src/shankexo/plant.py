@@ -24,8 +24,9 @@ comes from the scalar `gen_frame` and `biological_torque`: the same bits
 without numpy's per-call overhead. Nothing in the world reads cable state,
 so a block may run ahead of the closed loop; the world's scalar attributes
 (`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
-hold end-of-block values, and each tick's own values are the block's
-columns.
+hold end-of-block values. The block's columns (`WorldBlock`) carry each
+tick's own values of what the closed loop reads; a tick's phase and stride
+are the scalar attributes of a world advanced one tick at a time.
 
 Bit-equality. The block columns equal the scalar `gen_frame` and
 `biological_torque` (kept as the references the tests compare against) bit
@@ -530,14 +531,6 @@ class RampSpec:
     rate_per_s: float = 0.376   # scale/s, a 0.5 m/s^2 ramp on a 1.33 m/s belt
 
 
-def phase_advance(phase: float, dt: float, tmpl: GaitTemplate,
-                  speed_scale: float = 1.0) -> float:
-    """Advance the gait phase by dt at the instantaneous speed scale."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return phase + dt * speed_scale / tmpl.period
-
-
 # -- cable/motor/load-cell plant ---------------------------------------------
 
 @dataclass
@@ -624,14 +617,13 @@ def _sample_clock(t_s: list) -> tuple[list, list]:
 
 
 class WorldBlock(NamedTuple):
-    """Per-tick columns of one block of world ticks, as lists."""
+    """Per-tick columns of one block of world ticks, as lists: what the
+    closed loop and its log read."""
 
     t_ms: list           # tick time rounded to whole ms (the log's clock)
     kin: list            # KinematicSample, its t_ms rounded to 1e-6 ms
     walking: list        # False while standing
-    phase: list
     scale: list          # phase-rate multiplier of ramps and perturbations
-    stride: list
     migration: list      # mm
     perturb_kind: list   # 0 none, 1 forward, 2 backward perturbation window
     bio: list            # normalized biological torque, 0 while standing
@@ -680,6 +672,8 @@ class GaitWorld:
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
         """Advance n ticks of dt and return each tick's world values."""
+        if not dt > 0.0:     # NaN too
+            raise ValueError(f"dt must be positive, got {dt!r}")
         tmpl, cfg, ramp = self.tmpl, self.config, self.ramp
         perturbations, done = self.perturbations, self._pert_done
         standing_s = self.standing_s
@@ -687,8 +681,8 @@ class GaitWorld:
         t_s, phase, scale = self.t_s, self.phase, self.scale
         ramp_scale, pert = self._ramp_scale, self._pert_active
         stride, migration = self.state.stride_index, self.state.migration
-        t_col, walk_col, phase_col, scale_col = [], [], [], []
-        stride_col, mig_col, kind_col = [], [], []
+        t_col, walk_col, phase_col, scale_col, mig_col, kind_col = (
+            [], [], [], [], [], [])
         sway_rows = []   # (tick, sway, sway rate) in backward windows
         for i in range(n):
             t_s += dt
@@ -713,7 +707,7 @@ class GaitWorld:
                         pert = None
                     else:
                         scale *= spec.multiplier(t_s - t0)
-                phase = phase_advance(phase, dt, tmpl, scale)
+                phase += dt * scale / tmpl.period
                 if phase >= 1.0:
                     phase -= 1.0
                     stride += 1
@@ -735,7 +729,6 @@ class GaitWorld:
             walk_col.append(walking)
             phase_col.append(phase)
             scale_col.append(scale)
-            stride_col.append(stride)
             mig_col.append(migration)
             kind_col.append(0 if pert is None else _PERTURB_CODE[pert[0].kind])
         self.t_s, self.phase, self.scale = t_s, phase, scale
@@ -773,7 +766,7 @@ class GaitWorld:
                 cols[c][i] += d      # theta_sk, theta_df and their rates
         return WorldBlock(
             t_ms, list(map(KinematicSample._make, zip(t_sample, *cols))),
-            walk_col, phase_col, scale_col, stride_col, mig_col, kind_col, bio)
+            walk_col, scale_col, mig_col, kind_col, bio)
 
     def step_cable(self, cmd_v: float, kin: KinematicSample, dt: float,
                    migration: Optional[float] = None) -> PlantReading:

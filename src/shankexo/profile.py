@@ -84,14 +84,18 @@ def eval_force_and_rate(p: GaussianParams, theta: float,
     The force is eval_force's, bit for bit. The rate is
     f * (-(theta - mu) / sigma^2) * theta_rate; Python multiplies left to
     right, so reusing f gives the same bits as writing amp * exp(...) out
-    in full.
+    in full. Where sigma * sigma underflows to 0 (sigma below about
+    1.5e-162) the rate is 0.0.
     """
     if not (p.theta_fc < theta < p.theta_fo):
         return 0.0, 0.0
     sigma = p.sigma1 if theta <= p.mu else p.sigma2
     z = (theta - p.mu) / sigma
     f = p.amp * math.exp(-0.5 * z * z)
-    return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
+    try:
+        return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
+    except ZeroDivisionError:
+        return f, 0.0
 
 
 def eval_force_rate(p: GaussianParams, theta: float, theta_rate: float) -> float:

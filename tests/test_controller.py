@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shankexo.controller import (CommandSource, ControlMode, Controller,
-                                 ControllerConfig, SafetyStatus)
+from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.plant import build_template, gen_frame
 from shankexo.profile import GaussianParams, eval_force
@@ -39,10 +38,15 @@ def fo(gc, t=0.0):
 class TestEvents:
     def test_silent_during_first_cycles(self):
         ctrl = make_controller(mode=ControlMode.SWING)
+        ctrl.state.release_target = 322.0
         ctrl.on_event(fc(2), new_params=PARAMS)
         assert ctrl.state.mode is ControlMode.SILENT
         cmd = ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001)
-        assert cmd.source is CommandSource.RELEASE
+        # silent walking holds the slack: PI toward the release target
+        twin = make_controller(mode=ControlMode.SWING)
+        twin.state.l_swing = 322.0
+        assert cmd == twin.tick_swing(320.0, 0.0, 0.001)
+        assert cmd < 0.0
 
     def test_assist_after_silent_cycles(self):
         ctrl = make_controller(mode=ControlMode.SWING)
@@ -97,22 +101,23 @@ class TestSwingTick:
         ctrl.state.l_swing = 102.0
         cmd = ctrl.tick_swing(l_meas=100.0, l_meas_rate=0.0, dt=0.001)
         # e_L = +2 mm: the tendon must lengthen, i.e. pay out cable
-        assert abs(cmd.v) == pytest.approx(46.0, rel=1e-6)
-        assert cmd.v < 0.0
-        assert cmd.source is CommandSource.SWING_PI
+        assert abs(cmd) == pytest.approx(46.0, rel=1e-6)
+        assert cmd < 0.0
+        cfg = ctrl.cfg
+        assert cmd == -(cfg.kp * 2.0 + cfg.ki * (2.0 * 0.001) - cfg.kd * 0.0)
 
     def test_equilibrium(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         ctrl.state.l_swing = 100.0
         cmd = ctrl.tick_swing(100.0, 0.0, 0.001)
-        assert cmd.v == pytest.approx(0.0, abs=1e-9)
+        assert cmd == pytest.approx(0.0, abs=1e-9)
 
     def test_damping_opposes_motion(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         ctrl.state.l_swing = 100.0
         cmd = ctrl.tick_swing(100.0, 10.0, 0.001)
         # cable lengthening at 10 mm/s; damping commands 18 mm/s of retraction
-        assert cmd.v == pytest.approx(18.0, rel=1e-9)
+        assert cmd == pytest.approx(18.0, rel=1e-9)
 
     def test_swing_monitors_peak_force(self):
         ctrl = make_controller(mode=ControlMode.SWING)
@@ -135,8 +140,8 @@ class TestStanceTick:
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
         cmd = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7, 320.0, 0.001)
-        assert cmd.v == pytest.approx(1.0, rel=1e-9)
-        assert cmd.source is CommandSource.STANCE_FBFF
+        assert cmd == pytest.approx(1.0, rel=1e-9)
+        assert ctrl.state.f_des == f_des
 
     def test_feedforward_vanishes_at_stationary_peak(self):
         ctrl = make_controller()
@@ -145,14 +150,13 @@ class TestStanceTick:
         cmd = ctrl.tick_stance(kin(theta_sk=theta, sk_rate=80.0, ft_rate=80.0),
                                f_des, 320.0, 0.001)
         # profile-rate term zero at the peak, DF stationary: feedback only
-        assert cmd.v == pytest.approx(0.0, abs=1e-9)
+        assert cmd == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_params_holds(self):
         ctrl = make_controller()
         ctrl.state.active_params = None
         cmd = ctrl.tick_stance(kin(), 0.0, 320.0, 0.001)
-        assert cmd.v == 0.0
-        assert cmd.source is CommandSource.HOLD
+        assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
     def test_ideal_plant_reproduces_profile(self):
         # with exact force measurement the command equals -V_FF; integrating
@@ -175,7 +179,7 @@ class TestStanceTick:
             km = gen_frame(tmpl, phase_mid, 1.0)
             f_des_mid = eval_force(p, km.theta_sk)
             cmd = ctrl.tick_stance(km, f_des_mid, l, dt)
-            l -= cmd.v * dt
+            l -= cmd * dt
             phase_next = (i + 1) * dt / tmpl.period
             kn = gen_frame(tmpl, phase_next, 1.0)
             l_taut = (tendon.lever_arm_r * math.radians(kn.theta_df)
@@ -188,45 +192,47 @@ class TestStanceTick:
         ctrl = make_controller(v_max=250.0)
         cmd = ctrl.tick_stance(kin(theta_sk=PARAMS.mu, ft_rate=-4000.0),
                                eval_force(PARAMS, PARAMS.mu), 320.0, 0.001)
-        assert abs(cmd.v) <= 250.0
+        assert abs(cmd) <= 250.0
 
     def test_force_map_with_inertia_filters(self):
         # with M > 0 the feedback velocity approaches dF/B as a first-order lag
         ctrl = make_controller(map_m=0.05, map_b=15.7)
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        first = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7, 320.0, 0.001).v
+        first = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7, 320.0, 0.001)
         assert 0.0 < first < 1.0
         for _ in range(2000):
             last = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7,
-                                    320.0, 0.001).v
+                                    320.0, 0.001)
         assert last == pytest.approx(1.0, rel=1e-3)
 
 
 class TestSafety:
     def test_ok_below_limits(self):
         ctrl = make_controller()
-        assert ctrl.safety_check(100.0, 0.0) is SafetyStatus.OK
+        assert ctrl.safety_check(100.0, 0.0) is False
+        assert not ctrl.state.aborted
 
     def test_force_ceiling_aborts_and_latches(self):
         ctrl = make_controller(force_ceiling=300.0)
-        assert ctrl.safety_check(301.0, 0.0) is SafetyStatus.ABORT
-        assert ctrl.safety_check(0.0, 0.0) is SafetyStatus.ABORT
+        assert ctrl.safety_check(301.0, 0.0) is True
+        assert ctrl.state.aborted
+        assert ctrl.safety_check(0.0, 0.0) is True
 
     def test_position_limit_aborts(self):
         ctrl = make_controller(position_limit_mm=80.0)
-        assert ctrl.safety_check(0.0, 81.0) is SafetyStatus.ABORT
+        assert ctrl.safety_check(0.0, 81.0) is True
+        assert ctrl.state.aborted
 
     def test_release_then_zero(self):
         ctrl = make_controller()
         ctrl.state.release_target = 320.0
         ctrl.safety_check(400.0, 0.0)
         cmd = ctrl.tick(kin(), 0.0, 300.0, 0.0, 0.0, 0.001)
-        assert cmd.source is CommandSource.RELEASE
-        assert cmd.v == -ctrl.cfg.v_max
+        assert ctrl.state.aborted
+        assert cmd == -ctrl.cfg.v_max
         cmd = ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001)
-        assert cmd.v == 0.0
-        assert cmd.source is CommandSource.HOLD
+        assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
 
 class TestSignAndModeSafety:
@@ -244,14 +250,16 @@ class TestSignAndModeSafety:
                            truth, 0.001, cfg)
             assert r.f_truth >= before - 1e-9
 
-    def test_command_source_follows_mode(self):
+    def test_command_follows_mode(self):
         ctrl = make_controller(mode=ControlMode.SWING)
-        assert ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001).source is \
-            CommandSource.SWING_PI
+        twin = make_controller(mode=ControlMode.SWING)
+        assert ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001) == \
+            twin.tick_swing(320.0, 0.0, 0.001)
         ctrl = make_controller(mode=ControlMode.STANCE)
-        assert ctrl.tick(kin(theta_sk=PARAMS.mu),
-                         eval_force(PARAMS, PARAMS.mu), 320.0, 0.0, 0.0,
-                         0.001).source is CommandSource.STANCE_FBFF
+        twin = make_controller(mode=ControlMode.STANCE)
+        sample, f = kin(theta_sk=PARAMS.mu, ft_rate=-30.0), 20.0
+        assert ctrl.tick(sample, f, 320.0, 0.0, 0.0, 0.001) == \
+            twin.tick_stance(sample, f, 320.0, 0.001)
 
 
 class TestPretighten:
@@ -259,7 +267,7 @@ class TestPretighten:
         cfg = ControllerConfig()
         ctrl = Controller(cfg, TendonModel(50.0, 12.5, 250.0))
         cmd = ctrl.tick(kin(), 0.0, 315.0, 0.0, 0.0, 0.001)
-        assert cmd.v == cfg.pretighten_rate
+        assert cmd == cfg.pretighten_rate
         assert ctrl.state.mode is ControlMode.PRETIGHTEN
         cmd = ctrl.tick(kin(), 5.2, 299.6, 0.0, 0.0, 0.001)
         assert ctrl.state.mode is ControlMode.SILENT
@@ -293,12 +301,12 @@ class TestNonFiniteInputs:
                         inputs["l_meas"], inputs["l_meas_rate"],
                         inputs["motor_pos"], 0.001)
         assert ctrl.state.aborted
-        assert cmd.v <= 0.0
+        assert cmd <= 0.0
         for l_meas in np.linspace(300.0, 330.0, 50):
             cmd = ctrl.tick(kin(theta_sk=PARAMS.mu), 20.0, float(l_meas),
                             0.0, 0.0, 0.001)
             assert ctrl.state.aborted
-            assert cmd.v <= 0.0
+            assert cmd <= 0.0
 
     def test_nan_command_is_not_clamped_to_the_envelope(self):
         # A NaN kinematic rate reaches the stance feedforward; the clamp
@@ -306,4 +314,4 @@ class TestNonFiniteInputs:
         ctrl = make_controller()
         cmd = ctrl.tick(kin(theta_sk=PARAMS.mu, sk_rate=math.nan),
                         eval_force(PARAMS, PARAMS.mu), 310.0, 0.0, 0.0, 0.001)
-        assert cmd.v == 0.0
+        assert cmd == 0.0

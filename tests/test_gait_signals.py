@@ -7,7 +7,7 @@ from shankexo.gait_signals import (DetectorConfig, EventDetector, GaitEventKind,
                                    GaitPhase, KinematicSample, SignalLossError,
                                    SignalQualityError, StanceWindow,
                                    StreamConditioner, WindowAssembler,
-                                   buffer_stance, derive_df, read_replay_csv)
+                                   derive_df, read_replay_csv)
 
 
 def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
@@ -122,19 +122,13 @@ class TestEventDetector:
 
 
 class TestStanceWindow:
-    def test_swing_appends_nothing(self):
-        w = StanceWindow(capacity=10)
-        s = KinematicSample(0, 1.0, 2.0, 1.0, 0, 0, 0)
-        buffer_stance(w, s, GaitPhase.SWING)
-        assert len(w) == 0
-
     def test_stance_appends_in_order(self):
         w = StanceWindow(capacity=10)
         for i in range(3):
-            s = KinematicSample(i, 0.0, float(i), float(i), 0, 0, 0)
-            buffer_stance(w, s, GaitPhase.STANCE)
+            w.append(float(i), -float(i))
         assert w.theta_sk_buf == [0.0, 1.0, 2.0]
-        assert len(w.theta_df_buf) == 3
+        assert w.theta_df_buf == [0.0, -1.0, -2.0]
+        assert len(w) == 3 and not w.overflowed
 
     def test_capacity_ring_semantics(self):
         w = StanceWindow(capacity=200)

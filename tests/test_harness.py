@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from shankexo.cli import main as cli_main
+from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, ConfigError,
                               MetricsError, ScenarioConfig,
                               UndefinedCorrelationError, convergence_stride,
@@ -199,6 +200,27 @@ class TestRunScenario:
         assert rc == 0
         data = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert data["config"]["silent_cycles"] == 3
+
+    def test_stalled_detection_raises_instead_of_a_short_run(self,
+                                                            monkeypatch):
+        # Events stop at 6 s: contact 8 never comes, so the loop runs to its
+        # tick bound; the run must not come back with fewer strides.
+        update = EventDetector.update
+        contacts = []
+
+        def stalling(self, sample):
+            ev = update(self, sample) if sample.t_ms < 6000.0 else None
+            if ev is not None and ev.kind is GaitEventKind.FOOT_CONTACT:
+                contacts.append(ev)
+            return ev
+
+        monkeypatch.setattr(EventDetector, "update", stalling)
+        with pytest.raises(SignalLossError) as err:
+            run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1))
+        assert 0 < len(contacts) < 9
+        assert (f"{len(contacts)} foot contacts confirmed; the run needs 9"
+                in str(err.value))
+        assert "tick bound of " in str(err.value)
 
 
 class TestPerturbProtocol:

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
-from shankexo.controller import (CommandSource, ControlMode, Controller,
-                                 ControllerConfig, SafetyStatus)
+from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
 from shankexo.plant import (GaitWorld, PlantConfig, PlantState, _sample_clock,
@@ -79,15 +78,21 @@ def test_fused_profile_equals_the_two_calls(data, p, rate):
     assert same(eval_force_rate(p, theta, rate), f_rate)
 
 
-def test_rate_raises_as_before_when_sigma_squared_underflows():
-    # sigma * sigma is 0.0 below ~1.5e-162: the written-out rate raises there,
-    # and so does the fused call (eval_force alone does not divide by it).
+@pytest.mark.parametrize("theta,f", [(0.5, 0.0), (0.0, 100.0), (-0.5, 0.0)])
+def test_rate_is_zero_when_sigma_squared_underflows(theta, f):
+    # sigma * sigma is 0.0 below ~1.5e-162: the written-out rate raises there;
+    # the fused call returns eval_force's force and a rate of 0.0.
     p = GaussianParams(100.0, 0.0, 1e-170, 1e-170, -1.0, 1.0)
     with pytest.raises(ZeroDivisionError):
-        reference_force_rate(p, 0.5, 1.0)
-    with pytest.raises(ZeroDivisionError):
-        eval_force_and_rate(p, 0.5, 1.0)
-    assert eval_force(p, 0.5) == 0.0
+        reference_force_rate(p, theta, 1.0)
+    got = eval_force_and_rate(p, theta, 1.0)
+    assert [bits(x) for x in got] == [bits(f), bits(0.0)]
+    assert same(got[0], eval_force(p, theta))
+    assert bits(eval_force_rate(p, theta, 1.0)) == bits(0.0)
+    ctrl = make_controller()
+    ctrl.state.active_params = p
+    sample = KinematicSample(0.0, 0.0, theta, theta, 0.0, 1.0, 1.0)
+    assert math.isfinite(ctrl.tick(sample, 0.5, 320.0, 0.0, 0.0, 0.001))
 
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
@@ -149,8 +154,7 @@ def test_swing_anti_windup_equals_the_min_max_form(l_swing, l_meas, rate,
     want_v = 0.0 if math.isnan(v) else max(-cfg.v_max, min(cfg.v_max, v))
     cmd = ctrl.tick_swing(l_meas, rate, dt)
     assert same(ctrl.state.e_l_integral, i)
-    assert same(cmd.v, want_v)
-    assert cmd.source is CommandSource.SWING_PI
+    assert same(cmd, want_v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,11 +175,12 @@ def test_tick_aborts_exactly_when_safety_check_does(f_meas, motor_pos,
     want = ref.safety_check(f_meas, motor_pos)
     cmd = ctrl.tick(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                     f_meas, 310.0, 0.0, motor_pos, 0.001)
-    assert ctrl.state.aborted is (want is SafetyStatus.ABORT)
-    if ctrl.state.aborted:
-        assert cmd.source in (CommandSource.RELEASE, CommandSource.HOLD)
-    else:
-        assert cmd.source is CommandSource.SWING_PI
+    assert ctrl.state.aborted is want
+    if want:     # 310 mm is short of the 320 mm release target: pay out
+        assert bits(cmd) == bits(-ctrl.cfg.v_max)
+    else:        # the swing PI, as a twin in swing computes it
+        twin = make_controller(mode=ControlMode.SWING, **kw)
+        assert same(cmd, twin.tick_swing(310.0, 0.0, 0.001, f_meas))
 
 
 def reference_step_plant(state, cmd_v, kin, tendon_truth, dt, config, z=None,

@@ -8,7 +8,7 @@ from shankexo.plant import (ACTIVITY_DEFAULTS, Activity, GaitWorld,
                             PerturbationKind, PerturbationSpec, PlantConfig,
                             PlantState, RampSpec, TemplateError,
                             biological_torque, build_template, gen_frame,
-                            phase_advance, step_plant)
+                            step_plant)
 from shankexo.tendon import TendonModel
 
 ACTIVITIES = ["lw", "lr", "ra", "rd"]
@@ -109,7 +109,10 @@ class TestBiologicalTorque:
 
 class TestPhaseAdvance:
     def test_full_period_advances_one_cycle(self, tmpl):
-        assert phase_advance(0.0, tmpl.period, tmpl) == pytest.approx(1.0)
+        world = GaitWorld(tmpl, PlantConfig(), standing_s=0.0)
+        world.advance_block(tmpl.period / 1000, 1000)
+        assert world.state.stride_index == 1
+        assert world.phase == pytest.approx(tmpl.stance_ratio)
 
     def test_forward_perturbation_integral(self):
         spec = PerturbationSpec(kind=PerturbationKind.FORWARD, magnitude=0.8,
@@ -148,9 +151,14 @@ class TestPhaseAdvance:
         diffs = np.diff(seg[:stance_len])
         assert diffs.min() < -1e-4  # the stance shank angle runs backward
 
-    def test_dt_must_be_positive(self, tmpl):
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_dt_must_be_positive(self, tmpl, dt):
+        world = GaitWorld(tmpl, PlantConfig(), standing_s=0.0)
         with pytest.raises(ValueError):
-            phase_advance(0.0, 0.0, tmpl)
+            world.advance_block(dt, 5)
+        with pytest.raises(ValueError):
+            world.advance(dt)
+        assert world.t_s == 0.0
 
 
 class TestCablePlant:
