@@ -674,6 +674,8 @@ class GaitWorld:
         """Advance n ticks of dt and return each tick's world values."""
         if not dt > 0.0:     # NaN too
             raise ValueError(f"dt must be positive, got {dt!r}")
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n!r}")
         tmpl, cfg, ramp = self.tmpl, self.config, self.ramp
         perturbations, done = self.perturbations, self._pert_done
         standing_s = self.standing_s

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -61,6 +62,11 @@ class GaussianParams:
     def __post_init__(self):
         if not (self.amp > 0 and self.sigma1 > 0 and self.sigma2 > 0):
             raise ParameterError(f"non-positive amplitude or width: {self}")
+        # eval_force_and_rate divides by sigma * sigma: at 0 that raises,
+        # and a subnormal square overflows the quotient into a NaN rate.
+        sigma = min(self.sigma1, self.sigma2)
+        if sigma * sigma < sys.float_info.min:
+            raise ParameterError(f"width squared underflows: {self}")
         if not (self.theta_fc < self.mu < self.theta_fo):
             raise ParameterError(
                 f"peak must lie inside the support: fc={self.theta_fc} "
@@ -84,18 +90,14 @@ def eval_force_and_rate(p: GaussianParams, theta: float,
     The force is eval_force's, bit for bit. The rate is
     f * (-(theta - mu) / sigma^2) * theta_rate; Python multiplies left to
     right, so reusing f gives the same bits as writing amp * exp(...) out
-    in full. Where sigma * sigma underflows to 0 (sigma below about
-    1.5e-162) the rate is 0.0.
+    in full. GaussianParams keeps sigma * sigma a normal float.
     """
     if not (p.theta_fc < theta < p.theta_fo):
         return 0.0, 0.0
     sigma = p.sigma1 if theta <= p.mu else p.sigma2
     z = (theta - p.mu) / sigma
     f = p.amp * math.exp(-0.5 * z * z)
-    try:
-        return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
-    except ZeroDivisionError:
-        return f, 0.0
+    return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
 
 
 def eval_force_rate(p: GaussianParams, theta: float, theta_rate: float) -> float:

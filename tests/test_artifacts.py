@@ -1,12 +1,20 @@
-"""Run artifacts: pinned bytes, and agreement between the report and the CSV."""
+"""Run artifacts: pinned bytes, agreement between the report and the CSV,
+and the block CSV printer against the one-row-at-a-time `%` format."""
 
 import csv
 import hashlib
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from shankexo.harness import ScenarioConfig, run_scenario
+from shankexo import harness
+from shankexo.harness import (CSV_COLUMNS, LOG_COLUMNS, MODES, MetricsReport,
+                              ScenarioConfig, run_scenario, write_artifacts)
+from shankexo.plant import BLOCK_TICKS
 
 # SHA-256 of (timeseries.csv, summary.json). A change to either digest means
 # the simulated behaviour or the artifact format moved; regenerate only when
@@ -21,6 +29,12 @@ GOLDEN = {
         dict(activity="lr", scenario="perturb", n_strides=30, seed=2),
         "e0ffd7147bad6adc99fab0a21e0bb5cb98c2e542749a05cf4109b30b626f696e",
         "96917a46ad4c191d51c8f84b8e8f907196ecfbb24c2e3db75c79867c1b2abcdf"),
+    # The clock passes 100,000 ms (the run ends at 103,120 ms), so t_ms
+    # prints six integer digits.
+    "clock-past-1e5": (
+        dict(activity="lw", scenario="steady", n_strides=90, seed=1),
+        "07828bca3c585089d656d56f5bcb75a68f56d0f1c804629547587905dafa1b98",
+        "ae59fa9014fe859db329296fbdf961e4fda3183bc585b34ced33e0d4d4ccba31"),
 }
 
 
@@ -80,3 +94,136 @@ def test_perturbed_column_marks_exactly_the_perturbed_strides(golden_runs):
     want = {s.stride for s in report.per_stride if s.perturbed}
     assert len(want) == 4
     assert marked == want
+
+
+# -- the block printer against the row format ------------------------------------
+
+ROW_FORMAT = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
+REPORT = MetricsReport(config={}, per_stride=[], aggregate={},
+                       convergence_stride=-1, aborted=False)
+
+
+def reference_csv(log: np.ndarray) -> bytes:
+    """timeseries.csv as one `%` per row prints it: the reference."""
+    lines = [",".join(CSV_COLUMNS) + "\r\n"]
+    for row in log:
+        t, stride, mode, *values, kind, _bio = row.tolist()
+        lines.append(ROW_FORMAT % (t, stride, MODES[int(mode)], *values,
+                                   kind != 0))
+    return "".join(lines).encode()
+
+
+def written_csv(log: np.ndarray) -> bytes:
+    with tempfile.TemporaryDirectory() as out:
+        write_artifacts(out, log, REPORT)
+        return (Path(out) / "timeseries.csv").read_bytes()
+
+
+# Values the array path must print as `%` does, or leave to the `%` path:
+# non-finite, signed zeros, subnormals, exact ties, products that round
+# the other way from the exact value, and both sides of the digit budget.
+VALUE_CASES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, -1e-9, 4e-7, -5e-7, 0.0078125, -0.0078125,
+    2.5e-06, 0.4731885, -0.6285085, 40.9735235, -850.6242255,
+    6.5692114999997, 1.0000005, 123.456789, -0.999999, 0.9999995,
+    12345678.123456, -99999998.9999995,
+    99999998.99999999,      # the largest value below the budget
+    99999999.0, -99999999.0,
+    99999999.99999999,      # rounds to a ninth integer digit
+    1e8, 1e15, -1e300]
+T_CASES = [0.0, -0.0, 0.25, 0.05, 0.35, 99999.0, 99999.95, 100000.0,
+           100000.05, 999999.0, 1000000.0, 1234567.85, 99999998.0,
+           99999998.99999999, 99999999.0, 99999999.99999999, 1e12, math.nan,
+           math.inf]
+STRIDE_CASES = [-1.0, 0.0, -0.0, 9.0, 10.0, 89.0, 99999998.0, 99999999.0,
+                1e8, 2.5, -1.5, 2.7, -2.7, 1e17]
+MODE_CASES = [float(i) for i in range(len(MODES))] + [-0.0, 0.5, 1.7, -1.0]
+KIND_CASES = [0.0, -0.0, 1.0, 2.0, 0.5, math.nan]
+COLUMN_CASES = {0: T_CASES, 1: STRIDE_CASES, 2: MODE_CASES, 12: KIND_CASES,
+                13: VALUE_CASES, **{c: VALUE_CASES for c in range(3, 12)}}
+COLUMN_GROUPS = {"t_ms": [0], "stride": [1], "mode": [2],
+                 "values": list(range(3, 12)), "perturb_kind": [12],
+                 "bio": [13]}
+
+
+def typical_log(n_rows: int, seed: int, t0: float = 1.0) -> np.ndarray:
+    """Rows such as a run logs: whole-ms clock, stride from -1 up, valid
+    mode indices, values of mixed sign over many magnitudes."""
+    rng = np.random.default_rng(seed)
+    log = np.empty((n_rows, len(LOG_COLUMNS)))
+    log[:, 0] = t0 + np.arange(n_rows)
+    log[:, 1] = np.cumsum(rng.random(n_rows) < 0.002) - 1
+    log[:, 2] = rng.integers(0, len(MODES), n_rows)
+    log[:, 3:12] = (rng.standard_normal((n_rows, 9))
+                    * 10.0 ** rng.uniform(-9, 3, (n_rows, 9)))
+    log[:, 12] = rng.integers(0, 3, n_rows)
+    log[:, 13] = rng.random(n_rows)
+    return log
+
+
+OFFSETS = [0, BLOCK_TICKS // 2, BLOCK_TICKS - 1]
+
+
+def case_table(group: str, offset: int):
+    """A typical table with one block per case of the column group, and the
+    group's columns and cases."""
+    columns = COLUMN_GROUPS[group]
+    cases = COLUMN_CASES[columns[0]]
+    return (typical_log(len(cases) * BLOCK_TICKS, seed=offset, t0=99_000.0),
+            columns, cases)
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("group", sorted(COLUMN_GROUPS))
+def test_block_printer_equals_the_row_format_on_each_case(group, offset):
+    # One case per block, at its start, middle or end, so each case that
+    # the array path can print is printed by it. A value case goes into all
+    # nine value columns of its row.
+    log, columns, cases = case_table(group, offset)
+    log[offset::BLOCK_TICKS, columns] = np.array(cases)[:, None]
+    assert written_csv(log) == reference_csv(log)
+
+
+@hs.composite
+def log_tables(draw):
+    n_rows = draw(hs.integers(1, 3 * BLOCK_TICKS + 1))
+    log = typical_log(n_rows, draw(hs.integers(0, 2**32 - 1)),
+                      draw(hs.sampled_from([0.0, 1.0, 99_000.0, 999_000.0])))
+    edges = [0, 1, BLOCK_TICKS // 2, BLOCK_TICKS - 1, BLOCK_TICKS,
+             BLOCK_TICKS + 1, 2 * BLOCK_TICKS - 1, 2 * BLOCK_TICKS, n_rows - 1]
+    row = hs.one_of(hs.sampled_from([r for r in edges if r < n_rows]),
+                    hs.integers(0, n_rows - 1))
+    for _ in range(draw(hs.integers(0, 6))):
+        column = draw(hs.sampled_from(sorted(COLUMN_CASES)))
+        value = draw(hs.sampled_from(COLUMN_CASES[column])
+                     if column in (1, 2) else
+                     hs.one_of(hs.sampled_from(COLUMN_CASES[column]),
+                               hs.floats(allow_nan=True,
+                                         allow_infinity=True)))
+        log[draw(row), column] = value
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=log_tables())
+def test_block_printer_equals_the_row_format(log):
+    assert written_csv(log) == reference_csv(log)
+
+
+def no_fallback(rows):
+    raise AssertionError(f"a block of {len(rows)} rows fell back")
+
+
+def test_case_tables_take_the_array_path_without_their_cases(monkeypatch):
+    # So in the per-case tests each block takes the path its case selects.
+    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    for group in COLUMN_GROUPS:
+        for offset in OFFSETS:
+            written_csv(case_table(group, offset)[0])
+
+
+def test_run_log_takes_the_array_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    run_scenario(ScenarioConfig(activity="lw", scenario="steady", n_strides=12,
+                                seed=9, output_dir=str(tmp_path)))

@@ -18,8 +18,8 @@ from shankexo.gait_signals import KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
 from shankexo.plant import (GaitWorld, PlantConfig, PlantState, _sample_clock,
                             build_template, step_plant)
-from shankexo.profile import (GaussianParams, eval_force, eval_force_and_rate,
-                              eval_force_rate)
+from shankexo.profile import (GaussianParams, ParameterError, eval_force,
+                              eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
 
 any_float = hs.floats(allow_nan=True, allow_infinity=True)
@@ -78,21 +78,14 @@ def test_fused_profile_equals_the_two_calls(data, p, rate):
     assert same(eval_force_rate(p, theta, rate), f_rate)
 
 
-@pytest.mark.parametrize("theta,f", [(0.5, 0.0), (0.0, 100.0), (-0.5, 0.0)])
-def test_rate_is_zero_when_sigma_squared_underflows(theta, f):
-    # sigma * sigma is 0.0 below ~1.5e-162: the written-out rate raises there;
-    # the fused call returns eval_force's force and a rate of 0.0.
-    p = GaussianParams(100.0, 0.0, 1e-170, 1e-170, -1.0, 1.0)
-    with pytest.raises(ZeroDivisionError):
-        reference_force_rate(p, theta, 1.0)
-    got = eval_force_and_rate(p, theta, 1.0)
-    assert [bits(x) for x in got] == [bits(f), bits(0.0)]
-    assert same(got[0], eval_force(p, theta))
-    assert bits(eval_force_rate(p, theta, 1.0)) == bits(0.0)
-    ctrl = make_controller()
-    ctrl.state.active_params = p
-    sample = KinematicSample(0.0, 0.0, theta, theta, 0.0, 1.0, 1.0)
-    assert math.isfinite(ctrl.tick(sample, 0.5, 320.0, 0.0, 0.0, 0.001))
+@pytest.mark.parametrize("sigma", [1e-170, 1e-160])
+@pytest.mark.parametrize("branch", ["sigma1", "sigma2"])
+def test_width_whose_square_underflows_is_rejected(sigma, branch):
+    # sigma * sigma is 0.0 at 1e-170 and subnormal at 1e-160, where the
+    # rate would raise or be NaN (0.0 * inf at theta 0.5).
+    widths = {"sigma1": 1.0, "sigma2": 1.0, branch: sigma}
+    with pytest.raises(ParameterError, match="underflows"):
+        GaussianParams(100.0, 0.0, theta_fc=-1.0, theta_fo=1.0, **widths)
 
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)

@@ -160,6 +160,13 @@ class TestPhaseAdvance:
             world.advance(dt)
         assert world.t_s == 0.0
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_length_must_be_positive(self, tmpl, n):
+        world = GaitWorld(tmpl, PlantConfig(), standing_s=0.0)
+        with pytest.raises(ValueError, match="n must be positive"):
+            world.advance_block(0.001, n)
+        assert world.t_s == 0.0
+
 
 class TestCablePlant:
     def make(self):
