@@ -8,17 +8,21 @@ foot-contact ticks. Runs are fully determined by the scenario config and seed.
 Only the controller and the cable form a closed loop; the gait world never
 reads cable state. So the loop advances the world one block at a time
 (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`) and then walks the
-block's columns tick by tick: the 100 Hz estimation on the block's
-kinematics, then `Controller.tick` -> `GaitWorld.step_cable`, whose reading
-is the controller's input on the next tick. The block may run past the end
-of the run; the extra ticks are never logged. A run ends 20 ticks after foot
-contact n_strides is confirmed; if its tick bound comes first, it raises
-SignalLossError rather than report fewer strides.
+block's kinematics tick by tick: the 100 Hz estimation, then
+`Controller.tick` -> the cable step bound once for the run
+(`GaitWorld.cable_step`), whose reading is the controller's input on the
+next tick. The block may run past the end of the run; the extra ticks are
+never logged. A run ends 20 ticks after foot contact n_strides is
+confirmed; if its tick bound comes first, it raises SignalLossError rather
+than report fewer strides.
 
 The run log is one float64 table with a row per control tick and the
-columns of LOG_COLUMNS, written a block at a time into a mapping sized for
-the run's tick bound; "block" marks the columns copied from the world
-block, the others come from the closed loop:
+columns of LOG_COLUMNS, in a mapping sized for the run's tick bound. Each
+tick appends only the seven values the closed loop makes (stride, mode,
+f_des_n, f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s) to a row buffer.
+After the block's ticks, numpy copies move the buffer and the columns the
+world block already holds, marked "block" below, into the table, cut to
+the ticks the loop ran:
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
@@ -47,11 +51,15 @@ the bytes one `_CSV_ROW %` per row gives (`_csv_rows`, the reference):
   signbit(x), so -0.0 and negatives that round to zero print "-0.000000"
   as `%` does. stride (%d) and the mode index are whole numbers, printed
   as they are.
-- `%` rounds the exact binary value of x, half to even. x * 10**N carries
-  a rounding error of at most |x * 10**N| * 2**-53, so rint gives the
-  same integer unless a .5 boundary lies within that error of the product.
-  A product within 8 times that distance of a .5 boundary (exact ties
-  included) is not printed this way.
+- `%` rounds the exact binary value of x, half to even. The product
+  x * 10**N is off the exact one by at most half its ulp, so rint gives
+  the same integer unless a .5 boundary lies within half an ulp of the
+  product. Below the budget the ulp is at most 1/64, so every .5 boundary
+  is a float on the product's grid: one that the product does not sit on
+  lies at least one ulp away, twice the error. The guard takes the half
+  ulp, np.spacing(|x * 10**N|) / 2, as the limit: a product that close to
+  a .5 boundary, which here means a product that is one, is not printed
+  this way.
 - A block goes through `_csv_rows` when any of its rows has such a field,
   a non-finite value, a magnitude of 1e8 - 1 or more, a non-integer stride
   or a mode index outside MODES. Both paths give the same bytes; the
@@ -90,6 +98,14 @@ MODES = [m.value for m in ControlMode] + ["abort"]
 _MODE_INDEX = {m: i for i, m in enumerate(ControlMode)}
 _ABORT_INDEX = MODES.index("abort")
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
+# Log columns the closed loop makes, in the order of a tick's log row, and
+# those copied from the world block, in the order run_scenario copies them.
+_LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
+    "stride", "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm",
+    "v_cmd_mm_s")]
+_BLOCK_COLUMNS = [LOG_COLUMNS.index(c) for c in (
+    "t_ms", "theta_sk_deg", "theta_ft_deg", "theta_df_deg", "belt_scale",
+    "perturb_kind", "bio")]
 _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
 
 # The block printer of timeseries.csv (see the module docstring). A row is
@@ -99,7 +115,6 @@ _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
 # not hold are NUL and are dropped.
 _CSV_BUDGET = 1e8 - 1    # |x| below this rounds to at most 8 integer digits
 _CSV_SCALE = np.array([10, 1, 1] + [10**6] * 9)   # 10**decimals
-_CSV_TIE_MARGIN = 2.0 ** -50   # 8x the rounding error of x * 10**decimals
 # "0000" .. "9999" as four ASCII digits packed in one uint32 each, and the
 # same with leading zeros as NUL ("0" keeps its last digit)
 _NUMBERS = np.arange(10_000, dtype=np.uint16)[:, None]
@@ -349,14 +364,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     # and copied (twice its size resident) whenever the heap left no room
     # to grow in place.
     width = len(LOG_COLUMNS)
-    log = memoryview(mmap.mmap(-1, bound * width * 8)).cast("d")
+    log = np.frombuffer(mmap.mmap(-1, bound * width * 8)).reshape(-1, width)
     n_log = 0
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
     stance = ControlMode.STANCE
     mode = None          # the mode whose log index is in mode_index
     mode_index = 0
-    tick, step_cable = ctrl.tick, world.step_cable
+    tick, step_cable = ctrl.tick, world.cable_step(dt)
     st = ctrl.state
 
     k = 0
@@ -364,9 +379,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - k))
         rows = array("d")
         log_row = rows.extend
-        for t_ms, kin, walking, migration, scale, kind, bio in zip(
-                block.t_ms, block.kin, block.walking, block.migration,
-                block.scale, block.perturb_kind, block.bio):
+        for t_ms, kin, walking, migration in zip(
+                block.t_ms, block.kin, block.walking, block.migration):
             k += 1
             if k % imu_every == 0 and walking:
                 ev = detector.update(kin)
@@ -389,7 +403,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 f_for_ctrl += cfg.fault_spike_n
             v = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
             f_truth, f_meas, l_meas, l_rate, pos = step_cable(
-                v, kin, dt, migration)
+                v, kin.theta_df, migration)
             if st.mode is not mode:   # Enum hashing is slow; modes change rarely
                 mode = st.mode
                 mode_index = _MODE_INDEX[mode]
@@ -399,21 +413,26 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 # aborted tick skipped the profile, so evaluate it here.
                 f_des = (eval_force(st.active_params, kin.theta_sk)
                          if st.aborted else st.f_des)
-            log_row((
-                t_ms, current_stride,
-                _ABORT_INDEX if st.aborted else mode_index,
-                kin.theta_sk, kin.theta_ft, kin.theta_df, f_des, f_meas,
-                f_truth, l_meas, v, scale, kind, bio))
+            log_row((current_stride, _ABORT_INDEX if st.aborted else mode_index,
+                     f_des, f_meas, f_truth, l_meas, v))
             if k >= stop:
                 break
-        log[n_log:n_log + len(rows)] = rows
-        n_log += len(rows)
+        # The block's own columns, cut to the ticks the loop ran.
+        m = len(rows) // len(_LOOP_COLUMNS)
+        part = log[n_log:n_log + m]
+        part[:, _LOOP_COLUMNS] = np.frombuffer(rows).reshape(m, -1)
+        ft, sk, df = block.frames[:, :3].T
+        for c, values in zip(_BLOCK_COLUMNS, (
+                block.t_ms, sk, ft, df, block.scale, block.perturb_kind,
+                block.bio)):
+            part[:, c] = values[:m]
+        n_log += m
     if current_stride < cfg.n_strides:
         raise SignalLossError(
             f"tick bound of {bound} reached with {len(adopted)} foot contacts "
             f"confirmed; the run needs {cfg.n_strides + 1}")
 
-    table = np.frombuffer(log, count=n_log).reshape(-1, width)
+    table = log[:n_log]
     report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,
                            analysis_start, ctrl.state.aborted)
     if cfg.output_dir:
@@ -570,7 +589,7 @@ def _csv_block(rows: np.ndarray) -> bytes:
     if not (inside.all() and (scaled[:, 1:3] == n[:, 1:3]).all()
             and (mode >= 0).all() and (mode < len(MODES)).all()
             and (np.abs(np.abs(scaled - n) - 0.5)
-                 > np.abs(scaled) * _CSV_TIE_MARGIN).all()):
+                 > np.spacing(np.abs(scaled)) * 0.5).all()):
         return _csv_rows(rows)
     mode = mode.astype(np.intp)
     whole, frac = np.divmod(np.abs(n).astype(np.int64), _CSV_SCALE)
@@ -600,11 +619,11 @@ def write_artifacts(out_dir: str, log: np.ndarray,
 
     A block's fields are printed from n = rint(x * 10**decimals) through
     4-digit ASCII group tables. The bytes equal one `_CSV_ROW %` per row:
-    rint and `%` round alike wherever the product lies farther than 8 of
-    its rounding errors from a .5 boundary. A block holding a non-finite
-    value, a magnitude of 1e8 - 1 or more, a non-integer stride or mode
-    index, or a product that near a .5 boundary is printed by `_csv_rows`
-    instead (see the module docstring).
+    rint and `%` round alike wherever the product lies farther than half
+    its ulp from a .5 boundary. A block holding a non-finite value, a
+    magnitude of 1e8 - 1 or more, a non-integer stride or mode index, or a
+    product that near a .5 boundary is printed by `_csv_rows` instead (see
+    the module docstring).
     """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "timeseries.csv"), "wb") as fh:

@@ -38,11 +38,20 @@ stays: `math.exp` for migration and Python `**` for the torque sharpness
 and the sway. The sample time is `round(t * 1000.0, 6)`. Within 4e-7 ms of
 a whole ms that is the whole ms exactly, so when every tick of a block is
 that close the block takes it from the one `np.rint` that also makes the
-log's clock; a clock that has drifted further is rounded tick by tick. The
-force noise comes from the world's Generator in blocks of BLOCK_TICKS
-draws, which equal the same number of scalar `standard_normal()` draws.
-`step_plant`'s clamps are bare comparisons that return what the `max`/`min`
-forms return, NaN included.
+log's clock; a clock that has drifted further is rounded tick by tick.
+
+Cable. The plant equations live once, in `bind_cable`: it binds what a run
+holds fixed (the motor lag alpha = 1 - exp(-dt / motor_tau_s), the
+envelope, the truth tendon, the noise level, the motor-position reference)
+and returns the one-tick step the closed loop calls, (cmd_v, theta_df,
+migration) -> a plain (f_truth, f_meas, l_cable, l_rate, motor_pos) tuple.
+`GaitWorld.cable_step(dt)` binds the world's cable once per run;
+`step_plant` and `GaitWorld.step_cable` are one bound step each, returning
+a PlantReading. Its clamps are bare comparisons that return what the
+`max`/`min` forms return, NaN included. The force noise comes from the
+world's Generator in blocks of BLOCK_TICKS draws, which equal the same
+number of scalar `standard_normal()` draws; every step of a world reads
+that one stream.
 
 Template validation reads the numbers of the parts that run on a template
 from the modules that own them: the detector thresholds and the IMU period
@@ -51,10 +60,11 @@ from `gait_signals`, the initial profile and the update guard from `profile`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -564,39 +574,78 @@ class PlantReading(NamedTuple):
     motor_pos: float     # mm, retraction-positive displacement from startup
 
 
-def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
-               tendon_truth: TendonModel, dt: float, config: PlantConfig,
-               z: Optional[float] = None,
-               migration: Optional[float] = None) -> PlantReading:
-    """Advance the cable plant one control tick under a velocity command.
+CableStep = Callable[[float, float, float], tuple[float, ...]]
 
-    z is a standard-normal draw for the load-cell noise (None: noiseless
-    reading); migration is the tick's suit migration in mm (None:
-    state.migration).
+
+def bind_cable(state: PlantState, tendon_truth: TendonModel,
+               config: PlantConfig, dt: float,
+               noise: Optional[Iterator[float]] = None) -> CableStep:
+    """The cable plant under ticks of dt, with what a run holds fixed bound
+    once: the motor lag alpha = 1 - exp(-dt / motor_tau_s), the envelope, the
+    truth tendon, the noise level and the motor-position reference.
+
+    Returns step(cmd_v, theta_df, migration) -> (f_truth, f_meas, l_cable,
+    l_rate, motor_pos), which advances `state` one tick under a velocity
+    command at the tick's DF angle and suit migration (mm). It writes
+    state.motor_v and state.l_cable and reads them back on the next tick.
+    noise yields the standard-normal draws of the load-cell noise, one per
+    tick while force_noise_sd > 0 (None: noiseless readings).
 
     The clamps are the comparisons max(lo, min(hi, x)) performs, so they
     keep its NaN semantics: a NaN command drives at +v_max, and a NaN
     force reads 0.
     """
+    vm = config.v_max
+    alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
+    r, k_all, c = (tendon_truth.lever_arm_r, tendon_truth.k_all,
+                   tendon_truth.baseline_c)
+    noise_sd = config.force_noise_sd
+    noisy = noise is not None and noise_sd > 0.0
+    pos_ref = config.baseline_c + config.initial_slack_mm
+    radians = math.radians
+
+    def step(cmd_v: float, theta_df: float,
+             migration: float) -> tuple[float, ...]:
+        v_target = cmd_v if cmd_v < vm else vm               # min(vm, cmd_v)
+        v_target = v_target if v_target > -vm else -vm       # max(-vm, .)
+        motor_v = state.motor_v
+        motor_v += alpha * (v_target - motor_v)
+        l_cable = state.l_cable - motor_v * dt
+        state.motor_v = motor_v
+        state.l_cable = l_cable
+        force = k_all * (r * radians(theta_df) + c - migration - l_cable)
+        force = force if force > 0.0 else 0.0                # max(0.0, force)
+        f_meas = force
+        if noisy:
+            f_meas = force + noise_sd * next(noise)
+            f_meas = f_meas if f_meas > 0.0 else 0.0
+        return force, f_meas, l_cable, -motor_v, pos_ref - l_cable
+    return step
+
+
+def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
+               tendon_truth: TendonModel, dt: float, config: PlantConfig,
+               z: Optional[float] = None,
+               migration: Optional[float] = None) -> PlantReading:
+    """Advance the cable plant one control tick under a velocity command:
+    one step of `bind_cable`.
+
+    z is a standard-normal draw for the load-cell noise (None: noiseless
+    reading); migration is the tick's suit migration in mm (None:
+    state.migration).
+    """
     if migration is None:
         migration = state.migration
-    vm = config.v_max
-    v_target = cmd_v if cmd_v < vm else vm               # min(vm, cmd_v)
-    v_target = v_target if v_target > -vm else -vm       # max(-vm, .)
-    alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
-    state.motor_v += alpha * (v_target - state.motor_v)
-    state.l_cable -= state.motor_v * dt
-    l_taut = (tendon_truth.lever_arm_r * math.radians(kin.theta_df)
-              + tendon_truth.baseline_c - migration)
-    force = tendon_truth.k_all * (l_taut - state.l_cable)
-    force = force if force > 0.0 else 0.0                # max(0.0, force)
-    f_meas = force
-    if z is not None and config.force_noise_sd > 0.0:
-        f_meas = force + config.force_noise_sd * z
-        f_meas = f_meas if f_meas > 0.0 else 0.0
-    return PlantReading(
-        force, f_meas, state.l_cable, -state.motor_v,
-        (config.baseline_c + config.initial_slack_mm) - state.l_cable)
+    step = bind_cable(state, tendon_truth, config, dt,
+                      None if z is None else iter((z,)))
+    return PlantReading(*step(cmd_v, kin.theta_df, migration))
+
+
+def _normal_draws(rng: np.random.Generator) -> Iterator[float]:
+    """Endless standard normals drawn BLOCK_TICKS at a time: the values of
+    one scalar rng.standard_normal() per draw."""
+    blocks = iter(lambda: rng.standard_normal(BLOCK_TICKS).tolist(), None)
+    return itertools.chain.from_iterable(blocks)
 
 
 def _sample_clock(t_s: list) -> tuple[list, list]:
@@ -618,7 +667,8 @@ def _sample_clock(t_s: list) -> tuple[list, list]:
 
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks, as lists: what the
-    closed loop and its log read."""
+    closed loop and its log read. `frames` holds kin's angles and rates
+    once more as one array, which the log copies from."""
 
     t_ms: list           # tick time rounded to whole ms (the log's clock)
     kin: list            # KinematicSample, its t_ms rounded to 1e-6 ms
@@ -627,6 +677,7 @@ class WorldBlock(NamedTuple):
     migration: list      # mm
     perturb_kind: list   # 0 none, 1 forward, 2 backward perturbation window
     bio: list            # normalized biological torque, 0 while standing
+    frames: np.ndarray   # (n, 6) floats: kin's values after t_ms, by tick
 
 
 _PERTURB_CODE = {PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
@@ -638,8 +689,8 @@ class GaitWorld:
     Drives a standing segment first (all angles zero) so the controller can
     pretighten, then runs the gait from swing onset. Stride count follows
     the phase wrap; suit migration steps once per stride. The open-loop
-    part advances in blocks (`advance_block`); the cable (`step_cable`) is
-    stepped one tick at a time by the closed loop.
+    part advances in blocks (`advance_block`); the closed loop steps the
+    cable one tick at a time through the step `cable_step` binds.
     """
 
     def __init__(self, tmpl: GaitTemplate, config: PlantConfig, seed: int = 0,
@@ -663,7 +714,7 @@ class GaitWorld:
         self._ramp_scale = 1.0
         self._pert_active: Optional[tuple[PerturbationSpec, float]] = None
         self._pert_done: set[int] = set()
-        self._noise = iter(())
+        self._noise = _normal_draws(self.rng)
 
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
@@ -738,8 +789,8 @@ class GaitWorld:
         self.state.stride_index, self.state.migration = stride, migration
 
         # Walking never stops once started: ticks w0.. walk, the rest stand
-        # with every angle and rate zero. cols are the six KinematicSample
-        # channels after t_ms, one list each.
+        # with every angle and rate zero. frames holds the six
+        # KinematicSample channels after t_ms, one row per tick.
         w0 = walk_col.index(True) if walk_col[-1] else n
         if n == 1:
             # One tick: the scalar references give the same bits without
@@ -752,32 +803,40 @@ class GaitWorld:
             if w0 == 0:
                 frame = gen_frame(tmpl, phase, scale)[1:]
                 bio = [biological_torque(tmpl, phase)]
-            cols = [[v] for v in frame]
+            frames = np.array([frame])
         else:
             t_ms, t_sample = _sample_clock(t_col)
-            frames = np.zeros((6, n))
+            frames = np.zeros((n, 6))
             bio_a = np.zeros(n)
             if w0 < n:
                 walk_phase = np.array(phase_col[w0:])
-                frames[:, w0:] = gen_frames(tmpl, walk_phase,
-                                            np.array(scale_col[w0:]))
+                frames.T[:, w0:] = gen_frames(tmpl, walk_phase,
+                                              np.array(scale_col[w0:]))
                 bio_a[w0:] = biological_torques(tmpl, walk_phase)
-            cols, bio = frames.tolist(), bio_a.tolist()
-        for i, sway, sway_rate in sway_rows:
-            for c, d in ((1, sway), (2, sway), (4, sway_rate), (5, sway_rate)):
-                cols[c][i] += d      # theta_sk, theta_df and their rates
+            bio = bio_a.tolist()
+        if sway_rows:
+            at, sway, sway_rate = map(np.array, zip(*sway_rows))
+            frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
+            frames[at, 4:6] += sway_rate[:, None]   # and their rates
         return WorldBlock(
-            t_ms, list(map(KinematicSample._make, zip(t_sample, *cols))),
-            walk_col, scale_col, mig_col, kind_col, bio)
+            t_ms, list(map(KinematicSample._make,
+                           zip(t_sample, *frames.T.tolist()))),
+            walk_col, scale_col, mig_col, kind_col, bio, frames)
+
+    def cable_step(self, dt: float) -> CableStep:
+        """This world's cable bound for ticks of dt (see `bind_cable`):
+        step(cmd_v, theta_df, migration) -> (f_truth, f_meas, l_cable,
+        l_rate, motor_pos). Every step of a world draws its force noise from
+        the world's one stream."""
+        return bind_cable(self.state, self.truth_tendon, self.config, dt,
+                          self._noise)
 
     def step_cable(self, cmd_v: float, kin: KinematicSample, dt: float,
                    migration: Optional[float] = None) -> PlantReading:
         """Advance the cable one tick. migration is the tick's own suit
         migration; the default, state.migration, is the tick's own only when
         the world advances one tick at a time."""
-        z = next(self._noise, None)
-        if z is None:
-            self._noise = iter(self.rng.standard_normal(BLOCK_TICKS).tolist())
-            z = next(self._noise)
-        return step_plant(self.state, cmd_v, kin, self.truth_tendon, dt,
-                          self.config, z, migration)
+        if migration is None:
+            migration = self.state.migration
+        return PlantReading(*self.cable_step(dt)(cmd_v, kin.theta_df,
+                                                 migration))

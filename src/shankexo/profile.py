@@ -71,6 +71,14 @@ class GaussianParams:
             raise ParameterError(
                 f"peak must lie inside the support: fc={self.theta_fc} "
                 f"mu={self.mu} fo={self.theta_fo}")
+        # The rate's quotient (theta - mu) / (sigma * sigma) is largest at
+        # the support ends; past the float range it is inf, and f = 0.0
+        # times inf is a NaN rate.
+        if not (math.isfinite((self.mu - self.theta_fc)
+                              / (self.sigma1 * self.sigma1))
+                and math.isfinite((self.theta_fo - self.mu)
+                                  / (self.sigma2 * self.sigma2))):
+            raise ParameterError(f"rate quotient overflows: {self}")
 
 
 def eval_force(p: GaussianParams, theta: float) -> float:

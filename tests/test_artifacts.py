@@ -35,6 +35,18 @@ GOLDEN = {
         dict(activity="lw", scenario="steady", n_strides=90, seed=1),
         "07828bca3c585089d656d56f5bcb75a68f56d0f1c804629547587905dafa1b98",
         "ae59fa9014fe859db329296fbdf961e4fda3183bc585b34ced33e0d4d4ccba31"),
+    # A 400 N spike aborts the run in stance: the aborted ticks log the
+    # profile force of their shank angle.
+    "spike-abort": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=400.0, fault_spike_t_ms=8600.0),
+        "25e72fea7c9a8007be84f93d51891469fcb57dff33700c4154ceb8b09766d3ee",
+        "ecd475e962b643fc289cd35f56293baac532e2be4721224f29841c9f47182e4e"),
+    # The belt-speed ramp moves the belt_scale column.
+    "speed-ramp": (
+        dict(activity="lw", scenario="speed-ramp", n_strides=30, seed=2),
+        "d9060c9ffcecc55dc02dec81ab545cbcad3ec86126cc638f129844e070c36bf8",
+        "fcb4d414778840b6662983c02a14395c4920c2b37cfb35db9d25c2e0c9f41369"),
 }
 
 
@@ -221,6 +233,38 @@ def test_case_tables_take_the_array_path_without_their_cases(monkeypatch):
     for group in COLUMN_GROUPS:
         for offset in OFFSETS:
             written_csv(case_table(group, offset)[0])
+
+
+def near_tie_values(n: int, seed: int) -> np.ndarray:
+    """Values near 1e7 whose products x * 1e6 lie a few ulps from a .5
+    boundary, never on one: exact ties of the product are the `%` path's."""
+    rng = np.random.default_rng(seed)
+    x = (np.floor(rng.uniform(0.9e13, 1.1e13, n)) + 0.5) / 1e6
+    steps = rng.integers(1, 5, n) * rng.choice([-1, 1], n)
+    while steps.any():
+        x = np.where(steps == 0, x,
+                     np.nextafter(x, np.where(steps > 0, np.inf, -np.inf)))
+        steps -= np.sign(steps)
+    while True:
+        scaled = x * 1e6
+        tie = np.abs(scaled - np.rint(scaled)) == 0.5
+        if not tie.any():
+            return x * rng.choice([-1.0, 1.0], n)
+        x = np.where(tie, np.nextafter(x, np.inf), x)
+
+
+def test_values_near_1e7_take_the_array_path(monkeypatch):
+    # The tie guard is half the product's ulp (1/1024 at 1e13), so products
+    # one to four ulps from a .5 boundary print from rint. A guard of
+    # |x * 1e6| * 2**-50 (0.008 to 0.01 there) caught every one of them.
+    log = typical_log(2 * BLOCK_TICKS, seed=7)
+    log[:, 3:12] = near_tie_values(log[:, 3:12].size, seed=7).reshape(-1, 9)
+    scaled = log[:, 3:12] * 1e6
+    wide_guard = (np.abs(np.abs(scaled - np.rint(scaled)) - 0.5)
+                  <= np.abs(scaled) * 2.0 ** -50)
+    assert wide_guard.all()
+    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    assert written_csv(log) == reference_csv(log)
 
 
 def test_run_log_takes_the_array_path(tmp_path, monkeypatch):

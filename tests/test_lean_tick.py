@@ -1,9 +1,10 @@
 """The per-tick closed-loop path against the forms it replaced.
 
-The fused profile call, the comparison-only clamps, the safety pre-check
-and the vectorized sample clock must return what the min/max, two-call and
-per-tick-round forms return, bit for bit, for every float (NaN and
-infinities included). Those forms are kept here as the references.
+The fused profile call, the comparison-only clamps, the safety pre-check,
+the bound cable step and the vectorized sample clock must return what the
+min/max, two-call and per-tick-round forms return, bit for bit, for every
+float (NaN and infinities included). Those forms are kept here as the
+references.
 """
 
 import math
@@ -16,8 +17,9 @@ from hypothesis import example, given, settings, strategies as hs
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
-from shankexo.plant import (GaitWorld, PlantConfig, PlantState, _sample_clock,
-                            build_template, step_plant)
+from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
+                            _sample_clock, bind_cable, build_template,
+                            step_plant)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
@@ -86,6 +88,20 @@ def test_width_whose_square_underflows_is_rejected(sigma, branch):
     widths = {"sigma1": 1.0, "sigma2": 1.0, branch: sigma}
     with pytest.raises(ParameterError, match="underflows"):
         GaussianParams(100.0, 0.0, theta_fc=-1.0, theta_fo=1.0, **widths)
+
+
+@pytest.mark.parametrize("sigma1, sigma2", [(2e-154, 2e-154), (2e-154, 1.0),
+                                            (1.0, 2e-154)])
+def test_width_whose_rate_quotient_overflows_is_rejected(sigma1, sigma2):
+    # sigma * sigma is normal here, but at theta 10 the quotient
+    # -(theta - mu) / (sigma * sigma) is -inf while the force is 0.0, so the
+    # rate would be NaN.
+    with pytest.raises(ParameterError, match="rate quotient"):
+        GaussianParams(100.0, 0.0, sigma1, sigma2, -20.0, 20.0)
+    # On a support narrow enough for the quotient, every rate is a number.
+    p = GaussianParams(100.0, 0.0, sigma1, sigma2, -1e-300, 1e-300)
+    for theta in (-5e-301, 5e-301):
+        assert not math.isnan(eval_force_and_rate(p, theta, 1.0)[1])
 
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
@@ -237,6 +253,71 @@ def test_step_plant_keeps_its_nan_semantics():
     state = PlantState(l_cable=cfg.baseline_c - 2.0)      # taut
     r = step_plant(state, 0.0, still, truth, 0.001, cfg, z=math.nan)
     assert r.f_truth > 0.0 and bits(r.f_meas) == bits(0.0)
+
+
+# -- the bound cable step ----------------------------------------------------------
+
+cable_tick = hs.tuples(
+    hs.one_of(hs.floats(-300.0, 300.0), any_float),     # cmd_v
+    hs.one_of(hs.floats(-30.0, 30.0), any_float),       # theta_df
+    hs.one_of(hs.floats(0.0, 4.0), any_float),          # migration
+    hs.one_of(finite, any_float))                       # noise draw
+
+
+@settings(max_examples=200, deadline=None)
+@given(ticks=hs.lists(cable_tick, min_size=1, max_size=30),
+       v_max=hs.one_of(hs.just(250.0), any_float),
+       l_cable=hs.one_of(hs.floats(290.0, 320.0), any_float),
+       motor_v=hs.one_of(finite, any_float),
+       noise_sd=hs.sampled_from([0.0, 0.2]), noisy=hs.booleans(),
+       dt=hs.sampled_from([0.001, 0.01]))
+@example(ticks=[(math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
+                (math.inf, 0.0, math.inf, math.nan), (-math.inf, 0.0, 0.0, 0.0)],
+         v_max=250.0, l_cable=300.0, motor_v=0.0, noise_sd=0.2, noisy=True,
+         dt=0.001)
+def test_bound_cable_step_equals_the_min_max_form(ticks, v_max, l_cable,
+                                                  motor_v, noise_sd, noisy, dt):
+    # State carries from tick to tick: the bound step against the reference
+    # on twin states, one noise draw per tick when the reading is noisy.
+    cfg = PlantConfig(v_max=v_max, force_noise_sd=noise_sd)
+    truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
+    got_state = PlantState(l_cable=l_cable, motor_v=motor_v)
+    want_state = PlantState(l_cable=l_cable, motor_v=motor_v)
+    noise = iter([z for *_, z in ticks]) if noisy else None
+    step = bind_cable(got_state, truth, cfg, dt, noise)
+    for cmd_v, theta_df, migration, z in ticks:
+        kin = KinematicSample(0.0, 0.0, theta_df, theta_df, 0.0, 0.0, 0.0)
+        got = step(cmd_v, theta_df, migration)
+        want = reference_step_plant(want_state, cmd_v, kin, truth, dt, cfg,
+                                    z if noisy else None, migration)
+        assert type(got) is tuple
+        assert all(same(a, b) for a, b in zip(got, want)), (got, want)
+        assert same(got_state.motor_v, want_state.motor_v)
+        assert same(got_state.l_cable, want_state.l_cable)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bound_cable_step_draws_the_world_noise_in_blocks(seed):
+    # Across two block boundaries, with world.step_cable interleaved: every
+    # step of a world reads one stream, the draws of standard_normal(BLOCK_TICKS).
+    cfg = PlantConfig()
+    world = GaitWorld(build_template("lw"), cfg, seed=seed)
+    world.state.l_cable = cfg.baseline_c - 2.0     # taut: noise not clipped
+    twin = PlantState(l_cable=world.state.l_cable)
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate([rng.standard_normal(BLOCK_TICKS)
+                            for _ in range(3)]).tolist()
+    step = world.cable_step(0.001)
+    still = KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for i in range(2 * BLOCK_TICKS + 3):
+        if i % 7 == 3:
+            got = tuple(world.step_cable(0.0, still, 0.001, 0.0))
+        else:
+            got = step(0.0, 0.0, 0.0)
+        want = reference_step_plant(twin, 0.0, still, world.truth_tendon,
+                                    0.001, cfg, draws[i], 0.0)
+        assert [bits(x) for x in got] == [bits(x) for x in want], i
+        assert got[1] != got[0]
 
 
 # -- vectorized sample clock ------------------------------------------------------
