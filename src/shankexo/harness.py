@@ -253,8 +253,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}") from exc
         if not 0.0 < self.amp_fraction <= 0.5:
             raise ConfigError("amp_fraction outside (0, 0.5]")
-        if self.body_weight <= 0.0:
-            raise ConfigError("body_weight must be positive")
+        if not 0.0 < self.body_weight < math.inf:      # NaN fails it too
+            raise ConfigError("body_weight must be positive and finite")
+        if not (self.fault_spike_t_ms is None
+                or math.isfinite(self.fault_spike_t_ms)):
+            raise ConfigError("fault_spike_t_ms must be finite")
 
 
 @dataclass

@@ -72,6 +72,19 @@ def test_artifacts_match_golden_digests(golden_runs, name):
     assert _sha256(out / "summary.json") == summary_digest
 
 
+@pytest.mark.parametrize("block_ticks", [7, 997, 1003])
+@pytest.mark.parametrize("name", ["criterion8", "spike-abort"])
+def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                   name, block_ticks):
+    # Block edges fall at other ticks: the event ticks, the IMU phase and
+    # the stop tick must come out the same.
+    monkeypatch.setattr(harness, "BLOCK_TICKS", block_ticks)
+    cfg, csv_digest, summary_digest = GOLDEN[name]
+    run_scenario(ScenarioConfig(output_dir=str(tmp_path), **cfg))
+    assert _sha256(tmp_path / "timeseries.csv") == csv_digest
+    assert _sha256(tmp_path / "summary.json") == summary_digest
+
+
 def _read_csv(out):
     with open(out / "timeseries.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

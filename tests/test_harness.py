@@ -134,6 +134,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="moonwalk").validate()
 
+    @pytest.mark.parametrize("field", ["body_weight", "fault_spike_t_ms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value}).validate()
+
 
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
@@ -253,7 +259,11 @@ class TestCli:
         assert "k_all=12.5" in out
 
     def test_replay_subcommand(self, tmp_path, capsys):
+        from shankexo.gait_signals import WindowAssembler, read_replay_csv
         from shankexo.plant import build_template, gen_frame
+        from shankexo.profile import (INITIAL_MU, INITIAL_SIGMA1,
+                                      INITIAL_SIGMA2, INITIAL_THETA_FC,
+                                      INITIAL_THETA_FO, ProfileEstimator)
         tmpl = build_template("lw")
         rows = ["t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,theta_sk_rate_dps"]
         t = 0.0
@@ -264,8 +274,25 @@ class TestCli:
                         f"{f.theta_ft_rate},{f.theta_sk_rate}")
         p = tmp_path / "stream.csv"
         p.write_text("\n".join(rows) + "\n")
-        assert cli_main(["replay", str(p)]) == 0
-        assert "strides estimated" in capsys.readouterr().out
+        assert cli_main(["replay", str(p), "--amp-n", "90"]) == 0
+        out = capsys.readouterr().out.splitlines()
+
+        # The estimation path wired by hand: one line per stance window.
+        detector, assembler = EventDetector(), WindowAssembler()
+        estimator = ProfileEstimator(GaussianParams(
+            90.0, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+            INITIAL_THETA_FC, INITIAL_THETA_FO))
+        want = []
+        for sample in read_replay_csv(p):
+            window = assembler.process(sample, detector.update(sample))
+            if window is not None:
+                q = estimator.update_from_window(window)
+                want.append(
+                    f"stride {len(want)}: mu={q.mu:.3f} sigma1={q.sigma1:.3f} "
+                    f"sigma2={q.sigma2:.3f} fc={q.theta_fc:.3f} "
+                    f"fo={q.theta_fo:.3f}")
+        assert len(want) >= 3
+        assert out == want + [f"{len(want)} strides estimated"]
 
     def test_defaults_come_from_the_scenario_config(self, monkeypatch):
         from shankexo import cli
