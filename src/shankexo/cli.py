@@ -6,11 +6,9 @@ import argparse
 import json
 import sys
 
-from .gait_signals import EventDetector, WindowAssembler, read_replay_csv
+from .gait_signals import GaitEventKind, read_replay_csv
 from .harness import MetricsReport, ScenarioConfig, run_scenario
-from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
-                      INITIAL_THETA_FC, INITIAL_THETA_FO, GaussianParams,
-                      ProfileEstimator)
+from .profile import EstimationPath
 from .tendon import identify_stiffness, load_calibration_csv
 
 
@@ -76,18 +74,12 @@ def _fit_stiffness(args) -> int:
 
 
 def _replay(args) -> int:
-    detector = EventDetector()
-    assembler = WindowAssembler()
-    estimator = ProfileEstimator(GaussianParams(
-        args.amp_n, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
-        INITIAL_THETA_FC, INITIAL_THETA_FO))
+    estimation = EstimationPath(args.amp_n)
     strides = 0
     for sample in read_replay_csv(args.csv):
-        ev = detector.update(sample)
-        window = assembler.process(sample, ev)
-        if window is not None:
-            estimator.update_from_window(window)
-            p = estimator.params
+        ev = estimation.feed(sample)
+        if ev is not None and ev.kind is GaitEventKind.FOOT_OFF:
+            p = estimation.estimator.params
             print(f"stride {strides}: mu={p.mu:.3f} sigma1={p.sigma1:.3f} "
                   f"sigma2={p.sigma2:.3f} fc={p.theta_fc:.3f} fo={p.theta_fo:.3f}")
             strides += 1

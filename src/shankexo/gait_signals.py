@@ -7,8 +7,9 @@ upright stand). Foot contact is marked by the foot-pitch maximum, foot-off by
 the foot-pitch-rate minimum.
 
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
-here only: `harness` decimates its 1 kHz loop by the IMU period, and `plant`
-validates gait templates against it and the detector's thresholds.
+here only: `harness` feeds the estimation path one world tick per IMU
+period, ahead of each block's 1 kHz closed loop, and `plant` validates gait
+templates against it and the detector's thresholds.
 """
 
 from __future__ import annotations

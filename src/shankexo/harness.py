@@ -1,28 +1,38 @@
 """Scenario runner: deterministic two-rate loop, metrics, and artifacts.
 
-The control path ticks at 1 kHz; one tick per gait_signals.IMU_PERIOD_MS
-also runs the estimation path (event detection, stance windowing, per-stride
-updates from profile.INITIAL_*). Parameters reach the controller only at
-foot-contact ticks. Runs are fully determined by the scenario config and seed.
+The control path ticks at 1 kHz; the estimation path (profile.EstimationPath:
+event detection, stance windowing, per-stride updates from profile.INITIAL_*)
+reads one tick per gait_signals.IMU_PERIOD_MS. Parameters reach the
+controller only at foot-contact ticks. Runs are fully determined by the
+scenario config and seed.
 
-Only the controller and the cable form a closed loop; the gait world never
-reads cable state. So the loop advances the world one block at a time
-(plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`) and then walks the
-block's kinematics tick by tick: the 100 Hz estimation, then
-`Controller.tick` -> the cable step bound once for the run
-(`GaitWorld.cable_step`), whose reading is the controller's input on the
-next tick. The block may run past the end of the run; the extra ticks are
-never logged. A run ends 20 ticks after foot contact n_strides is
-confirmed; if its tick bound comes first, it raises SignalLossError rather
-than report fewer strides.
+Only the controller and the cable form a closed loop; the gait world and
+the estimation path never read cable state. So a run advances the world one
+block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`) and
+makes two passes over each block:
+
+1. Open loop: the estimation path over the block's IMU ticks (every
+   imu_every-th tick of the run while walking), which records a schedule of
+   (tick offset, event, params adopted at foot contact). Foot contact
+   n_strides lowers the run's stop tick to its confirmation + 20 ticks, and
+   no IMU tick past the stop tick is fed.
+2. Closed loop: the block's ticks up to the stop tick. Each scheduled event
+   reaches `Controller.on_event` before its tick's command; each tick is
+   `Controller.tick` -> the cable step bound once for the run
+   (`GaitWorld.cable_step`), whose reading is the controller's input on the
+   next tick.
+
+The block may run past the end of the run; the extra ticks are never
+logged. If the tick bound comes before foot contact n_strides, the run
+raises SignalLossError rather than report fewer strides.
 
 The run log is one float64 table with a row per control tick and the
 columns of LOG_COLUMNS, in a mapping sized for the run's tick bound. Each
-tick appends only the seven values the closed loop makes (stride, mode,
-f_des_n, f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s) to a row buffer.
-After the block's ticks, numpy copies move the buffer and the columns the
-world block already holds, marked "block" below, into the table, cut to
-the ticks the loop ran:
+tick appends only the six values the closed loop makes (mode, f_des_n,
+f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s) to a row buffer; the stride
+column is filled between scheduled events. After the block's ticks, numpy
+copies move the buffer and the columns the world block already holds,
+marked "block" below, into the table, cut to the ticks the loop ran:
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
@@ -76,19 +86,18 @@ import os
 from array import array
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .controller import ControlMode, Controller, ControllerConfig
-from .gait_signals import (IMU_PERIOD_MS, EventDetector, GaitEvent,
-                           GaitEventKind, SignalLossError, WindowAssembler)
+from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
+                           SignalLossError)
 from .plant import (BLOCK_TICKS, Activity, GaitWorld, PerturbationKind,
                     PerturbationSpec, PlantConfig, RampSpec, build_template)
-from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
-                      INITIAL_THETA_FC, INITIAL_THETA_FO, GaussianParams,
-                      ProfileEstimator, ShankByPercentGC, eval_force,
-                      eval_time_profile_array, feature_targets)
+from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
+                      eval_force, eval_time_profile_array, feature_targets)
 from .tendon import TendonModel
 
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
@@ -100,9 +109,9 @@ _ABORT_INDEX = MODES.index("abort")
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
 # Log columns the closed loop makes, in the order of a tick's log row, and
 # those copied from the world block, in the order run_scenario copies them.
+_STRIDE = LOG_COLUMNS.index("stride")
 _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
-    "stride", "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm",
-    "v_cmd_mm_s")]
+    "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm", "v_cmd_mm_s")]
 _BLOCK_COLUMNS = [LOG_COLUMNS.index(c) for c in (
     "t_ms", "theta_sk_deg", "theta_ft_deg", "theta_df_deg", "belt_scale",
     "perturb_kind", "bio")]
@@ -343,12 +352,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     model_tendon = TendonModel(plant_cfg.lever_arm_r, plant_cfg.k_all,
                                plant_cfg.baseline_c, 0.0)
     ctrl = Controller(ctrl_cfg, model_tendon)
-    amp = cfg.amp_fraction * cfg.body_weight
-    estimator = ProfileEstimator(GaussianParams(
-        amp, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
-        INITIAL_THETA_FC, INITIAL_THETA_FO))
-    detector = EventDetector()
-    assembler = WindowAssembler()
+    estimation = EstimationPath(cfg.amp_fraction * cfg.body_weight)
+    estimator = estimation.estimator
 
     dt = 0.001
     imu_every = round(IMU_PERIOD_MS / (dt * 1000.0))   # ticks per IMU sample
@@ -368,61 +373,76 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     # to grow in place.
     width = len(LOG_COLUMNS)
     log = np.frombuffer(mmap.mmap(-1, bound * width * 8)).reshape(-1, width)
-    n_log = 0
+    n_log = 0            # ticks run so far; global tick n_log + 1 is next
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
-    stance = ControlMode.STANCE
+    stance, foot_contact = ControlMode.STANCE, GaitEventKind.FOOT_CONTACT
     mode = None          # the mode whose log index is in mode_index
     mode_index = 0
     tick, step_cable = ctrl.tick, world.cable_step(dt)
     st = ctrl.state
 
-    k = 0
-    while k < stop:
-        block = world.advance_block(dt, min(BLOCK_TICKS, stop - k))
+    while n_log < stop:
+        block = world.advance_block(dt, min(BLOCK_TICKS, stop - n_log))
+        n = len(block.kin)
+        # Open loop: the estimation path over the block's IMU ticks, the
+        # global ticks that are multiples of imu_every, while walking and
+        # up to `stop`. Each event is scheduled at its tick's offset in the
+        # block with the params a foot contact adopts; foot contact
+        # n_strides ends the run 20 ticks after its confirmation.
+        schedule = []
+        for i in range(-(n_log + 1) % imu_every, n, imu_every):
+            if n_log + i >= stop:
+                break
+            if not block.walking[i]:
+                continue
+            ev = estimation.feed(block.kin[i])
+            if ev is None:
+                continue
+            events.append(ev)
+            params = None
+            if ev.kind is foot_contact:
+                params = estimator.params
+                adopted.append(params)
+                raws.append(estimator.last_raw)
+                if ev.gc_index >= cfg.n_strides:
+                    stop = min(stop, n_log + i + 21)
+            schedule.append((i, ev, params))
+
+        # Closed loop: the block's ticks up to `stop`, each scheduled event
+        # applied before its tick's command.
+        m = min(n, stop - n_log)
+        part = log[n_log:n_log + m]
         rows = array("d")
         log_row = rows.extend
-        for t_ms, kin, walking, migration in zip(
-                block.t_ms, block.kin, block.walking, block.migration):
-            k += 1
-            if k % imu_every == 0 and walking:
-                ev = detector.update(kin)
-                window = assembler.process(kin, ev)
-                if window is not None:
-                    estimator.update_from_window(window)
-                if ev is not None:
-                    events.append(ev)
-                    if ev.kind is GaitEventKind.FOOT_CONTACT:
-                        current_stride = ev.gc_index
-                        adopted.append(estimator.params)
-                        raws.append(estimator.last_raw)
-                        ctrl.on_event(ev, new_params=estimator.params)
-                        if ev.gc_index >= cfg.n_strides:
-                            stop = min(stop, k + 20)
-                    else:
-                        ctrl.on_event(ev)
-            f_for_ctrl = f_meas
-            if spike_tick is not None and t_ms == spike_tick:
-                f_for_ctrl += cfg.fault_spike_n
-            v = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
-            f_truth, f_meas, l_meas, l_rate, pos = step_cable(
-                v, kin.theta_df, migration)
-            if st.mode is not mode:   # Enum hashing is slow; modes change rarely
-                mode = st.mode
-                mode_index = _MODE_INDEX[mode]
-            f_des = 0.0
-            if mode is stance and st.active_params:
-                # The stance tick left its desired force in st.f_des; an
-                # aborted tick skipped the profile, so evaluate it here.
-                f_des = (eval_force(st.active_params, kin.theta_sk)
-                         if st.aborted else st.f_des)
-            log_row((current_stride, _ABORT_INDEX if st.aborted else mode_index,
-                     f_des, f_meas, f_truth, l_meas, v))
-            if k >= stop:
-                break
+        ticks = zip(block.t_ms, block.kin, block.migration)
+        done = 0
+        for at, ev, params in [*schedule, (m, None, None)]:
+            for t_ms, kin, migration in islice(ticks, at - done):
+                f_for_ctrl = f_meas
+                if spike_tick is not None and t_ms == spike_tick:
+                    f_for_ctrl += cfg.fault_spike_n
+                v = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
+                f_truth, f_meas, l_meas, l_rate, pos = step_cable(
+                    v, kin.theta_df, migration)
+                if st.mode is not mode:   # Enum hashing is slow; modes change rarely
+                    mode = st.mode
+                    mode_index = _MODE_INDEX[mode]
+                f_des = 0.0
+                if mode is stance and st.active_params:
+                    # The stance tick left its desired force in st.f_des; an
+                    # aborted tick skipped the profile, so evaluate it here.
+                    f_des = (eval_force(st.active_params, kin.theta_sk)
+                             if st.aborted else st.f_des)
+                log_row((_ABORT_INDEX if st.aborted else mode_index,
+                         f_des, f_meas, f_truth, l_meas, v))
+            part[done:at, _STRIDE] = current_stride
+            done = at
+            if ev is not None:
+                if ev.kind is foot_contact:
+                    current_stride = ev.gc_index
+                ctrl.on_event(ev, new_params=params)
         # The block's own columns, cut to the ticks the loop ran.
-        m = len(rows) // len(_LOOP_COLUMNS)
-        part = log[n_log:n_log + m]
         part[:, _LOOP_COLUMNS] = np.frombuffer(rows).reshape(m, -1)
         ft, sk, df = block.frames[:, :3].T
         for c, values in zip(_BLOCK_COLUMNS, (

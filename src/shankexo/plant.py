@@ -45,13 +45,12 @@ holds fixed (the motor lag alpha = 1 - exp(-dt / motor_tau_s), the
 envelope, the truth tendon, the noise level, the motor-position reference)
 and returns the one-tick step the closed loop calls, (cmd_v, theta_df,
 migration) -> a plain (f_truth, f_meas, l_cable, l_rate, motor_pos) tuple.
-`GaitWorld.cable_step(dt)` binds the world's cable once per run;
-`step_plant` and `GaitWorld.step_cable` are one bound step each, returning
-a PlantReading. Its clamps are bare comparisons that return what the
-`max`/`min` forms return, NaN included. The force noise comes from the
-world's Generator in blocks of BLOCK_TICKS draws, which equal the same
-number of scalar `standard_normal()` draws; every step of a world reads
-that one stream.
+It is the cable's only step: `GaitWorld.cable_step(dt)` binds the world's
+cable with it once per run. Its clamps are bare comparisons that return
+what the `max`/`min` forms return, NaN included. The force noise comes from
+the world's Generator in blocks of BLOCK_TICKS draws, which equal the same
+number of scalar `standard_normal()` draws; every step bound to a world
+reads that one stream.
 
 Template validation reads the numbers of the parts that run on a template
 from the modules that own them: the detector thresholds and the IMU period
@@ -566,14 +565,6 @@ class PlantState:
     stride_index: int = 0
 
 
-class PlantReading(NamedTuple):
-    f_truth: float
-    f_meas: float
-    l_meas: float
-    l_meas_rate: float   # mm/s, dl/dt (positive = lengthening)
-    motor_pos: float     # mm, retraction-positive displacement from startup
-
-
 CableStep = Callable[[float, float, float], tuple[float, ...]]
 
 
@@ -623,24 +614,6 @@ def bind_cable(state: PlantState, tendon_truth: TendonModel,
     return step
 
 
-def step_plant(state: PlantState, cmd_v: float, kin: KinematicSample,
-               tendon_truth: TendonModel, dt: float, config: PlantConfig,
-               z: Optional[float] = None,
-               migration: Optional[float] = None) -> PlantReading:
-    """Advance the cable plant one control tick under a velocity command:
-    one step of `bind_cable`.
-
-    z is a standard-normal draw for the load-cell noise (None: noiseless
-    reading); migration is the tick's suit migration in mm (None:
-    state.migration).
-    """
-    if migration is None:
-        migration = state.migration
-    step = bind_cable(state, tendon_truth, config, dt,
-                      None if z is None else iter((z,)))
-    return PlantReading(*step(cmd_v, kin.theta_df, migration))
-
-
 def _normal_draws(rng: np.random.Generator) -> Iterator[float]:
     """Endless standard normals drawn BLOCK_TICKS at a time: the values of
     one scalar rng.standard_normal() per draw."""
@@ -666,9 +639,10 @@ def _sample_clock(t_s: list) -> tuple[list, list]:
 
 
 class WorldBlock(NamedTuple):
-    """Per-tick columns of one block of world ticks, as lists: what the
-    closed loop and its log read. `frames` holds kin's angles and rates
-    once more as one array, which the log copies from."""
+    """Per-tick columns of one block of world ticks: what the estimation
+    pass, the closed loop and the log read. The scalar clock loop's columns
+    are lists; `bio` and `frames`, evaluated with numpy, are arrays.
+    `frames` holds kin's angles and rates once more, for the log."""
 
     t_ms: list           # tick time rounded to whole ms (the log's clock)
     kin: list            # KinematicSample, its t_ms rounded to 1e-6 ms
@@ -676,7 +650,7 @@ class WorldBlock(NamedTuple):
     scale: list          # phase-rate multiplier of ramps and perturbations
     migration: list      # mm
     perturb_kind: list   # 0 none, 1 forward, 2 backward perturbation window
-    bio: list            # normalized biological torque, 0 while standing
+    bio: np.ndarray      # normalized biological torque, 0 while standing
     frames: np.ndarray   # (n, 6) floats: kin's values after t_ms, by tick
 
 
@@ -799,21 +773,20 @@ class GaitWorld:
             ms = t_s * 1000.0
             t_ms, t_sample = [float(round(ms))], [round(ms, 6)]
             frame = (0.0,) * 6
-            bio = [0.0]
+            bio = np.zeros(1)
             if w0 == 0:
                 frame = gen_frame(tmpl, phase, scale)[1:]
-                bio = [biological_torque(tmpl, phase)]
+                bio[0] = biological_torque(tmpl, phase)
             frames = np.array([frame])
         else:
             t_ms, t_sample = _sample_clock(t_col)
             frames = np.zeros((n, 6))
-            bio_a = np.zeros(n)
+            bio = np.zeros(n)
             if w0 < n:
                 walk_phase = np.array(phase_col[w0:])
                 frames.T[:, w0:] = gen_frames(tmpl, walk_phase,
                                               np.array(scale_col[w0:]))
-                bio_a[w0:] = biological_torques(tmpl, walk_phase)
-            bio = bio_a.tolist()
+                bio[w0:] = biological_torques(tmpl, walk_phase)
         if sway_rows:
             at, sway, sway_rate = map(np.array, zip(*sway_rows))
             frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
@@ -830,13 +803,3 @@ class GaitWorld:
         the world's one stream."""
         return bind_cable(self.state, self.truth_tendon, self.config, dt,
                           self._noise)
-
-    def step_cable(self, cmd_v: float, kin: KinematicSample, dt: float,
-                   migration: Optional[float] = None) -> PlantReading:
-        """Advance the cable one tick. migration is the tick's own suit
-        migration; the default, state.migration, is the tick's own only when
-        the world advances one tick at a time."""
-        if migration is None:
-            migration = self.state.migration
-        return PlantReading(*self.cable_step(dt)(cmd_v, kin.theta_df,
-                                                 migration))

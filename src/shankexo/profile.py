@@ -6,6 +6,10 @@ falling branch (std sigma2) down to the foot-off angle. Outside the open
 support (theta_fc, theta_fo) the profile is clamped to zero; the /4 rule in
 the width targets keeps the endpoint tails near exp(-8) of the peak, so the
 clamp is negligible.
+
+`EstimationPath` wires the 100 Hz estimation path once (event detector,
+stance-window assembler, estimator) for the scenario runner and for
+`shankexo replay`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gait_signals import StanceWindow
+from .gait_signals import (EventDetector, GaitEvent, KinematicSample,
+                           StanceWindow, WindowAssembler)
 
 log = logging.getLogger(__name__)
 
@@ -202,6 +207,29 @@ class ProfileEstimator:
             self.last_accepted = False
             return self.params
         return self.update(raw)
+
+
+class EstimationPath:
+    """The 100 Hz estimation path: EventDetector -> WindowAssembler ->
+    ProfileEstimator, starting from the INITIAL_* profile at peak force amp
+    (N). It reads IMU kinematics only, never cable state, so it can run
+    ahead of the closed loop over a stream or a block of world ticks."""
+
+    def __init__(self, amp: float):
+        self.detector = EventDetector()
+        self.assembler = WindowAssembler()
+        self.estimator = ProfileEstimator(GaussianParams(
+            amp, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+            INITIAL_THETA_FC, INITIAL_THETA_FO))
+
+    def feed(self, sample: KinematicSample) -> Optional[GaitEvent]:
+        """Feed one IMU sample; returns the event it confirmed. A foot-off's
+        stance window has updated the estimator before this returns."""
+        event = self.detector.update(sample)
+        window = self.assembler.process(sample, event)
+        if window is not None:
+            self.estimator.update_from_window(window)
+        return event
 
 
 class ShankByPercentGC:

@@ -238,17 +238,16 @@ class TestSafety:
 class TestSignAndModeSafety:
     def test_retraction_never_drops_force_on_taut_plant(self):
         # positive command = retraction = higher tension within the tick
-        from shankexo.plant import PlantConfig, PlantState, step_plant
+        from shankexo.plant import PlantConfig, PlantState, bind_cable
         cfg = PlantConfig(force_noise_sd=0.0, motor_tau_s=1e-6)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
         rng = np.random.default_rng(6)
         for _ in range(200):
             state = PlantState(l_cable=cfg.baseline_c - float(rng.uniform(0.5, 6.0)))
             before = cfg.k_all * (cfg.baseline_c - state.l_cable)
-            still = kin()
-            r = step_plant(state, float(rng.uniform(0.0, 200.0)), still,
-                           truth, 0.001, cfg)
-            assert r.f_truth >= before - 1e-9
+            step = bind_cable(state, truth, cfg, 0.001)
+            f_truth = step(float(rng.uniform(0.0, 200.0)), 0.0, 0.0)[0]
+            assert f_truth >= before - 1e-9
 
     def test_command_follows_mode(self):
         ctrl = make_controller(mode=ControlMode.SWING)

@@ -18,8 +18,7 @@ from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
-                            _sample_clock, bind_cable, build_template,
-                            step_plant)
+                            _sample_clock, bind_cable, build_template)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
@@ -192,11 +191,10 @@ def test_tick_aborts_exactly_when_safety_check_does(f_meas, motor_pos,
         assert same(cmd, twin.tick_swing(310.0, 0.0, 0.001, f_meas))
 
 
-def reference_step_plant(state, cmd_v, kin, tendon_truth, dt, config, z=None,
-                      migration=None):
-    """step_plant with builtin max/min clamps: the comparison form's reference."""
-    if migration is None:
-        migration = state.migration
+def reference_cable_step(state, cmd_v, kin, tendon_truth, dt, config, z,
+                         migration):
+    """The cable step with builtin max/min clamps: the comparison form's
+    reference."""
     v_target = max(-config.v_max, min(config.v_max, cmd_v))
     alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
     state.motor_v += alpha * (v_target - state.motor_v)
@@ -211,48 +209,21 @@ def reference_step_plant(state, cmd_v, kin, tendon_truth, dt, config, z=None,
             (config.baseline_c + config.initial_slack_mm) - state.l_cable)
 
 
-@settings(max_examples=200, deadline=None)
-@given(cmd_v=any_float, v_max=hs.one_of(hs.just(250.0), any_float),
-       l_cable=hs.one_of(hs.floats(290.0, 320.0), any_float),
-       motor_v=hs.one_of(finite, any_float),
-       theta_df=hs.one_of(hs.floats(-30.0, 30.0), any_float),
-       z=hs.one_of(hs.none(), finite, any_float),
-       noise_sd=hs.sampled_from([0.0, 0.2]),
-       migration=hs.one_of(hs.none(), hs.floats(0.0, 4.0), any_float))
-@example(cmd_v=math.nan, v_max=250.0, l_cable=300.0, motor_v=0.0,
-         theta_df=0.0, z=None, noise_sd=0.2, migration=None)
-@example(cmd_v=0.0, v_max=250.0, l_cable=math.nan, motor_v=0.0,
-         theta_df=0.0, z=0.5, noise_sd=0.2, migration=None)
-def test_step_plant_equals_the_min_max_form(cmd_v, v_max, l_cable, motor_v,
-                                            theta_df, z, noise_sd, migration):
-    cfg = PlantConfig(v_max=v_max, force_noise_sd=noise_sd)
-    truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
-    kin = KinematicSample(0.0, 0.0, theta_df, theta_df, 0.0, 0.0, 0.0)
-    got_state = PlantState(l_cable=l_cable, motor_v=motor_v, migration=1.5)
-    want_state = PlantState(l_cable=l_cable, motor_v=motor_v, migration=1.5)
-    got = step_plant(got_state, cmd_v, kin, truth, 0.001, cfg, z, migration)
-    want = reference_step_plant(want_state, cmd_v, kin, truth, 0.001, cfg, z,
-                             migration)
-    assert all(same(a, b) for a, b in zip(got, want)), (got, want)
-    assert same(got_state.motor_v, want_state.motor_v)
-    assert same(got_state.l_cable, want_state.l_cable)
-
-
-def test_step_plant_keeps_its_nan_semantics():
+def test_cable_step_keeps_its_nan_semantics():
     # A NaN command drives at +v_max, as min/max would; a NaN force, or a
     # NaN noise draw, reads 0.
     cfg = PlantConfig(motor_tau_s=1e-9)
     state = PlantState(l_cable=300.0)
     truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
-    still = KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    step_plant(state, math.nan, still, truth, 0.001, cfg)
+    step = bind_cable(state, truth, cfg, 0.001)
+    step(math.nan, 0.0, 0.0)
     assert state.motor_v == cfg.v_max
-    r = step_plant(state, 0.0, still._replace(theta_df=math.nan), truth,
-                   0.001, cfg)
-    assert bits(r.f_truth) == bits(0.0) and bits(r.f_meas) == bits(0.0)
+    f_truth, f_meas, *_ = step(0.0, math.nan, 0.0)
+    assert bits(f_truth) == bits(0.0) and bits(f_meas) == bits(0.0)
     state = PlantState(l_cable=cfg.baseline_c - 2.0)      # taut
-    r = step_plant(state, 0.0, still, truth, 0.001, cfg, z=math.nan)
-    assert r.f_truth > 0.0 and bits(r.f_meas) == bits(0.0)
+    step = bind_cable(state, truth, cfg, 0.001, iter([math.nan]))
+    f_truth, f_meas, *_ = step(0.0, 0.0, 0.0)
+    assert f_truth > 0.0 and bits(f_meas) == bits(0.0)
 
 
 # -- the bound cable step ----------------------------------------------------------
@@ -288,7 +259,7 @@ def test_bound_cable_step_equals_the_min_max_form(ticks, v_max, l_cable,
     for cmd_v, theta_df, migration, z in ticks:
         kin = KinematicSample(0.0, 0.0, theta_df, theta_df, 0.0, 0.0, 0.0)
         got = step(cmd_v, theta_df, migration)
-        want = reference_step_plant(want_state, cmd_v, kin, truth, dt, cfg,
+        want = reference_cable_step(want_state, cmd_v, kin, truth, dt, cfg,
                                     z if noisy else None, migration)
         assert type(got) is tuple
         assert all(same(a, b) for a, b in zip(got, want)), (got, want)
@@ -298,8 +269,9 @@ def test_bound_cable_step_equals_the_min_max_form(ticks, v_max, l_cable,
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_bound_cable_step_draws_the_world_noise_in_blocks(seed):
-    # Across two block boundaries, with world.step_cable interleaved: every
-    # step of a world reads one stream, the draws of standard_normal(BLOCK_TICKS).
+    # Across two block boundaries, with a second step bound to the same world
+    # interleaved: every step of a world reads one stream, the draws of
+    # standard_normal(BLOCK_TICKS).
     cfg = PlantConfig()
     world = GaitWorld(build_template("lw"), cfg, seed=seed)
     world.state.l_cable = cfg.baseline_c - 2.0     # taut: noise not clipped
@@ -307,14 +279,11 @@ def test_bound_cable_step_draws_the_world_noise_in_blocks(seed):
     rng = np.random.default_rng(seed)
     draws = np.concatenate([rng.standard_normal(BLOCK_TICKS)
                             for _ in range(3)]).tolist()
-    step = world.cable_step(0.001)
+    step, other = world.cable_step(0.001), world.cable_step(0.001)
     still = KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for i in range(2 * BLOCK_TICKS + 3):
-        if i % 7 == 3:
-            got = tuple(world.step_cable(0.0, still, 0.001, 0.0))
-        else:
-            got = step(0.0, 0.0, 0.0)
-        want = reference_step_plant(twin, 0.0, still, world.truth_tendon,
+        got = (other if i % 7 == 3 else step)(0.0, 0.0, 0.0)
+        want = reference_cable_step(twin, 0.0, still, world.truth_tendon,
                                     0.001, cfg, draws[i], 0.0)
         assert [bits(x) for x in got] == [bits(x) for x in want], i
         assert got[1] != got[0]

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (ACTIVITY_DEFAULTS, Activity, GaitWorld,
                             PerturbationKind, PerturbationSpec, PlantConfig,
                             PlantState, RampSpec, TemplateError,
-                            biological_torque, build_template, gen_frame,
-                            step_plant)
+                            biological_torque, bind_cable, build_template,
+                            gen_frame)
 from shankexo.tendon import TendonModel
 
 ACTIVITIES = ["lw", "lr", "ra", "rd"]
@@ -169,49 +168,44 @@ class TestPhaseAdvance:
 
 
 class TestCablePlant:
-    def make(self):
+    def make(self, dt=0.001):
         cfg = PlantConfig(force_noise_sd=0.0)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
         state = PlantState(l_cable=cfg.baseline_c + cfg.initial_slack_mm)
-        return cfg, truth, state
-
-    def still(self, theta_df=0.0):
-        return KinematicSample(0.0, 0.0, theta_df, theta_df, 0.0, 0.0, 0.0)
+        return cfg, state, bind_cable(state, truth, cfg, dt)
 
     def test_slack_cable_carries_no_force(self):
-        cfg, truth, state = self.make()
-        r = step_plant(state, 0.0, self.still(), truth, 0.001, cfg)
-        assert r.f_truth == 0.0
+        _, _, step = self.make()
+        f_truth = step(0.0, 0.0, 0.0)[0]
+        assert f_truth == 0.0
 
     def test_quasi_static_stiffness(self):
-        cfg, truth, state = self.make()
+        cfg, _, step = self.make()
         # retract 1 mm past taut quasi-statically
         total = cfg.initial_slack_mm + 1.0
         for _ in range(int(total / 0.01)):
-            r = step_plant(state, 10.0, self.still(), truth, 0.001, cfg)
-        assert r.f_truth == pytest.approx(12.5, abs=0.3)
+            f_truth = step(10.0, 0.0, 0.0)[0]
+        assert f_truth == pytest.approx(12.5, abs=0.3)
 
     def test_force_nonnegative_always(self):
-        cfg, truth, state = self.make()
+        _, _, step = self.make()
         rng = np.random.default_rng(0)
         for _ in range(2000):
             v = float(rng.uniform(-300, 300))
-            r = step_plant(state, v, self.still(float(rng.uniform(-20, 20))),
-                           truth, 0.001, cfg)
-            assert r.f_truth >= 0.0
+            f_truth = step(v, float(rng.uniform(-20, 20)), 0.0)[0]
+            assert f_truth >= 0.0
 
     def test_static_world_constant_force(self):
-        cfg, truth, state = self.make()
+        cfg, state, step = self.make()
         state.l_cable = cfg.baseline_c - 2.0  # taut
         forces = set()
         for _ in range(50):
-            r = step_plant(state, 0.0, self.still(), truth, 0.001, cfg)
-            forces.add(round(r.f_truth, 9))
+            forces.add(round(step(0.0, 0.0, 0.0)[0], 9))
         assert len(forces) == 1
 
     def test_motor_saturation(self):
-        cfg, truth, state = self.make()
-        r = step_plant(state, 10_000.0, self.still(), truth, 1.0, cfg)
+        cfg, state, step = self.make(dt=1.0)
+        step(10_000.0, 0.0, 0.0)
         assert abs(state.motor_v) <= cfg.v_max + 1e-9
 
     def test_migration_schedule(self):
@@ -229,11 +223,13 @@ class TestCablePlant:
         outs = []
         for _ in range(2):
             world = GaitWorld(tmpl, PlantConfig(), seed=42)
+            step = world.cable_step(0.001)
             acc = []
             for _ in range(3000):
                 k = world.advance(0.001)
-                r = world.step_cable(5.0, k, 0.001)
-                acc.append((k.theta_sk, k.theta_ft, r.f_meas, r.l_meas))
+                _, f_meas, l_meas, _, _ = step(5.0, k.theta_df,
+                                               world.state.migration)
+                acc.append((k.theta_sk, k.theta_ft, f_meas, l_meas))
             outs.append(acc)
         assert outs[0] == outs[1]
 

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as hs
 
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, PlantReading,
-                            PlantState, RampSpec, biological_torque,
-                            build_template, gen_frame, step_plant)
+                            PerturbationSpec, PlantConfig, PlantState,
+                            RampSpec, biological_torque, bind_cable,
+                            build_template, gen_frame)
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
 N_TICKS = 2500      # 0.05 s standing, then strides 0-2 at every activity
@@ -143,18 +143,17 @@ def test_block_noise_equals_scalar_draws(seed):
     world.state.l_cable = cfg.baseline_c - 2.0     # taut: noise not clipped
     twin = PlantState(l_cable=world.state.l_cable)
     rng = np.random.default_rng(seed)
-    still = KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    step = world.cable_step(0.001)
+    twin_step = bind_cable(twin, world.truth_tendon, cfg, 0.001,
+                           iter(rng.standard_normal, None))
     for _ in range(2 * BLOCK_TICKS + 3):
-        got = world.step_cable(0.0, still, 0.001)
-        want = step_plant(twin, 0.0, still, world.truth_tendon, 0.001, cfg,
-                          rng.standard_normal())
-        assert got == want
-    assert got.f_meas != got.f_truth
+        got = step(0.0, 0.0, 0.0)
+        assert got == twin_step(0.0, 0.0, 0.0)
+    assert got[1] != got[0]     # f_meas carries the noise
 
 
 @pytest.mark.parametrize("record", [
     KinematicSample(1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0),
-    PlantReading(1.0, 1.0, 300.0, 0.0, 0.0),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_immutable(record):
     for name in record._fields:
