@@ -15,10 +15,13 @@ then assist. Each assisted stance opens with a tightening sub-phase that
 closes the slack gap left by swing and re-estimates suit migration at the
 moment the cable first engages.
 
-Each stance tick evaluates the profile once (`eval_force_and_rate`: the
-desired force and its rate from one exp) and leaves that tick's desired
-force in `ControllerState.f_des`; the harness logs it from there. The
-per-tick guards (the safety limits, the command envelope, the swing
+`ControllerState.f_des` is the desired force the run log shows for the last
+tick: the profile force at the tick's shank angle on stance ticks with
+parameters, and 0.0 otherwise. A stance tick evaluates the profile once
+(`eval_force_and_rate`: the desired force and its rate from one exp); an
+aborted stance tick holds without it and evaluates the force alone
+(`eval_force`). Leaving stance, which only foot-off does, resets it to 0.0.
+The per-tick guards (the safety limits, the command envelope, the swing
 anti-windup) are bare comparisons that return exactly what the min/max
 forms they replace return, NaN and infinities included.
 """
@@ -32,7 +35,7 @@ from enum import Enum
 from typing import Optional
 
 from .gait_signals import GaitEvent, GaitEventKind, KinematicSample
-from .profile import GaussianParams, eval_force_and_rate
+from .profile import GaussianParams, eval_force, eval_force_and_rate
 from .tendon import TendonModel, estimate_migration, tendon_length
 
 log = logging.getLogger(__name__)
@@ -84,7 +87,8 @@ class ControllerState:
     release_target: float = 0.0          # mm, slack hold length
     last_theta_df: float = 0.0
     v_fb_state: float = 0.0              # filtered feedback velocity
-    f_des: float = 0.0                   # N, desired force of the last stance tick
+    f_des: float = 0.0                   # N, logged desired force of the last
+                                         # tick: the profile's in stance, else 0
 
 
 class Controller:
@@ -133,6 +137,7 @@ class Controller:
                 st.have_swing_history = True
             st.f_swing_max = 0.0
             st.e_l_integral = 0.0
+            st.f_des = 0.0
             st.mode = ControlMode.SWING
 
     # -- per-tick interface --------------------------------------------------
@@ -158,6 +163,8 @@ class Controller:
         if ((st.aborted or f_meas > cfg.force_ceiling
              or motor_pos > lim or motor_pos < -lim)
                 and self.safety_check(f_meas, motor_pos)):
+            if st.mode is ControlMode.STANCE and st.active_params:
+                st.f_des = eval_force(st.active_params, kin.theta_sk)
             return self._tick_abort(l_meas)
         mode = st.mode
         if mode is ControlMode.PRETIGHTEN:

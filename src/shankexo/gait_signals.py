@@ -213,7 +213,8 @@ class WindowAssembler:
     def __init__(self):
         self._ring: deque = deque(maxlen=120)   # recent samples
         self.window = StanceWindow()
-        self._t_buf: list = []
+        # The window's sample times, dropped with its oldest samples.
+        self._t_buf: deque = deque(maxlen=self.window.capacity)
         self.in_stance = False
 
     def process(self, sample: KinematicSample,
@@ -303,7 +304,7 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
     cond = StreamConditioner()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])     # [] for an empty file
         if [h.strip() for h in header] != REPLAY_HEADER:
             raise SignalQualityError(f"unexpected replay header: {header}")
         for row in reader:

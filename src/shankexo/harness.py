@@ -16,11 +16,16 @@ makes two passes over each block:
    (tick offset, event, params adopted at foot contact). Foot contact
    n_strides lowers the run's stop tick to its confirmation + 20 ticks, and
    no IMU tick past the stop tick is fed.
-2. Closed loop: the block's ticks up to the stop tick. Each scheduled event
-   reaches `Controller.on_event` before its tick's command; each tick is
-   `Controller.tick` -> the cable step bound once for the run
-   (`GaitWorld.cable_step`), whose reading is the controller's input on the
-   next tick.
+   The fault spike, when its tick (fault_spike_t_ms rounded to whole ms)
+   is among the block's ticks up to the stop tick, joins the schedule as
+   an entry without an event.
+2. Closed loop: the block's ticks up to the stop tick. Each schedule entry
+   is applied before its tick's command: an event reaches
+   `Controller.on_event`, and the spike adds fault_spike_n to the reading
+   that tick's command sees, until its cable step takes the next reading.
+   Each tick is only `Controller.tick`, the cable step bound once for the
+   run (`GaitWorld.cable_step`) and the tick's log row; the cable's reading
+   is the controller's input on the next tick.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -39,9 +44,7 @@ marked "block" below, into the table, cut to the ticks the loop ran:
     mode               index into MODES; "abort" once the safety abort latched
     theta_*_deg        truth shank, foot-pitch and DF angles (block)
     f_des_n            desired force (N), 0 outside assisted stance: the
-                       controller's own ControllerState.f_des of that tick,
-                       or eval_force on an aborted stance tick, where the
-                       controller holds without evaluating the profile
+                       controller's ControllerState.f_des after the tick
     f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
                        plant reading and velocity command (positive retracts)
     belt_scale         phase-rate multiplier of ramps and perturbations (block)
@@ -84,9 +87,11 @@ import math
 import mmap
 import os
 from array import array
-from dataclasses import dataclass, field, asdict
+from bisect import insort
+from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,11 +99,11 @@ import numpy as np
 from .controller import ControlMode, Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
                            SignalLossError)
-from .plant import (BLOCK_TICKS, Activity, GaitWorld, PerturbationKind,
-                    PerturbationSpec, PlantConfig, RampSpec, build_template)
+from .plant import (BLOCK_TICKS, Activity, GaitTemplate, GaitWorld,
+                    PerturbationKind, PerturbationSpec, PlantConfig, RampSpec,
+                    build_template)
 from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
-                      eval_force, eval_time_profile_array, feature_targets)
-from .tendon import TendonModel
+                      eval_time_profile_array, feature_targets)
 
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
@@ -267,6 +272,20 @@ class ScenarioConfig:
         if not (self.fault_spike_t_ms is None
                 or math.isfinite(self.fault_spike_t_ms)):
             raise ConfigError("fault_spike_t_ms must be finite")
+        # An override names a field of its dataclass that the scenario does
+        # not set itself.
+        for group, owner, fixed in (
+                ("controller", ControllerConfig, {"v_max": "plant.v_max"}),
+                ("plant", PlantConfig, {}),
+                ("template", GaitTemplate, {"activity": "activity"})):
+            known = {f.name for f in fields(owner)}
+            for key in getattr(self, group):
+                if key in fixed:
+                    raise ConfigError(f"{group}.{key} is set from "
+                                      f"{fixed[key]}, not overridden")
+                if key not in known:
+                    raise ConfigError(f"{group}.{key} is not a field of "
+                                      f"{owner.__name__}")
 
 
 @dataclass
@@ -349,9 +368,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
 
     world = GaitWorld(tmpl, plant_cfg, seed=cfg.seed,
                       perturbations=perturbations, ramp=ramp)
-    model_tendon = TendonModel(plant_cfg.lever_arm_r, plant_cfg.k_all,
-                               plant_cfg.baseline_c, 0.0)
-    ctrl = Controller(ctrl_cfg, model_tendon)
+    ctrl = Controller(ctrl_cfg, replace(world.truth_tendon))
     estimation = EstimationPath(cfg.amp_fraction * cfg.body_weight)
     estimator = estimation.estimator
 
@@ -376,7 +393,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     n_log = 0            # ticks run so far; global tick n_log + 1 is next
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
-    stance, foot_contact = ControlMode.STANCE, GaitEventKind.FOOT_CONTACT
+    foot_contact = GaitEventKind.FOOT_CONTACT
     mode = None          # the mode whose log index is in mode_index
     mode_index = 0
     tick, step_cable = ctrl.tick, world.cable_step(dt)
@@ -409,39 +426,39 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                     stop = min(stop, n_log + i + 21)
             schedule.append((i, ev, params))
 
-        # Closed loop: the block's ticks up to `stop`, each scheduled event
-        # applied before its tick's command.
         m = min(n, stop - n_log)
+        # The fault spike is an entry without an event: it adds to the
+        # reading its tick's command sees, which that tick's cable step
+        # overwrites.
+        if spike_tick is not None and spike_tick in block.t_ms[:m]:
+            insort(schedule, (block.t_ms.index(spike_tick), None, None),
+                   key=itemgetter(0))
+
+        # Closed loop: the block's ticks up to `stop`, each schedule entry
+        # applied before its tick's command.
         part = log[n_log:n_log + m]
         rows = array("d")
         log_row = rows.extend
-        ticks = zip(block.t_ms, block.kin, block.migration)
+        ticks = zip(block.kin, block.migration)
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            for t_ms, kin, migration in islice(ticks, at - done):
-                f_for_ctrl = f_meas
-                if spike_tick is not None and t_ms == spike_tick:
-                    f_for_ctrl += cfg.fault_spike_n
-                v = tick(kin, f_for_ctrl, l_meas, l_rate, pos, dt)
+            for kin, migration in islice(ticks, at - done):
+                v = tick(kin, f_meas, l_meas, l_rate, pos, dt)
                 f_truth, f_meas, l_meas, l_rate, pos = step_cable(
                     v, kin.theta_df, migration)
                 if st.mode is not mode:   # Enum hashing is slow; modes change rarely
                     mode = st.mode
                     mode_index = _MODE_INDEX[mode]
-                f_des = 0.0
-                if mode is stance and st.active_params:
-                    # The stance tick left its desired force in st.f_des; an
-                    # aborted tick skipped the profile, so evaluate it here.
-                    f_des = (eval_force(st.active_params, kin.theta_sk)
-                             if st.aborted else st.f_des)
                 log_row((_ABORT_INDEX if st.aborted else mode_index,
-                         f_des, f_meas, f_truth, l_meas, v))
+                         st.f_des, f_meas, f_truth, l_meas, v))
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:
                 if ev.kind is foot_contact:
                     current_stride = ev.gc_index
                 ctrl.on_event(ev, new_params=params)
+            elif at < m:              # the spike; the entry at m ends the block
+                f_meas += cfg.fault_spike_n
         # The block's own columns, cut to the ticks the loop ran.
         part[:, _LOOP_COLUMNS] = np.frombuffer(rows).reshape(m, -1)
         ft, sk, df = block.frames[:, :3].T

@@ -414,6 +414,9 @@ def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
 
 
 def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
+    if not 0.0 < tmpl.period < math.inf:       # NaN fails it too
+        raise TemplateError(f"period must be positive and finite, got "
+                            f"{tmpl.period!r}")
     sk0, sk1 = tmpl.theta_sk_span
     if not (0.0 < tmpl.stance_ratio < 1.0):
         raise TemplateError("stance ratio outside (0, 1)")

@@ -109,7 +109,7 @@ def load_calibration_csv(path) -> list[tuple[float, float]]:
     out: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])     # [] for an empty file
         if [h.strip() for h in header] != CALIBRATION_HEADER:
             raise IdentificationError(f"unexpected calibration header: {header}")
         for row in reader:

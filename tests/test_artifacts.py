@@ -42,6 +42,26 @@ GOLDEN = {
              fault_spike_n=400.0, fault_spike_t_ms=8600.0),
         "25e72fea7c9a8007be84f93d51891469fcb57dff33700c4154ceb8b09766d3ee",
         "ecd475e962b643fc289cd35f56293baac532e2be4721224f29841c9f47182e4e"),
+    # Spikes at a standing (pretighten) tick and at the first tick of the
+    # second world block; both abort the run.
+    "spike-standing": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=400.0, fault_spike_t_ms=500.0),
+        "a7da2af4803c904b97535b83b4c230f76ae9099b47fdfd114603e1ecddc3cecc",
+        "c70b73475bde4233d1950761f40c6b6402d7482f7fcc9be6d90834ff34375a3d"),
+    "spike-block-start": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=400.0, fault_spike_t_ms=1001.0),
+        "7f46f30f746f7982461993fda3a459994e08185433a9a0af74863e481639346d",
+        "2b3eafab2146aa211f1fb24b4ae7962dd19e224da6a523b61514c89c5165af8e"),
+    # Foot contact 6 is confirmed, and applied, before the 8180 ms tick: the
+    # spike shares its tick with an event and changes the run without
+    # aborting it.
+    "spike-at-event": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=250.0, fault_spike_t_ms=8180.0),
+        "6d7576a221326dae19666a134fc3c395f201dbd9d8feb3b9f9a00576697d3718",
+        "ceacbba7db371e40dbf6759bfe7339293ca237a7f39bf3392b5d880d52aad227"),
     # The belt-speed ramp moves the belt_scale column.
     "speed-ramp": (
         dict(activity="lw", scenario="speed-ramp", n_strides=30, seed=2),
@@ -73,7 +93,8 @@ def test_artifacts_match_golden_digests(golden_runs, name):
 
 
 @pytest.mark.parametrize("block_ticks", [7, 997, 1003])
-@pytest.mark.parametrize("name", ["criterion8", "spike-abort"])
+@pytest.mark.parametrize("name", ["criterion8", "spike-abort", "spike-standing",
+                                  "spike-block-start", "spike-at-event"])
 def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
                                                    name, block_ticks):
     # Block edges fall at other ticks: the event ticks, the IMU phase and
@@ -83,6 +104,20 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
     run_scenario(ScenarioConfig(output_dir=str(tmp_path), **cfg))
     assert _sha256(tmp_path / "timeseries.csv") == csv_digest
     assert _sha256(tmp_path / "summary.json") == summary_digest
+
+
+def test_a_spike_past_the_stop_tick_changes_nothing(tmp_path):
+    # The run stops 20 ticks after foot contact 12 confirms, near 16 s.
+    cfg = GOLDEN["spike-abort"][0]
+    digests = []
+    for spike_t in (None, 60000.0):
+        out = tmp_path / str(spike_t)
+        report = run_scenario(ScenarioConfig(
+            output_dir=str(out), **{**cfg, "fault_spike_t_ms": spike_t}))
+        assert not report.aborted
+        digests.append((_sha256(out / "timeseries.csv"),
+                        _sha256(out / "summary.json")))
+    assert digests[0] == digests[1]
 
 
 def _read_csv(out):

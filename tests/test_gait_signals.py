@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from shankexo.gait_signals import (DetectorConfig, EventDetector, GaitEventKind,
+from shankexo.cli import main
+from shankexo.gait_signals import (STANCE_CAPACITY, DetectorConfig,
+                                   EventDetector, GaitEvent, GaitEventKind,
                                    GaitPhase, KinematicSample, SignalLossError,
                                    SignalQualityError, StanceWindow,
                                    StreamConditioner, WindowAssembler,
@@ -157,6 +159,26 @@ class TestWindowAssembler:
         assert len(done) == 18 - 8 + 1
         assert done.theta_sk_buf[0] == 0.0  # sk channel is zero in make_stream
 
+    @pytest.mark.parametrize("n_stance", [100, 298, 299, 310, 400])
+    def test_window_ends_at_the_foot_off_extremum(self, n_stance):
+        # Foot contact at sample 0 and foot-off at sample n_stance - 1, each
+        # confirmed 3 samples after its extremum; theta_sk is the sample
+        # index. From 299 samples on, the stance window (the foot-off
+        # confirmation lag included) overflows and drops its oldest.
+        samples = [KinematicSample(10.0 * i, 0.0, float(i), 0.0, 0.0, 0.0, 0.0)
+                   for i in range(n_stance + 3)]
+        asm = WindowAssembler()
+        for s in samples[:3]:
+            asm.process(s, None)
+        asm.process(samples[3],
+                    GaitEvent(GaitEventKind.FOOT_CONTACT, 0.0, 0))
+        for s in samples[4:-1]:
+            asm.process(s, None)
+        done = asm.process(samples[-1], GaitEvent(
+            GaitEventKind.FOOT_OFF, samples[n_stance - 1].t_ms, 0))
+        first = max(0, n_stance + 2 - STANCE_CAPACITY)
+        assert done.theta_sk_buf == [float(i) for i in range(first, n_stance)]
+
 
 class TestStreamConditioner:
     def test_standing_offsets_subtracted(self):
@@ -204,3 +226,11 @@ class TestReplayCsv:
         path.write_text("time,ft\n0,1\n")
         with pytest.raises(SignalQualityError):
             list(read_replay_csv(path))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(SignalQualityError, match="header"):
+            list(read_replay_csv(path))
+        with pytest.raises(SignalQualityError, match="header"):
+            main(["replay", str(path)])

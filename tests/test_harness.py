@@ -140,6 +140,27 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("group, key", [
+        ("controller", "kp_typo"), ("plant", "k_al"), ("template", "perod"),
+        ("controller", "v_max"),      # set from plant.v_max
+        ("template", "activity"),     # set from the scenario's activity
+    ])
+    def test_override_outside_the_settable_fields_rejected(self, group, key):
+        cfg = ScenarioConfig(n_strides=2, **{group: {key: 1.0}})
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("group, key", [("controller", "v_max"),
+                                            ("plant", "k_al")])
+    def test_override_rejected_through_the_config_file(self, tmp_path,
+                                                       group, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({group: {key: 100.0}}))
+        with pytest.raises(ConfigError, match=f"{group}.{key}"):
+            cli_main(["run", "--strides", "2", "--config", str(cfg_file)])
+
 
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):

@@ -1,10 +1,10 @@
 """The per-tick closed-loop path against the forms it replaced.
 
 The fused profile call, the comparison-only clamps, the safety pre-check,
-the bound cable step and the vectorized sample clock must return what the
-min/max, two-call and per-tick-round forms return, bit for bit, for every
-float (NaN and infinities included). Those forms are kept here as the
-references.
+the bound cable step, the vectorized sample clock and the controller's
+logged desired force must return what the min/max, two-call, per-tick-round
+and harness-side forms return, bit for bit, for every float (NaN and
+infinities included). Those forms are kept here as the references.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hs
 
 from shankexo.controller import ControlMode, Controller, ControllerConfig
-from shankexo.gait_signals import KinematicSample
+from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
                             _sample_clock, bind_cable, build_template)
@@ -368,3 +368,66 @@ def test_log_records_the_profile_force_on_aborted_stance_ticks(monkeypatch):
     got = col["f_des_n"][aborted].tolist()
     assert [bits(x) for x in got] == [bits(x) for x in want]
     assert sum(x > 0.0 for x in got) > 100
+
+
+def logged_force(st, kin: KinematicSample) -> float:
+    """The log's f_des_n as the harness once derived it from the state after
+    a tick: the profile force in stance with params, else 0."""
+    p = st.active_params
+    return (eval_force(p, kin.theta_sk)
+            if st.mode is ControlMode.STANCE and p else 0.0)
+
+
+OTHER_PARAMS = GaussianParams(80.0, 4.0, 3.0, 5.0, -10.0, 15.0)
+
+
+@hs.composite
+def controller_calls(draw):
+    """on_event and tick calls from a new controller. About one tick in ten
+    reads a force or a motor position past the limits, or a NaN force,
+    which latches the abort."""
+    calls = []
+    for _ in range(draw(hs.integers(1, 40))):
+        if draw(hs.integers(0, 3)) == 0:
+            event = GaitEvent(draw(hs.sampled_from(list(GaitEventKind))), 0.0,
+                              draw(hs.integers(0, 3)))
+            calls.append((event, draw(hs.sampled_from(
+                [None, PARAMS, OTHER_PARAMS]))))
+            continue
+        theta = draw(hs.one_of(hs.floats(-20.0, 24.0), any_float))
+        rate = draw(hs.floats(-400.0, 400.0))
+        f_meas, pos = draw(hs.floats(0.0, 20.0)), 0.0
+        if draw(hs.integers(0, 9)) == 0:
+            f_meas, pos = draw(hs.sampled_from(
+                [(400.0, 0.0), (math.nan, 0.0), (5.0, 100.0)]))
+        calls.append((KinematicSample(0.0, 0.0, theta, theta, 0.0, rate, rate),
+                      f_meas, pos))
+    return calls
+
+
+FC = GaitEventKind.FOOT_CONTACT
+FO = GaitEventKind.FOOT_OFF
+STANCE_KIN = KinematicSample(0.0, 0.0, 5.0, 5.0, 0.0, 60.0, 60.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=controller_calls())
+# pretighten, stance, abort in stance, a foot-off the abort ignores
+@example(calls=[(STANCE_KIN, 10.0, 0.0), (GaitEvent(FC, 0.0, 1), PARAMS),
+                (STANCE_KIN, 3.0, 0.0), (STANCE_KIN, 400.0, 0.0),
+                (GaitEvent(FO, 0.0, 1), None), (STANCE_KIN, 3.0, 0.0)])
+# stance, then swing after foot-off
+@example(calls=[(STANCE_KIN, 10.0, 0.0), (GaitEvent(FC, 0.0, 1), PARAMS),
+                (STANCE_KIN, 3.0, 0.0), (GaitEvent(FO, 0.0, 1), None),
+                (STANCE_KIN, 3.0, 0.0)])
+def test_controller_holds_the_logged_desired_force(calls):
+    ctrl = Controller(ControllerConfig(silent_cycles=1),
+                      TendonModel(50.0, 12.5, 300.0))
+    st = ctrl.state
+    for call in calls:
+        if isinstance(call[0], GaitEvent):
+            ctrl.on_event(call[0], new_params=call[1])
+            continue
+        kin, f_meas, pos = call
+        ctrl.tick(kin, f_meas, 320.0, 0.0, pos, 0.001)
+        assert same(st.f_des, logged_force(st, kin))

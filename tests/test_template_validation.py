@@ -8,6 +8,7 @@ the stance grid the validator samples must equal the scalar curves bit for
 bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -65,3 +66,11 @@ def test_stance_grid_equals_the_scalar_curves(activity, tie):
     ref = np.array([tmpl.stance_pose(u) + tmpl._g(u) for u in us.tolist()])
     np.testing.assert_array_equal(bits(np.stack([sk, ft, dft, g0, g1])),
                                   bits(ref[:, [0, 1, 3, 4, 5]].T))
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_period_must_be_positive_and_finite(period):
+    # At 0 it divided by zero, at -1 it failed a later check with a
+    # misleading message, and NaN or inf built a template.
+    with pytest.raises(TemplateError, match="period"):
+        build_template("lw", period=period)

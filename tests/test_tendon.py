@@ -143,3 +143,9 @@ class TestCalibrationCsv:
         p.write_text("f,d\n1,2\n")
         with pytest.raises(IdentificationError):
             load_calibration_csv(p)
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "cal.csv"
+        p.write_text("")
+        with pytest.raises(IdentificationError, match="header"):
+            load_calibration_csv(p)
