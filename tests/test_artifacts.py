@@ -107,7 +107,7 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
 
 
 def test_a_spike_past_the_stop_tick_changes_nothing(tmp_path):
-    # The run stops 20 ticks after foot contact 12 confirms, near 16 s.
+    # The run stops 20 ticks after foot contact 12 confirms, at 14980 ms.
     cfg = GOLDEN["spike-abort"][0]
     digests = []
     for spike_t in (None, 60000.0):

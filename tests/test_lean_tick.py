@@ -371,8 +371,8 @@ def test_log_records_the_profile_force_on_aborted_stance_ticks(monkeypatch):
 
 
 def logged_force(st, kin: KinematicSample) -> float:
-    """The log's f_des_n as the harness once derived it from the state after
-    a tick: the profile force in stance with params, else 0."""
+    """The reference for the log's f_des_n, from the state after a tick:
+    the profile force in stance with params, else 0."""
     p = st.active_params
     return (eval_force(p, kin.theta_sk)
             if st.mode is ControlMode.STANCE and p else 0.0)
