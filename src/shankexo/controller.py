@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .gait_signals import GaitEvent, GaitEventKind, KinematicSample
+from .gait_signals import GaitEvent, GaitEventKind
 from .profile import GaussianParams, eval_force, eval_force_and_rate
 from .tendon import TendonModel, estimate_migration, tendon_length
 
@@ -142,19 +142,24 @@ class Controller:
 
     # -- per-tick interface --------------------------------------------------
 
-    def tick(self, kin: KinematicSample, f_meas: float, l_meas: float,
+    def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
+             theta_df_rate: float, f_meas: float, l_meas: float,
              l_meas_rate: float, motor_pos: float, dt: float) -> float:
-        """The tick's velocity command in mm/s; positive retracts the cable."""
+        """The tick's velocity command in mm/s; positive retracts the cable.
+        The shank and DF angles (deg) and rates (deg/s) are the tick's
+        kinematics."""
         st = self.state
-        st.last_theta_df = kin.theta_df
+        st.last_theta_df = theta_df
         # One check covers all eight: a NaN or an infinity in any makes the
         # sum non-finite, and NaN slips through every comparison below.
         if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
-                             + kin.theta_sk + kin.theta_df
-                             + kin.theta_sk_rate + kin.theta_df_rate):
+                             + theta_sk + theta_df + theta_sk_rate
+                             + theta_df_rate):
             if not st.aborted:
                 log.error("safety abort: non-finite input (f, l, rate, pos)="
-                          "%r %r", (f_meas, l_meas, l_meas_rate, motor_pos), kin)
+                          "%r (sk, df, sk rate, df rate)=%r",
+                          (f_meas, l_meas, l_meas_rate, motor_pos),
+                          (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
             st.aborted = True
         # safety_check's conditions as bare comparisons, so a tick inside the
         # limits makes no call (abs(pos) > lim is pos > lim or pos < -lim).
@@ -164,16 +169,17 @@ class Controller:
              or motor_pos > lim or motor_pos < -lim)
                 and self.safety_check(f_meas, motor_pos)):
             if st.mode is ControlMode.STANCE and st.active_params:
-                st.f_des = eval_force(st.active_params, kin.theta_sk)
+                st.f_des = eval_force(st.active_params, theta_sk)
             return self._tick_abort(l_meas)
         mode = st.mode
         if mode is ControlMode.PRETIGHTEN:
-            return self._tick_pretighten(kin, f_meas, l_meas)
+            return self._tick_pretighten(theta_df, f_meas, l_meas)
         if mode is ControlMode.SILENT:
             return self._pi_toward(st.release_target, l_meas, l_meas_rate, dt)
         if mode is ControlMode.SWING:
             return self.tick_swing(l_meas, l_meas_rate, dt, f_meas)
-        return self.tick_stance(kin, f_meas, l_meas, dt)
+        return self.tick_stance(theta_sk, theta_df, theta_sk_rate,
+                                theta_df_rate, f_meas, l_meas, dt)
 
     def safety_check(self, f_meas: float, motor_pos: float) -> bool:
         """Latch and log the abort when a limit is exceeded; True once
@@ -192,24 +198,25 @@ class Controller:
             st.f_swing_max = f_meas
         return self._pi_toward(st.l_swing, l_meas, l_meas_rate, dt)
 
-    def tick_stance(self, kin: KinematicSample, f_meas: float, l_meas: float,
-                    dt: float) -> float:
+    def tick_stance(self, theta_sk: float, theta_df: float,
+                    theta_sk_rate: float, theta_df_rate: float, f_meas: float,
+                    l_meas: float, dt: float) -> float:
         st = self.state
         cfg = self.cfg
         p = st.active_params
         if p is None:
             log.warning("stance tick without profile parameters; holding")
             return 0.0
-        f_des, f_rate = eval_force_and_rate(p, kin.theta_sk, kin.theta_sk_rate)
+        f_des, f_rate = eval_force_and_rate(p, theta_sk, theta_sk_rate)
         st.f_des = f_des
-        l_des = tendon_length(self.tendon, kin.theta_df, f_des)
+        l_des = tendon_length(self.tendon, theta_df, f_des)
         if not st.engaged:
             # Take up the swing slack, then probe until the cable is
             # physically taut: only a taut measurement identifies migration.
             if f_meas >= cfg.engage_force:
                 st.engaged = True
-                estimate_migration(self.tendon, l_meas, kin.theta_df, f_meas)
-                l_des = tendon_length(self.tendon, kin.theta_df, f_des)
+                estimate_migration(self.tendon, l_meas, theta_df, f_meas)
+                l_des = tendon_length(self.tendon, theta_df, f_des)
             else:
                 gap = l_meas - l_des
                 v = max(cfg.probe_rate,
@@ -217,10 +224,10 @@ class Controller:
                             + cfg.probe_rate, cfg.v_max))
                 return v
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
-        v_ff = (self.tendon.lever_arm_r * math.radians(kin.theta_df_rate)
+        v_ff = (self.tendon.lever_arm_r * math.radians(theta_df_rate)
                 - f_rate / self.tendon.k_all)
         v = v_fb - v_ff
-        if kin.theta_sk <= p.mu:
+        if theta_sk <= p.mu:
             # Engagement overshoot: the probe meets a taut length moving at
             # full gait speed, so contact lands a few newtons hard; shed the
             # excess quickly while the desired force is still near zero.
@@ -258,7 +265,7 @@ class Controller:
         v = -(cfg.kp * e + cfg.ki * i - cfg.kd * l_meas_rate)
         return self._clamp(v)
 
-    def _tick_pretighten(self, kin: KinematicSample, f_meas: float,
+    def _tick_pretighten(self, theta_df: float, f_meas: float,
                          l_meas: float) -> float:
         st = self.state
         cfg = self.cfg
@@ -267,7 +274,7 @@ class Controller:
         # Baseline confirmed: back out the zero-force length from this reading.
         self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
                                   - self.tendon.lever_arm_r
-                                  * math.radians(kin.theta_df))
+                                  * math.radians(theta_df))
         st.release_target = l_meas + cfg.release_slack_mm
         st.mode = ControlMode.SILENT
         return 0.0

@@ -8,14 +8,16 @@ scenario config and seed.
 
 Only the controller and the cable form a closed loop; the gait world and
 the estimation path never read cable state. So a run advances the world one
-block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`) and
-makes two passes over each block:
+block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
+clock is accumulated in bulk, the scalar clock body running only for wrap,
+onset, ramp and perturbation ticks, and makes two passes over each block:
 
 1. Open loop: the estimation path over the block's IMU ticks (every
-   imu_every-th tick of the run while walking), which records a schedule of
-   (tick offset, event, params adopted at foot contact). Foot contact
-   n_strides lowers the run's stop tick to its confirmation + 20 ticks, and
-   no IMU tick past the stop tick is fed.
+   imu_every-th tick of the run while walking), the only ticks whose
+   KinematicSample the block builds. It records a schedule of (tick
+   offset, event, params adopted at foot contact). Foot contact n_strides
+   lowers the run's stop tick to its confirmation + 20 ticks, and no IMU
+   tick past the stop tick is fed.
    The fault spike, when its tick (fault_spike_t_ms rounded to whole ms)
    is among the block's ticks up to the stop tick, joins the schedule as
    an entry without an event.
@@ -25,7 +27,9 @@ makes two passes over each block:
    that tick's command sees, until its cable step takes the next reading.
    Each tick is only `Controller.tick`, the cable step bound once for the
    run (`GaitWorld.cable_step`) and the tick's log row; the cable's reading
-   is the controller's input on the next tick.
+   is the controller's input on the next tick. The tick's shank and DF
+   angles and rates come from the block's `frames` columns, and its
+   migration from the `migration` column, as floats.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -98,10 +102,10 @@ import numpy as np
 
 from .controller import ControlMode, Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
-                           SignalLossError)
-from .plant import (BLOCK_TICKS, Activity, GaitTemplate, GaitWorld,
-                    PerturbationKind, PerturbationSpec, PlantConfig, RampSpec,
-                    build_template)
+                           KinematicSample, SignalLossError)
+from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
+                    GaitWorld, PerturbationKind, PerturbationSpec, PlantConfig,
+                    RampSpec, build_template)
 from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
                       eval_time_profile_array, feature_targets)
 
@@ -120,6 +124,10 @@ _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
 _BLOCK_COLUMNS = [LOG_COLUMNS.index(c) for c in (
     "t_ms", "theta_sk_deg", "theta_ft_deg", "theta_df_deg", "belt_scale",
     "perturb_kind", "bio")]
+# The columns of a world block's frames that Controller.tick reads, in the
+# order of its arguments.
+_TICK_FRAMES = [KinematicSample._fields[1:].index(c) for c in (
+    "theta_sk", "theta_df", "theta_sk_rate", "theta_df_rate")]
 _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
 
 # The block printer of timeseries.csv (see the module docstring). A row is
@@ -277,7 +285,9 @@ class ScenarioConfig:
         for group, owner, fixed in (
                 ("controller", ControllerConfig, {"v_max": "plant.v_max"}),
                 ("plant", PlantConfig, {}),
-                ("template", GaitTemplate, {"activity": "activity"})):
+                ("template", GaitTemplate, {
+                    "activity": "activity",
+                    **dict.fromkeys(DERIVED_FIELDS, "the stance curves")})):
             known = {f.name for f in fields(owner)}
             for key in getattr(self, group):
                 if key in fixed:
@@ -430,22 +440,25 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         # The fault spike is an entry without an event: it adds to the
         # reading its tick's command sees, which that tick's cable step
         # overwrites.
-        if spike_tick is not None and spike_tick in block.t_ms[:m]:
-            insort(schedule, (block.t_ms.index(spike_tick), None, None),
-                   key=itemgetter(0))
+        if spike_tick is not None:
+            at = np.flatnonzero(block.t_ms[:m] == spike_tick)
+            if len(at):
+                insort(schedule, (int(at[0]), None, None), key=itemgetter(0))
 
         # Closed loop: the block's ticks up to `stop`, each schedule entry
         # applied before its tick's command.
         part = log[n_log:n_log + m]
         rows = array("d")
         log_row = rows.extend
-        ticks = zip(block.kin, block.migration)
+        ticks = zip(*block.frames[:m, _TICK_FRAMES].T.tolist(),
+                    block.migration[:m].tolist())
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            for kin, migration in islice(ticks, at - done):
-                v = tick(kin, f_meas, l_meas, l_rate, pos, dt)
+            for sk, df, sk_rate, df_rate, migration in islice(ticks, at - done):
+                v = tick(sk, df, sk_rate, df_rate, f_meas, l_meas, l_rate, pos,
+                         dt)
                 f_truth, f_meas, l_meas, l_rate, pos = step_cable(
-                    v, kin.theta_df, migration)
+                    v, df, migration)
                 if st.mode is not mode:   # Enum hashing is slow; modes change rarely
                     mode = st.mode
                     mode_index = _MODE_INDEX[mode]

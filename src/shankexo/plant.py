@@ -16,29 +16,37 @@ the stance shank angle regresses, which is the non-steady condition the
 shank-based profile is meant to survive.
 
 Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, one simulated
-second at 1 kHz): the clock recurrence (time, ramp, perturbation window,
-phase wrap, stride, migration and sway) runs tick by tick in one scalar
-loop, then the gait curves and the biological torque of the whole block are
-evaluated with numpy. `advance(dt)` is the block of one tick, whose frame
-comes from the scalar `gen_frame` and `biological_torque`: the same bits
-without numpy's per-call overhead. Nothing in the world reads cable state,
-so a block may run ahead of the closed loop; the world's scalar attributes
-(`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
-hold end-of-block values. The block's columns (`WorldBlock`) carry each
-tick's own values of what the closed loop reads; a tick's phase and stride
-are the scalar attributes of a world advanced one tick at a time.
+second at 1 kHz). The clock (time, ramp, perturbation window, phase wrap,
+stride, migration and sway) is accumulated in bulk: time is one
+`np.add.accumulate` of dt from the carried value, and a plain stretch of
+walking ticks (no perturbation window, no ramp change) is one accumulation
+of its constant phase increment, ended at the wrap or a pending onset. The
+scalar clock body runs only for the wrap, onset, ramp-change and
+perturbation-window ticks. numpy then evaluates the gait curves and the
+biological torque of the whole block, and a tick's KinematicSample is
+built only when the estimation pass reads it. `advance(dt)` is the one
+tick of the scalar body and the scalar `gen_frame` and
+`biological_torque`: the same bits without numpy's per-call overhead.
+Nothing in the world reads cable state, so a block may run ahead of the
+closed loop; the world's scalar attributes (`t_s`, `phase`, `scale`,
+`state.stride_index`, `state.migration`) then hold end-of-block values. The
+block's columns (`WorldBlock`) carry each tick's own values of what the
+closed loop reads; a tick's phase and stride are the scalar attributes of a
+world advanced one tick at a time.
 
 Bit-equality. The block columns equal the scalar `gen_frame` and
 `biological_torque` (kept as the references the tests compare against) bit
 for bit, for any block size. That holds because the array code repeats the
 scalar operation order and uses only operations where numpy matches `math`
-exactly here: arithmetic, `sin`, `cos`, `radians` and `rint`. Where it does
-not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python operation
-stays: `math.exp` for migration and Python `**` for the torque sharpness
-and the sway. The sample time is `round(t * 1000.0, 6)`. Within 4e-7 ms of
-a whole ms that is the whole ms exactly, so when every tick of a block is
-that close the block takes it from the one `np.rint` that also makes the
-log's clock; a clock that has drifted further is rounded tick by tick.
+exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`, and
+`np.add.accumulate`, which adds strictly in sequence as `+=` does. Where it
+does not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python
+operation stays: `math.exp` for migration and Python `**` for the torque
+sharpness and the sway. The sample time is `round(t * 1000.0, 6)`. Within
+4e-7 ms of a whole ms that is the whole ms exactly, so when every tick of a
+block is that close the block takes it from the one `np.rint` that also
+makes the log's clock; a clock that has drifted further is rounded tick by
+tick.
 
 Cable. The plant equations live once, in `bind_cable`: it binds what a run
 holds fixed (the motor lag alpha = 1 - exp(-dt / motor_tau_s), the
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -379,11 +388,17 @@ ACTIVITY_DEFAULTS: dict[Activity, dict] = {
 }
 
 _SAMPLE_ATTENUATION = 0.85   # worst-case sampled plunge extremum vs true peak
+# GaitTemplate fields that build_template derives (`_finalize`)
+DERIVED_FIELDS = frozenset({"df_peak", "landmarks"})
 
 
 def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
     """Construct and validate the gait template for an activity."""
     act = Activity(activity) if not isinstance(activity, Activity) else activity
+    derived = DERIVED_FIELDS & overrides.keys()
+    if derived:
+        raise TemplateError(f"{', '.join(sorted(derived))}: derived from the "
+                            "stance curves, not overridden")
     params = dict(ACTIVITY_DEFAULTS[act])
     params.update(overrides)
     params.setdefault("ft_peak", params["g_dip"] + params["g_plunge"] + 1.5)
@@ -420,6 +435,18 @@ def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
     sk0, sk1 = tmpl.theta_sk_span
     if not (0.0 < tmpl.stance_ratio < 1.0):
         raise TemplateError("stance ratio outside (0, 1)")
+    for key in ("torque_sharpness", "swing_ease_s"):
+        value = getattr(tmpl, key)
+        if not 0.0 < value < math.inf:             # NaN fails it too
+            raise TemplateError(f"{key} must be positive and finite, got "
+                                f"{value!r}")
+    # The swing ease and hold must leave a window for the return to the
+    # contact pose (w_h < 1 in `swing_pose`).
+    w_e = tmpl.swing_ease_s / (tmpl.period * (1.0 - tmpl.stance_ratio))
+    if not (tmpl.swing_hold >= 0.0 and w_e + tmpl.swing_hold < 1.0):
+        raise TemplateError(f"swing_hold must be non-negative and leave a "
+                            f"return window after the {w_e:.4f} swing ease, "
+                            f"got {tmpl.swing_hold!r}")
     if not sk0 < sk1:
         raise TemplateError("shank span must increase across stance")
     if not (0.0 < tmpl.g_rise_end <= tmpl.g_fall_start < tmpl.g_fall_end
@@ -624,7 +651,7 @@ def _normal_draws(rng: np.random.Generator) -> Iterator[float]:
     return itertools.chain.from_iterable(blocks)
 
 
-def _sample_clock(t_s: list) -> tuple[list, list]:
+def _sample_clock(t_s) -> tuple[np.ndarray, np.ndarray]:
     """(log clock, sample time) of tick times in s: np.rint(t * 1000.0), the
     whole ms, and round(t * 1000.0, 6), the KinematicSample time.
 
@@ -633,31 +660,80 @@ def _sample_clock(t_s: list) -> tuple[list, list]:
     float), so when every tick is that close the rint column serves as both.
     A clock that has drifted further rounds tick by tick.
     """
-    ms = np.array(t_s) * 1000.0
-    whole = np.rint(ms)
-    t_ms = whole.tolist()
-    if abs(ms - whole).max() <= 4e-7:    # NaN fails it too
+    ms = np.asarray(t_s) * 1000.0
+    t_ms = np.rint(ms)
+    if abs(ms - t_ms).max() <= 4e-7:    # NaN fails it too
         return t_ms, t_ms
-    return t_ms, [round(x, 6) for x in ms.tolist()]
+    return t_ms, np.array([round(x, 6) for x in ms.tolist()])
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of mask, len(mask) when there is none."""
+    k = int(mask.argmax())
+    return k if mask[k] else len(mask)
+
+
+def _positive_dt(dt: float) -> None:
+    if not dt > 0.0:     # NaN too
+        raise ValueError(f"dt must be positive, got {dt!r}")
+
+
+class _Samples(Sequence):
+    """WorldBlock.kin: each tick's KinematicSample, built only when read,
+    from the block's sample clock and its frames."""
+
+    __slots__ = ("_t", "_frames")
+
+    def __init__(self, t_sample: np.ndarray, frames: np.ndarray):
+        self._t, self._frames = t_sample, frames
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, i: int) -> KinematicSample:
+        return KinematicSample(float(self._t[i]), *self._frames[i].tolist())
+
+    def __iter__(self) -> Iterator[KinematicSample]:
+        return map(KinematicSample._make,
+                   zip(self._t.tolist(), *self._frames.T.tolist()))
 
 
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
-    pass, the closed loop and the log read. The scalar clock loop's columns
-    are lists; `bio` and `frames`, evaluated with numpy, are arrays.
-    `frames` holds kin's angles and rates once more, for the log."""
+    pass, the closed loop and the log read. Every column is an array but
+    `kin`, which builds a tick's KinematicSample when it is read (a one-tick
+    block holds its one sample in a list). `frames` holds kin's angles and
+    rates, which the closed loop and the log read from it.
 
-    t_ms: list           # tick time rounded to whole ms (the log's clock)
-    kin: list            # KinematicSample, its t_ms rounded to 1e-6 ms
-    walking: list        # False while standing
-    scale: list          # phase-rate multiplier of ramps and perturbations
-    migration: list      # mm
-    perturb_kind: list   # 0 none, 1 forward, 2 backward perturbation window
-    bio: np.ndarray      # normalized biological torque, 0 while standing
-    frames: np.ndarray   # (n, 6) floats: kin's values after t_ms, by tick
+    The clock columns are accumulated in bulk over plain stretches of
+    walking ticks, ended at a wrap or a pending onset; only the wrap, onset,
+    ramp-change and perturbation-window ticks run the scalar clock body
+    (see "Blocks" in the module docstring)."""
+
+    t_ms: np.ndarray          # tick time rounded to whole ms (the log's clock)
+    kin: Sequence[KinematicSample]   # its t_ms rounded to 1e-6 ms
+    walking: np.ndarray       # bool, False while standing
+    scale: np.ndarray         # phase-rate multiplier of ramps and perturbations
+    migration: np.ndarray     # mm
+    perturb_kind: np.ndarray  # 0 none, 1 forward, 2 backward perturbation window
+    bio: np.ndarray           # normalized biological torque, 0 while standing
+    frames: np.ndarray        # (n, 6) floats: kin's values after t_ms, by tick
 
 
-_PERTURB_CODE = {PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
+class _Clock(NamedTuple):
+    """Per-tick clock columns of one block (`GaitWorld._clock`)."""
+
+    t_s: np.ndarray
+    walking: np.ndarray
+    phase: np.ndarray
+    scale: np.ndarray
+    migration: np.ndarray
+    perturb_kind: np.ndarray
+    sway: list        # (tick, sway, sway rate) in backward sway windows
+
+
+_PERTURB_CODE = {None: 0, PerturbationKind.FORWARD: 1,
+                 PerturbationKind.BACKWARD: 2}
 
 
 class GaitWorld:
@@ -695,109 +771,186 @@ class GaitWorld:
 
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
-        time: the block of one tick."""
-        return self.advance_block(dt, 1).kin[0]
+        time: the sample of the block of one tick."""
+        return self._one_tick(dt)[1]
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
         """Advance n ticks of dt and return each tick's world values."""
-        if not dt > 0.0:     # NaN too
-            raise ValueError(f"dt must be positive, got {dt!r}")
+        _positive_dt(dt)
         if n <= 0:
             raise ValueError(f"n must be positive, got {n!r}")
-        tmpl, cfg, ramp = self.tmpl, self.config, self.ramp
-        perturbations, done = self.perturbations, self._pert_done
-        standing_s = self.standing_s
-        sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
-        t_s, phase, scale = self.t_s, self.phase, self.scale
-        ramp_scale, pert = self._ramp_scale, self._pert_active
-        stride, migration = self.state.stride_index, self.state.migration
-        t_col, walk_col, phase_col, scale_col, mig_col, kind_col = (
-            [], [], [], [], [], [])
-        sway_rows = []   # (tick, sway, sway rate) in backward windows
-        for i in range(n):
-            t_s += dt
-            walking = t_s >= standing_s
-            if walking:
-                if ramp is not None and stride >= ramp.start_stride:
-                    target = (ramp.low_scale if stride < ramp.start_stride
-                              + ramp.hold_strides else 1.0)
-                    if ramp_scale < target:
-                        ramp_scale = min(target,
-                                         ramp_scale + ramp.rate_per_s * dt)
-                    elif ramp_scale > target:
-                        ramp_scale = max(target,
-                                         ramp_scale - ramp.rate_per_s * dt)
-                scale = ramp_scale
-                if pert is not None:
-                    spec, t0 = pert
-                    window = 2.0 * spec.ramp_time
-                    if spec.kind is PerturbationKind.BACKWARD:
-                        window = max(window, sway_w)
-                    if t_s - t0 > window:
-                        pert = None
-                    else:
-                        scale *= spec.multiplier(t_s - t0)
-                phase += dt * scale / tmpl.period
-                if phase >= 1.0:
-                    phase -= 1.0
-                    stride += 1
-                    migration = cfg.mig_max * (
-                        1.0 - math.exp(-stride / cfg.mig_stride_tau))
-                spec = perturbations.get(stride)
-                if (spec is not None and pert is None and stride not in done
-                        and phase >= spec.onset_pct_gc):
-                    pert = (spec, t_s)
-                    done.add(stride)
-                if pert is not None and pert[0].kind is PerturbationKind.BACKWARD:
-                    tau = t_s - pert[1]
-                    if tau <= sway_w:
-                        sway_rows.append((
-                            i, -sway_a * math.sin(math.pi * tau / sway_w) ** 2,
-                            -sway_a * math.pi / sway_w
-                            * math.sin(2.0 * math.pi * tau / sway_w)))
-            t_col.append(t_s)
-            walk_col.append(walking)
-            phase_col.append(phase)
-            scale_col.append(scale)
-            mig_col.append(migration)
-            kind_col.append(0 if pert is None else _PERTURB_CODE[pert[0].kind])
-        self.t_s, self.phase, self.scale = t_s, phase, scale
-        self._ramp_scale, self._pert_active = ramp_scale, pert
-        self.state.stride_index, self.state.migration = stride, migration
-
+        if n == 1:
+            t_ms, kin, walking, bio = self._one_tick(dt)
+            return WorldBlock(
+                np.array([t_ms]), [kin], np.array([walking]),
+                np.array([self.scale]), np.array([self.state.migration]),
+                np.array([self._perturb_code()]), np.array([bio]),
+                np.array([kin[1:]]))
+        tmpl = self.tmpl
+        clock = self._clock(dt, n)
         # Walking never stops once started: ticks w0.. walk, the rest stand
         # with every angle and rate zero. frames holds the six
         # KinematicSample channels after t_ms, one row per tick.
-        w0 = walk_col.index(True) if walk_col[-1] else n
-        if n == 1:
-            # One tick: the scalar references give the same bits without
-            # numpy's per-call overhead. round(x) rounds half to even, as
-            # np.rint does, and round(x, 6) defines the sample time.
-            ms = t_s * 1000.0
-            t_ms, t_sample = [float(round(ms))], [round(ms, 6)]
-            frame = (0.0,) * 6
-            bio = np.zeros(1)
-            if w0 == 0:
-                frame = gen_frame(tmpl, phase, scale)[1:]
-                bio[0] = biological_torque(tmpl, phase)
-            frames = np.array([frame])
-        else:
-            t_ms, t_sample = _sample_clock(t_col)
-            frames = np.zeros((n, 6))
-            bio = np.zeros(n)
-            if w0 < n:
-                walk_phase = np.array(phase_col[w0:])
-                frames.T[:, w0:] = gen_frames(tmpl, walk_phase,
-                                              np.array(scale_col[w0:]))
-                bio[w0:] = biological_torques(tmpl, walk_phase)
-        if sway_rows:
-            at, sway, sway_rate = map(np.array, zip(*sway_rows))
+        w0 = _first(clock.walking)
+        frames = np.zeros((n, 6))
+        bio = np.zeros(n)
+        if w0 < n:
+            walk_phase = clock.phase[w0:]
+            frames.T[:, w0:] = gen_frames(tmpl, walk_phase, clock.scale[w0:])
+            bio[w0:] = biological_torques(tmpl, walk_phase)
+        if clock.sway:
+            at, sway, sway_rate = map(np.array, zip(*clock.sway))
             frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
             frames[at, 4:6] += sway_rate[:, None]   # and their rates
-        return WorldBlock(
-            t_ms, list(map(KinematicSample._make,
-                           zip(t_sample, *frames.T.tolist()))),
-            walk_col, scale_col, mig_col, kind_col, bio, frames)
+        t_ms, t_sample = _sample_clock(clock.t_s)
+        return WorldBlock(t_ms, _Samples(t_sample, frames), clock.walking,
+                          clock.scale, clock.migration, clock.perturb_kind,
+                          bio, frames)
+
+    def _one_tick(self, dt: float) -> tuple[float, KinematicSample, bool,
+                                            float]:
+        """One tick through the scalar clock body and the scalar curves:
+        (t_ms, sample, walking, bio), the same bits as a block's tick without
+        numpy's per-call overhead. round(x) rounds half to even, as np.rint
+        does, and round(x, 6) defines the sample time."""
+        _positive_dt(dt)
+        self.t_s = t_s = self.t_s + dt
+        ms = t_s * 1000.0
+        walking = t_s >= self.standing_s
+        if not walking:
+            return (float(round(ms)),
+                    KinematicSample(round(ms, 6), *(0.0,) * 6), walking, 0.0)
+        sway = self._walk_tick(t_s, dt)
+        tmpl, phase = self.tmpl, self.phase
+        kin = gen_frame(tmpl, phase, self.scale, round(ms, 6))
+        if sway is not None:
+            s, rate = sway
+            kin = kin._replace(theta_sk=kin.theta_sk + s,
+                               theta_df=kin.theta_df + s,
+                               theta_sk_rate=kin.theta_sk_rate + rate,
+                               theta_df_rate=kin.theta_df_rate + rate)
+        return float(round(ms)), kin, walking, biological_torque(tmpl, phase)
+
+    def _clock(self, dt: float, n: int) -> _Clock:
+        """The clock columns of the next n ticks of dt. Time is one
+        accumulation from the carried t_s; walking ticks go in bulk
+        stretches, each ended by a tick of the scalar body (see WorldBlock)."""
+        t = np.full(n + 1, dt)
+        t[0] = self.t_s
+        t = np.add.accumulate(t)[1:]
+        walking = t >= self.standing_s
+        phase, scale, migration = np.empty(n), np.empty(n), np.empty(n)
+        kind = np.empty(n, dtype=np.int64)
+        sway = []
+        period = self.tmpl.period
+        i = _first(walking)     # the standing ticks keep the carried clock
+        phase[:i], scale[:i] = self.phase, self.scale
+        migration[:i], kind[:i] = self.state.migration, self._perturb_code()
+        while i < n:
+            stop = self._stretch_stop()
+            if stop is not None:
+                # phase += dt * scale / period, tick by tick, up to the tick
+                # that wraps or reaches a pending onset
+                ramp_scale = self._ramp_scale
+                step = np.full(n - i + 1, dt * ramp_scale / period)
+                step[0] = self.phase
+                stretch = np.add.accumulate(step)[1:]
+                j = i + _first(stretch >= stop)
+                if j > i:
+                    phase[i:j] = stretch[:j - i]
+                    scale[i:j] = ramp_scale
+                    migration[i:j], kind[i:j] = self.state.migration, 0
+                    self.phase, self.scale = phase[j - 1].item(), ramp_scale
+                    i = j
+                    if i == n:
+                        break
+            row = self._walk_tick(t[i].item(), dt)
+            if row is not None:
+                sway.append((i, *row))
+            phase[i], scale[i] = self.phase, self.scale
+            migration[i], kind[i] = self.state.migration, self._perturb_code()
+            i += 1
+        self.t_s = t[-1].item()
+        return _Clock(t, walking, phase, scale, migration, kind, sway)
+
+    def _walk_tick(self, t_s: float, dt: float) -> Optional[tuple[float,
+                                                                  float]]:
+        """The scalar clock body of one walking tick at time t_s: the ramp,
+        the perturbation window, the phase step and wrap (stride and
+        migration), then a pending perturbation onset. Returns the tick's
+        backward sway (angle, rate), or None outside a sway window."""
+        cfg, st = self.config, self.state
+        stride = st.stride_index
+        ramp_scale = self._ramp_scale
+        target = self._ramp_target()
+        if target is not None:
+            rate = self.ramp.rate_per_s
+            if ramp_scale < target:
+                ramp_scale = min(target, ramp_scale + rate * dt)
+            elif ramp_scale > target:
+                ramp_scale = max(target, ramp_scale - rate * dt)
+            self._ramp_scale = ramp_scale
+        scale = ramp_scale
+        pert = self._pert_active
+        if pert is not None:
+            spec, t0 = pert
+            window = 2.0 * spec.ramp_time
+            if spec.kind is PerturbationKind.BACKWARD:
+                window = max(window, cfg.sway_window_s)
+            if t_s - t0 > window:
+                pert = None
+            else:
+                scale *= spec.multiplier(t_s - t0)
+        phase = self.phase + dt * scale / self.tmpl.period
+        if phase >= 1.0:
+            phase -= 1.0
+            st.stride_index = stride = stride + 1
+            st.migration = cfg.mig_max * (
+                1.0 - math.exp(-stride / cfg.mig_stride_tau))
+        spec = self.perturbations.get(stride)
+        if (spec is not None and pert is None and stride not in self._pert_done
+                and phase >= spec.onset_pct_gc):
+            pert = (spec, t_s)
+            self._pert_done.add(stride)
+        self.phase, self.scale, self._pert_active = phase, scale, pert
+        if pert is None or pert[0].kind is not PerturbationKind.BACKWARD:
+            return None
+        tau = t_s - pert[1]
+        sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
+        if tau > sway_w:
+            return None
+        return (-sway_a * math.sin(math.pi * tau / sway_w) ** 2,
+                -sway_a * math.pi / sway_w
+                * math.sin(2.0 * math.pi * tau / sway_w))
+
+    def _ramp_target(self) -> Optional[float]:
+        """The scale the ramp drives toward in the current stride; None
+        before the ramp starts or without one."""
+        ramp, stride = self.ramp, self.state.stride_index
+        if ramp is None or stride < ramp.start_stride:
+            return None
+        return (ramp.low_scale if stride < ramp.start_stride
+                + ramp.hold_strides else 1.0)
+
+    def _stretch_stop(self) -> Optional[float]:
+        """The phase at which a plain stretch from here ends: the onset of
+        the stride's pending perturbation, else the wrap at 1.0. None when
+        the next walking tick's clock body would do more than step the
+        phase: a perturbation window is open, or the ramp scale changes."""
+        target = self._ramp_target()
+        if self._pert_active is not None or target is not None and (
+                self._ramp_scale < target or self._ramp_scale > target):
+            return None
+        stride = self.state.stride_index
+        spec = self.perturbations.get(stride)
+        if (spec is not None and stride not in self._pert_done
+                and spec.onset_pct_gc < 1.0):
+            return spec.onset_pct_gc
+        return 1.0
+
+    def _perturb_code(self) -> int:
+        pert = self._pert_active
+        return _PERTURB_CODE[None if pert is None else pert[0].kind]
 
     def cable_step(self, dt: float) -> CableStep:
         """This world's cable bound for ticks of dt (see `bind_cable`):

@@ -16,6 +16,11 @@ def kin(theta_sk=0.0, theta_ft=0.0, sk_rate=0.0, ft_rate=0.0, t_ms=0.0):
     return KinematicSample(t_ms, theta_ft, theta_sk, theta_sk - theta_ft,
                            ft_rate, sk_rate, sk_rate - ft_rate)
 
+def angles(k):
+    """A sample's shank and DF angles and rates: the kinematic arguments of
+    Controller.tick and tick_stance."""
+    return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
+
 
 def make_controller(mode=ControlMode.STANCE, engaged=True, **cfg_kw):
     cfg = ControllerConfig(**cfg_kw)
@@ -41,7 +46,7 @@ class TestEvents:
         ctrl.state.release_target = 322.0
         ctrl.on_event(fc(2), new_params=PARAMS)
         assert ctrl.state.mode is ControlMode.SILENT
-        cmd = ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001)
+        cmd = ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)
         # silent walking holds the slack: PI toward the release target
         twin = make_controller(mode=ControlMode.SWING)
         twin.state.l_swing = 322.0
@@ -121,9 +126,9 @@ class TestSwingTick:
 
     def test_swing_monitors_peak_force(self):
         ctrl = make_controller(mode=ControlMode.SWING)
-        ctrl.tick(kin(), 2.5, 100.0, 0.0, 0.0, 0.001)
-        ctrl.tick(kin(), 4.0, 100.0, 0.0, 0.0, 0.001)
-        ctrl.tick(kin(), 1.0, 100.0, 0.0, 0.0, 0.001)
+        ctrl.tick(*angles(kin()), 2.5, 100.0, 0.0, 0.0, 0.001)
+        ctrl.tick(*angles(kin()), 4.0, 100.0, 0.0, 0.0, 0.001)
+        ctrl.tick(*angles(kin()), 1.0, 100.0, 0.0, 0.0, 0.001)
         assert ctrl.state.f_swing_max == 4.0
 
     def test_integral_clamped(self):
@@ -139,7 +144,8 @@ class TestStanceTick:
         ctrl = make_controller()
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        cmd = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7, 320.0, 0.001)
+        cmd = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
+                               320.0, 0.001)
         assert cmd == pytest.approx(1.0, rel=1e-9)
         assert ctrl.state.f_des == f_des
 
@@ -147,7 +153,8 @@ class TestStanceTick:
         ctrl = make_controller()
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        cmd = ctrl.tick_stance(kin(theta_sk=theta, sk_rate=80.0, ft_rate=80.0),
+        cmd = ctrl.tick_stance(*angles(kin(theta_sk=theta, sk_rate=80.0,
+                                           ft_rate=80.0)),
                                f_des, 320.0, 0.001)
         # profile-rate term zero at the peak, DF stationary: feedback only
         assert cmd == pytest.approx(0.0, abs=1e-9)
@@ -155,7 +162,7 @@ class TestStanceTick:
     def test_missing_params_holds(self):
         ctrl = make_controller()
         ctrl.state.active_params = None
-        cmd = ctrl.tick_stance(kin(), 0.0, 320.0, 0.001)
+        cmd = ctrl.tick_stance(*angles(kin()), 0.0, 320.0, 0.001)
         assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
     def test_ideal_plant_reproduces_profile(self):
@@ -178,7 +185,7 @@ class TestStanceTick:
             phase_mid = (i + 0.5) * dt / tmpl.period
             km = gen_frame(tmpl, phase_mid, 1.0)
             f_des_mid = eval_force(p, km.theta_sk)
-            cmd = ctrl.tick_stance(km, f_des_mid, l, dt)
+            cmd = ctrl.tick_stance(*angles(km), f_des_mid, l, dt)
             l -= cmd * dt
             phase_next = (i + 1) * dt / tmpl.period
             kn = gen_frame(tmpl, phase_next, 1.0)
@@ -190,7 +197,8 @@ class TestStanceTick:
 
     def test_velocity_commands_clamped(self):
         ctrl = make_controller(v_max=250.0)
-        cmd = ctrl.tick_stance(kin(theta_sk=PARAMS.mu, ft_rate=-4000.0),
+        cmd = ctrl.tick_stance(*angles(kin(theta_sk=PARAMS.mu,
+                                           ft_rate=-4000.0)),
                                eval_force(PARAMS, PARAMS.mu), 320.0, 0.001)
         assert abs(cmd) <= 250.0
 
@@ -199,10 +207,11 @@ class TestStanceTick:
         ctrl = make_controller(map_m=0.05, map_b=15.7)
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        first = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7, 320.0, 0.001)
+        first = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
+                                 320.0, 0.001)
         assert 0.0 < first < 1.0
         for _ in range(2000):
-            last = ctrl.tick_stance(kin(theta_sk=theta), f_des - 15.7,
+            last = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
                                     320.0, 0.001)
         assert last == pytest.approx(1.0, rel=1e-3)
 
@@ -228,10 +237,10 @@ class TestSafety:
         ctrl = make_controller()
         ctrl.state.release_target = 320.0
         ctrl.safety_check(400.0, 0.0)
-        cmd = ctrl.tick(kin(), 0.0, 300.0, 0.0, 0.0, 0.001)
+        cmd = ctrl.tick(*angles(kin()), 0.0, 300.0, 0.0, 0.0, 0.001)
         assert ctrl.state.aborted
         assert cmd == -ctrl.cfg.v_max
-        cmd = ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001)
+        cmd = ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)
         assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
 
@@ -252,23 +261,23 @@ class TestSignAndModeSafety:
     def test_command_follows_mode(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         twin = make_controller(mode=ControlMode.SWING)
-        assert ctrl.tick(kin(), 0.0, 320.0, 0.0, 0.0, 0.001) == \
+        assert ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001) == \
             twin.tick_swing(320.0, 0.0, 0.001)
         ctrl = make_controller(mode=ControlMode.STANCE)
         twin = make_controller(mode=ControlMode.STANCE)
         sample, f = kin(theta_sk=PARAMS.mu, ft_rate=-30.0), 20.0
-        assert ctrl.tick(sample, f, 320.0, 0.0, 0.0, 0.001) == \
-            twin.tick_stance(sample, f, 320.0, 0.001)
+        assert ctrl.tick(*angles(sample), f, 320.0, 0.0, 0.0, 0.001) == \
+            twin.tick_stance(*angles(sample), f, 320.0, 0.001)
 
 
 class TestPretighten:
     def test_retracts_until_threshold_then_confirms_baseline(self):
         cfg = ControllerConfig()
         ctrl = Controller(cfg, TendonModel(50.0, 12.5, 250.0))
-        cmd = ctrl.tick(kin(), 0.0, 315.0, 0.0, 0.0, 0.001)
+        cmd = ctrl.tick(*angles(kin()), 0.0, 315.0, 0.0, 0.0, 0.001)
         assert cmd == cfg.pretighten_rate
         assert ctrl.state.mode is ControlMode.PRETIGHTEN
-        cmd = ctrl.tick(kin(), 5.2, 299.6, 0.0, 0.0, 0.001)
+        cmd = ctrl.tick(*angles(kin()), 5.2, 299.6, 0.0, 0.0, 0.001)
         assert ctrl.state.mode is ControlMode.SILENT
         assert ctrl.tendon.baseline_c == pytest.approx(299.6 + 5.2 / 12.5)
         assert ctrl.state.release_target == pytest.approx(
@@ -296,14 +305,14 @@ class TestNonFiniteInputs:
         inputs = dict(FINITE_INPUTS, **{field: bad})
         sample = kin(theta_sk=PARAMS.mu)._replace(
             **{f: inputs[f] for f in NAN_INPUTS[4:]})
-        cmd = ctrl.tick(sample, inputs["f_meas"],
+        cmd = ctrl.tick(*angles(sample), inputs["f_meas"],
                         inputs["l_meas"], inputs["l_meas_rate"],
                         inputs["motor_pos"], 0.001)
         assert ctrl.state.aborted
         assert cmd <= 0.0
         for l_meas in np.linspace(300.0, 330.0, 50):
-            cmd = ctrl.tick(kin(theta_sk=PARAMS.mu), 20.0, float(l_meas),
-                            0.0, 0.0, 0.001)
+            cmd = ctrl.tick(*angles(kin(theta_sk=PARAMS.mu)), 20.0,
+                            float(l_meas), 0.0, 0.0, 0.001)
             assert ctrl.state.aborted
             assert cmd <= 0.0
 
@@ -311,6 +320,6 @@ class TestNonFiniteInputs:
         # A NaN kinematic rate reaches the stance feedforward; the clamp
         # must not turn the NaN command into full retraction.
         ctrl = make_controller()
-        cmd = ctrl.tick(kin(theta_sk=PARAMS.mu, sk_rate=math.nan),
+        cmd = ctrl.tick(*angles(kin(theta_sk=PARAMS.mu, sk_rate=math.nan)),
                         eval_force(PARAMS, PARAMS.mu), 310.0, 0.0, 0.0, 0.001)
         assert cmd == 0.0

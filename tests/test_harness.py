@@ -144,6 +144,8 @@ class TestScenarioConfig:
         ("controller", "kp_typo"), ("plant", "k_al"), ("template", "perod"),
         ("controller", "v_max"),      # set from plant.v_max
         ("template", "activity"),     # set from the scenario's activity
+        ("template", "df_peak"),      # derived from the stance curves
+        ("template", "landmarks"),
     ])
     def test_override_outside_the_settable_fields_rejected(self, group, key):
         cfg = ScenarioConfig(n_strides=2, **{group: {key: 1.0}})

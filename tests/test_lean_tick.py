@@ -105,6 +105,11 @@ def test_width_whose_rate_quotient_overflows_is_rejected(sigma1, sigma2):
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
+def angles(k):
+    """A sample's shank and DF angles and rates: the kinematic arguments of
+    Controller.tick and tick_stance."""
+    return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
+
 
 def make_controller(mode=ControlMode.STANCE, **cfg_kw) -> Controller:
     ctrl = Controller(ControllerConfig(**cfg_kw), TendonModel(50.0, 12.5, 300.0))
@@ -123,7 +128,7 @@ def test_stance_tick_leaves_its_desired_force(theta, rate, engaged):
     ctrl = make_controller()
     ctrl.state.engaged = engaged
     sample = KinematicSample(0.0, 0.0, theta, theta, 0.0, rate, rate)
-    ctrl.tick(sample, 0.5, 320.0, 0.0, 0.0, 0.001)
+    ctrl.tick(*angles(sample), 0.5, 320.0, 0.0, 0.0, 0.001)
     assert same(ctrl.state.f_des, eval_force(PARAMS, theta))
 
 
@@ -181,7 +186,7 @@ def test_tick_aborts_exactly_when_safety_check_does(f_meas, motor_pos,
     if not math.isfinite(f_meas + motor_pos):
         ref.state.aborted = True       # tick's non-finite latch
     want = ref.safety_check(f_meas, motor_pos)
-    cmd = ctrl.tick(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    cmd = ctrl.tick(*angles(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
                     f_meas, 310.0, 0.0, motor_pos, 0.001)
     assert ctrl.state.aborted is want
     if want:     # 310 mm is short of the 320 mm release target: pay out
@@ -429,5 +434,5 @@ def test_controller_holds_the_logged_desired_force(calls):
             ctrl.on_event(call[0], new_params=call[1])
             continue
         kin, f_meas, pos = call
-        ctrl.tick(kin, f_meas, 320.0, 0.0, pos, 0.001)
+        ctrl.tick(*angles(kin), f_meas, 320.0, 0.0, pos, 0.001)
         assert same(st.f_des, logged_force(st, kin))

@@ -74,3 +74,34 @@ def test_period_must_be_positive_and_finite(period):
     # misleading message, and NaN or inf built a template.
     with pytest.raises(TemplateError, match="period"):
         build_template("lw", period=period)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("torque_sharpness", 0.0), ("torque_sharpness", -1.0),
+    ("torque_sharpness", math.nan), ("torque_sharpness", math.inf),
+    ("swing_ease_s", 0.0), ("swing_ease_s", -0.001),
+    ("swing_ease_s", math.nan), ("swing_ease_s", math.inf),
+    ("swing_hold", math.nan), ("swing_hold", -0.1), ("swing_hold", 1.0),
+    ("swing_hold", math.inf),
+    # the hold that leaves no return window after the lw swing ease
+    ("swing_hold", 1.0 - 0.0015 / (1.13 * (1.0 - 0.674))),
+])
+def test_swing_and_torque_values_rejected(key, value):
+    # Before, torque_sharpness -1 raised ZeroDivisionError in a run, inf
+    # swing_ease_s ran until SignalLossError, and the others completed runs.
+    with pytest.raises(TemplateError, match=key):
+        build_template("lw", **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("swing_hold", 0.0), ("swing_hold", 0.5), ("swing_ease_s", 0.003),
+    ("torque_sharpness", 1.0)])
+def test_swing_and_torque_values_inside_the_bounds_build(key, value):
+    assert getattr(build_template("lw", **{key: value}), key) == value
+
+
+@pytest.mark.parametrize("key", ["df_peak", "landmarks"])
+def test_derived_fields_cannot_be_overridden(key):
+    # _finalize derives them, and used to overwrite an override silently.
+    with pytest.raises(TemplateError, match=key):
+        build_template("lw", **{key: getattr(TEMPLATES["lw"], key)})
