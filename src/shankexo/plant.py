@@ -693,10 +693,6 @@ class _Samples(Sequence):
     def __getitem__(self, i: int) -> KinematicSample:
         return KinematicSample(float(self._t[i]), *self._frames[i].tolist())
 
-    def __iter__(self) -> Iterator[KinematicSample]:
-        return map(KinematicSample._make,
-                   zip(self._t.tolist(), *self._frames.T.tolist()))
-
 
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
@@ -840,12 +836,12 @@ class GaitWorld:
         t = np.add.accumulate(t)[1:]
         walking = t >= self.standing_s
         phase, scale, migration = np.empty(n), np.empty(n), np.empty(n)
-        kind = np.empty(n, dtype=np.int64)
+        kind = np.zeros(n, dtype=np.int64)   # no window opens while standing
         sway = []
         period = self.tmpl.period
         i = _first(walking)     # the standing ticks keep the carried clock
         phase[:i], scale[:i] = self.phase, self.scale
-        migration[:i], kind[:i] = self.state.migration, self._perturb_code()
+        migration[:i] = self.state.migration
         while i < n:
             stop = self._stretch_stop()
             if stop is not None:
@@ -859,7 +855,7 @@ class GaitWorld:
                 if j > i:
                     phase[i:j] = stretch[:j - i]
                     scale[i:j] = ramp_scale
-                    migration[i:j], kind[i:j] = self.state.migration, 0
+                    migration[i:j] = self.state.migration
                     self.phase, self.scale = phase[j - 1].item(), ramp_scale
                     i = j
                     if i == n:
