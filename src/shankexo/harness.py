@@ -441,9 +441,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         # reading its tick's command sees, which that tick's cable step
         # overwrites.
         if spike_tick is not None:
-            at = np.flatnonzero(block.t_ms[:m] == spike_tick)
-            if len(at):
-                insort(schedule, (int(at[0]), None, None), key=itemgetter(0))
+            hit = np.flatnonzero(block.t_ms[:m] == spike_tick)
+            if len(hit):
+                insort(schedule, (int(hit[0]), None, None), key=itemgetter(0))
 
         # Closed loop: the block's ticks up to `stop`, each schedule entry
         # applied before its tick's command.
