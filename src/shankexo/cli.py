@@ -1,4 +1,10 @@
-"""Command-line entry points: scenario runs, stiffness fits, stream replay."""
+"""Command-line entry points: scenario runs, stiffness fits, stream replay.
+
+Bad input (a missing or unreadable file, a malformed header or stream, an
+invalid config) prints one `shankexo: error: ...` line to stderr and exits
+2, as argparse does for bad arguments. A run that the safety monitor
+aborted exits 1.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,17 @@ import argparse
 import json
 import sys
 
-from .gait_signals import GaitEventKind, read_replay_csv
-from .harness import MetricsReport, ScenarioConfig, run_scenario
-from .profile import EstimationPath
-from .tendon import identify_stiffness, load_calibration_csv
+from .gait_signals import (GaitEventKind, SignalLossError, SignalQualityError,
+                           read_replay_csv)
+from .harness import ConfigError, MetricsReport, ScenarioConfig, run_scenario
+from .plant import TemplateError
+from .profile import EstimationPath, ParameterError
+from .tendon import IdentificationError, identify_stiffness, load_calibration_csv
+
+# What a user mends by changing a file or a flag, not the program.
+INPUT_ERRORS = (OSError, json.JSONDecodeError, ConfigError, TemplateError,
+                ParameterError, SignalQualityError, SignalLossError,
+                IdentificationError)
 
 
 def _add_run_parser(sub) -> None:
@@ -104,11 +117,13 @@ def main(argv=None) -> int:
                                 * ScenarioConfig.body_weight),
                        help="peak assistance force in newtons")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    if args.command == "fit-stiffness":
-        return _fit_stiffness(args)
-    return _replay(args)
+    command = {"run": _run, "fit-stiffness": _fit_stiffness,
+               "replay": _replay}[args.command]
+    try:
+        return command(args)
+    except INPUT_ERRORS as exc:
+        print(f"shankexo: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

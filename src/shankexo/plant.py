@@ -24,20 +24,20 @@ of its constant phase increment, ended at the wrap or a pending onset. The
 scalar clock body runs only for the wrap, onset, ramp-change and
 perturbation-window ticks. numpy then evaluates the gait curves and the
 biological torque of the whole block, and a tick's KinematicSample is
-built only when the estimation pass reads it. `advance(dt)` is the one
-tick of the scalar body and the scalar `gen_frame` and
-`biological_torque`: the same bits without numpy's per-call overhead.
-Nothing in the world reads cable state, so a block may run ahead of the
-closed loop; the world's scalar attributes (`t_s`, `phase`, `scale`,
-`state.stride_index`, `state.migration`) then hold end-of-block values. The
-block's columns (`WorldBlock`) carry each tick's own values of what the
-closed loop reads; a tick's phase and stride are the scalar attributes of a
-world advanced one tick at a time.
+built only when the estimation pass reads it. This is the world's only
+path: `advance(dt)` is the sample of a block of one tick. Nothing in the
+world reads cable state, so a block may run ahead of the closed loop; the
+world's scalar attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
+`state.migration`) then hold end-of-block values. The block's columns
+(`WorldBlock`) carry each tick's own values of what the closed loop reads;
+a tick's phase and stride are the scalar attributes of a world advanced
+one tick at a time.
 
-Bit-equality. The block columns equal the scalar `gen_frame` and
-`biological_torque` (kept as the references the tests compare against) bit
-for bit, for any block size. That holds because the array code repeats the
-scalar operation order and uses only operations where numpy matches `math`
+Bit-equality. Each curve is written once, over arrays. Its scalar form, one
+value at a time in plain Python, is kept in the tests
+(`tests/scalar_reference.py`), and the block columns equal it bit for bit,
+for any block size. That holds because the array code repeats the scalar
+operation order and uses only operations where numpy matches `math`
 exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`, and
 `np.add.accumulate`, which adds strictly in sequence as `+=` does. Where it
 does not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python
@@ -137,33 +137,6 @@ class GaitTemplate:
     df_peak: tuple[float, float] = (0.0, 0.0)   # (value deg, phase-of-stance)
     landmarks: tuple[float, float, float] = (0.0, 0.0, 0.0)  # nominal fc/mdf/fo
 
-    # -- excess profile ----------------------------------------------------
-
-    def _g(self, u: float) -> tuple[float, float]:
-        """Excess G(u) and dG/du over stance.
-
-        The terminal plunge is a half cosine bump in rate, so the rate
-        extremum lands exactly on stance end and the angle arrives there
-        still steep; the swing ease-out finishes the bump in time.
-        """
-        if u <= self.g_rise_end:
-            v = u / self.g_rise_end
-            return self.g_max * _s3(v), self.g_max * _ds3(v) / self.g_rise_end
-        if u <= self.g_fall_start:
-            return self.g_max, 0.0
-        if u <= self.g_fall_end:
-            span = self.g_fall_end - self.g_fall_start
-            v = (u - self.g_fall_start) / span
-            drop = self.g_max - self.g_dip
-            return self.g_max - drop * _s3(v), -drop * _ds3(v) / span
-        if u <= self.u_plunge:
-            return self.g_dip, 0.0
-        span = 1.0 - self.u_plunge
-        xi = (u - self.u_plunge) / span
-        g = self.g_dip + self.g_plunge * (xi - math.sin(math.pi * xi) / math.pi)
-        dg = self.g_plunge * (1.0 - math.cos(math.pi * xi)) / span
-        return g, dg
-
     @property
     def g_end(self) -> float:
         return self.g_dip + self.g_plunge
@@ -182,79 +155,15 @@ class GaitTemplate:
 
     def stance_pose(self, u: float) -> tuple[float, float, float, float]:
         """(theta_sk, theta_ft, dsk_du, dft_du) at stance fraction u."""
-        sk0, sk1 = self.theta_sk_span
-        dsk = sk1 - sk0
-        g, dg = self._g(u)
-        sk = sk0 + dsk * _s3(u)
-        return sk, self.ft_peak - g, dsk * _ds3(u), -dg
-
-    def swing_pose(self, w: float) -> tuple[float, float, float, float]:
-        """(theta_sk, theta_ft, dsk_dw, dft_dw) at swing fraction w."""
-        sk0, sk1 = self.theta_sk_span
-        dsk = sk1 - sk0
-        t_sw = self.period * (1.0 - self.stance_ratio)
-        w_e = self.swing_ease_s / t_sw
-        w_h = w_e + self.swing_hold
-        ft_fo = self.ft_peak - self.g_end
-        gain = self._swing_ease_gain()
-        if w <= w_e:
-            # foot-pitch rate eases from the plunge extremum to zero
-            rate_w = self.plunge_rate_pu * (t_sw / (self.period * self.stance_ratio))
-            xi = w / w_e
-            ft = ft_fo - 0.5 * rate_w * w_e * (xi + math.sin(math.pi * xi) / math.pi)
-            dft = -0.5 * rate_w * (1.0 + math.cos(math.pi * xi))
-            return sk1, ft, 0.0, dft
-        if w <= w_h:
-            return sk1, ft_fo - gain, 0.0, 0.0
-        v = (w - w_h) / (1.0 - w_h)
-        c = 0.5 * (1.0 + math.cos(math.pi * v))
-        dc = -0.5 * math.pi * math.sin(math.pi * v) / (1.0 - w_h)
-        sk = sk0 + dsk * c
-        ft = self.ft_peak - (self.g_end + gain) * c
-        return sk, ft, dsk * dc, -(self.g_end + gain) * dc
-
-
-def gen_frame(tmpl: GaitTemplate, phase: float, speed_scale: float,
-              t_ms: float = 0.0) -> KinematicSample:
-    """Kinematic frame at a gait phase; speed_scale rescales rates only."""
-    if not 0.0 <= phase < 1.0:
-        phase = phase % 1.0
-    rho = tmpl.stance_ratio
-    cycle_rate = speed_scale / tmpl.period  # cycles/s
-    if phase < rho:
-        u = phase / rho
-        sk, ft, dsk, dft = tmpl.stance_pose(u)
-        mult = cycle_rate / rho
-    else:
-        w = (phase - rho) / (1.0 - rho)
-        sk, ft, dsk, dft = tmpl.swing_pose(w)
-        mult = cycle_rate / (1.0 - rho)
-    sk_rate = dsk * mult
-    ft_rate = dft * mult
-    return KinematicSample(t_ms, ft, sk, sk - ft, ft_rate, sk_rate,
-                           sk_rate - ft_rate)
-
-
-def biological_torque(tmpl: GaitTemplate, phase: float) -> float:
-    """Normalized single-crest ankle torque, peaking at the DF-peak phase."""
-    rho = tmpl.stance_ratio
-    if not 0.0 <= phase <= rho:
-        return 0.0
-    u = phase / rho
-    u_pk = tmpl.df_peak[1]
-    if u <= u_pk:
-        base = 0.5 * (1.0 - math.cos(math.pi * u / u_pk))
-    else:
-        base = 0.5 * (1.0 + math.cos(math.pi * (u - u_pk) / (1.0 - u_pk)))
-    return base ** tmpl.torque_sharpness
+        return tuple(c.item() for c in _stance_poses(self, np.array([u])))
 
 
 def _piecewise(x: np.ndarray, knots: tuple, pieces: tuple,
                side: str = "left") -> list[np.ndarray]:
     """Evaluate each piece only on the x it covers.
 
-    With side="left", pieces[i] covers knots[i-1] < x <= knots[i] (the
-    `if x <= knot` chains of the scalar curves); with side="right",
+    With side="left", pieces[i] covers knots[i-1] < x <= knots[i] (an
+    `if x <= knot` chain, as in the scalar references); with side="right",
     knots[i-1] <= x < knots[i]. The last piece covers the rest. Every piece
     returns the same number of columns, arrays or scalars.
     """
@@ -271,7 +180,12 @@ def _piecewise(x: np.ndarray, knots: tuple, pieces: tuple,
 
 
 def _g_array(tmpl: GaitTemplate, u: np.ndarray) -> list[np.ndarray]:
-    """GaitTemplate._g over an array of stance fractions: [G, dG/du]."""
+    """The excess G and dG/du over an array of stance fractions.
+
+    The terminal plunge is a half cosine bump in rate, so the rate
+    extremum lands exactly on stance end and the angle arrives there
+    still steep; the swing ease-out finishes the bump in time.
+    """
     def rise(u):
         v = u / tmpl.g_rise_end
         return (tmpl.g_max * _s3(v),
@@ -297,15 +211,18 @@ def _g_array(tmpl: GaitTemplate, u: np.ndarray) -> list[np.ndarray]:
 
 
 def _stance_poses(tmpl: GaitTemplate, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """GaitTemplate.stance_pose over an array of stance fractions."""
+    """(theta_sk, theta_ft, dsk_du, dft_du) over an array of stance
+    fractions."""
     sk0, sk1 = tmpl.theta_sk_span
     dsk = sk1 - sk0
     g, dg = _g_array(tmpl, u)
     return sk0 + dsk * _s3(u), tmpl.ft_peak - g, dsk * _ds3(u), -dg
 
 
-def _swing_poses(tmpl: GaitTemplate, w: np.ndarray) -> list[np.ndarray]:
-    """GaitTemplate.swing_pose over an array of swing fractions."""
+def _swing_curves(tmpl: GaitTemplate, w: np.ndarray) -> list[np.ndarray]:
+    """(theta_sk, theta_ft, dsk_dw, dft_dw) over an array of swing fractions:
+    the foot-pitch rate eases out from the plunge, the pose holds at foot-off,
+    then half-cosines return every channel to its contact pose."""
     sk0, sk1 = tmpl.theta_sk_span
     dsk = sk1 - sk0
     t_sw = tmpl.period * (1.0 - tmpl.stance_ratio)
@@ -334,15 +251,15 @@ def _swing_poses(tmpl: GaitTemplate, w: np.ndarray) -> list[np.ndarray]:
 
 def gen_frames(tmpl: GaitTemplate, phase: np.ndarray,
                speed_scale: np.ndarray) -> tuple[np.ndarray, ...]:
-    """gen_frame over arrays of phases in [0, 1) and speed scales:
-    (theta_ft, theta_sk, theta_df, theta_ft_rate, theta_sk_rate,
-    theta_df_rate), bit-equal to the scalar frames."""
+    """Kinematic frames at arrays of gait phases in [0, 1) and speed scales,
+    which rescale rates only: (theta_ft, theta_sk, theta_df, theta_ft_rate,
+    theta_sk_rate, theta_df_rate)."""
     rho = tmpl.stance_ratio
     cycle_rate = speed_scale / tmpl.period
     sk, ft, dsk, dft = _piecewise(
         phase, (rho,),
         (lambda p: _stance_poses(tmpl, p / rho),
-         lambda p: _swing_poses(tmpl, (p - rho) / (1.0 - rho))), side="right")
+         lambda p: _swing_curves(tmpl, (p - rho) / (1.0 - rho))), side="right")
     mult = np.where(phase < rho, cycle_rate / rho, cycle_rate / (1.0 - rho))
     sk_rate = dsk * mult
     ft_rate = dft * mult
@@ -350,7 +267,8 @@ def gen_frames(tmpl: GaitTemplate, phase: np.ndarray,
 
 
 def biological_torques(tmpl: GaitTemplate, phase: np.ndarray) -> np.ndarray:
-    """biological_torque over an array of phases, bit-equal to the scalar."""
+    """Normalized single-crest ankle torque at an array of phases, peaking
+    at the DF-peak phase and zero outside stance."""
     rho = tmpl.stance_ratio
     out = np.zeros_like(phase)
     stance = (0.0 <= phase) & (phase <= rho)
@@ -422,10 +340,10 @@ def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
     df = sk - ft
     i_pk = int(np.argmax(df))
     u_pk = float(us[i_pk])
-    sk_fo = tmpl.stance_pose(1.0)[0]   # FO: the pitch-rate minimum, at u = 1
+    # FO: the pitch-rate minimum, at u = 1, the grid's last point
     return replace(tmpl,
                    df_peak=(float(df[i_pk]), u_pk),
-                   landmarks=(tmpl.theta_sk_span[0], float(sk[i_pk]), float(sk_fo)))
+                   landmarks=(tmpl.theta_sk_span[0], float(sk[i_pk]), float(sk[-1])))
 
 
 def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
@@ -441,7 +359,7 @@ def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
             raise TemplateError(f"{key} must be positive and finite, got "
                                 f"{value!r}")
     # The swing ease and hold must leave a window for the return to the
-    # contact pose (w_h < 1 in `swing_pose`).
+    # contact pose (w_h < 1 in `_swing_curves`).
     w_e = tmpl.swing_ease_s / (tmpl.period * (1.0 - tmpl.stance_ratio))
     if not (tmpl.swing_hold >= 0.0 and w_e + tmpl.swing_hold < 1.0):
         raise TemplateError(f"swing_hold must be non-negative and leave a "
@@ -697,9 +615,10 @@ class _Samples(Sequence):
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
     pass, the closed loop and the log read. Every column is an array but
-    `kin`, which builds a tick's KinematicSample when it is read (a one-tick
-    block holds its one sample in a list). `frames` holds kin's angles and
-    rates, which the closed loop and the log read from it.
+    `kin`, which builds a tick's KinematicSample when it is read. `frames`
+    holds kin's angles and rates, which the closed loop and the log read
+    from it. A block of one tick is the same columns of length one: it is
+    what `GaitWorld.advance` returns the sample of.
 
     The clock columns are accumulated in bulk over plain stretches of
     walking ticks, ended at a wrap or a pending onset; only the wrap, onset,
@@ -768,20 +687,13 @@ class GaitWorld:
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
         time: the sample of the block of one tick."""
-        return self._one_tick(dt)[1]
+        return self.advance_block(dt, 1).kin[0]
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
         """Advance n ticks of dt and return each tick's world values."""
         _positive_dt(dt)
         if n <= 0:
             raise ValueError(f"n must be positive, got {n!r}")
-        if n == 1:
-            t_ms, kin, walking, bio = self._one_tick(dt)
-            return WorldBlock(
-                np.array([t_ms]), [kin], np.array([walking]),
-                np.array([self.scale]), np.array([self.state.migration]),
-                np.array([self._perturb_code()]), np.array([bio]),
-                np.array([kin[1:]]))
         tmpl = self.tmpl
         clock = self._clock(dt, n)
         # Walking never stops once started: ticks w0.. walk, the rest stand
@@ -802,30 +714,6 @@ class GaitWorld:
         return WorldBlock(t_ms, _Samples(t_sample, frames), clock.walking,
                           clock.scale, clock.migration, clock.perturb_kind,
                           bio, frames)
-
-    def _one_tick(self, dt: float) -> tuple[float, KinematicSample, bool,
-                                            float]:
-        """One tick through the scalar clock body and the scalar curves:
-        (t_ms, sample, walking, bio), the same bits as a block's tick without
-        numpy's per-call overhead. round(x) rounds half to even, as np.rint
-        does, and round(x, 6) defines the sample time."""
-        _positive_dt(dt)
-        self.t_s = t_s = self.t_s + dt
-        ms = t_s * 1000.0
-        walking = t_s >= self.standing_s
-        if not walking:
-            return (float(round(ms)),
-                    KinematicSample(round(ms, 6), *(0.0,) * 6), walking, 0.0)
-        sway = self._walk_tick(t_s, dt)
-        tmpl, phase = self.tmpl, self.phase
-        kin = gen_frame(tmpl, phase, self.scale, round(ms, 6))
-        if sway is not None:
-            s, rate = sway
-            kin = kin._replace(theta_sk=kin.theta_sk + s,
-                               theta_df=kin.theta_df + s,
-                               theta_sk_rate=kin.theta_sk_rate + rate,
-                               theta_df_rate=kin.theta_df_rate + rate)
-        return float(round(ms)), kin, walking, biological_torque(tmpl, phase)
 
     def _clock(self, dt: float, n: int) -> _Clock:
         """The clock columns of the next n ticks of dt. Time is one

@@ -14,7 +14,6 @@ stance-window assembler, estimator) for the scenario runner and for
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import sys
@@ -235,8 +234,9 @@ class EstimationPath:
 class ShankByPercentGC:
     """Previous cycle's shank angle as a function of percent gait cycle.
 
-    Backs the time-based comparator profile: linear interpolation over a
-    uniform percent-GC grid recorded from the last unperturbed cycle.
+    Backs the time-based comparator profile (`eval_time_profile_array`):
+    linear interpolation over a uniform percent-GC grid recorded from the
+    last unperturbed cycle.
     """
 
     def __init__(self, pct: Sequence[float], theta_sk: Sequence[float]):
@@ -245,36 +245,19 @@ class ShankByPercentGC:
         self.pct = list(pct)
         self.theta = list(theta_sk)
 
-    def lookup(self, pct_gc: float) -> float:
-        pts, ths = self.pct, self.theta
-        if pct_gc <= pts[0]:
-            return ths[0]
-        if pct_gc >= pts[-1]:
-            return ths[-1]
-        hi = bisect.bisect_right(pts, pct_gc)
-        lo = hi - 1
-        w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
-        return ths[lo] + w * (ths[hi] - ths[lo])
-
-
-def eval_time_profile(p: GaussianParams, pct_gc: float,
-                      prev_cycle: Optional[ShankByPercentGC]) -> float:
-    """Time-based comparator: the same dual-Gaussian shape progressed by
-    percent GC through the previous cycle's shank trajectory. Returns 0 when
-    no previous cycle has been recorded."""
-    if prev_cycle is None:
-        return 0.0
-    if not (0.0 <= pct_gc < 1.0):
-        return 0.0
-    return eval_force(p, prev_cycle.lookup(pct_gc))
-
 
 def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
                             prev_cycle: ShankByPercentGC) -> np.ndarray:
-    """eval_time_profile over an array of percent-GC values, bit-equal to
-    the scalar: the lookup repeats ShankByPercentGC.lookup's operation order
-    (np.interp does not) and the Gaussian keeps math.exp (np.exp differs in
-    the last bit)."""
+    """Time-based comparator: the same dual-Gaussian shape progressed by
+    percent GC through the previous cycle's shank trajectory, over an array
+    of percent-GC values; 0 outside [0, 1) and outside the support.
+
+    The previous cycle's angle is a linear interpolation held at the grid's
+    end values, in the scalar order w = (x - x0) / (x1 - x0), then
+    th0 + w * (th1 - th0) (np.interp's order differs), and the Gaussian keeps
+    math.exp (np.exp differs in the last bit). So it equals, bit for bit,
+    `eval_force` at a bisect interpolation, the scalar form kept in
+    `tests/scalar_reference.py`."""
     pts = np.asarray(prev_cycle.pct)
     ths = np.asarray(prev_cycle.theta)
     hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)

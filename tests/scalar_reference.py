@@ -1,0 +1,233 @@
+"""Scalar references for the array code, one value at a time.
+
+`shankexo` computes each gait curve, the biological torque, the time-based
+comparator and the world clock once, over numpy arrays. This module keeps
+the scalar forms they were written from, as plain Python over floats, so the
+bit-equality tests can compare the array code against an independent
+evaluation. The array code repeats these operation orders; a reordered
+product or sum in `src/` shows up here as a last-bit difference.
+
+Not a test module: pytest collects only test_*.py.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from typing import Optional
+
+import numpy as np
+
+from shankexo.gait_signals import KinematicSample
+from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind, _ds3,
+                            _s3)
+from shankexo.profile import GaussianParams, ShankByPercentGC, eval_force
+
+CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
+
+
+# -- gait curves ---------------------------------------------------------------
+
+def g(tmpl: GaitTemplate, u: float) -> tuple[float, float]:
+    """Excess G(u) and dG/du over stance.
+
+    The terminal plunge is a half cosine bump in rate, so the rate
+    extremum lands exactly on stance end and the angle arrives there
+    still steep; the swing ease-out finishes the bump in time.
+    """
+    if u <= tmpl.g_rise_end:
+        v = u / tmpl.g_rise_end
+        return tmpl.g_max * _s3(v), tmpl.g_max * _ds3(v) / tmpl.g_rise_end
+    if u <= tmpl.g_fall_start:
+        return tmpl.g_max, 0.0
+    if u <= tmpl.g_fall_end:
+        span = tmpl.g_fall_end - tmpl.g_fall_start
+        v = (u - tmpl.g_fall_start) / span
+        drop = tmpl.g_max - tmpl.g_dip
+        return tmpl.g_max - drop * _s3(v), -drop * _ds3(v) / span
+    if u <= tmpl.u_plunge:
+        return tmpl.g_dip, 0.0
+    span = 1.0 - tmpl.u_plunge
+    xi = (u - tmpl.u_plunge) / span
+    g = tmpl.g_dip + tmpl.g_plunge * (xi - math.sin(math.pi * xi) / math.pi)
+    dg = tmpl.g_plunge * (1.0 - math.cos(math.pi * xi)) / span
+    return g, dg
+
+
+def stance_pose(tmpl: GaitTemplate,
+                u: float) -> tuple[float, float, float, float]:
+    """(theta_sk, theta_ft, dsk_du, dft_du) at stance fraction u."""
+    sk0, sk1 = tmpl.theta_sk_span
+    dsk = sk1 - sk0
+    g_u, dg = g(tmpl, u)
+    sk = sk0 + dsk * _s3(u)
+    return sk, tmpl.ft_peak - g_u, dsk * _ds3(u), -dg
+
+
+def swing_pose(tmpl: GaitTemplate,
+               w: float) -> tuple[float, float, float, float]:
+    """(theta_sk, theta_ft, dsk_dw, dft_dw) at swing fraction w."""
+    sk0, sk1 = tmpl.theta_sk_span
+    dsk = sk1 - sk0
+    t_sw = tmpl.period * (1.0 - tmpl.stance_ratio)
+    w_e = tmpl.swing_ease_s / t_sw
+    w_h = w_e + tmpl.swing_hold
+    ft_fo = tmpl.ft_peak - tmpl.g_end
+    gain = tmpl._swing_ease_gain()
+    if w <= w_e:
+        # foot-pitch rate eases from the plunge extremum to zero
+        rate_w = tmpl.plunge_rate_pu * (t_sw / (tmpl.period * tmpl.stance_ratio))
+        xi = w / w_e
+        ft = ft_fo - 0.5 * rate_w * w_e * (xi + math.sin(math.pi * xi) / math.pi)
+        dft = -0.5 * rate_w * (1.0 + math.cos(math.pi * xi))
+        return sk1, ft, 0.0, dft
+    if w <= w_h:
+        return sk1, ft_fo - gain, 0.0, 0.0
+    v = (w - w_h) / (1.0 - w_h)
+    c = 0.5 * (1.0 + math.cos(math.pi * v))
+    dc = -0.5 * math.pi * math.sin(math.pi * v) / (1.0 - w_h)
+    sk = sk0 + dsk * c
+    ft = tmpl.ft_peak - (tmpl.g_end + gain) * c
+    return sk, ft, dsk * dc, -(tmpl.g_end + gain) * dc
+
+
+def gen_frame(tmpl: GaitTemplate, phase: float, speed_scale: float,
+              t_ms: float = 0.0) -> KinematicSample:
+    """Kinematic frame at a gait phase; speed_scale rescales rates only."""
+    if not 0.0 <= phase < 1.0:
+        phase = phase % 1.0
+    rho = tmpl.stance_ratio
+    cycle_rate = speed_scale / tmpl.period  # cycles/s
+    if phase < rho:
+        u = phase / rho
+        sk, ft, dsk, dft = stance_pose(tmpl, u)
+        mult = cycle_rate / rho
+    else:
+        w = (phase - rho) / (1.0 - rho)
+        sk, ft, dsk, dft = swing_pose(tmpl, w)
+        mult = cycle_rate / (1.0 - rho)
+    sk_rate = dsk * mult
+    ft_rate = dft * mult
+    return KinematicSample(t_ms, ft, sk, sk - ft, ft_rate, sk_rate,
+                           sk_rate - ft_rate)
+
+
+def biological_torque(tmpl: GaitTemplate, phase: float) -> float:
+    """Normalized single-crest ankle torque, peaking at the DF-peak phase."""
+    rho = tmpl.stance_ratio
+    if not 0.0 <= phase <= rho:
+        return 0.0
+    u = phase / rho
+    u_pk = tmpl.df_peak[1]
+    if u <= u_pk:
+        base = 0.5 * (1.0 - math.cos(math.pi * u / u_pk))
+    else:
+        base = 0.5 * (1.0 + math.cos(math.pi * (u - u_pk) / (1.0 - u_pk)))
+    return base ** tmpl.torque_sharpness
+
+
+# -- time-based comparator -------------------------------------------------------
+
+def lookup(prev_cycle: ShankByPercentGC, pct_gc: float) -> float:
+    """The previous cycle's shank angle at pct_gc: linear interpolation,
+    held at the first and last grid values outside the grid."""
+    pts, ths = prev_cycle.pct, prev_cycle.theta
+    if pct_gc <= pts[0]:
+        return ths[0]
+    if pct_gc >= pts[-1]:
+        return ths[-1]
+    hi = bisect.bisect_right(pts, pct_gc)
+    lo = hi - 1
+    w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
+    return ths[lo] + w * (ths[hi] - ths[lo])
+
+
+def eval_time_profile(p: GaussianParams, pct_gc: float,
+                      prev_cycle: Optional[ShankByPercentGC]) -> float:
+    """Time-based comparator: the same dual-Gaussian shape progressed by
+    percent GC through the previous cycle's shank trajectory. Returns 0 when
+    no previous cycle has been recorded."""
+    if prev_cycle is None:
+        return 0.0
+    if not (0.0 <= pct_gc < 1.0):
+        return 0.0
+    return eval_force(p, lookup(prev_cycle, pct_gc))
+
+
+# -- world clock -----------------------------------------------------------------
+
+def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
+    """The clock of n ticks from a world's state, one tick at a time, as the
+    scalar loop computed it: the columns by name, and "sway", the (tick,
+    sway, sway rate) rows of the backward sway windows. The world is left
+    as it was."""
+    tmpl, cfg, ramp = world.tmpl, world.config, world.ramp
+    perturbations, done = world.perturbations, set(world._pert_done)
+    sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
+    t_s, phase, scale = world.t_s, world.phase, world.scale
+    ramp_scale, pert = world._ramp_scale, world._pert_active
+    stride, migration = world.state.stride_index, world.state.migration
+    cols = {k: [] for k in ("t_s", "walking", "phase", "scale", "stride",
+                            "migration", "perturb_kind")}
+    sway_rows = []
+    for i in range(n):
+        t_s += dt
+        walking = t_s >= world.standing_s
+        if walking:
+            if ramp is not None and stride >= ramp.start_stride:
+                target = (ramp.low_scale if stride < ramp.start_stride
+                          + ramp.hold_strides else 1.0)
+                if ramp_scale < target:
+                    ramp_scale = min(target,
+                                     ramp_scale + ramp.rate_per_s * dt)
+                elif ramp_scale > target:
+                    ramp_scale = max(target,
+                                     ramp_scale - ramp.rate_per_s * dt)
+            scale = ramp_scale
+            if pert is not None:
+                spec, t0 = pert
+                window = 2.0 * spec.ramp_time
+                if spec.kind is PerturbationKind.BACKWARD:
+                    window = max(window, sway_w)
+                if t_s - t0 > window:
+                    pert = None
+                else:
+                    scale *= spec.multiplier(t_s - t0)
+            phase += dt * scale / tmpl.period
+            if phase >= 1.0:
+                phase -= 1.0
+                stride += 1
+                migration = cfg.mig_max * (
+                    1.0 - math.exp(-stride / cfg.mig_stride_tau))
+            spec = perturbations.get(stride)
+            if (spec is not None and pert is None and stride not in done
+                    and phase >= spec.onset_pct_gc):
+                pert = (spec, t_s)
+                done.add(stride)
+            if pert is not None and pert[0].kind is PerturbationKind.BACKWARD:
+                tau = t_s - pert[1]
+                if tau <= sway_w:
+                    sway_rows.append((
+                        i, -sway_a * math.sin(math.pi * tau / sway_w) ** 2,
+                        -sway_a * math.pi / sway_w
+                        * math.sin(2.0 * math.pi * tau / sway_w)))
+        for name, value in zip(cols, (t_s, walking, phase, scale, stride,
+                                      migration, CODE[pert and pert[0].kind])):
+            cols[name].append(value)
+    return dict(cols, sway=sway_rows)
+
+
+def reference_frames(tmpl: GaitTemplate,
+                     ref: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, bio) of the reference clock from the scalar curves."""
+    n = len(ref["t_s"])
+    frames, bio = np.zeros((n, 6)), np.zeros(n)
+    for i, (walking, phase, scale) in enumerate(zip(
+            ref["walking"], ref["phase"], ref["scale"])):
+        if walking:
+            frames[i] = gen_frame(tmpl, phase, scale)[1:]
+            bio[i] = biological_torque(tmpl, phase)
+    for i, sway, rate in ref["sway"]:
+        frames[i, 1:3] += sway
+        frames[i, 4:6] += rate
+    return frames, bio

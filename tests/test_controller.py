@@ -5,9 +5,10 @@ import pytest
 
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
-from shankexo.plant import build_template, gen_frame
+from shankexo.plant import build_template
 from shankexo.profile import GaussianParams, eval_force
 from shankexo.tendon import TendonModel, tendon_length
+from scalar_reference import gen_frame
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 

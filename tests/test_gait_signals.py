@@ -227,10 +227,11 @@ class TestReplayCsv:
         with pytest.raises(SignalQualityError):
             list(read_replay_csv(path))
 
-    def test_empty_file_rejected(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(SignalQualityError, match="header"):
             list(read_replay_csv(path))
-        with pytest.raises(SignalQualityError, match="header"):
-            main(["replay", str(path)])
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "shankexo: error: unexpected replay header: []\n")

@@ -13,6 +13,7 @@ from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, ConfigError,
                               UndefinedCorrelationError, convergence_stride,
                               pearson, rmse_pct, run_scenario,
                               stance_correlation)
+from shankexo.plant import GaitWorld, PlantConfig, build_template
 from shankexo.profile import GaussianParams
 
 
@@ -157,11 +158,13 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("group, key", [("controller", "v_max"),
                                             ("plant", "k_al")])
     def test_override_rejected_through_the_config_file(self, tmp_path,
-                                                       group, key):
+                                                       capsys, group, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({group: {key: 100.0}}))
-        with pytest.raises(ConfigError, match=f"{group}.{key}"):
-            cli_main(["run", "--strides", "2", "--config", str(cfg_file)])
+        rc = cli_main(["run", "--strides", "2", "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("shankexo: error: ") and f"{group}.{key}" in err
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +286,7 @@ class TestCli:
 
     def test_replay_subcommand(self, tmp_path, capsys):
         from shankexo.gait_signals import WindowAssembler, read_replay_csv
-        from shankexo.plant import build_template, gen_frame
+        from scalar_reference import gen_frame
         from shankexo.profile import (INITIAL_MU, INITIAL_SIGMA1,
                                       INITIAL_SIGMA2, INITIAL_THETA_FC,
                                       INITIAL_THETA_FO, ProfileEstimator)
@@ -316,6 +319,59 @@ class TestCli:
                     f"fo={q.theta_fo:.3f}")
         assert len(want) >= 3
         assert out == want + [f"{len(want)} strides estimated"]
+
+    def test_stream_gap_is_one_error_line(self, tmp_path, capsys):
+        # A simulated lw stream at 100 Hz with 500 ms cut out after 6 s:
+        # the strides before the gap print, then one line names the gap.
+        world = GaitWorld(build_template("lw"), PlantConfig())
+        frames = world.advance_block(0.01, 900).frames
+        rows = ["t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
+                "theta_sk_rate_dps"]
+        for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist()):
+            if not 600 <= k < 650:
+                rows.append(f"{(k + 1) * 10.0},{ft},{sk},{ft_rate},{sk_rate}")
+        p = tmp_path / "gap.csv"
+        p.write_text("\n".join(rows) + "\n")
+        assert cli_main(["replay", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("stride 0: ")
+        assert err == ("shankexo: error: kinematic stream gap of 51 samples "
+                       "at t=6510.0 ms\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--strides", "0"], "n_strides must be positive"),
+        (["run", "--config", "{bad_json}"], "Expecting property name"),
+        (["run", "--config", "{missing}"], "No such file or directory"),
+        (["fit-stiffness", "{missing}"], "No such file or directory"),
+        (["fit-stiffness", "{stream}"], "unexpected calibration header"),
+        (["replay", "{missing}"], "No such file or directory"),
+        (["replay", "{calibration}"], "unexpected replay header"),
+    ], ids=["zero-strides", "bad-config", "missing-config",
+            "missing-calibration", "calibration-header", "missing-stream",
+            "stream-header"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
+                                         message):
+        paths = {"missing": tmp_path / "missing.csv",
+                 "bad_json": tmp_path / "bad.json",
+                 "stream": tmp_path / "stream.csv",
+                 "calibration": tmp_path / "cal.csv"}
+        paths["bad_json"].write_text("{plant: {}}")
+        paths["stream"].write_text("t_ms,theta_ft_deg,theta_sk_deg,"
+                                   "theta_ft_rate_dps,theta_sk_rate_dps\n")
+        paths["calibration"].write_text("force_n,deflection_mm\n")
+        argv = [a.format(**paths) for a in argv]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shankexo: error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_aborted_run_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"controller": {"force_ceiling": 20.0}}))
+        rc = cli_main(["run", "--strides", "8", "--config", str(cfg_file)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "SAFETY ABORT" in out and "error" not in err
 
     def test_defaults_come_from_the_scenario_config(self, monkeypatch):
         from shankexo import cli

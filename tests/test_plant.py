@@ -5,10 +5,10 @@ import pytest
 
 from shankexo.plant import (ACTIVITY_DEFAULTS, Activity, GaitWorld,
                             PerturbationKind, PerturbationSpec, PlantConfig,
-                            PlantState, RampSpec, TemplateError,
-                            biological_torque, bind_cable, build_template,
-                            gen_frame)
+                            PlantState, RampSpec, TemplateError, bind_cable,
+                            build_template)
 from shankexo.tendon import TendonModel
+from scalar_reference import biological_torque, gen_frame, reference_clock
 
 ACTIVITIES = ["lw", "lr", "ra", "rd"]
 
@@ -137,14 +137,8 @@ class TestPhaseAdvance:
                                 affected_cycles=frozenset({1}))
         world = GaitWorld(tmpl, PlantConfig(force_noise_sd=0.0), seed=0,
                           perturbations=[spec])
-        sk = []
-        strides = []
-        for _ in range(4000):
-            k = world.advance(0.001)
-            sk.append(k.theta_sk)
-            strides.append(world.state.stride_index)
-        sk = np.array(sk)
-        strides = np.array(strides)
+        strides = np.array(reference_clock(world, 0.001, 4000)["stride"])
+        sk = world.advance_block(0.001, 4000).frames[:, 1]    # theta_sk
         seg = sk[strides == 1]
         stance_len = int(tmpl.stance_ratio * len(seg) * 0.9)
         diffs = np.diff(seg[:stance_len])
@@ -211,8 +205,9 @@ class TestCablePlant:
     def test_migration_schedule(self):
         tmpl = build_template("lw")
         world = GaitWorld(tmpl, PlantConfig(), seed=0)
-        while world.state.stride_index < 10:
-            world.advance(0.001)
+        while world.state.stride_index < 10:   # a block wraps at most once
+            world.advance_block(0.001, 1000)
+        assert world.state.stride_index == 10
         expected = 4.0 * (1.0 - math.exp(-10.0 / 3.0))
         assert world.state.migration == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(3.857, abs=2e-3)
@@ -224,12 +219,12 @@ class TestCablePlant:
         for _ in range(2):
             world = GaitWorld(tmpl, PlantConfig(), seed=42)
             step = world.cable_step(0.001)
+            block = world.advance_block(0.001, 3000)
             acc = []
-            for _ in range(3000):
-                k = world.advance(0.001)
-                _, f_meas, l_meas, _, _ = step(5.0, k.theta_df,
-                                               world.state.migration)
-                acc.append((k.theta_sk, k.theta_ft, f_meas, l_meas))
+            for (ft, sk, df), migration in zip(block.frames[:, :3].tolist(),
+                                               block.migration.tolist()):
+                _, f_meas, l_meas, _, _ = step(5.0, df, migration)
+                acc.append((sk, ft, f_meas, l_meas))
             outs.append(acc)
         assert outs[0] == outs[1]
 
@@ -239,10 +234,7 @@ class TestRamp:
         tmpl = build_template("lw")
         world = GaitWorld(tmpl, PlantConfig(), seed=0,
                           ramp=RampSpec(start_stride=2, hold_strides=3))
-        scales = []
-        for _ in range(int((1.0 + 12 * tmpl.period) * 1000)):
-            world.advance(0.001)
-            scales.append(world.scale)
-        scales = np.array(scales)
+        scales = world.advance_block(
+            0.001, int((1.0 + 12 * tmpl.period) * 1000)).scale
         assert scales.min() == pytest.approx(0.5, abs=1e-6)
         assert scales[-1] == pytest.approx(1.0)

@@ -7,9 +7,10 @@ from shankexo.gait_signals import StanceWindow
 from shankexo.profile import (EstimationSkipped, GaussianParams, ParameterError,
                               ProfileEstimator, RawStrideFeatures,
                               ShankByPercentGC, eval_force, eval_force_rate,
-                              eval_time_profile, extract_raw, feature_targets)
+                              extract_raw, feature_targets)
 from shankexo.profile import eval_time_profile_array
 from hypothesis import given, settings, strategies as hs
+from scalar_reference import eval_time_profile
 
 TABLE_PARAMS = GaussianParams(amp=150.0, mu=15.0, sigma1=10.0, sigma2=5.0,
                               theta_fc=-25.0, theta_fo=40.0)

@@ -17,6 +17,7 @@ import pytest
 from shankexo import plant
 from shankexo.gait_signals import IMU_PERIOD_MS, DetectorConfig
 from shankexo.plant import TemplateError, build_template
+from scalar_reference import g, stance_pose
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
 
@@ -63,9 +64,26 @@ def test_stance_grid_equals_the_scalar_curves(activity, tie):
         tmpl = replace(tmpl, g_fall_start=tmpl.g_rise_end,
                        u_plunge=tmpl.g_fall_end)
     us, sk, ft, dft, g0, g1 = plant._sample_stance(tmpl)
-    ref = np.array([tmpl.stance_pose(u) + tmpl._g(u) for u in us.tolist()])
+    ref = np.array([stance_pose(tmpl, u) + g(tmpl, u) for u in us.tolist()])
     np.testing.assert_array_equal(bits(np.stack([sk, ft, dft, g0, g1])),
                                   bits(ref[:, [0, 1, 3, 4, 5]].T))
+
+
+@pytest.mark.parametrize("activity", sorted(TEMPLATES))
+def test_stance_pose_equals_the_scalar_pose(activity):
+    # GaitTemplate.stance_pose is the array curve at one point; it returns
+    # the scalar pose's floats at the knots, just past them, between them
+    # and at the stance ends. The foot-off landmark is its value at u = 1.
+    tmpl = TEMPLATES[activity]
+    knots = [tmpl.g_rise_end, tmpl.g_fall_start, tmpl.g_fall_end,
+             tmpl.u_plunge]
+    us = [0.0, *knots, *(float(np.nextafter(k, 1.0)) for k in knots),
+          0.1, 0.5, 0.77, 0.905, 0.95, float(np.nextafter(1.0, 0.0)), 1.0]
+    for u in us:
+        got = tmpl.stance_pose(u)
+        assert [type(v) for v in got] == [float] * 4
+        assert bits(got).tolist() == bits(stance_pose(tmpl, u)).tolist(), u
+    assert bits(tmpl.landmarks[2]) == bits(stance_pose(tmpl, 1.0)[0])
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, -math.inf])

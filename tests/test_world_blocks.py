@@ -1,10 +1,11 @@
 """The block-advanced world against its one-tick case and the scalar curves.
 
 Block columns must not depend on the block size, must equal the scalar
-reference curves (gen_frame, biological_torque) bit for bit, and the cable's
+reference curves (gen_frame, biological_torque, through
+`scalar_reference.reference_frames`) bit for bit, and the cable's
 block-drawn force noise must equal scalar draws. A tick's phase, scale and
-stride, which the block does not carry, come from a twin world advanced one
-tick at a time.
+stride, which the block does not carry, come from the per-tick clock
+recurrence (`scalar_reference.reference_clock`).
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as hs
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
                             PerturbationSpec, PlantConfig, PlantState,
-                            RampSpec, biological_torque, bind_cable,
-                            build_template, gen_frame)
+                            RampSpec, bind_cable, build_template)
+from scalar_reference import reference_clock, reference_frames
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
 N_TICKS = 2500      # 0.05 s standing, then strides 0-2 at every activity
@@ -57,17 +58,6 @@ def run_blocks(world: GaitWorld, size: int) -> dict:
     return cols
 
 
-def run_ticks(world: GaitWorld) -> dict:
-    """Each tick's phase, scale and stride from one-tick advances."""
-    cols = {"phase": [], "scale": [], "stride": []}
-    for _ in range(N_TICKS):
-        world.advance(0.001)
-        cols["phase"].append(world.phase)
-        cols["scale"].append(world.scale)
-        cols["stride"].append(world.state.stride_index)
-    return cols
-
-
 world_cases = dict(activity=hs.sampled_from(sorted(TEMPLATES)),
                    scenario=hs.sampled_from(["steady", "perturb", "ramp"]),
                    seed=hs.integers(0, 2**16))
@@ -103,28 +93,25 @@ def test_one_tick_advance_is_the_block_of_one():
 def test_columns_equal_the_scalar_curves(activity, scenario, seed):
     tmpl = TEMPLATES[activity]
     cols = run_blocks(make_world(activity, scenario, seed), BLOCK_TICKS)
-    twin = run_ticks(make_world(activity, scenario, seed))
+    twin = reference_clock(make_world(activity, scenario, seed), 0.001,
+                           N_TICKS)
     np.testing.assert_array_equal(bits(cols["scale"]), bits(twin["scale"]))
     assert max(twin["stride"]) >= 2
     if scenario == "perturb":
         assert set(cols["perturb_kind"]) == {0, 1, 2}
-    for kin, walking, phase, scale, kind, bio in zip(
-            cols["kin"], cols["walking"], twin["phase"], twin["scale"],
-            cols["perturb_kind"], cols["bio"]):
-        if not walking:
-            assert kin[1:] == (0.0,) * 6 and bio == 0.0
-            continue
-        ref = gen_frame(tmpl, phase, scale, kin.t_ms)
-        if kind == 2:   # backward window: the shank sway shifts sk and df
-            ref = ref[:2] + kin[2:4] + ref[4:5] + kin[5:]
-        np.testing.assert_array_equal(bits(kin), bits(ref))
-        assert bits(bio) == bits(biological_torque(tmpl, phase))
+    # standing ticks are all zeros; walking ticks are gen_frame at the
+    # tick's phase and scale, plus the sway in backward windows
+    assert cols["walking"] == twin["walking"]
+    frames, bio = reference_frames(tmpl, twin)
+    np.testing.assert_array_equal(bits([k[1:] for k in cols["kin"]]),
+                                  bits(frames))
+    np.testing.assert_array_equal(bits(cols["bio"]), bits(bio))
 
 
 def test_stride_and_migration_follow_the_phase_wrap():
     world = make_world("lr", "steady", 0)
     cols = run_blocks(world, 997)
-    twin = run_ticks(make_world("lr", "steady", 0))
+    twin = reference_clock(make_world("lr", "steady", 0), 0.001, N_TICKS)
     stride = np.array(twin["stride"])
     wraps = np.flatnonzero(np.diff(stride)) + 1
     assert len(wraps) >= 2

@@ -2,108 +2,30 @@
 
 `GaitWorld._clock` covers plain stretches of walking ticks with one
 accumulation and runs its scalar body only for the wrap, onset, ramp and
-perturbation ticks. `reference_clock` below is the recurrence it replaced,
-one tick at a time. Every column must equal it bit for bit, for any block
-sizes: time, phase, scale, migration, perturbation kind, the sway rows, the
-stride at each block's end, and the frames and torque built from them.
+perturbation ticks. `scalar_reference.reference_clock` is the recurrence
+it replaced, one tick at a time. Every column must equal it bit for bit,
+for any block sizes: time, phase, scale, migration, perturbation kind, the
+sway rows, the stride at each block's end, and the frames and torque built
+from them.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec,
-                            PlantConfig, RampSpec, biological_torque,
-                            build_template, gen_frame)
+                            PerturbationSpec, PlantConfig, RampSpec,
+                            build_template)
+from scalar_reference import reference_clock, reference_frames
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
 STANDING_S = 0.05
 STRIDES = 3          # strides walked by the ticks a case runs
-CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
 
 
 def bits(values) -> np.ndarray:
     """Float64 bit patterns, so -0.0 and 0.0 differ."""
     return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
-def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
-    """The clock of n ticks from a world's state, one tick at a time, as the
-    scalar loop computed it: the columns by name, and "sway", the (tick,
-    sway, sway rate) rows of the backward sway windows. The world is left
-    as it was."""
-    tmpl, cfg, ramp = world.tmpl, world.config, world.ramp
-    perturbations, done = world.perturbations, set(world._pert_done)
-    sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
-    t_s, phase, scale = world.t_s, world.phase, world.scale
-    ramp_scale, pert = world._ramp_scale, world._pert_active
-    stride, migration = world.state.stride_index, world.state.migration
-    cols = {k: [] for k in ("t_s", "walking", "phase", "scale", "stride",
-                            "migration", "perturb_kind")}
-    sway_rows = []
-    for i in range(n):
-        t_s += dt
-        walking = t_s >= world.standing_s
-        if walking:
-            if ramp is not None and stride >= ramp.start_stride:
-                target = (ramp.low_scale if stride < ramp.start_stride
-                          + ramp.hold_strides else 1.0)
-                if ramp_scale < target:
-                    ramp_scale = min(target,
-                                     ramp_scale + ramp.rate_per_s * dt)
-                elif ramp_scale > target:
-                    ramp_scale = max(target,
-                                     ramp_scale - ramp.rate_per_s * dt)
-            scale = ramp_scale
-            if pert is not None:
-                spec, t0 = pert
-                window = 2.0 * spec.ramp_time
-                if spec.kind is PerturbationKind.BACKWARD:
-                    window = max(window, sway_w)
-                if t_s - t0 > window:
-                    pert = None
-                else:
-                    scale *= spec.multiplier(t_s - t0)
-            phase += dt * scale / tmpl.period
-            if phase >= 1.0:
-                phase -= 1.0
-                stride += 1
-                migration = cfg.mig_max * (
-                    1.0 - math.exp(-stride / cfg.mig_stride_tau))
-            spec = perturbations.get(stride)
-            if (spec is not None and pert is None and stride not in done
-                    and phase >= spec.onset_pct_gc):
-                pert = (spec, t_s)
-                done.add(stride)
-            if pert is not None and pert[0].kind is PerturbationKind.BACKWARD:
-                tau = t_s - pert[1]
-                if tau <= sway_w:
-                    sway_rows.append((
-                        i, -sway_a * math.sin(math.pi * tau / sway_w) ** 2,
-                        -sway_a * math.pi / sway_w
-                        * math.sin(2.0 * math.pi * tau / sway_w)))
-        for name, value in zip(cols, (t_s, walking, phase, scale, stride,
-                                      migration, CODE[pert and pert[0].kind])):
-            cols[name].append(value)
-    return dict(cols, sway=sway_rows)
-
-
-def reference_frames(tmpl, ref: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(frames, bio) of the reference clock from the scalar curves."""
-    n = len(ref["t_s"])
-    frames, bio = np.zeros((n, 6)), np.zeros(n)
-    for i, (walking, phase, scale) in enumerate(zip(
-            ref["walking"], ref["phase"], ref["scale"])):
-        if walking:
-            frames[i] = gen_frame(tmpl, phase, scale)[1:]
-            bio[i] = biological_torque(tmpl, phase)
-    for i, sway, rate in ref["sway"]:
-        frames[i, 1:3] += sway
-        frames[i, 4:6] += rate
-    return frames, bio
 
 
 def make_world(activity: str, scenario: str, seed: int,
@@ -243,3 +165,23 @@ def test_perturbations_in_consecutive_strides():
     opened = np.flatnonzero((np.diff(kind) != 0) & (kind[1:] != 0)) + 1
     assert [int(stride[i]) for i in opened] == [1, 2]
     assert kind[opened[1] - 1] != 0     # opened on the tick the first closed
+
+
+def test_held_ramp_scale_steps_the_phase_in_the_clock_body_order():
+    # A plain stretch under a held ramp scale steps the phase by
+    # dt * scale / period, the clock body's order. At lw and 0.9 the other
+    # order, dt / period * scale, differs in the last bit, and from phase
+    # 0.0 the first tick's phase is the step itself.
+    tmpl = TEMPLATES["lw"]
+    assert 0.001 * 0.9 / tmpl.period != 0.001 / tmpl.period * 0.9
+
+    def make():
+        world = GaitWorld(tmpl, PlantConfig(), standing_s=0.0,
+                          ramp=RampSpec(start_stride=0, low_scale=0.9))
+        world.phase = 0.0
+        world.scale = world._ramp_scale = 0.9
+        return world
+
+    ref = check_blocks(make, 0.001, [1, 500])
+    assert set(ref["scale"]) == {0.9}
+    assert ref["phase"][0] == 0.001 * 0.9 / tmpl.period
