@@ -19,6 +19,9 @@ from .plant import TemplateError
 from .profile import EstimationPath, ParameterError
 from .tendon import IdentificationError, identify_stiffness, load_calibration_csv
 
+# The keys of a --config file: ScenarioConfig's override groups.
+OVERRIDE_GROUPS = ("controller", "plant", "template")
+
 # What a user mends by changing a file or a flag, not the program.
 INPUT_ERRORS = (OSError, json.JSONDecodeError, ConfigError, TemplateError,
                 ParameterError, SignalQualityError, SignalLossError,
@@ -46,6 +49,11 @@ def _run(args) -> int:
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
+        unknown = ", ".join(sorted(overrides.keys() - set(OVERRIDE_GROUPS)))
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown key(s) {unknown}")
     cfg = ScenarioConfig(
         activity=args.activity, scenario=args.scenario,
         n_strides=args.strides, seed=args.seed, amp_fraction=args.amp,

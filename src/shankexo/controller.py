@@ -1,7 +1,15 @@
 """Stance/swing control state machine emitting 1 kHz cable velocity commands.
 
-`Controller.tick` returns the command as a plain float in mm/s; the run
-log's mode column and abort marker record which branch acted.
+`Controller.run` runs the ticks between two gait events: per tick, the
+command, the cable step the caller bound and the tick's log row, whose mode
+code and abort marker record which branch acted. The controller state lives
+in locals across the stretch; a tick that can change the mode, the
+engagement, the abort or the tendon model (pretighten, the stance probe and
+the engage tick, the abort and its non-finite and limit latches) runs on
+`ControllerState` instead, with the locals written back before it and read
+again after it, so `on_event` sees the state tick-by-tick evaluation leaves.
+`Controller.tick` is the one-tick run and returns the command as a plain
+float in mm/s.
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -17,12 +25,13 @@ moment the cable first engages.
 
 `ControllerState.f_des` is the desired force the run log shows for the last
 tick: the profile force at the tick's shank angle on stance ticks with
-parameters, and 0.0 otherwise. A stance tick evaluates the profile once
-(`eval_force_and_rate`: the desired force and its rate from one exp); an
-aborted stance tick holds without it and evaluates the force alone
-(`eval_force`). Leaving stance, which only foot-off does, resets it to 0.0.
-The per-tick guards (the safety limits, the command envelope, the swing
-anti-windup) are bare comparisons that return exactly what the min/max
+parameters, and 0.0 otherwise. An engaged stance tick evaluates the profile
+once (`eval_force_and_rate`: the desired force and its rate from one exp);
+a probe tick, which needs no rate, and an aborted stance tick, which holds
+without the profile, evaluate the force alone (`eval_force`). Leaving
+stance, which only foot-off does, resets it to 0.0. The per-tick guards
+(the safety limits, the command envelope, the swing anti-windup, the
+overshoot shed) are bare comparisons that return exactly what the min/max
 forms they replace return, NaN and infinities included.
 """
 
@@ -32,9 +41,10 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .gait_signals import GaitEvent, GaitEventKind
+from .plant import CableStep
 from .profile import GaussianParams, eval_force, eval_force_and_rate
 from .tendon import TendonModel, estimate_migration, tendon_length
 
@@ -46,6 +56,12 @@ class ControlMode(Enum):
     SILENT = "silent"
     SWING = "swing"
     STANCE = "stance"
+
+
+# The run log's mode code: the mode's index in ControlMode, and one past the
+# last once the safety abort has latched.
+_MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
+ABORT_CODE = len(ControlMode)
 
 
 @dataclass
@@ -142,44 +158,113 @@ class Controller:
 
     # -- per-tick interface --------------------------------------------------
 
+    def run(self, ticks: Iterable[tuple], step: CableStep, reading: tuple,
+            dt: float, log_row: Callable[[tuple], object]) -> tuple:
+        """Run a stretch of ticks with no gait event inside.
+
+        ticks yields each tick's (theta_sk, theta_df, theta_sk_rate,
+        theta_df_rate, migration): the shank and DF angles (deg) and rates
+        (deg/s), and the suit migration (mm) the cable step takes. reading
+        is (f_meas, l_meas, l_meas_rate, motor_pos), the cable's reading
+        that the first tick's command sees. Each tick computes the velocity
+        command v (mm/s, positive retracts), calls step(v, theta_df,
+        migration) -> (f_truth, f_meas, l_meas, l_meas_rate, motor_pos),
+        whose reading the next tick sees, and hands log_row the tuple
+        (mode code, f_des, f_meas, f_truth, l_meas, v) of the state after
+        the tick; the mode code is the mode's index in ControlMode, or
+        ABORT_CODE once the abort has latched. Returns the last reading.
+
+        A settled tick (swing, silent, or engaged stance with params; no
+        abort latched, finite inputs, readings inside the limits) runs here
+        on locals. Any other tick (pretighten, probe or engage, abort, a
+        non-finite input or a limit crossing) is `_unsettled_tick` on the
+        state, with the locals written back before it and read again after
+        it. The state after the stretch is the one tick-by-tick evaluation
+        leaves.
+        """
+        st, cfg = self.state, self.cfg
+        r, k_all = self.tendon.lever_arm_r, self.tendon.k_all
+        kp, ki, kd, map_m, map_b = cfg.kp, cfg.ki, cfg.kd, cfg.map_m, cfg.map_b
+        static_map = map_m <= 0.0           # 1/(M s + B) with M = 0 is 1/B
+        ic, vm = cfg.integral_clamp, cfg.v_max
+        ceiling, lim = cfg.force_ceiling, cfg.position_limit_mm
+        inf, radians = math.inf, math.radians
+        f_meas, l_meas, l_rate, pos = reading
+        df = st.last_theta_df
+        (settled, stance, swing, p, target, code, f_des, v_fb, e_int,
+         f_swing_max) = self._settled_locals()
+        for sk, df, sk_rate, df_rate, migration in ticks:
+            v = None
+            # NaN fails every comparison and makes the sum NaN, and an
+            # infinity in any input makes it non-finite.
+            if (not settled or f_meas > ceiling or pos > lim or pos < -lim
+                    or not -inf < (f_meas + l_meas + l_rate + pos + sk + df
+                                   + sk_rate + df_rate) < inf):
+                st.f_des, st.v_fb_state = f_des, v_fb
+                st.e_l_integral, st.f_swing_max = e_int, f_swing_max
+                v = self._unsettled_tick(sk, df, sk_rate, df_rate, f_meas,
+                                         l_meas, l_rate, pos)
+                (settled, stance, swing, p, target, code, f_des, v_fb, e_int,
+                 f_swing_max) = self._settled_locals()
+            if v is None:
+                if stance:
+                    f_des, f_rate = eval_force_and_rate(p, sk, sk_rate)
+                    # 1/(M s + B) by backward Euler
+                    err = f_des - f_meas
+                    v_fb = (err / map_b if static_map else
+                            (map_m * v_fb + dt * err) / (map_m + map_b * dt))
+                    # feedback minus the feedforward: the tendon length rate
+                    # along the desired-force trajectory
+                    v = v_fb - (r * radians(df_rate) - f_rate / k_all)
+                    if sk <= p.mu:
+                        # Engagement overshoot: the probe meets a taut length
+                        # moving at full gait speed, so contact lands a few
+                        # newtons hard; shed the excess quickly while the
+                        # desired force is still near zero.
+                        if f_des < 0.25 * p.amp:
+                            v -= min(100.0,
+                                     25.0 * max(0.0, f_meas - f_des - 1.0))
+                    elif f_des < cfg.tail_release_force and f_meas > 1.0:
+                        # Profile finished on the falling branch: shed the
+                        # residual tension carried by the motor lag so the
+                        # cable crosses foot-off near-slack.
+                        v -= cfg.tail_release_rate
+                else:
+                    # PI with damping injection toward the swing's
+                    # quasi-slack length, or the release target when silent
+                    if swing and f_meas > f_swing_max:
+                        f_swing_max = f_meas
+                    e = target - l_meas
+                    i = e_int + e * dt
+                    i = i if i < ic else ic                    # min(ic, i)
+                    e_int = i = i if i > -ic else -ic          # max(-ic, .)
+                    v = -(kp * e + ki * i - kd * l_rate)
+                # The command envelope, max(-vm, min(vm, v)) written out;
+                # NaN becomes a hold (zero), where min/max would retract.
+                if v != v:
+                    v = 0.0
+                else:
+                    v = v if v < vm else vm
+                    v = v if v > -vm else -vm
+            f_truth, f_meas, l_meas, l_rate, pos = step(v, df, migration)
+            log_row((code, f_des, f_meas, f_truth, l_meas, v))
+        st.last_theta_df = df
+        st.f_des, st.v_fb_state = f_des, v_fb
+        st.e_l_integral, st.f_swing_max = e_int, f_swing_max
+        return f_meas, l_meas, l_rate, pos
+
     def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
              theta_df_rate: float, f_meas: float, l_meas: float,
              l_meas_rate: float, motor_pos: float, dt: float) -> float:
-        """The tick's velocity command in mm/s; positive retracts the cable.
-        The shank and DF angles (deg) and rates (deg/s) are the tick's
-        kinematics."""
-        st = self.state
-        st.last_theta_df = theta_df
-        # One check covers all eight: a NaN or an infinity in any makes the
-        # sum non-finite, and NaN slips through every comparison below.
-        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
-                             + theta_sk + theta_df + theta_sk_rate
-                             + theta_df_rate):
-            if not st.aborted:
-                log.error("safety abort: non-finite input (f, l, rate, pos)="
-                          "%r (sk, df, sk rate, df rate)=%r",
-                          (f_meas, l_meas, l_meas_rate, motor_pos),
-                          (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
-            st.aborted = True
-        # safety_check's conditions as bare comparisons, so a tick inside the
-        # limits makes no call (abs(pos) > lim is pos > lim or pos < -lim).
-        cfg = self.cfg
-        lim = cfg.position_limit_mm
-        if ((st.aborted or f_meas > cfg.force_ceiling
-             or motor_pos > lim or motor_pos < -lim)
-                and self.safety_check(f_meas, motor_pos)):
-            if st.mode is ControlMode.STANCE and st.active_params:
-                st.f_des = eval_force(st.active_params, theta_sk)
-            return self._tick_abort(l_meas)
-        mode = st.mode
-        if mode is ControlMode.PRETIGHTEN:
-            return self._tick_pretighten(theta_df, f_meas, l_meas)
-        if mode is ControlMode.SILENT:
-            return self._pi_toward(st.release_target, l_meas, l_meas_rate, dt)
-        if mode is ControlMode.SWING:
-            return self.tick_swing(l_meas, l_meas_rate, dt, f_meas)
-        return self.tick_stance(theta_sk, theta_df, theta_sk_rate,
-                                theta_df_rate, f_meas, l_meas, dt)
+        """One tick's velocity command in mm/s (positive retracts the cable)
+        from its shank and DF angles (deg) and rates (deg/s) and the cable
+        reading: `run` over one tick, with a cable step whose reading
+        nothing reads."""
+        row = []
+        self.run(((theta_sk, theta_df, theta_sk_rate, theta_df_rate, 0.0),),
+                 lambda *_: (0.0,) * 5,
+                 (f_meas, l_meas, l_meas_rate, motor_pos), dt, row.extend)
+        return row[5]
 
     def safety_check(self, f_meas: float, motor_pos: float) -> bool:
         """Latch and log the abort when a limit is exceeded; True once
@@ -191,106 +276,76 @@ class Controller:
             st.aborted = True
         return st.aborted
 
-    def tick_swing(self, l_meas: float, l_meas_rate: float, dt: float,
-                   f_meas: float = 0.0) -> float:
-        st = self.state
-        if f_meas > st.f_swing_max:
-            st.f_swing_max = f_meas
-        return self._pi_toward(st.l_swing, l_meas, l_meas_rate, dt)
+    # -- helpers --------------------------------------------------------------
 
-    def tick_stance(self, theta_sk: float, theta_df: float,
-                    theta_sk_rate: float, theta_df_rate: float, f_meas: float,
-                    l_meas: float, dt: float) -> float:
+    def _settled_locals(self) -> tuple:
+        """What `run` holds in locals, read from the state: whether the next
+        tick is settled, whether the mode is stance or swing, the params, the
+        PI target, the log's mode code, and f_des, v_fb_state, e_l_integral
+        and f_swing_max."""
         st = self.state
-        cfg = self.cfg
-        p = st.active_params
+        mode, p = st.mode, st.active_params
+        stance, swing = mode is ControlMode.STANCE, mode is ControlMode.SWING
+        settled = not st.aborted and (swing or mode is ControlMode.SILENT or (
+            stance and st.engaged and p is not None))
+        return (settled, stance, swing, p,
+                st.l_swing if swing else st.release_target,
+                ABORT_CODE if st.aborted else _MODE_CODE[mode],
+                st.f_des, st.v_fb_state, st.e_l_integral, st.f_swing_max)
+
+    def _unsettled_tick(self, theta_sk: float, theta_df: float,
+                        theta_sk_rate: float, theta_df_rate: float,
+                        f_meas: float, l_meas: float, l_meas_rate: float,
+                        motor_pos: float) -> Optional[float]:
+        """A tick that may change the mode, the engagement, the abort or the
+        tendon model, on the state: the non-finite and limit checks, the
+        abort hold, pretighten, and the stance probe up to engagement.
+        Returns its command, or None when the tick goes on as a settled one
+        (the engage tick continues as an engaged stance tick)."""
+        st, cfg, tendon = self.state, self.cfg, self.tendon
+        st.last_theta_df = theta_df
+        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
+                             + theta_sk + theta_df + theta_sk_rate
+                             + theta_df_rate):
+            if not st.aborted:
+                log.error("safety abort: non-finite input (f, l, rate, pos)="
+                          "%r (sk, df, sk rate, df rate)=%r",
+                          (f_meas, l_meas, l_meas_rate, motor_pos),
+                          (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
+            st.aborted = True
+        mode, p = st.mode, st.active_params
+        if self.safety_check(f_meas, motor_pos):
+            # An aborted stance tick holds without the profile; the log
+            # still shows the profile force of its shank angle.
+            if mode is ControlMode.STANCE and p is not None:
+                st.f_des = eval_force(p, theta_sk)
+            # Latched: pay the cable out to the slack reference, then zero
+            # the motor.
+            return -cfg.v_max if l_meas < st.release_target - 0.5 else 0.0
+        if mode is ControlMode.PRETIGHTEN:
+            if f_meas < cfg.pretighten_force:
+                return cfg.pretighten_rate
+            # Baseline confirmed: back out the zero-force length from this
+            # reading.
+            tendon.baseline_c = (l_meas + f_meas / tendon.k_all
+                                 - tendon.lever_arm_r * math.radians(theta_df))
+            st.release_target = l_meas + cfg.release_slack_mm
+            st.mode = ControlMode.SILENT
+            return 0.0
+        if mode is not ControlMode.STANCE or (st.engaged and p is not None):
+            return None
         if p is None:
             log.warning("stance tick without profile parameters; holding")
             return 0.0
-        f_des, f_rate = eval_force_and_rate(p, theta_sk, theta_sk_rate)
-        st.f_des = f_des
-        l_des = tendon_length(self.tendon, theta_df, f_des)
-        if not st.engaged:
-            # Take up the swing slack, then probe until the cable is
-            # physically taut: only a taut measurement identifies migration.
-            if f_meas >= cfg.engage_force:
-                st.engaged = True
-                estimate_migration(self.tendon, l_meas, theta_df, f_meas)
-                l_des = tendon_length(self.tendon, theta_df, f_des)
-            else:
-                gap = l_meas - l_des
-                v = max(cfg.probe_rate,
-                        min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
-                            + cfg.probe_rate, cfg.v_max))
-                return v
-        v_fb = self._feedback_velocity(f_des - f_meas, dt)
-        v_ff = (self.tendon.lever_arm_r * math.radians(theta_df_rate)
-                - f_rate / self.tendon.k_all)
-        v = v_fb - v_ff
-        if theta_sk <= p.mu:
-            # Engagement overshoot: the probe meets a taut length moving at
-            # full gait speed, so contact lands a few newtons hard; shed the
-            # excess quickly while the desired force is still near zero.
-            if f_des < 0.25 * p.amp:
-                v -= min(100.0, 25.0 * max(0.0, f_meas - f_des - 1.0))
-        elif f_des < cfg.tail_release_force and f_meas > 1.0:
-            # Profile finished on the falling branch: shed the residual
-            # tension carried by the motor lag so the cable crosses
-            # foot-off near-slack.
-            v -= cfg.tail_release_rate
-        return self._clamp(v)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _feedback_velocity(self, force_error: float, dt: float) -> float:
-        """Realize 1/(M s + B) by backward Euler; M = 0 degenerates to 1/B."""
-        cfg = self.cfg
-        if cfg.map_m <= 0.0:
-            self.state.v_fb_state = force_error / cfg.map_b
-        else:
-            self.state.v_fb_state = ((cfg.map_m * self.state.v_fb_state
-                                      + dt * force_error)
-                                     / (cfg.map_m + cfg.map_b * dt))
-        return self.state.v_fb_state
-
-    def _pi_toward(self, target_l: float, l_meas: float, l_meas_rate: float,
-                   dt: float) -> float:
-        st = self.state
-        cfg = self.cfg
-        e = target_l - l_meas
-        ic = cfg.integral_clamp
-        i = st.e_l_integral + e * dt
-        i = i if i < ic else ic                      # min(ic, i)
-        st.e_l_integral = i = i if i > -ic else -ic  # max(-ic, .)
-        v = -(cfg.kp * e + cfg.ki * i - cfg.kd * l_meas_rate)
-        return self._clamp(v)
-
-    def _tick_pretighten(self, theta_df: float, f_meas: float,
-                         l_meas: float) -> float:
-        st = self.state
-        cfg = self.cfg
-        if f_meas < cfg.pretighten_force:
-            return cfg.pretighten_rate
-        # Baseline confirmed: back out the zero-force length from this reading.
-        self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
-                                  - self.tendon.lever_arm_r
-                                  * math.radians(theta_df))
-        st.release_target = l_meas + cfg.release_slack_mm
-        st.mode = ControlMode.SILENT
-        return 0.0
-
-    def _tick_abort(self, l_meas: float) -> float:
-        # Latched: pay the cable out to the slack reference, then zero the motor.
-        if l_meas < self.state.release_target - 0.5:
-            return -self.cfg.v_max
-        return 0.0
-
-    def _clamp(self, v: float) -> float:
-        """Limit to the command envelope; NaN becomes a hold (zero), since
-        min/max would turn it into full retraction. The comparisons are
-        max(-vm, min(vm, v)) written out, equal to it for every float."""
-        if v != v:
-            return 0.0
-        vm = self.cfg.v_max
-        v = v if v < vm else vm
-        return v if v > -vm else -vm
+        if f_meas >= cfg.engage_force:
+            # Taut: only a taut measurement identifies migration.
+            st.engaged = True
+            estimate_migration(tendon, l_meas, theta_df, f_meas)
+            return None
+        # Take up the swing slack, then probe until the cable is physically
+        # taut.
+        st.f_des = f_des = eval_force(p, theta_sk)
+        gap = l_meas - tendon_length(tendon, theta_df, f_des)
+        return max(cfg.probe_rate,
+                   min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
+                       + cfg.probe_rate, cfg.v_max))

@@ -300,7 +300,9 @@ REPLAY_HEADER = ["t_ms", "theta_ft_deg", "theta_sk_deg",
 
 
 def read_replay_csv(path) -> Iterator[KinematicSample]:
-    """Replay a recorded kinematic stream; the DF channel is derived, not read."""
+    """Replay a recorded kinematic stream; the DF channel is derived, not read.
+    A row that is not five numbers raises SignalQualityError naming its
+    line."""
     cond = StreamConditioner()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -308,5 +310,9 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
         if [h.strip() for h in header] != REPLAY_HEADER:
             raise SignalQualityError(f"unexpected replay header: {header}")
         for row in reader:
-            t, ft, sk, ft_r, sk_r = (float(x) for x in row)
+            try:
+                t, ft, sk, ft_r, sk_r = (float(x) for x in row)
+            except ValueError as exc:
+                raise SignalQualityError(f"replay line {reader.line_num}: "
+                                         f"not 5 numbers: {row}") from exc
             yield from cond.feed(t, ft, sk, ft_r, sk_r)

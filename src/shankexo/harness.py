@@ -21,15 +21,16 @@ onset, ramp and perturbation ticks, and makes two passes over each block:
    The fault spike, when its tick (fault_spike_t_ms rounded to whole ms)
    is among the block's ticks up to the stop tick, joins the schedule as
    an entry without an event.
-2. Closed loop: the block's ticks up to the stop tick. Each schedule entry
-   is applied before its tick's command: an event reaches
-   `Controller.on_event`, and the spike adds fault_spike_n to the reading
-   that tick's command sees, until its cable step takes the next reading.
-   Each tick is only `Controller.tick`, the cable step bound once for the
-   run (`GaitWorld.cable_step`) and the tick's log row; the cable's reading
-   is the controller's input on the next tick. The tick's shank and DF
-   angles and rates come from the block's `frames` columns, and its
-   migration from the `migration` column, as floats.
+2. Closed loop: the block's ticks up to the stop tick, one stretch between
+   schedule entries at a time. Each entry is applied before its tick's
+   command: an event reaches `Controller.on_event`, and the spike adds
+   fault_spike_n to the reading that tick's command sees, until its cable
+   step takes the next reading. `Controller.run` runs each stretch: per
+   tick only the controller, the cable step bound once for the run
+   (`GaitWorld.cable_step`) and the tick's log row; the cable's reading is
+   the controller's input on the next tick. The tick's shank and DF angles
+   and rates come from the block's `frames` columns, and its migration from
+   the `migration` column, as floats.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -112,9 +113,7 @@ from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
                "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturb_kind", "bio")
-MODES = [m.value for m in ControlMode] + ["abort"]
-_MODE_INDEX = {m: i for i, m in enumerate(ControlMode)}
-_ABORT_INDEX = MODES.index("abort")
+MODES = [m.value for m in ControlMode] + ["abort"]    # by the log's mode code
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
 # Log columns the closed loop makes, in the order of a tick's log row, and
 # those copied from the world block, in the order run_scenario copies them.
@@ -124,8 +123,8 @@ _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
 _BLOCK_COLUMNS = [LOG_COLUMNS.index(c) for c in (
     "t_ms", "theta_sk_deg", "theta_ft_deg", "theta_df_deg", "belt_scale",
     "perturb_kind", "bio")]
-# The columns of a world block's frames that Controller.tick reads, in the
-# order of its arguments.
+# The columns of a world block's frames that Controller.run reads, in the
+# order of a tick's values.
 _TICK_FRAMES = [KinematicSample._fields[1:].index(c) for c in (
     "theta_sk", "theta_df", "theta_sk_rate", "theta_df_rate")]
 _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
@@ -247,6 +246,20 @@ def resample_uniform(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # -- scenario configuration ----------------------------------------------------
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The override value each annotation of an overridable field takes, as a
+# description and a test; JSON gives a pair as a list.
+_OVERRIDE_TYPES = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda x: _is_number(x) and isinstance(x, int)),
+    "tuple[float, float]": ("a pair of numbers", lambda x: isinstance(
+        x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
+}
+
+
 @dataclass
 class ScenarioConfig:
     activity: str = "lw"
@@ -280,22 +293,30 @@ class ScenarioConfig:
         if not (self.fault_spike_t_ms is None
                 or math.isfinite(self.fault_spike_t_ms)):
             raise ConfigError("fault_spike_t_ms must be finite")
-        # An override names a field of its dataclass that the scenario does
-        # not set itself.
+        # An override group is a mapping. An override names a field of its
+        # dataclass that the scenario does not set itself, with a value of
+        # the field's type.
         for group, owner, fixed in (
                 ("controller", ControllerConfig, {"v_max": "plant.v_max"}),
                 ("plant", PlantConfig, {}),
                 ("template", GaitTemplate, {
                     "activity": "activity",
                     **dict.fromkeys(DERIVED_FIELDS, "the stance curves")})):
-            known = {f.name for f in fields(owner)}
-            for key in getattr(self, group):
+            overrides = getattr(self, group)
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"{group} overrides must be a mapping")
+            kinds = {f.name: f.type for f in fields(owner)}
+            for key, value in overrides.items():
                 if key in fixed:
                     raise ConfigError(f"{group}.{key} is set from "
                                       f"{fixed[key]}, not overridden")
-                if key not in known:
+                if key not in kinds:
                     raise ConfigError(f"{group}.{key} is not a field of "
                                       f"{owner.__name__}")
+                what, fits = _OVERRIDE_TYPES[kinds[key]]
+                if not fits(value):
+                    raise ConfigError(f"{group}.{key} must be {what}, not "
+                                      f"{value!r}")
 
 
 @dataclass
@@ -387,9 +408,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     events: list[GaitEvent] = []
     adopted: list[GaussianParams] = []     # params active per stride
     raws: list = []                        # last accepted features per stride
-    # The reading of the previous tick is the controller's input.
-    f_meas = l_rate = pos = 0.0
-    l_meas = world.state.l_cable
+    # The reading of the previous tick, (f_meas, l_meas, l_meas_rate,
+    # motor_pos), is the controller's input.
+    reading = (0.0, world.state.l_cable, 0.0, 0.0)
     current_stride = -1
     bound = stop = int((world.standing_s + (cfg.n_strides + 6)
                         * tmpl.period * 2.2) * 1000)
@@ -404,10 +425,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
     foot_contact = GaitEventKind.FOOT_CONTACT
-    mode = None          # the mode whose log index is in mode_index
-    mode_index = 0
-    tick, step_cable = ctrl.tick, world.cable_step(dt)
-    st = ctrl.state
+    run, step_cable = ctrl.run, world.cable_step(dt)
 
     while n_log < stop:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - n_log))
@@ -454,16 +472,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                     block.migration[:m].tolist())
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            for sk, df, sk_rate, df_rate, migration in islice(ticks, at - done):
-                v = tick(sk, df, sk_rate, df_rate, f_meas, l_meas, l_rate, pos,
-                         dt)
-                f_truth, f_meas, l_meas, l_rate, pos = step_cable(
-                    v, df, migration)
-                if st.mode is not mode:   # Enum hashing is slow; modes change rarely
-                    mode = st.mode
-                    mode_index = _MODE_INDEX[mode]
-                log_row((_ABORT_INDEX if st.aborted else mode_index,
-                         st.f_des, f_meas, f_truth, l_meas, v))
+            reading = run(islice(ticks, at - done), step_cable, reading, dt,
+                          log_row)
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:
@@ -471,7 +481,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                     current_stride = ev.gc_index
                 ctrl.on_event(ev, new_params=params)
             elif at < m:              # the spike; the entry at m ends the block
-                f_meas += cfg.fault_spike_n
+                reading = (reading[0] + cfg.fault_spike_n, *reading[1:])
         # The block's own columns, cut to the ticks the loop ran.
         part[:, _LOOP_COLUMNS] = np.frombuffer(rows).reshape(m, -1)
         ft, sk, df = block.frames[:, :3].T

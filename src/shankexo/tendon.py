@@ -105,7 +105,9 @@ CALIBRATION_HEADER = ["force_n", "deflection_mm"]
 
 
 def load_calibration_csv(path) -> list[tuple[float, float]]:
-    """Read (force N, deflection mm) pairs for offline stiffness workflows."""
+    """Read (force N, deflection mm) pairs for offline stiffness workflows.
+    A row that is not two numbers raises IdentificationError naming its
+    line."""
     out: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -113,5 +115,11 @@ def load_calibration_csv(path) -> list[tuple[float, float]]:
         if [h.strip() for h in header] != CALIBRATION_HEADER:
             raise IdentificationError(f"unexpected calibration header: {header}")
         for row in reader:
-            out.append((float(row[0]), float(row[1])))
+            try:
+                force, deflection = (float(x) for x in row)
+            except ValueError as exc:
+                raise IdentificationError(
+                    f"calibration line {reader.line_num}: not 2 numbers: "
+                    f"{row}") from exc
+            out.append((force, deflection))
     return out

@@ -1,4 +1,5 @@
-"""Scalar references for the array code, one value at a time.
+"""Scalar references for the array code and the segment loop, one value or
+one tick at a time.
 
 `shankexo` computes each gait curve, the biological torque, the time-based
 comparator and the world clock once, over numpy arrays. This module keeps
@@ -6,6 +7,11 @@ the scalar forms they were written from, as plain Python over floats, so the
 bit-equality tests can compare the array code against an independent
 evaluation. The array code repeats these operation orders; a reordered
 product or sum in `src/` shows up here as a last-bit difference.
+
+`Controller.run` holds the controller state in locals across a stretch of
+ticks. `TickController` is the controller as it ran before, one `tick` call
+per tick on `ControllerState`, and `reference_run` is the loop that drove
+it: the per-tick reference of `run`.
 
 Not a test module: pytest collects only test_*.py.
 """
@@ -18,10 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+from shankexo.controller import ABORT_CODE, ControlMode, Controller
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind, _ds3,
                             _s3)
-from shankexo.profile import GaussianParams, ShankByPercentGC, eval_force
+from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
+                              eval_force_and_rate)
+from shankexo.tendon import estimate_migration, tendon_length
 
 CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
 
@@ -231,3 +240,142 @@ def reference_frames(tmpl: GaitTemplate,
         frames[i, 1:3] += sway
         frames[i, 4:6] += rate
     return frames, bio
+
+
+# -- controller, one tick per call -----------------------------------------------
+
+MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
+
+
+class TickController(Controller):
+    """The controller one tick per call, every value read from and written
+    to `ControllerState` on every tick: the per-tick bodies `Controller.run`
+    replaced, without their log messages."""
+
+    def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
+             theta_df_rate: float, f_meas: float, l_meas: float,
+             l_meas_rate: float, motor_pos: float, dt: float) -> float:
+        st = self.state
+        st.last_theta_df = theta_df
+        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
+                             + theta_sk + theta_df + theta_sk_rate
+                             + theta_df_rate):
+            st.aborted = True
+        cfg = self.cfg
+        lim = cfg.position_limit_mm
+        if ((st.aborted or f_meas > cfg.force_ceiling
+             or motor_pos > lim or motor_pos < -lim)
+                and self.safety_check(f_meas, motor_pos)):
+            if st.mode is ControlMode.STANCE and st.active_params:
+                st.f_des = eval_force(st.active_params, theta_sk)
+            return self._tick_abort(l_meas)
+        mode = st.mode
+        if mode is ControlMode.PRETIGHTEN:
+            return self._tick_pretighten(theta_df, f_meas, l_meas)
+        if mode is ControlMode.SILENT:
+            return self._pi_toward(st.release_target, l_meas, l_meas_rate, dt)
+        if mode is ControlMode.SWING:
+            return self.tick_swing(l_meas, l_meas_rate, dt, f_meas)
+        return self.tick_stance(theta_sk, theta_df, theta_sk_rate,
+                                theta_df_rate, f_meas, l_meas, dt)
+
+    def tick_swing(self, l_meas: float, l_meas_rate: float, dt: float,
+                   f_meas: float = 0.0) -> float:
+        st = self.state
+        if f_meas > st.f_swing_max:
+            st.f_swing_max = f_meas
+        return self._pi_toward(st.l_swing, l_meas, l_meas_rate, dt)
+
+    def tick_stance(self, theta_sk: float, theta_df: float,
+                    theta_sk_rate: float, theta_df_rate: float, f_meas: float,
+                    l_meas: float, dt: float) -> float:
+        st = self.state
+        cfg = self.cfg
+        p = st.active_params
+        if p is None:
+            return 0.0
+        f_des, f_rate = eval_force_and_rate(p, theta_sk, theta_sk_rate)
+        st.f_des = f_des
+        l_des = tendon_length(self.tendon, theta_df, f_des)
+        if not st.engaged:
+            if f_meas >= cfg.engage_force:
+                st.engaged = True
+                estimate_migration(self.tendon, l_meas, theta_df, f_meas)
+            else:
+                gap = l_meas - l_des
+                return max(cfg.probe_rate,
+                           min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
+                               + cfg.probe_rate, cfg.v_max))
+        v_fb = self._feedback_velocity(f_des - f_meas, dt)
+        v_ff = (self.tendon.lever_arm_r * math.radians(theta_df_rate)
+                - f_rate / self.tendon.k_all)
+        v = v_fb - v_ff
+        if theta_sk <= p.mu:
+            if f_des < 0.25 * p.amp:
+                v -= min(100.0, 25.0 * max(0.0, f_meas - f_des - 1.0))
+        elif f_des < cfg.tail_release_force and f_meas > 1.0:
+            v -= cfg.tail_release_rate
+        return self._clamp(v)
+
+    def _feedback_velocity(self, force_error: float, dt: float) -> float:
+        """1/(M s + B) by backward Euler; M = 0 degenerates to 1/B."""
+        cfg = self.cfg
+        if cfg.map_m <= 0.0:
+            self.state.v_fb_state = force_error / cfg.map_b
+        else:
+            self.state.v_fb_state = ((cfg.map_m * self.state.v_fb_state
+                                      + dt * force_error)
+                                     / (cfg.map_m + cfg.map_b * dt))
+        return self.state.v_fb_state
+
+    def _pi_toward(self, target_l: float, l_meas: float, l_meas_rate: float,
+                   dt: float) -> float:
+        st = self.state
+        cfg = self.cfg
+        e = target_l - l_meas
+        ic = cfg.integral_clamp
+        i = st.e_l_integral + e * dt
+        i = i if i < ic else ic                      # min(ic, i)
+        st.e_l_integral = i = i if i > -ic else -ic  # max(-ic, .)
+        v = -(cfg.kp * e + cfg.ki * i - cfg.kd * l_meas_rate)
+        return self._clamp(v)
+
+    def _tick_pretighten(self, theta_df: float, f_meas: float,
+                         l_meas: float) -> float:
+        st = self.state
+        cfg = self.cfg
+        if f_meas < cfg.pretighten_force:
+            return cfg.pretighten_rate
+        self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
+                                  - self.tendon.lever_arm_r
+                                  * math.radians(theta_df))
+        st.release_target = l_meas + cfg.release_slack_mm
+        st.mode = ControlMode.SILENT
+        return 0.0
+
+    def _tick_abort(self, l_meas: float) -> float:
+        if l_meas < self.state.release_target - 0.5:
+            return -self.cfg.v_max
+        return 0.0
+
+    def _clamp(self, v: float) -> float:
+        """The command envelope; NaN becomes a hold (zero)."""
+        if v != v:
+            return 0.0
+        vm = self.cfg.v_max
+        v = v if v < vm else vm
+        return v if v > -vm else -vm
+
+
+def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):
+    """`Controller.run` one `tick` call per tick: the loop body the harness
+    ran before `run`."""
+    f_meas, l_meas, l_rate, pos = reading
+    st = ctrl.state
+    for sk, df, sk_rate, df_rate, migration in ticks:
+        v = ctrl.tick(sk, df, sk_rate, df_rate, f_meas, l_meas, l_rate, pos,
+                      dt)
+        f_truth, f_meas, l_meas, l_rate, pos = step(v, df, migration)
+        log_row((ABORT_CODE if st.aborted else MODE_CODE[st.mode], st.f_des,
+                 f_meas, f_truth, l_meas, v))
+    return f_meas, l_meas, l_rate, pos

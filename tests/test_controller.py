@@ -8,7 +8,7 @@ from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.plant import build_template
 from shankexo.profile import GaussianParams, eval_force
 from shankexo.tendon import TendonModel, tendon_length
-from scalar_reference import gen_frame
+from scalar_reference import TickController, gen_frame
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
@@ -19,13 +19,30 @@ def kin(theta_sk=0.0, theta_ft=0.0, sk_rate=0.0, ft_rate=0.0, t_ms=0.0):
 
 def angles(k):
     """A sample's shank and DF angles and rates: the kinematic arguments of
-    Controller.tick and tick_stance."""
+    Controller.tick."""
     return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
 
 
-def make_controller(mode=ControlMode.STANCE, engaged=True, **cfg_kw):
+def swing_tick(ctrl, l_meas, l_meas_rate, dt, f_meas=0.0):
+    """A swing-mode tick through Controller.tick, with the kinematics and
+    the motor position at zero."""
+    return ctrl.tick(0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate, 0.0, dt)
+
+
+def stance_tick(ctrl, theta_sk, theta_df, theta_sk_rate, theta_df_rate,
+                f_meas, l_meas, dt):
+    """A stance-mode tick through Controller.tick, with the cable rate and
+    the motor position at zero."""
+    return ctrl.tick(theta_sk, theta_df, theta_sk_rate, theta_df_rate, f_meas,
+                     l_meas, 0.0, 0.0, dt)
+
+
+def make_controller(mode=ControlMode.STANCE, engaged=True, cls=Controller,
+                    **cfg_kw):
+    """A controller in `mode` with PARAMS; cls=TickController gives the
+    per-tick reference."""
     cfg = ControllerConfig(**cfg_kw)
-    ctrl = Controller(cfg, TendonModel(50.0, 12.5, 300.0))
+    ctrl = cls(cfg, TendonModel(50.0, 12.5, 300.0))
     ctrl.state.mode = mode
     ctrl.state.engaged = engaged
     ctrl.state.active_params = PARAMS
@@ -49,7 +66,7 @@ class TestEvents:
         assert ctrl.state.mode is ControlMode.SILENT
         cmd = ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)
         # silent walking holds the slack: PI toward the release target
-        twin = make_controller(mode=ControlMode.SWING)
+        twin = make_controller(mode=ControlMode.SWING, cls=TickController)
         twin.state.l_swing = 322.0
         assert cmd == twin.tick_swing(320.0, 0.0, 0.001)
         assert cmd < 0.0
@@ -105,7 +122,7 @@ class TestSwingTick:
     def test_proportional_toward_target(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         ctrl.state.l_swing = 102.0
-        cmd = ctrl.tick_swing(l_meas=100.0, l_meas_rate=0.0, dt=0.001)
+        cmd = swing_tick(ctrl, l_meas=100.0, l_meas_rate=0.0, dt=0.001)
         # e_L = +2 mm: the tendon must lengthen, i.e. pay out cable
         assert abs(cmd) == pytest.approx(46.0, rel=1e-6)
         assert cmd < 0.0
@@ -115,13 +132,13 @@ class TestSwingTick:
     def test_equilibrium(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         ctrl.state.l_swing = 100.0
-        cmd = ctrl.tick_swing(100.0, 0.0, 0.001)
+        cmd = swing_tick(ctrl, 100.0, 0.0, 0.001)
         assert cmd == pytest.approx(0.0, abs=1e-9)
 
     def test_damping_opposes_motion(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         ctrl.state.l_swing = 100.0
-        cmd = ctrl.tick_swing(100.0, 10.0, 0.001)
+        cmd = swing_tick(ctrl, 100.0, 10.0, 0.001)
         # cable lengthening at 10 mm/s; damping commands 18 mm/s of retraction
         assert cmd == pytest.approx(18.0, rel=1e-9)
 
@@ -136,7 +153,7 @@ class TestSwingTick:
         ctrl = make_controller(mode=ControlMode.SWING, integral_clamp=50.0)
         ctrl.state.l_swing = 200.0
         for _ in range(2000):
-            ctrl.tick_swing(0.0, 0.0, 1.0)
+            swing_tick(ctrl, 0.0, 0.0, 1.0)
         assert abs(ctrl.state.e_l_integral) <= 50.0
 
 
@@ -145,8 +162,8 @@ class TestStanceTick:
         ctrl = make_controller()
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        cmd = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
-                               320.0, 0.001)
+        cmd = stance_tick(ctrl, *angles(kin(theta_sk=theta)), f_des - 15.7,
+                          320.0, 0.001)
         assert cmd == pytest.approx(1.0, rel=1e-9)
         assert ctrl.state.f_des == f_des
 
@@ -154,16 +171,16 @@ class TestStanceTick:
         ctrl = make_controller()
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        cmd = ctrl.tick_stance(*angles(kin(theta_sk=theta, sk_rate=80.0,
-                                           ft_rate=80.0)),
-                               f_des, 320.0, 0.001)
+        cmd = stance_tick(ctrl, *angles(kin(theta_sk=theta, sk_rate=80.0,
+                                            ft_rate=80.0)),
+                          f_des, 320.0, 0.001)
         # profile-rate term zero at the peak, DF stationary: feedback only
         assert cmd == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_params_holds(self):
         ctrl = make_controller()
         ctrl.state.active_params = None
-        cmd = ctrl.tick_stance(*angles(kin()), 0.0, 320.0, 0.001)
+        cmd = stance_tick(ctrl, *angles(kin()), 0.0, 320.0, 0.001)
         assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
     def test_ideal_plant_reproduces_profile(self):
@@ -186,7 +203,7 @@ class TestStanceTick:
             phase_mid = (i + 0.5) * dt / tmpl.period
             km = gen_frame(tmpl, phase_mid, 1.0)
             f_des_mid = eval_force(p, km.theta_sk)
-            cmd = ctrl.tick_stance(*angles(km), f_des_mid, l, dt)
+            cmd = stance_tick(ctrl, *angles(km), f_des_mid, l, dt)
             l -= cmd * dt
             phase_next = (i + 1) * dt / tmpl.period
             kn = gen_frame(tmpl, phase_next, 1.0)
@@ -198,9 +215,9 @@ class TestStanceTick:
 
     def test_velocity_commands_clamped(self):
         ctrl = make_controller(v_max=250.0)
-        cmd = ctrl.tick_stance(*angles(kin(theta_sk=PARAMS.mu,
-                                           ft_rate=-4000.0)),
-                               eval_force(PARAMS, PARAMS.mu), 320.0, 0.001)
+        cmd = stance_tick(ctrl, *angles(kin(theta_sk=PARAMS.mu,
+                                            ft_rate=-4000.0)),
+                          eval_force(PARAMS, PARAMS.mu), 320.0, 0.001)
         assert abs(cmd) <= 250.0
 
     def test_force_map_with_inertia_filters(self):
@@ -208,12 +225,12 @@ class TestStanceTick:
         ctrl = make_controller(map_m=0.05, map_b=15.7)
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        first = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
-                                 320.0, 0.001)
+        first = stance_tick(ctrl, *angles(kin(theta_sk=theta)), f_des - 15.7,
+                            320.0, 0.001)
         assert 0.0 < first < 1.0
         for _ in range(2000):
-            last = ctrl.tick_stance(*angles(kin(theta_sk=theta)), f_des - 15.7,
-                                    320.0, 0.001)
+            last = stance_tick(ctrl, *angles(kin(theta_sk=theta)),
+                               f_des - 15.7, 320.0, 0.001)
         assert last == pytest.approx(1.0, rel=1e-3)
 
 
@@ -261,11 +278,11 @@ class TestSignAndModeSafety:
 
     def test_command_follows_mode(self):
         ctrl = make_controller(mode=ControlMode.SWING)
-        twin = make_controller(mode=ControlMode.SWING)
+        twin = make_controller(mode=ControlMode.SWING, cls=TickController)
         assert ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001) == \
             twin.tick_swing(320.0, 0.0, 0.001)
         ctrl = make_controller(mode=ControlMode.STANCE)
-        twin = make_controller(mode=ControlMode.STANCE)
+        twin = make_controller(mode=ControlMode.STANCE, cls=TickController)
         sample, f = kin(theta_sk=PARAMS.mu, ft_rate=-30.0), 20.0
         assert ctrl.tick(*angles(sample), f, 320.0, 0.0, 0.0, 0.001) == \
             twin.tick_stance(*angles(sample), f, 320.0, 0.001)

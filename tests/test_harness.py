@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from shankexo.cli import main as cli_main
+from shankexo.controller import ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, ConfigError,
                               MetricsError, ScenarioConfig,
@@ -154,6 +156,50 @@ class TestScenarioConfig:
             cfg.validate()
         with pytest.raises(ConfigError, match=f"{group}.{key}"):
             run_scenario(cfg)
+
+    @pytest.mark.parametrize("group, key, value, what", [
+        ("plant", "k_all", "x", "a number"),
+        ("controller", "kp", True, "a number"),
+        ("template", "period", None, "a number"),
+        ("controller", "silent_cycles", 2.0, "an integer"),
+        ("controller", "silent_cycles", False, "an integer"),
+        ("template", "theta_sk_span", [-14.0], "a pair of numbers"),
+        ("template", "theta_sk_span", [-14.0, "18"], "a pair of numbers"),
+        ("template", "theta_sk_span", 18.0, "a pair of numbers"),
+    ], ids=["string", "bool", "null", "float-count", "bool-count",
+            "short-pair", "string-in-pair", "number-for-pair"])
+    def test_override_of_the_wrong_type_rejected(self, group, key, value,
+                                                 what):
+        cfg = ScenarioConfig(n_strides=2, **{group: {key: value}})
+        with pytest.raises(ConfigError, match=f"{group}.{key} must be {what}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("plant", "k_all", 12), ("controller", "silent_cycles", 3),
+        ("template", "theta_sk_span", [-14, 18.0]),
+        ("template", "theta_sk_span", (-14.0, 18.0)),
+    ])
+    def test_override_of_the_field_type_accepted(self, group, key, value):
+        ScenarioConfig(**{group: {key: value}}).validate()
+
+    def test_every_field_takes_its_own_value(self):
+        # Each settable field accepts the value it holds, so the type check
+        # knows every annotation an override can meet.
+        for group, owner in (("controller", ControllerConfig()),
+                             ("plant", PlantConfig()),
+                             ("template", build_template("lw"))):
+            for f in fields(owner):
+                cfg = ScenarioConfig(**{group: {f.name: getattr(owner,
+                                                                f.name)}})
+                try:
+                    cfg.validate()
+                except ConfigError as exc:
+                    assert "not overridden" in str(exc)
+
+    @pytest.mark.parametrize("group", ["controller", "plant", "template"])
+    def test_override_group_that_is_not_a_mapping_rejected(self, group):
+        with pytest.raises(ConfigError, match=f"{group} overrides must be"):
+            ScenarioConfig(**{group: [1.0]}).validate()
 
     @pytest.mark.parametrize("group, key", [("controller", "v_max"),
                                             ("plant", "k_al")])
@@ -346,19 +392,42 @@ class TestCli:
         (["fit-stiffness", "{stream}"], "unexpected calibration header"),
         (["replay", "{missing}"], "No such file or directory"),
         (["replay", "{calibration}"], "unexpected replay header"),
+        (["replay", "{bad_row}"], "replay line 3: not 5 numbers"),
+        (["replay", "{short_row}"], "replay line 2: not 5 numbers"),
+        (["fit-stiffness", "{short_calibration}"],
+         "calibration line 3: not 2 numbers"),
+        (["fit-stiffness", "{bad_calibration}"],
+         "calibration line 2: not 2 numbers"),
+        (["run", "--config", "{list_config}"], "not a JSON object"),
+        (["run", "--config", "{unknown_key}"], "unknown key(s) ctrl"),
+        (["run", "--config", "{group_list}"], "plant overrides must be"),
+        (["run", "--config", "{string_value}"], "plant.k_all must be a number"),
     ], ids=["zero-strides", "bad-config", "missing-config",
             "missing-calibration", "calibration-header", "missing-stream",
-            "stream-header"])
+            "stream-header", "stream-non-numeric-field", "stream-short-row",
+            "calibration-short-row", "calibration-non-numeric-field",
+            "config-not-an-object", "config-unknown-key",
+            "config-group-not-an-object", "config-value-of-the-wrong-type"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
-        paths = {"missing": tmp_path / "missing.csv",
-                 "bad_json": tmp_path / "bad.json",
-                 "stream": tmp_path / "stream.csv",
-                 "calibration": tmp_path / "cal.csv"}
-        paths["bad_json"].write_text("{plant: {}}")
-        paths["stream"].write_text("t_ms,theta_ft_deg,theta_sk_deg,"
-                                   "theta_ft_rate_dps,theta_sk_rate_dps\n")
-        paths["calibration"].write_text("force_n,deflection_mm\n")
+        stream_header = ("t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
+                         "theta_sk_rate_dps\n")
+        files = {"missing": None,
+                 "bad_json": "{plant: {}}",
+                 "stream": stream_header,
+                 "calibration": "force_n,deflection_mm\n",
+                 "bad_row": stream_header + "0,1,2,3,4\n10,1,2,3,abc\n",
+                 "short_row": stream_header + "10,1,2,3\n",
+                 "short_calibration": "force_n,deflection_mm\n5,0.4\n1\n",
+                 "bad_calibration": "force_n,deflection_mm\nfive,0.4\n",
+                 "list_config": "[1, 2]",
+                 "unknown_key": '{"plant": {}, "ctrl": {}}',
+                 "group_list": '{"plant": [1]}',
+                 "string_value": '{"plant": {"k_all": "x"}}'}
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        for name, text in files.items():
+            if text is not None:
+                paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err

@@ -22,6 +22,7 @@ from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
+from scalar_reference import TickController
 
 any_float = hs.floats(allow_nan=True, allow_infinity=True)
 finite = hs.floats(-1e6, 1e6)
@@ -107,12 +108,15 @@ PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
 def angles(k):
     """A sample's shank and DF angles and rates: the kinematic arguments of
-    Controller.tick and tick_stance."""
+    Controller.tick."""
     return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
 
 
-def make_controller(mode=ControlMode.STANCE, **cfg_kw) -> Controller:
-    ctrl = Controller(ControllerConfig(**cfg_kw), TendonModel(50.0, 12.5, 300.0))
+def make_controller(mode=ControlMode.STANCE, cls=Controller,
+                    **cfg_kw) -> Controller:
+    """An engaged controller in `mode` with PARAMS; cls=TickController gives
+    the per-tick reference."""
+    ctrl = cls(ControllerConfig(**cfg_kw), TendonModel(50.0, 12.5, 300.0))
     ctrl.state.mode = mode
     ctrl.state.engaged = True
     ctrl.state.active_params = PARAMS
@@ -134,21 +138,39 @@ def test_stance_tick_leaves_its_desired_force(theta, rate, engaged):
 
 # -- comparison-only clamps -------------------------------------------------------
 
+def swing_tick(ctrl, l_meas, l_meas_rate, dt, f_meas=0.0):
+    """A swing-mode tick through Controller.tick, with the kinematics and
+    the motor position at zero."""
+    return ctrl.tick(0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate, 0.0, dt)
+
+
 @settings(max_examples=300, deadline=None)
-@given(v=any_float, vm=hs.one_of(hs.just(250.0), hs.just(0.0), any_float))
-@example(v=math.nan, vm=250.0)
-@example(v=math.inf, vm=250.0)
-@example(v=-math.inf, vm=250.0)
-@example(v=0.0, vm=0.0)
-@example(v=-0.0, vm=0.0)
-def test_clamp_equals_the_min_max_form(v, vm):
-    ctrl = make_controller(v_max=vm)
+@given(kp=any_float, kd=any_float, rate=finite, l_swing=finite,
+       vm=hs.one_of(hs.just(250.0), hs.just(0.0), any_float))
+@example(kp=math.inf, kd=0.0, rate=0.0, l_swing=320.0, vm=250.0)   # NaN
+@example(kp=0.0, kd=1e308, rate=10.0, l_swing=320.0, vm=250.0)     # inf
+@example(kp=0.0, kd=1e308, rate=-10.0, l_swing=320.0, vm=250.0)    # -inf
+@example(kp=0.0, kd=0.0, rate=0.0, l_swing=320.0, vm=0.0)          # -0.0
+@example(kp=0.0, kd=0.0, rate=0.0, l_swing=319.0, vm=0.0)          # 0.0
+def test_clamp_equals_the_min_max_form(kp, kd, rate, l_swing, vm):
+    # The swing PI without the integral term brings any command to the
+    # envelope: NaN from inf * 0, the infinities from an overflowing
+    # product, from finite inputs.
+    ctrl = make_controller(mode=ControlMode.SWING, v_max=vm, kp=kp, ki=0.0,
+                           kd=kd)
+    ctrl.state.l_swing = l_swing
+    e = l_swing - 320.0
+    i = max(-50.0, min(50.0, e * 0.001))
+    v = -(kp * e + 0.0 * i - kd * rate)
     want = 0.0 if math.isnan(v) else max(-vm, min(vm, v))
-    assert same(ctrl._clamp(v), want)
+    assert same(swing_tick(ctrl, 320.0, rate, 0.001), want)
 
 
 def test_clamp_maps_nan_to_a_hold():
-    assert bits(make_controller()._clamp(math.nan)) == bits(0.0)
+    # kp * e is inf * 0, a NaN command
+    ctrl = make_controller(mode=ControlMode.SWING, kp=math.inf)
+    ctrl.state.l_swing = 320.0
+    assert bits(swing_tick(ctrl, 320.0, 0.0, 0.001)) == bits(0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,7 +187,7 @@ def test_swing_anti_windup_equals_the_min_max_form(l_swing, l_meas, rate,
     i = max(-clamp, min(clamp, integral + e * dt))
     v = -(cfg.kp * e + cfg.ki * i - cfg.kd * rate)
     want_v = 0.0 if math.isnan(v) else max(-cfg.v_max, min(cfg.v_max, v))
-    cmd = ctrl.tick_swing(l_meas, rate, dt)
+    cmd = swing_tick(ctrl, l_meas, rate, dt)
     assert same(ctrl.state.e_l_integral, i)
     assert same(cmd, want_v)
 
@@ -192,7 +214,8 @@ def test_tick_aborts_exactly_when_safety_check_does(f_meas, motor_pos,
     if want:     # 310 mm is short of the 320 mm release target: pay out
         assert bits(cmd) == bits(-ctrl.cfg.v_max)
     else:        # the swing PI, as a twin in swing computes it
-        twin = make_controller(mode=ControlMode.SWING, **kw)
+        twin = make_controller(mode=ControlMode.SWING, cls=TickController,
+                               **kw)
         assert same(cmd, twin.tick_swing(310.0, 0.0, 0.001, f_meas))
 
 
