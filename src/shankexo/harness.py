@@ -153,6 +153,9 @@ _CSV_TEMPLATE[0, 10] = _CSV_TEMPLATE[3:12, 10] = ord(".")
 _CSV_TEMPLATE[12, 2:4] = (ord("\r"), ord("\n"))
 
 STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
+# Percent GC of a clean stride's shank angle (ShankByPercentGC), read-only
+_PCT_GRID = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
+_PCT_GRID.flags.writeable = False
 AGGREGATION_STRIDES = 10    # GCs averaged in the aggregates
 N_PERTURBATIONS = 4
 
@@ -179,32 +182,39 @@ class ScenarioKind(Enum):
 
 # -- metric primitives --------------------------------------------------------
 
+def _sum(x: np.ndarray) -> np.float64:
+    """sum(x) as Python adds it: left to right from 0, so a sum of -0.0s is
+    0.0 (np.sum adds pairwise, which changes the last bits)."""
+    return np.add.accumulate(x)[-1] + 0.0
+
+
 def rmse_pct(desired: Sequence[float], actual: Sequence[float],
              peak: float) -> float:
-    """Root-mean-square tracking error as a fraction of the peak force."""
+    """Root-mean-square tracking error as a fraction of the peak force.
+    The squares (C pow, through np.float_power) add left to right."""
     if len(desired) == 0 or len(desired) != len(actual):
         raise MetricsError("series must be non-empty and equal length")
     if peak <= 0.0:
         raise MetricsError("peak force must be positive")
-    acc = 0.0
-    for d, a in zip(desired, actual):
-        acc += (d - a) ** 2
-    return math.sqrt(acc / len(desired)) / peak
+    d = np.asarray(desired, dtype=float) - np.asarray(actual, dtype=float)
+    return math.sqrt(_sum(np.float_power(d, 2.0)) / len(d)) / peak
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient. Every sum adds left to right,
+    and the squares are C pow (np.float_power)."""
     n = len(x)
     if n != len(y) or n < 3:
         raise MetricsError("series must be equal length >= 3")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - _sum(x) / n
+    dy = y - _sum(y) / n
+    sxx = _sum(np.float_power(dx, 2.0))
+    syy = _sum(np.float_power(dy, 2.0))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance series")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    return sxy / math.sqrt(sxx * syy)
+    return _sum(dx * dy) / math.sqrt(sxx * syy)
 
 
 def stance_correlation(mechanical: Sequence[float],
@@ -212,12 +222,12 @@ def stance_correlation(mechanical: Sequence[float],
     """Pearson correlation after normalizing each series by its own maximum."""
     if len(mechanical) != len(biological):
         raise MetricsError("stance series must share one sampling grid")
-    m_max = max(mechanical)
-    b_max = max(biological)
+    m = np.asarray(mechanical, dtype=float)
+    b = np.asarray(biological, dtype=float)
+    m_max, b_max = m.max(), b.max()
     if m_max <= 0.0 or b_max <= 0.0:
         raise UndefinedCorrelationError("series without a positive peak")
-    return pearson([m / m_max for m in mechanical],
-                   [b / b_max for b in biological])
+    return pearson(m / m_max, b / b_max)
 
 
 def convergence_stride(param_history: Sequence[GaussianParams],
@@ -236,12 +246,6 @@ def convergence_stride(param_history: Sequence[GaussianParams],
     while i > 0 and np.all(gaps(param_history[i - 1]) <= bounds):
         i -= 1
     return i if i < n else CONVERGENCE_SENTINEL
-
-
-def resample_uniform(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Linear resampling onto STANCE_GRID_POINTS points over [t[0], t[-1]]."""
-    grid = np.linspace(t[0], t[-1], STANCE_GRID_POINTS)
-    return np.interp(grid, t, y)
 
 
 # -- scenario configuration ----------------------------------------------------
@@ -537,19 +541,20 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
         r_sk = r_tm = None
         bio_seg = bio[i0:i1]
         if peak > 1.0 and bio_seg.max() > 0.0:
+            # The stance series, linearly resampled onto one uniform grid
             tt = t[i0:i1]
-            mech_g = resample_uniform(tt, des)
-            bio_g = resample_uniform(tt, bio_seg)
+            grid = np.linspace(tt[0], tt[-1], STANCE_GRID_POINTS)
+            bio_g = np.interp(grid, tt, bio_seg)
             try:
-                r_sk = stance_correlation(mech_g, bio_g)
+                r_sk = stance_correlation(np.interp(grid, tt, des), bio_g)
             except MetricsError:
                 r_sk = None
             if prev_clean is not None and prev_duration:
                 ftime = eval_time_profile_array(
                     params, (tt - fc.t_ms) / prev_duration, prev_clean)
-                ftime_g = resample_uniform(tt, ftime)
                 try:
-                    r_tm = stance_correlation(ftime_g, bio_g)
+                    r_tm = stance_correlation(np.interp(grid, tt, ftime),
+                                              bio_g)
                 except MetricsError:
                     r_tm = None
 
@@ -567,9 +572,8 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
 
         if kind == 0:
             pct = (t[i0:i2] - fc.t_ms) / duration
-            grid = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
             prev_clean = ShankByPercentGC(
-                list(grid), list(np.interp(grid, pct, sk[i0:i2])))
+                _PCT_GRID, np.interp(_PCT_GRID, pct, sk[i0:i2]))
             prev_duration = duration
 
     targets = None

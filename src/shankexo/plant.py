@@ -38,11 +38,12 @@ value at a time in plain Python, is kept in the tests
 (`tests/scalar_reference.py`), and the block columns equal it bit for bit,
 for any block size. That holds because the array code repeats the scalar
 operation order and uses only operations where numpy matches `math`
-exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`, and
-`np.add.accumulate`, which adds strictly in sequence as `+=` does. Where it
-does not (`exp`, `**`/`power`, `round(x, ndigits)`) the scalar Python
-operation stays: `math.exp` for migration and Python `**` for the torque
-sharpness and the sway. The sample time is `round(t * 1000.0, 6)`. Within
+exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`,
+`np.add.accumulate`, which adds strictly in sequence as `+=` does, and
+`np.float_power`, which is C `pow` as Python `**` is (the torque
+sharpness). Where it does not (`exp`, `np.power`, `round(x, ndigits)`) the
+scalar Python operation stays: `math.exp` for migration and Python `**`
+for the sway. The sample time is `round(t * 1000.0, 6)`. Within
 4e-7 ms of a whole ms that is the whole ms exactly, so when every tick of a
 block is that close the block takes it from the one `np.rint` that also
 makes the log's clock; a clock that has drifted further is rounded tick by
@@ -277,8 +278,10 @@ def biological_torques(tmpl: GaitTemplate, phase: np.ndarray) -> np.ndarray:
     base = np.where(u <= u_pk,
                     0.5 * (1.0 - np.cos(np.pi * u / u_pk)),
                     0.5 * (1.0 + np.cos(np.pi * (u - u_pk) / (1.0 - u_pk))))
-    # Python ** (C pow) and numpy power differ in the last bit.
-    out[stance] = [b ** tmpl.torque_sharpness for b in base.tolist()]
+    # Python ** is C pow. np.power (and ** on arrays) differs from it in the
+    # last bit; np.float_power calls C pow on each element, so it is the
+    # bit-equal array form (tests/test_artifacts.py pins that).
+    out[stance] = np.float_power(base, tmpl.torque_sharpness)
     return out
 
 

@@ -236,14 +236,15 @@ class ShankByPercentGC:
 
     Backs the time-based comparator profile (`eval_time_profile_array`):
     linear interpolation over a uniform percent-GC grid recorded from the
-    last unperturbed cycle.
+    last unperturbed cycle. Holds both as float arrays, without a copy of
+    an array given as one.
     """
 
     def __init__(self, pct: Sequence[float], theta_sk: Sequence[float]):
         if len(pct) != len(theta_sk) or len(pct) < 2:
             raise ValueError("need matching pct/theta arrays with >= 2 points")
-        self.pct = list(pct)
-        self.theta = list(theta_sk)
+        self.pct = np.asarray(pct, dtype=float)
+        self.theta = np.asarray(theta_sk, dtype=float)
 
 
 def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
@@ -258,8 +259,7 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     math.exp (np.exp differs in the last bit). So it equals, bit for bit,
     `eval_force` at a bisect interpolation, the scalar form kept in
     `tests/scalar_reference.py`."""
-    pts = np.asarray(prev_cycle.pct)
-    ths = np.asarray(prev_cycle.theta)
+    pts, ths = prev_cycle.pct, prev_cycle.theta
     hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)
     lo = hi - 1
     w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
@@ -271,5 +271,6 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     th = theta[on]
     z = (th - p.mu) / np.where(th <= p.mu, p.sigma1, p.sigma2)
     out = np.zeros_like(pct_gc)
-    out[on] = [p.amp * math.exp(e) for e in (-0.5 * z * z).tolist()]
+    out[on] = p.amp * np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
+                                  float, len(th))
     return out

@@ -8,6 +8,10 @@ bit-equality tests can compare the array code against an independent
 evaluation. The array code repeats these operation orders; a reordered
 product or sum in `src/` shows up here as a last-bit difference.
 
+The report's metric primitives (`rmse_pct`, `pearson`,
+`stance_correlation`) are numpy over whole arrays; their per-element Python
+loops are kept here as well.
+
 `Controller.run` holds the controller state in locals across a stretch of
 ticks. `TickController` is the controller as it ran before, one `tick` call
 per tick on `ControllerState`, and `reference_run` is the loop that drove
@@ -25,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from shankexo.controller import ABORT_CODE, ControlMode, Controller
+from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind, _ds3,
                             _s3)
@@ -161,6 +166,47 @@ def eval_time_profile(p: GaussianParams, pct_gc: float,
     if not (0.0 <= pct_gc < 1.0):
         return 0.0
     return eval_force(p, lookup(prev_cycle, pct_gc))
+
+
+# -- metric primitives -----------------------------------------------------------
+
+def rmse_pct(desired, actual, peak: float) -> float:
+    """Root-mean-square tracking error as a fraction of the peak force."""
+    if len(desired) == 0 or len(desired) != len(actual):
+        raise MetricsError("series must be non-empty and equal length")
+    if peak <= 0.0:
+        raise MetricsError("peak force must be positive")
+    acc = 0.0
+    for d, a in zip(desired, actual):
+        acc += (d - a) ** 2
+    return math.sqrt(acc / len(desired)) / peak
+
+
+def pearson(x, y) -> float:
+    """Sample Pearson correlation coefficient."""
+    n = len(x)
+    if n != len(y) or n < 3:
+        raise MetricsError("series must be equal length >= 3")
+    mx = sum(x) / n
+    my = sum(y) / n
+    sxx = sum((a - mx) ** 2 for a in x)
+    syy = sum((b - my) ** 2 for b in y)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("zero variance series")
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    return sxy / math.sqrt(sxx * syy)
+
+
+def stance_correlation(mechanical, biological) -> float:
+    """Pearson correlation after normalizing each series by its own maximum."""
+    if len(mechanical) != len(biological):
+        raise MetricsError("stance series must share one sampling grid")
+    m_max = max(mechanical)
+    b_max = max(biological)
+    if m_max <= 0.0 or b_max <= 0.0:
+        raise UndefinedCorrelationError("series without a positive peak")
+    return pearson([m / m_max for m in mechanical],
+                   [b / b_max for b in biological])
 
 
 # -- world clock -----------------------------------------------------------------

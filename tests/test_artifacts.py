@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as hs
 from shankexo import harness
 from shankexo.harness import (CSV_COLUMNS, LOG_COLUMNS, MODES, MetricsReport,
                               ScenarioConfig, run_scenario, write_artifacts)
-from shankexo.plant import BLOCK_TICKS
+from shankexo.plant import BLOCK_TICKS, Activity, build_template
 
 # SHA-256 of (timeseries.csv, summary.json). A change to either digest means
 # the simulated behaviour or the artifact format moved; regenerate only when
@@ -104,6 +104,35 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
     run_scenario(ScenarioConfig(output_dir=str(tmp_path), **cfg))
     assert _sha256(tmp_path / "timeseries.csv") == csv_digest
     assert _sha256(tmp_path / "summary.json") == summary_digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1),
+       unit=hs.lists(hs.floats(0.0, 1.0), max_size=50),
+       signed=hs.lists(hs.one_of(hs.floats(-1e150, 1e150),
+                                 hs.sampled_from([math.inf, -math.inf,
+                                                  math.nan])), max_size=50),
+       sharpness=hs.floats(0.01, 10.0))
+def test_float_power_is_c_pow(seed, unit, signed, sharpness):
+    """The digests rest on np.float_power calling C pow on each element, as
+    Python ** does: the biological torque raises [0, 1] to the activity's
+    torque_sharpness, and the report's metrics square their terms (finite
+    squares: Python ** raises where C pow overflows). A numpy whose
+    float_power is vectorized fails here, by its version."""
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([unit, rng.uniform(0.0, 1.0, 2000)])
+    x = np.concatenate([signed, rng.standard_normal(2000)
+                        * 10.0 ** rng.integers(-170, 150, 2000)])
+    cases = [(u, build_template(a).torque_sharpness) for a in Activity]
+    cases += [(u, sharpness), (x, 2.0)]
+    for base, e in cases:
+        got = np.float_power(base, e)
+        want = np.array([b ** e for b in base.tolist()])
+        same = (got.view(np.int64) == want.view(np.int64)) | (
+            np.isnan(got) & np.isnan(want))
+        assert same.all(), (
+            f"numpy {np.__version__}: np.float_power(x, {e}) differs from "
+            f"x ** {e} at x = {base[~same][:5].tolist()}")
 
 
 def test_a_spike_past_the_stop_tick_changes_nothing(tmp_path):

@@ -203,7 +203,7 @@ class TestTimeProfile:
     def make_map(self):
         pct = np.linspace(0.0, 1.0, 101)
         sk = -20.0 + 44.0 * np.clip(pct / 0.674, 0.0, 1.0)
-        return ShankByPercentGC(list(pct), list(sk))
+        return ShankByPercentGC(pct, sk)
 
     def test_no_history_returns_zero(self):
         p = GaussianParams(150.0, 8.0, 7.0, 4.0, -20.0, 24.0)
@@ -235,7 +235,7 @@ def test_time_profile_array_equals_scalar(seed, n_grid):
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, n_grid)
     sk = np.cumsum(rng.uniform(-1.0, 3.0, n_grid)) - 15.0
-    prev = ShankByPercentGC(list(grid), list(sk))
+    prev = ShankByPercentGC(grid, sk)
     mu = float(rng.uniform(-5.0, 20.0))
     p = GaussianParams(float(rng.uniform(50.0, 150.0)), mu,
                        float(rng.uniform(1.0, 15.0)),
