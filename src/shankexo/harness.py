@@ -38,11 +38,16 @@ raises SignalLossError rather than report fewer strides.
 
 The run log is one float64 table with a row per control tick and the
 columns of LOG_COLUMNS, in a mapping sized for the run's tick bound. Each
-tick appends only the six values the closed loop makes (mode, f_des_n,
-f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s) to a row buffer; the stride
-column is filled between scheduled events. After the block's ticks, numpy
-copies move the buffer and the columns the world block already holds,
-marked "block" below, into the table, cut to the ticks the loop ran:
+tick extends a plain list, the block's row buffer, by the six values the
+closed loop makes (mode, f_des_n, f_meas_n, f_truth_n, l_cable_mm,
+v_cmd_mm_s); the stride column is filled between scheduled events. After
+the block's ticks one np.fromiter turns the buffer into float64 (each float
+keeps its bits, -0.0 and NaN payloads included; the integer mode code
+becomes its float), and numpy copies move it and the columns the world
+block already holds, marked "block" below, into the table, cut to the ticks
+the loop ran. A list, because `list.extend` of a tuple is one C call, where
+`array("d").extend` converts a tuple one item at a time: about 75 ns a tick
+against 280 ns, the np.fromiter included.
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
@@ -60,8 +65,8 @@ marked "block" below, into the table, cut to the ticks the loop ran:
 The report slices its columns. timeseries.csv holds the first twelve, the
 mode by name, and `perturbed` = (perturb_kind != 0), in the format of
 _CSV_ROW: t_ms as %.1f, stride as %d, the nine values as %.6f. The writer
-prints plant.BLOCK_TICKS rows at a time with numpy array operations, to
-the bytes one `_CSV_ROW %` per row gives (`_csv_rows`, the reference):
+prints _CSV_CHUNK rows at a time with numpy array operations, to the bytes
+one `_CSV_ROW %` per row gives (`_csv_rows`, the reference):
 
 - A %.Nf field is n = rint(x * 10**N), printed as the integer part
   n // 10**N (leading zeros dropped) and N fraction digits. The digits come
@@ -91,7 +96,7 @@ import json
 import math
 import mmap
 import os
-from array import array
+import sys
 from bisect import insort
 from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
@@ -135,6 +140,10 @@ _CSV_ROW = "%.1f,%d,%s" + ",%.6f" * 9 + ",%d\r\n"
 # digits, a decimal point and up to 6 fraction digits. Bytes the line does
 # not hold are NUL and are dropped.
 _CSV_BUDGET = 1e8 - 1    # |x| below this rounds to at most 8 integer digits
+# Rows per printed block, apart from the world's BLOCK_TICKS: the printer's
+# temporaries scale with it (4000-row blocks raised long-ramp-artifacts'
+# peak RSS by 9 %), and 1000 rows already amortize its calls.
+_CSV_CHUNK = 1000
 _CSV_SCALE = np.array([10, 1, 1] + [10**6] * 9)   # 10**decimals
 # "0000" .. "9999" as four ASCII digits packed in one uint32 each, and the
 # same with leading zeros as NUL ("0" keeps its last digit)
@@ -202,7 +211,14 @@ def rmse_pct(desired: Sequence[float], actual: Sequence[float],
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient. Every sum adds left to right,
-    and the squares are C pow (np.float_power)."""
+    and the squares are C pow (np.float_power).
+
+    When sxx, syy or their product is not a normal float (deviations near
+    1e-160 underflow it, near 1e150 overflow it), the sums are taken again
+    over the deviations scaled by a power of two to a largest magnitude in
+    [0.5, 1). That scaling is exact and r does not depend on it, and it
+    keeps |r| within rounding of 1.
+    """
     n = len(x)
     if n != len(y) or n < 3:
         raise MetricsError("series must be equal length >= 3")
@@ -210,11 +226,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=float)
     dx = x - _sum(x) / n
     dy = y - _sum(y) / n
-    sxx = _sum(np.float_power(dx, 2.0))
-    syy = _sum(np.float_power(dy, 2.0))
+    sxx = float(_sum(np.float_power(dx, 2.0)))
+    syy = float(_sum(np.float_power(dy, 2.0)))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance series")
+    if not (min(sxx, syy, sxx * syy) >= sys.float_info.min
+            and sxx * syy < math.inf):
+        dx, dy = _unit_scaled(dx), _unit_scaled(dy)
+        sxx = float(_sum(np.float_power(dx, 2.0)))
+        syy = float(_sum(np.float_power(dy, 2.0)))
     return _sum(dx * dy) / math.sqrt(sxx * syy)
+
+
+def _unit_scaled(d: np.ndarray) -> np.ndarray:
+    """d times the power of two that brings max |d| into [0.5, 1)."""
+    return np.ldexp(d, -math.frexp(np.abs(d).max())[1])
 
 
 def stance_correlation(mechanical: Sequence[float],
@@ -470,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         # Closed loop: the block's ticks up to `stop`, each schedule entry
         # applied before its tick's command.
         part = log[n_log:n_log + m]
-        rows = array("d")
+        rows = []
         log_row = rows.extend
         ticks = zip(*block.frames[:m, _TICK_FRAMES].T.tolist(),
                     block.migration[:m].tolist())
@@ -487,7 +513,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             elif at < m:              # the spike; the entry at m ends the block
                 reading = (reading[0] + cfg.fault_spike_n, *reading[1:])
         # The block's own columns, cut to the ticks the loop ran.
-        part[:, _LOOP_COLUMNS] = np.frombuffer(rows).reshape(m, -1)
+        loop = np.fromiter(rows, float, len(rows))
+        part[:, _LOOP_COLUMNS] = loop.reshape(m, -1)
         ft, sk, df = block.frames[:, :3].T
         for c, values in zip(_BLOCK_COLUMNS, (
                 block.t_ms, sk, ft, df, block.scale, block.perturb_kind,
@@ -681,8 +708,8 @@ def _csv_block(rows: np.ndarray) -> bytes:
 
 def write_artifacts(out_dir: str, log: np.ndarray,
                     report: MetricsReport) -> None:
-    """timeseries.csv from the run log, plant.BLOCK_TICKS rows at a time,
-    and summary.json.
+    """timeseries.csv from the run log, _CSV_CHUNK rows at a time, and
+    summary.json.
 
     A block's fields are printed from n = rint(x * 10**decimals) through
     4-digit ASCII group tables. The bytes equal one `_CSV_ROW %` per row:
@@ -695,8 +722,8 @@ def write_artifacts(out_dir: str, log: np.ndarray,
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "timeseries.csv"), "wb") as fh:
         fh.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-        for i in range(0, len(log), BLOCK_TICKS):
-            fh.write(_csv_block(log[i:i + BLOCK_TICKS]))
+        for i in range(0, len(log), _CSV_CHUNK):
+            fh.write(_csv_block(log[i:i + _CSV_CHUNK]))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")

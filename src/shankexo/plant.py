@@ -15,9 +15,10 @@ shapes; a backward perturbation additionally injects a brief shank sway so
 the stance shank angle regresses, which is the non-steady condition the
 shank-based profile is meant to survive.
 
-Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, one simulated
-second at 1 kHz). The clock (time, ramp, perturbation window, phase wrap,
-stride, migration and sway) is accumulated in bulk: time is one
+Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, four simulated
+seconds at 1 kHz, so a 60-stride run pays the fixed numpy cost of a block
+about 16 times, not 62). The clock (time, ramp, perturbation window, phase
+wrap, stride, migration and sway) is accumulated in bulk: time is one
 `np.add.accumulate` of dt from the carried value, and a plain stretch of
 walking ticks (no perturbation window, no ramp change) is one accumulation
 of its constant phase increment, ended at the wrap or a pending onset. The
@@ -83,7 +84,7 @@ from .profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2, MAX_DELTA_MU,
                       feature_targets)
 from .tendon import TendonModel
 
-BLOCK_TICKS = 1000   # world ticks per block: one simulated second at 1 kHz
+BLOCK_TICKS = 4000   # world ticks per block: four simulated seconds at 1 kHz
 
 
 class TemplateError(ValueError):

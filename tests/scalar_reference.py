@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -183,17 +184,29 @@ def rmse_pct(desired, actual, peak: float) -> float:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient; out of the normal range, over
+    the deviations scaled by a power of two to a largest magnitude in
+    [0.5, 1)."""
     n = len(x)
     if n != len(y) or n < 3:
         raise MetricsError("series must be equal length >= 3")
     mx = sum(x) / n
     my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    dx = [a - mx for a in x]
+    dy = [b - my for b in y]
+    sxx = float(sum(d ** 2 for d in dx))
+    syy = float(sum(d ** 2 for d in dy))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance series")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    if not (min(sxx, syy, sxx * syy) >= sys.float_info.min
+            and sxx * syy < math.inf):
+        ex = math.frexp(max(map(abs, dx)))[1]
+        ey = math.frexp(max(map(abs, dy)))[1]
+        dx = [math.ldexp(d, -ex) for d in dx]
+        dy = [math.ldexp(d, -ey) for d in dy]
+        sxx = sum(d ** 2 for d in dx)
+        syy = sum(d ** 2 for d in dy)
+    sxy = sum(a * b for a, b in zip(dx, dy))
     return sxy / math.sqrt(sxx * syy)
 
 

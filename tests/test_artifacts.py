@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as hs
 from shankexo import harness
 from shankexo.harness import (CSV_COLUMNS, LOG_COLUMNS, MODES, MetricsReport,
                               ScenarioConfig, run_scenario, write_artifacts)
-from shankexo.plant import BLOCK_TICKS, Activity, build_template
+from shankexo.plant import Activity, build_template
 
 # SHA-256 of (timeseries.csv, summary.json). A change to either digest means
 # the simulated behaviour or the artifact format moved; regenerate only when
@@ -42,8 +42,9 @@ GOLDEN = {
              fault_spike_n=400.0, fault_spike_t_ms=8600.0),
         "25e72fea7c9a8007be84f93d51891469fcb57dff33700c4154ceb8b09766d3ee",
         "ecd475e962b643fc289cd35f56293baac532e2be4721224f29841c9f47182e4e"),
-    # Spikes at a standing (pretighten) tick and at the first tick of the
-    # second world block; both abort the run.
+    # Spikes at a standing (pretighten) tick and at 1001 ms, the first tick
+    # of the second world block when blocks are 1000 ticks (the block-size
+    # test below runs it so); both abort the run.
     "spike-standing": (
         dict(activity="lw", scenario="steady", n_strides=12, seed=1,
              fault_spike_n=400.0, fault_spike_t_ms=500.0),
@@ -92,7 +93,7 @@ def test_artifacts_match_golden_digests(golden_runs, name):
     assert _sha256(out / "summary.json") == summary_digest
 
 
-@pytest.mark.parametrize("block_ticks", [7, 997, 1003])
+@pytest.mark.parametrize("block_ticks", [7, 997, 1000, 1003, 4001])
 @pytest.mark.parametrize("name", ["criterion8", "spike-abort", "spike-standing",
                                   "spike-block-start", "spike-at-event"])
 def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
@@ -251,7 +252,9 @@ def typical_log(n_rows: int, seed: int, t0: float = 1.0) -> np.ndarray:
     return log
 
 
-OFFSETS = [0, BLOCK_TICKS // 2, BLOCK_TICKS - 1]
+# Rows the writer prints at a time: each case below sits in its own chunk.
+CHUNK = harness._CSV_CHUNK
+OFFSETS = [0, CHUNK // 2, CHUNK - 1]
 
 
 def case_table(group: str, offset: int):
@@ -259,7 +262,7 @@ def case_table(group: str, offset: int):
     group's columns and cases."""
     columns = COLUMN_GROUPS[group]
     cases = COLUMN_CASES[columns[0]]
-    return (typical_log(len(cases) * BLOCK_TICKS, seed=offset, t0=99_000.0),
+    return (typical_log(len(cases) * CHUNK, seed=offset, t0=99_000.0),
             columns, cases)
 
 
@@ -270,17 +273,17 @@ def test_block_printer_equals_the_row_format_on_each_case(group, offset):
     # the array path can print is printed by it. A value case goes into all
     # nine value columns of its row.
     log, columns, cases = case_table(group, offset)
-    log[offset::BLOCK_TICKS, columns] = np.array(cases)[:, None]
+    log[offset::CHUNK, columns] = np.array(cases)[:, None]
     assert written_csv(log) == reference_csv(log)
 
 
 @hs.composite
 def log_tables(draw):
-    n_rows = draw(hs.integers(1, 3 * BLOCK_TICKS + 1))
+    n_rows = draw(hs.integers(1, 3 * CHUNK + 1))
     log = typical_log(n_rows, draw(hs.integers(0, 2**32 - 1)),
                       draw(hs.sampled_from([0.0, 1.0, 99_000.0, 999_000.0])))
-    edges = [0, 1, BLOCK_TICKS // 2, BLOCK_TICKS - 1, BLOCK_TICKS,
-             BLOCK_TICKS + 1, 2 * BLOCK_TICKS - 1, 2 * BLOCK_TICKS, n_rows - 1]
+    edges = [0, 1, CHUNK // 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1,
+             2 * CHUNK, n_rows - 1]
     row = hs.one_of(hs.sampled_from([r for r in edges if r < n_rows]),
                     hs.integers(0, n_rows - 1))
     for _ in range(draw(hs.integers(0, 6))):
@@ -334,7 +337,7 @@ def test_values_near_1e7_take_the_array_path(monkeypatch):
     # The tie guard is half the product's ulp (1/1024 at 1e13), so products
     # one to four ulps from a .5 boundary print from rint. A guard of
     # |x * 1e6| * 2**-50 (0.008 to 0.01 there) caught every one of them.
-    log = typical_log(2 * BLOCK_TICKS, seed=7)
+    log = typical_log(2 * CHUNK, seed=7)
     log[:, 3:12] = near_tie_values(log[:, 3:12].size, seed=7).reshape(-1, 9)
     scaled = log[:, 3:12] * 1e6
     wide_guard = (np.abs(np.abs(scaled - np.rint(scaled)) - 0.5)

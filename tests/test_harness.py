@@ -1,21 +1,24 @@
 import json
 import math
 import os
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from shankexo import harness
 from shankexo.cli import main as cli_main
-from shankexo.controller import ControllerConfig
+from shankexo.controller import ABORT_CODE, Controller, ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
-from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, ConfigError,
-                              MetricsError, ScenarioConfig,
+from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
+                              ConfigError, MetricsError, ScenarioConfig,
                               UndefinedCorrelationError, convergence_stride,
                               pearson, rmse_pct, run_scenario,
                               stance_correlation)
-from shankexo.plant import GaitWorld, PlantConfig, build_template
+from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig,
+                            build_template)
 from shankexo.profile import GaussianParams
 
 
@@ -299,6 +302,58 @@ class TestRunScenario:
         assert (f"{len(contacts)} foot contacts confirmed; the run needs 9"
                 in str(err.value))
         assert "tick bound of " in str(err.value)
+
+    def test_log_table_holds_the_loop_rows_bit_for_bit(self, monkeypatch):
+        # A 3-stride run is two world blocks. Controller.run hands its rows
+        # to a recording log_row. Its cable step reads f_truth -0.0 now and
+        # then in the first block, and in the second block one NaN f_meas
+        # (which aborts the run) with a NaN f_truth of another payload.
+        payload_nan = struct.unpack("<d", struct.pack("<Q",
+                                                      0x7FF8_0000_DEAD_BEEF))[0]
+        nan_tick = BLOCK_TICKS + 300
+        rows, tables, n_step = [], [], [0]
+        run, build_report = Controller.run, harness._build_report
+
+        def recording_run(self, ticks, step, reading, dt, log_row):
+            def faulty_step(cmd_v, theta_df, migration):
+                f_truth, f_meas, *rest = step(cmd_v, theta_df, migration)
+                n_step[0] += 1
+                if n_step[0] == nan_tick:
+                    f_truth, f_meas = payload_nan, math.nan
+                elif n_step[0] % 500 == 0:
+                    f_truth = -0.0
+                return (f_truth, f_meas, *rest)
+
+            def record(row):
+                rows.append(row)
+                log_row(row)
+            return run(self, ticks, faulty_step, reading, dt, record)
+
+        def keep_table(cfg, ctrl_cfg, tmpl, log, *rest):
+            tables.append(log.copy())
+            return build_report(cfg, ctrl_cfg, tmpl, log, *rest)
+
+        monkeypatch.setattr(Controller, "run", recording_run)
+        monkeypatch.setattr(harness, "_build_report", keep_table)
+        report = run_scenario(ScenarioConfig(activity="lw", n_strides=3,
+                                             seed=1))
+        (table,) = tables
+        assert report.aborted and BLOCK_TICKS < len(table) < 2 * BLOCK_TICKS
+        assert len(rows) == len(table)
+        assert all(type(row[0]) is int for row in rows)
+        assert {row[0] for row in rows} >= {0, ABORT_CODE}
+        want = np.array([[struct.pack("<d", v) for v in row] for row in rows])
+        loop = table[:, [LOG_COLUMNS.index(c) for c in (
+            "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm",
+            "v_cmd_mm_s")]]
+        got = np.array([[struct.pack("<d", v) for v in row]
+                        for row in loop.tolist()])
+        assert (got == want).all()
+        f_truth = loop[:, 3]
+        assert np.signbit(f_truth[f_truth == 0.0]).sum() >= 7
+        assert struct.pack("<d", f_truth[nan_tick - 1]) == struct.pack(
+            "<d", payload_nan)
+        assert math.isnan(loop[nan_tick - 1, 2])
 
 
 class TestPerturbProtocol:

@@ -5,8 +5,10 @@ The numpy forms square with np.float_power, which is C pow as `**` on a
 float is, and add with np.add.accumulate, left to right as `sum` and `+=`
 do. The series are numpy arrays, as `_build_report` hands them, so both
 sides do their scalar arithmetic on numpy floats. numpy's floating-point
-warnings are silenced on both sides: an overflow of the squares or of
-sxx * syy is then inf on both, and the property compares the values.
+warnings are silenced on both sides: an overflow of the squares is then inf
+on both, and the property compares the values. Where sxx, syy or their
+product is not a normal float, both correlations take the sums again over
+deviations scaled by a power of two, and the range test holds |r| to 1.
 
 A NaN result compares as NaN. Which NaN a sum of two NaNs returns depends
 on the operand order of the add instruction, and summary.json prints every
@@ -14,9 +16,10 @@ NaN alike.
 """
 
 import math
+import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 import scalar_reference as ref
 from shankexo import harness
@@ -136,3 +139,30 @@ def test_squares_are_c_pow_not_products():
         y = np.array([1.0, 2.0, 4.0])
         assert_same(harness.pearson(x, y), ref.pearson(x, y))
         assert_same(harness.pearson(y, x), ref.pearson(y, x))
+
+
+# -- range of the correlation -------------------------------------------------
+
+def test_pearson_where_sxx_syy_or_their_product_is_not_normal():
+    """sxx * syy underflows to 0.0 for deviations near 1e-160 and overflows
+    to inf near 1e150, though both sums are non-zero and finite. Near 1e-161
+    syy itself is subnormal, with few significant bits, so taking the two
+    square roots apart is not enough: that gave |r| up to 1.67."""
+    cases = [([1e-160, -1e-160, 0.0],) * 2, ([1e150, -1e150, 0.0],) * 2,
+             ([0.0, 1.0, 1.0], [0.0, 3e-161, 3e-161])]
+    for x, y in cases:
+        x, y = np.array(x), np.array(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert harness.pearson(x, y) == 1.0
+            assert harness.pearson(x, -y) == -1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(xy=pairs(FINITE))
+def test_pearson_stays_in_range(xy):
+    """Left-to-right sums of up to 2000 terms drift by a few hundred ulps,
+    so the bound is not a few ulps."""
+    r = outcome(harness.pearson, *xy)
+    assume(not isinstance(r, type))
+    assert abs(r) <= 1.0 + 1e-12, r
