@@ -36,18 +36,17 @@ The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
 raises SignalLossError rather than report fewer strides.
 
-The run log is one float64 table with a row per control tick and the
-columns of LOG_COLUMNS, in a mapping sized for the run's tick bound. Each
-tick extends a plain list, the block's row buffer, by the six values the
-closed loop makes (mode, f_des_n, f_meas_n, f_truth_n, l_cable_mm,
-v_cmd_mm_s); the stride column is filled between scheduled events. After
-the block's ticks one np.fromiter turns the buffer into float64 (each float
-keeps its bits, -0.0 and NaN payloads included; the integer mode code
-becomes its float), and numpy copies move it and the columns the world
-block already holds, marked "block" below, into the table, cut to the ticks
-the loop ran. A list, because `list.extend` of a tuple is one C call, where
-`array("d").extend` converts a tuple one item at a time: about 75 ns a tick
-against 280 ns, the np.fromiter included.
+The run log has a row per control tick and the columns of LOG_COLUMNS, as
+float64. Each tick extends a plain list, the block's row buffer, by the six
+values the closed loop makes (mode, f_des_n, f_meas_n, f_truth_n,
+l_cable_mm, v_cmd_mm_s); the stride column is filled between scheduled
+events. After the block's ticks one np.fromiter turns the buffer into
+float64 (each float keeps its bits, -0.0 and NaN payloads included; the
+integer mode code becomes its float), and numpy copies move it and the
+columns the world block already holds, marked "block" below, into the log
+rows, cut to the ticks the loop ran. A list, because `list.extend` of a
+tuple is one C call, where `array("d").extend` converts a tuple one item
+at a time: about 75 ns a tick against 280 ns, the np.fromiter included.
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
@@ -62,11 +61,34 @@ against 280 ns, the np.fromiter included.
     bio                normalized biological ankle torque, 0 while standing
                        (block)
 
+The run never holds its whole log. One buffer, reused by every block, holds
+the rows from the oldest foot contact whose stride is not yet reported (all
+rows before the first contact is detected) and the block's rows after
+them: at most a block and the rows from one foot contact to the
+confirmation of the next. It has room for a block and a stride of the tick
+bound's allowance and grows only when a stride outlasts that, so a run's
+memory does not grow with its length. Once the block's rows are in the
+buffer they are final:
+
+- timeseries.csv gets them, _CSV_CHUNK rows at a time.
+- Each stride n whose foot contact n + 1 is detected is reported
+  (`_StrideReport`). It reads only the rows from foot contact n to foot
+  contact n + 1 and the shank curve of the last clean stride before it,
+  so a report over the whole log would compute the same bits.
+- The rows before the oldest unreported foot contact are dropped.
+
+The aggregates and the convergence stride come at the end, from the
+per-stride metrics and params (`_build_report`). The artifacts are written
+under temporary names in output_dir, timeseries.csv from the run's start,
+and renamed into place once summary.json is written; a run that raises
+leaves neither the files nor their temporaries.
+
 The report slices its columns. timeseries.csv holds the first twelve, the
 mode by name, and `perturbed` = (perturb_kind != 0), in the format of
-_CSV_ROW: t_ms as %.1f, stride as %d, the nine values as %.6f. The writer
-prints _CSV_CHUNK rows at a time with numpy array operations, to the bytes
-one `_CSV_ROW %` per row gives (`_csv_rows`, the reference):
+_CSV_ROW: t_ms as %.1f, stride as %d, the nine values as %.6f. The printer
+(`Artifacts.print`) prints _CSV_CHUNK rows at a time with numpy array
+operations, to the bytes one `_CSV_ROW %` per row gives (`_csv_rows`, the
+reference), so the bytes do not depend on where chunks are cut:
 
 - A %.Nf field is n = rint(x * 10**N), printed as the integer part
   n // 10**N (leading zeros dropped) and N fraction digits. The digits come
@@ -83,7 +105,7 @@ one `_CSV_ROW %` per row gives (`_csv_rows`, the reference):
   ulp, np.spacing(|x * 10**N|) / 2, as the limit: a product that close to
   a .5 boundary, which here means a product that is one, is not printed
   this way.
-- A block goes through `_csv_rows` when any of its rows has such a field,
+- A chunk goes through `_csv_rows` when any of its rows has such a field,
   a non-finite value, a magnitude of 1e8 - 1 or more, a non-integer stride
   or a mode index outside MODES. Both paths give the same bytes; the
   fallback keeps the fast path's cases few enough to prove, and is no
@@ -94,10 +116,10 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import sys
 from bisect import insort
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
 from itertools import islice
@@ -161,6 +183,9 @@ _CSV_TEMPLATE[1:, 0] = ord(",")
 _CSV_TEMPLATE[0, 10] = _CSV_TEMPLATE[3:12, 10] = ord(".")
 _CSV_TEMPLATE[12, 2:4] = (ord("\r"), ord("\n"))
 
+# Template periods a stride may last: the allowance of the run's tick bound
+# and of the log buffer.
+_STRIDE_PERIODS = 2.2
 STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
 # Percent GC of a clean stride's shank angle (ShankByPercentGC), read-only
 _PCT_GRID = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
@@ -213,11 +238,12 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient. Every sum adds left to right,
     and the squares are C pow (np.float_power).
 
-    When sxx, syy or their product is not a normal float (deviations near
-    1e-160 underflow it, near 1e150 overflow it), the sums are taken again
-    over the deviations scaled by a power of two to a largest magnitude in
-    [0.5, 1). That scaling is exact and r does not depend on it, and it
-    keeps |r| within rounding of 1.
+    A series has zero variance when its deviations are all zero, not when
+    sxx is: their squares can underflow. When sxx, syy or their product is
+    not a normal float (deviations near 1e-160 underflow it, near 1e150
+    overflow it), the sums are taken again over the deviations scaled by a
+    power of two to a largest magnitude in [0.5, 1). That scaling is exact
+    and r does not depend on it, and it keeps |r| within rounding of 1.
     """
     n = len(x)
     if n != len(y) or n < 3:
@@ -226,10 +252,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=float)
     dx = x - _sum(x) / n
     dy = y - _sum(y) / n
+    if not dx.any() or not dy.any():
+        raise UndefinedCorrelationError("zero variance series")
     sxx = float(_sum(np.float_power(dx, 2.0)))
     syy = float(_sum(np.float_power(dy, 2.0)))
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("zero variance series")
     if not (min(sxx, syy, sxx * syy) >= sys.float_info.min
             and sxx * syy < math.inf):
         dx, dy = _unit_scaled(dx), _unit_scaled(dy)
@@ -290,6 +316,14 @@ _OVERRIDE_TYPES = {
 }
 
 
+# How far below the controller's force_ceiling the profile peak must stay.
+# The true cable force overshot the peak by at most 1.2 N in 24 runs per
+# peak (4 activities x 3 scenarios x 2 seeds, peaks of 200-290 N against
+# the 300 N ceiling); a peak of 299 N or more aborted at its first assisted
+# stance. The margin covers that overshoot and the load cell's noise.
+PEAK_MARGIN_N = 10.0
+
+
 @dataclass
 class ScenarioConfig:
     activity: str = "lw"
@@ -347,6 +381,14 @@ class ScenarioConfig:
                 if not fits(value):
                     raise ConfigError(f"{group}.{key} must be {what}, not "
                                       f"{value!r}")
+        peak = self.amp_fraction * self.body_weight
+        ceiling = self.controller.get("force_ceiling",
+                                      ControllerConfig.force_ceiling)
+        if not peak < ceiling - PEAK_MARGIN_N:
+            raise ConfigError(
+                f"profile peak amp_fraction * body_weight = {peak:g} N is not "
+                f"below the force ceiling of {ceiling:g} N minus "
+                f"{PEAK_MARGIN_N:g} N")
 
 
 @dataclass
@@ -406,6 +448,15 @@ def _schedule_perturbations(rng: np.random.Generator, first: int,
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     cfg.validate()
+    if not cfg.output_dir:
+        return _run(cfg, None)
+    with Artifacts(cfg.output_dir) as artifacts:
+        report = _run(cfg, artifacts)
+        write_artifacts(cfg.output_dir, artifacts, report)
+    return report
+
+
+def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     activity = Activity(cfg.activity)
     scenario = ScenarioKind(cfg.scenario)
     tmpl = build_template(activity, **cfg.template)
@@ -435,22 +486,24 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
 
     dt = 0.001
     imu_every = round(IMU_PERIOD_MS / (dt * 1000.0))   # ticks per IMU sample
-    events: list[GaitEvent] = []
+    contacts: list[GaitEvent] = []         # foot contacts, by gc_index
+    foot_offs: dict[int, GaitEvent] = {}   # by gc_index
     adopted: list[GaussianParams] = []     # params active per stride
     raws: list = []                        # last accepted features per stride
+    strides = _StrideReport(cfg.n_strides)
     # The reading of the previous tick, (f_meas, l_meas, l_meas_rate,
     # motor_pos), is the controller's input.
     reading = (0.0, world.state.l_cable, 0.0, 0.0)
     current_stride = -1
     bound = stop = int((world.standing_s + (cfg.n_strides + 6)
-                        * tmpl.period * 2.2) * 1000)
-    # The log table has room for `bound` rows in an anonymous mapping, filled
-    # one block at a time: its pages become resident only as rows are
-    # written, and it never moves. A growing array would be reallocated,
-    # and copied (twice its size resident) whenever the heap left no room
-    # to grow in place.
+                        * tmpl.period * _STRIDE_PERIODS) * 1000)
+    # The log rows from the oldest unreported foot contact on, in one
+    # buffer that every block reuses: room for a block and a stride, grown
+    # only when a stride outlasts it.
     width = len(LOG_COLUMNS)
-    log = np.frombuffer(mmap.mmap(-1, bound * width * 8)).reshape(-1, width)
+    log = np.empty((BLOCK_TICKS + int(tmpl.period * _STRIDE_PERIODS * 1000),
+                    width))
+    held = 0             # rows in the buffer
     n_log = 0            # ticks run so far; global tick n_log + 1 is next
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
@@ -474,14 +527,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             ev = estimation.feed(block.kin[i])
             if ev is None:
                 continue
-            events.append(ev)
             params = None
             if ev.kind is foot_contact:
                 params = estimator.params
+                contacts.append(ev)
                 adopted.append(params)
                 raws.append(estimator.last_raw)
                 if ev.gc_index >= cfg.n_strides:
                     stop = min(stop, n_log + i + 21)
+            else:
+                foot_offs[ev.gc_index] = ev
             schedule.append((i, ev, params))
 
         m = min(n, stop - n_log)
@@ -495,7 +550,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
 
         # Closed loop: the block's ticks up to `stop`, each schedule entry
         # applied before its tick's command.
-        part = log[n_log:n_log + m]
+        if held + m > len(log):
+            log = np.concatenate((log[:held], np.empty((held + m, width))))
+        part = log[held:held + m]
         rows = []
         log_row = rows.extend
         ticks = zip(*block.frames[:m, _TICK_FRAMES].T.tolist(),
@@ -521,43 +578,66 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 block.bio)):
             part[:, c] = values[:m]
         n_log += m
+        held += m
+        # The block's rows are final: print them, report each stride whose
+        # next foot contact is known, and keep the rows from the oldest
+        # unreported foot contact on.
+        if artifacts is not None:
+            artifacts.print(part)
+        keep = strides.report(log[:held], contacts, foot_offs, adopted)
+        log[:held - keep] = log[keep:held]
+        held -= keep
     if current_stride < cfg.n_strides:
         raise SignalLossError(
             f"tick bound of {bound} reached with {len(adopted)} foot contacts "
             f"confirmed; the run needs {cfg.n_strides + 1}")
 
-    table = log[:n_log]
-    report = _build_report(cfg, ctrl_cfg, tmpl, table, events, adopted, raws,
-                           analysis_start, ctrl.state.aborted)
-    if cfg.output_dir:
-        write_artifacts(cfg.output_dir, table, report)
-    return report
+    return _build_report(cfg, ctrl_cfg, tmpl, strides.per_stride, adopted,
+                         raws, analysis_start, ctrl.state.aborted)
 
 
-def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
-                  analysis_start, aborted) -> MetricsReport:
-    col = dict(zip(LOG_COLUMNS, log.T))
-    t, sk, bio = col["t_ms"], col["theta_sk_deg"], col["bio"]
-    f_des, f_meas, pk = col["f_des_n"], col["f_meas_n"], col["perturb_kind"]
+class _StrideReport:
+    """The per-stride metrics, stride by stride as the run passes them.
+    Stride n reads only its own log rows, from foot contact n to foot
+    contact n + 1, and the shank curve of the last clean stride before it."""
 
-    fcs = [e for e in events if e.kind is GaitEventKind.FOOT_CONTACT]
-    fos = {e.gc_index: e for e in events if e.kind is GaitEventKind.FOOT_OFF}
-    n_complete = min(len(fcs) - 1, cfg.n_strides)
+    def __init__(self, n_strides: int):
+        self.n_strides = n_strides
+        self.reported = 0            # strides reported or skipped
+        self.per_stride: list[StrideMetrics] = []
+        self.prev_clean: Optional[ShankByPercentGC] = None
+        self.prev_duration: Optional[float] = None
 
-    per_stride: list[StrideMetrics] = []
-    prev_clean: Optional[ShankByPercentGC] = None
-    prev_duration: Optional[float] = None
-    for n in range(n_complete):
-        fc, nxt = fcs[n], fcs[n + 1]
-        fo = fos.get(n)
+    def report(self, log: np.ndarray, contacts: Sequence[GaitEvent],
+               foot_offs: dict[int, GaitEvent],
+               adopted: Sequence[GaussianParams]) -> int:
+        """Report each stride whose next foot contact is in `contacts`,
+        from the log rows `log`, which start at or before the oldest
+        unreported foot contact's row. Return the index in `log` of that
+        row once the contact is known, else 0."""
+        while self.reported < min(len(contacts) - 1, self.n_strides):
+            n = self.reported
+            self._add(n, log, contacts[n], foot_offs.get(n), contacts[n + 1],
+                      adopted[n])
+            self.reported += 1
+        if self.reported < len(contacts):
+            return int(np.searchsorted(log[:, 0],
+                                       contacts[self.reported].t_ms))
+        return 0
+
+    def _add(self, n: int, log: np.ndarray, fc: GaitEvent,
+             fo: Optional[GaitEvent], nxt: GaitEvent,
+             params: GaussianParams) -> None:
         if fo is None or not (fc.t_ms < fo.t_ms < nxt.t_ms):
-            continue
+            return
+        col = dict(zip(LOG_COLUMNS, log.T))
+        t, sk, bio = col["t_ms"], col["theta_sk_deg"], col["bio"]
+        f_des, f_meas, pk = col["f_des_n"], col["f_meas_n"], col["perturb_kind"]
         i0 = int(np.searchsorted(t, fc.t_ms))
         i1 = int(np.searchsorted(t, fo.t_ms, side="right"))
         i2 = int(np.searchsorted(t, nxt.t_ms))
         duration = nxt.t_ms - fc.t_ms
         ratio = (fo.t_ms - fc.t_ms) / duration
-        params = adopted[n] if n < len(adopted) else adopted[-1]
         kind = int(pk[i0:i2].max()) if i2 > i0 else 0
 
         des = f_des[i0:i1]
@@ -576,21 +656,20 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
                 r_sk = stance_correlation(np.interp(grid, tt, des), bio_g)
             except MetricsError:
                 r_sk = None
-            if prev_clean is not None and prev_duration:
+            if self.prev_clean is not None and self.prev_duration:
                 ftime = eval_time_profile_array(
-                    params, (tt - fc.t_ms) / prev_duration, prev_clean)
+                    params, (tt - fc.t_ms) / self.prev_duration,
+                    self.prev_clean)
                 try:
                     r_tm = stance_correlation(np.interp(grid, tt, ftime),
                                               bio_g)
                 except MetricsError:
                     r_tm = None
 
-        swing_max = None
-        if n + 1 < len(adopted):
-            swing = f_meas[int(np.searchsorted(t, fo.t_ms)):i2]
-            swing_max = float(swing.max()) if len(swing) else 0.0
+        swing = f_meas[int(np.searchsorted(t, fo.t_ms)):i2]
+        swing_max = float(swing.max()) if len(swing) else 0.0
 
-        per_stride.append(StrideMetrics(
+        self.per_stride.append(StrideMetrics(
             stride=n, t_fc_ms=fc.t_ms, stance_ratio=ratio,
             rmse_pct=stride_rmse, pearson_shank=r_sk, pearson_time=r_tm,
             swing_max_force=swing_max, perturbed=kind,
@@ -599,10 +678,15 @@ def _build_report(cfg, ctrl_cfg, tmpl, log, events, adopted, raws,
 
         if kind == 0:
             pct = (t[i0:i2] - fc.t_ms) / duration
-            prev_clean = ShankByPercentGC(
+            self.prev_clean = ShankByPercentGC(
                 _PCT_GRID, np.interp(_PCT_GRID, pct, sk[i0:i2]))
-            prev_duration = duration
+            self.prev_duration = duration
 
+
+def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, raws,
+                  analysis_start, aborted) -> MetricsReport:
+    """The aggregates and the convergence stride over the reported strides,
+    and the config echo."""
     targets = None
     for raw in reversed(raws):
         if raw is not None and raw.ordered:
@@ -706,24 +790,60 @@ def _csv_block(rows: np.ndarray) -> bytes:
     return out[out != 0].tobytes()
 
 
-def write_artifacts(out_dir: str, log: np.ndarray,
-                    report: MetricsReport) -> None:
-    """timeseries.csv from the run log, _CSV_CHUNK rows at a time, and
-    summary.json.
+# An artifact is written under its name plus this suffix and renamed into
+# place once the run has finished.
+_PARTIAL = ".partial"
+_ARTIFACTS = ("timeseries.csv", "summary.json")
 
-    A block's fields are printed from n = rint(x * 10**decimals) through
-    4-digit ASCII group tables. The bytes equal one `_CSV_ROW %` per row:
-    rint and `%` round alike wherever the product lies farther than half
-    its ulp from a .5 boundary. A block holding a non-finite value, a
-    magnitude of 1e8 - 1 or more, a non-integer stride or mode index, or a
-    product that near a .5 boundary is printed by `_csv_rows` instead (see
-    the module docstring).
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "timeseries.csv"), "wb") as fh:
-        fh.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-        for i in range(0, len(log), _CSV_CHUNK):
-            fh.write(_csv_block(log[i:i + _CSV_CHUNK]))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+
+class Artifacts:
+    """A run's artifact files in out_dir, under temporary names until
+    write_artifacts renames them into place. timeseries.csv is open from
+    the start, and `print` adds log rows to it as they become final.
+    Leaving the `with` block removes what is still under a temporary name,
+    so a run that raises leaves no artifact and no temporary file."""
+
+    def __init__(self, out_dir: str):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.csv = open(os.path.join(out_dir, "timeseries.csv" + _PARTIAL),
+                        "wb")
+        self.csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+
+    def print(self, rows: np.ndarray) -> None:
+        """Add the rows of the run log `rows` to timeseries.csv,
+        _CSV_CHUNK rows at a time.
+
+        A chunk's fields are printed from n = rint(x * 10**decimals)
+        through 4-digit ASCII group tables. The bytes equal one `_CSV_ROW %`
+        per row, so they do not depend on where chunks are cut: rint and
+        `%` round alike wherever the product lies farther than half its ulp
+        from a .5 boundary. A chunk holding a non-finite value, a magnitude
+        of 1e8 - 1 or more, a non-integer stride or mode index, or a
+        product that near a .5 boundary is printed by `_csv_rows` instead
+        (see the module docstring).
+        """
+        for i in range(0, len(rows), _CSV_CHUNK):
+            self.csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
+
+    def __enter__(self) -> Artifacts:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.csv.close()
+        for name in _ARTIFACTS:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(self.out_dir, name + _PARTIAL))
+
+
+def write_artifacts(out_dir: str, artifacts: Artifacts,
+                    report: MetricsReport) -> None:
+    """Write summary.json, then rename it and timeseries.csv, as
+    `artifacts` printed it, into place in out_dir."""
+    artifacts.csv.close()
+    with open(os.path.join(out_dir, "summary.json" + _PARTIAL), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
+    for name in _ARTIFACTS:
+        path = os.path.join(out_dir, name)
+        os.replace(path + _PARTIAL, path)

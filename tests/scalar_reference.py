@@ -194,10 +194,10 @@ def pearson(x, y) -> float:
     my = sum(y) / n
     dx = [a - mx for a in x]
     dy = [b - my for b in y]
+    if not any(dx) or not any(dy):
+        raise UndefinedCorrelationError("zero variance series")
     sxx = float(sum(d ** 2 for d in dx))
     syy = float(sum(d ** 2 for d in dy))
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("zero variance series")
     if not (min(sxx, syy, sxx * syy) >= sys.float_info.min
             and sxx * syy < math.inf):
         ex = math.frexp(max(map(abs, dx)))[1]

@@ -205,7 +205,9 @@ def reference_csv(log: np.ndarray) -> bytes:
 
 def written_csv(log: np.ndarray) -> bytes:
     with tempfile.TemporaryDirectory() as out:
-        write_artifacts(out, log, REPORT)
+        with harness.Artifacts(out) as artifacts:
+            artifacts.print(log)
+            write_artifacts(out, artifacts, REPORT)
         return (Path(out) / "timeseries.csv").read_bytes()
 
 

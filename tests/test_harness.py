@@ -6,20 +6,22 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, example, given, settings, strategies as hs
 
 from shankexo import harness
 from shankexo.cli import main as cli_main
 from shankexo.controller import ABORT_CODE, Controller, ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
-                              ConfigError, MetricsError, ScenarioConfig,
-                              UndefinedCorrelationError, convergence_stride,
-                              pearson, rmse_pct, run_scenario,
-                              stance_correlation)
+                              PEAK_MARGIN_N, ConfigError, MetricsError,
+                              ScenarioConfig, UndefinedCorrelationError,
+                              convergence_stride, pearson, rmse_pct,
+                              run_scenario, stance_correlation)
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig,
                             build_template)
 from shankexo.profile import GaussianParams
+
+CEILING = ControllerConfig.force_ceiling
 
 
 class TestRmsePct:
@@ -185,6 +187,29 @@ class TestScenarioConfig:
     def test_override_of_the_field_type_accepted(self, group, key, value):
         ScenarioConfig(**{group: {key: value}}).validate()
 
+    @pytest.mark.parametrize("amp, bw, controller", [
+        (0.5, 700.0, {}), (0.29, 1000.0, {}), (0.3, 1000.0, {}),
+        (0.15, 700.0, {"force_ceiling": 20.0}),
+        (0.15, 700.0, {"force_ceiling": 105.0 + PEAK_MARGIN_N}),
+        (0.15, 700.0, {"force_ceiling": math.nan})])
+    def test_a_peak_the_force_ceiling_cannot_carry_rejected(self, amp, bw,
+                                                            controller):
+        cfg = ScenarioConfig(amp_fraction=amp, body_weight=bw,
+                             controller=controller)
+        ceiling = controller.get("force_ceiling", CEILING)
+        with pytest.raises(ConfigError, match=(
+                rf"= {amp * bw:g} N is not below the force ceiling of "
+                rf"{ceiling:g} N")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("amp, bw, controller", [
+        (0.2899, 1000.0, {}), (0.5, 579.0, {}),
+        (0.5, 700.0, {"force_ceiling": 400.0})])
+    def test_a_peak_below_the_force_ceiling_accepted(self, amp, bw,
+                                                     controller):
+        ScenarioConfig(amp_fraction=amp, body_weight=bw,
+                       controller=controller).validate()
+
     def test_every_field_takes_its_own_value(self):
         # Each settable field accepts the value it holds, so the type check
         # knows every annotation an override can meet.
@@ -286,16 +311,7 @@ class TestRunScenario:
                                                             monkeypatch):
         # Events stop at 6 s: contact 8 never comes, so the loop runs to its
         # tick bound; the run must not come back with fewer strides.
-        update = EventDetector.update
-        contacts = []
-
-        def stalling(self, sample):
-            ev = update(self, sample) if sample.t_ms < 6000.0 else None
-            if ev is not None and ev.kind is GaitEventKind.FOOT_CONTACT:
-                contacts.append(ev)
-            return ev
-
-        monkeypatch.setattr(EventDetector, "update", stalling)
+        contacts = stalling_detector(monkeypatch, 6000.0)
         with pytest.raises(SignalLossError) as err:
             run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1))
         assert 0 < len(contacts) < 9
@@ -303,16 +319,18 @@ class TestRunScenario:
                 in str(err.value))
         assert "tick bound of " in str(err.value)
 
-    def test_log_table_holds_the_loop_rows_bit_for_bit(self, monkeypatch):
+    def test_log_table_holds_the_loop_rows_bit_for_bit(self, tmp_path,
+                                                       monkeypatch):
         # A 3-stride run is two world blocks. Controller.run hands its rows
         # to a recording log_row. Its cable step reads f_truth -0.0 now and
         # then in the first block, and in the second block one NaN f_meas
-        # (which aborts the run) with a NaN f_truth of another payload.
+        # (which aborts the run) with a NaN f_truth of another payload. The
+        # table is the rows each block hands the printer.
         payload_nan = struct.unpack("<d", struct.pack("<Q",
                                                       0x7FF8_0000_DEAD_BEEF))[0]
         nan_tick = BLOCK_TICKS + 300
-        rows, tables, n_step = [], [], [0]
-        run, build_report = Controller.run, harness._build_report
+        rows, blocks, n_step = [], [], [0]
+        run, print_rows = Controller.run, harness.Artifacts.print
 
         def recording_run(self, ticks, step, reading, dt, log_row):
             def faulty_step(cmd_v, theta_df, migration):
@@ -329,15 +347,15 @@ class TestRunScenario:
                 log_row(row)
             return run(self, ticks, faulty_step, reading, dt, record)
 
-        def keep_table(cfg, ctrl_cfg, tmpl, log, *rest):
-            tables.append(log.copy())
-            return build_report(cfg, ctrl_cfg, tmpl, log, *rest)
+        def keep_rows(self, block):
+            blocks.append(block.copy())
+            print_rows(self, block)
 
         monkeypatch.setattr(Controller, "run", recording_run)
-        monkeypatch.setattr(harness, "_build_report", keep_table)
+        monkeypatch.setattr(harness.Artifacts, "print", keep_rows)
         report = run_scenario(ScenarioConfig(activity="lw", n_strides=3,
-                                             seed=1))
-        (table,) = tables
+                                             seed=1, output_dir=str(tmp_path)))
+        table = np.concatenate(blocks)
         assert report.aborted and BLOCK_TICKS < len(table) < 2 * BLOCK_TICKS
         assert len(rows) == len(table)
         assert all(type(row[0]) is int for row in rows)
@@ -354,6 +372,124 @@ class TestRunScenario:
         assert struct.pack("<d", f_truth[nan_tick - 1]) == struct.pack(
             "<d", payload_nan)
         assert math.isnan(loop[nan_tick - 1, 2])
+
+
+def stalling_detector(monkeypatch, start_ms, end_ms=math.inf):
+    """Freeze the event detector from start_ms to end_ms: it sees no
+    sample and confirms no event there."""
+    update = EventDetector.update
+    contacts = []
+
+    def stalling(self, sample):
+        if start_ms <= sample.t_ms < end_ms:
+            return None
+        ev = update(self, sample)
+        if ev is not None and ev.kind is GaitEventKind.FOOT_CONTACT:
+            contacts.append(ev)
+        return ev
+
+    monkeypatch.setattr(EventDetector, "update", stalling)
+    return contacts
+
+
+def record_reports(monkeypatch):
+    """The arguments of each block's call of the stride reporter."""
+    calls = []
+    report = harness._StrideReport.report
+
+    def recording(self, log, contacts, foot_offs, adopted):
+        calls.append((log, contacts, foot_offs, adopted))
+        return report(self, log, contacts, foot_offs, adopted)
+
+    monkeypatch.setattr(harness._StrideReport, "report", recording)
+    return calls
+
+
+class TestStreamedRun:
+    """A run holds only the log rows from the oldest unreported foot contact
+    on, reports each stride once the next foot contact is known, and prints
+    rows as they become final."""
+
+    @pytest.mark.parametrize("n_strides", [30, 120])
+    def test_rows_held_stay_within_a_block_and_a_stride(self, monkeypatch,
+                                                        n_strides):
+        # Each block's call of the reporter sees every row held: a block
+        # and the rows from the oldest unreported foot contact on. The
+        # bound is the same at both run lengths, the ramp's slowest stride.
+        calls = record_reports(monkeypatch)
+        run_scenario(ScenarioConfig(activity="lw", scenario="speed-ramp",
+                                    n_strides=n_strides, seed=1))
+        contacts = calls[-1][1]
+        assert len(contacts) == n_strides + 1
+        longest = max(np.diff([c.t_ms for c in contacts]))
+        assert longest == 2260.0
+        assert max(len(log) for log, *_ in calls) <= BLOCK_TICKS + longest
+
+    @pytest.mark.parametrize("stall_ms", [None, (9000.0, 16500.0)])
+    def test_streamed_report_equals_the_report_over_the_whole_log(
+            self, tmp_path, monkeypatch, stall_ms):
+        # A 7.5 s detector stall makes assisted stride 6 outlast the buffer,
+        # which grows twice; without it the buffer keeps its size.
+        if stall_ms:
+            stalling_detector(monkeypatch, *stall_ms)
+        calls = record_reports(monkeypatch)
+        blocks = []
+        print_rows = harness.Artifacts.print
+        monkeypatch.setattr(harness.Artifacts, "print", lambda self, rows: (
+            blocks.append(rows.copy()), print_rows(self, rows)))
+        report = run_scenario(ScenarioConfig(
+            activity="lw", scenario="perturb", n_strides=30, seed=3,
+            output_dir=str(tmp_path)))
+        sizes = {len(log.base) for log, *_ in calls}
+        assert (len(sizes) > 1) == bool(stall_ms)
+        whole = harness._StrideReport(30)
+        whole.report(np.concatenate(blocks), *calls[-1][1:])
+        assert len(report.per_stride) >= 28
+        assert repr(whole.per_stride) == repr(report.per_stride)
+
+    def test_a_run_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        # Artifacts of an earlier run stay as they were; an empty directory
+        # gets no file.
+        earlier, empty = tmp_path / "earlier", tmp_path / "empty"
+        run_scenario(ScenarioConfig(activity="lw", n_strides=3, seed=2,
+                                    output_dir=str(earlier)))
+        before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+        assert sorted(before) == ["summary.json", "timeseries.csv"]
+        stalling_detector(monkeypatch, 6000.0)
+        for out in (earlier, empty):
+            with pytest.raises(SignalLossError):
+                run_scenario(ScenarioConfig(activity="lw", n_strides=8,
+                                            seed=1, output_dir=str(out)))
+        assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+        assert list(empty.iterdir()) == []
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(activity=hs.sampled_from(["lw", "lr", "ra", "rd"]),
+       scenario=hs.sampled_from(["steady", "perturb", "speed-ramp"]),
+       seed=hs.integers(0, 2**16),
+       peak=hs.floats(20.0, CEILING - PEAK_MARGIN_N, exclude_max=True),
+       body_weight=hs.floats(400.0, 1100.0))
+@example(activity="lr", scenario="perturb", seed=1,
+         peak=CEILING - PEAK_MARGIN_N - 0.1, body_weight=1000.0)
+def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
+        activity, scenario, seed, peak, body_weight):
+    """Over the scenario space: a config that validate accepts, with its
+    peak up to just below the force ceiling minus the margin, neither aborts
+    nor takes the true cable force to the ceiling."""
+    cfg = ScenarioConfig(activity=activity, scenario=scenario, n_strides=30,
+                         seed=seed, amp_fraction=peak / body_weight,
+                         body_weight=body_weight)
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_reports(mp)
+        report = run_scenario(cfg)
+    f_truth = LOG_COLUMNS.index("f_truth_n")
+    assert not report.aborted
+    assert max(log[:, f_truth].max() for log, *_ in calls) < CEILING
 
 
 class TestPerturbProtocol:
@@ -491,7 +627,8 @@ class TestCli:
 
     def test_aborted_run_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"controller": {"force_ceiling": 20.0}}))
+        cfg_file.write_text(json.dumps({"controller":
+                                        {"position_limit_mm": 5.0}}))
         rc = cli_main(["run", "--strides", "8", "--config", str(cfg_file)])
         out, err = capsys.readouterr()
         assert rc == 1

@@ -373,22 +373,25 @@ def test_a_drifted_clock_rounds_tick_by_tick(n):
 
 # -- the harness log ----------------------------------------------------------------
 
-def test_log_records_the_profile_force_on_aborted_stance_ticks(monkeypatch):
+def test_log_records_the_profile_force_on_aborted_stance_ticks(tmp_path,
+                                                              monkeypatch):
     """A force spike in stance latches the abort; the controller then holds
     without evaluating the profile and, ignoring gait events, stays in
-    stance. The log's f_des_n must still be the profile force of each tick."""
+    stance. The log's f_des_n must still be the profile force of each tick:
+    the log is the rows each block hands the printer."""
     from shankexo import harness
-    tables, ctrls = [], []
-    monkeypatch.setattr(harness, "_build_report",
-                        lambda cfg, c, t, table, *a: tables.append(table))
+    blocks, ctrls = [], []
+    print_rows = harness.Artifacts.print
+    monkeypatch.setattr(harness.Artifacts, "print", lambda self, rows: (
+        blocks.append(rows.copy()), print_rows(self, rows)))
     monkeypatch.setattr(harness, "Controller",
                         lambda *a: ctrls.append(Controller(*a)) or ctrls[-1])
     run_scenario(ScenarioConfig(activity="lw", scenario="steady",
-                                n_strides=10, seed=1,
+                                n_strides=10, seed=1, output_dir=str(tmp_path),
                                 fault_spike_t_ms=8600.0, fault_spike_n=400.0))
     st = ctrls[0].state
     assert st.aborted and st.mode is ControlMode.STANCE
-    col = dict(zip(LOG_COLUMNS, tables[0].T))
+    col = dict(zip(LOG_COLUMNS, np.concatenate(blocks).T))
     aborted = col["mode"] == harness.MODES.index("abort")
     assert col["t_ms"][aborted][0] == 8600.0
     want = [eval_force(st.active_params, th)

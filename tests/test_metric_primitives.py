@@ -158,6 +158,17 @@ def test_pearson_where_sxx_syy_or_their_product_is_not_normal():
             assert harness.pearson(x, -y) == -1.0
 
 
+def test_pearson_where_the_squared_deviations_all_underflow():
+    """Deviations near 1e-170 square to 0.0, so sxx is 0.0 though the series
+    is not constant; the scaled sums give the correlation."""
+    x = np.array([1e-170, -1e-170, 0.0])
+    for f in (harness.pearson, ref.pearson):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(x, x) == 1.0
+            assert abs(f(x, -x) + 1.0) <= 1e-15
+
+
 @settings(max_examples=150, deadline=None)
 @given(xy=pairs(FINITE))
 def test_pearson_stays_in_range(xy):
