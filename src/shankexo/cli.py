@@ -14,8 +14,9 @@ import sys
 
 from .gait_signals import (GaitEventKind, SignalLossError, SignalQualityError,
                            read_replay_csv)
-from .harness import ConfigError, MetricsReport, ScenarioConfig, run_scenario
-from .plant import TemplateError
+from .harness import (ConfigError, MetricsReport, ScenarioConfig,
+                      ScenarioKind, run_scenario)
+from .plant import Activity, TemplateError
 from .profile import EstimationPath, ParameterError
 from .tendon import IdentificationError, identify_stiffness, load_calibration_csv
 
@@ -30,11 +31,12 @@ INPUT_ERRORS = (OSError, json.JSONDecodeError, ConfigError, TemplateError,
 
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run one closed-loop scenario")
-    p.add_argument("--activity", choices=["lw", "lr", "ra", "rd"], default="lw")
-    p.add_argument("--scenario", choices=["steady", "perturb", "speed-ramp"],
-                   default="steady")
-    p.add_argument("--strides", type=int, default=60)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--activity", choices=[a.value for a in Activity],
+                   default=ScenarioConfig.activity)
+    p.add_argument("--scenario", choices=[k.value for k in ScenarioKind],
+                   default=ScenarioConfig.scenario)
+    p.add_argument("--strides", type=int, default=ScenarioConfig.n_strides)
+    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
     p.add_argument("--amp", type=float, default=ScenarioConfig.amp_fraction,
                    help="assistance amplitude as a fraction of body weight")
     p.add_argument("--bw-n", type=float, default=ScenarioConfig.body_weight,

@@ -44,7 +44,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .gait_signals import GaitEvent, GaitEventKind
-from .plant import CableStep
+from .plant import CableStep, PlantConfig
 from .profile import GaussianParams, eval_force, eval_force_and_rate
 from .tendon import TendonModel, estimate_migration, tendon_length
 
@@ -77,7 +77,7 @@ class ControllerConfig:
     silent_cycles: int = 5
     force_ceiling: float = 300.0     # N
     position_limit_mm: float = 80.0  # +/- about the pretighten reference
-    v_max: float = 250.0             # mm/s command envelope
+    v_max: float = PlantConfig.v_max  # mm/s command envelope
     pretighten_force: float = 5.0    # N, startup baseline confirmation
     pretighten_rate: float = 30.0    # mm/s during startup tightening
     release_slack_mm: float = 20.0   # payout past the baseline for silent walking
@@ -266,16 +266,6 @@ class Controller:
                  (f_meas, l_meas, l_meas_rate, motor_pos), dt, row.extend)
         return row[5]
 
-    def safety_check(self, f_meas: float, motor_pos: float) -> bool:
-        """Latch and log the abort when a limit is exceeded; True once
-        aborted."""
-        st, cfg = self.state, self.cfg
-        if not st.aborted and (f_meas > cfg.force_ceiling
-                               or abs(motor_pos) > cfg.position_limit_mm):
-            log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas, motor_pos)
-            st.aborted = True
-        return st.aborted
-
     # -- helpers --------------------------------------------------------------
 
     def _settled_locals(self) -> tuple:
@@ -304,17 +294,24 @@ class Controller:
         (the engage tick continues as an engaged stance tick)."""
         st, cfg, tendon = self.state, self.cfg, self.tendon
         st.last_theta_df = theta_df
-        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
-                             + theta_sk + theta_df + theta_sk_rate
-                             + theta_df_rate):
-            if not st.aborted:
+        # The safety abort latches, with one log line, on a non-finite input
+        # or on a reading past the force ceiling or the position limit.
+        if not st.aborted:
+            if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
+                                 + theta_sk + theta_df + theta_sk_rate
+                                 + theta_df_rate):
                 log.error("safety abort: non-finite input (f, l, rate, pos)="
                           "%r (sk, df, sk rate, df rate)=%r",
                           (f_meas, l_meas, l_meas_rate, motor_pos),
                           (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
-            st.aborted = True
+                st.aborted = True
+            elif (f_meas > cfg.force_ceiling
+                  or abs(motor_pos) > cfg.position_limit_mm):
+                log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
+                          motor_pos)
+                st.aborted = True
         mode, p = st.mode, st.active_params
-        if self.safety_check(f_meas, motor_pos):
+        if st.aborted:
             # An aborted stance tick holds without the profile; the log
             # still shows the profile force of its shank angle.
             if mode is ControlMode.STANCE and p is not None:

@@ -6,6 +6,13 @@ ankle dorsiflexion channel is the difference theta_sk - theta_ft (zero at
 upright stand). Foot contact is marked by the foot-pitch maximum, foot-off by
 the foot-pitch-rate minimum.
 
+`WindowAssembler` keeps each stance in one buffer of `KinematicSample`s,
+backfilled at foot contact from the extremum sample and cut at foot-off to
+the samples at or before the extremum; a `StanceWindow` is the immutable
+shank/DF pair of lists it hands out. `StreamConditioner` gap-checks a
+recorded stream for `read_replay_csv` and passes its angles through as
+recorded.
+
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
 period, ahead of each block's 1 kHz closed loop, and `plant` validates gait
@@ -18,7 +25,7 @@ import csv
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
@@ -172,99 +179,72 @@ class EventDetector:
         self._armed = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class StanceWindow:
-    """Paired shank/DF angle buffers covering one stance period."""
+    """Paired shank/DF angle lists covering one stance period."""
 
-    capacity: int = STANCE_CAPACITY
-    theta_sk_buf: list = field(default_factory=list)
-    theta_df_buf: list = field(default_factory=list)
-    overflowed: bool = False
+    theta_sk_buf: list
+    theta_df_buf: list
 
     def __len__(self) -> int:
         return len(self.theta_sk_buf)
-
-    def append(self, theta_sk: float, theta_df: float) -> None:
-        if len(self.theta_sk_buf) >= self.capacity:
-            if not self.overflowed:
-                log.warning("stance window exceeded %d samples; dropping oldest",
-                            self.capacity)
-            self.overflowed = True
-            self.theta_sk_buf.pop(0)
-            self.theta_df_buf.pop(0)
-        self.theta_sk_buf.append(theta_sk)
-        self.theta_df_buf.append(theta_df)
-
-    def clear(self) -> None:
-        self.theta_sk_buf.clear()
-        self.theta_df_buf.clear()
-        self.overflowed = False
 
 
 class WindowAssembler:
     """Builds per-stride stance windows aligned to the event extremum samples.
 
     Confirmation lags the extremum by the hysteresis crossing, so the
-    assembler keeps a short ring of recent samples: on FootContact it
-    backfills from the extremum time, and on FootOff it trims samples past
-    the extremum before handing the window out.
+    assembler keeps a short ring of recent samples. On FootContact it
+    backfills one stance buffer from the ring, from the extremum sample on;
+    the buffer holds STANCE_CAPACITY samples and drops its oldest past that.
+    On FootOff it hands out the window of the buffered samples at or before
+    the extremum, with one warning if the stance dropped any.
     """
 
     def __init__(self):
         self._ring: deque = deque(maxlen=120)   # recent samples
-        self.window = StanceWindow()
-        # The window's sample times, dropped with its oldest samples.
-        self._t_buf: deque = deque(maxlen=self.window.capacity)
-        self.in_stance = False
+        self._stance: Optional[deque] = None    # None in swing
+        self._first: Optional[KinematicSample] = None   # the stance's first
 
     def process(self, sample: KinematicSample,
                 event: Optional[GaitEvent]) -> Optional[StanceWindow]:
         """Feed one sample (and any event it confirmed); returns a completed
         stance window on FootOff."""
         self._ring.append(sample)
-        if event is not None and event.kind is GaitEventKind.FOOT_CONTACT:
-            self.window.clear()
-            self._t_buf.clear()
-            for s in self._ring:
-                if s.t_ms >= event.t_ms:
-                    self.window.append(s.theta_sk, s.theta_df)
-                    self._t_buf.append(s.t_ms)
-            self.in_stance = True
+        if event is None:
+            if self._stance is not None:
+                self._stance.append(sample)
             return None
-        if event is not None and event.kind is GaitEventKind.FOOT_OFF:
-            self.in_stance = False
-            keep = sum(1 for t in self._t_buf if t <= event.t_ms)
-            done = StanceWindow(theta_sk_buf=self.window.theta_sk_buf[:keep],
-                                theta_df_buf=self.window.theta_df_buf[:keep])
-            self.window.clear()
-            self._t_buf.clear()
-            return done
-        if self.in_stance:
-            self.window.append(sample.theta_sk, sample.theta_df)
-            self._t_buf.append(sample.t_ms)
-        return None
+        if event.kind is GaitEventKind.FOOT_CONTACT:
+            self._stance = deque((s for s in self._ring if s.t_ms >= event.t_ms),
+                                 maxlen=STANCE_CAPACITY)
+            self._first = self._stance[0] if self._stance else None
+            return None
+        stance, self._stance = self._stance or (), None
+        if stance and stance[0] is not self._first:
+            log.warning("stance window exceeded %d samples; dropped the oldest",
+                        STANCE_CAPACITY)
+        kept = [s for s in stance if s.t_ms <= event.t_ms]
+        return StanceWindow([s.theta_sk for s in kept],
+                            [s.theta_df for s in kept])
 
 
 class StreamConditioner:
-    """Calibrates and gap-checks a raw 100 Hz kinematic stream.
+    """Gap-checks a raw 100 Hz kinematic stream.
 
-    Subtracts the standing offsets captured at stream start, tolerates a
-    single missing sample by linear extrapolation from the last two frames,
-    and rejects gaps longer than MAX_GAP_SAMPLES with SignalLossError.
+    Tolerates up to MAX_GAP_SAMPLES - 1 missing samples by linear
+    extrapolation from the last two frames, and rejects longer gaps with
+    SignalLossError and non-increasing timestamps with SignalQualityError.
     """
 
-    def __init__(self, standing_ft: float = 0.0, standing_sk: float = 0.0):
-        self.standing_ft = standing_ft
-        self.standing_sk = standing_sk
+    def __init__(self):
         self._last: Optional[KinematicSample] = None
         self._prev: Optional[KinematicSample] = None
 
     def feed(self, t_ms: float, theta_ft: float, theta_sk: float,
              theta_ft_rate: float, theta_sk_rate: float) -> list[KinematicSample]:
-        """Returns the calibrated sample, preceded by any extrapolated fill."""
+        """Returns the sample, preceded by any extrapolated fill."""
         out: list[KinematicSample] = []
-        ft = theta_ft - self.standing_ft
-        sk = theta_sk - self.standing_sk
         if self._last is not None:
             gap = round((t_ms - self._last.t_ms) / IMU_PERIOD_MS)
             if gap < 1:
@@ -275,7 +255,8 @@ class StreamConditioner:
                     f"kinematic stream gap of {gap} samples at t={t_ms} ms")
             for k in range(1, gap):
                 out.append(self._extrapolate(k))
-        sample = KinematicSample.from_imu(t_ms, ft, sk, theta_ft_rate, theta_sk_rate)
+        sample = KinematicSample.from_imu(t_ms, theta_ft, theta_sk,
+                                          theta_ft_rate, theta_sk_rate)
         self._prev = self._last
         self._last = sample
         out.append(sample)

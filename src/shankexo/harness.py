@@ -489,7 +489,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     contacts: list[GaitEvent] = []         # foot contacts, by gc_index
     foot_offs: dict[int, GaitEvent] = {}   # by gc_index
     adopted: list[GaussianParams] = []     # params active per stride
-    raws: list = []                        # last accepted features per stride
+    landmarks = None     # the last ordered landmarks seen at a foot contact
     strides = _StrideReport(cfg.n_strides)
     # The reading of the previous tick, (f_meas, l_meas, l_meas_rate,
     # motor_pos), is the controller's input.
@@ -532,7 +532,9 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
                 params = estimator.params
                 contacts.append(ev)
                 adopted.append(params)
-                raws.append(estimator.last_raw)
+                raw = estimator.last_raw
+                if raw is not None and raw.ordered:
+                    landmarks = raw
                 if ev.gc_index >= cfg.n_strides:
                     stop = min(stop, n_log + i + 21)
             else:
@@ -593,7 +595,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             f"confirmed; the run needs {cfg.n_strides + 1}")
 
     return _build_report(cfg, ctrl_cfg, tmpl, strides.per_stride, adopted,
-                         raws, analysis_start, ctrl.state.aborted)
+                         landmarks, analysis_start, ctrl.state.aborted)
 
 
 class _StrideReport:
@@ -683,16 +685,15 @@ class _StrideReport:
             self.prev_duration = duration
 
 
-def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, raws,
+def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,
                   analysis_start, aborted) -> MetricsReport:
     """The aggregates and the convergence stride over the reported strides,
-    and the config echo."""
+    and the config echo; the targets come from `landmarks`, the last
+    ordered landmarks seen at a foot contact, if any."""
     targets = None
-    for raw in reversed(raws):
-        if raw is not None and raw.ordered:
-            s1_t, s2_t, mu_t = feature_targets(raw)
-            targets = (mu_t, s1_t, s2_t)
-            break
+    if landmarks is not None:
+        s1_t, s2_t, mu_t = feature_targets(landmarks)
+        targets = (mu_t, s1_t, s2_t)
     conv = CONVERGENCE_SENTINEL
     if targets is not None and adopted:
         conv = convergence_stride(adopted, targets, tol=0.05)

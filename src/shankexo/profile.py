@@ -85,24 +85,16 @@ class GaussianParams:
             raise ParameterError(f"rate quotient overflows: {self}")
 
 
-def eval_force(p: GaussianParams, theta: float) -> float:
-    """Desired assistive force (N) at shank angle theta (deg)."""
-    if not (p.theta_fc < theta < p.theta_fo):
-        return 0.0
-    sigma = p.sigma1 if theta <= p.mu else p.sigma2
-    z = (theta - p.mu) / sigma
-    return p.amp * math.exp(-0.5 * z * z)
-
-
 def eval_force_and_rate(p: GaussianParams, theta: float,
                         theta_rate: float) -> tuple[float, float]:
     """Desired force (N) at theta (deg) and its time derivative (N/s) along
-    theta(t), from one exp: the controller's once-per-tick profile call.
+    theta(t), from one exp: the controller's once-per-tick profile call,
+    and the one body of the Gaussian.
 
-    The force is eval_force's, bit for bit. The rate is
-    f * (-(theta - mu) / sigma^2) * theta_rate; Python multiplies left to
-    right, so reusing f gives the same bits as writing amp * exp(...) out
-    in full. GaussianParams keeps sigma * sigma a normal float.
+    The rate is f * (-(theta - mu) / sigma^2) * theta_rate; Python
+    multiplies left to right, so reusing f gives the same bits as writing
+    amp * exp(...) out in full. GaussianParams keeps sigma * sigma a normal
+    float and the quotient finite, so the rate never raises.
     """
     if not (p.theta_fc < theta < p.theta_fo):
         return 0.0, 0.0
@@ -110,6 +102,11 @@ def eval_force_and_rate(p: GaussianParams, theta: float,
     z = (theta - p.mu) / sigma
     f = p.amp * math.exp(-0.5 * z * z)
     return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
+
+
+def eval_force(p: GaussianParams, theta: float) -> float:
+    """Desired assistive force (N) at shank angle theta (deg)."""
+    return eval_force_and_rate(p, theta, 0.0)[0]
 
 
 def eval_force_rate(p: GaussianParams, theta: float, theta_rate: float) -> float:

@@ -322,9 +322,9 @@ class TickController(Controller):
             st.aborted = True
         cfg = self.cfg
         lim = cfg.position_limit_mm
-        if ((st.aborted or f_meas > cfg.force_ceiling
-             or motor_pos > lim or motor_pos < -lim)
-                and self.safety_check(f_meas, motor_pos)):
+        if (st.aborted or f_meas > cfg.force_ceiling
+                or motor_pos > lim or motor_pos < -lim):
+            st.aborted = True
             if st.mode is ControlMode.STANCE and st.active_params:
                 st.f_des = eval_force(st.active_params, theta_sk)
             return self._tick_abort(l_meas)

@@ -234,27 +234,34 @@ class TestStanceTick:
         assert last == pytest.approx(1.0, rel=1e-3)
 
 
+def reading_tick(ctrl, f_meas, motor_pos, l_meas=300.0):
+    """A tick through Controller.tick with the kinematics and the cable
+    rate at zero, reading force f_meas and motor position motor_pos."""
+    return ctrl.tick(*angles(kin()), f_meas, l_meas, 0.0, motor_pos, 0.001)
+
+
 class TestSafety:
     def test_ok_below_limits(self):
         ctrl = make_controller()
-        assert ctrl.safety_check(100.0, 0.0) is False
+        reading_tick(ctrl, 100.0, 0.0)
         assert not ctrl.state.aborted
 
     def test_force_ceiling_aborts_and_latches(self):
         ctrl = make_controller(force_ceiling=300.0)
-        assert ctrl.safety_check(301.0, 0.0) is True
+        reading_tick(ctrl, 301.0, 0.0)
         assert ctrl.state.aborted
-        assert ctrl.safety_check(0.0, 0.0) is True
+        reading_tick(ctrl, 0.0, 0.0)
+        assert ctrl.state.aborted
 
     def test_position_limit_aborts(self):
         ctrl = make_controller(position_limit_mm=80.0)
-        assert ctrl.safety_check(0.0, 81.0) is True
+        reading_tick(ctrl, 0.0, 81.0)
         assert ctrl.state.aborted
 
     def test_release_then_zero(self):
         ctrl = make_controller()
         ctrl.state.release_target = 320.0
-        ctrl.safety_check(400.0, 0.0)
+        reading_tick(ctrl, 400.0, 0.0)
         cmd = ctrl.tick(*angles(kin()), 0.0, 300.0, 0.0, 0.0, 0.001)
         assert ctrl.state.aborted
         assert cmd == -ctrl.cfg.v_max

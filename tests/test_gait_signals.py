@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -7,9 +9,9 @@ from shankexo.cli import main
 from shankexo.gait_signals import (STANCE_CAPACITY, DetectorConfig,
                                    EventDetector, GaitEvent, GaitEventKind,
                                    GaitPhase, KinematicSample, SignalLossError,
-                                   SignalQualityError, StanceWindow,
-                                   StreamConditioner, WindowAssembler,
-                                   derive_df, read_replay_csv)
+                                   SignalQualityError, StreamConditioner,
+                                   WindowAssembler, derive_df,
+                                   read_replay_csv)
 
 
 def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
@@ -123,24 +125,6 @@ class TestEventDetector:
         assert len(fcs) >= 3
 
 
-class TestStanceWindow:
-    def test_stance_appends_in_order(self):
-        w = StanceWindow(capacity=10)
-        for i in range(3):
-            w.append(float(i), -float(i))
-        assert w.theta_sk_buf == [0.0, 1.0, 2.0]
-        assert w.theta_df_buf == [0.0, -1.0, -2.0]
-        assert len(w) == 3 and not w.overflowed
-
-    def test_capacity_ring_semantics(self):
-        w = StanceWindow(capacity=200)
-        for i in range(250):
-            w.append(float(i), float(i))
-        assert len(w) == 200
-        assert w.theta_sk_buf[0] == 50.0
-        assert w.overflowed
-
-
 class TestWindowAssembler:
     def test_backfill_and_trim_to_extrema(self):
         asm = WindowAssembler()
@@ -158,35 +142,48 @@ class TestWindowAssembler:
         # window spans the FC extremum sample through the FO extremum sample
         assert len(done) == 18 - 8 + 1
         assert done.theta_sk_buf[0] == 0.0  # sk channel is zero in make_stream
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            done.theta_sk_buf = []
 
-    @pytest.mark.parametrize("n_stance", [100, 298, 299, 310, 400])
-    def test_window_ends_at_the_foot_off_extremum(self, n_stance):
-        # Foot contact at sample 0 and foot-off at sample n_stance - 1, each
-        # confirmed 3 samples after its extremum; theta_sk is the sample
-        # index. From 299 samples on, the stance window (the foot-off
-        # confirmation lag included) overflows and drops its oldest.
-        samples = [KinematicSample(10.0 * i, 0.0, float(i), 0.0, 0.0, 0.0, 0.0)
-                   for i in range(n_stance + 3)]
+    @pytest.mark.parametrize("fo_lag", [1, 3])
+    @pytest.mark.parametrize("fc_lag", [1, 3, 10])
+    @pytest.mark.parametrize("n_stance", [100, 298, 299, 300, 310, 400])
+    def test_window_ends_at_the_foot_off_extremum(self, caplog, n_stance,
+                                                  fc_lag, fo_lag):
+        # Two strides, each 20 swing samples, a foot contact at the next
+        # sample confirmed fc_lag samples later, and a foot-off at the
+        # stance's n_stance-th sample confirmed fo_lag samples after it;
+        # theta_sk is the sample index. The stance buffer holds the
+        # n_stance - 1 + fo_lag samples before the foot-off confirmation:
+        # up to 298 stance samples and a lag of 3 it is full, past that it
+        # drops its oldest, and each window that lost samples warns once.
+        length = 20 + n_stance + fo_lag
+        starts = [20, 20 + length]
+        events = {}
+        for b in starts:
+            events[b + fc_lag] = GaitEvent(GaitEventKind.FOOT_CONTACT,
+                                           10.0 * b, 0)
+            events[b + n_stance - 1 + fo_lag] = GaitEvent(
+                GaitEventKind.FOOT_OFF, 10.0 * (b + n_stance - 1), 0)
         asm = WindowAssembler()
-        for s in samples[:3]:
-            asm.process(s, None)
-        asm.process(samples[3],
-                    GaitEvent(GaitEventKind.FOOT_CONTACT, 0.0, 0))
-        for s in samples[4:-1]:
-            asm.process(s, None)
-        done = asm.process(samples[-1], GaitEvent(
-            GaitEventKind.FOOT_OFF, samples[n_stance - 1].t_ms, 0))
-        first = max(0, n_stance + 2 - STANCE_CAPACITY)
-        assert done.theta_sk_buf == [float(i) for i in range(first, n_stance)]
+        caplog.set_level(logging.WARNING, logger="shankexo.gait_signals")
+        windows = []
+        for i in range(starts[-1] + length):
+            sample = KinematicSample(10.0 * i, 0.0, float(i), 0.0, 0.0, 0.0,
+                                     0.0)
+            done = asm.process(sample, events.get(i))
+            if done is not None:
+                windows.append(done)
+        dropped = max(0, n_stance - 1 + fo_lag - STANCE_CAPACITY)
+        assert [w.theta_sk_buf for w in windows] == [
+            [float(i) for i in range(b + dropped, b + n_stance)]
+            for b in starts]
+        assert len(caplog.records) == (2 if dropped else 0)
+        if n_stance <= 298:
+            assert not caplog.records
 
 
 class TestStreamConditioner:
-    def test_standing_offsets_subtracted(self):
-        cond = StreamConditioner(standing_ft=2.0, standing_sk=-1.0)
-        out = cond.feed(0.0, 3.0, 4.0, 0.0, 0.0)
-        assert out[-1].theta_ft == 1.0
-        assert out[-1].theta_sk == 5.0
-
     def test_single_gap_extrapolated(self):
         cond = StreamConditioner()
         cond.feed(0.0, 0.0, 0.0, 0.0, 0.0)

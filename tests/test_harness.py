@@ -13,13 +13,14 @@ from shankexo.cli import main as cli_main
 from shankexo.controller import ABORT_CODE, Controller, ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
-                              PEAK_MARGIN_N, ConfigError, MetricsError,
+                              MODES, PEAK_MARGIN_N, ConfigError, MetricsError,
                               ScenarioConfig, UndefinedCorrelationError,
                               convergence_stride, pearson, rmse_pct,
                               run_scenario, stance_correlation)
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig,
                             build_template)
-from shankexo.profile import GaussianParams
+from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
+                              UPDATE_GAIN, GaussianParams)
 
 CEILING = ControllerConfig.force_ceiling
 
@@ -405,6 +406,24 @@ def record_reports(monkeypatch):
     return calls
 
 
+def record_rows(monkeypatch):
+    """Copies of the rows each block adds to the log, as the stride
+    reporter first sees them (the log it sees is a view of a buffer that
+    later blocks overwrite), and the run's foot contacts, foot-offs and
+    adopted params, filled in as the run goes."""
+    blocks, events = [], []
+    report = harness._StrideReport.report
+
+    def recording(self, log, contacts, foot_offs, adopted):
+        seen = blocks[-1][-1, 0] if blocks else -math.inf
+        blocks.append(log[log[:, 0] > seen].copy())
+        events[:] = contacts, foot_offs, adopted
+        return report(self, log, contacts, foot_offs, adopted)
+
+    monkeypatch.setattr(harness._StrideReport, "report", recording)
+    return blocks, events
+
+
 class TestStreamedRun:
     """A run holds only the log rows from the oldest unreported foot contact
     on, reports each stride once the next foot contact is known, and prints
@@ -476,7 +495,8 @@ def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
         activity, scenario, seed, peak, body_weight):
     """Over the scenario space: a config that validate accepts, with its
     peak up to just below the force ceiling minus the margin, neither aborts
-    nor takes the true cable force to the ceiling."""
+    nor takes the true cable force to the ceiling. Its log, its gait events
+    and its adopted params keep the run's invariants."""
     cfg = ScenarioConfig(activity=activity, scenario=scenario, n_strides=30,
                          seed=seed, amp_fraction=peak / body_weight,
                          body_weight=body_weight)
@@ -485,11 +505,32 @@ def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
     except ConfigError:
         assume(False)
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_reports(mp)
+        blocks, events = record_rows(mp)
         report = run_scenario(cfg)
-    f_truth = LOG_COLUMNS.index("f_truth_n")
+    log = dict(zip(LOG_COLUMNS, np.concatenate(blocks).T))
+    contacts, foot_offs, adopted = events
     assert not report.aborted
-    assert max(log[:, f_truth].max() for log, *_ in calls) < CEILING
+    assert log["f_truth_n"].max() < CEILING
+    # The desired force is the profile's only in stance and once aborted.
+    profiled = np.isin(log["mode"], (MODES.index("stance"), ABORT_CODE))
+    assert not log["f_des_n"][~profiled].any()
+    # Foot contacts count up from 0, each foot-off lies between its foot
+    # contact and the next, and the stride column never falls.
+    assert [fc.gc_index for fc in contacts] == list(range(len(contacts)))
+    for n, fo in foot_offs.items():
+        nxt = contacts[n + 1].t_ms if n + 1 < len(contacts) else math.inf
+        assert contacts[n].t_ms < fo.t_ms < nxt
+    assert (np.diff(log["stride"]) >= 0).all()
+    # Each adopted param set keeps the sigma bounds and moves at most the
+    # gain times the excursion guard from the last, up to rounding.
+    lo, hi = SIGMA_BOUNDS
+    step_mu = UPDATE_GAIN * MAX_DELTA_MU + 1e-12
+    step_sigma = UPDATE_GAIN * MAX_DELTA_SIGMA + 1e-12
+    assert all(lo <= p.sigma1 <= hi and lo <= p.sigma2 <= hi for p in adopted)
+    for last, p in zip(adopted, adopted[1:]):
+        assert abs(p.mu - last.mu) <= step_mu
+        assert abs(p.sigma1 - last.sigma1) <= step_sigma
+        assert abs(p.sigma2 - last.sigma2) <= step_sigma
 
 
 class TestPerturbProtocol:

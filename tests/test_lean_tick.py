@@ -200,14 +200,14 @@ def test_swing_anti_windup_equals_the_min_max_form(l_swing, l_meas, rate,
 @example(f_meas=0.0, motor_pos=81.0, ceiling=300.0, limit=80.0)
 @example(f_meas=301.0, motor_pos=0.0, ceiling=300.0, limit=80.0)
 @example(f_meas=300.0, motor_pos=-80.0, ceiling=300.0, limit=80.0)
-def test_tick_aborts_exactly_when_safety_check_does(f_meas, motor_pos,
+def test_tick_aborts_exactly_when_a_limit_is_crossed(f_meas, motor_pos,
                                                      ceiling, limit):
     kw = dict(force_ceiling=ceiling, position_limit_mm=limit)
     ctrl = make_controller(mode=ControlMode.SWING, **kw)
-    ref = make_controller(mode=ControlMode.SWING, **kw)
-    if not math.isfinite(f_meas + motor_pos):
-        ref.state.aborted = True       # tick's non-finite latch
-    want = ref.safety_check(f_meas, motor_pos)
+    # The non-finite latch, or the force ceiling or the position limit
+    # crossed.
+    want = (not math.isfinite(f_meas + motor_pos) or f_meas > ceiling
+            or abs(motor_pos) > limit)
     cmd = ctrl.tick(*angles(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
                     f_meas, 310.0, 0.0, motor_pos, 0.001)
     assert ctrl.state.aborted is want

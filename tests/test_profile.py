@@ -89,12 +89,9 @@ class TestEvalForceRate:
 
 
 def linear_window(n=45):
-    w = StanceWindow(capacity=100)
     sk = np.linspace(-20.0, 24.0, n)
     df = -((sk - 8.0) ** 2)
-    for s, d in zip(sk, df):
-        w.append(float(s), float(d))
-    return w
+    return StanceWindow(sk.tolist(), df.tolist())
 
 
 class TestExtractRaw:
@@ -109,16 +106,13 @@ class TestExtractRaw:
         assert raw.theta_mdf == w.theta_sk_buf[i]
 
     def test_tie_breaks_to_first_index(self):
-        w = StanceWindow()
-        for i in range(12):
-            w.append(float(i), 1.0)
+        w = StanceWindow([float(i) for i in range(12)], [1.0] * 12)
         raw = extract_raw(w)
         assert raw.theta_mdf == 0.0
 
     def test_short_window_skipped(self):
-        w = StanceWindow()
-        for i in range(5):
-            w.append(float(i), float(i))
+        w = StanceWindow([float(i) for i in range(5)],
+                         [float(i) for i in range(5)])
         with pytest.raises(EstimationSkipped):
             extract_raw(w)
 
@@ -192,8 +186,7 @@ class TestUpdateParams:
 
     def test_window_too_short_retains_params(self):
         est = ProfileEstimator(self.initial())
-        w = StanceWindow()
-        w.append(0.0, 0.0)
+        w = StanceWindow([0.0], [0.0])
         before = est.params
         est.update_from_window(w)
         assert est.params is before
