@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .gait_signals import (GaitEventKind, SignalLossError, SignalQualityError,
+from .gait_signals import (IMU_PERIOD_MS, STANCE_CAPACITY, GaitEventKind,
+                           GaitPhase, SignalLossError, SignalQualityError,
                            read_replay_csv)
 from .harness import (ConfigError, MetricsReport, ScenarioConfig,
                       ScenarioKind, run_scenario)
@@ -106,6 +107,14 @@ def _replay(args) -> int:
             print(f"stride {strides}: mu={p.mu:.3f} sigma1={p.sigma1:.3f} "
                   f"sigma2={p.sigma2:.3f} fc={p.theta_fc:.3f} fo={p.theta_fo:.3f}")
             strides += 1
+    # A stance longer than the assembler holds means the foot-off seeker
+    # never armed: the strides after that foot contact are lost.
+    det, longest = estimation.detector, STANCE_CAPACITY * IMU_PERIOD_MS
+    if det.mode is GaitPhase.STANCE and sample.t_ms - det.fc_t_ms > longest:
+        raise SignalLossError(
+            f"no foot-off within {longest:g} ms of the foot contact at "
+            f"t={det.fc_t_ms} ms: the foot-pitch rate never fell below the "
+            f"arming threshold of {det.fo_arm_threshold:g} deg/s")
     print(f"{strides} strides estimated")
     return 0
 

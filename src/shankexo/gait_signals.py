@@ -117,7 +117,9 @@ class EventDetector:
     angle and confirms FootContact once the signal has dropped delta_ang below
     it. In Stance mode it tracks the running minimum of the foot pitch rate
     (after arming) and confirms FootOff once the rate has risen delta_vel
-    above it. Emitted events carry the extremum sample time.
+    above it. Emitted events carry the extremum sample time. `fc_t_ms` is
+    the last foot contact's time, which stance follows; `fo_arm_threshold`
+    the rate (deg/s) the seeker arms below.
     """
 
     def __init__(self, config: Optional[DetectorConfig] = None):
@@ -125,11 +127,11 @@ class EventDetector:
         self.mode = GaitPhase.SWING
         self.gc_count = 0
         self._refractory_until = -math.inf
-        self._fo_arm_threshold = self.config.fo_arm_init
+        self.fo_arm_threshold = self.config.fo_arm_init
         self._armed = False
         self._ext_value: Optional[float] = None
         self._ext_t: float = 0.0
-        self._fc_t: Optional[float] = None
+        self.fc_t_ms = 0.0
         self._stance_dur: Optional[float] = None
 
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
@@ -144,17 +146,16 @@ class EventDetector:
             elif self._ext_value - value >= cfg.delta_ang:
                 event = GaitEvent(GaitEventKind.FOOT_CONTACT, self._ext_t, self.gc_count)
                 self.gc_count += 1
-                self._fc_t = self._ext_t
+                self.fc_t_ms = self._ext_t
                 self._enter(GaitPhase.STANCE, sample.t_ms)
                 return event
         else:
-            if (self._stance_dur is not None and self._fc_t is not None
-                    and sample.t_ms < self._fc_t
+            if (self._stance_dur is not None and sample.t_ms < self.fc_t_ms
                     + cfg.fo_gate_fraction * self._stance_dur):
                 return None
             rate = sample.theta_ft_rate
             if not self._armed:
-                if rate < self._fo_arm_threshold:
+                if rate < self.fo_arm_threshold:
                     self._armed = True
                     self._ext_value = rate
                     self._ext_t = sample.t_ms
@@ -164,10 +165,9 @@ class EventDetector:
                 self._ext_t = sample.t_ms
             elif rate - self._ext_value >= cfg.delta_vel:
                 event = GaitEvent(GaitEventKind.FOOT_OFF, self._ext_t, self.gc_count - 1)
-                self._fo_arm_threshold = min(cfg.fo_arm_cap,
-                                             cfg.fo_arm_fraction * self._ext_value)
-                if self._fc_t is not None:
-                    self._stance_dur = self._ext_t - self._fc_t
+                self.fo_arm_threshold = min(cfg.fo_arm_cap,
+                                            cfg.fo_arm_fraction * self._ext_value)
+                self._stance_dur = self._ext_t - self.fc_t_ms
                 self._enter(GaitPhase.SWING, sample.t_ms)
                 return event
         return None

@@ -9,8 +9,7 @@ scenario config and seed.
 Only the controller and the cable form a closed loop; the gait world and
 the estimation path never read cable state. So a run advances the world one
 block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
-clock is accumulated in bulk, the scalar clock body running only for wrap,
-onset, ramp and perturbation ticks, and makes two passes over each block:
+clock is accumulated in bulk, and makes two passes over each block:
 
 1. Open loop: the estimation path over the block's IMU ticks (every
    imu_every-th tick of the run while walking), the only ticks whose
@@ -303,17 +302,28 @@ def convergence_stride(param_history: Sequence[GaussianParams],
 # -- scenario configuration ----------------------------------------------------
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float, not a bool (JSON reads NaN and Infinity)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _is_int(x) -> bool:
+    return _is_number(x) and isinstance(x, int)
 
 
 # The override value each annotation of an overridable field takes, as a
 # description and a test; JSON gives a pair as a list.
 _OVERRIDE_TYPES = {
-    "float": ("a number", _is_number),
-    "int": ("an integer", lambda x: _is_number(x) and isinstance(x, int)),
-    "tuple[float, float]": ("a pair of numbers", lambda x: isinstance(
+    "float": ("a finite number", _is_number),
+    "int": ("an integer", _is_int),
+    "tuple[float, float]": ("a pair of finite numbers", lambda x: isinstance(
         x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
 }
+
+# The overrides the tendon model and the motor lag divide by or scale
+# with; zero or less fails inside TendonModel or bind_cable.
+_POSITIVE_OVERRIDES = frozenset({"plant.lever_arm_r", "plant.k_all",
+                                 "plant.baseline_c", "plant.motor_tau_s"})
 
 
 # How far below the controller's force_ceiling the profile peak must stay.
@@ -340,8 +350,11 @@ class ScenarioConfig:
     fault_spike_n: float = 0.0
 
     def validate(self) -> None:
-        if self.n_strides <= 0:
-            raise ConfigError("n_strides must be positive")
+        for name, low in (("n_strides", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, not "
+                                  f"{value!r}")
         try:
             Activity(self.activity)
         except ValueError as exc:
@@ -380,6 +393,9 @@ class ScenarioConfig:
                 what, fits = _OVERRIDE_TYPES[kinds[key]]
                 if not fits(value):
                     raise ConfigError(f"{group}.{key} must be {what}, not "
+                                      f"{value!r}")
+                if f"{group}.{key}" in _POSITIVE_OVERRIDES and not value > 0:
+                    raise ConfigError(f"{group}.{key} must be positive, not "
                                       f"{value!r}")
         peak = self.amp_fraction * self.body_weight
         ceiling = self.controller.get("force_ceiling",

@@ -19,16 +19,17 @@ Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, four simulated
 seconds at 1 kHz, so a 60-stride run pays the fixed numpy cost of a block
 about 16 times, not 62). The clock (time, ramp, perturbation window, phase
 wrap, stride, migration and sway) is accumulated in bulk: time is one
-`np.add.accumulate` of dt from the carried value, and a plain stretch of
-walking ticks (no perturbation window, no ramp change) is one accumulation
-of its constant phase increment, ended at the wrap or a pending onset. The
-scalar clock body runs only for the wrap, onset, ramp-change and
-perturbation-window ticks. numpy then evaluates the gait curves and the
-biological torque of the whole block, and a tick's KinematicSample is
-built only when the estimation pass reads it. This is the world's only
-path: `advance(dt)` is the sample of a block of one tick. Nothing in the
-world reads cable state, so a block may run ahead of the closed loop; the
-world's scalar attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
+`np.add.accumulate` of dt from the carried value, and the walking ticks go
+in stretches. A stretch accumulates the ramp scale, multiplies it by the
+open window's multiplier and accumulates the phase increment, up to the
+first wrap, pending onset or window close. Scalar code runs once per such
+event: the wrap's stride and migration, and the onset that opens a window.
+numpy then evaluates the gait curves and the biological torque of the
+whole block, and a tick's KinematicSample is built only when the
+estimation pass reads it. This is the world's only path: `advance(dt)` is
+the sample of a block of one tick. Nothing in the world reads cable
+state, so a block may run ahead of the closed loop; the world's scalar
+attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
 `state.migration`) then hold end-of-block values. The block's columns
 (`WorldBlock`) carry each tick's own values of what the closed loop reads;
 a tick's phase and stride are the scalar attributes of a world advanced
@@ -42,13 +43,14 @@ operation order and uses only operations where numpy matches `math`
 exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`,
 `np.add.accumulate`, which adds strictly in sequence as `+=` does, and
 `np.float_power`, which is C `pow` as Python `**` is (the torque
-sharpness). Where it does not (`exp`, `np.power`, `round(x, ndigits)`) the
-scalar Python operation stays: `math.exp` for migration and Python `**`
-for the sway. The sample time is `round(t * 1000.0, 6)`. Within
-4e-7 ms of a whole ms that is the whole ms exactly, so when every tick of a
-block is that close the block takes it from the one `np.rint` that also
-makes the log's clock; a clock that has drifted further is rounded tick by
-tick.
+sharpness and the sway). Where it does not (`exp`, `np.power`,
+`round(x, ndigits)`) the scalar Python operation stays: `math.exp` for
+migration. The ramp's clamped steps are an accumulation clipped at the
+target, and the window's triangle is `np.minimum` of its two sides. The
+sample time is `round(t * 1000.0, 6)`. Within 4e-7 ms of a whole ms that
+is the whole ms exactly, so when every tick of a block is that close the
+block takes it from the one `np.rint` that also makes the log's clock; a
+clock that has drifted further is rounded tick by tick.
 
 Cable. The plant equations live once, in `bind_cable`: it binds what a run
 holds fixed (the motor lag alpha = 1 - exp(-dt / motor_tau_s), the
@@ -471,15 +473,15 @@ class PerturbationSpec:
     ramp_time: float = 0.1        # s, each of the two ramps
     affected_cycles: frozenset = field(default_factory=frozenset)
 
-    def multiplier(self, tau: float) -> float:
-        """Phase-rate multiplier tau seconds after onset."""
-        if tau < 0.0 or tau > 2.0 * self.ramp_time:
-            return 1.0
-        tri = (tau / self.ramp_time if tau <= self.ramp_time
-               else (2.0 * self.ramp_time - tau) / self.ramp_time)
-        if self.kind is PerturbationKind.FORWARD:
-            return 1.0 + self.magnitude * tri
-        return 1.0 - self.magnitude * tri
+    def multiplier(self, tau):
+        """Phase-rate multiplier tau seconds after onset, of a float or an
+        array: 1 +- magnitude * tri, where tri rises from 0 to 1 over
+        ramp_time and falls back over the next; 1 outside the window."""
+        rt = self.ramp_time
+        mag = (self.magnitude if self.kind is PerturbationKind.FORWARD
+               else -self.magnitude)
+        tri = np.minimum(tau, 2.0 * rt - tau) / rt
+        return np.where((tau < 0.0) | (tau > 2.0 * rt), 1.0, 1.0 + mag * tri)
 
 
 @dataclass(frozen=True)
@@ -622,12 +624,8 @@ class WorldBlock(NamedTuple):
     `kin`, which builds a tick's KinematicSample when it is read. `frames`
     holds kin's angles and rates, which the closed loop and the log read
     from it. A block of one tick is the same columns of length one: it is
-    what `GaitWorld.advance` returns the sample of.
-
-    The clock columns are accumulated in bulk over plain stretches of
-    walking ticks, ended at a wrap or a pending onset; only the wrap, onset,
-    ramp-change and perturbation-window ticks run the scalar clock body
-    (see "Blocks" in the module docstring)."""
+    what `GaitWorld.advance` returns the sample of. The clock columns are
+    accumulated in bulk (see "Blocks" in the module docstring)."""
 
     t_ms: np.ndarray          # tick time rounded to whole ms (the log's clock)
     kin: Sequence[KinematicSample]   # its t_ms rounded to 1e-6 ms
@@ -648,11 +646,11 @@ class _Clock(NamedTuple):
     scale: np.ndarray
     migration: np.ndarray
     perturb_kind: np.ndarray
-    sway: list        # (tick, sway, sway rate) in backward sway windows
+    sway: tuple       # (ticks, sway, sway rate) of backward sway windows,
+                      # () without one
 
 
-_PERTURB_CODE = {None: 0, PerturbationKind.FORWARD: 1,
-                 PerturbationKind.BACKWARD: 2}
+_PERTURB_CODE = {PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
 
 
 class GaitWorld:
@@ -711,7 +709,7 @@ class GaitWorld:
             frames.T[:, w0:] = gen_frames(tmpl, walk_phase, clock.scale[w0:])
             bio[w0:] = biological_torques(tmpl, walk_phase)
         if clock.sway:
-            at, sway, sway_rate = map(np.array, zip(*clock.sway))
+            at, sway, sway_rate = clock.sway
             frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
             frames[at, 4:6] += sway_rate[:, None]   # and their rates
         t_ms, t_sample = _sample_clock(clock.t_s)
@@ -721,124 +719,105 @@ class GaitWorld:
 
     def _clock(self, dt: float, n: int) -> _Clock:
         """The clock columns of the next n ticks of dt. Time is one
-        accumulation from the carried t_s; walking ticks go in bulk
-        stretches, each ended by a tick of the scalar body (see WorldBlock)."""
+        accumulation from the carried t_s. The walking ticks go in
+        stretches, each one accumulation of the ramp scale and one of the
+        phase, ended at the first wrap, pending onset or window close; the
+        scalar code runs once per such event."""
         t = np.full(n + 1, dt)
         t[0] = self.t_s
         t = np.add.accumulate(t)[1:]
         walking = t >= self.standing_s
         phase, scale, migration = np.empty(n), np.empty(n), np.empty(n)
         kind = np.zeros(n, dtype=np.int64)   # no window opens while standing
-        sway = []
-        period = self.tmpl.period
+        tau = np.zeros(n)    # s since a window's onset, set only inside one
+        cfg, st, period = self.config, self.state, self.tmpl.period
         i = _first(walking)     # the standing ticks keep the carried clock
         phase[:i], scale[:i] = self.phase, self.scale
-        migration[:i] = self.state.migration
+        migration[:i] = st.migration
         while i < n:
-            stop = self._stretch_stop()
-            if stop is not None:
-                # phase += dt * scale / period, tick by tick, up to the tick
-                # that wraps or reaches a pending onset
-                ramp_scale = self._ramp_scale
-                step = np.full(n - i + 1, dt * ramp_scale / period)
-                step[0] = self.phase
-                stretch = np.add.accumulate(step)[1:]
-                j = i + _first(stretch >= stop)
-                if j > i:
-                    phase[i:j] = stretch[:j - i]
-                    scale[i:j] = ramp_scale
-                    migration[i:j] = self.state.migration
-                    self.phase, self.scale = phase[j - 1].item(), ramp_scale
-                    i = j
-                    if i == n:
-                        break
-            row = self._walk_tick(t[i].item(), dt)
-            if row is not None:
-                sway.append((i, *row))
-            phase[i], scale[i] = self.phase, self.scale
-            migration[i], kind[i] = self.state.migration, self._perturb_code()
-            i += 1
+            # A stretch writes its columns up to the block's end; the next
+            # stretch overwrites them from its own first tick on.
+            ramp, pert = self._ramp(dt, n - i), self._pert_active
+            s, end, stop = ramp, n - i, 1.0
+            if pert is None:
+                stop = min(stop, self._onset())
+            else:
+                spec, t0 = pert
+                window = 2.0 * spec.ramp_time
+                if spec.kind is PerturbationKind.BACKWARD:
+                    window = max(window, cfg.sway_window_s)
+                since = t[i:] - t0
+                end = _first(since > window)   # its close tick has no window
+                s = ramp * spec.multiplier(since)
+            steps = np.empty(n - i + 1)
+            steps[0] = self.phase
+            steps[1:] = dt * s / period
+            phase[i:] = np.add.accumulate(steps)[1:]
+            scale[i:], migration[i:] = s, st.migration
+            e = _first(phase[i:i + end] >= stop) if end else 0
+            j = i + min(e + 1, end)     # the stretch is ticks i..j-1
+            if j > i:
+                self.phase = phase[j - 1].item()
+                self.scale = scale[j - 1].item()
+                if isinstance(ramp, np.ndarray):
+                    self._ramp_scale = ramp[j - i - 1].item()
+                if pert is not None:
+                    kind[i:j] = _PERTURB_CODE[pert[0].kind]
+                    tau[i:j] = since[:j - i]
+            if e < end:     # tick j - 1 wraps, then may reach a pending onset
+                if self.phase >= 1.0:
+                    self.phase -= 1.0
+                    st.stride_index += 1
+                    st.migration = cfg.mig_max * (
+                        1.0 - math.exp(-st.stride_index / cfg.mig_stride_tau))
+                    phase[j - 1], migration[j - 1] = self.phase, st.migration
+                if pert is None and self.phase >= self._onset():
+                    spec = self.perturbations[st.stride_index]
+                    self._pert_active = (spec, t[j - 1].item())
+                    self._pert_done.add(st.stride_index)
+                    kind[j - 1], tau[j - 1] = _PERTURB_CODE[spec.kind], 0.0
+            elif end < n - i:
+                self._pert_active = None
+            i = j
         self.t_s = t[-1].item()
+        sway = ()
+        if np.count_nonzero(kind):
+            w, a = cfg.sway_window_s, cfg.sway_deg
+            at = np.flatnonzero(
+                (kind == _PERTURB_CODE[PerturbationKind.BACKWARD]) & (tau <= w))
+            # the scalar operand order; np.float_power is C pow, as ** is
+            tau = tau[at]
+            sway = (at, -a * np.float_power(np.sin(np.pi * tau / w), 2.0),
+                    -a * np.pi / w * np.sin(2.0 * np.pi * tau / w))
         return _Clock(t, walking, phase, scale, migration, kind, sway)
 
-    def _walk_tick(self, t_s: float, dt: float) -> Optional[tuple[float,
-                                                                  float]]:
-        """The scalar clock body of one walking tick at time t_s: the ramp,
-        the perturbation window, the phase step and wrap (stride and
-        migration), then a pending perturbation onset. Returns the tick's
-        backward sway (angle, rate), or None outside a sway window."""
-        cfg, st = self.config, self.state
-        stride = st.stride_index
-        ramp_scale = self._ramp_scale
-        target = self._ramp_target()
-        if target is not None:
-            rate = self.ramp.rate_per_s
-            if ramp_scale < target:
-                ramp_scale = min(target, ramp_scale + rate * dt)
-            elif ramp_scale > target:
-                ramp_scale = max(target, ramp_scale - rate * dt)
-            self._ramp_scale = ramp_scale
-        scale = ramp_scale
-        pert = self._pert_active
-        if pert is not None:
-            spec, t0 = pert
-            window = 2.0 * spec.ramp_time
-            if spec.kind is PerturbationKind.BACKWARD:
-                window = max(window, cfg.sway_window_s)
-            if t_s - t0 > window:
-                pert = None
-            else:
-                scale *= spec.multiplier(t_s - t0)
-        phase = self.phase + dt * scale / self.tmpl.period
-        if phase >= 1.0:
-            phase -= 1.0
-            st.stride_index = stride = stride + 1
-            st.migration = cfg.mig_max * (
-                1.0 - math.exp(-stride / cfg.mig_stride_tau))
-        spec = self.perturbations.get(stride)
-        if (spec is not None and pert is None and stride not in self._pert_done
-                and phase >= spec.onset_pct_gc):
-            pert = (spec, t_s)
-            self._pert_done.add(stride)
-        self.phase, self.scale, self._pert_active = phase, scale, pert
-        if pert is None or pert[0].kind is not PerturbationKind.BACKWARD:
-            return None
-        tau = t_s - pert[1]
-        sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
-        if tau > sway_w:
-            return None
-        return (-sway_a * math.sin(math.pi * tau / sway_w) ** 2,
-                -sway_a * math.pi / sway_w
-                * math.sin(2.0 * math.pi * tau / sway_w))
-
-    def _ramp_target(self) -> Optional[float]:
-        """The scale the ramp drives toward in the current stride; None
-        before the ramp starts or without one."""
-        ramp, stride = self.ramp, self.state.stride_index
-        if ramp is None or stride < ramp.start_stride:
-            return None
-        return (ramp.low_scale if stride < ramp.start_stride
-                + ramp.hold_strides else 1.0)
-
-    def _stretch_stop(self) -> Optional[float]:
-        """The phase at which a plain stretch from here ends: the onset of
-        the stride's pending perturbation, else the wrap at 1.0. None when
-        the next walking tick's clock body would do more than step the
-        phase: a perturbation window is open, or the ramp scale changes."""
-        target = self._ramp_target()
-        if self._pert_active is not None or target is not None and (
-                self._ramp_scale < target or self._ramp_scale > target):
-            return None
+    def _onset(self) -> float:
+        """The onset phase of the current stride's perturbation; inf when
+        it has none or it has begun."""
         stride = self.state.stride_index
         spec = self.perturbations.get(stride)
-        if (spec is not None and stride not in self._pert_done
-                and spec.onset_pct_gc < 1.0):
-            return spec.onset_pct_gc
-        return 1.0
+        if spec is None or stride in self._pert_done:
+            return math.inf
+        return spec.onset_pct_gc
 
-    def _perturb_code(self) -> int:
-        pert = self._pert_active
-        return _PERTURB_CODE[None if pert is None else pert[0].kind]
+    def _ramp(self, dt: float, n: int):
+        """The ramp scale over the next n walking ticks in the current
+        stride: the held float, or one accumulation of rate_per_s * dt
+        toward the stride's target from _ramp_scale, clipped at the target.
+        Once the accumulation reaches the target every later value clips to
+        it, so it equals the tick-by-tick min(target, x + rate * dt) (going
+        down, max(target, x - rate * dt): x + -c is x - c exactly)."""
+        ramp, x, stride = self.ramp, self._ramp_scale, self.state.stride_index
+        if ramp is None or stride < ramp.start_stride:
+            return x
+        target = (ramp.low_scale if stride < ramp.start_stride
+                  + ramp.hold_strides else 1.0)
+        if x == target:
+            return x
+        steps = np.full(n + 1, math.copysign(ramp.rate_per_s * dt, target - x))
+        steps[0] = x
+        clip = np.minimum if x < target else np.maximum
+        return clip(np.add.accumulate(steps)[1:], target)
 
     def cable_step(self, dt: float) -> CableStep:
         """This world's cable bound for ticks of dt (see `bind_cable`):

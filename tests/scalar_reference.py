@@ -32,8 +32,8 @@ import numpy as np
 from shankexo.controller import ABORT_CODE, ControlMode, Controller
 from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import KinematicSample
-from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind, _ds3,
-                            _s3)
+from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind,
+                            PerturbationSpec, _ds3, _s3)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
                               eval_force_and_rate)
 from shankexo.tendon import estimate_migration, tendon_length
@@ -224,6 +224,17 @@ def stance_correlation(mechanical, biological) -> float:
 
 # -- world clock -----------------------------------------------------------------
 
+def multiplier(spec: PerturbationSpec, tau: float) -> float:
+    """Phase-rate multiplier tau seconds after a perturbation's onset."""
+    if tau < 0.0 or tau > 2.0 * spec.ramp_time:
+        return 1.0
+    tri = (tau / spec.ramp_time if tau <= spec.ramp_time
+           else (2.0 * spec.ramp_time - tau) / spec.ramp_time)
+    if spec.kind is PerturbationKind.FORWARD:
+        return 1.0 + spec.magnitude * tri
+    return 1.0 - spec.magnitude * tri
+
+
 def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
     """The clock of n ticks from a world's state, one tick at a time, as the
     scalar loop computed it: the columns by name, and "sway", the (tick,
@@ -260,7 +271,7 @@ def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
                 if t_s - t0 > window:
                     pert = None
                 else:
-                    scale *= spec.multiplier(t_s - t0)
+                    scale *= multiplier(spec, t_s - t0)
             phase += dt * scale / tmpl.period
             if phase >= 1.0:
                 phase -= 1.0

@@ -17,7 +17,7 @@ from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
                               ScenarioConfig, UndefinedCorrelationError,
                               convergence_stride, pearson, rmse_pct,
                               run_scenario, stance_correlation)
-from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig,
+from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
                               UPDATE_GAIN, GaussianParams)
@@ -164,20 +164,49 @@ class TestScenarioConfig:
             run_scenario(cfg)
 
     @pytest.mark.parametrize("group, key, value, what", [
-        ("plant", "k_all", "x", "a number"),
-        ("controller", "kp", True, "a number"),
-        ("template", "period", None, "a number"),
+        ("plant", "k_all", "x", "a finite number"),
+        ("controller", "kp", True, "a finite number"),
+        ("template", "period", None, "a finite number"),
         ("controller", "silent_cycles", 2.0, "an integer"),
         ("controller", "silent_cycles", False, "an integer"),
-        ("template", "theta_sk_span", [-14.0], "a pair of numbers"),
-        ("template", "theta_sk_span", [-14.0, "18"], "a pair of numbers"),
-        ("template", "theta_sk_span", 18.0, "a pair of numbers"),
+        ("template", "theta_sk_span", [-14.0], "a pair of finite numbers"),
+        ("template", "theta_sk_span", [-14.0, "18"], "a pair of finite numbers"),
+        ("template", "theta_sk_span", 18.0, "a pair of finite numbers"),
     ], ids=["string", "bool", "null", "float-count", "bool-count",
             "short-pair", "string-in-pair", "number-for-pair"])
     def test_override_of_the_wrong_type_rejected(self, group, key, value,
                                                  what):
         cfg = ScenarioConfig(n_strides=2, **{group: {key: value}})
         with pytest.raises(ConfigError, match=f"{group}.{key} must be {what}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("name, value, low", [
+        ("seed", -1, 0), ("seed", 1.5, 0), ("seed", True, 0),
+        ("seed", "1", 0), ("n_strides", 0, 1), ("n_strides", 2.5, 1),
+        ("n_strides", True, 1), ("n_strides", 3.0, 1)])
+    def test_count_that_is_not_an_integer_in_range_rejected(self, name,
+                                                            value, low):
+        with pytest.raises(ConfigError, match=(
+                rf"{name} must be an integer >= {low}, not {value!r}")):
+            ScenarioConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("controller", "kp", math.nan), ("plant", "k_all", math.inf),
+        ("controller", "force_ceiling", math.nan),
+        ("template", "period", -math.inf),
+        ("template", "theta_sk_span", [-14.0, math.nan])])
+    def test_non_finite_override_rejected(self, group, key, value):
+        cfg = ScenarioConfig(**{group: {key: value}})
+        with pytest.raises(ConfigError,
+                           match=f"{group}.{key} must be a .*finite number"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("key", ["lever_arm_r", "k_all", "baseline_c",
+                                     "motor_tau_s"])
+    @pytest.mark.parametrize("value", [0, -0.0, -1.0])
+    def test_plant_scale_that_is_not_positive_rejected(self, key, value):
+        cfg = ScenarioConfig(plant={key: value})
+        with pytest.raises(ConfigError, match=f"plant.{key} must be positive"):
             cfg.validate()
 
     @pytest.mark.parametrize("group, key, value", [
@@ -191,8 +220,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("amp, bw, controller", [
         (0.5, 700.0, {}), (0.29, 1000.0, {}), (0.3, 1000.0, {}),
         (0.15, 700.0, {"force_ceiling": 20.0}),
-        (0.15, 700.0, {"force_ceiling": 105.0 + PEAK_MARGIN_N}),
-        (0.15, 700.0, {"force_ceiling": math.nan})])
+        (0.15, 700.0, {"force_ceiling": 105.0 + PEAK_MARGIN_N})])
     def test_a_peak_the_force_ceiling_cannot_carry_rejected(self, amp, bw,
                                                             controller):
         cfg = ScenarioConfig(amp_fraction=amp, body_weight=bw,
@@ -616,8 +644,31 @@ class TestCli:
         assert err == ("shankexo: error: kinematic stream gap of 51 samples "
                        "at t=6510.0 ms\n")
 
+    @pytest.mark.parametrize("activity", ["lw", "ra"])
+    def test_stance_that_never_ends_is_one_error_line(self, tmp_path, capsys,
+                                                      activity):
+        # At half speed the foot-pitch rate of the first stance stays above
+        # the initial arming threshold, so the detector never leaves stance.
+        tmpl = build_template(activity)
+        world = GaitWorld(tmpl, PlantConfig(), seed=3, ramp=RampSpec(
+            start_stride=0, hold_strides=100, low_scale=0.5))
+        frames = world.advance_block(0.01, 3264).frames
+        rows = ["t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
+                "theta_sk_rate_dps"]
+        for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist()):
+            rows.append(f"{(k + 1) * 10.0},{ft},{sk},{ft_rate},{sk_rate}")
+        p = tmp_path / "slow.csv"
+        p.write_text("\n".join(rows) + "\n")
+        assert cli_main(["replay", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("shankexo: error: no foot-off within 3000 ms "
+                              "of the foot contact at t=")
+        assert err.endswith("arming threshold of -80 deg/s\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--strides", "0"], "n_strides must be positive"),
+        (["run", "--strides", "0"], "n_strides must be an integer >= 1"),
         (["run", "--config", "{bad_json}"], "Expecting property name"),
         (["run", "--config", "{missing}"], "No such file or directory"),
         (["fit-stiffness", "{missing}"], "No such file or directory"),
@@ -633,13 +684,19 @@ class TestCli:
         (["run", "--config", "{list_config}"], "not a JSON object"),
         (["run", "--config", "{unknown_key}"], "unknown key(s) ctrl"),
         (["run", "--config", "{group_list}"], "plant overrides must be"),
-        (["run", "--config", "{string_value}"], "plant.k_all must be a number"),
+        (["run", "--config", "{string_value}"], "plant.k_all must be a finite number"),
+        (["run", "--config", "{nan_value}"],
+         "controller.kp must be a finite number, not nan"),
+        (["run", "--config", "{zero_lag}"], "plant.motor_tau_s must be positive"),
+        (["run", "--seed", "-1"], "seed must be an integer >= 0, not -1"),
     ], ids=["zero-strides", "bad-config", "missing-config",
             "missing-calibration", "calibration-header", "missing-stream",
             "stream-header", "stream-non-numeric-field", "stream-short-row",
             "calibration-short-row", "calibration-non-numeric-field",
             "config-not-an-object", "config-unknown-key",
-            "config-group-not-an-object", "config-value-of-the-wrong-type"])
+            "config-group-not-an-object", "config-value-of-the-wrong-type",
+            "config-value-not-finite", "config-value-not-positive",
+            "negative-seed"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
         stream_header = ("t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
@@ -655,7 +712,9 @@ class TestCli:
                  "list_config": "[1, 2]",
                  "unknown_key": '{"plant": {}, "ctrl": {}}',
                  "group_list": '{"plant": [1]}',
-                 "string_value": '{"plant": {"k_all": "x"}}'}
+                 "string_value": '{"plant": {"k_all": "x"}}',
+                 "nan_value": '{"controller": {"kp": NaN}}',
+                 "zero_lag": '{"plant": {"motor_tau_s": 0}}'}
         paths = {name: tmp_path / f"{name}.txt" for name in files}
         for name, text in files.items():
             if text is not None:

@@ -1,12 +1,12 @@
 """The world block's clock against the per-tick clock recurrence.
 
-`GaitWorld._clock` covers plain stretches of walking ticks with one
-accumulation and runs its scalar body only for the wrap, onset, ramp and
-perturbation ticks. `scalar_reference.reference_clock` is the recurrence
-it replaced, one tick at a time. Every column must equal it bit for bit,
-for any block sizes: time, phase, scale, migration, perturbation kind, the
-sway rows, the stride at each block's end, and the frames and torque built
-from them.
+`GaitWorld._clock` covers each stretch of walking ticks up to a wrap,
+onset or window close with one accumulation of the ramp scale and one of
+the phase, and runs scalar code once per such event.
+`scalar_reference.reference_clock` is the per-tick recurrence it
+replaced. Every column must equal it bit for bit, for any block sizes:
+time, phase, scale, migration, perturbation kind, the sway rows, the
+stride at each block's end, and the frames and torque built from them.
 """
 
 import numpy as np
@@ -32,11 +32,14 @@ def make_world(activity: str, scenario: str, seed: int,
                standing_s: float = STANDING_S, onsets=None,
                low_scale=None) -> GaitWorld:
     """A world whose special ticks fall in its first STRIDES strides:
-    perturbations in strides 1 and 2, or a ramp down in stride 1 and back
-    up in stride 2."""
+    perturbations in strides 1 and 2, a ramp down in stride 1 and back up
+    in stride 2, or both. Both draw a ramp of 1 to 1.6 s, so the ramp scale
+    still changes in most perturbation windows."""
     rng = np.random.default_rng(seed)
     perturbations, ramp = [], None
-    if scenario == "perturb":
+    if scenario == "both" and low_scale is None:
+        low_scale = float(rng.uniform(0.4, 0.62))
+    if scenario in ("perturb", "both"):
         kinds = rng.permutation([PerturbationKind.FORWARD,
                                  PerturbationKind.BACKWARD])
         if onsets is None:
@@ -45,7 +48,7 @@ def make_world(activity: str, scenario: str, seed: int,
             PerturbationSpec(kind=k, onset_pct_gc=onset,
                              affected_cycles=frozenset({stride}))
             for stride, k, onset in zip((1, 2), kinds, onsets)]
-    elif scenario == "ramp":
+    if scenario in ("ramp", "both"):
         if low_scale is None:
             low_scale = float(rng.uniform(0.4, 0.95))
         ramp = RampSpec(start_stride=1, hold_strides=1, low_scale=low_scale)
@@ -77,7 +80,7 @@ def check_blocks(make, dt: float, sizes: list[int]) -> dict:
         for name in ("t_s", "walking", "phase", "scale", "migration",
                      "perturb_kind"):
             cols.setdefault(name, []).extend(getattr(clock, name).tolist())
-        sway.extend((i + done, s, r) for i, s, r in clock.sway)
+        sway.extend((i + done, s, r) for i, s, r in zip(*clock.sway))
         frames.append(block.frames)
         bio.append(block.bio)
         for name in ("walking", "scale", "migration", "perturb_kind"):
@@ -105,7 +108,7 @@ def check_blocks(make, dt: float, sizes: list[int]) -> dict:
 
 @settings(max_examples=25, deadline=None)
 @given(activity=hs.sampled_from(sorted(TEMPLATES)),
-       scenario=hs.sampled_from(["steady", "perturb", "ramp"]),
+       scenario=hs.sampled_from(["steady", "perturb", "ramp", "both"]),
        seed=hs.integers(0, 2**16), dt=hs.sampled_from([0.001, 0.0023]),
        sizes=hs.lists(hs.integers(1, 1500), min_size=1, max_size=6))
 def test_clock_equals_the_per_tick_recurrence(activity, scenario, seed, dt,
