@@ -9,9 +9,18 @@ the foot-pitch-rate minimum.
 `WindowAssembler` keeps each stance in one buffer of `KinematicSample`s,
 backfilled at foot contact from the extremum sample and cut at foot-off to
 the samples at or before the extremum; a `StanceWindow` is the immutable
-shank/DF pair of lists it hands out. `StreamConditioner` gap-checks a
-recorded stream for `read_replay_csv` and passes its angles through as
-recorded.
+shank/DF pair of lists it hands out.
+
+`read_replay_csv` reads a recorded stream a block of REPLAY_BLOCK_LINES
+lines at a time, so its memory does not grow with the stream. numpy parses
+a block of plain numbers; csv.reader and float(), which define the accepted
+format, parse any other. Each block is conditioned over columns: the gap
+check, the DF channel and the extrapolated fill of up to MAX_GAP_SAMPLES - 1
+missing samples, carried across blocks. The angles pass through as
+recorded. A row that is not five numbers, a non-finite timestamp, a
+non-increasing timestamp or a non-finite angle or fill raises
+SignalQualityError; a gap of more than MAX_GAP_SAMPLES - 1 samples raises
+SignalLossError. Either is raised after the samples of the rows before it.
 
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
@@ -24,10 +33,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -55,15 +68,6 @@ class GaitPhase(Enum):
     STANCE = "stance"
 
 
-def derive_df(theta_sk: float, theta_ft: float,
-              theta_sk_rate: float, theta_ft_rate: float) -> tuple[float, float]:
-    """Derive the ankle DF angle and rate from shank and foot channels."""
-    for v in (theta_sk, theta_ft, theta_sk_rate, theta_ft_rate):
-        if not math.isfinite(v):
-            raise SignalQualityError(f"non-finite kinematic input: {v!r}")
-    return theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
-
-
 class KinematicSample(NamedTuple):
     """One kinematic frame. Angles in deg, rates in deg/s, time in ms."""
 
@@ -74,12 +78,6 @@ class KinematicSample(NamedTuple):
     theta_ft_rate: float
     theta_sk_rate: float
     theta_df_rate: float
-
-    @classmethod
-    def from_imu(cls, t_ms: float, theta_ft: float, theta_sk: float,
-                 theta_ft_rate: float, theta_sk_rate: float) -> "KinematicSample":
-        df, df_rate = derive_df(theta_sk, theta_ft, theta_sk_rate, theta_ft_rate)
-        return cls(t_ms, theta_ft, theta_sk, df, theta_ft_rate, theta_sk_rate, df_rate)
 
 
 @dataclass(frozen=True)
@@ -229,71 +227,161 @@ class WindowAssembler:
                             [s.theta_df for s in kept])
 
 
-class StreamConditioner:
-    """Gap-checks a raw 100 Hz kinematic stream.
-
-    Tolerates up to MAX_GAP_SAMPLES - 1 missing samples by linear
-    extrapolation from the last two frames, and rejects longer gaps with
-    SignalLossError and non-increasing timestamps with SignalQualityError.
-    """
-
-    def __init__(self):
-        self._last: Optional[KinematicSample] = None
-        self._prev: Optional[KinematicSample] = None
-
-    def feed(self, t_ms: float, theta_ft: float, theta_sk: float,
-             theta_ft_rate: float, theta_sk_rate: float) -> list[KinematicSample]:
-        """Returns the sample, preceded by any extrapolated fill."""
-        out: list[KinematicSample] = []
-        if self._last is not None:
-            gap = round((t_ms - self._last.t_ms) / IMU_PERIOD_MS)
-            if gap < 1:
-                raise SignalQualityError(
-                    f"non-increasing stream timestamp at t={t_ms} ms")
-            if gap > MAX_GAP_SAMPLES:
-                raise SignalLossError(
-                    f"kinematic stream gap of {gap} samples at t={t_ms} ms")
-            for k in range(1, gap):
-                out.append(self._extrapolate(k))
-        sample = KinematicSample.from_imu(t_ms, theta_ft, theta_sk,
-                                          theta_ft_rate, theta_sk_rate)
-        self._prev = self._last
-        self._last = sample
-        out.append(sample)
-        return out
-
-    def _extrapolate(self, steps_ahead: int) -> KinematicSample:
-        last, prev = self._last, self._prev
-        t = last.t_ms + steps_ahead * IMU_PERIOD_MS
-        if prev is None:
-            return KinematicSample.from_imu(t, last.theta_ft, last.theta_sk,
-                                            last.theta_ft_rate, last.theta_sk_rate)
-        h = steps_ahead
-        ft = last.theta_ft + h * (last.theta_ft - prev.theta_ft)
-        sk = last.theta_sk + h * (last.theta_sk - prev.theta_sk)
-        ft_r = last.theta_ft_rate + h * (last.theta_ft_rate - prev.theta_ft_rate)
-        sk_r = last.theta_sk_rate + h * (last.theta_sk_rate - prev.theta_sk_rate)
-        return KinematicSample.from_imu(t, ft, sk, ft_r, sk_r)
-
-
 REPLAY_HEADER = ["t_ms", "theta_ft_deg", "theta_sk_deg",
                  "theta_ft_rate_dps", "theta_sk_rate_dps"]
+REPLAY_BLOCK_LINES = 1024  # stream lines parsed and conditioned at a time
+# ASCII separators, which numpy strips around a number and float() does not.
+SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def read_replay_csv(path) -> Iterator[KinematicSample]:
     """Replay a recorded kinematic stream; the DF channel is derived, not read.
-    A row that is not five numbers raises SignalQualityError naming its
-    line."""
-    cond = StreamConditioner()
+
+    Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
+    over the stream. A row that is not five numbers, or whose timestamp
+    is not finite, raises SignalQualityError naming its line. Any error
+    is raised after the samples of the rows before it.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])     # [] for an empty file
         if [h.strip() for h in header] != REPLAY_HEADER:
             raise SignalQualityError(f"unexpected replay header: {header}")
-        for row in reader:
+        line, tail = reader.line_num, np.empty((0, 5))
+        while True:
+            rows, ends, failure = _read_block(fh, line)
+            samples, tail, rejection = _condition(rows, ends, tail)
+            yield from samples
+            if rejection is not None:
+                raise rejection
+            if failure is not None:
+                raise failure
+            if not ends:
+                return
+            line = ends[-1]
+
+
+def _read_block(fh, line: int):
+    """The next block of stream rows as an (n, 5) array, the line each row
+    ends on, and the error that cut the block short, if any.
+
+    numpy parses a block of plain numbers; csv.reader and float(), which
+    define the accepted format, parse any block it cannot or may parse
+    differently: one with quotes, blank lines, `1_0` digits, fields past
+    csv's size limit, or the ASCII separators float() does not strip.
+    """
+    lines, failure = [], None
+    try:
+        lines.extend(islice(fh, REPLAY_BLOCK_LINES))
+    except (OSError, ValueError) as exc:   # undecodable: the lines before stand
+        failure = exc
+    text = "".join(lines)
+    if (failure is None and lines and not any(c in text for c in SEPARATORS)
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        try:
+            with warnings.catch_warnings():   # a block of blank lines warns
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2,
+                                  comments=None)
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (len(lines), 5):   # numpy skips blank lines
+                return rows, range(line + 1, line + len(lines) + 1), None
+    rest = fh if failure is None else _raising(failure)
+    reader = csv.reader(chain(lines, rest))   # a quoted field may run on
+    parsed, ends = [], []
+    try:
+        while reader.line_num < len(lines):
+            row = next(reader)
             try:
                 t, ft, sk, ft_r, sk_r = (float(x) for x in row)
             except ValueError as exc:
-                raise SignalQualityError(f"replay line {reader.line_num}: "
+                raise SignalQualityError(f"replay line {line + reader.line_num}: "
                                          f"not 5 numbers: {row}") from exc
-            yield from cond.feed(t, ft, sk, ft_r, sk_r)
+            parsed.append((t, ft, sk, ft_r, sk_r))
+            ends.append(line + reader.line_num)
+    except (csv.Error, OSError, ValueError) as exc:   # raised after the rows
+        failure = exc
+    return np.array(parsed, dtype=float).reshape(-1, 5), ends, failure
+
+
+def _raising(exc: Exception):
+    """Lines that end in `exc`, as the file's did."""
+    raise exc
+    yield
+
+
+def _condition(rows, ends, tail):
+    """The samples of `rows` (t, ft, sk, ft rate, sk rate) up to the first
+    row that fails a check, the stream's last two rows for the next block,
+    and that row's error, or None.
+
+    A gap of up to MAX_GAP_SAMPLES - 1 samples is filled by linear
+    extrapolation from the two rows before it, `tail` carrying them across
+    blocks.
+    """
+    n, k = len(rows), len(tail)
+    if not n:
+        return (), tail, None
+    t = rows[:, 0]
+    with np.errstate(all="ignore"):
+        gap = np.rint(np.diff(t, prepend=tail[-1, 0] if k else t[0])
+                      / IMU_PERIOD_MS)
+        if not k:
+            gap[0] = 1.0
+        fills = _fills(rows, tail)
+        bad = (~np.isfinite(rows).all(axis=1) | (gap < 1)
+               | (gap > MAX_GAP_SAMPLES)
+               | (gap >= 2) & ~np.isfinite(fills[0][:, 1:]).all(axis=1)
+               | (gap >= 3) & ~np.isfinite(fills[1][:, 1:]).all(axis=1))
+        stop = int(np.argmax(bad)) if bad.any() else n
+        out = rows[:stop]
+        if (gap[:stop] > 1).any():
+            keep = np.stack((gap >= 2, gap >= 3, np.ones(n, bool)), axis=1)
+            out = np.stack((*fills, rows), axis=1)[:stop][keep[:stop]]
+        t, ft, sk, ft_r, sk_r = out.T
+        cols = (t.tolist(), ft.tolist(), sk.tolist(), (sk - ft).tolist(),
+                ft_r.tolist(), sk_r.tolist(), (sk_r - ft_r).tolist())
+    samples = map(KinematicSample._make, zip(*cols))
+    if stop == n:
+        return samples, np.concatenate((tail, rows))[-2:], None
+    return samples, tail, _rejection(rows[stop].tolist(), float(gap[stop]),
+                                     [f[stop].tolist() for f in fills],
+                                     ends[stop])
+
+
+def _fills(rows, tail):
+    """The rows one and two periods after each row's previous one, by
+    linear extrapolation from the two rows before each row. Where the
+    previous row is the stream's first, the fill repeats it."""
+    n, k = len(rows), len(tail)
+    seq = np.concatenate((rows[:1].repeat(2 - k, axis=0), tail, rows))
+    last, prev = seq[1:n + 1], seq[:n]
+    step = last - prev
+    fills = [last + step, last + 2.0 * step]
+    for h, f in enumerate(fills, 1):
+        if k < 2 and 1 - k < n:   # the stream's second row
+            f[1 - k] = last[1 - k]
+        f[:, 0] = last[:, 0] + h * IMU_PERIOD_MS
+    return fills
+
+
+def _rejection(row: list, gap: float, fills: list, line: int) -> Exception:
+    """The error of a stream row that failed a check: the first failed in
+    the order timestamp, gap, then each fill and the row itself."""
+    t = row[0]
+    if not math.isfinite(t):
+        return SignalQualityError(f"replay line {line}: non-finite timestamp "
+                                  f"t_ms={t!r}")
+    if gap < 1:
+        return SignalQualityError(
+            f"non-increasing stream timestamp at t={t} ms")
+    if gap > MAX_GAP_SAMPLES:
+        return SignalLossError(
+            f"kinematic stream gap of {gap:.0f} samples at t={t} ms")
+    for _, ft, sk, ft_r, sk_r in fills[:int(gap) - 1] + [row]:
+        for v in (sk, ft, sk_r, ft_r):
+            if not math.isfinite(v):
+                return SignalQualityError(f"non-finite kinematic input: {v!r}")
+    raise AssertionError("no check failed")

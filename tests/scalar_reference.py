@@ -17,12 +17,18 @@ ticks. `TickController` is the controller as it ran before, one `tick` call
 per tick on `ControllerState`, and `reference_run` is the loop that drove
 it: the per-tick reference of `run`.
 
+`read_replay_csv` parses and conditions a recorded stream a block of rows
+at a time, over numpy columns. `reference_read_replay_csv` reads it as
+`shankexo replay` did before, one csv row at a time through
+`StreamConditioner`: the per-row reference of the block reader.
+
 Not a test module: pytest collects only test_*.py.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 import sys
 from typing import Optional
@@ -31,7 +37,9 @@ import numpy as np
 
 from shankexo.controller import ABORT_CODE, ControlMode, Controller
 from shankexo.harness import MetricsError, UndefinedCorrelationError
-from shankexo.gait_signals import KinematicSample
+from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
+                                   REPLAY_HEADER, KinematicSample,
+                                   SignalLossError, SignalQualityError)
 from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind,
                             PerturbationSpec, _ds3, _s3)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
@@ -449,3 +457,90 @@ def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):
         log_row((ABORT_CODE if st.aborted else MODE_CODE[st.mode], st.f_des,
                  f_meas, f_truth, l_meas, v))
     return f_meas, l_meas, l_rate, pos
+
+
+# -- replay stream reader --------------------------------------------------------
+
+def derive_df(theta_sk: float, theta_ft: float,
+              theta_sk_rate: float, theta_ft_rate: float) -> tuple[float, float]:
+    """The ankle DF angle and rate from the shank and foot channels."""
+    for v in (theta_sk, theta_ft, theta_sk_rate, theta_ft_rate):
+        if not math.isfinite(v):
+            raise SignalQualityError(f"non-finite kinematic input: {v!r}")
+    return theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
+
+
+def from_imu(t_ms: float, theta_ft: float, theta_sk: float,
+             theta_ft_rate: float, theta_sk_rate: float) -> KinematicSample:
+    df, df_rate = derive_df(theta_sk, theta_ft, theta_sk_rate, theta_ft_rate)
+    return KinematicSample(t_ms, theta_ft, theta_sk, df, theta_ft_rate,
+                           theta_sk_rate, df_rate)
+
+
+class StreamConditioner:
+    """Gap-checks a raw 100 Hz kinematic stream, one row at a time.
+
+    Tolerates up to MAX_GAP_SAMPLES - 1 missing samples by linear
+    extrapolation from the last two rows, and rejects longer gaps with
+    SignalLossError and non-increasing timestamps with SignalQualityError.
+    """
+
+    def __init__(self):
+        self._last: Optional[KinematicSample] = None
+        self._prev: Optional[KinematicSample] = None
+
+    def feed(self, t_ms: float, theta_ft: float, theta_sk: float,
+             theta_ft_rate: float, theta_sk_rate: float) -> list[KinematicSample]:
+        """Returns the sample, preceded by any extrapolated fill."""
+        out: list[KinematicSample] = []
+        if self._last is not None:
+            steps = (t_ms - self._last.t_ms) / IMU_PERIOD_MS
+            # A step past the float range is a gap of inf samples, or -inf.
+            gap = round(steps) if math.isfinite(steps) else steps
+            if gap < 1:
+                raise SignalQualityError(
+                    f"non-increasing stream timestamp at t={t_ms} ms")
+            if gap > MAX_GAP_SAMPLES:
+                raise SignalLossError(
+                    f"kinematic stream gap of {gap} samples at t={t_ms} ms")
+            for k in range(1, gap):
+                out.append(self._extrapolate(k))
+        sample = from_imu(t_ms, theta_ft, theta_sk, theta_ft_rate, theta_sk_rate)
+        self._prev = self._last
+        self._last = sample
+        out.append(sample)
+        return out
+
+    def _extrapolate(self, steps_ahead: int) -> KinematicSample:
+        last, prev = self._last, self._prev
+        t = last.t_ms + steps_ahead * IMU_PERIOD_MS
+        if prev is None:
+            return from_imu(t, last.theta_ft, last.theta_sk,
+                            last.theta_ft_rate, last.theta_sk_rate)
+        h = steps_ahead
+        ft = last.theta_ft + h * (last.theta_ft - prev.theta_ft)
+        sk = last.theta_sk + h * (last.theta_sk - prev.theta_sk)
+        ft_r = last.theta_ft_rate + h * (last.theta_ft_rate - prev.theta_ft_rate)
+        sk_r = last.theta_sk_rate + h * (last.theta_sk_rate - prev.theta_sk_rate)
+        return from_imu(t, ft, sk, ft_r, sk_r)
+
+
+def reference_read_replay_csv(path):
+    """`read_replay_csv` one row at a time: csv.reader, float() and
+    `StreamConditioner`."""
+    cond = StreamConditioner()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])     # [] for an empty file
+        if [h.strip() for h in header] != REPLAY_HEADER:
+            raise SignalQualityError(f"unexpected replay header: {header}")
+        for row in reader:
+            try:
+                t, ft, sk, ft_r, sk_r = (float(x) for x in row)
+            except ValueError as exc:
+                raise SignalQualityError(f"replay line {reader.line_num}: "
+                                         f"not 5 numbers: {row}") from exc
+            if not math.isfinite(t):
+                raise SignalQualityError(f"replay line {reader.line_num}: "
+                                         f"non-finite timestamp t_ms={t!r}")
+            yield from cond.feed(t, ft, sk, ft_r, sk_r)

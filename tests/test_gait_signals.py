@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from shankexo.cli import main
-from shankexo.gait_signals import (STANCE_CAPACITY, DetectorConfig,
-                                   EventDetector, GaitEvent, GaitEventKind,
-                                   GaitPhase, KinematicSample, SignalLossError,
-                                   SignalQualityError, StreamConditioner,
-                                   WindowAssembler, derive_df,
-                                   read_replay_csv)
+from shankexo.gait_signals import (REPLAY_HEADER, STANCE_CAPACITY,
+                                   DetectorConfig, EventDetector, GaitEvent,
+                                   GaitEventKind, GaitPhase, KinematicSample,
+                                   SignalLossError, SignalQualityError,
+                                   WindowAssembler, read_replay_csv)
 
 
 def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
@@ -25,28 +24,41 @@ def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
             for i in range(n)]
 
 
+def replay(tmp_path, rows):
+    """The samples `read_replay_csv` reads from a stream of these rows."""
+    path = tmp_path / "stream.csv"
+    path.write_text("\n".join([",".join(REPLAY_HEADER)]
+                              + [",".join(map(repr, r)) for r in rows]) + "\n")
+    return list(read_replay_csv(path))
+
+
 class TestDeriveDf:
-    def test_equal_segments(self):
-        assert derive_df(10.0, 10.0, 0.0, 0.0) == (0.0, 0.0)
+    """The replay reader derives the DF channel as shank minus foot."""
 
-    def test_direct_subtraction(self):
-        assert derive_df(8.0, -12.0, 50.0, -30.0) == (20.0, 80.0)
+    def df(self, tmp_path, sk, ft, skr, ftr):
+        (s,) = replay(tmp_path, [(0.0, ft, sk, ftr, skr)])
+        return s.theta_df, s.theta_df_rate
 
-    def test_upright_stand(self):
-        assert derive_df(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+    def test_equal_segments(self, tmp_path):
+        assert self.df(tmp_path, 10.0, 10.0, 0.0, 0.0) == (0.0, 0.0)
+
+    def test_direct_subtraction(self, tmp_path):
+        assert self.df(tmp_path, 8.0, -12.0, 50.0, -30.0) == (20.0, 80.0)
+
+    def test_upright_stand(self, tmp_path):
+        assert self.df(tmp_path, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
+    def test_non_finite_rejected(self, tmp_path, bad):
         with pytest.raises(SignalQualityError):
-            derive_df(bad, 0.0, 0.0, 0.0)
+            self.df(tmp_path, bad, 0.0, 0.0, 0.0)
 
-    def test_exact_subtraction_random(self):
+    def test_exact_subtraction_random(self, tmp_path):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            sk, ft, skr, ftr = rng.uniform(-90, 90, 4)
-            df, dfr = derive_df(sk, ft, skr, ftr)
-            assert abs(df - (sk - ft)) < 1e-9
-            assert abs(dfr - (skr - ftr)) < 1e-9
+        rows = [(10.0 * i, *rng.uniform(-90, 90, 4).tolist()) for i in range(200)]
+        for (_, ft, sk, ftr, skr), s in zip(rows, replay(tmp_path, rows)):
+            assert s.theta_df == sk - ft
+            assert s.theta_df_rate == skr - ftr
 
 
 class TestEventDetector:
@@ -183,28 +195,25 @@ class TestWindowAssembler:
             assert not caplog.records
 
 
-class TestStreamConditioner:
-    def test_single_gap_extrapolated(self):
-        cond = StreamConditioner()
-        cond.feed(0.0, 0.0, 0.0, 0.0, 0.0)
-        cond.feed(10.0, 1.0, 2.0, 0.0, 0.0)
-        out = cond.feed(30.0, 3.0, 6.0, 0.0, 0.0)
-        assert len(out) == 2
-        assert out[0].t_ms == 20.0
-        assert out[0].theta_ft == pytest.approx(2.0)
-        assert out[0].theta_sk == pytest.approx(4.0)
+class TestStreamConditioning:
+    def test_single_gap_extrapolated(self, tmp_path):
+        out = replay(tmp_path, [(0.0, 0.0, 0.0, 0.0, 0.0),
+                                (10.0, 1.0, 2.0, 0.0, 0.0),
+                                (30.0, 3.0, 6.0, 0.0, 0.0)])
+        assert len(out) == 4
+        assert out[2].t_ms == 20.0
+        assert out[2].theta_ft == pytest.approx(2.0)
+        assert out[2].theta_sk == pytest.approx(4.0)
 
-    def test_long_gap_rejected(self):
-        cond = StreamConditioner()
-        cond.feed(0.0, 0.0, 0.0, 0.0, 0.0)
+    def test_long_gap_rejected(self, tmp_path):
         with pytest.raises(SignalLossError):
-            cond.feed(50.0, 0.0, 0.0, 0.0, 0.0)
+            replay(tmp_path, [(0.0, 0.0, 0.0, 0.0, 0.0),
+                              (50.0, 0.0, 0.0, 0.0, 0.0)])
 
-    def test_non_increasing_time_rejected(self):
-        cond = StreamConditioner()
-        cond.feed(10.0, 0.0, 0.0, 0.0, 0.0)
+    def test_non_increasing_time_rejected(self, tmp_path):
         with pytest.raises(SignalQualityError):
-            cond.feed(10.0, 0.0, 0.0, 0.0, 0.0)
+            replay(tmp_path, [(10.0, 0.0, 0.0, 0.0, 0.0),
+                              (10.0, 0.0, 0.0, 0.0, 0.0)])
 
 
 class TestReplayCsv:
