@@ -1,15 +1,22 @@
 """Stance/swing control state machine emitting 1 kHz cable velocity commands.
 
-`Controller.run` runs the ticks between two gait events: per tick, the
-command, the cable step the caller bound and the tick's log row, whose mode
-code and abort marker record which branch acted. The controller state lives
-in locals across the stretch; a tick that can change the mode, the
-engagement, the abort or the tendon model (pretighten, the stance probe and
-the engage tick, the abort and its non-finite and limit latches) runs on
-`ControllerState` instead, with the locals written back before it and read
-again after it, so `on_event` sees the state tick-by-tick evaluation leaves.
-`Controller.tick` is the one-tick run and returns the command as a plain
-float in mm/s.
+`Controller.run` runs the ticks between two gait events, and with them
+the cable plant: the controller and the cable are the only closed loop.
+What the loop does not feed back is columns, computed once per stretch
+from the IMU kinematics and the stride's params: the profile force and
+its rate at each tick's shank angle (`eval_force_and_rate_array`), the
+feedforward, and the cable's zero-force length and load-cell noise
+(`GaitWorld.cable_columns`). The loop body keeps the recurrence: the
+feedback filter, the PI, the overshoot shed, the envelope, the motor lag,
+the cable length, the force clip, the noise and the tick's log row, whose
+mode code and abort marker record which branch acted. The controller
+state lives in locals across the stretch; a tick that can change the
+mode, the engagement, the abort or the tendon model (pretighten, the
+engage tick, the abort and its non-finite and limit latches) runs on
+`ControllerState` instead, with the locals written back before it and
+read again after it, so `on_event` sees the state tick-by-tick evaluation
+leaves. `Controller.tick` is the one-tick run and returns the command as
+a plain float in mm/s.
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -25,14 +32,12 @@ moment the cable first engages.
 
 `ControllerState.f_des` is the desired force the run log shows for the last
 tick: the profile force at the tick's shank angle on stance ticks with
-parameters, and 0.0 otherwise. An engaged stance tick evaluates the profile
-once (`eval_force_and_rate`: the desired force and its rate from one exp);
-a probe tick, which needs no rate, and an aborted stance tick, which holds
-without the profile, evaluate the force alone (`eval_force`). Leaving
-stance, which only foot-off does, resets it to 0.0. The per-tick guards
-(the safety limits, the command envelope, the swing anti-windup, the
-overshoot shed) are bare comparisons that return exactly what the min/max
-forms they replace return, NaN and infinities included.
+parameters (engaged, probing or aborted, all from the force column), and
+0.0 otherwise. Leaving stance, which only foot-off does, resets it to 0.0.
+The per-tick guards (the safety limits, the command envelope, the swing
+anti-windup, the overshoot shed, the cable's clamps) are bare comparisons
+that return exactly what the min/max forms they replace return, NaN and
+infinities included.
 """
 
 from __future__ import annotations
@@ -41,11 +46,14 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from itertools import repeat
+from typing import Callable, Optional
+
+import numpy as np
 
 from .gait_signals import GaitEvent, GaitEventKind
-from .plant import CableStep, PlantConfig
-from .profile import GaussianParams, eval_force, eval_force_and_rate
+from .plant import Cable, PlantConfig, PlantState
+from .profile import GaussianParams, eval_force_and_rate_array
 from .tendon import TendonModel, estimate_migration, tendon_length
 
 log = logging.getLogger(__name__)
@@ -62,6 +70,9 @@ class ControlMode(Enum):
 # last once the safety abort has latched.
 _MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
 ABORT_CODE = len(ControlMode)
+
+# The tiers of `Controller.run`'s loop body (see `_settled_locals`).
+_STANCE, _PI, _PROBE, _HOLD = range(4)
 
 
 @dataclass
@@ -158,72 +169,90 @@ class Controller:
 
     # -- per-tick interface --------------------------------------------------
 
-    def run(self, ticks: Iterable[tuple], step: CableStep, reading: tuple,
-            dt: float, log_row: Callable[[tuple], object]) -> tuple:
-        """Run a stretch of ticks with no gait event inside.
+    def run(self, cols: np.ndarray, cable: Cable, reading: tuple,
+            log_row: Callable[[tuple], object]) -> tuple:
+        """Run a stretch of ticks with no gait event inside: the controller
+        and the cable, the only closed loop (see the module docstring).
 
-        ticks yields each tick's (theta_sk, theta_df, theta_sk_rate,
-        theta_df_rate, migration): the shank and DF angles (deg) and rates
-        (deg/s), and the suit migration (mm) the cable step takes. reading
-        is (f_meas, l_meas, l_meas_rate, motor_pos), the cable's reading
-        that the first tick's command sees. Each tick computes the velocity
-        command v (mm/s, positive retracts), calls step(v, theta_df,
-        migration) -> (f_truth, f_meas, l_meas, l_meas_rate, motor_pos),
-        whose reading the next tick sees, and hands log_row the tuple
-        (mode code, f_des, f_meas, f_truth, l_meas, v) of the state after
-        the tick; the mode code is the mode's index in ControlMode, or
-        ABORT_CODE once the abort has latched. Returns the last reading.
-
-        A settled tick (swing, silent, or engaged stance with params; no
-        abort latched, finite inputs, readings inside the limits) runs here
-        on locals. Any other tick (pretighten, probe or engage, abort, a
-        non-finite input or a limit crossing) is `_unsettled_tick` on the
-        state, with the locals written back before it and read again after
-        it. The state after the stretch is the one tick-by-tick evaluation
-        leaves.
+        cols is a (6, n) array of the ticks' open-loop inputs: the shank and
+        DF angles (deg) and rates (deg/s), the cable's zero-force length
+        (mm) and its load-cell noise (N) (`GaitWorld.cable_columns`).
+        reading is (f_meas, l_meas, l_meas_rate, motor_pos), which the
+        first tick's command sees. Each tick computes the velocity command
+        v (mm/s, positive retracts), steps the cable (`plant.Cable`) to the
+        next tick's reading and hands log_row (mode code, f_des, f_meas,
+        f_truth, l_meas, v); the mode code is the mode's index in
+        ControlMode, or ABORT_CODE once the abort has latched. Returns the
+        last reading; cable.state holds the motor velocity and the cable
+        length. A settled or probe tick runs on locals, any other on
+        `_unsettled_tick`; the state after the stretch is the one
+        tick-by-tick evaluation leaves.
         """
-        st, cfg = self.state, self.cfg
-        r, k_all = self.tendon.lever_arm_r, self.tendon.k_all
+        st, cfg, tendon = self.state, self.cfg, self.tendon
+        r, k_all = tendon.lever_arm_r, tendon.k_all
         kp, ki, kd, map_m, map_b = cfg.kp, cfg.ki, cfg.kd, cfg.map_m, cfg.map_b
         static_map = map_m <= 0.0           # 1/(M s + B) with M = 0 is 1/B
-        ic, vm = cfg.integral_clamp, cfg.v_max
+        ic, vm, engage = cfg.integral_clamp, cfg.v_max, cfg.engage_force
         ceiling, lim = cfg.force_ceiling, cfg.position_limit_mm
+        probe_rate, margin = cfg.probe_rate, cfg.probe_margin_mm
+        plant, dt, alpha, plant_vm, stiffness, pos_ref = cable
+        motor_v, l_cable = plant.motor_v, plant.l_cable
         inf, radians = math.inf, math.radians
         f_meas, l_meas, l_rate, pos = reading
         df = st.last_theta_df
-        (settled, stance, swing, p, target, code, f_des, v_fb, e_int,
-         f_swing_max) = self._settled_locals()
-        for sk, df, sk_rate, df_rate, migration in ticks:
+        p = st.active_params
+        if st.mode is ControlMode.STANCE and p is not None:
+            f_col, rate_col = eval_force_and_rate_array(p, cols[0], cols[2])
+            with np.errstate(all="ignore"):    # inf - inf is NaN, silently
+                v_ff = r * np.radians(cols[3]) - rate_col / k_all
+            profile = f_col.tolist(), v_ff.tolist()
+            mu, shed_below = p.mu, 0.25 * p.amp
+        else:
+            profile = repeat(0.0), repeat(0.0)
+        (tier, swing, target, code, f_des, v_fb, e_int, f_swing_max,
+         l_rest) = self._settled_locals()
+        for sk, df, sk_rate, df_rate, l_free, noise, f_prof, v_ff in zip(
+                *cols.tolist(), *profile):
             v = None
             # NaN fails every comparison and makes the sum NaN, and an
             # infinity in any input makes it non-finite.
-            if (not settled or f_meas > ceiling or pos > lim or pos < -lim
+            if (f_meas > ceiling or pos > lim or pos < -lim
                     or not -inf < (f_meas + l_meas + l_rate + pos + sk + df
-                                   + sk_rate + df_rate) < inf):
+                                   + sk_rate + df_rate) < inf
+                    or tier > _PI and (tier == _HOLD or f_meas >= engage)):
                 st.f_des, st.v_fb_state = f_des, v_fb
                 st.e_l_integral, st.f_swing_max = e_int, f_swing_max
                 v = self._unsettled_tick(sk, df, sk_rate, df_rate, f_meas,
-                                         l_meas, l_rate, pos)
-                (settled, stance, swing, p, target, code, f_des, v_fb, e_int,
-                 f_swing_max) = self._settled_locals()
+                                         l_meas, l_rate, pos, f_prof)
+                (tier, swing, target, code, f_des, v_fb, e_int, f_swing_max,
+                 l_rest) = self._settled_locals()
+            elif tier == _PROBE:
+                # Take up the swing slack, then probe until the cable is
+                # physically taut: the gap to the model tendon's length
+                # (`tendon_length`) at the desired force.
+                f_des = f_prof
+                gap = l_meas - (r * radians(df) - f_des / k_all + l_rest)
+                v = cfg.tighten_gain * (gap - margin) + probe_rate
+                v = vm if vm < v else v                  # min(v, vm)
+                v = v if v > probe_rate else probe_rate  # max(probe_rate, .)
             if v is None:
-                if stance:
-                    f_des, f_rate = eval_force_and_rate(p, sk, sk_rate)
+                if tier == _STANCE:
+                    f_des = f_prof
                     # 1/(M s + B) by backward Euler
                     err = f_des - f_meas
                     v_fb = (err / map_b if static_map else
                             (map_m * v_fb + dt * err) / (map_m + map_b * dt))
-                    # feedback minus the feedforward: the tendon length rate
-                    # along the desired-force trajectory
-                    v = v_fb - (r * radians(df_rate) - f_rate / k_all)
-                    if sk <= p.mu:
+                    v = v_fb - v_ff
+                    if sk <= mu:
                         # Engagement overshoot: the probe meets a taut length
                         # moving at full gait speed, so contact lands a few
                         # newtons hard; shed the excess quickly while the
                         # desired force is still near zero.
-                        if f_des < 0.25 * p.amp:
-                            v -= min(100.0,
-                                     25.0 * max(0.0, f_meas - f_des - 1.0))
+                        # min(100, 25 * max(0, excess)) written out
+                        excess = f_meas - f_des - 1.0
+                        if f_des < shed_below and excess > 0.0:
+                            excess *= 25.0
+                            v -= excess if excess < 100.0 else 100.0
                     elif f_des < cfg.tail_release_force and f_meas > 1.0:
                         # Profile finished on the falling branch: shed the
                         # residual tension carried by the motor lag so the
@@ -246,8 +275,20 @@ class Controller:
                 else:
                     v = v if v < vm else vm
                     v = v if v > -vm else -vm
-            f_truth, f_meas, l_meas, l_rate, pos = step(v, df, migration)
+            # The cable: the motor envelope (a NaN command drives at +vm),
+            # the motor lag, the cable length, and the force and its
+            # reading clipped at 0 (NaN reads 0).
+            v_cable = v if v < plant_vm else plant_vm
+            v_cable = v_cable if v_cable > -plant_vm else -plant_vm
+            motor_v += alpha * (v_cable - motor_v)
+            l_cable -= motor_v * dt
+            f_truth = stiffness * (l_free - l_cable)
+            f_truth = f_truth if f_truth > 0.0 else 0.0
+            f_meas = f_truth + noise
+            f_meas = f_meas if f_meas > 0.0 else 0.0
+            l_meas, l_rate, pos = l_cable, -motor_v, pos_ref - l_cable
             log_row((code, f_des, f_meas, f_truth, l_meas, v))
+        plant.motor_v, plant.l_cable = motor_v, l_cable
         st.last_theta_df = df
         st.f_des, st.v_fb_state = f_des, v_fb
         st.e_l_integral, st.f_swing_max = e_int, f_swing_max
@@ -258,40 +299,45 @@ class Controller:
              l_meas_rate: float, motor_pos: float, dt: float) -> float:
         """One tick's velocity command in mm/s (positive retracts the cable)
         from its shank and DF angles (deg) and rates (deg/s) and the cable
-        reading: `run` over one tick, with a cable step whose reading
-        nothing reads."""
+        reading: `run` over one tick, with a cable whose reading nothing
+        reads."""
         row = []
-        self.run(((theta_sk, theta_df, theta_sk_rate, theta_df_rate, 0.0),),
-                 lambda *_: (0.0,) * 5,
-                 (f_meas, l_meas, l_meas_rate, motor_pos), dt, row.extend)
+        self.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
+                           [theta_df_rate], [0.0], [0.0]]),
+                 Cable(PlantState(0.0), dt, 0.0, 0.0, 0.0, 0.0),
+                 (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
         return row[5]
 
     # -- helpers --------------------------------------------------------------
 
     def _settled_locals(self) -> tuple:
-        """What `run` holds in locals, read from the state: whether the next
-        tick is settled, whether the mode is stance or swing, the params, the
-        PI target, the log's mode code, and f_des, v_fb_state, e_l_integral
-        and f_swing_max."""
-        st = self.state
-        mode, p = st.mode, st.active_params
-        stance, swing = mode is ControlMode.STANCE, mode is ControlMode.SWING
-        settled = not st.aborted and (swing or mode is ControlMode.SILENT or (
-            stance and st.engaged and p is not None))
-        return (settled, stance, swing, p,
-                st.l_swing if swing else st.release_target,
+        """What `run` holds in locals, read from the state: the tick's tier
+        (_STANCE engaged with params, _PI swing or silent, _PROBE stance
+        with params before engagement, _HOLD the rest or any tier once
+        aborted), whether the mode is swing, the PI target, the log's mode
+        code, f_des, v_fb_state, e_l_integral and f_swing_max, and the model
+        tendon's baseline less its migration."""
+        st, tendon = self.state, self.tendon
+        mode = st.mode
+        swing, stance = mode is ControlMode.SWING, mode is ControlMode.STANCE
+        tier = (_HOLD if st.aborted or mode is ControlMode.PRETIGHTEN or (
+                    stance and st.active_params is None)
+                else _PI if not stance else _STANCE if st.engaged else _PROBE)
+        return (tier, swing, st.l_swing if swing else st.release_target,
                 ABORT_CODE if st.aborted else _MODE_CODE[mode],
-                st.f_des, st.v_fb_state, st.e_l_integral, st.f_swing_max)
+                st.f_des, st.v_fb_state, st.e_l_integral, st.f_swing_max,
+                tendon.baseline_c - tendon.delta_l1)
 
     def _unsettled_tick(self, theta_sk: float, theta_df: float,
                         theta_sk_rate: float, theta_df_rate: float,
                         f_meas: float, l_meas: float, l_meas_rate: float,
-                        motor_pos: float) -> Optional[float]:
+                        motor_pos: float, f_des: float) -> Optional[float]:
         """A tick that may change the mode, the engagement, the abort or the
         tendon model, on the state: the non-finite and limit checks, the
-        abort hold, pretighten, and the stance probe up to engagement.
-        Returns its command, or None when the tick goes on as a settled one
-        (the engage tick continues as an engaged stance tick)."""
+        abort hold, pretighten, a stance tick without params, and the
+        engage tick. f_des is the profile force at the tick's shank angle
+        (read on stance ticks with params). Returns its command, or None
+        for the engage tick, which goes on as an engaged stance tick."""
         st, cfg, tendon = self.state, self.cfg, self.tendon
         st.last_theta_df = theta_df
         # The safety abort latches, with one log line, on a non-finite input
@@ -315,7 +361,7 @@ class Controller:
             # An aborted stance tick holds without the profile; the log
             # still shows the profile force of its shank angle.
             if mode is ControlMode.STANCE and p is not None:
-                st.f_des = eval_force(p, theta_sk)
+                st.f_des = f_des
             # Latched: pay the cable out to the slack reference, then zero
             # the motor.
             return -cfg.v_max if l_meas < st.release_target - 0.5 else 0.0
@@ -329,20 +375,11 @@ class Controller:
             st.release_target = l_meas + cfg.release_slack_mm
             st.mode = ControlMode.SILENT
             return 0.0
-        if mode is not ControlMode.STANCE or (st.engaged and p is not None):
-            return None
         if p is None:
             log.warning("stance tick without profile parameters; holding")
             return 0.0
-        if f_meas >= cfg.engage_force:
-            # Taut: only a taut measurement identifies migration.
-            st.engaged = True
-            estimate_migration(tendon, l_meas, theta_df, f_meas)
-            return None
-        # Take up the swing slack, then probe until the cable is physically
-        # taut.
-        st.f_des = f_des = eval_force(p, theta_sk)
-        gap = l_meas - tendon_length(tendon, theta_df, f_des)
-        return max(cfg.probe_rate,
-                   min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
-                       + cfg.probe_rate, cfg.v_max))
+        # The engage tick, f_meas >= engage_force: taut, and only a taut
+        # measurement identifies migration.
+        st.engaged = True
+        estimate_migration(tendon, l_meas, theta_df, f_meas)
+        return None

@@ -238,13 +238,19 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
     """Replay a recorded kinematic stream; the DF channel is derived, not read.
 
     Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
-    over the stream. A row that is not five numbers, or whose timestamp
-    is not finite, raises SignalQualityError naming its line. Any error
-    is raised after the samples of the rows before it.
+    over the stream. A row that is not five numbers (a byte that is not
+    UTF-8 text, read as a lone surrogate, makes it so), a field past
+    csv's size limit, or a timestamp that is not finite raises
+    SignalQualityError naming its line. Any error is raised after the
+    samples of the rows before it.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])     # [] for an empty file
+        try:
+            header = next(reader, [])     # [] for an empty file
+        except csv.Error as exc:
+            raise SignalQualityError(f"replay line {reader.line_num}: "
+                                     f"{exc}") from None
         if [h.strip() for h in header] != REPLAY_HEADER:
             raise SignalQualityError(f"unexpected replay header: {header}")
         line, tail = reader.line_num, np.empty((0, 5))
@@ -273,7 +279,7 @@ def _read_block(fh, line: int):
     lines, failure = [], None
     try:
         lines.extend(islice(fh, REPLAY_BLOCK_LINES))
-    except (OSError, ValueError) as exc:   # undecodable: the lines before stand
+    except OSError as exc:      # the lines before stand
         failure = exc
     text = "".join(lines)
     if (failure is None and lines and not any(c in text for c in SEPARATORS)
@@ -301,7 +307,10 @@ def _read_block(fh, line: int):
                                          f"not 5 numbers: {row}") from exc
             parsed.append((t, ft, sk, ft_r, sk_r))
             ends.append(line + reader.line_num)
-    except (csv.Error, OSError, ValueError) as exc:   # raised after the rows
+    except csv.Error as exc:    # raised after the rows
+        failure = SignalQualityError(f"replay line {line + reader.line_num}: "
+                                     f"{exc}")
+    except (OSError, ValueError) as exc:
         failure = exc
     return np.array(parsed, dtype=float).reshape(-1, 5), ends, failure
 

@@ -13,23 +13,25 @@ clock is accumulated in bulk, and makes two passes over each block:
 
 1. Open loop: the estimation path over the block's IMU ticks (every
    imu_every-th tick of the run while walking), the only ticks whose
-   KinematicSample the block builds. It records a schedule of (tick
-   offset, event, params adopted at foot contact). Foot contact n_strides
-   lowers the run's stop tick to its confirmation + 20 ticks, and no IMU
-   tick past the stop tick is fed.
+   KinematicSample the block builds, all from one `tolist` per column. It
+   records a schedule of (tick offset, event, params adopted at foot
+   contact). Foot contact n_strides lowers the run's stop tick to its
+   confirmation + 20 ticks, and no IMU tick past the stop tick is fed.
    The fault spike, when its tick (fault_spike_t_ms rounded to whole ms)
    is among the block's ticks up to the stop tick, joins the schedule as
-   an entry without an event.
+   an entry without an event. The loop's open-loop columns are the
+   block's shank and DF angles and rates (`frames`) and the cable's
+   zero-force length and load-cell noise (`GaitWorld.cable_columns`).
 2. Closed loop: the block's ticks up to the stop tick, one stretch between
    schedule entries at a time. Each entry is applied before its tick's
    command: an event reaches `Controller.on_event`, and the spike adds
-   fault_spike_n to the reading that tick's command sees, until its cable
-   step takes the next reading. `Controller.run` runs each stretch: per
-   tick only the controller, the cable step bound once for the run
-   (`GaitWorld.cable_step`) and the tick's log row; the cable's reading is
-   the controller's input on the next tick. The tick's shank and DF angles
-   and rates come from the block's `frames` columns, and its migration from
-   the `migration` column, as floats.
+   fault_spike_n to the reading that tick's command sees, until the
+   tick's cable step takes the next reading. `Controller.run` runs each
+   stretch over its columns: it adds the profile and feedforward columns
+   of the stretch's params, and its loop body is the controller's
+   recurrence, the cable's (over the constants `GaitWorld.cable` binds
+   once for the run) and the tick's log row; the cable's reading is the
+   controller's input on the next tick.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -121,7 +123,6 @@ from bisect import insort
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
-from itertools import islice
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -524,23 +525,23 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
     foot_contact = GaitEventKind.FOOT_CONTACT
-    run, step_cable = ctrl.run, world.cable_step(dt)
+    run, cable = ctrl.run, world.cable(dt)
 
     while n_log < stop:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - n_log))
-        n = len(block.kin)
+        n = len(block.t_ms)
         # Open loop: the estimation path over the block's IMU ticks, the
         # global ticks that are multiples of imu_every, while walking and
         # up to `stop`. Each event is scheduled at its tick's offset in the
         # block with the params a foot contact adopts; foot contact
         # n_strides ends the run 20 ticks after its confirmation.
         schedule = []
-        for i in range(-(n_log + 1) % imu_every, n, imu_every):
+        imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
+        imu = imu[block.walking[imu]]
+        for i, sample in zip(imu.tolist(), block.kin.take(imu)):
             if n_log + i >= stop:
                 break
-            if not block.walking[i]:
-                continue
-            ev = estimation.feed(block.kin[i])
+            ev = estimation.feed(sample)
             if ev is None:
                 continue
             params = None
@@ -573,12 +574,11 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         part = log[held:held + m]
         rows = []
         log_row = rows.extend
-        ticks = zip(*block.frames[:m, _TICK_FRAMES].T.tolist(),
-                    block.migration[:m].tolist())
+        cols = np.concatenate((block.frames[:m, _TICK_FRAMES].T,
+                               world.cable_columns(block, m)))
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            reading = run(islice(ticks, at - done), step_cable, reading, dt,
-                          log_row)
+            reading = run(cols[:, done:at], cable, reading, log_row)
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:

@@ -52,17 +52,17 @@ is the whole ms exactly, so when every tick of a block is that close the
 block takes it from the one `np.rint` that also makes the log's clock; a
 clock that has drifted further is rounded tick by tick.
 
-Cable. The plant equations live once, in `bind_cable`: it binds what a run
-holds fixed (the motor lag alpha = 1 - exp(-dt / motor_tau_s), the
-envelope, the truth tendon, the noise level, the motor-position reference)
-and returns the one-tick step the closed loop calls, (cmd_v, theta_df,
-migration) -> a plain (f_truth, f_meas, l_cable, l_rate, motor_pos) tuple.
-It is the cable's only step: `GaitWorld.cable_step(dt)` binds the world's
-cable with it once per run. Its clamps are bare comparisons that return
-what the `max`/`min` forms return, NaN included. The force noise comes from
-the world's Generator in blocks of BLOCK_TICKS draws, which equal the same
-number of scalar `standard_normal()` draws; every step bound to a world
-reads that one stream.
+Cable. Only the cable's velocity state and length form a loop with the
+controller, so the plant splits in two. The open-loop part is columns
+(`GaitWorld.cable_columns`): the zero-force length r * radians(df) + c -
+migration of each tick (`free_length`) and the load-cell noise, drawn from
+the world's Generator a block at a time; n draws equal n scalar
+`standard_normal()` draws, so every column of a world reads one stream.
+The loop part is a few lines that live once, in `Controller.run`'s loop
+body, over the constants `bind_cable` returns (`Cable`: the motor lag
+alpha = 1 - exp(-dt / motor_tau_s), the envelope, the stiffness, the
+motor-position reference). Its clamps are bare comparisons that return
+what the `max`/`min` forms return, NaN included.
 
 Template validation reads the numbers of the parts that run on a template
 from the modules that own them: the detector thresholds and the IMU period
@@ -71,12 +71,11 @@ from `gait_signals`, the initial profile and the update guard from `profile`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -519,60 +518,41 @@ class PlantState:
     stride_index: int = 0
 
 
-CableStep = Callable[[float, float, float], tuple[float, ...]]
+class Cable(NamedTuple):
+    """What the closed loop's cable lines (`Controller.run`) hold fixed
+    under ticks of dt, and the state they advance: `state.motor_v` and
+    `state.l_cable` are read before a stretch and written after it."""
+
+    state: PlantState
+    dt: float
+    alpha: float     # motor lag, 1 - exp(-dt / motor_tau_s)
+    v_max: float     # motor envelope
+    k_all: float     # truth tendon stiffness
+    pos_ref: float   # motor position 0 at this cable length
 
 
 def bind_cable(state: PlantState, tendon_truth: TendonModel,
-               config: PlantConfig, dt: float,
-               noise: Optional[Iterator[float]] = None) -> CableStep:
-    """The cable plant under ticks of dt, with what a run holds fixed bound
-    once: the motor lag alpha = 1 - exp(-dt / motor_tau_s), the envelope, the
-    truth tendon, the noise level and the motor-position reference.
-
-    Returns step(cmd_v, theta_df, migration) -> (f_truth, f_meas, l_cable,
-    l_rate, motor_pos), which advances `state` one tick under a velocity
-    command at the tick's DF angle and suit migration (mm). It writes
-    state.motor_v and state.l_cable and reads them back on the next tick.
-    noise yields the standard-normal draws of the load-cell noise, one per
-    tick while force_noise_sd > 0 (None: noiseless readings).
-
-    The clamps are the comparisons max(lo, min(hi, x)) performs, so they
-    keep its NaN semantics: a NaN command drives at +v_max, and a NaN
-    force reads 0.
-    """
-    vm = config.v_max
-    alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
-    r, k_all, c = (tendon_truth.lever_arm_r, tendon_truth.k_all,
-                   tendon_truth.baseline_c)
-    noise_sd = config.force_noise_sd
-    noisy = noise is not None and noise_sd > 0.0
-    pos_ref = config.baseline_c + config.initial_slack_mm
-    radians = math.radians
-
-    def step(cmd_v: float, theta_df: float,
-             migration: float) -> tuple[float, ...]:
-        v_target = cmd_v if cmd_v < vm else vm               # min(vm, cmd_v)
-        v_target = v_target if v_target > -vm else -vm       # max(-vm, .)
-        motor_v = state.motor_v
-        motor_v += alpha * (v_target - motor_v)
-        l_cable = state.l_cable - motor_v * dt
-        state.motor_v = motor_v
-        state.l_cable = l_cable
-        force = k_all * (r * radians(theta_df) + c - migration - l_cable)
-        force = force if force > 0.0 else 0.0                # max(0.0, force)
-        f_meas = force
-        if noisy:
-            f_meas = force + noise_sd * next(noise)
-            f_meas = f_meas if f_meas > 0.0 else 0.0
-        return force, f_meas, l_cable, -motor_v, pos_ref - l_cable
-    return step
+               config: PlantConfig, dt: float) -> Cable:
+    """The cable plant's constants under ticks of dt. Per tick the loop
+    clamps the command to the envelope, lags the motor velocity by alpha,
+    shortens the cable by motor_v * dt, and reads the force
+    k_all * (l_free - l_cable) clipped at 0, plus the load-cell noise
+    clipped at 0. l_free and the noise are the open-loop columns of
+    `GaitWorld.cable_columns`. The clamps are the comparisons
+    max(lo, min(hi, x)) performs, so a NaN command drives at +v_max, and
+    a NaN force reads 0."""
+    return Cable(state, dt, 1.0 - math.exp(-dt / config.motor_tau_s),
+                 config.v_max, tendon_truth.k_all,
+                 config.baseline_c + config.initial_slack_mm)
 
 
-def _normal_draws(rng: np.random.Generator) -> Iterator[float]:
-    """Endless standard normals drawn BLOCK_TICKS at a time: the values of
-    one scalar rng.standard_normal() per draw."""
-    blocks = iter(lambda: rng.standard_normal(BLOCK_TICKS).tolist(), None)
-    return itertools.chain.from_iterable(blocks)
+def free_length(tendon_truth: TendonModel, theta_df, migration):
+    """The cable's zero-force length (mm) at DF angles theta_df (deg) and
+    suit migrations (mm): r * radians(theta_df) + c - migration, in that
+    order, over arrays, with no warning where one is not a number."""
+    with np.errstate(all="ignore"):
+        return (tendon_truth.lever_arm_r * np.radians(theta_df)
+                + tendon_truth.baseline_c - migration)
 
 
 def _sample_clock(t_s) -> tuple[np.ndarray, np.ndarray]:
@@ -617,6 +597,11 @@ class _Samples(Sequence):
     def __getitem__(self, i: int) -> KinematicSample:
         return KinematicSample(float(self._t[i]), *self._frames[i].tolist())
 
+    def take(self, idx: np.ndarray) -> list[KinematicSample]:
+        """The samples of the ticks idx, from one tolist per column."""
+        return list(map(KinematicSample, self._t[idx].tolist(),
+                        *self._frames[idx].T.tolist()))
+
 
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
@@ -659,8 +644,9 @@ class GaitWorld:
     Drives a standing segment first (all angles zero) so the controller can
     pretighten, then runs the gait from swing onset. Stride count follows
     the phase wrap; suit migration steps once per stride. The open-loop
-    part advances in blocks (`advance_block`); the closed loop steps the
-    cable one tick at a time through the step `cable_step` binds.
+    part advances in blocks (`advance_block`, with the cable's columns
+    from `cable_columns`); the closed loop steps the cable one tick at a
+    time over the constants `cable` binds.
     """
 
     def __init__(self, tmpl: GaitTemplate, config: PlantConfig, seed: int = 0,
@@ -684,7 +670,6 @@ class GaitWorld:
         self._ramp_scale = 1.0
         self._pert_active: Optional[tuple[PerturbationSpec, float]] = None
         self._pert_done: set[int] = set()
-        self._noise = _normal_draws(self.rng)
 
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
@@ -819,10 +804,21 @@ class GaitWorld:
         clip = np.minimum if x < target else np.maximum
         return clip(np.add.accumulate(steps)[1:], target)
 
-    def cable_step(self, dt: float) -> CableStep:
-        """This world's cable bound for ticks of dt (see `bind_cable`):
-        step(cmd_v, theta_df, migration) -> (f_truth, f_meas, l_cable,
-        l_rate, motor_pos). Every step of a world draws its force noise from
-        the world's one stream."""
-        return bind_cable(self.state, self.truth_tendon, self.config, dt,
-                          self._noise)
+    def cable(self, dt: float) -> Cable:
+        """This world's cable under ticks of dt (see `bind_cable`)."""
+        return bind_cable(self.state, self.truth_tendon, self.config, dt)
+
+    def cable_columns(self, block: WorldBlock, m: int) -> np.ndarray:
+        """The cable's open-loop columns over the block's first m ticks, a
+        (2, m) array: the zero-force length (`free_length`) at each tick's
+        DF angle and migration, and the load-cell noise force_noise_sd * z.
+        The draws z are the next m of the world's one stream, the values of
+        m scalar rng.standard_normal() draws; noiseless readings
+        (force_noise_sd not above 0) draw none and read zeros."""
+        cols = np.zeros((2, m))
+        cols[0] = free_length(self.truth_tendon, block.frames[:m, 2],
+                              block.migration[:m])
+        sd = self.config.force_noise_sd
+        if sd > 0.0:
+            cols[1] = sd * self.rng.standard_normal(m)
+        return cols

@@ -104,6 +104,24 @@ def eval_force_and_rate(p: GaussianParams, theta: float,
     return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
 
 
+def eval_force_and_rate_array(p: GaussianParams, theta: np.ndarray,
+                              theta_rate: np.ndarray) -> tuple[np.ndarray,
+                                                                np.ndarray]:
+    """`eval_force_and_rate` over arrays, bit for bit: the same operation
+    order, math.exp on each element (np.exp differs in the last bit), and
+    no warning where a float operation overflows or makes a NaN."""
+    on = (p.theta_fc < theta) & (theta < p.theta_fo)
+    th = theta[on]
+    sigma = np.where(th <= p.mu, p.sigma1, p.sigma2)
+    f, rate = np.zeros_like(theta), np.zeros_like(theta)
+    with np.errstate(all="ignore"):
+        z = (th - p.mu) / sigma
+        f[on] = p.amp * np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
+                                    float, len(th))
+        rate[on] = f[on] * (-(th - p.mu) / (sigma * sigma)) * theta_rate[on]
+    return f, rate
+
+
 def eval_force(p: GaussianParams, theta: float) -> float:
     """Desired assistive force (N) at shank angle theta (deg)."""
     return eval_force_and_rate(p, theta, 0.0)[0]
@@ -263,11 +281,5 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     theta = np.where(pct_gc <= pts[0], ths[0],
                      np.where(pct_gc >= pts[-1], ths[-1],
                               ths[lo] + w * (ths[hi] - ths[lo])))
-    on = ((0.0 <= pct_gc) & (pct_gc < 1.0)
-          & (p.theta_fc < theta) & (theta < p.theta_fo))
-    th = theta[on]
-    z = (th - p.mu) / np.where(th <= p.mu, p.sigma1, p.sigma2)
-    out = np.zeros_like(pct_gc)
-    out[on] = p.amp * np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
-                                  float, len(th))
-    return out
+    f = eval_force_and_rate_array(p, theta, np.zeros_like(theta))[0]
+    return np.where((0.0 <= pct_gc) & (pct_gc < 1.0), f, 0.0)

@@ -13,9 +13,11 @@ The report's metric primitives (`rmse_pct`, `pearson`,
 loops are kept here as well.
 
 `Controller.run` holds the controller state in locals across a stretch of
-ticks. `TickController` is the controller as it ran before, one `tick` call
-per tick on `ControllerState`, and `reference_run` is the loop that drove
-it: the per-tick reference of `run`.
+ticks and runs the cable in the same loop body, over open-loop columns.
+`TickController` is the controller as it ran before, one `tick` call per
+tick on `ControllerState`; `reference_cable_step` is the cable one tick at
+a time with builtin max/min clamps; and `reference_run` is the loop that
+drove the two: the per-tick reference of `run`.
 
 `read_replay_csv` parses and conditions a recorded stream a block of rows
 at a time, over numpy columns. `reference_read_replay_csv` reads it as
@@ -31,20 +33,23 @@ import bisect
 import csv
 import math
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from shankexo.controller import ABORT_CODE, ControlMode, Controller
+from shankexo.controller import (ABORT_CODE, ControlMode, Controller,
+                                 ControllerConfig)
 from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
                                    REPLAY_HEADER, KinematicSample,
                                    SignalLossError, SignalQualityError)
 from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind,
-                            PerturbationSpec, _ds3, _s3)
+                            PerturbationSpec, PlantConfig, PlantState,
+                            _ds3, _s3, bind_cable)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
                               eval_force_and_rate)
-from shankexo.tendon import estimate_migration, tendon_length
+from shankexo.tendon import TendonModel, estimate_migration, tendon_length
 
 CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
 
@@ -445,18 +450,64 @@ class TickController(Controller):
         return v if v > -vm else -vm
 
 
+def reference_cable_step(state: PlantState, cmd_v: float, l_free: float,
+                         z: Optional[float], config: PlantConfig,
+                         tendon_truth: TendonModel, dt: float) -> tuple:
+    """The cable one tick at a time with builtin max/min clamps: the
+    reference of `Controller.run`'s cable lines. Advances state under the
+    command at the tick's zero-force length l_free (mm), with the load-cell
+    noise draw z (None: noiseless readings), and returns (f_truth, f_meas,
+    l_cable, l_rate, motor_pos)."""
+    v_target = max(-config.v_max, min(config.v_max, cmd_v))
+    alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
+    state.motor_v += alpha * (v_target - state.motor_v)
+    state.l_cable -= state.motor_v * dt
+    force = max(0.0, tendon_truth.k_all * (l_free - state.l_cable))
+    f_meas = force
+    if z is not None and config.force_noise_sd > 0.0:
+        f_meas = max(0.0, force + config.force_noise_sd * z)
+    return (force, f_meas, state.l_cable, -state.motor_v,
+            (config.baseline_c + config.initial_slack_mm) - state.l_cable)
+
+
 def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):
-    """`Controller.run` one `tick` call per tick: the loop body the harness
-    ran before `run`."""
+    """`Controller.run` one `tick` call per tick, with the cable a separate
+    step: the loop the harness ran before the cable joined `run`. Each tick
+    is (theta_sk, theta_df, theta_sk_rate, theta_df_rate, *cable_inputs),
+    and step(v, *cable_inputs) returns (f_truth, f_meas, l_meas, l_rate,
+    motor_pos)."""
     f_meas, l_meas, l_rate, pos = reading
     st = ctrl.state
-    for sk, df, sk_rate, df_rate, migration in ticks:
+    for sk, df, sk_rate, df_rate, *cable_inputs in ticks:
         v = ctrl.tick(sk, df, sk_rate, df_rate, f_meas, l_meas, l_rate, pos,
                       dt)
-        f_truth, f_meas, l_meas, l_rate, pos = step(v, df, migration)
+        f_truth, f_meas, l_meas, l_rate, pos = step(v, *cable_inputs)
         log_row((ABORT_CODE if st.aborted else MODE_CODE[st.mode], st.f_des,
                  f_meas, f_truth, l_meas, v))
     return f_meas, l_meas, l_rate, pos
+
+
+def loop_cable(state: PlantState, tendon_truth: TendonModel,
+               config: PlantConfig, dt: float):
+    """step(cmd_v, l_free, noise=0.0) -> (f_truth, f_meas, l_cable, l_rate,
+    motor_pos): one tick of `Controller.run`'s cable lines under the
+    command cmd_v, as given (NaN and infinities included), at the zero-force
+    length l_free (mm) with the load-cell noise (N) added. The command
+    comes from a controller held in pretighten, which commands its
+    pretighten_rate while the force stays below pretighten_force (inf) and
+    never aborts on the fixed reading it is shown. Not a reference: it
+    runs the loop's cable alone, for tests of the cable."""
+    cable = bind_cable(state, tendon_truth, config, dt)
+    ctrl = Controller(ControllerConfig(pretighten_force=math.inf),
+                      replace(tendon_truth))
+
+    def step(cmd_v: float, l_free: float, noise: float = 0.0) -> tuple:
+        ctrl.cfg.pretighten_rate = cmd_v
+        row = []
+        reading = ctrl.run(np.array([[0.0]] * 4 + [[l_free], [noise]]),
+                           cable, (0.0,) * 4, row.extend)
+        return (row[3], *reading)
+    return step
 
 
 # -- replay stream reader --------------------------------------------------------
@@ -527,20 +578,30 @@ class StreamConditioner:
 
 def reference_read_replay_csv(path):
     """`read_replay_csv` one row at a time: csv.reader, float() and
-    `StreamConditioner`."""
+    `StreamConditioner`; a csv error is a SignalQualityError naming its
+    line."""
     cond = StreamConditioner()
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])     # [] for an empty file
-        if [h.strip() for h in header] != REPLAY_HEADER:
-            raise SignalQualityError(f"unexpected replay header: {header}")
-        for row in reader:
-            try:
-                t, ft, sk, ft_r, sk_r = (float(x) for x in row)
-            except ValueError as exc:
-                raise SignalQualityError(f"replay line {reader.line_num}: "
-                                         f"not 5 numbers: {row}") from exc
-            if not math.isfinite(t):
-                raise SignalQualityError(f"replay line {reader.line_num}: "
-                                         f"non-finite timestamp t_ms={t!r}")
-            yield from cond.feed(t, ft, sk, ft_r, sk_r)
+        try:
+            yield from _reference_rows(reader, cond)
+        except csv.Error as exc:
+            raise SignalQualityError(f"replay line {reader.line_num}: "
+                                     f"{exc}") from None
+
+
+def _reference_rows(reader, cond):
+    """The samples of the rows after the checked header, row by row."""
+    header = next(reader, [])     # [] for an empty file
+    if [h.strip() for h in header] != REPLAY_HEADER:
+        raise SignalQualityError(f"unexpected replay header: {header}")
+    for row in reader:
+        try:
+            t, ft, sk, ft_r, sk_r = (float(x) for x in row)
+        except ValueError as exc:
+            raise SignalQualityError(f"replay line {reader.line_num}: "
+                                     f"not 5 numbers: {row}") from exc
+        if not math.isfinite(t):
+            raise SignalQualityError(f"replay line {reader.line_num}: "
+                                     f"non-finite timestamp t_ms={t!r}")
+        yield from cond.feed(t, ft, sk, ft_r, sk_r)

@@ -8,7 +8,7 @@ from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.plant import build_template
 from shankexo.profile import GaussianParams, eval_force
 from shankexo.tendon import TendonModel, tendon_length
-from scalar_reference import TickController, gen_frame
+from scalar_reference import TickController, gen_frame, loop_cable
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
@@ -272,15 +272,15 @@ class TestSafety:
 class TestSignAndModeSafety:
     def test_retraction_never_drops_force_on_taut_plant(self):
         # positive command = retraction = higher tension within the tick
-        from shankexo.plant import PlantConfig, PlantState, bind_cable
+        from shankexo.plant import PlantConfig, PlantState
         cfg = PlantConfig(force_noise_sd=0.0, motor_tau_s=1e-6)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
         rng = np.random.default_rng(6)
         for _ in range(200):
             state = PlantState(l_cable=cfg.baseline_c - float(rng.uniform(0.5, 6.0)))
             before = cfg.k_all * (cfg.baseline_c - state.l_cable)
-            step = bind_cable(state, truth, cfg, 0.001)
-            f_truth = step(float(rng.uniform(0.0, 200.0)), 0.0, 0.0)[0]
+            step = loop_cable(state, truth, cfg, 0.001)
+            f_truth = step(float(rng.uniform(0.0, 200.0)), cfg.baseline_c)[0]
             assert f_truth >= before - 1e-9
 
     def test_command_follows_mode(self):

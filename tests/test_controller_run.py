@@ -1,29 +1,39 @@
 """`Controller.run` against the per-tick reference, bit for bit.
 
 `Controller.run` holds the controller state in locals across a stretch of
-ticks; `scalar_reference.TickController` reads and writes `ControllerState`
-on every tick, driven by `scalar_reference.reference_run`. Given the same
-gait events and the same cable readings, the two must give the same
-commands, log rows and state (the tendon model included) after every
-stretch, and `run` must give the same rows however a stretch is cut.
+ticks and steps the cable in the same loop body, over open-loop columns
+(the profile, the feedforward, the cable's zero-force length and its
+load-cell noise). `scalar_reference.TickController` reads and writes
+`ControllerState` on every tick, and `scalar_reference.reference_run`
+drives it with `reference_cable_step`, the cable one tick at a time. Given
+the same gait events and the same columns, the two must give the same log
+rows, readings, controller state (the tendon model included) and cable
+state after every stretch, and `run` must give the same rows however a
+stretch is cut.
 """
 
 import dataclasses
 import math
 import struct
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as hs
 
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
+from shankexo.plant import PlantConfig, PlantState, bind_cable
 from shankexo.profile import GaussianParams
 from shankexo.tendon import TendonModel
-from scalar_reference import TickController, reference_run
+from scalar_reference import (TickController, reference_cable_step,
+                              reference_run)
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 OTHER_PARAMS = GaussianParams(80.0, 4.0, 3.0, 5.0, -10.0, 15.0)
-FIRST_READING = (0.0, 315.0, 0.0, 0.0)   # (f_meas, l_meas, l_rate, pos)
 FC, FO = GaitEventKind.FOOT_CONTACT, GaitEventKind.FOOT_OFF
+TRUTH = TendonModel(50.0, 12.5, 300.0)
+DT = 0.001
+# The cable starts at the motor-position reference, 315 mm: slack.
+L_START = PlantConfig.baseline_c + PlantConfig.initial_slack_mm
 
 
 def key(x):
@@ -38,126 +48,159 @@ def keys(xs):
     return [key(x) for x in xs]
 
 
-def snapshot(ctrl: Controller) -> list:
-    """Every ControllerState field and the model tendon's two estimates."""
+def snapshot(ctrl: Controller, plant: PlantState) -> list:
+    """Every ControllerState field, the model tendon's two estimates and
+    the cable's motor velocity and length."""
     st, tendon = ctrl.state, ctrl.tendon
     return keys([getattr(st, f.name) for f in dataclasses.fields(st)]
-                + [tendon.baseline_c, tendon.delta_l1])
+                + [tendon.baseline_c, tendon.delta_l1, plant.motor_v,
+                   plant.l_cable])
 
 
-class ScriptedCable:
-    """A cable step that records each command and returns the next scripted
-    reading, (f_truth, f_meas, l_meas, l_rate, motor_pos)."""
+# -- scripts: gait events and stretches of ticks --------------------------------
 
-    def __init__(self, readings):
-        self.readings = iter(readings)
-        self.commands = []
-
-    def __call__(self, cmd_v, theta_df, migration):
-        self.commands.append(cmd_v)
-        return next(self.readings)
-
-
-# -- scripts: gait events and stretches of (tick, reading) ---------------------
-
-FAULTS = (dict(f_meas=400.0), dict(f_meas=-400.0), dict(f_meas=math.nan),
-          dict(pos=100.0), dict(pos=-100.0), dict(sk=math.nan),
-          dict(df_rate=math.inf))
+# Inputs that fire a guard: a non-finite angle or rate, finite angles and
+# rates whose sum overflows in the guard's order (and in no order that
+# pairs them off), a zero-force length that is non-finite or far past the
+# force ceiling (inf reads an infinite force; NaN and -inf read 0), a
+# non-finite noise draw.
+FAULTS = (dict(sk=math.nan), dict(df=math.inf), dict(sk_rate=-math.inf),
+          dict(df_rate=math.nan),
+          dict(sk=1e308, df=1e308, sk_rate=-1e308, df_rate=-1e308),
+          dict(l_free=math.inf),
+          dict(l_free=-math.inf), dict(l_free=math.nan), dict(l_free=400.0),
+          dict(z=math.nan), dict(z=math.inf), dict(z=-math.inf))
 
 
-def step(sk, f_meas, l_meas=320.0, pos=0.0, df=5.0, sk_rate=60.0,
-         df_rate=40.0, migration=1.0, l_rate=-3.0):
-    """One scripted tick: its kinematics and the reading its cable step
-    returns."""
-    return ((sk, df, sk_rate, df_rate, migration),
-            (f_meas + 0.5, f_meas, l_meas, l_rate, pos))
+def tick(sk, l_free, df=5.0, sk_rate=60.0, df_rate=40.0, z=0.5):
+    """One tick's open-loop inputs: the angles and rates, the cable's
+    zero-force length and the load-cell noise draw."""
+    return (sk, df, sk_rate, df_rate, l_free, z)
 
 
 @hs.composite
-def steps(draw):
+def ticks(draw):
     kw = dict(sk=draw(hs.floats(-20.0, 24.0)),
-              # below the engage force, or anywhere up to past pretighten's
-              f_meas=draw(hs.one_of(hs.floats(0.0, 1.9), hs.floats(0.0, 40.0))),
-              l_meas=draw(hs.floats(290.0, 345.0)),
+              # slack to about 250 N on the cable near its start
+              l_free=draw(hs.floats(L_START - 10.0, L_START + 20.0)),
               df=draw(hs.floats(-30.0, 30.0)),
               sk_rate=draw(hs.floats(-400.0, 400.0)),
               df_rate=draw(hs.floats(-400.0, 400.0)),
-              migration=draw(hs.floats(0.0, 4.0)))
-    if draw(hs.integers(0, 19)) == 0:
+              z=draw(hs.floats(-4.0, 4.0)))
+    if draw(hs.integers(0, 24)) == 0:
         kw.update(draw(hs.sampled_from(FAULTS)))
-    return step(**kw)
+    return tick(**kw)
 
 
 events = hs.builds(lambda kind, gc, params: ("event", GaitEvent(kind, 0.0, gc),
                                              params),
                    hs.sampled_from([FC, FO]), hs.integers(0, 4),
                    hs.sampled_from([None, PARAMS, OTHER_PARAMS]))
-stretches = hs.builds(lambda s: ("ticks", s), hs.lists(steps(), max_size=25))
+stretches = hs.builds(lambda s: ("ticks", s), hs.lists(ticks(), max_size=25))
 scripts = hs.lists(hs.one_of(events, stretches, stretches), min_size=1,
                    max_size=12)
+# The cable's start: at rest at the reference, or off it, past the position
+# limit (+-80 mm about the reference) or not a number.
+starts = hs.tuples(
+    hs.one_of(hs.floats(L_START - 5.0, L_START + 5.0),
+              hs.sampled_from([L_START, L_START - 81.0, L_START + 81.0,
+                               math.nan])),
+    hs.one_of(hs.just(0.0), hs.floats(-250.0, 250.0)))
 
 
 def event(kind, gc, params=None):
     return ("event", GaitEvent(kind, 0.0, gc), params)
 
 
-# pretighten retracts, confirms the baseline; silent walking; a silent
-# foot-off; assisted stance: probe, engage, the overshoot shed, the tail
-# release; swing with its peak force; a new stance and a spike that aborts
-# it; the abort pays out, then holds; a foot-off the abort ignores.
+def hold(n, l_free, sk=0.0, **kw):
+    return [tick(sk, l_free, **kw)] * n
+
+
+# pretighten retracts until the slack is taken up and confirms the
+# baseline; silent walking; a silent foot-off; assisted stance: the probe,
+# the engage tick, the overshoot shed, the tail release; swing with its
+# peak force; a new stance with new params and a spike that aborts it; the
+# abort pays out, then holds; a foot-off the abort ignores.
 NOMINAL = [
-    ("ticks", [step(0.0, 0.0, 330.0), step(0.0, 6.0, 300.0),
-               step(0.0, 0.0, 318.0)]),
+    ("ticks", hold(40, L_START + 0.5)),
     event(FC, 0, PARAMS),
-    ("ticks", [step(-10.0, 0.0, 318.0), step(-8.0, 0.0, 322.0)]),
+    ("ticks", hold(3, L_START - 20.0, sk=-10.0)),
     event(FO, 0),
     event(FC, 2, PARAMS),
-    ("ticks", [step(-13.0, 0.5, 330.0), step(-12.0, 0.5, 320.0),
-               step(-11.0, 3.0, 318.0), step(-10.0, 30.0, 318.0),
-               step(5.0, 60.0, 317.0), step(12.0, 40.0, 317.0),
-               step(17.5, 3.0, 318.0), step(17.9, 0.5, 319.0)]),
+    ("ticks", [tick(-13.0, L_START - 30.0), tick(-12.0, L_START - 25.0),
+               *hold(30, L_START - 10.0, sk=-11.0),
+               *hold(4, L_START + 3.0, sk=-10.0),
+               tick(5.0, L_START + 6.0), tick(12.0, L_START + 4.0),
+               tick(17.5, L_START + 0.5), tick(17.9, L_START)]),
     event(FO, 2),
-    ("ticks", [step(0.0, 2.0, 322.0, df=2.0), step(0.0, 4.0, 323.0, df=1.0),
-               step(0.0, 1.0, 324.0, df=-3.0)]),
+    ("ticks", [tick(0.0, L_START + 1.0, df=2.0), tick(0.0, L_START, df=1.0),
+               tick(0.0, L_START - 2.0, df=-3.0)]),
     event(FC, 3, OTHER_PARAMS),
-    ("ticks", [step(-9.0, 0.0, 326.0), step(-8.0, 2.5, 322.0),
-               step(-7.0, 400.0, 300.0), step(-6.0, 0.0, 330.0),
-               step(-5.0, 0.0, 340.0)]),
+    ("ticks", [tick(-9.0, L_START - 10.0), tick(-8.0, L_START - 5.0),
+               tick(-7.0, math.inf), tick(-6.0, L_START - 10.0),
+               tick(-5.0, L_START - 40.0)]),
     event(FO, 3),
-    ("ticks", [step(0.0, 0.0, 300.0)]),
+    ("ticks", hold(100, L_START - 40.0)),
 ]
-# pretighten, then stance, engaged two ticks later
-START = [("ticks", [step(0.0, 6.0, 300.0), step(0.0, 0.0, 318.0)]),
+# pretighten, then stance: probe and engage
+START = [("ticks", hold(40, L_START + 0.5)),
          event(FC, 2, PARAMS),
-         ("ticks", [step(-11.0, 3.0, 318.0), step(-10.0, 30.0, 318.0)])]
-# a NaN force reading in engaged stance
+         ("ticks", [*hold(3, L_START - 5.0, sk=-11.0),
+                    *hold(3, L_START + 3.0, sk=-10.0)])]
+# a NaN shank angle in engaged stance
 NAN_IN_STANCE = START + [
-    ("ticks", [step(5.0, math.nan, 317.0), step(6.0, 40.0, 317.0)])]
-# a motor position past the limit in swing
-LIMIT_IN_SWING = START + [
-    event(FO, 2),
-    ("ticks", [step(0.0, 3.0, 322.0, pos=81.0), step(0.0, 3.0, 322.0)])]
+    ("ticks", [tick(math.nan, L_START), tick(6.0, L_START)])]
+# finite angles and rates whose sum overflows in engaged stance, then
+# infinite rates whose profile rate (0.0 * inf at the peak) and
+# feedforward (inf - inf) are NaN
+OVERFLOW_IN_STANCE = START + [("ticks", [
+    tick(1e308, L_START, df=1e308, sk_rate=-1e308, df_rate=-1e308),
+    tick(PARAMS.mu, L_START, sk_rate=math.inf),
+    tick(5.0, L_START, sk_rate=math.inf, df_rate=math.inf)])]
+# a force past the ceiling in swing
+CEILING_IN_SWING = START + [
+    event(FO, 2), ("ticks", [tick(0.0, 400.0), tick(0.0, L_START)])]
 
 
-def run_script(ctrl, script, run, cuts=()):
-    """Apply the script's events and run its stretches with `run`, each
-    cut before the tick offsets in `cuts`. Returns the commands, the rows,
-    and the returned reading and state after each stretch."""
-    reading, rows, after, commands = FIRST_READING, [], [], []
+def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
+    """Apply the script's events and run its stretches with `loop` (the
+    loop under test, or the reference), each cut before the tick offsets in
+    `cuts`. Returns the rows, and the reading and state after each
+    stretch."""
+    l_cable, motor_v = start
+    plant = PlantState(l_cable=l_cable, motor_v=motor_v)
+    reading = (0.0, l_cable, -motor_v, L_START - l_cable)
+    rows, after = [], []
     for item in script:
         if item[0] == "event":
             ctrl.on_event(item[1], new_params=item[2])
             continue
-        ticks = [t for t, _ in item[1]]
-        cable = ScriptedCable([r for _, r in item[1]])
-        bounds = [0, *sorted({c for c in cuts if 0 < c < len(ticks)}),
-                  len(ticks)]
+        stretch = item[1]
+        bounds = [0, *sorted({c for c in cuts if 0 < c < len(stretch)}),
+                  len(stretch)]
         for lo, hi in zip(bounds, bounds[1:]):
-            reading = run(ctrl, ticks[lo:hi], cable, reading, 0.001,
-                          rows.extend)
-        commands.extend(cable.commands)
-        after.append(keys(reading) + snapshot(ctrl))
-    return keys(commands), keys(rows), after
+            reading = loop(ctrl, stretch[lo:hi], plant, plant_cfg, reading,
+                           noisy, rows.extend)
+        after.append(keys(reading) + snapshot(ctrl, plant))
+    return keys(rows), after
+
+
+def new_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
+    """`Controller.run` over the stretch's columns; the noise column is
+    force_noise_sd times the draws when the reading is noisy, else 0."""
+    cols = np.array(stretch, dtype=float).reshape(-1, 6).T
+    sd = plant_cfg.force_noise_sd
+    cols[5] = sd * cols[5] if noisy and sd > 0.0 else 0.0
+    return ctrl.run(cols, bind_cable(plant, TRUTH, plant_cfg, DT), reading,
+                    log_row)
+
+
+def per_tick_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
+    """`reference_run` over the stretch, with `reference_cable_step`."""
+    def step(v, l_free, z):
+        return reference_cable_step(plant, v, l_free, z if noisy else None,
+                                    plant_cfg, TRUTH, DT)
+    return reference_run(ctrl, stretch, step, reading, DT, log_row)
 
 
 def make(cls, map_m):
@@ -167,24 +210,63 @@ def make(cls, map_m):
 
 @settings(max_examples=200, deadline=None)
 @given(script=scripts, map_m=hs.sampled_from([0.0, 0.05]),
+       plant_cfg=hs.builds(PlantConfig,
+                           v_max=hs.sampled_from([250.0, 120.0]),
+                           force_noise_sd=hs.sampled_from([0.0, 0.2])),
+       start=starts, noisy=hs.booleans(),
        cuts=hs.lists(hs.integers(1, 24), max_size=4))
-@example(script=NOMINAL, map_m=0.0, cuts=[])
-@example(script=NOMINAL, map_m=0.05, cuts=[1, 3, 4, 7])
-@example(script=NAN_IN_STANCE, map_m=0.05, cuts=[1])
-@example(script=LIMIT_IN_SWING, map_m=0.0, cuts=[1])
-def test_run_equals_the_per_tick_reference(script, map_m, cuts):
-    want = run_script(make(TickController, map_m), script, reference_run)
-    assert run_script(make(Controller, map_m), script,
-                      Controller.run) == want
-    assert run_script(make(Controller, map_m), script, Controller.run,
-                      cuts) == want
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[])
+@example(script=NOMINAL, map_m=0.05, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=False, cuts=[1, 3, 4, 7, 33])
+@example(script=NAN_IN_STANCE, map_m=0.05, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=OVERFLOW_IN_STANCE, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=False, cuts=[])
+@example(script=CEILING_IN_SWING, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=START, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START + 81.0, 0.0), noisy=True, cuts=[])
+def test_run_equals_the_per_tick_reference(script, map_m, plant_cfg, start,
+                                           noisy, cuts):
+    want = run_script(make(TickController, map_m), script, per_tick_loop,
+                      plant_cfg, start, noisy)
+    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
+                      start, noisy) == want
+    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
+                      start, noisy, cuts) == want
 
 
 def test_the_scripts_reach_every_mode():
     codes = set()
-    for script in (NOMINAL, NAN_IN_STANCE, LIMIT_IN_SWING):
+    for script in (NOMINAL, NAN_IN_STANCE, OVERFLOW_IN_STANCE,
+                   CEILING_IN_SWING):
         ctrl = make(Controller, 0.0)
-        rows = run_script(ctrl, script, Controller.run)[1]
+        rows = run_script(ctrl, script, new_loop, PlantConfig(),
+                          (L_START, 0.0), True)[0]
         codes.update(rows[0::6])
         assert ctrl.state.aborted
     assert codes == set(range(len(ControlMode) + 1))
+
+
+def test_the_nominal_script_probes_then_engages():
+    # The stances probe on locals while the cable is slack; only the tick
+    # that reads it taut, the engage tick, runs on the state before the
+    # abort, and goes on settled.
+    ctrl = make(Controller, 0.0)
+    unsettled = []
+    real = ctrl._unsettled_tick
+
+    def watch(*args):
+        v = real(*args)
+        unsettled.append((ctrl.state.mode, ctrl.state.aborted, v))
+        return v
+    ctrl._unsettled_tick = watch
+    rows = run_script(ctrl, NOMINAL, new_loop, PlantConfig(), (L_START, 0.0),
+                      True)[0]
+    stance = ControlMode.STANCE
+    assert [u for u in unsettled if u[0] is stance and not u[1]] == [
+        (stance, False, None)]
+    stance_code = list(ControlMode).index(stance)
+    assert sum(code == stance_code and v == key(80.0)       # probe_rate
+               for code, v in zip(rows[0::6], rows[5::6])) > 10

@@ -351,30 +351,32 @@ class TestRunScenario:
     def test_log_table_holds_the_loop_rows_bit_for_bit(self, tmp_path,
                                                        monkeypatch):
         # A 3-stride run is two world blocks. Controller.run hands its rows
-        # to a recording log_row. Its cable step reads f_truth -0.0 now and
-        # then in the first block, and in the second block one NaN f_meas
-        # (which aborts the run) with a NaN f_truth of another payload. The
-        # table is the rows each block hands the printer.
+        # to a recording log_row, which makes f_truth -0.0 now and then in
+        # the first block, and in the second block one NaN f_meas with a NaN
+        # f_truth of another payload, on the tick whose zero-force length
+        # is made infinite (its infinite reading aborts the run). The table
+        # is the rows each block hands the printer.
         payload_nan = struct.unpack("<d", struct.pack("<Q",
                                                       0x7FF8_0000_DEAD_BEEF))[0]
         nan_tick = BLOCK_TICKS + 300
-        rows, blocks, n_step = [], [], [0]
+        rows, blocks, n_row = [], [], [0]
         run, print_rows = Controller.run, harness.Artifacts.print
 
-        def recording_run(self, ticks, step, reading, dt, log_row):
-            def faulty_step(cmd_v, theta_df, migration):
-                f_truth, f_meas, *rest = step(cmd_v, theta_df, migration)
-                n_step[0] += 1
-                if n_step[0] == nan_tick:
-                    f_truth, f_meas = payload_nan, math.nan
-                elif n_step[0] % 500 == 0:
-                    f_truth = -0.0
-                return (f_truth, f_meas, *rest)
+        def recording_run(self, cols, cable, reading, log_row):
+            at = nan_tick - 1 - n_row[0]
+            if 0 <= at < cols.shape[1]:
+                cols = cols.copy()
+                cols[4, at] = math.inf
 
             def record(row):
+                n_row[0] += 1
+                if n_row[0] == nan_tick:
+                    row = (*row[:2], math.nan, payload_nan, *row[4:])
+                elif n_row[0] % 500 == 0:
+                    row = (*row[:3], -0.0, *row[4:])
                 rows.append(row)
                 log_row(row)
-            return run(self, ticks, faulty_step, reading, dt, record)
+            return run(self, cols, cable, reading, record)
 
         def keep_rows(self, block):
             blocks.append(block.copy())

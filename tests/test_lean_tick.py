@@ -1,10 +1,11 @@
 """The per-tick closed-loop path against the forms it replaced.
 
-The fused profile call, the comparison-only clamps, the safety pre-check,
-the bound cable step, the vectorized sample clock and the controller's
-logged desired force must return what the min/max, two-call, per-tick-round
-and harness-side forms return, bit for bit, for every float (NaN and
-infinities included). Those forms are kept here as the references.
+The fused profile call and its columns, the comparison-only clamps, the
+safety pre-check, the loop's cable lines and their open-loop columns, the
+vectorized sample clock and the controller's logged desired force must
+return what the min/max, two-call, scalar, per-tick-round and harness-side
+forms return, bit for bit, for every float (NaN and infinities included).
+Those forms are kept here and in `scalar_reference` as the references.
 """
 
 import math
@@ -18,11 +19,12 @@ from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
-                            _sample_clock, bind_cable, build_template)
+                            _sample_clock, build_template, free_length)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
-                              eval_force_and_rate, eval_force_rate)
+                              eval_force_and_rate, eval_force_and_rate_array,
+                              eval_force_rate)
 from shankexo.tendon import TendonModel
-from scalar_reference import TickController
+from scalar_reference import TickController, loop_cable, reference_cable_step
 
 any_float = hs.floats(allow_nan=True, allow_infinity=True)
 finite = hs.floats(-1e6, 1e6)
@@ -78,6 +80,25 @@ def test_fused_profile_equals_the_two_calls(data, p, rate):
     assert same(f, eval_force(p, theta))
     assert same(f_rate, reference_force_rate(p, theta, rate))
     assert same(eval_force_rate(p, theta, rate), f_rate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hs.data(), p=gaussian_params())
+def test_profile_columns_equal_the_scalar_profile(data, p):
+    # The support edges, the peak, NaN and the infinities, angles near the
+    # support and any float, at rates finite or not.
+    theta = data.draw(hs.lists(angle_near(p), min_size=1, max_size=20))
+    rate = data.draw(hs.lists(hs.one_of(finite, any_float),
+                              min_size=len(theta), max_size=len(theta)))
+    # and the peak at infinite rates, where the rate is 0.0 * inf, NaN
+    theta += [p.theta_fc, p.mu, p.mu, p.theta_fo, math.nan, math.inf,
+              -math.inf]
+    rate += [1.0, math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0]
+    f, f_rate = eval_force_and_rate_array(p, np.array(theta), np.array(rate))
+    for got, want in zip(zip(f.tolist(), f_rate.tolist()),
+                         map(eval_force_and_rate, [p] * len(theta), theta,
+                             rate)):
+        assert same(got[0], want[0]) and same(got[1], want[1])
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-160])
@@ -219,47 +240,28 @@ def test_tick_aborts_exactly_when_a_limit_is_crossed(f_meas, motor_pos,
         assert same(cmd, twin.tick_swing(310.0, 0.0, 0.001, f_meas))
 
 
-def reference_cable_step(state, cmd_v, kin, tendon_truth, dt, config, z,
-                         migration):
-    """The cable step with builtin max/min clamps: the comparison form's
-    reference."""
-    v_target = max(-config.v_max, min(config.v_max, cmd_v))
-    alpha = 1.0 - math.exp(-dt / config.motor_tau_s)
-    state.motor_v += alpha * (v_target - state.motor_v)
-    state.l_cable -= state.motor_v * dt
-    l_taut = (tendon_truth.lever_arm_r * math.radians(kin.theta_df)
-              + tendon_truth.baseline_c - migration)
-    force = max(0.0, tendon_truth.k_all * (l_taut - state.l_cable))
-    f_meas = force
-    if z is not None and config.force_noise_sd > 0.0:
-        f_meas = max(0.0, force + config.force_noise_sd * z)
-    return (force, f_meas, state.l_cable, -state.motor_v,
-            (config.baseline_c + config.initial_slack_mm) - state.l_cable)
-
-
-def test_cable_step_keeps_its_nan_semantics():
+def test_cable_keeps_its_nan_semantics():
     # A NaN command drives at +v_max, as min/max would; a NaN force, or a
     # NaN noise draw, reads 0.
     cfg = PlantConfig(motor_tau_s=1e-9)
     state = PlantState(l_cable=300.0)
     truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
-    step = bind_cable(state, truth, cfg, 0.001)
-    step(math.nan, 0.0, 0.0)
+    step = loop_cable(state, truth, cfg, 0.001)
+    step(math.nan, cfg.baseline_c)
     assert state.motor_v == cfg.v_max
-    f_truth, f_meas, *_ = step(0.0, math.nan, 0.0)
+    f_truth, f_meas, *_ = step(0.0, math.nan)
     assert bits(f_truth) == bits(0.0) and bits(f_meas) == bits(0.0)
     state = PlantState(l_cable=cfg.baseline_c - 2.0)      # taut
-    step = bind_cable(state, truth, cfg, 0.001, iter([math.nan]))
-    f_truth, f_meas, *_ = step(0.0, 0.0, 0.0)
+    step = loop_cable(state, truth, cfg, 0.001)
+    f_truth, f_meas, *_ = step(0.0, cfg.baseline_c, math.nan)
     assert f_truth > 0.0 and bits(f_meas) == bits(0.0)
 
 
-# -- the bound cable step ----------------------------------------------------------
+# -- the loop's cable ---------------------------------------------------------------
 
 cable_tick = hs.tuples(
     hs.one_of(hs.floats(-300.0, 300.0), any_float),     # cmd_v
-    hs.one_of(hs.floats(-30.0, 30.0), any_float),       # theta_df
-    hs.one_of(hs.floats(0.0, 4.0), any_float),          # migration
+    hs.one_of(hs.floats(290.0, 320.0), any_float),      # zero-force length
     hs.one_of(finite, any_float))                       # noise draw
 
 
@@ -270,51 +272,59 @@ cable_tick = hs.tuples(
        motor_v=hs.one_of(finite, any_float),
        noise_sd=hs.sampled_from([0.0, 0.2]), noisy=hs.booleans(),
        dt=hs.sampled_from([0.001, 0.01]))
-@example(ticks=[(math.nan, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0),
-                (math.inf, 0.0, math.inf, math.nan), (-math.inf, 0.0, 0.0, 0.0)],
+@example(ticks=[(math.nan, 300.0, 0.0), (0.0, math.nan, 0.0),
+                (math.inf, math.inf, math.nan), (-math.inf, 300.0, 0.0)],
          v_max=250.0, l_cable=300.0, motor_v=0.0, noise_sd=0.2, noisy=True,
          dt=0.001)
-def test_bound_cable_step_equals_the_min_max_form(ticks, v_max, l_cable,
-                                                  motor_v, noise_sd, noisy, dt):
-    # State carries from tick to tick: the bound step against the reference
-    # on twin states, one noise draw per tick when the reading is noisy.
+def test_loop_cable_equals_the_min_max_form(ticks, v_max, l_cable, motor_v,
+                                            noise_sd, noisy, dt):
+    # State carries from tick to tick: the loop's cable lines against the
+    # reference on twin states, one noise draw per tick when the reading is
+    # noisy (the column is force_noise_sd * z, zeros when noiseless).
     cfg = PlantConfig(v_max=v_max, force_noise_sd=noise_sd)
     truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
     got_state = PlantState(l_cable=l_cable, motor_v=motor_v)
     want_state = PlantState(l_cable=l_cable, motor_v=motor_v)
-    noise = iter([z for *_, z in ticks]) if noisy else None
-    step = bind_cable(got_state, truth, cfg, dt, noise)
-    for cmd_v, theta_df, migration, z in ticks:
-        kin = KinematicSample(0.0, 0.0, theta_df, theta_df, 0.0, 0.0, 0.0)
-        got = step(cmd_v, theta_df, migration)
-        want = reference_cable_step(want_state, cmd_v, kin, truth, dt, cfg,
-                                    z if noisy else None, migration)
+    step = loop_cable(got_state, truth, cfg, dt)
+    for cmd_v, l_free, z in ticks:
+        noise = noise_sd * z if noisy and noise_sd > 0.0 else 0.0
+        got = step(cmd_v, l_free, noise)
+        want = reference_cable_step(want_state, cmd_v, l_free,
+                                    z if noisy else None, cfg, truth, dt)
         assert type(got) is tuple
         assert all(same(a, b) for a, b in zip(got, want)), (got, want)
         assert same(got_state.motor_v, want_state.motor_v)
         assert same(got_state.l_cable, want_state.l_cable)
 
 
+@settings(max_examples=100, deadline=None)
+@given(df=hs.lists(hs.one_of(hs.floats(-40.0, 40.0), any_float), min_size=1,
+                   max_size=20),
+       migration=hs.one_of(hs.floats(0.0, 4.0), any_float))
+def test_free_length_column_equals_the_scalar_length(df, migration):
+    truth = TendonModel(50.0, 12.5, 300.0)
+    got = free_length(truth, np.array(df), np.full(len(df), migration))
+    want = [truth.lever_arm_r * math.radians(x) + truth.baseline_c
+            - migration for x in df]
+    assert all(same(a, b) for a, b in zip(got.tolist(), want))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
-def test_bound_cable_step_draws_the_world_noise_in_blocks(seed):
-    # Across two block boundaries, with a second step bound to the same world
-    # interleaved: every step of a world reads one stream, the draws of
-    # standard_normal(BLOCK_TICKS).
+def test_cable_columns_draw_the_world_noise_in_blocks(seed):
+    # Across two boundaries of BLOCK_TICKS draws, in calls of other
+    # lengths: the noise column reads one stream, the draws of
+    # standard_normal(BLOCK_TICKS) calls, times force_noise_sd.
     cfg = PlantConfig()
     world = GaitWorld(build_template("lw"), cfg, seed=seed)
-    world.state.l_cable = cfg.baseline_c - 2.0     # taut: noise not clipped
-    twin = PlantState(l_cable=world.state.l_cable)
     rng = np.random.default_rng(seed)
     draws = np.concatenate([rng.standard_normal(BLOCK_TICKS)
                             for _ in range(3)]).tolist()
-    step, other = world.cable_step(0.001), world.cable_step(0.001)
-    still = KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    for i in range(2 * BLOCK_TICKS + 3):
-        got = (other if i % 7 == 3 else step)(0.0, 0.0, 0.0)
-        want = reference_cable_step(twin, 0.0, still, world.truth_tendon,
-                                    0.001, cfg, draws[i], 0.0)
-        assert [bits(x) for x in got] == [bits(x) for x in want], i
-        assert got[1] != got[0]
+    got = []
+    for m in (7, BLOCK_TICKS, 1, BLOCK_TICKS - 3, 5):
+        block = world.advance_block(0.001, m)
+        got.extend(world.cable_columns(block, m)[1].tolist())
+    want = [cfg.force_noise_sd * z for z in draws[:len(got)]]
+    assert [bits(x) for x in got] == [bits(x) for x in want]
 
 
 # -- vectorized sample clock ------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 
 from shankexo.plant import (ACTIVITY_DEFAULTS, Activity, GaitWorld,
                             PerturbationKind, PerturbationSpec, PlantConfig,
-                            PlantState, RampSpec, TemplateError, bind_cable,
+                            PlantState, RampSpec, TemplateError,
                             build_template)
 from shankexo.tendon import TendonModel
-from scalar_reference import biological_torque, gen_frame, reference_clock
+from scalar_reference import (biological_torque, gen_frame, loop_cable,
+                              reference_clock)
 
 ACTIVITIES = ["lw", "lr", "ra", "rd"]
 
@@ -162,15 +163,22 @@ class TestPhaseAdvance:
 
 
 class TestCablePlant:
+    """The cable lines of `Controller.run` under chosen commands
+    (`scalar_reference.loop_cable`), noiseless."""
+
     def make(self, dt=0.001):
         cfg = PlantConfig(force_noise_sd=0.0)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
         state = PlantState(l_cable=cfg.baseline_c + cfg.initial_slack_mm)
-        return cfg, state, bind_cable(state, truth, cfg, dt)
+        step = loop_cable(state, truth, cfg, dt)
+        # step(cmd_v, theta_df): the zero-force length at theta_df, no
+        # migration
+        return cfg, state, lambda v, df: step(
+            v, truth.lever_arm_r * math.radians(df) + truth.baseline_c)
 
     def test_slack_cable_carries_no_force(self):
         _, _, step = self.make()
-        f_truth = step(0.0, 0.0, 0.0)[0]
+        f_truth = step(0.0, 0.0)[0]
         assert f_truth == 0.0
 
     def test_quasi_static_stiffness(self):
@@ -178,7 +186,7 @@ class TestCablePlant:
         # retract 1 mm past taut quasi-statically
         total = cfg.initial_slack_mm + 1.0
         for _ in range(int(total / 0.01)):
-            f_truth = step(10.0, 0.0, 0.0)[0]
+            f_truth = step(10.0, 0.0)[0]
         assert f_truth == pytest.approx(12.5, abs=0.3)
 
     def test_force_nonnegative_always(self):
@@ -186,7 +194,7 @@ class TestCablePlant:
         rng = np.random.default_rng(0)
         for _ in range(2000):
             v = float(rng.uniform(-300, 300))
-            f_truth = step(v, float(rng.uniform(-20, 20)), 0.0)[0]
+            f_truth = step(v, float(rng.uniform(-20, 20)))[0]
             assert f_truth >= 0.0
 
     def test_static_world_constant_force(self):
@@ -194,12 +202,12 @@ class TestCablePlant:
         state.l_cable = cfg.baseline_c - 2.0  # taut
         forces = set()
         for _ in range(50):
-            forces.add(round(step(0.0, 0.0, 0.0)[0], 9))
+            forces.add(round(step(0.0, 0.0)[0], 9))
         assert len(forces) == 1
 
     def test_motor_saturation(self):
         cfg, state, step = self.make(dt=1.0)
-        step(10_000.0, 0.0, 0.0)
+        step(10_000.0, 0.0)
         assert abs(state.motor_v) <= cfg.v_max + 1e-9
 
     def test_migration_schedule(self):
@@ -218,12 +226,14 @@ class TestCablePlant:
         outs = []
         for _ in range(2):
             world = GaitWorld(tmpl, PlantConfig(), seed=42)
-            step = world.cable_step(0.001)
+            step = loop_cable(world.state, world.truth_tendon, world.config,
+                              0.001)
             block = world.advance_block(0.001, 3000)
             acc = []
-            for (ft, sk, df), migration in zip(block.frames[:, :3].tolist(),
-                                               block.migration.tolist()):
-                _, f_meas, l_meas, _, _ = step(5.0, df, migration)
+            for (ft, sk), (l_free, noise) in zip(
+                    block.frames[:, :2].tolist(),
+                    world.cable_columns(block, 3000).T.tolist()):
+                _, f_meas, l_meas, _, _ = step(5.0, l_free, noise)
                 acc.append((sk, ft, f_meas, l_meas))
             outs.append(acc)
         assert outs[0] == outs[1]

@@ -210,12 +210,24 @@ def test_infinite_step_is_a_gap(tmp_path):
                      "kinematic stream gap of inf samples at t=1.7e+308 ms")
 
 
-def test_field_past_the_csv_size_limit_is_rejected(tmp_path):
+def test_field_past_the_csv_size_limit_is_rejected(tmp_path, capsys):
     rows = regular(3)
     rows[1][1] = "0" * 131072 + "1"
-    samples, error = assert_same_as_reference(write(tmp_path / "s.csv", rows),
-                                              block_sizes=(1, 1024))
-    assert len(samples) == 1 and "field larger than field limit" in error[1]
+    path = write(tmp_path / "s.csv", rows)
+    samples, error = assert_same_as_reference(path, block_sizes=(1, 1024))
+    assert len(samples) == 1
+    assert error == (SignalQualityError, "replay line 3: field larger than "
+                                         "field limit (131072)")
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"shankexo: error: {error[1]}\n"
+
+
+def test_header_past_the_csv_size_limit_is_rejected(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x" * 131073 + "\n0,0,0,0,0\n")
+    assert assert_same_as_reference(path) == ([], (
+        SignalQualityError, "replay line 1: field larger than field limit "
+                            "(131072)"))
 
 
 def test_quoted_field_across_a_block_boundary(tmp_path):
@@ -228,9 +240,10 @@ def test_quoted_field_across_a_block_boundary(tmp_path):
 
 @pytest.mark.parametrize("open_quote", [False, True])
 def test_undecodable_text_after_rows(tmp_path, open_quote):
-    # Text is decoded 8192 bytes at a time, so the rows in the chunks
-    # before the bad byte are read first. The second stream's last good
-    # line opens a quoted field, which runs on into the bad chunk.
+    # A byte that is not UTF-8 reads as a lone surrogate, so its row is not
+    # five numbers, after the rows before it. The second stream's last good
+    # line opens a quoted field, which runs on over the bad byte to the
+    # end of the file.
     text = HEADER + "".join(f"{10.0 * i},0,0,0,0\n" for i in range(1, 3000))
     if open_quote:
         text = text[:text.rindex("\n", 0, 8100) + 1]
@@ -238,7 +251,28 @@ def test_undecodable_text_after_rows(tmp_path, open_quote):
     path = tmp_path / "s.csv"
     path.write_bytes(text.encode() + b"\xff\n10,0,0,0,0\n")
     samples, error = assert_same_as_reference(path, block_sizes=(7, 1024))
-    assert samples and error[0] is UnicodeDecodeError
+    line = text.count("\n") + (2 if open_quote else 1)   # where it ends
+    assert samples and error[0] is SignalQualityError
+    assert error[1].startswith(f"replay line {line}: not 5 numbers: ")
+    assert "\\udcff" in error[1]
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_latin_1_stream_is_one_error_line(tmp_path, capsys, where):
+    path = tmp_path / "s.csv"
+    head = HEADER.encode()
+    if where == "header":
+        head = head.replace(b"deg", b"\xb0", 1)
+    path.write_bytes(head + b"0,1,2,3,4\n10,1,2,\xe9,4\n")
+    samples, error = assert_same_as_reference(path)
+    assert error[0] is SignalQualityError
+    if where == "row":
+        assert len(samples) == 1
+        assert error[1] == ("replay line 3: not 5 numbers: "
+                            "['10', '1', '2', '\\udce9', '4']")
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shankexo: error: ") and err.count("\n") == 1
 
 
 # -- memory ----------------------------------------------------------------------

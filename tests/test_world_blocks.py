@@ -2,10 +2,10 @@
 
 Block columns must not depend on the block size, must equal the scalar
 reference curves (gen_frame, biological_torque, through
-`scalar_reference.reference_frames`) bit for bit, and the cable's
-block-drawn force noise must equal scalar draws. A tick's phase, scale and
-stride, which the block does not carry, come from the per-tick clock
-recurrence (`scalar_reference.reference_clock`).
+`scalar_reference.reference_frames`) bit for bit, and the cable's noise
+column, drawn a block at a time, must equal scalar draws. A tick's phase,
+scale and stride, which the block does not carry, come from the per-tick
+clock recurrence (`scalar_reference.reference_clock`).
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as hs
 
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, PlantState,
-                            RampSpec, bind_cable, build_template)
+                            PerturbationSpec, PlantConfig, RampSpec,
+                            build_template)
 from scalar_reference import reference_clock, reference_frames
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
@@ -127,16 +127,21 @@ def test_stride_and_migration_follow_the_phase_wrap():
 def test_block_noise_equals_scalar_draws(seed):
     cfg = PlantConfig()
     world = GaitWorld(TEMPLATES["lw"], cfg, seed=seed)
-    world.state.l_cable = cfg.baseline_c - 2.0     # taut: noise not clipped
-    twin = PlantState(l_cable=world.state.l_cable)
     rng = np.random.default_rng(seed)
-    step = world.cable_step(0.001)
-    twin_step = bind_cable(twin, world.truth_tendon, cfg, 0.001,
-                           iter(rng.standard_normal, None))
-    for _ in range(2 * BLOCK_TICKS + 3):
-        got = step(0.0, 0.0, 0.0)
-        assert got == twin_step(0.0, 0.0, 0.0)
-    assert got[1] != got[0]     # f_meas carries the noise
+    got = []
+    for m in (BLOCK_TICKS, 3, BLOCK_TICKS, 1):
+        block = world.advance_block(0.001, m)
+        got.extend(world.cable_columns(block, m)[1].tolist())
+    assert got == [cfg.force_noise_sd * rng.standard_normal()
+                   for _ in range(len(got))]
+
+
+def test_noiseless_readings_draw_no_noise():
+    world = GaitWorld(TEMPLATES["lw"], PlantConfig(force_noise_sd=0.0), seed=1)
+    block = world.advance_block(0.001, 50)
+    assert bits(world.cable_columns(block, 50)[1]).tolist() == [0] * 50
+    assert world.rng.standard_normal() == np.random.default_rng(
+        1).standard_normal()
 
 
 @pytest.mark.parametrize("record", [
