@@ -19,8 +19,10 @@ check, the DF channel and the extrapolated fill of up to MAX_GAP_SAMPLES - 1
 missing samples, carried across blocks. The angles pass through as
 recorded. A row that is not five numbers, a non-finite timestamp, a
 non-increasing timestamp or a non-finite angle or fill raises
-SignalQualityError; a gap of more than MAX_GAP_SAMPLES - 1 samples raises
-SignalLossError. Either is raised after the samples of the rows before it.
+SignalQualityError (all but the non-increasing timestamp name the line; a
+fill's is the row after the gap); a gap of more than MAX_GAP_SAMPLES - 1
+samples raises SignalLossError. Either is raised after the samples of the
+rows before it.
 
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
@@ -238,13 +240,15 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
     """Replay a recorded kinematic stream; the DF channel is derived, not read.
 
     Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
-    over the stream. A row that is not five numbers (a byte that is not
-    UTF-8 text, read as a lone surrogate, makes it so), a field past
-    csv's size limit, or a timestamp that is not finite raises
-    SignalQualityError naming its line. Any error is raised after the
-    samples of the rows before it.
+    over the stream. A leading UTF-8 byte-order mark is skipped. A row
+    that is not five numbers (a byte that is not UTF-8 text, read as a
+    lone surrogate, makes it so), a field past csv's size limit, or a
+    timestamp, angle or rate that is not finite raises SignalQualityError
+    naming its line. Any error is raised after the samples of the rows
+    before it.
     """
-    with open(path, newline="", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])     # [] for an empty file
@@ -392,5 +396,6 @@ def _rejection(row: list, gap: float, fills: list, line: int) -> Exception:
     for _, ft, sk, ft_r, sk_r in fills[:int(gap) - 1] + [row]:
         for v in (sk, ft, sk_r, ft_r):
             if not math.isfinite(v):
-                return SignalQualityError(f"non-finite kinematic input: {v!r}")
+                return SignalQualityError(f"replay line {line}: non-finite "
+                                          f"kinematic input: {v!r}")
     raise AssertionError("no check failed")

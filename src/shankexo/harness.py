@@ -12,11 +12,12 @@ block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
 clock is accumulated in bulk, and makes two passes over each block:
 
 1. Open loop: the estimation path over the block's IMU ticks (every
-   imu_every-th tick of the run while walking), the only ticks whose
-   KinematicSample the block builds, all from one `tolist` per column. It
-   records a schedule of (tick offset, event, params adopted at foot
-   contact). Foot contact n_strides lowers the run's stop tick to its
-   confirmation + 20 ticks, and no IMU tick past the stop tick is fed.
+   imu_every-th tick of the run while walking), whose KinematicSamples the
+   pass builds from the block's `t_sample` and `frames` columns, one
+   `tolist` per column. It records a schedule of (tick offset, event,
+   params adopted at foot contact). Foot contact n_strides lowers the
+   run's stop tick to its confirmation + 20 ticks, and no IMU tick past
+   the stop tick is fed.
    The fault spike, when its tick (fault_spike_t_ms rounded to whole ms)
    is among the block's ticks up to the stop tick, joins the schedule as
    an entry without an event. The loop's open-loop columns are the
@@ -191,6 +192,8 @@ STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
 _PCT_GRID = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
 _PCT_GRID.flags.writeable = False
 AGGREGATION_STRIDES = 10    # GCs averaged in the aggregates
+# StrideMetrics fields whose mean and sd the aggregates report, in order
+_AGGREGATED = ("rmse_pct", "pearson_shank", "pearson_time", "swing_max_force")
 N_PERTURBATIONS = 4
 
 CONVERGENCE_SENTINEL = -1
@@ -433,15 +436,6 @@ class MetricsReport:
     convergence_stride: int
     aborted: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "per_stride": [asdict(s) for s in self.per_stride],
-            "aggregate": self.aggregate,
-            "convergence_stride": self.convergence_stride,
-            "aborted": self.aborted,
-        }
-
 
 # -- scenario runner ------------------------------------------------------------
 
@@ -538,7 +532,9 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         schedule = []
         imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
         imu = imu[block.walking[imu]]
-        for i, sample in zip(imu.tolist(), block.kin.take(imu)):
+        samples = map(KinematicSample, block.t_sample[imu].tolist(),
+                      *block.frames[imu].T.tolist())
+        for i, sample in zip(imu.tolist(), samples):
             if n_log + i >= stop:
                 break
             ev = estimation.feed(sample)
@@ -723,16 +719,12 @@ def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,
         "target_mu": targets[0] if targets else None,
         "target_sigma1": targets[1] if targets else None,
         "target_sigma2": targets[2] if targets else None,
-        "rmse_pct_mean": _mean([s.rmse_pct for s in block]),
-        "rmse_pct_sd": _sd([s.rmse_pct for s in block]),
-        "pearson_shank_mean": _mean([s.pearson_shank for s in block]),
-        "pearson_shank_sd": _sd([s.pearson_shank for s in block]),
-        "pearson_time_mean": _mean([s.pearson_time for s in block]),
-        "pearson_time_sd": _sd([s.pearson_time for s in block]),
-        "swing_max_force_mean": _mean([s.swing_max_force for s in block]),
-        "swing_max_force_sd": _sd([s.swing_max_force for s in block]),
-        "stance_ratio_mean": _mean([s.stance_ratio for s in block]),
     }
+    for name in _AGGREGATED:
+        values = [getattr(s, name) for s in block]
+        aggregate[f"{name}_mean"] = _mean(values)
+        aggregate[f"{name}_sd"] = _sd(values)
+    aggregate["stance_ratio_mean"] = _mean([s.stance_ratio for s in block])
     config_echo = {
         "activity": cfg.activity, "scenario": cfg.scenario,
         "n_strides": cfg.n_strides, "seed": cfg.seed,
@@ -859,7 +851,7 @@ def write_artifacts(out_dir: str, artifacts: Artifacts,
     `artifacts` printed it, into place in out_dir."""
     artifacts.csv.close()
     with open(os.path.join(out_dir, "summary.json" + _PARTIAL), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
     for name in _ARTIFACTS:
         path = os.path.join(out_dir, name)

@@ -25,12 +25,12 @@ open window's multiplier and accumulates the phase increment, up to the
 first wrap, pending onset or window close. Scalar code runs once per such
 event: the wrap's stride and migration, and the onset that opens a window.
 numpy then evaluates the gait curves and the biological torque of the
-whole block, and a tick's KinematicSample is built only when the
-estimation pass reads it. This is the world's only path: `advance(dt)` is
-the sample of a block of one tick. Nothing in the world reads cable
-state, so a block may run ahead of the closed loop; the world's scalar
-attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
-`state.migration`) then hold end-of-block values. The block's columns
+whole block, and the block hands them over as columns only. This is the
+world's only path: `advance(dt)` is the sample of a block of one tick,
+built from its columns. Nothing in the world reads cable state, so a
+block may run ahead of the closed loop; the world's scalar attributes
+(`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
+hold end-of-block values. The block's columns
 (`WorldBlock`) carry each tick's own values of what the closed loop reads;
 a tick's phase and stride are the scalar attributes of a world advanced
 one tick at a time.
@@ -72,7 +72,6 @@ from `gait_signals`, the initial profile and the update guard from `profile`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -291,23 +290,20 @@ def biological_torques(tmpl: GaitTemplate, phase: np.ndarray) -> np.ndarray:
 
 _GRID_N = 4000
 
+# The excess profile and torque sharpness the activities share; LR, the
+# shortest stance, changes four of them.
+_SHAPE = dict(g_max=18.0, g_rise_end=0.25, g_fall_start=0.62, g_fall_end=0.90,
+              u_plunge=0.91, g_dip=1.5, g_plunge=5.3, torque_sharpness=3.0)
 ACTIVITY_DEFAULTS: dict[Activity, dict] = {
-    Activity.LW: dict(period=1.13, stance_ratio=0.674, theta_sk_span=(-14.0, 18.0),
-                      g_max=18.0, g_rise_end=0.25, g_fall_start=0.62,
-                      g_fall_end=0.90, u_plunge=0.91, g_dip=1.5,
-                      g_plunge=5.3, torque_sharpness=3.0),
-    Activity.LR: dict(period=0.72, stance_ratio=0.514, theta_sk_span=(-13.0, 17.0),
-                      g_max=18.0, g_rise_end=0.27, g_fall_start=0.62,
-                      g_fall_end=0.87, u_plunge=0.88, g_dip=1.5,
-                      g_plunge=6.3, torque_sharpness=3.0),
-    Activity.RA: dict(period=1.13, stance_ratio=0.683, theta_sk_span=(-12.0, 20.0),
-                      g_max=18.0, g_rise_end=0.25, g_fall_start=0.62,
-                      g_fall_end=0.90, u_plunge=0.91, g_dip=1.5,
-                      g_plunge=5.3, torque_sharpness=3.0),
-    Activity.RD: dict(period=1.03, stance_ratio=0.691, theta_sk_span=(-15.0, 17.0),
-                      g_max=18.0, g_rise_end=0.25, g_fall_start=0.62,
-                      g_fall_end=0.90, u_plunge=0.91, g_dip=1.5,
-                      g_plunge=5.3, torque_sharpness=3.0),
+    Activity.LW: dict(_SHAPE, period=1.13, stance_ratio=0.674,
+                      theta_sk_span=(-14.0, 18.0)),
+    Activity.LR: dict(_SHAPE, period=0.72, stance_ratio=0.514,
+                      theta_sk_span=(-13.0, 17.0), g_rise_end=0.27,
+                      g_fall_end=0.87, u_plunge=0.88, g_plunge=6.3),
+    Activity.RA: dict(_SHAPE, period=1.13, stance_ratio=0.683,
+                      theta_sk_span=(-12.0, 20.0)),
+    Activity.RD: dict(_SHAPE, period=1.03, stance_ratio=0.691,
+                      theta_sk_span=(-15.0, 17.0)),
 }
 
 _SAMPLE_ATTENUATION = 0.85   # worst-case sampled plunge extremum vs true peak
@@ -582,44 +578,22 @@ def _positive_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt!r}")
 
 
-class _Samples(Sequence):
-    """WorldBlock.kin: each tick's KinematicSample, built only when read,
-    from the block's sample clock and its frames."""
-
-    __slots__ = ("_t", "_frames")
-
-    def __init__(self, t_sample: np.ndarray, frames: np.ndarray):
-        self._t, self._frames = t_sample, frames
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def __getitem__(self, i: int) -> KinematicSample:
-        return KinematicSample(float(self._t[i]), *self._frames[i].tolist())
-
-    def take(self, idx: np.ndarray) -> list[KinematicSample]:
-        """The samples of the ticks idx, from one tolist per column."""
-        return list(map(KinematicSample, self._t[idx].tolist(),
-                        *self._frames[idx].T.tolist()))
-
-
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
-    pass, the closed loop and the log read. Every column is an array but
-    `kin`, which builds a tick's KinematicSample when it is read. `frames`
-    holds kin's angles and rates, which the closed loop and the log read
-    from it. A block of one tick is the same columns of length one: it is
-    what `GaitWorld.advance` returns the sample of. The clock columns are
-    accumulated in bulk (see "Blocks" in the module docstring)."""
+    pass, the closed loop and the log read. A tick's KinematicSample is its
+    `t_sample` and its `frames` row; the estimation pass builds the samples
+    of the ticks it reads. A block of one tick is the same columns of
+    length one: `GaitWorld.advance` returns its sample. The clock columns
+    are accumulated in bulk (see "Blocks" in the module docstring)."""
 
     t_ms: np.ndarray          # tick time rounded to whole ms (the log's clock)
-    kin: Sequence[KinematicSample]   # its t_ms rounded to 1e-6 ms
+    t_sample: np.ndarray      # tick time rounded to 1e-6 ms (the sample's)
     walking: np.ndarray       # bool, False while standing
     scale: np.ndarray         # phase-rate multiplier of ramps and perturbations
     migration: np.ndarray     # mm
     perturb_kind: np.ndarray  # 0 none, 1 forward, 2 backward perturbation window
     bio: np.ndarray           # normalized biological torque, 0 while standing
-    frames: np.ndarray        # (n, 6) floats: kin's values after t_ms, by tick
+    frames: np.ndarray        # (n, 6) floats: a sample's values after t_ms
 
 
 class _Clock(NamedTuple):
@@ -674,7 +648,8 @@ class GaitWorld:
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
         time: the sample of the block of one tick."""
-        return self.advance_block(dt, 1).kin[0]
+        block = self.advance_block(dt, 1)
+        return KinematicSample(block.t_sample.item(), *block.frames[0].tolist())
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
         """Advance n ticks of dt and return each tick's world values."""
@@ -697,8 +672,7 @@ class GaitWorld:
             at, sway, sway_rate = clock.sway
             frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
             frames[at, 4:6] += sway_rate[:, None]   # and their rates
-        t_ms, t_sample = _sample_clock(clock.t_s)
-        return WorldBlock(t_ms, _Samples(t_sample, frames), clock.walking,
+        return WorldBlock(*_sample_clock(clock.t_s), clock.walking,
                           clock.scale, clock.migration, clock.perturb_kind,
                           bio, frames)
 

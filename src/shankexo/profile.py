@@ -88,8 +88,10 @@ class GaussianParams:
 def eval_force_and_rate(p: GaussianParams, theta: float,
                         theta_rate: float) -> tuple[float, float]:
     """Desired force (N) at theta (deg) and its time derivative (N/s) along
-    theta(t), from one exp: the controller's once-per-tick profile call,
-    and the one body of the Gaussian.
+    theta(t), from one exp: the scalar reference that the array form the
+    controller calls (`eval_force_and_rate_array`) and the acceptance
+    criteria are checked against, and the body of `eval_force` and
+    `eval_force_rate`.
 
     The rate is f * (-(theta - mu) / sigma^2) * theta_rate; Python
     multiplies left to right, so reusing f gives the same bits as writing

@@ -512,12 +512,16 @@ def loop_cable(state: PlantState, tendon_truth: TendonModel,
 
 # -- replay stream reader --------------------------------------------------------
 
+class NonFiniteInput(SignalQualityError):
+    """A non-finite angle or rate; the reader names the row's line."""
+
+
 def derive_df(theta_sk: float, theta_ft: float,
               theta_sk_rate: float, theta_ft_rate: float) -> tuple[float, float]:
     """The ankle DF angle and rate from the shank and foot channels."""
     for v in (theta_sk, theta_ft, theta_sk_rate, theta_ft_rate):
         if not math.isfinite(v):
-            raise SignalQualityError(f"non-finite kinematic input: {v!r}")
+            raise NonFiniteInput(f"non-finite kinematic input: {v!r}")
     return theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
 
 
@@ -578,10 +582,11 @@ class StreamConditioner:
 
 def reference_read_replay_csv(path):
     """`read_replay_csv` one row at a time: csv.reader, float() and
-    `StreamConditioner`; a csv error is a SignalQualityError naming its
-    line."""
+    `StreamConditioner`; a csv error and a non-finite angle or rate are a
+    SignalQualityError naming the line."""
     cond = StreamConditioner()
-    with open(path, newline="", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             yield from _reference_rows(reader, cond)
@@ -604,4 +609,9 @@ def _reference_rows(reader, cond):
         if not math.isfinite(t):
             raise SignalQualityError(f"replay line {reader.line_num}: "
                                      f"non-finite timestamp t_ms={t!r}")
-        yield from cond.feed(t, ft, sk, ft_r, sk_r)
+        try:
+            samples = cond.feed(t, ft, sk, ft_r, sk_r)
+        except NonFiniteInput as exc:    # the row's or a fill before it
+            raise SignalQualityError(f"replay line {reader.line_num}: "
+                                     f"{exc}") from None
+        yield from samples

@@ -22,6 +22,7 @@ from shankexo.cli import main
 from shankexo.gait_signals import (REPLAY_HEADER, KinematicSample,
                                    SignalLossError, SignalQualityError,
                                    read_replay_csv)
+from shankexo.plant import GaitWorld, PlantConfig, build_template
 
 HEADER = ",".join(REPLAY_HEADER) + "\n"
 BLOCK_SIZES = (1, 2, 3, 4, 7, gait_signals.REPLAY_BLOCK_LINES)
@@ -184,7 +185,8 @@ def test_fill_that_overflows_is_rejected_after_the_rows_before(tmp_path, prev,
             [40.0, ft, 0.0, 0.0, 0.0]]
     samples, error = assert_same_as_reference(write(tmp_path / "s.csv", rows))
     assert len(samples) == 2
-    assert error == (SignalQualityError, "non-finite kinematic input: inf")
+    assert error == (SignalQualityError,
+                     "replay line 4: non-finite kinematic input: inf")
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -273,6 +275,24 @@ def test_latin_1_stream_is_one_error_line(tmp_path, capsys, where):
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shankexo: error: ") and err.count("\n") == 1
+
+
+def test_byte_order_mark_replays_as_the_stream(tmp_path, capsys):
+    # A stream saved as "CSV UTF-8" starts with a UTF-8 byte-order mark.
+    frames = GaitWorld(build_template("lw"), PlantConfig()).advance_block(
+        0.01, 600).frames
+    path = write(tmp_path / "s.csv", [
+        [(k + 1) * 10.0, ft, sk, ft_rate, sk_rate]
+        for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist())])
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert assert_same_as_reference(marked) == outcome(read_replay_csv, path)
+    outputs = []
+    for p in (path, marked):
+        assert main(["replay", str(p)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("stride 0: ")
+    assert outputs[1] == outputs[0]
 
 
 # -- memory ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shankexo.cli import main as cli_main
 from shankexo.tendon import (IdentificationError, StiffnessFit, TendonModel,
                              estimate_migration, identify_stiffness,
                              load_calibration_csv, tendon_length)
@@ -148,4 +149,33 @@ class TestCalibrationCsv:
         p = tmp_path / "cal.csv"
         p.write_text("")
         with pytest.raises(IdentificationError, match="header"):
+            load_calibration_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_is_one_error_line(self, tmp_path, capsys,
+                                                column, value):
+        row = ["20.0", "1.6"]
+        row[column] = value
+        p = tmp_path / "cal.csv"
+        p.write_text("force_n,deflection_mm\n5.0,0.4\n" + ",".join(row) + "\n")
+        want = f"calibration line 3: non-finite value: {row}"
+        with pytest.raises(IdentificationError) as exc:
+            load_calibration_csv(p)
+        assert str(exc.value) == want
+        assert cli_main(["fit-stiffness", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shankexo: error: {want}\n"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "cal.csv"
+        p.write_bytes(b"\xef\xbb\xbfforce_n,deflection_mm\n5.0,0.4\n180,14.4\n")
+        assert load_calibration_csv(p) == [(5.0, 0.4), (180.0, 14.4)]
+
+    def test_latin_1_value_is_not_a_number(self, tmp_path):
+        p = tmp_path / "cal.csv"
+        p.write_bytes(b"force_n,deflection_mm\n5.0,0.4\n\xe9,14.4\n")
+        with pytest.raises(IdentificationError,
+                           match="calibration line 3: not 2 numbers"):
             load_calibration_csv(p)
