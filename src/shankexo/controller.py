@@ -10,13 +10,13 @@ feedforward, and the cable's zero-force length and load-cell noise
 feedback filter, the PI, the overshoot shed, the envelope, the motor lag,
 the cable length, the force clip, the noise and the tick's log row, whose
 mode code and abort marker record which branch acted. The controller
-state lives in locals across the stretch; a tick that can change the
-mode, the engagement, the abort or the tendon model (pretighten, the
-engage tick, the abort and its non-finite and limit latches) runs on
-`ControllerState` instead, with the locals written back before it and
-read again after it, so `on_event` sees the state tick-by-tick evaluation
-leaves. `Controller.tick` is the one-tick run and returns the command as
-a plain float in mm/s.
+state lives in locals across the stretch, read before it and written
+back after it, so `on_event` sees the state tick-by-tick evaluation
+leaves. A tick that can change the mode, the engagement, the abort or the
+tendon model (pretighten, the engage tick, the abort and its non-finite
+and limit latches) runs on `ControllerState` instead, and the loop reads
+what those decide (`_settled_locals`) again after it. `Controller.tick`
+is the one-tick run and returns the command as a plain float in mm/s.
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -30,10 +30,12 @@ then assist. Each assisted stance opens with a tightening sub-phase that
 closes the slack gap left by swing and re-estimates suit migration at the
 moment the cable first engages.
 
-`ControllerState.f_des` is the desired force the run log shows for the last
-tick: the profile force at the tick's shank angle on stance ticks with
-parameters (engaged, probing or aborted, all from the force column), and
-0.0 otherwise. Leaving stance, which only foot-off does, resets it to 0.0.
+The desired force the run log shows for a tick is the force column: the
+profile force at the tick's shank angle in a stance stretch with
+parameters (engaged, probing or aborted alike), and 0.0 in any other.
+Only `on_event`, between stretches, enters or leaves stance, so a stretch
+is one or the other throughout.
+
 The per-tick guards (the safety limits, the command envelope, the swing
 anti-windup, the overshoot shed, the cable's clamps) are bare comparisons
 that return exactly what the min/max forms they replace return, NaN and
@@ -104,18 +106,16 @@ class ControllerConfig:
 @dataclass
 class ControllerState:
     mode: ControlMode = ControlMode.PRETIGHTEN
-    l_swing: float = 0.0                 # mm, per-cycle constant
+    l_swing: Optional[float] = None      # mm, per-cycle constant; None
+                                         # before the first assisted foot-off
     e_l_integral: float = 0.0            # mm*s, resets each cycle
     f_swing_max: float = 0.0             # N, running max of the last swing
     active_params: Optional[GaussianParams] = None
     aborted: bool = False
     engaged: bool = False                # cable taut this stance
-    have_swing_history: bool = False
     release_target: float = 0.0          # mm, slack hold length
     last_theta_df: float = 0.0
     v_fb_state: float = 0.0              # filtered feedback velocity
-    f_des: float = 0.0                   # N, logged desired force of the last
-                                         # tick: the profile's in stance, else 0
 
 
 class Controller:
@@ -155,16 +155,14 @@ class Controller:
             if st.mode is ControlMode.SILENT:
                 return
             # Quasi-slack length recurrence from the previous swing's peak force.
-            if st.have_swing_history:
-                st.l_swing += ((st.f_swing_max - self.cfg.swing_target_force)
-                               / self.tendon.k_all)
-            else:
+            if st.l_swing is None:
                 st.l_swing = tendon_length(self.tendon, st.last_theta_df,
                                            self.cfg.swing_target_force)
-                st.have_swing_history = True
+            else:
+                st.l_swing += ((st.f_swing_max - self.cfg.swing_target_force)
+                               / self.tendon.k_all)
             st.f_swing_max = 0.0
             st.e_l_integral = 0.0
-            st.f_des = 0.0
             st.mode = ControlMode.SWING
 
     # -- per-tick interface --------------------------------------------------
@@ -182,9 +180,10 @@ class Controller:
         v (mm/s, positive retracts), steps the cable (`plant.Cable`) to the
         next tick's reading and hands log_row (mode code, f_des, f_meas,
         f_truth, l_meas, v); the mode code is the mode's index in
-        ControlMode, or ABORT_CODE once the abort has latched. Returns the
-        last reading; cable.state holds the motor velocity and the cable
-        length. A settled or probe tick runs on locals, any other on
+        ControlMode, or ABORT_CODE once the abort has latched, and f_des is
+        the tick's force column value (see the module docstring). Returns
+        the last reading; cable.state holds the motor velocity and the
+        cable length. A settled or probe tick runs on locals, any other on
         `_unsettled_tick`; the state after the stretch is the one
         tick-by-tick evaluation leaves.
         """
@@ -209,9 +208,10 @@ class Controller:
             mu, shed_below = p.mu, 0.25 * p.amp
         else:
             profile = repeat(0.0), repeat(0.0)
-        (tier, swing, target, code, f_des, v_fb, e_int, f_swing_max,
-         l_rest) = self._settled_locals()
-        for sk, df, sk_rate, df_rate, l_free, noise, f_prof, v_ff in zip(
+        v_fb, e_int = st.v_fb_state, st.e_l_integral
+        f_swing_max = st.f_swing_max
+        tier, swing, target, code, l_rest = self._settled_locals()
+        for sk, df, sk_rate, df_rate, l_free, noise, f_des, v_ff in zip(
                 *cols.tolist(), *profile):
             v = None
             # NaN fails every comparison and makes the sum NaN, and an
@@ -220,24 +220,19 @@ class Controller:
                     or not -inf < (f_meas + l_meas + l_rate + pos + sk + df
                                    + sk_rate + df_rate) < inf
                     or tier > _PI and (tier == _HOLD or f_meas >= engage)):
-                st.f_des, st.v_fb_state = f_des, v_fb
-                st.e_l_integral, st.f_swing_max = e_int, f_swing_max
                 v = self._unsettled_tick(sk, df, sk_rate, df_rate, f_meas,
-                                         l_meas, l_rate, pos, f_prof)
-                (tier, swing, target, code, f_des, v_fb, e_int, f_swing_max,
-                 l_rest) = self._settled_locals()
+                                         l_meas, l_rate, pos)
+                tier, swing, target, code, l_rest = self._settled_locals()
             elif tier == _PROBE:
                 # Take up the swing slack, then probe until the cable is
                 # physically taut: the gap to the model tendon's length
                 # (`tendon_length`) at the desired force.
-                f_des = f_prof
                 gap = l_meas - (r * radians(df) - f_des / k_all + l_rest)
                 v = cfg.tighten_gain * (gap - margin) + probe_rate
                 v = vm if vm < v else v                  # min(v, vm)
                 v = v if v > probe_rate else probe_rate  # max(probe_rate, .)
             if v is None:
                 if tier == _STANCE:
-                    f_des = f_prof
                     # 1/(M s + B) by backward Euler
                     err = f_des - f_meas
                     v_fb = (err / map_b if static_map else
@@ -290,8 +285,8 @@ class Controller:
             log_row((code, f_des, f_meas, f_truth, l_meas, v))
         plant.motor_v, plant.l_cable = motor_v, l_cable
         st.last_theta_df = df
-        st.f_des, st.v_fb_state = f_des, v_fb
-        st.e_l_integral, st.f_swing_max = e_int, f_swing_max
+        st.v_fb_state, st.e_l_integral = v_fb, e_int
+        st.f_swing_max = f_swing_max
         return f_meas, l_meas, l_rate, pos
 
     def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
@@ -311,12 +306,12 @@ class Controller:
     # -- helpers --------------------------------------------------------------
 
     def _settled_locals(self) -> tuple:
-        """What `run` holds in locals, read from the state: the tick's tier
-        (_STANCE engaged with params, _PI swing or silent, _PROBE stance
-        with params before engagement, _HOLD the rest or any tier once
-        aborted), whether the mode is swing, the PI target, the log's mode
-        code, f_des, v_fb_state, e_l_integral and f_swing_max, and the model
-        tendon's baseline less its migration."""
+        """The locals of `run` that an unsettled tick can change, read
+        from the state: the tick's tier (_STANCE engaged with params, _PI
+        swing or silent, _PROBE stance with params before engagement, _HOLD
+        the rest or any tier once aborted), whether the mode is swing, the
+        PI target, the log's mode code, and the model tendon's baseline
+        less its migration."""
         st, tendon = self.state, self.tendon
         mode = st.mode
         swing, stance = mode is ControlMode.SWING, mode is ControlMode.STANCE
@@ -325,21 +320,19 @@ class Controller:
                 else _PI if not stance else _STANCE if st.engaged else _PROBE)
         return (tier, swing, st.l_swing if swing else st.release_target,
                 ABORT_CODE if st.aborted else _MODE_CODE[mode],
-                st.f_des, st.v_fb_state, st.e_l_integral, st.f_swing_max,
                 tendon.baseline_c - tendon.delta_l1)
 
     def _unsettled_tick(self, theta_sk: float, theta_df: float,
                         theta_sk_rate: float, theta_df_rate: float,
                         f_meas: float, l_meas: float, l_meas_rate: float,
-                        motor_pos: float, f_des: float) -> Optional[float]:
+                        motor_pos: float) -> Optional[float]:
         """A tick that may change the mode, the engagement, the abort or the
         tendon model, on the state: the non-finite and limit checks, the
         abort hold, pretighten, a stance tick without params, and the
-        engage tick. f_des is the profile force at the tick's shank angle
-        (read on stance ticks with params). Returns its command, or None
-        for the engage tick, which goes on as an engaged stance tick."""
+        engage tick. It leaves the feedback filter, the PI integral and the
+        swing peak to `run`'s locals. Returns its command, or None for the
+        engage tick, which goes on as an engaged stance tick."""
         st, cfg, tendon = self.state, self.cfg, self.tendon
-        st.last_theta_df = theta_df
         # The safety abort latches, with one log line, on a non-finite input
         # or on a reading past the force ceiling or the position limit.
         if not st.aborted:
@@ -356,16 +349,11 @@ class Controller:
                 log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
                           motor_pos)
                 st.aborted = True
-        mode, p = st.mode, st.active_params
         if st.aborted:
-            # An aborted stance tick holds without the profile; the log
-            # still shows the profile force of its shank angle.
-            if mode is ControlMode.STANCE and p is not None:
-                st.f_des = f_des
             # Latched: pay the cable out to the slack reference, then zero
             # the motor.
             return -cfg.v_max if l_meas < st.release_target - 0.5 else 0.0
-        if mode is ControlMode.PRETIGHTEN:
+        if st.mode is ControlMode.PRETIGHTEN:
             if f_meas < cfg.pretighten_force:
                 return cfg.pretighten_rate
             # Baseline confirmed: back out the zero-force length from this
@@ -375,7 +363,7 @@ class Controller:
             st.release_target = l_meas + cfg.release_slack_mm
             st.mode = ControlMode.SILENT
             return 0.0
-        if p is None:
+        if st.active_params is None:
             log.warning("stance tick without profile parameters; holding")
             return 0.0
         # The engage tick, f_meas >= engage_force: taut, and only a taut

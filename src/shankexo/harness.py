@@ -55,7 +55,8 @@ at a time: about 75 ns a tick against 280 ns, the np.fromiter included.
     mode               index into MODES; "abort" once the safety abort latched
     theta_*_deg        truth shank, foot-pitch and DF angles (block)
     f_des_n            desired force (N), 0 outside assisted stance: the
-                       controller's ControllerState.f_des after the tick
+                       controller's force column, the profile at the
+                       tick's shank angle
     f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
                        plant reading and velocity command (positive retracts)
     belt_scale         phase-rate multiplier of ramps and perturbations (block)
@@ -500,7 +501,6 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     contacts: list[GaitEvent] = []         # foot contacts, by gc_index
     foot_offs: dict[int, GaitEvent] = {}   # by gc_index
     adopted: list[GaussianParams] = []     # params active per stride
-    landmarks = None     # the last ordered landmarks seen at a foot contact
     strides = _StrideReport(cfg.n_strides)
     # The reading of the previous tick, (f_meas, l_meas, l_meas_rate,
     # motor_pos), is the controller's input.
@@ -545,9 +545,6 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
                 params = estimator.params
                 contacts.append(ev)
                 adopted.append(params)
-                raw = estimator.last_raw
-                if raw is not None and raw.ordered:
-                    landmarks = raw
                 if ev.gc_index >= cfg.n_strides:
                     stop = min(stop, n_log + i + 21)
             else:
@@ -607,7 +604,8 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             f"confirmed; the run needs {cfg.n_strides + 1}")
 
     return _build_report(cfg, ctrl_cfg, tmpl, strides.per_stride, adopted,
-                         landmarks, analysis_start, ctrl.state.aborted)
+                         estimator.landmarks, analysis_start,
+                         ctrl.state.aborted)
 
 
 class _StrideReport:
@@ -700,8 +698,8 @@ class _StrideReport:
 def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,
                   analysis_start, aborted) -> MetricsReport:
     """The aggregates and the convergence stride over the reported strides,
-    and the config echo; the targets come from `landmarks`, the last
-    ordered landmarks seen at a foot contact, if any."""
+    and the config echo; the targets come from `landmarks`, the
+    estimator's last ordered landmarks, if any."""
     targets = None
     if landmarks is not None:
         s1_t, s2_t, mu_t = feature_targets(landmarks)

@@ -631,6 +631,7 @@ class GaitWorld:
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.standing_s = standing_s
+        # The specs of the strides whose perturbation has not begun
         self.perturbations = {s: p for p in (perturbations or [])
                               for s in p.affected_cycles}
         self.ramp = ramp
@@ -643,7 +644,6 @@ class GaitWorld:
         self.scale = 1.0
         self._ramp_scale = 1.0
         self._pert_active: Optional[tuple[PerturbationSpec, float]] = None
-        self._pert_done: set[int] = set()
 
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
@@ -731,9 +731,8 @@ class GaitWorld:
                         1.0 - math.exp(-st.stride_index / cfg.mig_stride_tau))
                     phase[j - 1], migration[j - 1] = self.phase, st.migration
                 if pert is None and self.phase >= self._onset():
-                    spec = self.perturbations[st.stride_index]
+                    spec = self.perturbations.pop(st.stride_index)
                     self._pert_active = (spec, t[j - 1].item())
-                    self._pert_done.add(st.stride_index)
                     kind[j - 1], tau[j - 1] = _PERTURB_CODE[spec.kind], 0.0
             elif end < n - i:
                 self._pert_active = None
@@ -752,12 +751,10 @@ class GaitWorld:
 
     def _onset(self) -> float:
         """The onset phase of the current stride's perturbation; inf when
-        it has none or it has begun."""
-        stride = self.state.stride_index
-        spec = self.perturbations.get(stride)
-        if spec is None or stride in self._pert_done:
-            return math.inf
-        return spec.onset_pct_gc
+        no spec is left for the stride (a spec leaves `perturbations` when
+        its perturbation begins)."""
+        spec = self.perturbations.get(self.state.stride_index)
+        return math.inf if spec is None else spec.onset_pct_gc
 
     def _ramp(self, dt: float, n: int):
         """The ramp scale over the next n walking ticks in the current

@@ -177,21 +177,22 @@ class ProfileEstimator:
     Each accepted stride moves (sigma1, sigma2, mu) 30 % of the way to the
     targets implied by the landmarks, so a stationary gait closes the gap by
     a factor of 0.7 per stride. Updates that fail the landmark ordering or
-    the excursion guard leave the parameters untouched.
+    the excursion guard leave the parameters untouched. `landmarks` holds
+    the last ordered landmarks, whether or not the guards accepted them.
     """
 
     def __init__(self, initial: GaussianParams):
         self.params = initial
-        self.last_raw: Optional[RawStrideFeatures] = None
+        self.landmarks: Optional[RawStrideFeatures] = None
         self.last_accepted = False
 
     def update(self, raw: RawStrideFeatures) -> GaussianParams:
-        self.last_raw = raw
         self.last_accepted = False
         cur = self.params
         if not raw.ordered:
             log.debug("estimate rejected: landmark ordering %s", raw)
             return cur
+        self.landmarks = raw
         s1_t, s2_t, mu_t = feature_targets(raw)
         d_s1 = s1_t - cur.sigma1
         d_s2 = s2_t - cur.sigma2

@@ -80,24 +80,33 @@ def identify_stiffness(samples: Sequence[tuple[float, float]]) -> StiffnessFit:
 
     Calibration runs should span >= 10 samples over >= 50 N (force loading
     and unloading loops); the fit itself only requires two points with
-    non-degenerate deflections.
+    non-degenerate deflections. Values so large that a sum, a square or a
+    quotient of the fit leaves the float range raise IdentificationError.
     """
     n = len(samples)
     if n < 2:
         raise IdentificationError("need at least two samples")
     xs = [d for _, d in samples]
     ys = [f for f, _ in samples]
-    x_mean = sum(xs) / n
-    y_mean = sum(ys) / n
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise IdentificationError("deflection has zero variance")
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    overflow = "calibration values overflow the least-squares fit"
+    try:        # a float ** 2 past the range raises; a sum or product is inf
+        x_mean = sum(xs) / n
+        y_mean = sum(ys) / n
+        sxx = sum((x - x_mean) ** 2 for x in xs)
+        if sxx == 0.0:
+            raise IdentificationError("deflection has zero variance")
+        sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        ss_tot = sum((y - y_mean) ** 2 for y in ys)
+        ss_res = sum((y - (slope * x + intercept)) ** 2
+                     for x, y in zip(xs, ys))
+    except OverflowError as exc:
+        raise IdentificationError(overflow) from exc
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    if not all(map(math.isfinite, (x_mean, y_mean, sxx, sxy, slope,
+                                   intercept, ss_tot, ss_res, r2))):
+        raise IdentificationError(overflow)
     return StiffnessFit(k_all=slope, r_squared=r2)
 
 

@@ -42,9 +42,9 @@ from shankexo.controller import (ABORT_CODE, ControlMode, Controller,
                                  ControllerConfig)
 from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
-                                   REPLAY_HEADER, KinematicSample,
+                                   REPLAY_HEADER, GaitEvent, KinematicSample,
                                    SignalLossError, SignalQualityError)
-from shankexo.plant import (GaitTemplate, GaitWorld, PerturbationKind,
+from shankexo.plant import (Cable, GaitTemplate, GaitWorld, PerturbationKind,
                             PerturbationSpec, PlantConfig, PlantState,
                             _ds3, _s3, bind_cable)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
@@ -254,7 +254,7 @@ def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
     sway, sway rate) rows of the backward sway windows. The world is left
     as it was."""
     tmpl, cfg, ramp = world.tmpl, world.config, world.ramp
-    perturbations, done = world.perturbations, set(world._pert_done)
+    perturbations, done = dict(world.perturbations), set()
     sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
     t_s, phase, scale = world.t_s, world.phase, world.scale
     ramp_scale, pert = world._ramp_scale, world._pert_active
@@ -333,7 +333,20 @@ MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
 class TickController(Controller):
     """The controller one tick per call, every value read from and written
     to `ControllerState` on every tick: the per-tick bodies `Controller.run`
-    replaced, without their log messages."""
+    replaced, without their log messages. It holds the logged desired force
+    of the last tick in f_des: the profile force on stance ticks with
+    params, reset to 0 by the foot-off that leaves stance."""
+
+    def __init__(self, config: ControllerConfig, tendon: TendonModel):
+        super().__init__(config, tendon)
+        self.f_des = 0.0
+
+    def on_event(self, event: GaitEvent,
+                 new_params: Optional[GaussianParams] = None) -> None:
+        swing = self.state.mode is ControlMode.SWING
+        super().on_event(event, new_params)
+        if not swing and self.state.mode is ControlMode.SWING:
+            self.f_des = 0.0
 
     def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
              theta_df_rate: float, f_meas: float, l_meas: float,
@@ -350,7 +363,7 @@ class TickController(Controller):
                 or motor_pos > lim or motor_pos < -lim):
             st.aborted = True
             if st.mode is ControlMode.STANCE and st.active_params:
-                st.f_des = eval_force(st.active_params, theta_sk)
+                self.f_des = eval_force(st.active_params, theta_sk)
             return self._tick_abort(l_meas)
         mode = st.mode
         if mode is ControlMode.PRETIGHTEN:
@@ -378,7 +391,7 @@ class TickController(Controller):
         if p is None:
             return 0.0
         f_des, f_rate = eval_force_and_rate(p, theta_sk, theta_sk_rate)
-        st.f_des = f_des
+        self.f_des = f_des
         l_des = tendon_length(self.tendon, theta_df, f_des)
         if not st.engaged:
             if f_meas >= cfg.engage_force:
@@ -482,8 +495,8 @@ def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):
         v = ctrl.tick(sk, df, sk_rate, df_rate, f_meas, l_meas, l_rate, pos,
                       dt)
         f_truth, f_meas, l_meas, l_rate, pos = step(v, *cable_inputs)
-        log_row((ABORT_CODE if st.aborted else MODE_CODE[st.mode], st.f_des,
-                 f_meas, f_truth, l_meas, v))
+        log_row((ABORT_CODE if st.aborted else MODE_CODE[st.mode],
+                 ctrl.f_des, f_meas, f_truth, l_meas, v))
     return f_meas, l_meas, l_rate, pos
 
 
@@ -508,6 +521,21 @@ def loop_cable(state: PlantState, tendon_truth: TendonModel,
                            cable, (0.0,) * 4, row.extend)
         return (row[3], *reading)
     return step
+
+
+def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
+             theta_sk_rate: float, theta_df_rate: float, f_meas: float,
+             l_meas: float, l_meas_rate: float, motor_pos: float,
+             dt: float) -> list:
+    """`Controller.tick`'s one-tick run, returning the tick's log row
+    (mode code, f_des, f_meas, f_truth, l_meas, v) where tick returns v
+    alone. Not a reference: it shows tests the logged desired force."""
+    row = []
+    ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
+                       [theta_df_rate], [0.0], [0.0]]),
+             Cable(PlantState(0.0), dt, 0.0, 0.0, 0.0, 0.0),
+             (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
+    return row
 
 
 # -- replay stream reader --------------------------------------------------------

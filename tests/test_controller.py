@@ -8,7 +8,7 @@ from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.plant import build_template
 from shankexo.profile import GaussianParams, eval_force
 from shankexo.tendon import TendonModel, tendon_length
-from scalar_reference import TickController, gen_frame, loop_cable
+from scalar_reference import TickController, gen_frame, loop_cable, tick_row
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
@@ -46,7 +46,7 @@ def make_controller(mode=ControlMode.STANCE, engaged=True, cls=Controller,
     ctrl.state.mode = mode
     ctrl.state.engaged = engaged
     ctrl.state.active_params = PARAMS
-    ctrl.state.have_swing_history = True
+    ctrl.state.l_swing = 0.0
     return ctrl
 
 
@@ -162,10 +162,10 @@ class TestStanceTick:
         ctrl = make_controller()
         theta = PARAMS.mu
         f_des = eval_force(PARAMS, theta)
-        cmd = stance_tick(ctrl, *angles(kin(theta_sk=theta)), f_des - 15.7,
-                          320.0, 0.001)
-        assert cmd == pytest.approx(1.0, rel=1e-9)
-        assert ctrl.state.f_des == f_des
+        row = tick_row(ctrl, *angles(kin(theta_sk=theta)), f_des - 15.7,
+                       320.0, 0.0, 0.0, 0.001)
+        assert row[5] == pytest.approx(1.0, rel=1e-9)     # the command
+        assert row[1] == f_des                            # the logged f_des
 
     def test_feedforward_vanishes_at_stationary_peak(self):
         ctrl = make_controller()

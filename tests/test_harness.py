@@ -20,7 +20,7 @@ from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
-                              UPDATE_GAIN, GaussianParams)
+                              UPDATE_GAIN, GaussianParams, eval_force)
 
 CEILING = ControllerConfig.force_ceiling
 
@@ -544,6 +544,14 @@ def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
     # The desired force is the profile's only in stance and once aborted.
     profiled = np.isin(log["mode"], (MODES.index("stance"), ABORT_CODE))
     assert not log["f_des_n"][~profiled].any()
+    # A stance tick logs the profile force at its shank angle, with the
+    # params its stride adopted, bit for bit.
+    stance = log["mode"] == MODES.index("stance")
+    want = list(map(eval_force, [adopted[s] for s in
+                                 log["stride"][stance].astype(int).tolist()],
+                    log["theta_sk_deg"][stance].tolist()))
+    assert log["f_des_n"][stance].tobytes() == np.array(want).tobytes()
+    assert stance.any()
     # Foot contacts count up from 0, each foot-off lies between its foot
     # contact and the next, and the stride column never falls.
     assert [fc.gc_index for fc in contacts] == list(range(len(contacts)))
@@ -590,7 +598,7 @@ class TestCli:
         p.write_text("\n".join(rows) + "\n")
         assert cli_main(["fit-stiffness", str(p)]) == 0
         out = capsys.readouterr().out
-        assert "k_all=12.5" in out
+        assert out == "k_all=12.500000 N/mm  r_squared=1.000000\n"
 
     def test_replay_subcommand(self, tmp_path, capsys):
         from shankexo.gait_signals import WindowAssembler, read_replay_csv

@@ -24,7 +24,8 @@ from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_and_rate_array,
                               eval_force_rate)
 from shankexo.tendon import TendonModel
-from scalar_reference import TickController, loop_cable, reference_cable_step
+from scalar_reference import (TickController, loop_cable,
+                              reference_cable_step, tick_row)
 
 any_float = hs.floats(allow_nan=True, allow_infinity=True)
 finite = hs.floats(-1e6, 1e6)
@@ -141,7 +142,7 @@ def make_controller(mode=ControlMode.STANCE, cls=Controller,
     ctrl.state.mode = mode
     ctrl.state.engaged = True
     ctrl.state.active_params = PARAMS
-    ctrl.state.have_swing_history = True
+    ctrl.state.l_swing = 0.0
     ctrl.state.release_target = 320.0
     return ctrl
 
@@ -153,8 +154,8 @@ def test_stance_tick_leaves_its_desired_force(theta, rate, engaged):
     ctrl = make_controller()
     ctrl.state.engaged = engaged
     sample = KinematicSample(0.0, 0.0, theta, theta, 0.0, rate, rate)
-    ctrl.tick(*angles(sample), 0.5, 320.0, 0.0, 0.0, 0.001)
-    assert same(ctrl.state.f_des, eval_force(PARAMS, theta))
+    row = tick_row(ctrl, *angles(sample), 0.5, 320.0, 0.0, 0.0, 0.001)
+    assert same(row[1], eval_force(PARAMS, theta))
 
 
 # -- comparison-only clamps -------------------------------------------------------
@@ -470,5 +471,5 @@ def test_controller_holds_the_logged_desired_force(calls):
             ctrl.on_event(call[0], new_params=call[1])
             continue
         kin, f_meas, pos = call
-        ctrl.tick(*angles(kin), f_meas, 320.0, 0.0, pos, 0.001)
-        assert same(st.f_des, logged_force(st, kin))
+        row = tick_row(ctrl, *angles(kin), f_meas, 320.0, 0.0, pos, 0.001)
+        assert same(row[1], logged_force(st, kin))

@@ -191,6 +191,23 @@ class TestUpdateParams:
         est.update_from_window(w)
         assert est.params is before
 
+    def test_landmarks_are_the_last_ordered_raw(self):
+        # The report's targets: an unordered raw or a window too short to
+        # estimate from leaves them; an ordered raw the guard rejects
+        # replaces them.
+        est = ProfileEstimator(self.initial())
+        unordered = RawStrideFeatures(8.0, -20.0, 24.0)
+        est.update(unordered)
+        assert est.landmarks is None
+        ordered = RawStrideFeatures(-20.0, 8.0, 24.0)
+        est.update(ordered)
+        est.update(unordered)
+        est.update_from_window(StanceWindow([0.0], [0.0]))
+        assert est.landmarks is ordered
+        guarded = RawStrideFeatures(-20.0, 27.0, 80.0)   # |d_mu| > 10
+        est.update(guarded)
+        assert not est.last_accepted and est.landmarks is guarded
+
 
 class TestTimeProfile:
     def make_map(self):

@@ -168,6 +168,21 @@ class TestCalibrationCsv:
         assert captured.out == ""
         assert captured.err == f"shankexo: error: {want}\n"
 
+    @pytest.mark.parametrize("rows", [
+        "1e200,1e200\n3e200,2e200\n",            # a square raises
+        "1,1e308\n2,1.7e308\n3,-1e308\n",       # the sum is inf: NaN fit
+    ])
+    def test_fit_overflow_is_one_error_line(self, tmp_path, capsys, rows):
+        p = tmp_path / "cal.csv"
+        p.write_text("force_n,deflection_mm\n" + rows)
+        with pytest.raises(IdentificationError, match="overflow"):
+            identify_stiffness(load_calibration_csv(p))
+        assert cli_main(["fit-stiffness", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("shankexo: error: calibration values "
+                                "overflow the least-squares fit\n")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = tmp_path / "cal.csv"
         p.write_bytes(b"\xef\xbb\xbfforce_n,deflection_mm\n5.0,0.4\n180,14.4\n")
