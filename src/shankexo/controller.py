@@ -12,11 +12,14 @@ the cable length, the force clip, the noise and the tick's log row, whose
 mode code and abort marker record which branch acted. The controller
 state lives in locals across the stretch, read before it and written
 back after it, so `on_event` sees the state tick-by-tick evaluation
-leaves. A tick that can change the mode, the engagement, the abort or the
-tendon model (pretighten, the engage tick, the abort and its non-finite
-and limit latches) runs on `ControllerState` instead, and the loop reads
-what those decide (`_settled_locals`) again after it. `Controller.tick`
-is the one-tick run and returns the command as a plain float in mm/s.
+leaves. The mode, the engagement, the abort and the release target are
+locals too: each tick's tier (engaged stance, PI, probe, abort,
+pretighten or a stance without params) is derived once before the
+stretch, and the abort, the engage tick and pretighten's confirmation
+each change it in one branch of the loop body. Only the tendon model's
+own updates (the engage tick's migration estimate, the pretighten
+baseline) write outside the loop's locals. `Controller.tick` is the
+one-tick run and returns the command as a plain float in mm/s.
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -69,12 +72,16 @@ class ControlMode(Enum):
 
 
 # The run log's mode code: the mode's index in ControlMode, and one past the
-# last once the safety abort has latched.
+# last once the safety abort has latched; MODES names each code.
 _MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
 ABORT_CODE = len(ControlMode)
+MODES = [m.value for m in ControlMode] + ["abort"]
 
-# The tiers of `Controller.run`'s loop body (see `_settled_locals`).
-_STANCE, _PI, _PROBE, _HOLD = range(4)
+# The tiers of `Controller.run`'s loop body: _STANCE engaged stance with
+# params, _PI swing or silent, _PROBE stance with params before engagement,
+# _ABORT any mode once aborted, _PRETIGHTEN, and _IDLE stance without
+# params. The first two are the laws the command envelope clips.
+_STANCE, _PI, _PROBE, _ABORT, _PRETIGHTEN, _IDLE = range(6)
 
 
 @dataclass
@@ -183,9 +190,8 @@ class Controller:
         ControlMode, or ABORT_CODE once the abort has latched, and f_des is
         the tick's force column value (see the module docstring). Returns
         the last reading; cable.state holds the motor velocity and the
-        cable length. A settled or probe tick runs on locals, any other on
-        `_unsettled_tick`; the state after the stretch is the one
-        tick-by-tick evaluation leaves.
+        cable length. The state is read once before the stretch and
+        written once after it, as tick-by-tick evaluation leaves it.
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
         r, k_all = tendon.lever_arm_r, tendon.k_all
@@ -199,39 +205,52 @@ class Controller:
         inf, radians = math.inf, math.radians
         f_meas, l_meas, l_rate, pos = reading
         df = st.last_theta_df
+        mode, engaged, release = st.mode, st.engaged, st.release_target
         p = st.active_params
-        if st.mode is ControlMode.STANCE and p is not None:
+        if mode is ControlMode.STANCE and p is not None:
             f_col, rate_col = eval_force_and_rate_array(p, cols[0], cols[2])
             with np.errstate(all="ignore"):    # inf - inf is NaN, silently
                 v_ff = r * np.radians(cols[3]) - rate_col / k_all
             profile = f_col.tolist(), v_ff.tolist()
             mu, shed_below = p.mu, 0.25 * p.amp
+            tier = _STANCE if engaged else _PROBE
         else:
             profile = repeat(0.0), repeat(0.0)
+            tier = (_PRETIGHTEN if mode is ControlMode.PRETIGHTEN
+                    else _IDLE if mode is ControlMode.STANCE else _PI)
+        code = _MODE_CODE[mode]
+        if st.aborted:
+            tier, code = _ABORT, ABORT_CODE
+        swing = mode is ControlMode.SWING
+        target = st.l_swing if swing else release
+        l_rest = tendon.baseline_c - tendon.delta_l1
         v_fb, e_int = st.v_fb_state, st.e_l_integral
         f_swing_max = st.f_swing_max
-        tier, swing, target, code, l_rest = self._settled_locals()
         for sk, df, sk_rate, df_rate, l_free, noise, f_des, v_ff in zip(
                 *cols.tolist(), *profile):
-            v = None
-            # NaN fails every comparison and makes the sum NaN, and an
-            # infinity in any input makes it non-finite.
-            if (f_meas > ceiling or pos > lim or pos < -lim
-                    or not -inf < (f_meas + l_meas + l_rate + pos + sk + df
-                                   + sk_rate + df_rate) < inf
-                    or tier > _PI and (tier == _HOLD or f_meas >= engage)):
-                v = self._unsettled_tick(sk, df, sk_rate, df_rate, f_meas,
-                                         l_meas, l_rate, pos)
-                tier, swing, target, code, l_rest = self._settled_locals()
-            elif tier == _PROBE:
-                # Take up the swing slack, then probe until the cable is
-                # physically taut: the gap to the model tendon's length
-                # (`tendon_length`) at the desired force.
-                gap = l_meas - (r * radians(df) - f_des / k_all + l_rest)
-                v = cfg.tighten_gain * (gap - margin) + probe_rate
-                v = vm if vm < v else v                  # min(v, vm)
-                v = v if v > probe_rate else probe_rate  # max(probe_rate, .)
-            if v is None:
+            # The safety abort latches, with one log line, on a non-finite
+            # input or on a reading past the force ceiling or the position
+            # limit. NaN fails every comparison and makes the sum NaN, and
+            # an infinity in any input makes it non-finite.
+            if tier != _ABORT and (
+                    not -inf < (total := f_meas + l_meas + l_rate + pos + sk
+                                + df + sk_rate + df_rate) < inf
+                    or f_meas > ceiling or pos > lim or pos < -lim):
+                if -inf < total < inf:
+                    log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
+                              pos)
+                else:
+                    log.error("safety abort: non-finite input (f, l, rate, "
+                              "pos)=%r (sk, df, sk rate, df rate)=%r",
+                              (f_meas, l_meas, l_rate, pos),
+                              (sk, df, sk_rate, df_rate))
+                tier, code = _ABORT, ABORT_CODE
+            elif tier == _PROBE and f_meas >= engage:
+                # The engage tick: taut, and only a taut measurement
+                # identifies migration. It goes on as an engaged stance tick.
+                engaged, tier = True, _STANCE
+                estimate_migration(tendon, l_meas, df, f_meas)
+            if tier < _PROBE:
                 if tier == _STANCE:
                     # 1/(M s + B) by backward Euler
                     err = f_des - f_meas
@@ -270,6 +289,33 @@ class Controller:
                 else:
                     v = v if v < vm else vm
                     v = v if v > -vm else -vm
+            elif tier == _PROBE:
+                # Take up the swing slack, then probe until the cable is
+                # physically taut: the gap to the model tendon's length
+                # (`tendon_length`) at the desired force.
+                gap = l_meas - (r * radians(df) - f_des / k_all + l_rest)
+                v = cfg.tighten_gain * (gap - margin) + probe_rate
+                v = vm if vm < v else v                  # min(v, vm)
+                v = v if v > probe_rate else probe_rate  # max(probe_rate, .)
+            elif tier == _ABORT:
+                # Latched: pay the cable out to the slack reference, then
+                # zero the motor.
+                v = -vm if l_meas < release - 0.5 else 0.0
+            elif tier == _PRETIGHTEN:
+                if f_meas < cfg.pretighten_force:
+                    v = cfg.pretighten_rate
+                else:
+                    # Baseline confirmed: back out the zero-force length
+                    # from this reading, then walk silently.
+                    tendon.baseline_c = (l_meas + f_meas / k_all
+                                         - r * radians(df))
+                    target = release = l_meas + cfg.release_slack_mm
+                    mode = ControlMode.SILENT
+                    tier, code = _PI, _MODE_CODE[mode]
+                    v = 0.0
+            else:
+                log.warning("stance tick without profile parameters; holding")
+                v = 0.0
             # The cable: the motor envelope (a NaN command drives at +vm),
             # the motor lag, the cable length, and the force and its
             # reading clipped at 0 (NaN reads 0).
@@ -285,6 +331,8 @@ class Controller:
             log_row((code, f_des, f_meas, f_truth, l_meas, v))
         plant.motor_v, plant.l_cable = motor_v, l_cable
         st.last_theta_df = df
+        st.mode, st.release_target = mode, release
+        st.aborted, st.engaged = tier == _ABORT, engaged
         st.v_fb_state, st.e_l_integral = v_fb, e_int
         st.f_swing_max = f_swing_max
         return f_meas, l_meas, l_rate, pos
@@ -302,72 +350,3 @@ class Controller:
                  Cable(PlantState(0.0), dt, 0.0, 0.0, 0.0, 0.0),
                  (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
         return row[5]
-
-    # -- helpers --------------------------------------------------------------
-
-    def _settled_locals(self) -> tuple:
-        """The locals of `run` that an unsettled tick can change, read
-        from the state: the tick's tier (_STANCE engaged with params, _PI
-        swing or silent, _PROBE stance with params before engagement, _HOLD
-        the rest or any tier once aborted), whether the mode is swing, the
-        PI target, the log's mode code, and the model tendon's baseline
-        less its migration."""
-        st, tendon = self.state, self.tendon
-        mode = st.mode
-        swing, stance = mode is ControlMode.SWING, mode is ControlMode.STANCE
-        tier = (_HOLD if st.aborted or mode is ControlMode.PRETIGHTEN or (
-                    stance and st.active_params is None)
-                else _PI if not stance else _STANCE if st.engaged else _PROBE)
-        return (tier, swing, st.l_swing if swing else st.release_target,
-                ABORT_CODE if st.aborted else _MODE_CODE[mode],
-                tendon.baseline_c - tendon.delta_l1)
-
-    def _unsettled_tick(self, theta_sk: float, theta_df: float,
-                        theta_sk_rate: float, theta_df_rate: float,
-                        f_meas: float, l_meas: float, l_meas_rate: float,
-                        motor_pos: float) -> Optional[float]:
-        """A tick that may change the mode, the engagement, the abort or the
-        tendon model, on the state: the non-finite and limit checks, the
-        abort hold, pretighten, a stance tick without params, and the
-        engage tick. It leaves the feedback filter, the PI integral and the
-        swing peak to `run`'s locals. Returns its command, or None for the
-        engage tick, which goes on as an engaged stance tick."""
-        st, cfg, tendon = self.state, self.cfg, self.tendon
-        # The safety abort latches, with one log line, on a non-finite input
-        # or on a reading past the force ceiling or the position limit.
-        if not st.aborted:
-            if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
-                                 + theta_sk + theta_df + theta_sk_rate
-                                 + theta_df_rate):
-                log.error("safety abort: non-finite input (f, l, rate, pos)="
-                          "%r (sk, df, sk rate, df rate)=%r",
-                          (f_meas, l_meas, l_meas_rate, motor_pos),
-                          (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
-                st.aborted = True
-            elif (f_meas > cfg.force_ceiling
-                  or abs(motor_pos) > cfg.position_limit_mm):
-                log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
-                          motor_pos)
-                st.aborted = True
-        if st.aborted:
-            # Latched: pay the cable out to the slack reference, then zero
-            # the motor.
-            return -cfg.v_max if l_meas < st.release_target - 0.5 else 0.0
-        if st.mode is ControlMode.PRETIGHTEN:
-            if f_meas < cfg.pretighten_force:
-                return cfg.pretighten_rate
-            # Baseline confirmed: back out the zero-force length from this
-            # reading.
-            tendon.baseline_c = (l_meas + f_meas / tendon.k_all
-                                 - tendon.lever_arm_r * math.radians(theta_df))
-            st.release_target = l_meas + cfg.release_slack_mm
-            st.mode = ControlMode.SILENT
-            return 0.0
-        if st.active_params is None:
-            log.warning("stance tick without profile parameters; holding")
-            return 0.0
-        # The engage tick, f_meas >= engage_force: taut, and only a taut
-        # measurement identifies migration.
-        st.engaged = True
-        estimate_migration(tendon, l_meas, theta_df, f_meas)
-        return None

@@ -130,7 +130,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controller import ControlMode, Controller, ControllerConfig
+from .controller import MODES, Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
                            KinematicSample, SignalLossError)
 from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
@@ -142,7 +142,6 @@ from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
                "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturb_kind", "bio")
-MODES = [m.value for m in ControlMode] + ["abort"]    # by the log's mode code
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
 # Log columns the closed loop makes, in the order of a tick's log row, and
 # those copied from the world block, in the order run_scenario copies them.
@@ -326,9 +325,12 @@ _OVERRIDE_TYPES = {
 }
 
 # The overrides the tendon model and the motor lag divide by or scale
-# with; zero or less fails inside TendonModel or bind_cable.
+# with, where zero or less fails inside TendonModel or bind_cable, and the
+# motor envelope, which zero leaves empty (pretighten never confirms) and
+# a negative value inverts.
 _POSITIVE_OVERRIDES = frozenset({"plant.lever_arm_r", "plant.k_all",
-                                 "plant.baseline_c", "plant.motor_tau_s"})
+                                 "plant.baseline_c", "plant.motor_tau_s",
+                                 "plant.v_max"})
 
 
 # How far below the controller's force_ceiling the profile peak must stay.

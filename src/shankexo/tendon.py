@@ -81,7 +81,9 @@ def identify_stiffness(samples: Sequence[tuple[float, float]]) -> StiffnessFit:
     Calibration runs should span >= 10 samples over >= 50 N (force loading
     and unloading loops); the fit itself only requires two points with
     non-degenerate deflections. Values so large that a sum, a square or a
-    quotient of the fit leaves the float range raise IdentificationError.
+    quotient of the fit leaves the float range, and distinct deflections
+    whose squared deviations underflow to a zero sum, raise
+    IdentificationError.
     """
     n = len(samples)
     if n < 2:
@@ -94,7 +96,9 @@ def identify_stiffness(samples: Sequence[tuple[float, float]]) -> StiffnessFit:
         y_mean = sum(ys) / n
         sxx = sum((x - x_mean) ** 2 for x in xs)
         if sxx == 0.0:
-            raise IdentificationError("deflection has zero variance")
+            raise IdentificationError(
+                "deflection has zero variance" if min(xs) == max(xs) else
+                "calibration deflections underflow the least-squares fit")
         sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
         slope = sxy / sxx
         intercept = y_mean - slope * x_mean

@@ -19,6 +19,7 @@ import struct
 import numpy as np
 from hypothesis import example, given, settings, strategies as hs
 
+from shankexo import controller
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
 from shankexo.plant import PlantConfig, PlantState, bind_cable
@@ -160,6 +161,10 @@ OVERFLOW_IN_STANCE = START + [("ticks", [
 # a force past the ceiling in swing
 CEILING_IN_SWING = START + [
     event(FO, 2), ("ticks", [tick(0.0, 400.0), tick(0.0, L_START)])]
+# in one stretch: pretighten takes up the slack and confirms the baseline,
+# then a force past the ceiling aborts the silent walking
+CONFIRM_THEN_CEILING = [("ticks", [*hold(40, L_START - 0.2),
+                                   tick(0.0, 400.0), *hold(3, L_START)])]
 
 
 def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
@@ -203,38 +208,43 @@ def per_tick_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
     return reference_run(ctrl, stretch, step, reading, DT, log_row)
 
 
-def make(cls, map_m):
-    return cls(ControllerConfig(silent_cycles=2, map_m=map_m),
+def make(cls, map_m, v_max=PlantConfig.v_max):
+    return cls(ControllerConfig(silent_cycles=2, map_m=map_m, v_max=v_max),
                TendonModel(50.0, 12.5, 300.0))
 
 
+# The controller's command envelope: the motor's, and two below the probe
+# and pretighten rates, whose commands it does not clip.
 @settings(max_examples=200, deadline=None)
 @given(script=scripts, map_m=hs.sampled_from([0.0, 0.05]),
+       v_max=hs.sampled_from([250.0, 60.0, 20.0]),
        plant_cfg=hs.builds(PlantConfig,
                            v_max=hs.sampled_from([250.0, 120.0]),
                            force_noise_sd=hs.sampled_from([0.0, 0.2])),
        start=starts, noisy=hs.booleans(),
        cuts=hs.lists(hs.integers(1, 24), max_size=4))
-@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(),
+@example(script=NOMINAL, map_m=0.0, v_max=250.0, plant_cfg=PlantConfig(),
          start=(L_START, 0.0), noisy=True, cuts=[])
-@example(script=NOMINAL, map_m=0.05, plant_cfg=PlantConfig(),
+@example(script=NOMINAL, map_m=0.05, v_max=60.0, plant_cfg=PlantConfig(),
          start=(L_START, 0.0), noisy=False, cuts=[1, 3, 4, 7, 33])
-@example(script=NAN_IN_STANCE, map_m=0.05, plant_cfg=PlantConfig(),
-         start=(L_START, 0.0), noisy=True, cuts=[1])
-@example(script=OVERFLOW_IN_STANCE, map_m=0.0, plant_cfg=PlantConfig(),
-         start=(L_START, 0.0), noisy=False, cuts=[])
-@example(script=CEILING_IN_SWING, map_m=0.0, plant_cfg=PlantConfig(),
-         start=(L_START, 0.0), noisy=True, cuts=[1])
-@example(script=START, map_m=0.0, plant_cfg=PlantConfig(),
+@example(script=NAN_IN_STANCE, map_m=0.05, v_max=250.0,
+         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=OVERFLOW_IN_STANCE, map_m=0.0, v_max=250.0,
+         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=False, cuts=[])
+@example(script=CEILING_IN_SWING, map_m=0.0, v_max=250.0,
+         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=START, map_m=0.0, v_max=250.0, plant_cfg=PlantConfig(),
          start=(L_START + 81.0, 0.0), noisy=True, cuts=[])
-def test_run_equals_the_per_tick_reference(script, map_m, plant_cfg, start,
-                                           noisy, cuts):
-    want = run_script(make(TickController, map_m), script, per_tick_loop,
-                      plant_cfg, start, noisy)
-    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
-                      start, noisy) == want
-    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
-                      start, noisy, cuts) == want
+@example(script=CONFIRM_THEN_CEILING, map_m=0.0, v_max=20.0,
+         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[])
+def test_run_equals_the_per_tick_reference(script, map_m, v_max, plant_cfg,
+                                           start, noisy, cuts):
+    want = run_script(make(TickController, map_m, v_max), script,
+                      per_tick_loop, plant_cfg, start, noisy)
+    assert run_script(make(Controller, map_m, v_max), script, new_loop,
+                      plant_cfg, start, noisy) == want
+    assert run_script(make(Controller, map_m, v_max), script, new_loop,
+                      plant_cfg, start, noisy, cuts) == want
 
 
 def test_the_scripts_reach_every_mode():
@@ -249,24 +259,21 @@ def test_the_scripts_reach_every_mode():
     assert codes == set(range(len(ControlMode) + 1))
 
 
-def test_the_nominal_script_probes_then_engages():
-    # The stances probe on locals while the cable is slack; only the tick
-    # that reads it taut, the engage tick, runs on the state before the
-    # abort, and goes on settled.
+def test_the_nominal_script_probes_then_engages(monkeypatch):
+    # The stances probe while the cable is slack; the tick that reads it
+    # taut, in the assisted stance before the abort, engages once.
     ctrl = make(Controller, 0.0)
-    unsettled = []
-    real = ctrl._unsettled_tick
+    engages = []
+    real = controller.estimate_migration
 
-    def watch(*args):
-        v = real(*args)
-        unsettled.append((ctrl.state.mode, ctrl.state.aborted, v))
-        return v
-    ctrl._unsettled_tick = watch
+    def watch(tendon, l_meas, theta_df, f_meas):
+        engages.append((ctrl.state.active_params,
+                        f_meas >= ctrl.cfg.engage_force))
+        return real(tendon, l_meas, theta_df, f_meas)
+    monkeypatch.setattr(controller, "estimate_migration", watch)
     rows = run_script(ctrl, NOMINAL, new_loop, PlantConfig(), (L_START, 0.0),
                       True)[0]
-    stance = ControlMode.STANCE
-    assert [u for u in unsettled if u[0] is stance and not u[1]] == [
-        (stance, False, None)]
-    stance_code = list(ControlMode).index(stance)
+    assert engages == [(PARAMS, True)] and ctrl.state.aborted
+    stance_code = list(ControlMode).index(ControlMode.STANCE)
     assert sum(code == stance_code and v == key(80.0)       # probe_rate
                for code, v in zip(rows[0::6], rows[5::6])) > 10

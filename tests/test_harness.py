@@ -202,7 +202,7 @@ class TestScenarioConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("key", ["lever_arm_r", "k_all", "baseline_c",
-                                     "motor_tau_s"])
+                                     "motor_tau_s", "v_max"])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
     def test_plant_scale_that_is_not_positive_rejected(self, key, value):
         cfg = ScenarioConfig(plant={key: value})

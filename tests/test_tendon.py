@@ -103,7 +103,7 @@ class TestIdentifyStiffness:
         assert fit.r_squared == 1.0
 
     def test_zero_variance_deflection(self):
-        with pytest.raises(IdentificationError):
+        with pytest.raises(IdentificationError, match="zero variance"):
             identify_stiffness([(1.0, 2.0), (3.0, 2.0), (5.0, 2.0)])
 
     def test_noiseless_recovery(self):
@@ -182,6 +182,23 @@ class TestCalibrationCsv:
         assert captured.out == ""
         assert captured.err == ("shankexo: error: calibration values "
                                 "overflow the least-squares fit\n")
+
+    @pytest.mark.parametrize("exponent, code, out, err", [
+        # distinct deflections whose squared deviations underflow to 0.0
+        (-170, 2, "", "shankexo: error: calibration deflections "
+                      "underflow the least-squares fit\n"),
+        # deviations whose squares are subnormal but not zero still fit
+        (-155, 0, f"k_all={1.0000000000000029e+155:.6f} N/mm  "
+                  "r_squared=1.000000\n", ""),
+    ])
+    def test_tiny_deflections_through_the_cli(self, tmp_path, capsys,
+                                              exponent, code, out, err):
+        p = tmp_path / "cal.csv"
+        p.write_text("force_n,deflection_mm\n" + "".join(
+            f"{i},{i}e{exponent}\n" for i in (1, 2, 3)))
+        assert cli_main(["fit-stiffness", str(p)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = tmp_path / "cal.csv"
