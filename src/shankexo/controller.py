@@ -18,8 +18,9 @@ pretighten or a stance without params) is derived once before the
 stretch, and the abort, the engage tick and pretighten's confirmation
 each change it in one branch of the loop body. Only the tendon model's
 own updates (the engage tick's migration estimate, the pretighten
-baseline) write outside the loop's locals. `Controller.tick` is the
-one-tick run and returns the command as a plain float in mm/s.
+baseline) write outside the loop's locals. The motor envelope is the
+cable's (`plant.Cable.v_max`), one value that clips the command, the
+probe and the cable, and sets the abort's payout speed.
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -57,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gait_signals import GaitEvent, GaitEventKind
-from .plant import Cable, PlantConfig, PlantState
+from .plant import Cable
 from .profile import GaussianParams, eval_force_and_rate_array
 from .tendon import TendonModel, estimate_migration, tendon_length
 
@@ -97,7 +98,6 @@ class ControllerConfig:
     silent_cycles: int = 5
     force_ceiling: float = 300.0     # N
     position_limit_mm: float = 80.0  # +/- about the pretighten reference
-    v_max: float = PlantConfig.v_max  # mm/s command envelope
     pretighten_force: float = 5.0    # N, startup baseline confirmation
     pretighten_rate: float = 30.0    # mm/s during startup tightening
     release_slack_mm: float = 20.0   # payout past the baseline for silent walking
@@ -184,23 +184,24 @@ class Controller:
         (mm) and its load-cell noise (N) (`GaitWorld.cable_columns`).
         reading is (f_meas, l_meas, l_meas_rate, motor_pos), which the
         first tick's command sees. Each tick computes the velocity command
-        v (mm/s, positive retracts), steps the cable (`plant.Cable`) to the
-        next tick's reading and hands log_row (mode code, f_des, f_meas,
-        f_truth, l_meas, v); the mode code is the mode's index in
-        ControlMode, or ABORT_CODE once the abort has latched, and f_des is
-        the tick's force column value (see the module docstring). Returns
-        the last reading; cable.state holds the motor velocity and the
-        cable length. The state is read once before the stretch and
-        written once after it, as tick-by-tick evaluation leaves it.
+        v (mm/s, positive retracts), steps the cable (`plant.Cable`, whose
+        v_max is the command envelope too) to the next tick's reading and
+        hands log_row (mode code, f_des, f_meas, f_truth, l_meas, v); the
+        mode code is the mode's index in ControlMode, or ABORT_CODE once
+        the abort has latched, and f_des is the tick's force column value
+        (see the module docstring). Returns the last reading; cable.state
+        holds the motor velocity and the cable length. The state is read
+        once before the stretch and written once after it, as tick-by-tick
+        evaluation leaves it.
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
         r, k_all = tendon.lever_arm_r, tendon.k_all
         kp, ki, kd, map_m, map_b = cfg.kp, cfg.ki, cfg.kd, cfg.map_m, cfg.map_b
         static_map = map_m <= 0.0           # 1/(M s + B) with M = 0 is 1/B
-        ic, vm, engage = cfg.integral_clamp, cfg.v_max, cfg.engage_force
+        ic, engage = cfg.integral_clamp, cfg.engage_force
         ceiling, lim = cfg.force_ceiling, cfg.position_limit_mm
         probe_rate, margin = cfg.probe_rate, cfg.probe_margin_mm
-        plant, dt, alpha, plant_vm, stiffness, pos_ref = cable
+        plant, dt, alpha, vm, stiffness, pos_ref = cable
         motor_v, l_cable = plant.motor_v, plant.l_cable
         inf, radians = math.inf, math.radians
         f_meas, l_meas, l_rate, pos = reading
@@ -319,8 +320,8 @@ class Controller:
             # The cable: the motor envelope (a NaN command drives at +vm),
             # the motor lag, the cable length, and the force and its
             # reading clipped at 0 (NaN reads 0).
-            v_cable = v if v < plant_vm else plant_vm
-            v_cable = v_cable if v_cable > -plant_vm else -plant_vm
+            v_cable = v if v < vm else vm
+            v_cable = v_cable if v_cable > -vm else -vm
             motor_v += alpha * (v_cable - motor_v)
             l_cable -= motor_v * dt
             f_truth = stiffness * (l_free - l_cable)
@@ -336,17 +337,3 @@ class Controller:
         st.v_fb_state, st.e_l_integral = v_fb, e_int
         st.f_swing_max = f_swing_max
         return f_meas, l_meas, l_rate, pos
-
-    def tick(self, theta_sk: float, theta_df: float, theta_sk_rate: float,
-             theta_df_rate: float, f_meas: float, l_meas: float,
-             l_meas_rate: float, motor_pos: float, dt: float) -> float:
-        """One tick's velocity command in mm/s (positive retracts the cable)
-        from its shank and DF angles (deg) and rates (deg/s) and the cable
-        reading: `run` over one tick, with a cable whose reading nothing
-        reads."""
-        row = []
-        self.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
-                           [theta_df_rate], [0.0], [0.0]]),
-                 Cable(PlantState(0.0), dt, 0.0, 0.0, 0.0, 0.0),
-                 (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
-        return row[5]

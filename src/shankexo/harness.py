@@ -30,9 +30,10 @@ clock is accumulated in bulk, and makes two passes over each block:
    tick's cable step takes the next reading. `Controller.run` runs each
    stretch over its columns: it adds the profile and feedforward columns
    of the stretch's params, and its loop body is the controller's
-   recurrence, the cable's (over the constants `GaitWorld.cable` binds
-   once for the run) and the tick's log row; the cable's reading is the
-   controller's input on the next tick.
+   recurrence, the cable's (over the constants `plant.bind_cable` binds
+   once for the run, whose motor envelope is the command's too) and the
+   tick's log row; the cable's reading is the controller's input on the
+   next tick.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -135,7 +136,7 @@ from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
                            KinematicSample, SignalLossError)
 from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
                     GaitWorld, PerturbationKind, PerturbationSpec, PlantConfig,
-                    RampSpec, build_template)
+                    RampSpec, bind_cable, build_template)
 from .profile import (EstimationPath, GaussianParams, ShankByPercentGC,
                       eval_time_profile_array, feature_targets)
 
@@ -324,13 +325,17 @@ _OVERRIDE_TYPES = {
         x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
 }
 
-# The overrides the tendon model and the motor lag divide by or scale
-# with, where zero or less fails inside TendonModel or bind_cable, and the
-# motor envelope, which zero leaves empty (pretighten never confirms) and
-# a negative value inverts.
-_POSITIVE_OVERRIDES = frozenset({"plant.lever_arm_r", "plant.k_all",
-                                 "plant.baseline_c", "plant.motor_tau_s",
-                                 "plant.v_max"})
+# The overrides that zero or less breaks. The run divides by or scales
+# with the tendon model's, the motor lag, the force-to-velocity map gain,
+# the migration time constant and the sway window: zero raises (in
+# TendonModel, bind_cable or mid-run), and a negative sway window drops
+# the sway. Zero leaves the motor envelope empty and the pretighten rate
+# still (pretighten never confirms), and a negative value inverts them.
+_POSITIVE_OVERRIDES = frozenset({
+    "controller.map_b", "controller.pretighten_rate",
+    "plant.lever_arm_r", "plant.k_all", "plant.baseline_c",
+    "plant.motor_tau_s", "plant.v_max", "plant.mig_stride_tau",
+    "plant.sway_window_s"})
 
 
 # How far below the controller's force_ceiling the profile peak must stay.
@@ -381,7 +386,7 @@ class ScenarioConfig:
         # dataclass that the scenario does not set itself, with a value of
         # the field's type.
         for group, owner, fixed in (
-                ("controller", ControllerConfig, {"v_max": "plant.v_max"}),
+                ("controller", ControllerConfig, {}),
                 ("plant", PlantConfig, {}),
                 ("template", GaitTemplate, {
                     "activity": "activity",
@@ -475,7 +480,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     scenario = ScenarioKind(cfg.scenario)
     tmpl = build_template(activity, **cfg.template)
     plant_cfg = PlantConfig(**cfg.plant)
-    ctrl_cfg = ControllerConfig(v_max=plant_cfg.v_max, **cfg.controller)
+    ctrl_cfg = ControllerConfig(**cfg.controller)
     silent = ctrl_cfg.silent_cycles
     # post-silent, post-convergence; clamped so short runs still report
     analysis_start = min(silent + 12,
@@ -489,6 +494,8 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             rng, first=analysis_start + 2, last=cfg.n_strides - 2)
     elif scenario is ScenarioKind.SPEED_RAMP:
         lo = analysis_start + 2
+        if lo + RampSpec.hold_strides >= cfg.n_strides:
+            raise ConfigError("not enough strides for the speed-ramp protocol")
         hi = max(lo + 1, cfg.n_strides - 14)
         ramp = RampSpec(start_stride=int(rng.integers(lo, hi)))
 
@@ -521,7 +528,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     spike_tick = (None if cfg.fault_spike_t_ms is None
                   else int(round(cfg.fault_spike_t_ms)))
     foot_contact = GaitEventKind.FOOT_CONTACT
-    run, cable = ctrl.run, world.cable(dt)
+    cable = bind_cable(world.state, world.truth_tendon, plant_cfg, dt)
 
     while n_log < stop:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - n_log))
@@ -573,7 +580,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
                                world.cable_columns(block, m)))
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            reading = run(cols[:, done:at], cable, reading, log_row)
+            reading = ctrl.run(cols[:, done:at], cable, reading, log_row)
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:
@@ -748,7 +755,20 @@ def _sd(xs) -> Optional[float]:
     if len(vals) < 2:
         return None
     m = sum(vals) / len(vals)
-    return math.sqrt(sum((v - m) ** 2 for v in vals) / (len(vals) - 1))
+    dev = [v - m for v in vals]
+    try:
+        ss = sum(d ** 2 for d in dev)
+    except OverflowError:
+        ss = math.inf
+    if ss != math.inf:
+        return math.sqrt(ss / (len(dev) - 1))
+    # A square or their sum passed the float range (deviations near
+    # 1e154): square the deviations scaled by the power of two that brings
+    # the largest into [0.5, 1), as `pearson` does, and scale the root
+    # back, to inf past the float range.
+    e = math.frexp(max(map(abs, dev)))[1]
+    ss = sum(math.ldexp(d, -e) ** 2 for d in dev)
+    return math.ldexp(math.sqrt(ss / (len(dev) - 1)), e - 1) * 2.0
 
 
 # -- artifacts -------------------------------------------------------------------

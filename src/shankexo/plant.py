@@ -61,7 +61,8 @@ the world's Generator a block at a time; n draws equal n scalar
 The loop part is a few lines that live once, in `Controller.run`'s loop
 body, over the constants `bind_cable` returns (`Cable`: the motor lag
 alpha = 1 - exp(-dt / motor_tau_s), the envelope, the stiffness, the
-motor-position reference). Its clamps are bare comparisons that return
+motor-position reference). The envelope is the run's one: the controller
+clips its commands to it too. The clamps are bare comparisons that return
 what the `max`/`min` forms return, NaN included.
 
 Template validation reads the numbers of the parts that run on a template
@@ -774,10 +775,6 @@ class GaitWorld:
         steps[0] = x
         clip = np.minimum if x < target else np.maximum
         return clip(np.add.accumulate(steps)[1:], target)
-
-    def cable(self, dt: float) -> Cable:
-        """This world's cable under ticks of dt (see `bind_cable`)."""
-        return bind_cable(self.state, self.truth_tendon, self.config, dt)
 
     def cable_columns(self, block: WorldBlock, m: int) -> np.ndarray:
         """The cable's open-loop columns over the block's first m ticks, a

@@ -15,9 +15,10 @@ loops are kept here as well.
 `Controller.run` holds the controller state in locals across a stretch of
 ticks and runs the cable in the same loop body, over open-loop columns.
 `TickController` is the controller as it ran before, one `tick` call per
-tick on `ControllerState`; `reference_cable_step` is the cable one tick at
-a time with builtin max/min clamps; and `reference_run` is the loop that
-drove the two: the per-tick reference of `run`.
+tick on `ControllerState`, within the motor envelope it is given;
+`reference_cable_step` is the cable one tick at a time with builtin
+max/min clamps; and `reference_run` is the loop that drove the two: the
+per-tick reference of `run`.
 
 `read_replay_csv` parses and conditions a recorded stream a block of rows
 at a time, over numpy columns. `reference_read_replay_csv` reads it as
@@ -333,12 +334,16 @@ MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
 class TickController(Controller):
     """The controller one tick per call, every value read from and written
     to `ControllerState` on every tick: the per-tick bodies `Controller.run`
-    replaced, without their log messages. It holds the logged desired force
-    of the last tick in f_des: the profile force on stance ticks with
-    params, reset to 0 by the foot-off that leaves stance."""
+    replaced, without their log messages. v_max is the motor envelope (mm/s)
+    that clips its commands, as the cable's clips `run`'s. It holds the
+    logged desired force of the last tick in f_des: the profile force on
+    stance ticks with params, reset to 0 by the foot-off that leaves
+    stance."""
 
-    def __init__(self, config: ControllerConfig, tendon: TendonModel):
+    def __init__(self, config: ControllerConfig, tendon: TendonModel,
+                 v_max: float = PlantConfig.v_max):
         super().__init__(config, tendon)
+        self.v_max = v_max
         self.f_des = 0.0
 
     def on_event(self, event: GaitEvent,
@@ -401,7 +406,7 @@ class TickController(Controller):
                 gap = l_meas - l_des
                 return max(cfg.probe_rate,
                            min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
-                               + cfg.probe_rate, cfg.v_max))
+                               + cfg.probe_rate, self.v_max))
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
         v_ff = (self.tendon.lever_arm_r * math.radians(theta_df_rate)
                 - f_rate / self.tendon.k_all)
@@ -451,14 +456,14 @@ class TickController(Controller):
 
     def _tick_abort(self, l_meas: float) -> float:
         if l_meas < self.state.release_target - 0.5:
-            return -self.cfg.v_max
+            return -self.v_max
         return 0.0
 
     def _clamp(self, v: float) -> float:
         """The command envelope; NaN becomes a hold (zero)."""
         if v != v:
             return 0.0
-        vm = self.cfg.v_max
+        vm = self.v_max
         v = v if v < vm else vm
         return v if v > -vm else -vm
 
@@ -526,14 +531,18 @@ def loop_cable(state: PlantState, tendon_truth: TendonModel,
 def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
              theta_sk_rate: float, theta_df_rate: float, f_meas: float,
              l_meas: float, l_meas_rate: float, motor_pos: float,
-             dt: float) -> list:
-    """`Controller.tick`'s one-tick run, returning the tick's log row
-    (mode code, f_des, f_meas, f_truth, l_meas, v) where tick returns v
-    alone. Not a reference: it shows tests the logged desired force."""
+             dt: float, v_max: float = PlantConfig.v_max) -> list:
+    """`Controller.run` over one tick, from its shank and DF angles (deg)
+    and rates (deg/s) and the cable reading, under the motor envelope v_max
+    (mm/s): the tick's log row (mode code, f_des, f_meas, f_truth, l_meas,
+    v), whose v, row[5], is the velocity command in mm/s (positive
+    retracts). The cable has no stiffness, its motor does not move, and
+    nothing reads it. Not a reference: it shows tests a tick's command and
+    logged desired force."""
     row = []
     ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
                        [theta_df_rate], [0.0], [0.0]]),
-             Cable(PlantState(0.0), dt, 0.0, 0.0, 0.0, 0.0),
+             Cable(PlantState(0.0), dt, 0.0, v_max, 0.0, 0.0),
              (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
     return row
 

@@ -5,7 +5,7 @@ import pytest
 
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
-from shankexo.plant import build_template
+from shankexo.plant import PlantConfig, PlantState, build_template
 from shankexo.profile import GaussianParams, eval_force
 from shankexo.tendon import TendonModel, tendon_length
 from scalar_reference import TickController, gen_frame, loop_cable, tick_row
@@ -19,22 +19,23 @@ def kin(theta_sk=0.0, theta_ft=0.0, sk_rate=0.0, ft_rate=0.0, t_ms=0.0):
 
 def angles(k):
     """A sample's shank and DF angles and rates: the kinematic arguments of
-    Controller.tick."""
+    tick_row."""
     return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
 
 
 def swing_tick(ctrl, l_meas, l_meas_rate, dt, f_meas=0.0):
-    """A swing-mode tick through Controller.tick, with the kinematics and
-    the motor position at zero."""
-    return ctrl.tick(0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate, 0.0, dt)
+    """A swing-mode tick's command, with the kinematics and the motor
+    position at zero."""
+    return tick_row(ctrl, 0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate,
+                    0.0, dt)[5]
 
 
 def stance_tick(ctrl, theta_sk, theta_df, theta_sk_rate, theta_df_rate,
-                f_meas, l_meas, dt):
-    """A stance-mode tick through Controller.tick, with the cable rate and
-    the motor position at zero."""
-    return ctrl.tick(theta_sk, theta_df, theta_sk_rate, theta_df_rate, f_meas,
-                     l_meas, 0.0, 0.0, dt)
+                f_meas, l_meas, dt, v_max=PlantConfig.v_max):
+    """A stance-mode tick's command under the envelope v_max, with the cable
+    rate and the motor position at zero."""
+    return tick_row(ctrl, theta_sk, theta_df, theta_sk_rate, theta_df_rate,
+                    f_meas, l_meas, 0.0, 0.0, dt, v_max)[5]
 
 
 def make_controller(mode=ControlMode.STANCE, engaged=True, cls=Controller,
@@ -64,7 +65,7 @@ class TestEvents:
         ctrl.state.release_target = 322.0
         ctrl.on_event(fc(2), new_params=PARAMS)
         assert ctrl.state.mode is ControlMode.SILENT
-        cmd = ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)
+        cmd = tick_row(ctrl, *angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)[5]
         # silent walking holds the slack: PI toward the release target
         twin = make_controller(mode=ControlMode.SWING, cls=TickController)
         twin.state.l_swing = 322.0
@@ -144,9 +145,9 @@ class TestSwingTick:
 
     def test_swing_monitors_peak_force(self):
         ctrl = make_controller(mode=ControlMode.SWING)
-        ctrl.tick(*angles(kin()), 2.5, 100.0, 0.0, 0.0, 0.001)
-        ctrl.tick(*angles(kin()), 4.0, 100.0, 0.0, 0.0, 0.001)
-        ctrl.tick(*angles(kin()), 1.0, 100.0, 0.0, 0.0, 0.001)
+        tick_row(ctrl, *angles(kin()), 2.5, 100.0, 0.0, 0.0, 0.001)
+        tick_row(ctrl, *angles(kin()), 4.0, 100.0, 0.0, 0.0, 0.001)
+        tick_row(ctrl, *angles(kin()), 1.0, 100.0, 0.0, 0.0, 0.001)
         assert ctrl.state.f_swing_max == 4.0
 
     def test_integral_clamped(self):
@@ -214,10 +215,11 @@ class TestStanceTick:
         assert worst < 0.5
 
     def test_velocity_commands_clamped(self):
-        ctrl = make_controller(v_max=250.0)
+        ctrl = make_controller()
         cmd = stance_tick(ctrl, *angles(kin(theta_sk=PARAMS.mu,
                                             ft_rate=-4000.0)),
-                          eval_force(PARAMS, PARAMS.mu), 320.0, 0.001)
+                          eval_force(PARAMS, PARAMS.mu), 320.0, 0.001,
+                          v_max=250.0)
         assert abs(cmd) <= 250.0
 
     def test_force_map_with_inertia_filters(self):
@@ -235,9 +237,10 @@ class TestStanceTick:
 
 
 def reading_tick(ctrl, f_meas, motor_pos, l_meas=300.0):
-    """A tick through Controller.tick with the kinematics and the cable
-    rate at zero, reading force f_meas and motor position motor_pos."""
-    return ctrl.tick(*angles(kin()), f_meas, l_meas, 0.0, motor_pos, 0.001)
+    """A tick's command with the kinematics and the cable rate at zero,
+    reading force f_meas and motor position motor_pos."""
+    return tick_row(ctrl, *angles(kin()), f_meas, l_meas, 0.0, motor_pos,
+                    0.001)[5]
 
 
 class TestSafety:
@@ -262,17 +265,16 @@ class TestSafety:
         ctrl = make_controller()
         ctrl.state.release_target = 320.0
         reading_tick(ctrl, 400.0, 0.0)
-        cmd = ctrl.tick(*angles(kin()), 0.0, 300.0, 0.0, 0.0, 0.001)
+        cmd = tick_row(ctrl, *angles(kin()), 0.0, 300.0, 0.0, 0.0, 0.001)[5]
         assert ctrl.state.aborted
-        assert cmd == -ctrl.cfg.v_max
-        cmd = ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)
+        assert cmd == -PlantConfig.v_max
+        cmd = tick_row(ctrl, *angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001)[5]
         assert cmd == 0.0 and math.copysign(1.0, cmd) == 1.0
 
 
 class TestSignAndModeSafety:
     def test_retraction_never_drops_force_on_taut_plant(self):
         # positive command = retraction = higher tension within the tick
-        from shankexo.plant import PlantConfig, PlantState
         cfg = PlantConfig(force_noise_sd=0.0, motor_tau_s=1e-6)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
         rng = np.random.default_rng(6)
@@ -286,23 +288,24 @@ class TestSignAndModeSafety:
     def test_command_follows_mode(self):
         ctrl = make_controller(mode=ControlMode.SWING)
         twin = make_controller(mode=ControlMode.SWING, cls=TickController)
-        assert ctrl.tick(*angles(kin()), 0.0, 320.0, 0.0, 0.0, 0.001) == \
-            twin.tick_swing(320.0, 0.0, 0.001)
+        assert tick_row(ctrl, *angles(kin()), 0.0, 320.0, 0.0, 0.0,
+                        0.001)[5] == twin.tick_swing(320.0, 0.0, 0.001)
         ctrl = make_controller(mode=ControlMode.STANCE)
         twin = make_controller(mode=ControlMode.STANCE, cls=TickController)
         sample, f = kin(theta_sk=PARAMS.mu, ft_rate=-30.0), 20.0
-        assert ctrl.tick(*angles(sample), f, 320.0, 0.0, 0.0, 0.001) == \
-            twin.tick_stance(*angles(sample), f, 320.0, 0.001)
+        assert tick_row(ctrl, *angles(sample), f, 320.0, 0.0, 0.0,
+                        0.001)[5] == twin.tick_stance(*angles(sample), f,
+                                                      320.0, 0.001)
 
 
 class TestPretighten:
     def test_retracts_until_threshold_then_confirms_baseline(self):
         cfg = ControllerConfig()
         ctrl = Controller(cfg, TendonModel(50.0, 12.5, 250.0))
-        cmd = ctrl.tick(*angles(kin()), 0.0, 315.0, 0.0, 0.0, 0.001)
+        cmd = tick_row(ctrl, *angles(kin()), 0.0, 315.0, 0.0, 0.0, 0.001)[5]
         assert cmd == cfg.pretighten_rate
         assert ctrl.state.mode is ControlMode.PRETIGHTEN
-        cmd = ctrl.tick(*angles(kin()), 5.2, 299.6, 0.0, 0.0, 0.001)
+        cmd = tick_row(ctrl, *angles(kin()), 5.2, 299.6, 0.0, 0.0, 0.001)[5]
         assert ctrl.state.mode is ControlMode.SILENT
         assert ctrl.tendon.baseline_c == pytest.approx(299.6 + 5.2 / 12.5)
         assert ctrl.state.release_target == pytest.approx(
@@ -330,14 +333,14 @@ class TestNonFiniteInputs:
         inputs = dict(FINITE_INPUTS, **{field: bad})
         sample = kin(theta_sk=PARAMS.mu)._replace(
             **{f: inputs[f] for f in NAN_INPUTS[4:]})
-        cmd = ctrl.tick(*angles(sample), inputs["f_meas"],
-                        inputs["l_meas"], inputs["l_meas_rate"],
-                        inputs["motor_pos"], 0.001)
+        cmd = tick_row(ctrl, *angles(sample), inputs["f_meas"],
+                       inputs["l_meas"], inputs["l_meas_rate"],
+                       inputs["motor_pos"], 0.001)[5]
         assert ctrl.state.aborted
         assert cmd <= 0.0
         for l_meas in np.linspace(300.0, 330.0, 50):
-            cmd = ctrl.tick(*angles(kin(theta_sk=PARAMS.mu)), 20.0,
-                            float(l_meas), 0.0, 0.0, 0.001)
+            cmd = tick_row(ctrl, *angles(kin(theta_sk=PARAMS.mu)), 20.0,
+                           float(l_meas), 0.0, 0.0, 0.001)[5]
             assert ctrl.state.aborted
             assert cmd <= 0.0
 
@@ -345,6 +348,8 @@ class TestNonFiniteInputs:
         # A NaN kinematic rate reaches the stance feedforward; the clamp
         # must not turn the NaN command into full retraction.
         ctrl = make_controller()
-        cmd = ctrl.tick(*angles(kin(theta_sk=PARAMS.mu, sk_rate=math.nan)),
-                        eval_force(PARAMS, PARAMS.mu), 310.0, 0.0, 0.0, 0.001)
+        cmd = tick_row(ctrl, *angles(kin(theta_sk=PARAMS.mu,
+                                         sk_rate=math.nan)),
+                       eval_force(PARAMS, PARAMS.mu), 310.0, 0.0, 0.0,
+                       0.001)[5]
         assert cmd == 0.0

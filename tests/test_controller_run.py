@@ -208,43 +208,45 @@ def per_tick_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
     return reference_run(ctrl, stretch, step, reading, DT, log_row)
 
 
-def make(cls, map_m, v_max=PlantConfig.v_max):
-    return cls(ControllerConfig(silent_cycles=2, map_m=map_m, v_max=v_max),
-               TendonModel(50.0, 12.5, 300.0))
+def make(cls, map_m, *envelope):
+    """A controller of class cls; TickController takes the motor envelope
+    that `run` takes from the cable."""
+    return cls(ControllerConfig(silent_cycles=2, map_m=map_m),
+               TendonModel(50.0, 12.5, 300.0), *envelope)
 
 
-# The controller's command envelope: the motor's, and two below the probe
-# and pretighten rates, whose commands it does not clip.
+# The motor envelope: the default, one between, and two below the probe
+# and pretighten rates, whose commands only the cable clips.
 @settings(max_examples=200, deadline=None)
 @given(script=scripts, map_m=hs.sampled_from([0.0, 0.05]),
-       v_max=hs.sampled_from([250.0, 60.0, 20.0]),
        plant_cfg=hs.builds(PlantConfig,
-                           v_max=hs.sampled_from([250.0, 120.0]),
+                           v_max=hs.sampled_from([250.0, 120.0, 60.0, 20.0]),
                            force_noise_sd=hs.sampled_from([0.0, 0.2])),
        start=starts, noisy=hs.booleans(),
        cuts=hs.lists(hs.integers(1, 24), max_size=4))
-@example(script=NOMINAL, map_m=0.0, v_max=250.0, plant_cfg=PlantConfig(),
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(),
          start=(L_START, 0.0), noisy=True, cuts=[])
-@example(script=NOMINAL, map_m=0.05, v_max=60.0, plant_cfg=PlantConfig(),
+@example(script=NOMINAL, map_m=0.05, plant_cfg=PlantConfig(v_max=60.0),
          start=(L_START, 0.0), noisy=False, cuts=[1, 3, 4, 7, 33])
-@example(script=NAN_IN_STANCE, map_m=0.05, v_max=250.0,
-         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[1])
-@example(script=OVERFLOW_IN_STANCE, map_m=0.0, v_max=250.0,
-         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=False, cuts=[])
-@example(script=CEILING_IN_SWING, map_m=0.0, v_max=250.0,
-         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[1])
-@example(script=START, map_m=0.0, v_max=250.0, plant_cfg=PlantConfig(),
+@example(script=NAN_IN_STANCE, map_m=0.05, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=OVERFLOW_IN_STANCE, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=False, cuts=[])
+@example(script=CEILING_IN_SWING, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[1])
+@example(script=START, map_m=0.0, plant_cfg=PlantConfig(),
          start=(L_START + 81.0, 0.0), noisy=True, cuts=[])
-@example(script=CONFIRM_THEN_CEILING, map_m=0.0, v_max=20.0,
-         plant_cfg=PlantConfig(), start=(L_START, 0.0), noisy=True, cuts=[])
-def test_run_equals_the_per_tick_reference(script, map_m, v_max, plant_cfg,
-                                           start, noisy, cuts):
-    want = run_script(make(TickController, map_m, v_max), script,
+@example(script=CONFIRM_THEN_CEILING, map_m=0.0,
+         plant_cfg=PlantConfig(v_max=20.0), start=(L_START, 0.0), noisy=True,
+         cuts=[])
+def test_run_equals_the_per_tick_reference(script, map_m, plant_cfg, start,
+                                           noisy, cuts):
+    want = run_script(make(TickController, map_m, plant_cfg.v_max), script,
                       per_tick_loop, plant_cfg, start, noisy)
-    assert run_script(make(Controller, map_m, v_max), script, new_loop,
-                      plant_cfg, start, noisy) == want
-    assert run_script(make(Controller, map_m, v_max), script, new_loop,
-                      plant_cfg, start, noisy, cuts) == want
+    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
+                      start, noisy) == want
+    assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
+                      start, noisy, cuts) == want
 
 
 def test_the_scripts_reach_every_mode():

@@ -151,7 +151,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("group, key", [
         ("controller", "kp_typo"), ("plant", "k_al"), ("template", "perod"),
-        ("controller", "v_max"),      # set from plant.v_max
+        ("controller", "v_max"),      # the motor's: plant.v_max
         ("template", "activity"),     # set from the scenario's activity
         ("template", "df_peak"),      # derived from the stance curves
         ("template", "landmarks"),
@@ -201,13 +201,32 @@ class TestScenarioConfig:
                            match=f"{group}.{key} must be a .*finite number"):
             cfg.validate()
 
-    @pytest.mark.parametrize("key", ["lever_arm_r", "k_all", "baseline_c",
-                                     "motor_tau_s", "v_max"])
+    @pytest.mark.parametrize("group, key", [
+        ("controller", "map_b"), ("controller", "pretighten_rate"),
+        ("plant", "lever_arm_r"), ("plant", "k_all"), ("plant", "baseline_c"),
+        ("plant", "motor_tau_s"), ("plant", "v_max"),
+        ("plant", "mig_stride_tau"), ("plant", "sway_window_s")])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
-    def test_plant_scale_that_is_not_positive_rejected(self, key, value):
-        cfg = ScenarioConfig(plant={key: value})
-        with pytest.raises(ConfigError, match=f"plant.{key} must be positive"):
+    def test_scale_that_is_not_positive_rejected(self, group, key, value):
+        cfg = ScenarioConfig(**{group: {key: value}})
+        with pytest.raises(ConfigError,
+                           match=f"{group}.{key} must be positive"):
             cfg.validate()
+
+    @pytest.mark.parametrize("n_strides", [5, 12, 13])
+    def test_too_few_strides_for_the_speed_ramp_rejected(self, n_strides):
+        # The ramp starts at stride 7 at the earliest (the analysis start,
+        # 5 in a short run, + 2) and holds its low speed for 6 strides.
+        with pytest.raises(ConfigError, match="not enough strides for the "
+                                              "speed-ramp protocol"):
+            run_scenario(ScenarioConfig(scenario="speed-ramp",
+                                        n_strides=n_strides))
+
+    def test_the_shortest_speed_ramp_slows_and_recovers(self, monkeypatch):
+        blocks, _ = record_rows(monkeypatch)
+        run_scenario(ScenarioConfig(scenario="speed-ramp", n_strides=14))
+        belt = np.concatenate(blocks)[:, LOG_COLUMNS.index("belt_scale")]
+        assert belt.min() == RampSpec.low_scale and belt[-1] == 1.0
 
     @pytest.mark.parametrize("group, key, value", [
         ("plant", "k_all", 12), ("controller", "silent_cycles", 3),
@@ -268,6 +287,7 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("shankexo: error: ") and f"{group}.{key}" in err
+        assert "is not a field of" in err and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -698,6 +718,10 @@ class TestCli:
         (["run", "--config", "{nan_value}"],
          "controller.kp must be a finite number, not nan"),
         (["run", "--config", "{zero_lag}"], "plant.motor_tau_s must be positive"),
+        (["run", "--scenario", "perturb", "--strides", "30", "--config",
+          "{zero_map_b}"], "controller.map_b must be positive"),
+        (["run", "--scenario", "speed-ramp", "--strides", "5"],
+         "not enough strides for the speed-ramp protocol"),
         (["run", "--seed", "-1"], "seed must be an integer >= 0, not -1"),
     ], ids=["zero-strides", "bad-config", "missing-config",
             "missing-calibration", "calibration-header", "missing-stream",
@@ -706,6 +730,7 @@ class TestCli:
             "config-not-an-object", "config-unknown-key",
             "config-group-not-an-object", "config-value-of-the-wrong-type",
             "config-value-not-finite", "config-value-not-positive",
+            "config-gain-not-positive", "speed-ramp-too-short",
             "negative-seed"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
@@ -724,7 +749,8 @@ class TestCli:
                  "group_list": '{"plant": [1]}',
                  "string_value": '{"plant": {"k_all": "x"}}',
                  "nan_value": '{"controller": {"kp": NaN}}',
-                 "zero_lag": '{"plant": {"motor_tau_s": 0}}'}
+                 "zero_lag": '{"plant": {"motor_tau_s": 0}}',
+                 "zero_map_b": '{"controller": {"map_b": 0}}'}
         paths = {name: tmp_path / f"{name}.txt" for name in files}
         for name, text in files.items():
             if text is not None:

@@ -130,7 +130,7 @@ PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 
 def angles(k):
     """A sample's shank and DF angles and rates: the kinematic arguments of
-    Controller.tick."""
+    tick_row."""
     return k.theta_sk, k.theta_df, k.theta_sk_rate, k.theta_df_rate
 
 
@@ -160,10 +160,12 @@ def test_stance_tick_leaves_its_desired_force(theta, rate, engaged):
 
 # -- comparison-only clamps -------------------------------------------------------
 
-def swing_tick(ctrl, l_meas, l_meas_rate, dt, f_meas=0.0):
-    """A swing-mode tick through Controller.tick, with the kinematics and
-    the motor position at zero."""
-    return ctrl.tick(0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate, 0.0, dt)
+def swing_tick(ctrl, l_meas, l_meas_rate, dt, f_meas=0.0,
+               v_max=PlantConfig.v_max):
+    """A swing-mode tick's command under the envelope v_max, with the
+    kinematics and the motor position at zero."""
+    return tick_row(ctrl, 0.0, 0.0, 0.0, 0.0, f_meas, l_meas, l_meas_rate,
+                    0.0, dt, v_max)[5]
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,14 +180,13 @@ def test_clamp_equals_the_min_max_form(kp, kd, rate, l_swing, vm):
     # The swing PI without the integral term brings any command to the
     # envelope: NaN from inf * 0, the infinities from an overflowing
     # product, from finite inputs.
-    ctrl = make_controller(mode=ControlMode.SWING, v_max=vm, kp=kp, ki=0.0,
-                           kd=kd)
+    ctrl = make_controller(mode=ControlMode.SWING, kp=kp, ki=0.0, kd=kd)
     ctrl.state.l_swing = l_swing
     e = l_swing - 320.0
     i = max(-50.0, min(50.0, e * 0.001))
     v = -(kp * e + 0.0 * i - kd * rate)
     want = 0.0 if math.isnan(v) else max(-vm, min(vm, v))
-    assert same(swing_tick(ctrl, 320.0, rate, 0.001), want)
+    assert same(swing_tick(ctrl, 320.0, rate, 0.001, v_max=vm), want)
 
 
 def test_clamp_maps_nan_to_a_hold():
@@ -204,11 +205,11 @@ def test_swing_anti_windup_equals_the_min_max_form(l_swing, l_meas, rate,
     ctrl = make_controller(mode=ControlMode.SWING, integral_clamp=clamp)
     ctrl.state.l_swing = l_swing
     ctrl.state.e_l_integral = integral
-    cfg = ctrl.cfg
+    cfg, vm = ctrl.cfg, PlantConfig.v_max
     e = l_swing - l_meas
     i = max(-clamp, min(clamp, integral + e * dt))
     v = -(cfg.kp * e + cfg.ki * i - cfg.kd * rate)
-    want_v = 0.0 if math.isnan(v) else max(-cfg.v_max, min(cfg.v_max, v))
+    want_v = 0.0 if math.isnan(v) else max(-vm, min(vm, v))
     cmd = swing_tick(ctrl, l_meas, rate, dt)
     assert same(ctrl.state.e_l_integral, i)
     assert same(cmd, want_v)
@@ -230,11 +231,12 @@ def test_tick_aborts_exactly_when_a_limit_is_crossed(f_meas, motor_pos,
     # crossed.
     want = (not math.isfinite(f_meas + motor_pos) or f_meas > ceiling
             or abs(motor_pos) > limit)
-    cmd = ctrl.tick(*angles(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-                    f_meas, 310.0, 0.0, motor_pos, 0.001)
+    cmd = tick_row(ctrl, *angles(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                                 0.0)),
+                   f_meas, 310.0, 0.0, motor_pos, 0.001)[5]
     assert ctrl.state.aborted is want
     if want:     # 310 mm is short of the 320 mm release target: pay out
-        assert bits(cmd) == bits(-ctrl.cfg.v_max)
+        assert bits(cmd) == bits(-PlantConfig.v_max)
     else:        # the swing PI, as a twin in swing computes it
         twin = make_controller(mode=ControlMode.SWING, cls=TickController,
                                **kw)

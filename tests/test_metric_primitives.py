@@ -169,6 +169,23 @@ def test_pearson_where_the_squared_deviations_all_underflow():
             assert abs(f(x, -x) + 1.0) <= 1e-15
 
 
+def test_sd_where_the_squared_deviations_overflow():
+    """Per-stride values whose deviations pass about 1.3e154 square past
+    the float range, and ten near 7e153 sum past it. The aggregate sd then
+    squares the deviations scaled by a power of two, and scales the root
+    back. The values here have few significant bits, so every square and
+    sum is exact and the sd of the values scaled by 2**k is the sd scaled
+    by 2**k, bit for bit; past the float range it is inf."""
+    series = [[0.5, 1.75, -2.25, 5.0], [1.0, 3.0, None, 5.0], [-1.0, 1.0],
+              [1.0, -1.0] * 5]
+    for vals in series:
+        want = harness._sd(vals)
+        for k in (500, 511, 600, 1020):
+            big = [None if v is None else math.ldexp(v, k) for v in vals]
+            assert harness._sd(big) == math.ldexp(want, k)
+    assert harness._sd([1.5e308, -1.5e308]) == math.inf
+
+
 @settings(max_examples=150, deadline=None)
 @given(xy=pairs(FINITE))
 def test_pearson_stays_in_range(xy):
