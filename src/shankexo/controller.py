@@ -85,29 +85,36 @@ MODES = [m.value for m in ControlMode] + ["abort"]
 _STANCE, _PI, _PROBE, _ABORT, _PRETIGHTEN, _IDLE = range(6)
 
 
+# The swing target, the silent release, stance entry and the profile's tail:
+# the tuned hardware values, fixed.
+SWING_TARGET_FORCE = 3.0     # N, peak swing force the l_swing recurrence seeks
+RELEASE_SLACK_MM = 20.0      # mm, payout past the baseline for silent walking
+TIGHTEN_GAIN = 60.0          # 1/s, per-cycle slack take-up
+PROBE_RATE = 80.0            # mm/s, slow retraction until tautness
+PROBE_MARGIN_MM = 2.0        # mm, model gap where probing takes over
+ENGAGE_FORCE = 2.0           # N, measured force confirming tautness
+TAIL_RELEASE_FORCE = 0.5     # N, desired force ending the profile
+TAIL_RELEASE_RATE = 40.0     # mm/s, extra payout after the profile ends
+
+
 @dataclass
 class ControllerConfig:
-    """Control gains and limits; defaults follow the tuned hardware values."""
+    """Control gains and safety limits: the controller values a run's
+    config may override. Defaults follow the tuned hardware values. The
+    swing target, the silent release, the probe, the engagement and the
+    tail release are the module constants above."""
 
     kp: float = 23.0                 # 1/s
     ki: float = 1e-4                 # 1/s^2
     kd: float = 1.8                  # unitless damping injection
     map_m: float = 0.0               # N*s/mm, force-to-velocity map inertia
     map_b: float = 15.7              # N/mm, force-to-velocity map gain
-    swing_target_force: float = 3.0  # N
     silent_cycles: int = 5
     force_ceiling: float = 300.0     # N
     position_limit_mm: float = 80.0  # +/- about the pretighten reference
     pretighten_force: float = 5.0    # N, startup baseline confirmation
     pretighten_rate: float = 30.0    # mm/s during startup tightening
-    release_slack_mm: float = 20.0   # payout past the baseline for silent walking
     integral_clamp: float = 50.0     # mm*s anti-windup bound
-    tighten_gain: float = 60.0       # 1/s, per-cycle slack take-up
-    probe_rate: float = 80.0         # mm/s, slow retraction until tautness
-    probe_margin_mm: float = 2.0     # mm, model gap where probing takes over
-    engage_force: float = 2.0        # N, measured force confirming tautness
-    tail_release_force: float = 0.5  # N, desired force ending the profile
-    tail_release_rate: float = 40.0  # mm/s extra payout after the profile ends
 
 
 @dataclass
@@ -164,9 +171,9 @@ class Controller:
             # Quasi-slack length recurrence from the previous swing's peak force.
             if st.l_swing is None:
                 st.l_swing = tendon_length(self.tendon, st.last_theta_df,
-                                           self.cfg.swing_target_force)
+                                           SWING_TARGET_FORCE)
             else:
-                st.l_swing += ((st.f_swing_max - self.cfg.swing_target_force)
+                st.l_swing += ((st.f_swing_max - SWING_TARGET_FORCE)
                                / self.tendon.k_all)
             st.f_swing_max = 0.0
             st.e_l_integral = 0.0
@@ -198,9 +205,8 @@ class Controller:
         r, k_all = tendon.lever_arm_r, tendon.k_all
         kp, ki, kd, map_m, map_b = cfg.kp, cfg.ki, cfg.kd, cfg.map_m, cfg.map_b
         static_map = map_m <= 0.0           # 1/(M s + B) with M = 0 is 1/B
-        ic, engage = cfg.integral_clamp, cfg.engage_force
+        ic = cfg.integral_clamp
         ceiling, lim = cfg.force_ceiling, cfg.position_limit_mm
-        probe_rate, margin = cfg.probe_rate, cfg.probe_margin_mm
         plant, dt, alpha, vm, stiffness, pos_ref = cable
         motor_v, l_cable = plant.motor_v, plant.l_cable
         inf, radians = math.inf, math.radians
@@ -246,7 +252,7 @@ class Controller:
                               (f_meas, l_meas, l_rate, pos),
                               (sk, df, sk_rate, df_rate))
                 tier, code = _ABORT, ABORT_CODE
-            elif tier == _PROBE and f_meas >= engage:
+            elif tier == _PROBE and f_meas >= ENGAGE_FORCE:
                 # The engage tick: taut, and only a taut measurement
                 # identifies migration. It goes on as an engaged stance tick.
                 engaged, tier = True, _STANCE
@@ -268,11 +274,11 @@ class Controller:
                         if f_des < shed_below and excess > 0.0:
                             excess *= 25.0
                             v -= excess if excess < 100.0 else 100.0
-                    elif f_des < cfg.tail_release_force and f_meas > 1.0:
+                    elif f_des < TAIL_RELEASE_FORCE and f_meas > 1.0:
                         # Profile finished on the falling branch: shed the
                         # residual tension carried by the motor lag so the
                         # cable crosses foot-off near-slack.
-                        v -= cfg.tail_release_rate
+                        v -= TAIL_RELEASE_RATE
                 else:
                     # PI with damping injection toward the swing's
                     # quasi-slack length, or the release target when silent
@@ -295,9 +301,9 @@ class Controller:
                 # physically taut: the gap to the model tendon's length
                 # (`tendon_length`) at the desired force.
                 gap = l_meas - (r * radians(df) - f_des / k_all + l_rest)
-                v = cfg.tighten_gain * (gap - margin) + probe_rate
+                v = TIGHTEN_GAIN * (gap - PROBE_MARGIN_MM) + PROBE_RATE
                 v = vm if vm < v else v                  # min(v, vm)
-                v = v if v > probe_rate else probe_rate  # max(probe_rate, .)
+                v = v if v > PROBE_RATE else PROBE_RATE  # max(PROBE_RATE, .)
             elif tier == _ABORT:
                 # Latched: pay the cable out to the slack reference, then
                 # zero the motor.
@@ -310,7 +316,7 @@ class Controller:
                     # from this reading, then walk silently.
                     tendon.baseline_c = (l_meas + f_meas / k_all
                                          - r * radians(df))
-                    target = release = l_meas + cfg.release_slack_mm
+                    target = release = l_meas + RELEASE_SLACK_MM
                     mode = ControlMode.SILENT
                     tier, code = _PI, _MODE_CODE[mode]
                     v = 0.0

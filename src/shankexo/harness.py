@@ -326,16 +326,13 @@ _OVERRIDE_TYPES = {
 }
 
 # The overrides that zero or less breaks. The run divides by or scales
-# with the tendon model's, the motor lag, the force-to-velocity map gain,
-# the migration time constant and the sway window: zero raises (in
-# TendonModel, bind_cable or mid-run), and a negative sway window drops
-# the sway. Zero leaves the motor envelope empty and the pretighten rate
-# still (pretighten never confirms), and a negative value inverts them.
+# with the tendon model's, the motor lag and the force-to-velocity map
+# gain: zero raises (in TendonModel, bind_cable or mid-run). Zero leaves
+# the motor envelope empty and the pretighten rate still (pretighten never
+# confirms), and a negative value inverts them.
 _POSITIVE_OVERRIDES = frozenset({
-    "controller.map_b", "controller.pretighten_rate",
-    "plant.lever_arm_r", "plant.k_all", "plant.baseline_c",
-    "plant.motor_tau_s", "plant.v_max", "plant.mig_stride_tau",
-    "plant.sway_window_s"})
+    "controller.map_b", "controller.pretighten_rate", "plant.lever_arm_r",
+    "plant.k_all", "plant.baseline_c", "plant.motor_tau_s", "plant.v_max"})
 
 
 # How far below the controller's force_ceiling the profile peak must stay.
@@ -747,14 +744,24 @@ def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,
 
 def _mean(xs) -> Optional[float]:
     vals = [x for x in xs if x is not None]
-    return sum(vals) / len(vals) if vals else None
+    if not vals:
+        return None
+    total = sum(vals)
+    if math.isfinite(total) or not all(map(math.isfinite, vals)):
+        return total / len(vals)
+    # Finite values whose sum passed the float range (values near 1e307):
+    # sum them scaled by the power of two that brings the largest into
+    # [0.5, 1), as `_sd` does its deviations, and scale the mean back.
+    e = math.frexp(max(map(abs, vals)))[1]
+    total = sum(math.ldexp(v, -e) for v in vals)
+    return math.ldexp(total / len(vals), e - 1) * 2.0
 
 
 def _sd(xs) -> Optional[float]:
     vals = [x for x in xs if x is not None]
     if len(vals) < 2:
         return None
-    m = sum(vals) / len(vals)
+    m = _mean(vals)
     dev = [v - m for v in vals]
     try:
         ss = sum(d ** 2 for d in dev)

@@ -492,19 +492,28 @@ class RampSpec:
 
 # -- cable/motor/load-cell plant ---------------------------------------------
 
+# The simulated world around the cable, fixed: the slack the cable starts
+# with, the suit migration MIG_MAX * (1 - exp(-stride / MIG_STRIDE_TAU)),
+# and the backward perturbation's shank sway.
+INITIAL_SLACK_MM = 15.0   # mm, cable length past the baseline at the start
+MIG_MAX = 4.0             # mm
+MIG_STRIDE_TAU = 3.0      # strides
+SWAY_DEG = 1.75           # deg, peak shank sway
+SWAY_WINDOW_S = 0.25      # s, sway duration from the perturbation's onset
+
+
 @dataclass
 class PlantConfig:
+    """The cable plant: the truth tendon, the motor and the load cell, the
+    plant values a run's config may override. The world around the cable
+    (initial slack, suit migration, sway) is the module constants above."""
+
     lever_arm_r: float = 50.0     # mm
     k_all: float = 12.5           # N/mm
     baseline_c: float = 300.0     # mm
-    initial_slack_mm: float = 15.0
     v_max: float = 250.0          # mm/s motor envelope
     motor_tau_s: float = 0.001    # velocity-loop lag
     force_noise_sd: float = 0.2   # N, measurement only
-    mig_max: float = 4.0          # mm
-    mig_stride_tau: float = 3.0   # strides
-    sway_deg: float = 1.75        # backward-perturbation shank sway
-    sway_window_s: float = 0.25
 
 
 @dataclass
@@ -540,7 +549,7 @@ def bind_cable(state: PlantState, tendon_truth: TendonModel,
     a NaN force reads 0."""
     return Cable(state, dt, 1.0 - math.exp(-dt / config.motor_tau_s),
                  config.v_max, tendon_truth.k_all,
-                 config.baseline_c + config.initial_slack_mm)
+                 config.baseline_c + INITIAL_SLACK_MM)
 
 
 def free_length(tendon_truth: TendonModel, theta_df, migration):
@@ -639,7 +648,7 @@ class GaitWorld:
         self.truth_tendon = TendonModel(config.lever_arm_r, config.k_all,
                                         config.baseline_c, 0.0)
         self.state = PlantState(
-            l_cable=config.baseline_c + config.initial_slack_mm)
+            l_cable=config.baseline_c + INITIAL_SLACK_MM)
         self.phase = tmpl.stance_ratio  # gait begins at swing onset
         self.t_s = 0.0
         self.scale = 1.0
@@ -690,7 +699,7 @@ class GaitWorld:
         phase, scale, migration = np.empty(n), np.empty(n), np.empty(n)
         kind = np.zeros(n, dtype=np.int64)   # no window opens while standing
         tau = np.zeros(n)    # s since a window's onset, set only inside one
-        cfg, st, period = self.config, self.state, self.tmpl.period
+        st, period = self.state, self.tmpl.period
         i = _first(walking)     # the standing ticks keep the carried clock
         phase[:i], scale[:i] = self.phase, self.scale
         migration[:i] = st.migration
@@ -705,7 +714,7 @@ class GaitWorld:
                 spec, t0 = pert
                 window = 2.0 * spec.ramp_time
                 if spec.kind is PerturbationKind.BACKWARD:
-                    window = max(window, cfg.sway_window_s)
+                    window = max(window, SWAY_WINDOW_S)
                 since = t[i:] - t0
                 end = _first(since > window)   # its close tick has no window
                 s = ramp * spec.multiplier(since)
@@ -728,8 +737,8 @@ class GaitWorld:
                 if self.phase >= 1.0:
                     self.phase -= 1.0
                     st.stride_index += 1
-                    st.migration = cfg.mig_max * (
-                        1.0 - math.exp(-st.stride_index / cfg.mig_stride_tau))
+                    st.migration = MIG_MAX * (
+                        1.0 - math.exp(-st.stride_index / MIG_STRIDE_TAU))
                     phase[j - 1], migration[j - 1] = self.phase, st.migration
                 if pert is None and self.phase >= self._onset():
                     spec = self.perturbations.pop(st.stride_index)
@@ -741,7 +750,7 @@ class GaitWorld:
         self.t_s = t[-1].item()
         sway = ()
         if np.count_nonzero(kind):
-            w, a = cfg.sway_window_s, cfg.sway_deg
+            w, a = SWAY_WINDOW_S, SWAY_DEG
             at = np.flatnonzero(
                 (kind == _PERTURB_CODE[PerturbationKind.BACKWARD]) & (tau <= w))
             # the scalar operand order; np.float_power is C pow, as ** is

@@ -120,24 +120,31 @@ CALIBRATION_HEADER = ["force_n", "deflection_mm"]
 def load_calibration_csv(path) -> list[tuple[float, float]]:
     """Read (force N, deflection mm) pairs for offline stiffness workflows.
     A row that is not two finite numbers (a byte that is not UTF-8 text,
-    read as a lone surrogate, makes it so) raises IdentificationError
-    naming its line. A leading UTF-8 byte-order mark is skipped."""
+    read as a lone surrogate, makes it so), and a field longer than csv's
+    limit, raise IdentificationError naming the line. A leading UTF-8
+    byte-order mark is skipped."""
     out: list[tuple[float, float]] = []
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])     # [] for an empty file
-        if [h.strip() for h in header] != CALIBRATION_HEADER:
-            raise IdentificationError(f"unexpected calibration header: {header}")
-        for row in reader:
-            try:
-                force, deflection = (float(x) for x in row)
-            except ValueError as exc:
+        try:
+            header = next(reader, [])     # [] for an empty file
+            if [h.strip() for h in header] != CALIBRATION_HEADER:
                 raise IdentificationError(
-                    f"calibration line {reader.line_num}: not 2 numbers: "
-                    f"{row}") from exc
-            if not (math.isfinite(force) and math.isfinite(deflection)):
-                raise IdentificationError(f"calibration line {reader.line_num}"
-                                          f": non-finite value: {row}")
-            out.append((force, deflection))
+                    f"unexpected calibration header: {header}")
+            for row in reader:
+                try:
+                    force, deflection = (float(x) for x in row)
+                except ValueError as exc:
+                    raise IdentificationError(
+                        f"calibration line {reader.line_num}: not 2 numbers: "
+                        f"{row}") from exc
+                if not (math.isfinite(force) and math.isfinite(deflection)):
+                    raise IdentificationError(
+                        f"calibration line {reader.line_num}: non-finite "
+                        f"value: {row}")
+                out.append((force, deflection))
+        except csv.Error as exc:
+            raise IdentificationError(
+                f"calibration line {reader.line_num}: {exc}") from None
     return out

@@ -39,15 +39,19 @@ from typing import Optional
 
 import numpy as np
 
-from shankexo.controller import (ABORT_CODE, ControlMode, Controller,
+from shankexo.controller import (ABORT_CODE, ENGAGE_FORCE, PROBE_MARGIN_MM,
+                                 PROBE_RATE, RELEASE_SLACK_MM,
+                                 TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE,
+                                 TIGHTEN_GAIN, ControlMode, Controller,
                                  ControllerConfig)
 from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
                                    REPLAY_HEADER, GaitEvent, KinematicSample,
                                    SignalLossError, SignalQualityError)
-from shankexo.plant import (Cable, GaitTemplate, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, PlantState,
-                            _ds3, _s3, bind_cable)
+from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
+                            SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
+                            GaitWorld, PerturbationKind, PerturbationSpec,
+                            PlantConfig, PlantState, _ds3, _s3, bind_cable)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
                               eval_force_and_rate)
 from shankexo.tendon import TendonModel, estimate_migration, tendon_length
@@ -254,9 +258,9 @@ def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
     scalar loop computed it: the columns by name, and "sway", the (tick,
     sway, sway rate) rows of the backward sway windows. The world is left
     as it was."""
-    tmpl, cfg, ramp = world.tmpl, world.config, world.ramp
+    tmpl, ramp = world.tmpl, world.ramp
     perturbations, done = dict(world.perturbations), set()
-    sway_w, sway_a = cfg.sway_window_s, cfg.sway_deg
+    sway_w, sway_a = SWAY_WINDOW_S, SWAY_DEG
     t_s, phase, scale = world.t_s, world.phase, world.scale
     ramp_scale, pert = world._ramp_scale, world._pert_active
     stride, migration = world.state.stride_index, world.state.migration
@@ -290,8 +294,8 @@ def reference_clock(world: GaitWorld, dt: float, n: int) -> dict:
             if phase >= 1.0:
                 phase -= 1.0
                 stride += 1
-                migration = cfg.mig_max * (
-                    1.0 - math.exp(-stride / cfg.mig_stride_tau))
+                migration = MIG_MAX * (
+                    1.0 - math.exp(-stride / MIG_STRIDE_TAU))
             spec = perturbations.get(stride)
             if (spec is not None and pert is None and stride not in done
                     and phase >= spec.onset_pct_gc):
@@ -399,14 +403,14 @@ class TickController(Controller):
         self.f_des = f_des
         l_des = tendon_length(self.tendon, theta_df, f_des)
         if not st.engaged:
-            if f_meas >= cfg.engage_force:
+            if f_meas >= ENGAGE_FORCE:
                 st.engaged = True
                 estimate_migration(self.tendon, l_meas, theta_df, f_meas)
             else:
                 gap = l_meas - l_des
-                return max(cfg.probe_rate,
-                           min(cfg.tighten_gain * (gap - cfg.probe_margin_mm)
-                               + cfg.probe_rate, self.v_max))
+                return max(PROBE_RATE,
+                           min(TIGHTEN_GAIN * (gap - PROBE_MARGIN_MM)
+                               + PROBE_RATE, self.v_max))
         v_fb = self._feedback_velocity(f_des - f_meas, dt)
         v_ff = (self.tendon.lever_arm_r * math.radians(theta_df_rate)
                 - f_rate / self.tendon.k_all)
@@ -414,8 +418,8 @@ class TickController(Controller):
         if theta_sk <= p.mu:
             if f_des < 0.25 * p.amp:
                 v -= min(100.0, 25.0 * max(0.0, f_meas - f_des - 1.0))
-        elif f_des < cfg.tail_release_force and f_meas > 1.0:
-            v -= cfg.tail_release_rate
+        elif f_des < TAIL_RELEASE_FORCE and f_meas > 1.0:
+            v -= TAIL_RELEASE_RATE
         return self._clamp(v)
 
     def _feedback_velocity(self, force_error: float, dt: float) -> float:
@@ -450,7 +454,7 @@ class TickController(Controller):
         self.tendon.baseline_c = (l_meas + f_meas / self.tendon.k_all
                                   - self.tendon.lever_arm_r
                                   * math.radians(theta_df))
-        st.release_target = l_meas + cfg.release_slack_mm
+        st.release_target = l_meas + RELEASE_SLACK_MM
         st.mode = ControlMode.SILENT
         return 0.0
 
@@ -485,7 +489,7 @@ def reference_cable_step(state: PlantState, cmd_v: float, l_free: float,
     if z is not None and config.force_noise_sd > 0.0:
         f_meas = max(0.0, force + config.force_noise_sd * z)
     return (force, f_meas, state.l_cable, -state.motor_v,
-            (config.baseline_c + config.initial_slack_mm) - state.l_cable)
+            (config.baseline_c + INITIAL_SLACK_MM) - state.l_cable)
 
 
 def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):

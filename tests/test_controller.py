@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shankexo.controller import ControlMode, Controller, ControllerConfig
+from shankexo.controller import (RELEASE_SLACK_MM, ControlMode, Controller,
+                                 ControllerConfig)
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.plant import PlantConfig, PlantState, build_template
 from shankexo.profile import GaussianParams, eval_force
@@ -309,7 +310,7 @@ class TestPretighten:
         assert ctrl.state.mode is ControlMode.SILENT
         assert ctrl.tendon.baseline_c == pytest.approx(299.6 + 5.2 / 12.5)
         assert ctrl.state.release_target == pytest.approx(
-            299.6 + cfg.release_slack_mm)
+            299.6 + RELEASE_SLACK_MM)
 
 
 NAN_INPUTS = ("f_meas", "l_meas", "l_meas_rate", "motor_pos",

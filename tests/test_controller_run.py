@@ -22,7 +22,8 @@ from hypothesis import example, given, settings, strategies as hs
 from shankexo import controller
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
-from shankexo.plant import PlantConfig, PlantState, bind_cable
+from shankexo.plant import (INITIAL_SLACK_MM, PlantConfig, PlantState,
+                            bind_cable)
 from shankexo.profile import GaussianParams
 from shankexo.tendon import TendonModel
 from scalar_reference import (TickController, reference_cable_step,
@@ -34,7 +35,7 @@ FC, FO = GaitEventKind.FOOT_CONTACT, GaitEventKind.FOOT_OFF
 TRUTH = TendonModel(50.0, 12.5, 300.0)
 DT = 0.001
 # The cable starts at the motor-position reference, 315 mm: slack.
-L_START = PlantConfig.baseline_c + PlantConfig.initial_slack_mm
+L_START = PlantConfig.baseline_c + INITIAL_SLACK_MM
 
 
 def key(x):
@@ -270,12 +271,12 @@ def test_the_nominal_script_probes_then_engages(monkeypatch):
 
     def watch(tendon, l_meas, theta_df, f_meas):
         engages.append((ctrl.state.active_params,
-                        f_meas >= ctrl.cfg.engage_force))
+                        f_meas >= controller.ENGAGE_FORCE))
         return real(tendon, l_meas, theta_df, f_meas)
     monkeypatch.setattr(controller, "estimate_migration", watch)
     rows = run_script(ctrl, NOMINAL, new_loop, PlantConfig(), (L_START, 0.0),
                       True)[0]
     assert engages == [(PARAMS, True)] and ctrl.state.aborted
     stance_code = list(ControlMode).index(ControlMode.STANCE)
-    assert sum(code == stance_code and v == key(80.0)       # probe_rate
+    assert sum(code == stance_code and v == key(controller.PROBE_RATE)
                for code, v in zip(rows[0::6], rows[5::6])) > 10

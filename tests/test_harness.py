@@ -155,9 +155,20 @@ class TestScenarioConfig:
         ("template", "activity"),     # set from the scenario's activity
         ("template", "df_peak"),      # derived from the stance curves
         ("template", "landmarks"),
+        # module constants of the controller and of the simulated world
+        ("controller", "swing_target_force"),
+        ("controller", "release_slack_mm"), ("controller", "tighten_gain"),
+        ("controller", "probe_rate"), ("controller", "probe_margin_mm"),
+        ("controller", "engage_force"), ("controller", "tail_release_force"),
+        ("controller", "tail_release_rate"),
+        ("plant", "initial_slack_mm"), ("plant", "mig_max"),
+        ("plant", "mig_stride_tau"), ("plant", "sway_deg"),
+        ("plant", "sway_window_s"),
     ])
-    def test_override_outside_the_settable_fields_rejected(self, group, key):
-        cfg = ScenarioConfig(n_strides=2, **{group: {key: 1.0}})
+    @pytest.mark.parametrize("value", [1.0, 0])
+    def test_override_outside_the_settable_fields_rejected(self, group, key,
+                                                           value):
+        cfg = ScenarioConfig(n_strides=2, **{group: {key: value}})
         with pytest.raises(ConfigError, match=f"{group}.{key}"):
             cfg.validate()
         with pytest.raises(ConfigError, match=f"{group}.{key}"):
@@ -204,8 +215,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("group, key", [
         ("controller", "map_b"), ("controller", "pretighten_rate"),
         ("plant", "lever_arm_r"), ("plant", "k_all"), ("plant", "baseline_c"),
-        ("plant", "motor_tau_s"), ("plant", "v_max"),
-        ("plant", "mig_stride_tau"), ("plant", "sway_window_s")])
+        ("plant", "motor_tau_s"), ("plant", "v_max")])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
     def test_scale_that_is_not_positive_rejected(self, group, key, value):
         cfg = ScenarioConfig(**{group: {key: value}})
@@ -355,6 +365,28 @@ class TestRunScenario:
         assert rc == 0
         data = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert data["config"]["silent_cycles"] == 3
+
+    def test_per_stride_values_near_the_float_range_aggregate_finite(
+            self, tmp_path):
+        # Load-cell noise near 1e307 aborts the run at its first reading
+        # past the ceiling, and makes every swing's peak force finite but
+        # their sum overflow; summary.json must stay strict JSON.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"plant": {"force_noise_sd": 1e307}}))
+        assert cli_main(["run", "--scenario", "perturb", "--strides", "30",
+                         "--out", str(tmp_path / "o"),
+                         "--config", str(cfg_file)]) == 1
+
+        def reject(name):
+            raise ValueError(f"summary.json holds {name}")
+        data = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                          parse_constant=reject)
+        peaks = [s["swing_max_force"] for s in data["per_stride"]
+                 if s["swing_max_force"] is not None]
+        assert sum(peaks) == math.inf
+        mean = data["aggregate"]["swing_max_force_mean"]
+        assert min(peaks) <= mean <= max(peaks)
+        assert 0.0 < data["aggregate"]["swing_max_force_sd"] < math.inf
 
     def test_stalled_detection_raises_instead_of_a_short_run(self,
                                                             monkeypatch):
@@ -723,6 +755,10 @@ class TestCli:
         (["run", "--scenario", "speed-ramp", "--strides", "5"],
          "not enough strides for the speed-ramp protocol"),
         (["run", "--seed", "-1"], "seed must be an integer >= 0, not -1"),
+        (["run", "--strides", "12", "--config", "{negative_swing_target}"],
+         "controller.swing_target_force is not a field of ControllerConfig"),
+        (["fit-stiffness", "{long_calibration}"],
+         "calibration line 2: field larger than field limit (131072)"),
     ], ids=["zero-strides", "bad-config", "missing-config",
             "missing-calibration", "calibration-header", "missing-stream",
             "stream-header", "stream-non-numeric-field", "stream-short-row",
@@ -731,7 +767,8 @@ class TestCli:
             "config-group-not-an-object", "config-value-of-the-wrong-type",
             "config-value-not-finite", "config-value-not-positive",
             "config-gain-not-positive", "speed-ramp-too-short",
-            "negative-seed"])
+            "negative-seed", "config-constant-overridden",
+            "calibration-field-too-long"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
         stream_header = ("t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
@@ -750,7 +787,11 @@ class TestCli:
                  "string_value": '{"plant": {"k_all": "x"}}',
                  "nan_value": '{"controller": {"kp": NaN}}',
                  "zero_lag": '{"plant": {"motor_tau_s": 0}}',
-                 "zero_map_b": '{"controller": {"map_b": 0}}'}
+                 "zero_map_b": '{"controller": {"map_b": 0}}',
+                 "negative_swing_target":
+                     '{"controller": {"swing_target_force": -1}}',
+                 "long_calibration":
+                     "force_n,deflection_mm\n1," + "1" * 131073 + "\n"}
         paths = {name: tmp_path / f"{name}.txt" for name in files}
         for name, text in files.items():
             if text is not None:

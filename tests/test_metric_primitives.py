@@ -186,6 +186,25 @@ def test_sd_where_the_squared_deviations_overflow():
     assert harness._sd([1.5e308, -1.5e308]) == math.inf
 
 
+def test_mean_where_the_sum_overflows():
+    """Per-stride values near 1e308 sum past the float range. The aggregate
+    mean then sums the values scaled by a power of two and scales the mean
+    back, so the mean (and the sd taken about it) of the values scaled by
+    2**k is the mean (and the sd) scaled by 2**k, bit for bit; a non-finite
+    value still gives a non-finite mean."""
+    series = [[0.5, 1.75, 1.5, 0.75], [1.0, 1.0, None, 1.0, 1.0],
+              [1.0, -0.25, 1.5, 1.0, 1.0], [1.5] * 10]
+    for vals in series:
+        want_mean, want_sd = harness._mean(vals), harness._sd(vals)
+        for k in (1022, 1023):
+            big = [None if v is None else math.ldexp(v, k) for v in vals]
+            assert sum(v for v in big if v is not None) == math.inf
+            assert harness._mean(big) == math.ldexp(want_mean, k)
+            assert harness._sd(big) == math.ldexp(want_sd, k)
+    assert harness._mean([1.5e308, 1.5e308, math.inf]) == math.inf
+    assert math.isnan(harness._mean([1.5e308, 1.5e308, math.nan]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(xy=pairs(FINITE))
 def test_pearson_stays_in_range(xy):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from shankexo.plant import (ACTIVITY_DEFAULTS, Activity, GaitWorld,
-                            PerturbationKind, PerturbationSpec, PlantConfig,
-                            PlantState, RampSpec, TemplateError,
+from shankexo.plant import (ACTIVITY_DEFAULTS, INITIAL_SLACK_MM, Activity,
+                            GaitWorld, PerturbationKind, PerturbationSpec,
+                            PlantConfig, PlantState, RampSpec, TemplateError,
                             build_template)
 from shankexo.tendon import TendonModel
 from scalar_reference import (biological_torque, gen_frame, loop_cable,
@@ -169,7 +169,7 @@ class TestCablePlant:
     def make(self, dt=0.001):
         cfg = PlantConfig(force_noise_sd=0.0)
         truth = TendonModel(cfg.lever_arm_r, cfg.k_all, cfg.baseline_c, 0.0)
-        state = PlantState(l_cable=cfg.baseline_c + cfg.initial_slack_mm)
+        state = PlantState(l_cable=cfg.baseline_c + INITIAL_SLACK_MM)
         step = loop_cable(state, truth, cfg, dt)
         # step(cmd_v, theta_df): the zero-force length at theta_df, no
         # migration
@@ -184,7 +184,7 @@ class TestCablePlant:
     def test_quasi_static_stiffness(self):
         cfg, _, step = self.make()
         # retract 1 mm past taut quasi-statically
-        total = cfg.initial_slack_mm + 1.0
+        total = INITIAL_SLACK_MM + 1.0
         for _ in range(int(total / 0.01)):
             f_truth = step(10.0, 0.0)[0]
         assert f_truth == pytest.approx(12.5, abs=0.3)

@@ -200,6 +200,24 @@ class TestCalibrationCsv:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
 
+    @pytest.mark.parametrize("text, line", [
+        ("force_n," + "1" * 131073 + "\n5.0,0.4\n", 1),
+        ("force_n,deflection_mm\n5.0,0.4\n1," + "1" * 131073 + "\n", 3),
+    ], ids=["header", "row"])
+    def test_field_past_the_csv_limit_is_one_error_line(self, tmp_path,
+                                                         capsys, text, line):
+        p = tmp_path / "cal.csv"
+        p.write_text(text)
+        want = (f"calibration line {line}: field larger than field limit "
+                f"(131072)")
+        with pytest.raises(IdentificationError) as exc:
+            load_calibration_csv(p)
+        assert str(exc.value) == want
+        assert cli_main(["fit-stiffness", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("",
+                                                f"shankexo: error: {want}\n")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = tmp_path / "cal.csv"
         p.write_bytes(b"\xef\xbb\xbfforce_n,deflection_mm\n5.0,0.4\n180,14.4\n")
