@@ -8,8 +8,10 @@ its rate at each tick's shank angle (`eval_force_and_rate_array`), the
 feedforward, and the cable's zero-force length and load-cell noise
 (`GaitWorld.cable_columns`). The loop body keeps the recurrence: the
 feedback filter, the PI, the overshoot shed, the envelope, the motor lag,
-the cable length, the force clip, the noise and the tick's log row, whose
-mode code and abort marker record which branch acted. The controller
+the cable length, the force clip and the noise, and keeps per tick only
+the two values nothing else makes, the cable length and the command. The
+stretch's log rows come from those after the loop; their mode code and
+abort marker record which branch acted. The controller
 state lives in locals across the stretch, read before it and written
 back after it, so `on_event` sees the state tick-by-tick evaluation
 leaves. The mode, the engagement, the abort and the release target are
@@ -182,7 +184,7 @@ class Controller:
     # -- per-tick interface --------------------------------------------------
 
     def run(self, cols: np.ndarray, cable: Cable, reading: tuple,
-            log_row: Callable[[tuple], object]) -> tuple:
+            log_row: Callable[[np.ndarray], object]) -> tuple:
         """Run a stretch of ticks with no gait event inside: the controller
         and the cable, the only closed loop (see the module docstring).
 
@@ -193,13 +195,18 @@ class Controller:
         first tick's command sees. Each tick computes the velocity command
         v (mm/s, positive retracts), steps the cable (`plant.Cable`, whose
         v_max is the command envelope too) to the next tick's reading and
-        hands log_row (mode code, f_des, f_meas, f_truth, l_meas, v); the
-        mode code is the mode's index in ControlMode, or ABORT_CODE once
-        the abort has latched, and f_des is the tick's force column value
-        (see the module docstring). Returns the last reading; cable.state
-        holds the motor velocity and the cable length. The state is read
-        once before the stretch and written once after it, as tick-by-tick
-        evaluation leaves it.
+        keeps the two values only the recurrence makes: the cable length
+        and v. After the stretch log_row gets its log rows, one (n, 6)
+        float64 array whose columns are (mode code, f_des, f_meas, f_truth,
+        l_meas, v) per tick; the mode code is the mode's index in
+        ControlMode, or ABORT_CODE once the abort has latched, and f_des is
+        the tick's force column value (see the module docstring). numpy
+        makes the other four columns after the loop (`_loop_rows`), by the
+        loop's own float operations, so each value has the bits the loop
+        fed back. Returns the last reading; cable.state holds the motor
+        velocity and the cable length. The state is read once before the
+        stretch and written once after it, as tick-by-tick evaluation
+        leaves it.
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
         r, k_all = tendon.lever_arm_r, tendon.k_all
@@ -208,8 +215,9 @@ class Controller:
         ic = cfg.integral_clamp
         ceiling, lim = cfg.force_ceiling, cfg.position_limit_mm
         plant, dt, alpha, vm, stiffness, pos_ref = cable
+        neg_ic, neg_lim, neg_vm = -ic, -lim, -vm      # negated once, exactly
         motor_v, l_cable = plant.motor_v, plant.l_cable
-        inf, radians = math.inf, math.radians
+        radians = math.radians
         f_meas, l_meas, l_rate, pos = reading
         df = st.last_theta_df
         mode, engaged, release = st.mode, st.engaged, st.release_target
@@ -222,36 +230,53 @@ class Controller:
             mu, shed_below = p.mu, 0.25 * p.amp
             tier = _STANCE if engaged else _PROBE
         else:
+            f_col = None
             profile = repeat(0.0), repeat(0.0)
             tier = (_PRETIGHTEN if mode is ControlMode.PRETIGHTEN
                     else _IDLE if mode is ControlMode.STANCE else _PI)
         code = _MODE_CODE[mode]
         if st.aborted:
             tier, code = _ABORT, ABORT_CODE
+        codes = [(0, code)]      # (first tick, mode code) of each change
         swing = mode is ControlMode.SWING
         target = st.l_swing if swing else release
         l_rest = tendon.baseline_c - tendon.delta_l1
         v_fb, e_int = st.v_fb_state, st.e_l_integral
         f_swing_max = st.f_swing_max
-        for sk, df, sk_rate, df_rate, l_free, noise, f_des, v_ff in zip(
-                *cols.tolist(), *profile):
+        # The cable's envelope of a zero command: 0.0 for any v_max > 0.
+        still = 0.0 if 0.0 < vm else vm
+        still = still if still > neg_vm else neg_vm
+        # The ticks whose reading the guard tests in full (see below).
+        flagged = _flagged(cols, (vm, ceiling, lim, pos_ref, motor_v))
+        rows = []                # (l_cable, v) per tick, flat
+        keep = rows.extend
+        for sk, df, l_free, noise, flag, f_des, v_ff in zip(
+                *cols[:2].tolist(), *cols[4:].tolist(), flagged, *profile):
             # The safety abort latches, with one log line, on a non-finite
             # input or on a reading past the force ceiling or the position
-            # limit. NaN fails every comparison and makes the sum NaN, and
-            # an infinity in any input makes it non-finite.
-            if tier != _ABORT and (
-                    not -inf < (total := f_meas + l_meas + l_rate + pos + sk
-                                + df + sk_rate + df_rate) < inf
-                    or f_meas > ceiling or pos > lim or pos < -lim):
-                if -inf < total < inf:
-                    log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
-                              pos)
-                else:
-                    log.error("safety abort: non-finite input (f, l, rate, "
-                              "pos)=%r (sk, df, sk rate, df rate)=%r",
-                              (f_meas, l_meas, l_rate, pos),
-                              (sk, df, sk_rate, df_rate))
+            # limit (`_trips_the_guard`). That full test runs only on a
+            # flagged tick (`_flagged`), or on a reading past a limit or
+            # whose position is NaN; no other tick can trip it. Such a tick
+            # reads what the loop made of its own last tick, and its angles
+            # and rates, the limits, the envelope, pos_ref and the motor
+            # velocity at the start all lie below 1e300 in magnitude:
+            # - the motor velocity stays within its start and the envelope,
+            #   up to rounding: alpha (in [0, 1], from bind_cable) mixes it
+            #   with a command inside the envelope;
+            # - the position is not NaN and lies within the limit, so the
+            #   cable length is finite and within the limit of pos_ref;
+            # - f_meas, clipped to [0, inf], is at most the ceiling (inf is
+            #   past it).
+            # So each of the eight terms of the sum is below about 2e300,
+            # and the sum is finite.
+            if tier != _ABORT and (flag or f_meas > ceiling
+                                   or not neg_lim <= pos <= lim) and (
+                    _trips_the_guard(
+                        (f_meas, l_meas, l_rate, pos),
+                        (sk, df, *cols[2:4, len(rows) >> 1].tolist()),
+                        ceiling, lim)):
                 tier, code = _ABORT, ABORT_CODE
+                codes.append((len(rows) >> 1, code))
             elif tier == _PROBE and f_meas >= ENGAGE_FORCE:
                 # The engage tick: taut, and only a taut measurement
                 # identifies migration. It goes on as an engaged stance tick.
@@ -287,15 +312,16 @@ class Controller:
                     e = target - l_meas
                     i = e_int + e * dt
                     i = i if i < ic else ic                    # min(ic, i)
-                    e_int = i = i if i > -ic else -ic          # max(-ic, .)
+                    e_int = i = i if i > neg_ic else neg_ic  # max(-ic, .)
                     v = -(kp * e + ki * i - kd * l_rate)
                 # The command envelope, max(-vm, min(vm, v)) written out;
                 # NaN becomes a hold (zero), where min/max would retract.
+                # The cable's envelope leaves its result as it is.
                 if v != v:
-                    v = 0.0
+                    u = v = 0.0
                 else:
                     v = v if v < vm else vm
-                    v = v if v > -vm else -vm
+                    u = v = v if v > neg_vm else neg_vm
             elif tier == _PROBE:
                 # Take up the swing slack, then probe until the cable is
                 # physically taut: the gap to the model tendon's length
@@ -304,13 +330,22 @@ class Controller:
                 v = TIGHTEN_GAIN * (gap - PROBE_MARGIN_MM) + PROBE_RATE
                 v = vm if vm < v else v                  # min(v, vm)
                 v = v if v > PROBE_RATE else PROBE_RATE  # max(PROBE_RATE, .)
+                # The cable's envelope: a v_max below PROBE_RATE clips it.
+                u = v if v < vm else vm
+                u = u if u > neg_vm else neg_vm
             elif tier == _ABORT:
                 # Latched: pay the cable out to the slack reference, then
                 # zero the motor.
-                v = -vm if l_meas < release - 0.5 else 0.0
+                if l_meas < release - 0.5:
+                    u = v = neg_vm
+                else:
+                    v, u = 0.0, still
             elif tier == _PRETIGHTEN:
                 if f_meas < cfg.pretighten_force:
+                    # The cable's envelope, a NaN rate driving at +vm.
                     v = cfg.pretighten_rate
+                    u = v if v < vm else vm
+                    u = u if u > neg_vm else neg_vm
                 else:
                     # Baseline confirmed: back out the zero-force length
                     # from this reading, then walk silently.
@@ -319,23 +354,24 @@ class Controller:
                     target = release = l_meas + RELEASE_SLACK_MM
                     mode = ControlMode.SILENT
                     tier, code = _PI, _MODE_CODE[mode]
-                    v = 0.0
+                    codes.append((len(rows) >> 1, code))
+                    v, u = 0.0, still
             else:
                 log.warning("stance tick without profile parameters; holding")
-                v = 0.0
-            # The cable: the motor envelope (a NaN command drives at +vm),
-            # the motor lag, the cable length, and the force and its
+                v, u = 0.0, still
+            # The cable: u is the command inside the motor envelope (the
+            # cable's max(-vm, min(vm, v)), where a NaN command drives at
+            # +vm); the motor lag, the cable length, and the force and its
             # reading clipped at 0 (NaN reads 0).
-            v_cable = v if v < vm else vm
-            v_cable = v_cable if v_cable > -vm else -vm
-            motor_v += alpha * (v_cable - motor_v)
+            motor_v += alpha * (u - motor_v)
             l_cable -= motor_v * dt
             f_truth = stiffness * (l_free - l_cable)
             f_truth = f_truth if f_truth > 0.0 else 0.0
             f_meas = f_truth + noise
             f_meas = f_meas if f_meas > 0.0 else 0.0
             l_meas, l_rate, pos = l_cable, -motor_v, pos_ref - l_cable
-            log_row((code, f_des, f_meas, f_truth, l_meas, v))
+            keep((l_cable, v))
+        log_row(_loop_rows(rows, codes, f_col, cols[4:], stiffness))
         plant.motor_v, plant.l_cable = motor_v, l_cable
         st.last_theta_df = df
         st.mode, st.release_target = mode, release
@@ -343,3 +379,72 @@ class Controller:
         st.v_fb_state, st.e_l_integral = v_fb, e_int
         st.f_swing_max = f_swing_max
         return f_meas, l_meas, l_rate, pos
+
+
+# The magnitude from which the guard tests a tick in full (`_flagged`):
+# below it, the eight terms of the guard's sum cannot overflow.
+_HUGE = 1e300
+
+
+def _flagged(cols: np.ndarray, scalars: tuple) -> list:
+    """Per tick of a stretch, whether `Controller.run` tests its reading in
+    full: the first tick, whose reading comes from outside the stretch (a
+    fault spike can make it anything); each tick whose shank or DF angle or
+    rate is NaN or of magnitude 1e300 or more; and every tick when one of
+    scalars (the envelope, the limits, the motor-position reference, the
+    motor velocity at the start) is."""
+    if not all(abs(x) < _HUGE for x in scalars):
+        return [True] * cols.shape[1]
+    size = np.abs(cols[:4])
+    if size.max(initial=0.0) < _HUGE:        # NaN fails it too
+        return [True] + [False] * (cols.shape[1] - 1)
+    flagged = ~(size < _HUGE).all(axis=0)
+    flagged[0] = True
+    return flagged.tolist()
+
+
+def _trips_the_guard(reading: tuple, angles: tuple, ceiling: float,
+                     lim: float) -> bool:
+    """Whether the reading (f_meas, l_meas, l_meas_rate, motor_pos) and the
+    tick's (shank, DF, shank rate, DF rate) latch the safety abort: a
+    non-finite input, or a reading past the force ceiling or the position
+    limit. NaN fails every comparison and makes the sum NaN, and an infinity
+    in any input makes it non-finite. Logs the abort's one line."""
+    f_meas, l_meas, l_rate, pos = reading
+    sk, df, sk_rate, df_rate = angles
+    if not -math.inf < (f_meas + l_meas + l_rate + pos + sk + df + sk_rate
+                        + df_rate) < math.inf:
+        log.error("safety abort: non-finite input (f, l, rate, pos)=%r "
+                  "(sk, df, sk rate, df rate)=%r", reading, angles)
+        return True
+    if f_meas > ceiling or pos > lim or pos < -lim:
+        log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas, pos)
+        return True
+    return False
+
+
+def _loop_rows(kept: list, codes: list, f_col: Optional[np.ndarray],
+               cable_cols: np.ndarray, stiffness: float) -> np.ndarray:
+    """A stretch's log rows, (n, 6) float64 (see `Controller.run`), from
+    what its loop kept: (l_cable, v) per tick, flat, and the (first tick,
+    mode code) of each code. f_des is the force column f_col, or zeros
+    outside a stance with params. f_truth = stiffness * (l_free - l_cable)
+    and f_meas = f_truth + noise, each clipped at 0, are the loop's own
+    float operations element by element, so each has the bits the loop fed
+    back (NaN and -0.0 clip to 0.0). The rows are a transposed (6, n)
+    array, whose columns numpy fills one call each."""
+    n = len(kept) >> 1
+    rows = np.empty((6, n))
+    mode, f_des, f_meas, f_truth = rows[:4]
+    for at, code in codes:
+        mode[at:] = code
+    f_des[:] = 0.0 if f_col is None else f_col
+    rows[4:] = np.fromiter(kept, float, 2 * n).reshape(n, 2).T
+    l_free, noise = cable_cols
+    with np.errstate(all="ignore"):     # inf - inf is NaN, silently
+        np.multiply(stiffness, np.subtract(l_free, rows[4], out=f_truth),
+                    out=f_truth)
+        f_truth[~(f_truth > 0.0)] = 0.0
+        np.add(f_truth, noise, out=f_meas)
+    f_meas[~(f_meas > 0.0)] = 0.0
+    return rows.T

@@ -39,7 +39,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -356,7 +356,7 @@ def _condition(rows, ends, tail):
         t, ft, sk, ft_r, sk_r = out.T
         cols = (t.tolist(), ft.tolist(), sk.tolist(), (sk - ft).tolist(),
                 ft_r.tolist(), sk_r.tolist(), (sk_r - ft_r).tolist())
-    samples = map(KinematicSample._make, zip(*cols))
+    samples = map(tuple.__new__, repeat(KinematicSample), zip(*cols))
     if stop == n:
         return samples, np.concatenate((tail, rows))[-2:], None
     return samples, tail, _rejection(rows[stop].tolist(), float(gap[stop]),

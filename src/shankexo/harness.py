@@ -30,26 +30,24 @@ clock is accumulated in bulk, and makes two passes over each block:
    tick's cable step takes the next reading. `Controller.run` runs each
    stretch over its columns: it adds the profile and feedforward columns
    of the stretch's params, and its loop body is the controller's
-   recurrence, the cable's (over the constants `plant.bind_cable` binds
-   once for the run, whose motor envelope is the command's too) and the
-   tick's log row; the cable's reading is the controller's input on the
-   next tick.
+   recurrence and the cable's (over the constants `plant.bind_cable` binds
+   once for the run, whose motor envelope is the command's too); the
+   cable's reading is the controller's input on the next tick. It hands
+   the stretch's loop rows to log_row as one (n, 6) float64 array.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
 raises SignalLossError rather than report fewer strides.
 
 The run log has a row per control tick and the columns of LOG_COLUMNS, as
-float64. Each tick extends a plain list, the block's row buffer, by the six
-values the closed loop makes (mode, f_des_n, f_meas_n, f_truth_n,
-l_cable_mm, v_cmd_mm_s); the stride column is filled between scheduled
-events. After the block's ticks one np.fromiter turns the buffer into
-float64 (each float keeps its bits, -0.0 and NaN payloads included; the
-integer mode code becomes its float), and numpy copies move it and the
-columns the world block already holds, marked "block" below, into the log
-rows, cut to the ticks the loop ran. A list, because `list.extend` of a
-tuple is one C call, where `array("d").extend` converts a tuple one item
-at a time: about 75 ns a tick against 280 ns, the np.fromiter included.
+float64. The closed loop makes six of them (mode, f_des_n, f_meas_n,
+f_truth_n, l_cable_mm, v_cmd_mm_s): `Controller.run` keeps the two only
+its recurrence makes per tick and derives the others per stretch, each
+float with the bits the loop fed back (-0.0 and NaN payloads included;
+the integer mode code becomes its float). The block's list of stretch
+arrays is concatenated into the log rows once, the stride column is
+filled between scheduled events, and numpy copies the columns the world
+block already holds, marked "block" below, cut to the ticks the loop ran.
 
     t_ms, stride       tick time (whole ms, block); gc_index of the last
                        detected foot contact, -1 before the first
@@ -126,6 +124,7 @@ from bisect import insort
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -144,8 +143,9 @@ LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
                "theta_df_deg", "f_des_n", "f_meas_n", "f_truth_n",
                "l_cable_mm", "v_cmd_mm_s", "belt_scale", "perturb_kind", "bio")
 CSV_COLUMNS = [*LOG_COLUMNS[:12], "perturbed"]
-# Log columns the closed loop makes, in the order of a tick's log row, and
-# those copied from the world block, in the order run_scenario copies them.
+# Log columns the closed loop makes, in the order of the columns of the
+# rows Controller.run hands log_row, and those copied from the world block,
+# in the order run_scenario copies them.
 _STRIDE = LOG_COLUMNS.index("stride")
 _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
     "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm", "v_cmd_mm_s")]
@@ -189,6 +189,8 @@ _CSV_TEMPLATE[12, 2:4] = (ord("\r"), ord("\n"))
 # and of the log buffer.
 _STRIDE_PERIODS = 2.2
 STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
+_GRID_STEPS = np.arange(float(STANCE_GRID_POINTS))
+_GRID_STEPS.flags.writeable = False
 # Percent GC of a clean stride's shank angle (ShankByPercentGC), read-only
 _PCT_GRID = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
 _PCT_GRID.flags.writeable = False
@@ -538,8 +540,8 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         schedule = []
         imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
         imu = imu[block.walking[imu]]
-        samples = map(KinematicSample, block.t_sample[imu].tolist(),
-                      *block.frames[imu].T.tolist())
+        samples = map(tuple.__new__, repeat(KinematicSample), zip(
+            block.t_sample[imu].tolist(), *block.frames[imu].T.tolist()))
         for i, sample in zip(imu.tolist(), samples):
             if n_log + i >= stop:
                 break
@@ -571,8 +573,8 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         if held + m > len(log):
             log = np.concatenate((log[:held], np.empty((held + m, width))))
         part = log[held:held + m]
-        rows = []
-        log_row = rows.extend
+        rows = []                 # each stretch's (n, 6) loop rows
+        log_row = rows.append
         cols = np.concatenate((block.frames[:m, _TICK_FRAMES].T,
                                world.cable_columns(block, m)))
         done = 0
@@ -587,8 +589,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             elif at < m:              # the spike; the entry at m ends the block
                 reading = (reading[0] + cfg.fault_spike_n, *reading[1:])
         # The block's own columns, cut to the ticks the loop ran.
-        loop = np.fromiter(rows, float, len(rows))
-        part[:, _LOOP_COLUMNS] = loop.reshape(m, -1)
+        part[:, _LOOP_COLUMNS] = np.concatenate(rows)
         ft, sk, df = block.frames[:, :3].T
         for c, values in zip(_BLOCK_COLUMNS, (
                 block.t_ms, sk, ft, df, block.scale, block.perturb_kind,
@@ -668,19 +669,17 @@ class _StrideReport:
         if peak > 1.0 and bio_seg.max() > 0.0:
             # The stance series, linearly resampled onto one uniform grid
             tt = t[i0:i1]
-            grid = np.linspace(tt[0], tt[-1], STANCE_GRID_POINTS)
+            grid = stance_grid(tt[0], tt[-1])
             bio_g = np.interp(grid, tt, bio_seg)
             try:
                 r_sk = stance_correlation(np.interp(grid, tt, des), bio_g)
             except MetricsError:
                 r_sk = None
             if self.prev_clean is not None and self.prev_duration:
-                ftime = eval_time_profile_array(
-                    params, (tt - fc.t_ms) / self.prev_duration,
-                    self.prev_clean)
                 try:
-                    r_tm = stance_correlation(np.interp(grid, tt, ftime),
-                                              bio_g)
+                    r_tm = stance_correlation(time_comparator(
+                        params, tt, fc.t_ms, self.prev_duration,
+                        self.prev_clean, grid), bio_g)
                 except MetricsError:
                     r_tm = None
 
@@ -699,6 +698,35 @@ class _StrideReport:
             self.prev_clean = ShankByPercentGC(
                 _PCT_GRID, np.interp(_PCT_GRID, pct, sk[i0:i2]))
             self.prev_duration = duration
+
+
+def stance_grid(t0: float, t1: float) -> np.ndarray:
+    """np.linspace(t0, t1, STANCE_GRID_POINTS), by its own formula for a
+    float step (k * ((t1 - t0) / (points - 1)) + t0, the last point t1)
+    without its per-call overhead."""
+    grid = _GRID_STEPS * ((t1 - t0) / (STANCE_GRID_POINTS - 1))
+    grid += t0
+    grid[-1] = t1
+    return grid
+
+
+def time_comparator(params: GaussianParams, tt: np.ndarray, t_fc: float,
+                    prev_duration: float, prev_clean: ShankByPercentGC,
+                    grid: np.ndarray) -> np.ndarray:
+    """The time-based comparator of the stance ticks tt (ms, ascending) at
+    percent GC (tt - t_fc) / prev_duration, linearly resampled onto grid
+    (within [tt[0], tt[-1]]): np.interp(grid, tt, eval_time_profile_array(
+    ...)). np.interp reads, for each grid point, only the two ticks around
+    it (the tick itself at a tick, or at the last one), so the comparator
+    is evaluated at those ticks alone, and the result keeps the bits of the
+    evaluation at every tick (`tests/scalar_reference.py`)."""
+    after = np.searchsorted(tt, grid, side="right")
+    read = np.zeros(len(tt), bool)
+    read[after - 1] = True
+    read[np.minimum(after, len(tt) - 1)] = True
+    ts = tt[read]
+    return np.interp(grid, ts, eval_time_profile_array(
+        params, (ts - t_fc) / prev_duration, prev_clean))
 
 
 def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,

@@ -172,7 +172,7 @@ def _piecewise(x: np.ndarray, knots: tuple, pieces: tuple,
     """
     seg = np.searchsorted(knots, x, side=side)
     cols: list[np.ndarray] = []
-    for i in sorted(set(seg.tolist())):
+    for i in np.flatnonzero(np.bincount(seg)).tolist():
         at = seg == i
         vals = pieces[i](x[at])
         if not cols:

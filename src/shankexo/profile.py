@@ -112,16 +112,25 @@ def eval_force_and_rate_array(p: GaussianParams, theta: np.ndarray,
     """`eval_force_and_rate` over arrays, bit for bit: the same operation
     order, math.exp on each element (np.exp differs in the last bit), and
     no warning where a float operation overflows or makes a NaN."""
+    f, on, th, sigma = _force_array(p, theta)
+    rate = np.zeros_like(theta)
+    with np.errstate(all="ignore"):
+        rate[on] = f[on] * (-(th - p.mu) / (sigma * sigma)) * theta_rate[on]
+    return f, rate
+
+
+def _force_array(p: GaussianParams, theta: np.ndarray) -> tuple:
+    """The force of `eval_force_and_rate_array` alone, and what its rate
+    reads: (f, the support mask, theta on it, each one's sigma)."""
     on = (p.theta_fc < theta) & (theta < p.theta_fo)
     th = theta[on]
     sigma = np.where(th <= p.mu, p.sigma1, p.sigma2)
-    f, rate = np.zeros_like(theta), np.zeros_like(theta)
-    with np.errstate(all="ignore"):
+    f = np.zeros_like(theta)
+    with np.errstate(all="ignore"):     # extreme params overflow
         z = (th - p.mu) / sigma
         f[on] = p.amp * np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
                                     float, len(th))
-        rate[on] = f[on] * (-(th - p.mu) / (sigma * sigma)) * theta_rate[on]
-    return f, rate
+    return f, on, th, sigma
 
 
 def eval_force(p: GaussianParams, theta: float) -> float:
@@ -276,7 +285,9 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     th0 + w * (th1 - th0) (np.interp's order differs), and the Gaussian keeps
     math.exp (np.exp differs in the last bit). So it equals, bit for bit,
     `eval_force` at a bisect interpolation, the scalar form kept in
-    `tests/scalar_reference.py`."""
+    `tests/scalar_reference.py`. Each value depends on its own percent GC
+    alone, so a caller may evaluate only the values it reads; the force
+    is computed without its rate."""
     pts, ths = prev_cycle.pct, prev_cycle.theta
     hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)
     lo = hi - 1
@@ -284,5 +295,5 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     theta = np.where(pct_gc <= pts[0], ths[0],
                      np.where(pct_gc >= pts[-1], ths[-1],
                               ths[lo] + w * (ths[hi] - ths[lo])))
-    f = eval_force_and_rate_array(p, theta, np.zeros_like(theta))[0]
+    f = _force_array(p, theta)[0]
     return np.where((0.0 <= pct_gc) & (pct_gc < 1.0), f, 0.0)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import logging
 import math
 import sys
 from dataclasses import replace
@@ -53,10 +54,11 @@ from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             GaitWorld, PerturbationKind, PerturbationSpec,
                             PlantConfig, PlantState, _ds3, _s3, bind_cable)
 from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
-                              eval_force_and_rate)
+                              eval_force_and_rate, eval_time_profile_array)
 from shankexo.tendon import TendonModel, estimate_migration, tendon_length
 
 CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
+log = logging.getLogger(__name__)
 
 
 # -- gait curves ---------------------------------------------------------------
@@ -185,6 +187,17 @@ def eval_time_profile(p: GaussianParams, pct_gc: float,
     if not (0.0 <= pct_gc < 1.0):
         return 0.0
     return eval_force(p, lookup(prev_cycle, pct_gc))
+
+
+def full_time_comparator(p: GaussianParams, tt: np.ndarray, t_fc: float,
+                         prev_duration: float, prev_cycle: ShankByPercentGC,
+                         grid: np.ndarray) -> np.ndarray:
+    """The time-based comparator evaluated at every stance tick tt (ms),
+    then linearly resampled onto grid: the oracle of
+    `harness.time_comparator`, which evaluates it only at the ticks
+    np.interp reads."""
+    return np.interp(grid, tt, eval_time_profile_array(
+        p, (tt - t_fc) / prev_duration, prev_cycle))
 
 
 # -- metric primitives -----------------------------------------------------------
@@ -338,7 +351,8 @@ MODE_CODE = {m: i for i, m in enumerate(ControlMode)}
 class TickController(Controller):
     """The controller one tick per call, every value read from and written
     to `ControllerState` on every tick: the per-tick bodies `Controller.run`
-    replaced, without their log messages. v_max is the motor envelope (mm/s)
+    replaced, whose only log message is the safety abort's line, tested in
+    full on every tick. v_max is the motor envelope (mm/s)
     that clips its commands, as the cable's clips `run`'s. It holds the
     logged desired force of the last tick in f_des: the profile force on
     stance ticks with params, reset to 0 by the foot-off that leaves
@@ -362,15 +376,25 @@ class TickController(Controller):
              l_meas_rate: float, motor_pos: float, dt: float) -> float:
         st = self.state
         st.last_theta_df = theta_df
-        if not math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
-                             + theta_sk + theta_df + theta_sk_rate
-                             + theta_df_rate):
+        was_aborted = st.aborted
+        finite = math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
+                               + theta_sk + theta_df + theta_sk_rate
+                               + theta_df_rate)
+        if not finite:
             st.aborted = True
         cfg = self.cfg
         lim = cfg.position_limit_mm
         if (st.aborted or f_meas > cfg.force_ceiling
                 or motor_pos > lim or motor_pos < -lim):
             st.aborted = True
+            if not was_aborted and finite:
+                log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
+                          motor_pos)
+            elif not was_aborted:
+                log.error("safety abort: non-finite input (f, l, rate, "
+                          "pos)=%r (sk, df, sk rate, df rate)=%r",
+                          (f_meas, l_meas, l_meas_rate, motor_pos),
+                          (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
             if st.mode is ControlMode.STANCE and st.active_params:
                 self.f_des = eval_force(st.active_params, theta_sk)
             return self._tick_abort(l_meas)
@@ -525,10 +549,10 @@ def loop_cable(state: PlantState, tendon_truth: TendonModel,
 
     def step(cmd_v: float, l_free: float, noise: float = 0.0) -> tuple:
         ctrl.cfg.pretighten_rate = cmd_v
-        row = []
+        rows = []
         reading = ctrl.run(np.array([[0.0]] * 4 + [[l_free], [noise]]),
-                           cable, (0.0,) * 4, row.extend)
-        return (row[3], *reading)
+                           cable, (0.0,) * 4, rows.append)
+        return (float(rows[0][0, 3]), *reading)
     return step
 
 
@@ -539,16 +563,17 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
     """`Controller.run` over one tick, from its shank and DF angles (deg)
     and rates (deg/s) and the cable reading, under the motor envelope v_max
     (mm/s): the tick's log row (mode code, f_des, f_meas, f_truth, l_meas,
-    v), whose v, row[5], is the velocity command in mm/s (positive
+    v), the one row of the stretch's array as a list of floats, whose v,
+    row[5], is the velocity command in mm/s (positive
     retracts). The cable has no stiffness, its motor does not move, and
     nothing reads it. Not a reference: it shows tests a tick's command and
     logged desired force."""
-    row = []
+    rows = []
     ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
                        [theta_df_rate], [0.0], [0.0]]),
              Cable(PlantState(0.0), dt, 0.0, v_max, 0.0, 0.0),
-             (f_meas, l_meas, l_meas_rate, motor_pos), row.extend)
-    return row
+             (f_meas, l_meas, l_meas_rate, motor_pos), rows.append)
+    return rows[0][0].tolist()
 
 
 # -- replay stream reader --------------------------------------------------------

@@ -68,6 +68,43 @@ GOLDEN = {
         dict(activity="lw", scenario="speed-ramp", n_strides=30, seed=2),
         "d9060c9ffcecc55dc02dec81ab545cbcad3ec86126cc638f129844e070c36bf8",
         "fcb4d414778840b6662983c02a14395c4920c2b37cfb35db9d25c2e0c9f41369"),
+    # NaN and infinite spikes abort on spike-abort's tick, by the
+    # non-finite test where 400 N passes the ceiling. The log's f_meas is
+    # the next reading, which no spike reaches, so the bytes are the same.
+    "spike-nan": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=math.nan, fault_spike_t_ms=8600.0),
+        "25e72fea7c9a8007be84f93d51891469fcb57dff33700c4154ceb8b09766d3ee",
+        "ecd475e962b643fc289cd35f56293baac532e2be4721224f29841c9f47182e4e"),
+    "spike-inf": (
+        dict(activity="lw", scenario="steady", n_strides=12, seed=1,
+             fault_spike_n=math.inf, fault_spike_t_ms=8600.0),
+        "25e72fea7c9a8007be84f93d51891469fcb57dff33700c4154ceb8b09766d3ee",
+        "ecd475e962b643fc289cd35f56293baac532e2be4721224f29841c9f47182e4e"),
+    # A spike that lowers the reading, without an abort.
+    "spike-negative": (
+        dict(activity="rd", scenario="steady", n_strides=20, seed=2,
+             fault_spike_n=-50.0, fault_spike_t_ms=7000.0),
+        "b46c4fb524375f97b812679ace8ddc55e4b61a4e9832a6552a7443ff91bb7c1a",
+        "bf13f7a06f116573045381fd5986c87f5d9408259ba63ed15185a964628e36a5"),
+    # An envelope below the probe rate, which the cable alone clips.
+    "v-max-20": (
+        dict(activity="lw", scenario="steady", n_strides=30, seed=1,
+             plant={"v_max": 20.0}),
+        "0e436b9b25918e724d90d5470a977e70b29c9c8fbe764abc98b7b832fe2123c5",
+        "a96b66ada9f58fc3176b3570108fe8956897f791054b8fcdf5ad12129b5f5fef"),
+    # The force-to-velocity map with inertia, under perturbations.
+    "map-m": (
+        dict(activity="lw", scenario="perturb", n_strides=30, seed=1,
+             controller={"map_m": 0.05}),
+        "3c291dad62ef3dfcec7db8985449a6d67722a1214bdcb6b82b338330146a6cee",
+        "cfc2d35cf1edf58b91b8e5d14cb407f071cffa3b52b4a5d1b5d6bc474c6d6f60"),
+    # A noiseless load cell: the noise column is zeros.
+    "noiseless": (
+        dict(activity="lw", scenario="steady", n_strides=30, seed=1,
+             plant={"force_noise_sd": 0.0}),
+        "ebd6bcfc73a5be44bd1655620099be686115cea15f00b07c45d553125b876e2f",
+        "9e406492879da5357c510b9f6bbe6b5f65b608c55423133e322e6c005d2fc4e4"),
 }
 
 

@@ -8,15 +8,22 @@ load-cell noise). `scalar_reference.TickController` reads and writes
 drives it with `reference_cable_step`, the cable one tick at a time. Given
 the same gait events and the same columns, the two must give the same log
 rows, readings, controller state (the tendon model included) and cable
-state after every stretch, and `run` must give the same rows however a
-stretch is cut.
+state after every stretch, and the same safety abort log line; and `run`
+must give the same rows however a stretch is cut.
+
+`run` tests the reading in full only on the ticks it flags, or where the
+reading passes a limit; the scripts put every kind of angle or rate fault
+on the first, a middle and the last tick of a stretch, and an envelope of
+1.1e300 flags every tick.
 """
 
 import dataclasses
+import logging
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as hs
 
 from shankexo import controller
@@ -61,13 +68,17 @@ def snapshot(ctrl: Controller, plant: PlantState) -> list:
 
 # -- scripts: gait events and stretches of ticks --------------------------------
 
-# Inputs that fire a guard: a non-finite angle or rate, finite angles and
-# rates whose sum overflows in the guard's order (and in no order that
-# pairs them off), a zero-force length that is non-finite or far past the
-# force ceiling (inf reads an infinite force; NaN and -inf read 0), a
-# non-finite noise draw.
-FAULTS = (dict(sk=math.nan), dict(df=math.inf), dict(sk_rate=-math.inf),
-          dict(df_rate=math.nan),
+# An angle or rate that fires the guard (NaN, an infinity), one just below
+# the magnitude from which `run` flags its tick (9.9e299), and one just
+# past it (1.1e300); the channels of the four.
+CHANNEL_FAULTS = (math.nan, math.inf, -math.inf, 9.9e299, 1.1e300)
+CHANNELS = ("sk", "df", "sk_rate", "df_rate")
+# Inputs that fire a guard or border on `run`'s flags: each channel fault in
+# each channel, finite angles and rates whose sum overflows in the guard's
+# order (and in no order that pairs them off), a zero-force length that is
+# non-finite or far past the force ceiling (inf reads an infinite force;
+# NaN and -inf read 0), a non-finite noise draw.
+FAULTS = (*({c: x} for c in CHANNELS for x in CHANNEL_FAULTS),
           dict(sk=1e308, df=1e308, sk_rate=-1e308, df_rate=-1e308),
           dict(l_free=math.inf),
           dict(l_free=-math.inf), dict(l_free=math.nan), dict(l_free=400.0),
@@ -99,8 +110,12 @@ events = hs.builds(lambda kind, gc, params: ("event", GaitEvent(kind, 0.0, gc),
                    hs.sampled_from([FC, FO]), hs.integers(0, 4),
                    hs.sampled_from([None, PARAMS, OTHER_PARAMS]))
 stretches = hs.builds(lambda s: ("ticks", s), hs.lists(ticks(), max_size=25))
-scripts = hs.lists(hs.one_of(events, stretches, stretches), min_size=1,
-                   max_size=12)
+# A fault spike added to the force reading the next stretch's first tick
+# sees, as the harness adds fault_spike_n.
+spikes = hs.builds(lambda x: ("spike", x), hs.sampled_from(
+    [400.0, -50.0, math.nan, math.inf, -math.inf]))
+scripts = hs.lists(hs.one_of(events, stretches, stretches, spikes),
+                   min_size=1, max_size=12)
 # The cable's start: at rest at the reference, or off it, past the position
 # limit (+-80 mm about the reference) or not a number.
 starts = hs.tuples(
@@ -166,39 +181,68 @@ CEILING_IN_SWING = START + [
 # then a force past the ceiling aborts the silent walking
 CONFIRM_THEN_CEILING = [("ticks", [*hold(40, L_START - 0.2),
                                    tick(0.0, 400.0), *hold(3, L_START)])]
+# a NaN spike on the reading an engaged stance stretch starts from
+SPIKE_IN_STANCE = START + [("spike", math.nan), ("ticks", hold(3, L_START))]
+
+
+class ErrorLines(logging.Handler):
+    """The messages of the error records the root logger passes on."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
 
 
 def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
     """Apply the script's events and run its stretches with `loop` (the
     loop under test, or the reference), each cut before the tick offsets in
-    `cuts`. Returns the rows, and the reading and state after each
-    stretch."""
+    `cuts`. Returns the rows, the reading and state after each stretch,
+    and the error lines logged (the safety abort's)."""
     l_cable, motor_v = start
     plant = PlantState(l_cable=l_cable, motor_v=motor_v)
     reading = (0.0, l_cable, -motor_v, L_START - l_cable)
     rows, after = [], []
-    for item in script:
-        if item[0] == "event":
-            ctrl.on_event(item[1], new_params=item[2])
-            continue
-        stretch = item[1]
-        bounds = [0, *sorted({c for c in cuts if 0 < c < len(stretch)}),
-                  len(stretch)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            reading = loop(ctrl, stretch[lo:hi], plant, plant_cfg, reading,
-                           noisy, rows.extend)
-        after.append(keys(reading) + snapshot(ctrl, plant))
-    return keys(rows), after
+    errors = ErrorLines()
+    logging.getLogger().addHandler(errors)
+    try:
+        for item in script:
+            if item[0] == "event":
+                ctrl.on_event(item[1], new_params=item[2])
+                continue
+            if item[0] == "spike":
+                reading = (reading[0] + item[1], *reading[1:])
+                continue
+            stretch = item[1]
+            bounds = [0, *sorted({c for c in cuts if 0 < c < len(stretch)}),
+                      len(stretch)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                reading = loop(ctrl, stretch[lo:hi], plant, plant_cfg,
+                               reading, noisy, rows.extend)
+            after.append(keys(reading) + snapshot(ctrl, plant))
+    finally:
+        logging.getLogger().removeHandler(errors)
+    return keys(rows), after, errors.lines
 
 
 def new_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
     """`Controller.run` over the stretch's columns; the noise column is
-    force_noise_sd times the draws when the reading is noisy, else 0."""
+    force_noise_sd times the draws when the reading is noisy, else 0. The
+    stretch's (n, 6) float64 rows reach log_row one tick at a time, as the
+    reference logs them: the mode code, a whole number, as an int."""
     cols = np.array(stretch, dtype=float).reshape(-1, 6).T
     sd = plant_cfg.force_noise_sd
     cols[5] = sd * cols[5] if noisy and sd > 0.0 else 0.0
+
+    def flatten(rows):
+        assert rows.dtype == np.float64 and rows.shape == (len(stretch), 6)
+        for code, *values in rows.tolist():
+            assert code.is_integer()
+            log_row((int(code), *values))
     return ctrl.run(cols, bind_cable(plant, TRUTH, plant_cfg, DT), reading,
-                    log_row)
+                    flatten)
 
 
 def per_tick_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
@@ -216,12 +260,14 @@ def make(cls, map_m, *envelope):
                TendonModel(50.0, 12.5, 300.0), *envelope)
 
 
-# The motor envelope: the default, one between, and two below the probe
-# and pretighten rates, whose commands only the cable clips.
+# The motor envelope: the default, one between, two below the probe and
+# pretighten rates, whose commands only the cable clips, and one from which
+# `run` tests every tick in full.
 @settings(max_examples=200, deadline=None)
 @given(script=scripts, map_m=hs.sampled_from([0.0, 0.05]),
        plant_cfg=hs.builds(PlantConfig,
-                           v_max=hs.sampled_from([250.0, 120.0, 60.0, 20.0]),
+                           v_max=hs.sampled_from([250.0, 120.0, 60.0, 20.0,
+                                                  1.1e300]),
                            force_noise_sd=hs.sampled_from([0.0, 0.2])),
        start=starts, noisy=hs.booleans(),
        cuts=hs.lists(hs.integers(1, 24), max_size=4))
@@ -240,6 +286,18 @@ def make(cls, map_m, *envelope):
 @example(script=CONFIRM_THEN_CEILING, map_m=0.0,
          plant_cfg=PlantConfig(v_max=20.0), start=(L_START, 0.0), noisy=True,
          cuts=[])
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(v_max=1.1e300),
+         start=(L_START, 0.0), noisy=True, cuts=[2, 5])
+@example(script=SPIKE_IN_STANCE, map_m=0.0, plant_cfg=PlantConfig(),
+         start=(L_START, 0.0), noisy=True, cuts=[1])
+# Envelopes no config admits, where the cable's envelope of a zero command
+# is not zero.
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(v_max=0.0),
+         start=(L_START, 0.0), noisy=True, cuts=[])
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(v_max=-5.0),
+         start=(L_START, 0.0), noisy=True, cuts=[])
+@example(script=NOMINAL, map_m=0.0, plant_cfg=PlantConfig(v_max=math.nan),
+         start=(L_START, 0.0), noisy=True, cuts=[])
 def test_run_equals_the_per_tick_reference(script, map_m, plant_cfg, start,
                                            noisy, cuts):
     want = run_script(make(TickController, map_m, plant_cfg.v_max), script,
@@ -248,6 +306,61 @@ def test_run_equals_the_per_tick_reference(script, map_m, plant_cfg, start,
                       start, noisy) == want
     assert run_script(make(Controller, map_m), script, new_loop, plant_cfg,
                       start, noisy, cuts) == want
+
+
+def channel_fault_script(lead, channel, value, at):
+    """START, then a stretch of 7 ticks in engaged stance (lead "stance")
+    or in swing (lead "swing") whose tick `at` holds value in channel."""
+    stretch = []
+    for k in range(7):
+        kw = dict(sk=-9.0 + k, l_free=L_START + 3.0)
+        if k == at:
+            kw[channel] = value
+        stretch.append(tick(**kw))
+    return START + ([event(FO, 2)] if lead == "swing" else []) + [
+        ("ticks", stretch)]
+
+
+@pytest.mark.parametrize("lead, v_max", [("stance", 250.0), ("swing", 250.0),
+                                         ("stance", 1.1e300)])
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("value", CHANNEL_FAULTS)
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_a_channel_fault_aborts_as_the_reference(channel, value, at, lead,
+                                                 v_max, caplog):
+    # The first tick of a stretch is flagged, the others only by their own
+    # angles and rates (or, at an envelope of 1.1e300, all of them).
+    script = channel_fault_script(lead, channel, value, at)
+    plant_cfg = PlantConfig(v_max=v_max)
+    want = run_script(make(TickController, 0.0, v_max), script,
+                      per_tick_loop, plant_cfg, (L_START, 0.0), True)
+    caplog.clear()
+    assert run_script(make(Controller, 0.0), script, new_loop, plant_cfg,
+                      (L_START, 0.0), True) == want
+    aborts = [r.getMessage() for r in caplog.records
+              if r.name == controller.__name__ and r.levelno == logging.ERROR]
+    assert aborts == want[2]
+    if v_max == 250.0:      # only a non-finite value aborts, on its tick
+        assert len(aborts) == (not math.isfinite(value))
+
+
+def test_a_limit_of_1e300_or_more_tests_every_tick():
+    # Pretighten pays out at an envelope near the float range with a
+    # position limit of 1e308: the cable length and its rate, both within
+    # the limits, overflow the guard's sum, which only the full test sees.
+    cfg = dict(pretighten_force=math.inf, pretighten_rate=-1.5e308,
+               position_limit_mm=1e308)
+    plant_cfg = PlantConfig(v_max=1.5e308)
+    script = [("ticks", hold(400, L_START))]
+    want = run_script(TickController(ControllerConfig(**cfg),
+                                     TendonModel(50.0, 12.5, 300.0),
+                                     plant_cfg.v_max),
+                      script, per_tick_loop, plant_cfg, (L_START, 0.0), True)
+    assert want[2] and "non-finite" in want[2][0]
+    assert run_script(Controller(ControllerConfig(**cfg),
+                                 TendonModel(50.0, 12.5, 300.0)),
+                      script, new_loop, plant_cfg, (L_START, 0.0),
+                      True) == want
 
 
 def test_the_scripts_reach_every_mode():

@@ -402,16 +402,16 @@ class TestRunScenario:
 
     def test_log_table_holds_the_loop_rows_bit_for_bit(self, tmp_path,
                                                        monkeypatch):
-        # A 3-stride run is two world blocks. Controller.run hands its rows
-        # to a recording log_row, which makes f_truth -0.0 now and then in
-        # the first block, and in the second block one NaN f_meas with a NaN
-        # f_truth of another payload, on the tick whose zero-force length
-        # is made infinite (its infinite reading aborts the run). The table
-        # is the rows each block hands the printer.
+        # A 3-stride run is two world blocks. Controller.run hands each
+        # stretch's rows to a recording log_row, which makes f_truth -0.0
+        # now and then in the first block, and in the second block one NaN
+        # f_meas with a NaN f_truth of another payload, on the tick whose
+        # zero-force length is made infinite (its infinite reading aborts
+        # the run). The table is the rows each block hands the printer.
         payload_nan = struct.unpack("<d", struct.pack("<Q",
                                                       0x7FF8_0000_DEAD_BEEF))[0]
         nan_tick = BLOCK_TICKS + 300
-        rows, blocks, n_row = [], [], [0]
+        rows, stretches, blocks, n_row = [], [], [], [0]
         run, print_rows = Controller.run, harness.Artifacts.print
 
         def recording_run(self, cols, cable, reading, log_row):
@@ -420,14 +420,15 @@ class TestRunScenario:
                 cols = cols.copy()
                 cols[4, at] = math.inf
 
-            def record(row):
-                n_row[0] += 1
-                if n_row[0] == nan_tick:
-                    row = (*row[:2], math.nan, payload_nan, *row[4:])
-                elif n_row[0] % 500 == 0:
-                    row = (*row[:3], -0.0, *row[4:])
-                rows.append(row)
-                log_row(row)
+            def record(loop):
+                stretches.append(loop)
+                tick = np.arange(n_row[0] + 1, n_row[0] + 1 + len(loop))
+                n_row[0] += len(loop)
+                loop = loop.copy()
+                loop[tick % 500 == 0, 3] = -0.0
+                loop[tick == nan_tick, 2:4] = (math.nan, payload_nan)
+                rows.extend(loop.tolist())
+                log_row(loop)
             return run(self, cols, cable, reading, record)
 
         def keep_rows(self, block):
@@ -441,7 +442,9 @@ class TestRunScenario:
         table = np.concatenate(blocks)
         assert report.aborted and BLOCK_TICKS < len(table) < 2 * BLOCK_TICKS
         assert len(rows) == len(table)
-        assert all(type(row[0]) is int for row in rows)
+        assert all(loop.dtype == np.float64 and loop.shape[1:] == (6,)
+                   for loop in stretches)
+        assert all(row[0].is_integer() for row in rows)
         assert {row[0] for row in rows} >= {0, ABORT_CODE}
         want = np.array([[struct.pack("<d", v) for v in row] for row in rows])
         loop = table[:, [LOG_COLUMNS.index(c) for c in (

@@ -9,8 +9,11 @@ from shankexo.profile import (EstimationSkipped, GaussianParams, ParameterError,
                               ShankByPercentGC, eval_force, eval_force_rate,
                               extract_raw, feature_targets)
 from shankexo.profile import eval_time_profile_array
+from shankexo.harness import (STANCE_GRID_POINTS, MetricsError,
+                              stance_correlation, stance_grid,
+                              time_comparator)
 from hypothesis import given, settings, strategies as hs
-from scalar_reference import eval_time_profile
+from scalar_reference import eval_time_profile, full_time_comparator
 
 TABLE_PARAMS = GaussianParams(amp=150.0, mu=15.0, sigma1=10.0, sigma2=5.0,
                               theta_fc=-25.0, theta_fo=40.0)
@@ -258,3 +261,46 @@ def test_time_profile_array_equals_scalar(seed, n_grid):
     want = [eval_time_profile(p, float(x), prev) for x in pct]
     np.testing.assert_array_equal(got.view(np.int64),
                                   np.array(want).view(np.int64))
+
+
+def outcome(f, *args):
+    """f(*args) by its bits, or the MetricsError type it raised."""
+    try:
+        return np.float64(f(*args)).view(np.int64)
+    except MetricsError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(10, 400),
+       t_fc=hs.floats(1000.0, 200_000.0), lag=hs.floats(0.0, 1.0),
+       ratio=hs.floats(0.25, 2.5))
+def test_sparse_time_comparator_equals_the_full_one(seed, n, t_fc, lag,
+                                                    ratio):
+    """The report's comparator, evaluated only at the ticks np.interp reads,
+    gives the bits of the one evaluated at every stance tick, and so the
+    same pearson_time. The stance's ticks are whole ms apart from up to a
+    tick after foot contact; the previous cycle lasted ratio times the
+    stance, so a stance longer than it reads 0 past pct 1."""
+    rng = np.random.default_rng(seed)
+    tt = t_fc + lag + np.arange(float(n))
+    prev_duration = ratio * n
+    pct = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
+    prev = ShankByPercentGC(pct, np.cumsum(rng.uniform(-1.0, 3.0, len(pct)))
+                            - 15.0)
+    mu = float(rng.uniform(-5.0, 20.0))
+    p = GaussianParams(float(rng.uniform(50.0, 150.0)), mu,
+                       float(rng.uniform(1.0, 15.0)),
+                       float(rng.uniform(1.0, 10.0)),
+                       mu - float(rng.uniform(1.0, 30.0)),
+                       mu + float(rng.uniform(1.0, 30.0)))
+    grid = stance_grid(tt[0], tt[-1])
+    want_grid = np.linspace(tt[0], tt[-1], STANCE_GRID_POINTS)
+    np.testing.assert_array_equal(grid.view(np.int64),
+                                  want_grid.view(np.int64))
+    got = time_comparator(p, tt, t_fc, prev_duration, prev, grid)
+    want = full_time_comparator(p, tt, t_fc, prev_duration, prev, grid)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    bio = np.interp(grid, tt, np.sin(np.linspace(0.0, np.pi, n)) ** 2)
+    assert (outcome(stance_correlation, got, bio)
+            == outcome(stance_correlation, want, bio))
