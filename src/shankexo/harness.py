@@ -72,7 +72,8 @@ bound's allowance and grows only when a stride outlasts that, so a run's
 memory does not grow with its length. Once the block's rows are in the
 buffer they are final:
 
-- timeseries.csv gets them, _CSV_CHUNK rows at a time.
+- The printer process gets them through a pipe and prints them to
+  timeseries.csv, _CSV_CHUNK rows at a time, while the run goes on.
 - Each stride n whose foot contact n + 1 is detected is reported
   (`_StrideReport`). It reads only the rows from foot contact n to foot
   contact n + 1 and the shank curve of the last clean stride before it,
@@ -81,14 +82,18 @@ buffer they are final:
 
 The aggregates and the convergence stride come at the end, from the
 per-stride metrics and params (`_build_report`). The artifacts are written
-under temporary names in output_dir, timeseries.csv from the run's start,
-and renamed into place once summary.json is written; a run that raises
-leaves neither the files nor their temporaries.
+under temporary names in output_dir and renamed into place once both are
+complete. timeseries.csv is printed by a printer process that `Artifacts`
+forks at the run's start (`os.fork`; the run starts no thread), so the
+printing overlaps the run. write_artifacts writes summary.json while the
+printer drains, reaps it and only then renames both files. A printer that
+fails or is killed fails the run with OSError; a run that raises leaves
+neither the files nor their temporaries, nor a process.
 
 The report slices its columns. timeseries.csv holds the first twelve, the
 mode by name, and `perturbed` = (perturb_kind != 0), in the format of
 _CSV_ROW: t_ms as %.1f, stride as %d, the nine values as %.6f. The printer
-(`Artifacts.print`) prints _CSV_CHUNK rows at a time with numpy array
+process (`_printer`) prints _CSV_CHUNK rows at a time with numpy array
 operations, to the bytes one `_CSV_ROW %` per row gives (`_csv_rows`, the
 reference), so the bytes do not depend on where chunks are cut:
 
@@ -103,10 +108,9 @@ reference), so the bytes do not depend on where chunks are cut:
   the same integer unless a .5 boundary lies within half an ulp of the
   product. Below the budget the ulp is at most 1/64, so every .5 boundary
   is a float on the product's grid: one that the product does not sit on
-  lies at least one ulp away, twice the error. The guard takes the half
-  ulp, np.spacing(|x * 10**N|) / 2, as the limit: a product that close to
-  a .5 boundary, which here means a product that is one, is not printed
-  this way.
+  lies at least one ulp away, twice the error. So the guard is an exact
+  tie, |x * 10**N - n| == 0.5 (the difference is exact there): a product
+  that is a .5 boundary is not printed this way.
 - A chunk goes through `_csv_rows` when any of its rows has such a field,
   a non-finite value, a magnitude of 1e8 - 1 or more, a non-integer stride
   or a mode index outside MODES. Both paths give the same bytes; the
@@ -327,14 +331,31 @@ _OVERRIDE_TYPES = {
         x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
 }
 
-# The overrides that zero or less breaks. The run divides by or scales
-# with the tendon model's, the motor lag and the force-to-velocity map
-# gain: zero raises (in TendonModel, bind_cable or mid-run). Zero leaves
-# the motor envelope empty and the pretighten rate still (pretighten never
-# confirms), and a negative value inverts them.
-_POSITIVE_OVERRIDES = frozenset({
-    "controller.map_b", "controller.pretighten_rate", "plant.lever_arm_r",
-    "plant.k_all", "plant.baseline_c", "plant.motor_tau_s", "plant.v_max"})
+# The overrides that a value below zero breaks, each with whether zero
+# itself is allowed:
+# - The run divides by or scales with the tendon model's, the motor lag and
+#   the force-to-velocity map gain: zero raises (in TendonModel, bind_cable
+#   or mid-run). Zero leaves the motor envelope empty and the pretighten
+#   rate still (pretighten never confirms), and a negative value inverts
+#   them.
+# - A pretighten force of zero or less confirms the tendon baseline on the
+#   slack cable, whose reading of 0 is never below it.
+# - A negative load-cell noise sd is read as no noise, a negative map
+#   inertia as the static map; a negative integral clamp pins the swing
+#   integral at the wrong sign, and a negative damping gain drives the
+#   swing cable against the shank (a swing peak of 19 N at kd = -1.8).
+#   Zero is each one's own setting: no noise, no inertia, no integral, no
+#   damping.
+_OVERRIDE_ZERO_ALLOWED = {
+    **dict.fromkeys((
+        "controller.map_b", "controller.pretighten_rate",
+        "controller.pretighten_force", "plant.lever_arm_r", "plant.k_all",
+        "plant.baseline_c", "plant.motor_tau_s", "plant.v_max"),
+        False),
+    **dict.fromkeys((
+        "controller.kd", "controller.map_m", "controller.integral_clamp",
+        "plant.force_noise_sd"), True),
+}
 
 
 # How far below the controller's force_ceiling the profile peak must stay.
@@ -405,9 +426,12 @@ class ScenarioConfig:
                 if not fits(value):
                     raise ConfigError(f"{group}.{key} must be {what}, not "
                                       f"{value!r}")
-                if f"{group}.{key}" in _POSITIVE_OVERRIDES and not value > 0:
-                    raise ConfigError(f"{group}.{key} must be positive, not "
-                                      f"{value!r}")
+                zero = _OVERRIDE_ZERO_ALLOWED.get(f"{group}.{key}")
+                if zero is not None and not (value >= 0 if zero else value > 0):
+                    raise ConfigError(
+                        f"{group}.{key} must "
+                        f"{'not be negative' if zero else 'be positive'}, "
+                        f"not {value!r}")
         peak = self.amp_fraction * self.body_weight
         ceiling = self.controller.get("force_ceiling",
                                       ControllerConfig.force_ceiling)
@@ -830,8 +854,7 @@ def _csv_block(rows: np.ndarray) -> bytes:
     mode = n[:, 2]
     if not (inside.all() and (scaled[:, 1:3] == n[:, 1:3]).all()
             and (mode >= 0).all() and (mode < len(MODES)).all()
-            and (np.abs(np.abs(scaled - n) - 0.5)
-                 > np.spacing(np.abs(scaled)) * 0.5).all()):
+            and (np.abs(scaled - n) != 0.5).all()):
         return _csv_rows(rows)
     mode = mode.astype(np.intp)
     whole, frac = np.divmod(np.abs(n).astype(np.int64), _CSV_SCALE)
@@ -862,52 +885,153 @@ _ARTIFACTS = ("timeseries.csv", "summary.json")
 
 class Artifacts:
     """A run's artifact files in out_dir, under temporary names until
-    write_artifacts renames them into place. timeseries.csv is open from
-    the start, and `print` adds log rows to it as they become final.
-    Leaving the `with` block removes what is still under a temporary name,
-    so a run that raises leaves no artifact and no temporary file."""
+    write_artifacts renames them into place.
+
+    timeseries.csv is printed by a printer process that the constructor
+    forks, so the printing overlaps the run. The parent creates the
+    temporary file first and the printer writes the header and the rows to
+    the descriptor it inherits. `print` hands the printer log rows through
+    a pipe: per call, the row count as 8 bytes, then the rows as they lie
+    in memory, (m, 14) float64 in C order. EOF on the pipe ends the rows.
+    The printer keeps only fds 0-2, its pipe end, its status pipe and the
+    CSV, so a printer forked later holds no pipe end of this one, and it
+    leaves only through os._exit. Its failure comes back as one message on
+    the status pipe: a failed or killed printer makes the run raise
+    OSError, at the next `print` or in write_artifacts.
+
+    Leaving the `with` block reaps the printer and removes what is still
+    under a temporary name, so a run that raises leaves no artifact, no
+    temporary file and no process."""
 
     def __init__(self, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
-        self.csv = open(os.path.join(out_dir, "timeseries.csv" + _PARTIAL),
-                        "wb")
-        self.csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+        path = os.path.join(out_dir, "timeseries.csv" + _PARTIAL)
+        fds = [os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)]
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self._pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            os.remove(path)
+            raise
+        csv, rows_r, self._rows, self._status, status_w = fds
+        if self._pid == 0:
+            _printer(rows_r, status_w, csv)       # never returns
+        for fd in (csv, rows_r, status_w):
+            os.close(fd)
+        # Room for two blocks in the pipe (Linux; the default is 64 KiB),
+        # so a block's hand-over waits for the printer only when it is that
+        # far behind.
+        import fcntl
+        with suppress(AttributeError, OSError):
+            fcntl.fcntl(self._rows, fcntl.F_SETPIPE_SZ, 1 << 20)
 
     def print(self, rows: np.ndarray) -> None:
-        """Add the rows of the run log `rows` to timeseries.csv,
-        _CSV_CHUNK rows at a time.
+        """Hand the rows of the run log `rows` to the printer, which adds
+        them to timeseries.csv _CSV_CHUNK rows at a time (`_csv_block`, see
+        the module docstring)."""
+        if not len(rows):
+            return
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        try:
+            _send(self._rows, len(rows).to_bytes(8, "little"))
+            _send(self._rows, memoryview(rows).cast("B"))
+        except BrokenPipeError:
+            self.wait()        # raises the printer's failure
+            raise
 
-        A chunk's fields are printed from n = rint(x * 10**decimals)
-        through 4-digit ASCII group tables. The bytes equal one `_CSV_ROW %`
-        per row, so they do not depend on where chunks are cut: rint and
-        `%` round alike wherever the product lies farther than half its ulp
-        from a .5 boundary. A chunk holding a non-finite value, a magnitude
-        of 1e8 - 1 or more, a non-integer stride or mode index, or a
-        product that near a .5 boundary is printed by `_csv_rows` instead
-        (see the module docstring).
-        """
-        for i in range(0, len(rows), _CSV_CHUNK):
-            self.csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
+    def end_rows(self) -> None:
+        """Close the printer's pipe: EOF ends its rows."""
+        if self._rows >= 0:
+            os.close(self._rows)
+            self._rows = -1
+
+    def wait(self) -> None:
+        """End the rows and reap the printer; raise OSError if it failed
+        or was killed."""
+        self.end_rows()
+        if not self._pid:
+            return
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = 0
+        with open(self._status, "rb") as fh:
+            message = fh.read().decode()
+        code = os.waitstatus_to_exitcode(status)
+        if message:
+            err, _, text = message.partition("\n")
+            text = f"timeseries.csv printer: {text}"
+            raise OSError(int(err), text) if int(err) else OSError(text)
+        if code < 0:
+            from signal import Signals
+            raise OSError(f"timeseries.csv printer killed by "
+                          f"{Signals(-code).name}")
+        if code:
+            raise OSError(f"timeseries.csv printer exited with {code}")
 
     def __enter__(self) -> Artifacts:
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.csv.close()
-        for name in _ARTIFACTS:
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(self.out_dir, name + _PARTIAL))
+    def __exit__(self, exc_type, *exc) -> None:
+        try:
+            self.wait()
+        except OSError:
+            if exc_type is None:
+                raise        # else the run's own exception goes on
+        finally:
+            for name in _ARTIFACTS:
+                with suppress(FileNotFoundError):
+                    os.remove(os.path.join(self.out_dir, name + _PARTIAL))
+
+
+def _send(fd: int, data) -> None:
+    """Write all of `data` to the pipe fd."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _printer(rows_fd: int, status_fd: int, csv_fd: int) -> None:
+    """The printer process: print the rows read from rows_fd to csv_fd
+    until EOF, report a failure on status_fd as its errno (0 for an error
+    without one) and one line, and leave through os._exit."""
+    code = 1
+    try:
+        keep = sorted((rows_fd, status_fd, csv_fd))
+        for lo, hi in zip([2, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
+            os.closerange(lo + 1, hi)
+        with open(rows_fd, "rb") as pipe, open(csv_fd, "wb") as csv:
+            csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+            while head := pipe.read(8):
+                rows = np.empty((int.from_bytes(head, "little"),
+                                 len(LOG_COLUMNS)))
+                if pipe.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                    raise EOFError("the rows ended within a block")
+                for i in range(0, len(rows), _CSV_CHUNK):
+                    csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
+        code = 0
+    except BaseException as exc:    # the process ends below either way
+        if isinstance(exc, OSError) and exc.errno:
+            err, text = exc.errno, exc.strerror
+        else:
+            err, text = 0, f"{type(exc).__name__}: {exc}"
+        with suppress(OSError):
+            os.write(status_fd, f"{err}\n{' '.join(text.split())}".encode())
+    finally:
+        os._exit(code)
 
 
 def write_artifacts(out_dir: str, artifacts: Artifacts,
                     report: MetricsReport) -> None:
-    """Write summary.json, then rename it and timeseries.csv, as
-    `artifacts` printed it, into place in out_dir."""
-    artifacts.csv.close()
+    """Write summary.json while the printer finishes timeseries.csv; once
+    it has, rename both into place in out_dir."""
+    artifacts.end_rows()
     with open(os.path.join(out_dir, "summary.json" + _PARTIAL), "w") as fh:
         json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
+    artifacts.wait()
     for name in _ARTIFACTS:
         path = os.path.join(out_dir, name)
         os.replace(path + _PARTIAL, path)

@@ -47,10 +47,9 @@ sharpness and the sway). Where it does not (`exp`, `np.power`,
 `round(x, ndigits)`) the scalar Python operation stays: `math.exp` for
 migration. The ramp's clamped steps are an accumulation clipped at the
 target, and the window's triangle is `np.minimum` of its two sides. The
-sample time is `round(t * 1000.0, 6)`. Within 4e-7 ms of a whole ms that
-is the whole ms exactly, so when every tick of a block is that close the
-block takes it from the one `np.rint` that also makes the log's clock; a
-clock that has drifted further is rounded tick by tick.
+sample time is `round(t * 1000.0, 6)`, which `_sample_clock` computes as
+np.rint(x * 1e6) / 1e6 and leaves to `round` only at the exact ties of
+x * 1e6 and where |x * 1e6| >= 2**52.
 
 Cable. Only the cable's velocity state and length form a loop with the
 controller, so the plant splits in two. The open-loop part is columns
@@ -565,16 +564,25 @@ def _sample_clock(t_s) -> tuple[np.ndarray, np.ndarray]:
     """(log clock, sample time) of tick times in s: np.rint(t * 1000.0), the
     whole ms, and round(t * 1000.0, 6), the KinematicSample time.
 
-    Within 4e-7 ms of a whole ms, round(x, 6) is that whole ms exactly (the
-    exact binary value rounds to it at six decimals, and a whole number is a
-    float), so when every tick is that close the rint column serves as both.
-    A clock that has drifted further rounds tick by tick.
+    `round` rounds the exact binary value of x = t * 1000.0 at six decimals,
+    half to even. The product p = x * 1e6 is off the exact one by at most
+    half its ulp, and below 2**52 every .5 boundary is a float on p's grid,
+    so a p that is not one rounds by rint as the exact value does; the
+    integer n = rint(p) is exact, and n / 1e6 is the correctly rounded float
+    that `round` returns. Only the finite ticks whose p is an exact tie or
+    has |p| >= 2**52 round by `round`; a non-finite x is its own n / 1e6.
     """
     ms = np.asarray(t_s) * 1000.0
-    t_ms = np.rint(ms)
-    if abs(ms - t_ms).max() <= 4e-7:    # NaN fails it too
-        return t_ms, t_ms
-    return t_ms, np.array([round(x, 6) for x in ms.tolist()])
+    # p overflows past 1.8e302 ms, and p - n is inf - inf at an infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = ms * 1e6
+        n = np.rint(p)
+        odd = np.flatnonzero(((np.abs(p - n) == 0.5) | (np.abs(p) >= 2.0**52))
+                             & np.isfinite(ms))
+    t_sample = n / 1e6
+    if len(odd):
+        t_sample[odd] = [round(x, 6) for x in ms[odd].tolist()]
+    return np.rint(ms), t_sample
 
 
 def _first(mask: np.ndarray) -> int:

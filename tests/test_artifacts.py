@@ -373,8 +373,8 @@ def near_tie_values(n: int, seed: int) -> np.ndarray:
 
 
 def test_values_near_1e7_take_the_array_path(monkeypatch):
-    # The tie guard is half the product's ulp (1/1024 at 1e13), so products
-    # one to four ulps from a .5 boundary print from rint. A guard of
+    # The tie guard is an exact tie, so products one to four ulps (1/512
+    # to 1/128 at 1e13) from a .5 boundary print from rint. A guard of
     # |x * 1e6| * 2**-50 (0.008 to 0.01 there) caught every one of them.
     log = typical_log(2 * CHUNK, seed=7)
     log[:, 3:12] = near_tie_values(log[:, 3:12].size, seed=7).reshape(-1, 9)

@@ -1,7 +1,10 @@
+import errno
 import json
 import math
 import os
+import signal
 import struct
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -14,9 +17,10 @@ from shankexo.controller import ABORT_CODE, Controller, ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
                               MODES, PEAK_MARGIN_N, ConfigError, MetricsError,
-                              ScenarioConfig, UndefinedCorrelationError,
-                              convergence_stride, pearson, rmse_pct,
-                              run_scenario, stance_correlation)
+                              MetricsReport, ScenarioConfig,
+                              UndefinedCorrelationError, convergence_stride,
+                              pearson, rmse_pct, run_scenario,
+                              stance_correlation, write_artifacts)
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
@@ -214,6 +218,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("group, key", [
         ("controller", "map_b"), ("controller", "pretighten_rate"),
+        ("controller", "pretighten_force"),
         ("plant", "lever_arm_r"), ("plant", "k_all"), ("plant", "baseline_c"),
         ("plant", "motor_tau_s"), ("plant", "v_max")])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
@@ -221,6 +226,16 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(**{group: {key: value}})
         with pytest.raises(ConfigError,
                            match=f"{group}.{key} must be positive"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("group, key", [
+        ("plant", "force_noise_sd"), ("controller", "integral_clamp"),
+        ("controller", "kd"), ("controller", "map_m")])
+    @pytest.mark.parametrize("value", [-1e-300, -1, -50.0])
+    def test_override_that_is_negative_rejected(self, group, key, value):
+        cfg = ScenarioConfig(**{group: {key: value}})
+        with pytest.raises(ConfigError, match=(
+                rf"{group}.{key} must not be negative, not {value!r}")):
             cfg.validate()
 
     @pytest.mark.parametrize("n_strides", [5, 12, 13])
@@ -242,6 +257,10 @@ class TestScenarioConfig:
         ("plant", "k_all", 12), ("controller", "silent_cycles", 3),
         ("template", "theta_sk_span", [-14, 18.0]),
         ("template", "theta_sk_span", (-14.0, 18.0)),
+        # zero is their own setting: no noise, no integral, no damping, the
+        # static map
+        ("plant", "force_noise_sd", 0), ("controller", "integral_clamp", 0.0),
+        ("controller", "kd", -0.0), ("controller", "map_m", 0),
     ])
     def test_override_of_the_field_type_accepted(self, group, key, value):
         ScenarioConfig(**{group: {key: value}}).validate()
@@ -560,12 +579,179 @@ class TestStreamedRun:
         before = {p.name: p.read_bytes() for p in earlier.iterdir()}
         assert sorted(before) == ["summary.json", "timeseries.csv"]
         stalling_detector(monkeypatch, 6000.0)
+        printers = record_forks(monkeypatch)
         for out in (earlier, empty):
             with pytest.raises(SignalLossError):
                 run_scenario(ScenarioConfig(activity="lw", n_strides=8,
                                             seed=1, output_dir=str(out)))
         assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
         assert list(empty.iterdir()) == []
+        assert_reaped(printers, 2)
+
+
+def record_forks(monkeypatch):
+    """The pids of the processes forked from here on, as the parent sees
+    them."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids, n):
+    """n processes were forked, and none of them is left, not even as a
+    zombie."""
+    assert len(pids) == n
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def exits_within(pid: int, seconds: float) -> bool:
+    """Whether the child pid exits within `seconds`; it is left to be
+    reaped."""
+    deadline = time.monotonic() + seconds
+    while not os.waitid(os.P_PID, pid,
+                        os.WEXITED | os.WNOHANG | os.WNOWAIT):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+REPORT = MetricsReport(config={}, per_stride=[], aggregate={},
+                       convergence_stride=-1, aborted=False)
+HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
+
+
+def zero_rows(n: int) -> np.ndarray:
+    """n log rows of zeros on a whole-ms clock."""
+    rows = np.zeros((n, len(LOG_COLUMNS)))
+    rows[:, 0] = np.arange(n)
+    return rows
+
+
+class TestPrinter:
+    """timeseries.csv is printed by a forked printer process. A run reaps
+    it on every path, and its failure fails the run."""
+
+    def test_a_printer_failure_fails_the_run(self, tmp_path, monkeypatch,
+                                             capsys):
+        # The printer inherits the patch; its third chunk fails.
+        block, calls = harness._csv_block, []
+
+        def failing(rows):
+            calls.append(len(rows))
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return block(rows)
+
+        monkeypatch.setattr(harness, "_csv_block", failing)
+        printers = record_forks(monkeypatch)
+        with pytest.raises(OSError) as err:
+            run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1,
+                                        output_dir=str(tmp_path / "run")))
+        assert err.value.errno == errno.ENOSPC
+        assert "timeseries.csv printer: No space left on device" in str(
+            err.value)
+        assert cli_main(["run", "--strides", "8",
+                         "--out", str(tmp_path / "cli")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shankexo: error: [Errno 28] timeseries.csv "
+                              "printer: ") and err.count("\n") == 1
+        assert calls == []       # the parent prints nothing itself
+        assert [list(d.iterdir()) for d in tmp_path.iterdir()] == [[], []]
+        assert_reaped(printers, 2)
+
+    @pytest.mark.parametrize("after", ["the second block", "the last"])
+    def test_a_killed_printer_fails_the_run(self, tmp_path, monkeypatch,
+                                            after):
+        # Killed once the last block is handed over, the printer fails the
+        # run through its exit status alone.
+        printers = record_forks(monkeypatch)
+        print_rows, blocks = harness.Artifacts.print, []
+        write = harness.write_artifacts
+
+        def killing(self, rows):
+            print_rows(self, rows)
+            blocks.append(len(rows))
+            if len(blocks) == 2 and after == "the second block":
+                os.kill(printers[-1], signal.SIGKILL)
+
+        def killing_write(*args):
+            if after == "the last":
+                os.kill(printers[-1], signal.SIGKILL)
+            write(*args)
+
+        monkeypatch.setattr(harness.Artifacts, "print", killing)
+        monkeypatch.setattr(harness, "write_artifacts", killing_write)
+        with pytest.raises(OSError, match="printer killed by SIGKILL"):
+            run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1,
+                                        output_dir=str(tmp_path)))
+        assert len(blocks) >= 2 and list(tmp_path.iterdir()) == []
+        assert_reaped(printers, 1)
+
+    def test_two_printers_at_once(self, tmp_path, monkeypatch):
+        # The second printer holds no end of the first one's pipe, so the
+        # first sees EOF while the second still runs.
+        printers = record_forks(monkeypatch)
+        rows = zero_rows(2500)
+        first, second = tmp_path / "first", tmp_path / "second"
+        with harness.Artifacts(str(first)) as a:
+            with harness.Artifacts(str(second)) as b:
+                a.print(rows[:1000])
+                b.print(rows)
+                a.print(rows[1000:])
+                a.end_rows()
+                ended = exits_within(printers[0], 10.0)
+                if not ended:         # a printer that waits for EOF
+                    for pid in printers:
+                        os.kill(pid, signal.SIGKILL)
+                assert ended
+                write_artifacts(str(first), a, REPORT)
+                assert_reaped(printers[:1], 1)
+                b.print(rows)
+                write_artifacts(str(second), b, REPORT)
+        want = HEADER + harness._csv_rows(rows)
+        assert (first / "timeseries.csv").read_bytes() == want
+        assert (second / "timeseries.csv").read_bytes() == (
+            want + harness._csv_rows(rows))
+        assert_reaped(printers, 2)
+
+    def test_a_failed_fork_leaves_nothing(self, tmp_path, monkeypatch):
+        def failing():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing)
+        fds = sorted(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError):
+            run_scenario(ScenarioConfig(activity="lw", n_strides=3, seed=1,
+                                        output_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
+        assert sorted(os.listdir("/dev/fd")) == fds
+
+    @pytest.mark.parametrize("sizes", [[0], [0, 3, 0, 1, 0]])
+    def test_a_print_of_no_rows(self, tmp_path, monkeypatch, sizes):
+        printers = record_forks(monkeypatch)
+        rows = zero_rows(sum(sizes))
+        with harness.Artifacts(str(tmp_path)) as artifacts:
+            at = 0
+            for n in sizes:
+                artifacts.print(rows[at:at + n])
+                at += n
+            write_artifacts(str(tmp_path), artifacts, REPORT)
+        assert (tmp_path / "timeseries.csv").read_bytes() == (
+            HEADER + harness._csv_rows(rows))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "summary.json", "timeseries.csv"]
+        assert_reaped(printers, 1)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -753,6 +939,8 @@ class TestCli:
         (["run", "--config", "{nan_value}"],
          "controller.kp must be a finite number, not nan"),
         (["run", "--config", "{zero_lag}"], "plant.motor_tau_s must be positive"),
+        (["run", "--config", "{negative_noise}"],
+         "plant.force_noise_sd must not be negative, not -1"),
         (["run", "--scenario", "perturb", "--strides", "30", "--config",
           "{zero_map_b}"], "controller.map_b must be positive"),
         (["run", "--scenario", "speed-ramp", "--strides", "5"],
@@ -769,6 +957,7 @@ class TestCli:
             "config-not-an-object", "config-unknown-key",
             "config-group-not-an-object", "config-value-of-the-wrong-type",
             "config-value-not-finite", "config-value-not-positive",
+            "config-value-negative",
             "config-gain-not-positive", "speed-ramp-too-short",
             "negative-seed", "config-constant-overridden",
             "calibration-field-too-long"])
@@ -790,6 +979,7 @@ class TestCli:
                  "string_value": '{"plant": {"k_all": "x"}}',
                  "nan_value": '{"controller": {"kp": NaN}}',
                  "zero_lag": '{"plant": {"motor_tau_s": 0}}',
+                 "negative_noise": '{"plant": {"force_noise_sd": -1}}',
                  "zero_map_b": '{"controller": {"map_b": 0}}',
                  "negative_swing_target":
                      '{"controller": {"swing_target_force": -1}}',

@@ -332,12 +332,11 @@ def test_cable_columns_draw_the_world_noise_in_blocks(seed):
 
 # -- vectorized sample clock ------------------------------------------------------
 
-def tick_times(data) -> list:
-    """Tick times in s near whole ms, off them by up to +-1e-6 ms, or any."""
-    near = hs.builds(lambda k, d: (k + d) / 1000.0,
-                     hs.integers(0, 10**9), hs.floats(-1e-6, 1e-6))
-    return data.draw(hs.lists(hs.one_of(near, hs.floats(0.0, 1e6)),
-                              min_size=1, max_size=40))
+# Tick times in s near whole ms, off them by up to +-1e-6 ms, or any.
+TICK_TIMES = hs.lists(hs.one_of(
+    hs.builds(lambda k, d: (k + d) / 1000.0, hs.integers(0, 10**9),
+              hs.floats(-1e-6, 1e-6)),
+    hs.floats(0.0, 1e6)), min_size=1, max_size=40)
 
 
 def assert_clock_equals_per_tick_round(t_s: list) -> None:
@@ -349,9 +348,14 @@ def assert_clock_equals_per_tick_round(t_s: list) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=hs.data())
-def test_sample_clock_equals_per_tick_round(data):
-    assert_clock_equals_per_tick_round(tick_times(data))
+@given(t_s=TICK_TIMES)
+# exact ties of x * 1e6 at 1e-6 ms, and products that miss their tie
+@example(t_s=[(k + 0.5) / 1e9 for k in range(12)] + [1234567.5 / 1e9])
+# |x * 1e6| of 2**52 or more
+@example(t_s=[2.0**52 / 1e9, -2.0**52 / 1e9, 3 * 2.0**52 / 1e9, 1e300])
+@example(t_s=[math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-12])
+def test_sample_clock_equals_per_tick_round(t_s):
+    assert_clock_equals_per_tick_round(t_s)
 
 
 @pytest.mark.parametrize("offset_ms", [3.9e-7, 4e-7, 4.1e-7, 4.99e-7, 5e-7,
@@ -366,7 +370,7 @@ def test_sample_clock_around_its_threshold(offset_ms, sign):
 def test_whole_ms_ticks_share_the_log_clock():
     t_s = [k / 1000.0 for k in range(1, 5000, 7)]
     t_ms, t_sample = _sample_clock(t_s)
-    assert t_sample is t_ms
+    assert [bits(x) for x in t_sample] == [bits(x) for x in t_ms]
 
 
 @pytest.mark.parametrize("n", [1, 5, 1000])
