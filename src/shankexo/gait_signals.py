@@ -16,9 +16,10 @@ lines at a time, so its memory does not grow with the stream. numpy parses
 a block of plain numbers; csv.reader and float(), which define the accepted
 format, parse any other. Each block is conditioned over columns: the gap
 check, the DF channel and the extrapolated fill of up to MAX_GAP_SAMPLES - 1
-missing samples, carried across blocks. The angles pass through as
-recorded. A row that is not five numbers, a non-finite timestamp, a
-non-increasing timestamp or a non-finite angle or fill raises
+missing samples, carried across blocks; a block without a gap makes no
+fill. The angles pass through as recorded. A row that is not five numbers,
+a non-finite timestamp, a non-increasing timestamp or a non-finite angle,
+rate or derived DF angle or rate, of a row or a fill, raises
 SignalQualityError (all but the non-increasing timestamp name the line; a
 fill's is the row after the gap); a gap of more than MAX_GAP_SAMPLES - 1
 samples raises SignalLossError. Either is raised after the samples of the
@@ -68,6 +69,9 @@ class GaitEventKind(Enum):
 class GaitPhase(Enum):
     SWING = "swing"
     STANCE = "stance"
+
+
+_SWING = GaitPhase.SWING   # a global reads faster than a member off its class
 
 
 class KinematicSample(NamedTuple):
@@ -133,43 +137,51 @@ class EventDetector:
         self._ext_t: float = 0.0
         self.fc_t_ms = 0.0
         self._stance_dur: Optional[float] = None
+        self._fo_gate = -math.inf   # foot-off seeking opens at this time
 
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
-        cfg = self.config
-        if sample.t_ms < self._refractory_until:
+        t = sample.t_ms
+        if t < self._refractory_until:
             return None
-        if self.mode is GaitPhase.SWING:
+        if self.mode is _SWING:
             value = sample.theta_ft
-            if self._ext_value is None or value > self._ext_value:
+            ext = self._ext_value
+            if ext is None or value > ext:
                 self._ext_value = value
-                self._ext_t = sample.t_ms
-            elif self._ext_value - value >= cfg.delta_ang:
-                event = GaitEvent(GaitEventKind.FOOT_CONTACT, self._ext_t, self.gc_count)
+                self._ext_t = t
+            elif ext - value >= self.config.delta_ang:
+                event = GaitEvent(GaitEventKind.FOOT_CONTACT, self._ext_t,
+                                  self.gc_count)
                 self.gc_count += 1
                 self.fc_t_ms = self._ext_t
-                self._enter(GaitPhase.STANCE, sample.t_ms)
+                if self._stance_dur is not None:
+                    self._fo_gate = (self.fc_t_ms
+                                     + self.config.fo_gate_fraction
+                                     * self._stance_dur)
+                self._enter(GaitPhase.STANCE, t)
                 return event
-        else:
-            if (self._stance_dur is not None and sample.t_ms < self.fc_t_ms
-                    + cfg.fo_gate_fraction * self._stance_dur):
-                return None
-            rate = sample.theta_ft_rate
-            if not self._armed:
-                if rate < self.fo_arm_threshold:
-                    self._armed = True
-                    self._ext_value = rate
-                    self._ext_t = sample.t_ms
-                return None
-            if rate < self._ext_value:
+            return None
+        if t < self._fo_gate:
+            return None
+        rate = sample.theta_ft_rate
+        ext = self._ext_value
+        if not self._armed:
+            if rate < self.fo_arm_threshold:
+                self._armed = True
                 self._ext_value = rate
-                self._ext_t = sample.t_ms
-            elif rate - self._ext_value >= cfg.delta_vel:
-                event = GaitEvent(GaitEventKind.FOOT_OFF, self._ext_t, self.gc_count - 1)
-                self.fo_arm_threshold = min(cfg.fo_arm_cap,
-                                            cfg.fo_arm_fraction * self._ext_value)
-                self._stance_dur = self._ext_t - self.fc_t_ms
-                self._enter(GaitPhase.SWING, sample.t_ms)
-                return event
+                self._ext_t = t
+        elif rate < ext:
+            self._ext_value = rate
+            self._ext_t = t
+        elif rate - ext >= self.config.delta_vel:
+            cfg = self.config
+            event = GaitEvent(GaitEventKind.FOOT_OFF, self._ext_t,
+                              self.gc_count - 1)
+            self.fo_arm_threshold = min(cfg.fo_arm_cap,
+                                        cfg.fo_arm_fraction * ext)
+            self._stance_dur = self._ext_t - self.fc_t_ms
+            self._enter(GaitPhase.SWING, t)
+            return event
         return None
 
     def _enter(self, mode: GaitPhase, confirm_t_ms: float) -> None:
@@ -240,13 +252,19 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
     """Replay a recorded kinematic stream; the DF channel is derived, not read.
 
     Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
-    over the stream. A leading UTF-8 byte-order mark is skipped. A row
-    that is not five numbers (a byte that is not UTF-8 text, read as a
-    lone surrogate, makes it so), a field past csv's size limit, or a
-    timestamp, angle or rate that is not finite raises SignalQualityError
-    naming its line. Any error is raised after the samples of the rows
-    before it.
+    over the stream, and chains the blocks' samples; nothing is opened
+    before the first sample is asked for. A leading UTF-8 byte-order mark
+    is skipped. A row that is not five numbers (a byte that is not UTF-8
+    text, read as a lone surrogate, makes it so), a field past csv's size
+    limit, or a timestamp, angle, rate or derived DF angle or rate that is
+    not finite raises SignalQualityError naming its line. Any error is
+    raised after the samples of the rows before it.
     """
+    return chain.from_iterable(_blocks(path))
+
+
+def _blocks(path):
+    """Each block's samples, then the error that ended the stream, if any."""
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -261,7 +279,7 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
         while True:
             rows, ends, failure = _read_block(fh, line)
             samples, tail, rejection = _condition(rows, ends, tail)
-            yield from samples
+            yield samples
             if rejection is not None:
                 raise rejection
             if failure is not None:
@@ -332,7 +350,7 @@ def _condition(rows, ends, tail):
 
     A gap of up to MAX_GAP_SAMPLES - 1 samples is filled by linear
     extrapolation from the two rows before it, `tail` carrying them across
-    blocks.
+    blocks; the fills are made only in a block with a gap.
     """
     n, k = len(rows), len(tail)
     if not n:
@@ -343,25 +361,34 @@ def _condition(rows, ends, tail):
                       / IMU_PERIOD_MS)
         if not k:
             gap[0] = 1.0
-        fills = _fills(rows, tail)
-        bad = (~np.isfinite(rows).all(axis=1) | (gap < 1)
-               | (gap > MAX_GAP_SAMPLES)
-               | (gap >= 2) & ~np.isfinite(fills[0][:, 1:]).all(axis=1)
-               | (gap >= 3) & ~np.isfinite(fills[1][:, 1:]).all(axis=1))
+        cols, fills = _columns(rows), ()
+        bad = (~np.isfinite(cols).all(axis=0) | (gap < 1)
+               | (gap > MAX_GAP_SAMPLES))
+        gapped = gap > 1
+        if gapped.any():
+            fills = _fills(rows, tail)
+            fine = [np.isfinite(_columns(f)[1:]).all(axis=0) for f in fills]
+            bad |= (gap >= 2) & ~fine[0] | (gap >= 3) & ~fine[1]
         stop = int(np.argmax(bad)) if bad.any() else n
-        out = rows[:stop]
-        if (gap[:stop] > 1).any():
+        if gapped[:stop].any():
             keep = np.stack((gap >= 2, gap >= 3, np.ones(n, bool)), axis=1)
             out = np.stack((*fills, rows), axis=1)[:stop][keep[:stop]]
-        t, ft, sk, ft_r, sk_r = out.T
-        cols = (t.tolist(), ft.tolist(), sk.tolist(), (sk - ft).tolist(),
-                ft_r.tolist(), sk_r.tolist(), (sk_r - ft_r).tolist())
-    samples = map(tuple.__new__, repeat(KinematicSample), zip(*cols))
+            cols = _columns(out)
+        else:
+            cols = cols[:, :stop]
+    samples = map(tuple.__new__, repeat(KinematicSample), zip(*cols.tolist()))
     if stop == n:
         return samples, np.concatenate((tail, rows))[-2:], None
     return samples, tail, _rejection(rows[stop].tolist(), float(gap[stop]),
                                      [f[stop].tolist() for f in fills],
                                      ends[stop])
+
+
+def _columns(rows):
+    """The sample columns of `rows`: t, ft, sk, DF, ft rate, sk rate and
+    DF rate, DF being sk - ft."""
+    t, ft, sk, ft_r, sk_r = rows.T
+    return np.stack((t, ft, sk, sk - ft, ft_r, sk_r, sk_r - ft_r))
 
 
 def _fills(rows, tail):
@@ -394,7 +421,7 @@ def _rejection(row: list, gap: float, fills: list, line: int) -> Exception:
         return SignalLossError(
             f"kinematic stream gap of {gap:.0f} samples at t={t} ms")
     for _, ft, sk, ft_r, sk_r in fills[:int(gap) - 1] + [row]:
-        for v in (sk, ft, sk_r, ft_r):
+        for v in (sk, ft, sk_r, ft_r, sk - ft, sk_r - ft_r):
             if not math.isfinite(v):
                 return SignalQualityError(f"replay line {line}: non-finite "
                                           f"kinematic input: {v!r}")

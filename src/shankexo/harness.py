@@ -344,8 +344,9 @@ _OVERRIDE_TYPES = {
 #   inertia as the static map; a negative integral clamp pins the swing
 #   integral at the wrong sign, and a negative damping gain drives the
 #   swing cable against the shank (a swing peak of 19 N at kd = -1.8).
-#   Zero is each one's own setting: no noise, no inertia, no integral, no
-#   damping.
+#   A negative silent_cycles assists as zero does but starts the analysis
+#   before the estimate has converged. Zero is each one's own setting: no
+#   noise, no inertia, no integral, no damping, no silent strides.
 _OVERRIDE_ZERO_ALLOWED = {
     **dict.fromkeys((
         "controller.map_b", "controller.pretighten_rate",
@@ -354,7 +355,7 @@ _OVERRIDE_ZERO_ALLOWED = {
         False),
     **dict.fromkeys((
         "controller.kd", "controller.map_m", "controller.integral_clamp",
-        "plant.force_noise_sd"), True),
+        "controller.silent_cycles", "plant.force_noise_sd"), True),
 }
 
 
@@ -521,6 +522,9 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             raise ConfigError("not enough strides for the speed-ramp protocol")
         hi = max(lo + 1, cfg.n_strides - 14)
         ramp = RampSpec(start_stride=int(rng.integers(lo, hi)))
+    if silent >= cfg.n_strides:
+        raise ConfigError(f"not enough strides: n_strides = {cfg.n_strides} "
+                          f"must exceed controller.silent_cycles = {silent}")
 
     world = GaitWorld(tmpl, plant_cfg, seed=cfg.seed,
                       perturbations=perturbations, ramp=ramp)

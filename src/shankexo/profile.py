@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,8 +220,8 @@ class ProfileEstimator:
         if not (raw.theta_fc < mu < raw.theta_fo):
             log.debug("estimate rejected: peak outside new support %s", raw)
             return cur
-        self.params = replace(cur, mu=mu, sigma1=s1, sigma2=s2,
-                              theta_fc=raw.theta_fc, theta_fo=raw.theta_fo)
+        self.params = GaussianParams(cur.amp, mu, s1, s2, raw.theta_fc,
+                                     raw.theta_fo)
         self.last_accepted = True
         return self.params
 

@@ -20,6 +20,10 @@ tick on `ControllerState`, within the motor envelope it is given;
 max/min clamps; and `reference_run` is the loop that drove the two: the
 per-tick reference of `run`.
 
+`EventDetector.update` computes the foot-off gate once per stance;
+`ReferenceDetector` is the detector as it ran before, computing it on each
+stance sample.
+
 `read_replay_csv` parses and conditions a recorded stream a block of rows
 at a time, over numpy columns. `reference_read_replay_csv` reads it as
 `shankexo replay` did before, one csv row at a time through
@@ -47,7 +51,8 @@ from shankexo.controller import (ABORT_CODE, ENGAGE_FORCE, PROBE_MARGIN_MM,
                                  ControllerConfig)
 from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
-                                   REPLAY_HEADER, GaitEvent, KinematicSample,
+                                   REPLAY_HEADER, EventDetector, GaitEvent,
+                                   GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError)
 from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
@@ -576,6 +581,52 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
     return rows[0][0].tolist()
 
 
+# -- event detector --------------------------------------------------------------
+
+class ReferenceDetector(EventDetector):
+    """`EventDetector` with the per-sample update it had before: the
+    foot-off gate fc_t_ms + fo_gate_fraction * stance duration is
+    evaluated on every stance sample."""
+
+    def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
+        cfg = self.config
+        if sample.t_ms < self._refractory_until:
+            return None
+        if self.mode is GaitPhase.SWING:
+            value = sample.theta_ft
+            if self._ext_value is None or value > self._ext_value:
+                self._ext_value = value
+                self._ext_t = sample.t_ms
+            elif self._ext_value - value >= cfg.delta_ang:
+                event = GaitEvent(GaitEventKind.FOOT_CONTACT, self._ext_t, self.gc_count)
+                self.gc_count += 1
+                self.fc_t_ms = self._ext_t
+                self._enter(GaitPhase.STANCE, sample.t_ms)
+                return event
+        else:
+            if (self._stance_dur is not None and sample.t_ms < self.fc_t_ms
+                    + cfg.fo_gate_fraction * self._stance_dur):
+                return None
+            rate = sample.theta_ft_rate
+            if not self._armed:
+                if rate < self.fo_arm_threshold:
+                    self._armed = True
+                    self._ext_value = rate
+                    self._ext_t = sample.t_ms
+                return None
+            if rate < self._ext_value:
+                self._ext_value = rate
+                self._ext_t = sample.t_ms
+            elif rate - self._ext_value >= cfg.delta_vel:
+                event = GaitEvent(GaitEventKind.FOOT_OFF, self._ext_t, self.gc_count - 1)
+                self.fo_arm_threshold = min(cfg.fo_arm_cap,
+                                            cfg.fo_arm_fraction * self._ext_value)
+                self._stance_dur = self._ext_t - self.fc_t_ms
+                self._enter(GaitPhase.SWING, sample.t_ms)
+                return event
+        return None
+
+
 # -- replay stream reader --------------------------------------------------------
 
 class NonFiniteInput(SignalQualityError):
@@ -584,11 +635,13 @@ class NonFiniteInput(SignalQualityError):
 
 def derive_df(theta_sk: float, theta_ft: float,
               theta_sk_rate: float, theta_ft_rate: float) -> tuple[float, float]:
-    """The ankle DF angle and rate from the shank and foot channels."""
-    for v in (theta_sk, theta_ft, theta_sk_rate, theta_ft_rate):
+    """The ankle DF angle and rate from the shank and foot channels; an
+    input, or a difference that overflows, that is not finite raises."""
+    df, df_rate = theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
+    for v in (theta_sk, theta_ft, theta_sk_rate, theta_ft_rate, df, df_rate):
         if not math.isfinite(v):
             raise NonFiniteInput(f"non-finite kinematic input: {v!r}")
-    return theta_sk - theta_ft, theta_sk_rate - theta_ft_rate
+    return df, df_rate
 
 
 def from_imu(t_ms: float, theta_ft: float, theta_sk: float,

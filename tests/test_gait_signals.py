@@ -1,16 +1,21 @@
 import dataclasses
+import functools
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalar_reference import ReferenceDetector
 from shankexo.cli import main
 from shankexo.gait_signals import (REPLAY_HEADER, STANCE_CAPACITY,
                                    DetectorConfig, EventDetector, GaitEvent,
                                    GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError,
                                    WindowAssembler, read_replay_csv)
+from shankexo.plant import GaitWorld, PlantConfig, build_template
 
 
 def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
@@ -135,6 +140,66 @@ class TestEventDetector:
                 fcs.append(ev.gc_index)
         assert fcs == list(range(len(fcs)))
         assert len(fcs) >= 3
+
+
+@functools.lru_cache(maxsize=None)
+def gait_frames(activity):
+    """Foot pitch (deg) and pitch rate (deg/s) of 6 s of simulated gait,
+    100 Hz."""
+    frames = GaitWorld(build_template(activity), PlantConfig()).advance_block(
+        0.01, 600).frames
+    return frames[:, 0], frames[:, 3]
+
+
+# A stretch of simulated gait with drawn sensor noise, which moves the
+# extrema a sample or two from stride to stride, rounded or not (to whole
+# degrees and tens of deg/s, so extrema repeat). A few drawn samples are
+# made NaN or moved in time (a step of 0 or 1 ms lands in the refractory
+# window). The refractory time and the foot-off gate are drawn too: a gate
+# of 1.0 stance opens at the previous foot-off extremum, one of 1.5 after
+# most of the stance.
+@st.composite
+def detector_streams(draw):
+    ft, rate = gait_frames(draw(st.sampled_from(["lw", "lr", "ra", "rd"])))
+    start, n = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    t = (10.0 * np.arange(start, start + n)).tolist()
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ft = (ft[start:start + n] + rng.normal(0.0, noise, n)).tolist()
+    rate = (rate[start:start + n] + rng.normal(0.0, 20.0 * noise, n)).tolist()
+    if draw(st.booleans()):
+        ft = [float(round(v)) for v in ft]
+        rate = [float(round(v, -1)) for v in rate]
+    columns = (t, ft, rate)
+    for i, col, v in draw(st.lists(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(0, 2),
+            st.sampled_from([math.nan, 0.0, 1.0, 250.0])), max_size=6)):
+        if i >= n:
+            continue
+        if col == 0 and i:      # a time step of v from the sample before
+            v += t[i - 1]
+        columns[col][i] = v
+    config = DetectorConfig(
+        refractory_ms=draw(st.sampled_from([200.0, 0.0, 50.0])),
+        fo_gate_fraction=draw(st.sampled_from([0.5, 0.0, 0.9, 1.0, 1.5])))
+    return config, [KinematicSample(ts, f, 0.0, 0.0, r, 0.0, 0.0)
+                    for ts, f, r in zip(t, ft, rate)]
+
+
+def detector_state(det, event):
+    """What the detector hands out and leaves: the event and its state."""
+    return ((event.kind, event.t_ms.hex(), event.gc_index) if event else None,
+            det.mode, det.fc_t_ms.hex(), det.fo_arm_threshold.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=detector_streams())
+def test_detector_equals_the_per_sample_gate_reference(stream):
+    config, samples = stream
+    det, ref = EventDetector(config), ReferenceDetector(config)
+    for sample in samples:
+        assert (detector_state(det, det.update(sample))
+                == detector_state(ref, ref.update(sample)))
 
 
 class TestWindowAssembler:

@@ -238,6 +238,30 @@ class TestScenarioConfig:
                 rf"{group}.{key} must not be negative, not {value!r}")):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [-1, -5])
+    def test_negative_silent_cycles_rejected(self, value):
+        cfg = ScenarioConfig(n_strides=20, controller={"silent_cycles": value})
+        with pytest.raises(ConfigError, match=(
+                f"controller.silent_cycles must not be negative, not "
+                f"{value}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [12, 40])
+    def test_silent_cycles_that_leave_no_stride_rejected(self, value):
+        # Every stride would be silent: no stride analysed, every
+        # aggregate None.
+        with pytest.raises(ConfigError, match=(
+                f"not enough strides: n_strides = 12 must exceed "
+                f"controller.silent_cycles = {value}")):
+            run_scenario(ScenarioConfig(n_strides=12,
+                                        controller={"silent_cycles": value}))
+
+    def test_silent_cycles_below_the_strides_leave_one_analysed(self):
+        report = run_scenario(ScenarioConfig(n_strides=12,
+                                             controller={"silent_cycles": 11}))
+        assert report.aggregate["analysis_start_stride"] == 11
+        assert report.aggregate["n_strides_analyzed"] == 1
+
     @pytest.mark.parametrize("n_strides", [5, 12, 13])
     def test_too_few_strides_for_the_speed_ramp_rejected(self, n_strides):
         # The ramp starts at stride 7 at the earliest (the analysis start,
@@ -456,8 +480,9 @@ class TestRunScenario:
 
         monkeypatch.setattr(Controller, "run", recording_run)
         monkeypatch.setattr(harness.Artifacts, "print", keep_rows)
-        report = run_scenario(ScenarioConfig(activity="lw", n_strides=3,
-                                             seed=1, output_dir=str(tmp_path)))
+        report = run_scenario(ScenarioConfig(
+            activity="lw", n_strides=3, seed=1, output_dir=str(tmp_path),
+            controller={"silent_cycles": 2}))
         table = np.concatenate(blocks)
         assert report.aborted and BLOCK_TICKS < len(table) < 2 * BLOCK_TICKS
         assert len(rows) == len(table)
@@ -575,7 +600,8 @@ class TestStreamedRun:
         # gets no file.
         earlier, empty = tmp_path / "earlier", tmp_path / "empty"
         run_scenario(ScenarioConfig(activity="lw", n_strides=3, seed=2,
-                                    output_dir=str(earlier)))
+                                    output_dir=str(earlier),
+                                    controller={"silent_cycles": 2}))
         before = {p.name: p.read_bytes() for p in earlier.iterdir()}
         assert sorted(before) == ["summary.json", "timeseries.csv"]
         stalling_detector(monkeypatch, 6000.0)
@@ -733,7 +759,8 @@ class TestPrinter:
         fds = sorted(os.listdir("/dev/fd"))
         with pytest.raises(BlockingIOError):
             run_scenario(ScenarioConfig(activity="lw", n_strides=3, seed=1,
-                                        output_dir=str(tmp_path)))
+                                        output_dir=str(tmp_path),
+                                        controller={"silent_cycles": 2}))
         assert list(tmp_path.iterdir()) == []
         assert sorted(os.listdir("/dev/fd")) == fds
 
@@ -946,6 +973,14 @@ class TestCli:
         (["run", "--scenario", "speed-ramp", "--strides", "5"],
          "not enough strides for the speed-ramp protocol"),
         (["run", "--seed", "-1"], "seed must be an integer >= 0, not -1"),
+        (["run", "--strides", "20", "--config", "{negative_silent}"],
+         "controller.silent_cycles must not be negative, not -5"),
+        (["run", "--strides", "12", "--config", "{all_silent}"],
+         "not enough strides: n_strides = 12 must exceed "
+         "controller.silent_cycles = 12"),
+        (["run", "--strides", "5"],
+         "not enough strides: n_strides = 5 must exceed "
+         "controller.silent_cycles = 5"),
         (["run", "--strides", "12", "--config", "{negative_swing_target}"],
          "controller.swing_target_force is not a field of ControllerConfig"),
         (["fit-stiffness", "{long_calibration}"],
@@ -959,7 +994,9 @@ class TestCli:
             "config-value-not-finite", "config-value-not-positive",
             "config-value-negative",
             "config-gain-not-positive", "speed-ramp-too-short",
-            "negative-seed", "config-constant-overridden",
+            "negative-seed", "negative-silent-cycles", "all-strides-silent",
+            "steady-run-too-short",
+            "config-constant-overridden",
             "calibration-field-too-long"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
@@ -981,6 +1018,8 @@ class TestCli:
                  "zero_lag": '{"plant": {"motor_tau_s": 0}}',
                  "negative_noise": '{"plant": {"force_noise_sd": -1}}',
                  "zero_map_b": '{"controller": {"map_b": 0}}',
+                 "negative_silent": '{"controller": {"silent_cycles": -5}}',
+                 "all_silent": '{"controller": {"silent_cycles": 12}}',
                  "negative_swing_target":
                      '{"controller": {"swing_target_force": -1}}',
                  "long_calibration":

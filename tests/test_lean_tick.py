@@ -361,7 +361,10 @@ def test_sample_clock_equals_per_tick_round(t_s):
 @pytest.mark.parametrize("offset_ms", [3.9e-7, 4e-7, 4.1e-7, 4.99e-7, 5e-7,
                                        5.01e-7, 5.5e-7, 9e-7])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_sample_clock_around_its_threshold(offset_ms, sign):
+def test_sample_clock_near_whole_ms(offset_ms, sign):
+    """Ticks 3.9e-7 to 9e-7 ms either side of a whole ms, where the
+    sample time rounds to the whole ms or to the 1e-6 ms beside it,
+    round as round(t * 1000.0, 6) does."""
     for whole in (7, 1234, 987654):
         assert_clock_equals_per_tick_round(
             [(whole + sign * offset_ms) / 1000.0])

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import reference_read_replay_csv
@@ -50,10 +50,28 @@ def assert_same_as_reference(path, block_sizes=BLOCK_SIZES):
     return want
 
 
+def text_of(rows):
+    return HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
 def write(path, rows):
-    path.write_text(HEADER + "".join(",".join(map(str, r)) + "\n"
-                                     for r in rows))
+    path.write_text(text_of(rows))
     return path
+
+
+def regular(n, t0=10.0):
+    return [[t0 + 10.0 * i, 0.5 * i, -0.25 * i, 3.0, -1.5] for i in range(n)]
+
+
+def with_gap_at(rows, at):
+    """`rows` with one sample missing before row `at`."""
+    return rows[:at] + [[r[0] + 10.0, *r[1:]] for r in rows[at:]]
+
+
+def with_value(rows, at, col, v):
+    rows = [list(r) for r in rows]
+    rows[at][col] = v
+    return rows
 
 
 # -- generated streams -----------------------------------------------------------
@@ -141,19 +159,23 @@ def stream_path(tmp_path_factory):
     return tmp_path_factory.mktemp("replay") / "stream.csv"
 
 
+# The examples take a block with and without a gap: a gapless stream of
+# several blocks, a gap at a block boundary, finite angles whose DF
+# overflows, and a NaN field in an otherwise gapless block.
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=streams(), lines=st.sampled_from(BLOCK_SIZES))
+@example(text=text_of(regular(11)), lines=4)
+@example(text=text_of(with_gap_at(regular(11), 4)), lines=4)
+@example(text=text_of(with_value(with_value(regular(11), 5, 2, 1e308),
+                                 5, 1, -1e308)), lines=4)
+@example(text=text_of(with_value(regular(11), 6, 3, math.nan)), lines=4)
 def test_block_reader_equals_the_per_row_reader(stream_path, text, lines):
     stream_path.write_bytes(text.encode())
     assert_same_as_reference(stream_path, block_sizes=(lines,))
 
 
 # -- hand-picked streams ---------------------------------------------------------
-
-def regular(n, t0=10.0):
-    return [[t0 + 10.0 * i, 0.5 * i, -0.25 * i, 3.0, -1.5] for i in range(n)]
-
 
 @pytest.mark.parametrize("at", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("missing", [1, 2])
@@ -187,6 +209,24 @@ def test_fill_that_overflows_is_rejected_after_the_rows_before(tmp_path, prev,
     assert len(samples) == 2
     assert error == (SignalQualityError,
                      "replay line 4: non-finite kinematic input: inf")
+
+
+# Finite angles or rates whose DF difference overflows: the row's angle,
+# the row's rate, and the angle of the fill before the row.
+@pytest.mark.parametrize("rows, line", [
+    ([[0, -1e308, 1e308, 3, 4]], 2),
+    ([[0, 1, 2, 3, 4], [10, 1, 2, -1e308, 1e308]], 3),
+    ([[0, 0, 0, 0, 0], [10, -6e307, 6e307, 0, 0], [30, 0, 0, 0, 0]], 4),
+], ids=["angle", "rate", "fill"])
+def test_derived_df_that_overflows_is_one_error_line(tmp_path, capsys, rows,
+                                                     line):
+    path = write(tmp_path / "s.csv", rows)
+    samples, error = assert_same_as_reference(path)
+    assert len(samples) == line - 2
+    assert error == (SignalQualityError,
+                     f"replay line {line}: non-finite kinematic input: inf")
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"shankexo: error: {error[1]}\n"
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -293,6 +333,15 @@ def test_byte_order_mark_replays_as_the_stream(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0].out.startswith("stride 0: ")
     assert outputs[1] == outputs[0]
+
+
+def test_nothing_opens_before_the_first_sample(tmp_path):
+    path = tmp_path / "s.csv"
+    samples = read_replay_csv(path)     # no file yet
+    write(path, regular(3))
+    assert len(list(samples)) == 3
+    with pytest.raises(FileNotFoundError):
+        next(read_replay_csv(tmp_path / "missing.csv"))
 
 
 # -- memory ----------------------------------------------------------------------
