@@ -105,6 +105,77 @@ GOLDEN = {
              plant={"force_noise_sd": 0.0}),
         "ebd6bcfc73a5be44bd1655620099be686115cea15f00b07c45d553125b876e2f",
         "9e406492879da5357c510b9f6bbe6b5f65b608c55423133e322e6c005d2fc4e4"),
+    # The 12 activity x scenario configs at 30 strides, seed 1.
+    "lw-steady-30": (
+        dict(activity="lw", scenario="steady", n_strides=30, seed=1),
+        "a276fed31c9770ce2e55eb75500c7389066d3571637578c3aa79e4f66c0c9f0f",
+        "899b068507325ff912d55e0819cc2bd8bf98d42caa1c91d3880464165a508d97"),
+    "lw-perturb-30": (
+        dict(activity="lw", scenario="perturb", n_strides=30, seed=1),
+        "ad9598c9b24f48b82766271e676c35ad0391688982c802dbd7adcc9ee900107e",
+        "34ae213038d1aab3d6eb995c41869b72cab5474055e209a3b7e78b8bff15fbea"),
+    "lw-speed-ramp-30": (
+        dict(activity="lw", scenario="speed-ramp", n_strides=30, seed=1),
+        "2f898c022f159cf1ecfe6d4634364a61ddfcfb98b196b71f0298cde89408648e",
+        "7b5ce0eed2963a43c6999a1ad3202ed069e5bee0c4e7c41323685dfb91fbb773"),
+    "lr-steady-30": (
+        dict(activity="lr", scenario="steady", n_strides=30, seed=1),
+        "67d866458659e06b0e0b34dde7ff9f6f91f9cc3f70e2195fed849023e4430d66",
+        "66dbe49bb474a3e66506ca103620d5316f4728fb16ad33cc6a7f69d6f63b0b31"),
+    "lr-perturb-30": (
+        dict(activity="lr", scenario="perturb", n_strides=30, seed=1),
+        "4bcd6f9aed11706b13153ea358f7e3000946685d8479bc4da4c9b90507d9043d",
+        "bab18d5728ab51a787e6abd52a437cdeb02a50b0598c58161841c4d9bdafdcc4"),
+    "lr-speed-ramp-30": (
+        dict(activity="lr", scenario="speed-ramp", n_strides=30, seed=1),
+        "8b5cf783c1852cf753a4889ec74003196fb284650edf974312651722a318a135",
+        "54c2a16aded44e4838789c40816d592b5203755d73257f8f0b2fbffe51e030db"),
+    "ra-steady-30": (
+        dict(activity="ra", scenario="steady", n_strides=30, seed=1),
+        "0679f27ee654d75395b925ce9177037dd21e591af2b919cb911fd1996505b996",
+        "b5aadb07ba3305e52451ae14c8edd3b9f489758ab2884b54e53f8c9ec014a3bb"),
+    "ra-perturb-30": (
+        dict(activity="ra", scenario="perturb", n_strides=30, seed=1),
+        "d0a5286283551991637f7ee96dfb3d9221a2a6f6013ffd656085a45f9791f983",
+        "1bfd5ba950d9764c7edb880c16a2223e9ff454624d9d08660e188b921cb2f55d"),
+    "ra-speed-ramp-30": (
+        dict(activity="ra", scenario="speed-ramp", n_strides=30, seed=1),
+        "62ca3b8a66d864fdcea6ddcbd7b524db2980d1d518592f54220bc2d617669c61",
+        "0b1b5d1975adfe1ff89cc41bf9b9444f2ba81e45b963c0dd085b43f2c5f7d469"),
+    "rd-steady-30": (
+        dict(activity="rd", scenario="steady", n_strides=30, seed=1),
+        "201a375f4bf60208154c0623926d48c0fd4d715a5b233b316c860646571890af",
+        "1e71852a41f672e2ab1927a612dda5ba79066be068b5fb502cf5321a82e730a7"),
+    "rd-perturb-30": (
+        dict(activity="rd", scenario="perturb", n_strides=30, seed=1),
+        "31f55c03edad1e4dc5359ae45f4c4c904ec58feaf4339dc7da11c10ff07ef35c",
+        "ed2162c97bae0732a25fbfa55557889280734b1888da698b4a53277373e0e9c0"),
+    "rd-speed-ramp-30": (
+        dict(activity="rd", scenario="speed-ramp", n_strides=30, seed=1),
+        "d116ffdb114e4f07e0200aafaae43241c5ec81b3c68260b60453491b6f46806f",
+        "8bbb4e92c4011ede812d14cb44734568490761ae927b3e335a91f0393043aa3c"),
+    # A long speed-ramp run: many world blocks, printer chunks and reports.
+    "lw-speed-ramp-150": (
+        dict(activity="lw", scenario="speed-ramp", n_strides=150, seed=3),
+        "f690d15efa1959bb076b5030c7a1febbf2e2a08faca63b300346ef2f538dd5ee",
+        "f936b4510def0d336668307ada7219fde0aa5452ecba7bdb3426a8c022c5c7f8"),
+    # A 400 N spike in a longer run, and one under the speed ramp.
+    "spike-9000": (
+        dict(activity="lw", scenario="steady", n_strides=20, seed=1,
+             fault_spike_n=400.0, fault_spike_t_ms=9000.0),
+        "e315784271b322d8671ecbd59a94a5253ad1eb6ba6832cf90cfe6218263e1601",
+        "45d8fb547f061f5457e111c448e0fa54addc6a517811641edaa6398b66f50fae"),
+    "speed-ramp-spike": (
+        dict(activity="lr", scenario="speed-ramp", n_strides=40, seed=3,
+             fault_spike_n=400.0, fault_spike_t_ms=8600.0),
+        "042203bcedc968eff19d1f9c299036b9278a3c98fe14b37bc1d7ed1ba42cafd8",
+        "ac7a00f783c36142dddf60bd662d43aafd8a0adfb4eef96bc03ea8f069c35c4b"),
+    # A slow motor envelope and a fast pretighten rate.
+    "v-max-60-pretighten-100": (
+        dict(activity="lw", scenario="steady", n_strides=30, seed=1,
+             plant={"v_max": 60.0}, controller={"pretighten_rate": 100.0}),
+        "a7472cb7feff3ce5a3d6662fca19705500bcc09cf3fa73b57e764186b5c0123c",
+        "bf71b2ad4178bf5934240ea449eee132de42bb7cfd3e93ab4da828db5746b18e"),
 }
 
 
