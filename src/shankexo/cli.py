@@ -15,8 +15,8 @@ import sys
 from .gait_signals import (IMU_PERIOD_MS, STANCE_CAPACITY, GaitEventKind,
                            GaitPhase, SignalLossError, SignalQualityError,
                            read_replay_csv)
-from .harness import (ConfigError, MetricsReport, ScenarioConfig,
-                      ScenarioKind, run_scenario)
+from .harness import ConfigError, ScenarioConfig, ScenarioKind, run_scenario
+from .metrics import MetricsReport
 from .plant import Activity, TemplateError
 from .profile import EstimationPath, ParameterError
 from .tendon import IdentificationError, identify_stiffness, load_calibration_csv

@@ -123,7 +123,8 @@ class EventDetector:
     (after arming) and confirms FootOff once the rate has risen delta_vel
     above it. Emitted events carry the extremum sample time. `fc_t_ms` is
     the last foot contact's time, which stance follows; `fo_arm_threshold`
-    the rate (deg/s) the seeker arms below.
+    the rate (deg/s) the seeker arms below. A sample whose channel the mode
+    reads is not finite is skipped, as no extremum or threshold can use it.
     """
 
     def __init__(self, config: Optional[DetectorConfig] = None):
@@ -145,6 +146,8 @@ class EventDetector:
             return None
         if self.mode is _SWING:
             value = sample.theta_ft
+            if value - value != 0.0:      # NaN for a NaN or an infinity
+                return None
             ext = self._ext_value
             if ext is None or value > ext:
                 self._ext_value = value
@@ -164,6 +167,8 @@ class EventDetector:
         if t < self._fo_gate:
             return None
         rate = sample.theta_ft_rate
+        if rate - rate != 0.0:
+            return None
         ext = self._ext_value
         if not self._armed:
             if rate < self.fo_arm_threshold:

@@ -49,11 +49,11 @@ from shankexo.controller import (ABORT_CODE, ENGAGE_FORCE, PROBE_MARGIN_MM,
                                  TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE,
                                  TIGHTEN_GAIN, ControlMode, Controller,
                                  ControllerConfig)
-from shankexo.harness import MetricsError, UndefinedCorrelationError
 from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
                                    REPLAY_HEADER, EventDetector, GaitEvent,
                                    GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError)
+from shankexo.metrics import MetricsError, UndefinedCorrelationError
 from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
                             GaitWorld, PerturbationKind, PerturbationSpec,
@@ -199,7 +199,7 @@ def full_time_comparator(p: GaussianParams, tt: np.ndarray, t_fc: float,
                          grid: np.ndarray) -> np.ndarray:
     """The time-based comparator evaluated at every stance tick tt (ms),
     then linearly resampled onto grid: the oracle of
-    `harness.time_comparator`, which evaluates it only at the ticks
+    `metrics.time_comparator`, which evaluates it only at the ticks
     np.interp reads."""
     return np.interp(grid, tt, eval_time_profile_array(
         p, (tt - t_fc) / prev_duration, prev_cycle))
@@ -586,7 +586,8 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
 class ReferenceDetector(EventDetector):
     """`EventDetector` with the per-sample update it had before: the
     foot-off gate fc_t_ms + fo_gate_fraction * stance duration is
-    evaluated on every stance sample."""
+    evaluated on every stance sample. A sample whose channel the mode reads
+    is not finite is skipped."""
 
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
         cfg = self.config
@@ -594,6 +595,8 @@ class ReferenceDetector(EventDetector):
             return None
         if self.mode is GaitPhase.SWING:
             value = sample.theta_ft
+            if not math.isfinite(value):
+                return None
             if self._ext_value is None or value > self._ext_value:
                 self._ext_value = value
                 self._ext_t = sample.t_ms
@@ -608,6 +611,8 @@ class ReferenceDetector(EventDetector):
                     + cfg.fo_gate_fraction * self._stance_dur):
                 return None
             rate = sample.theta_ft_rate
+            if not math.isfinite(rate):
+                return None
             if not self._armed:
                 if rate < self.fo_arm_threshold:
                     self._armed = True

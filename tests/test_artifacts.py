@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from shankexo import harness
-from shankexo.harness import (CSV_COLUMNS, LOG_COLUMNS, MODES, MetricsReport,
-                              ScenarioConfig, run_scenario, write_artifacts)
+from shankexo import artifacts, harness
+from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
+from shankexo.controller import MODES
+from shankexo.harness import ScenarioConfig, run_scenario
+from shankexo.metrics import MetricsReport
 from shankexo.plant import Activity, build_template
 
 # SHA-256 of (timeseries.csv, summary.json). A change to either digest means
@@ -313,9 +315,9 @@ def reference_csv(log: np.ndarray) -> bytes:
 
 def written_csv(log: np.ndarray) -> bytes:
     with tempfile.TemporaryDirectory() as out:
-        with harness.Artifacts(out) as artifacts:
-            artifacts.print(log)
-            write_artifacts(out, artifacts, REPORT)
+        with artifacts.Artifacts(out) as files:
+            files.print(log)
+            write_artifacts(out, files, REPORT)
         return (Path(out) / "timeseries.csv").read_bytes()
 
 
@@ -363,7 +365,7 @@ def typical_log(n_rows: int, seed: int, t0: float = 1.0) -> np.ndarray:
 
 
 # Rows the writer prints at a time: each case below sits in its own chunk.
-CHUNK = harness._CSV_CHUNK
+CHUNK = artifacts._CSV_CHUNK
 OFFSETS = [0, CHUNK // 2, CHUNK - 1]
 
 
@@ -419,7 +421,7 @@ def no_fallback(rows):
 
 def test_case_tables_take_the_array_path_without_their_cases(monkeypatch):
     # So in the per-case tests each block takes the path its case selects.
-    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    monkeypatch.setattr(artifacts, "_csv_rows", no_fallback)
     for group in COLUMN_GROUPS:
         for offset in OFFSETS:
             written_csv(case_table(group, offset)[0])
@@ -453,11 +455,11 @@ def test_values_near_1e7_take_the_array_path(monkeypatch):
     wide_guard = (np.abs(np.abs(scaled - np.rint(scaled)) - 0.5)
                   <= np.abs(scaled) * 2.0 ** -50)
     assert wide_guard.all()
-    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    monkeypatch.setattr(artifacts, "_csv_rows", no_fallback)
     assert written_csv(log) == reference_csv(log)
 
 
 def test_run_log_takes_the_array_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_csv_rows", no_fallback)
+    monkeypatch.setattr(artifacts, "_csv_rows", no_fallback)
     run_scenario(ScenarioConfig(activity="lw", scenario="steady", n_strides=12,
                                 seed=9, output_dir=str(tmp_path)))

@@ -154,10 +154,10 @@ def gait_frames(activity):
 # A stretch of simulated gait with drawn sensor noise, which moves the
 # extrema a sample or two from stride to stride, rounded or not (to whole
 # degrees and tens of deg/s, so extrema repeat). A few drawn samples are
-# made NaN or moved in time (a step of 0 or 1 ms lands in the refractory
-# window). The refractory time and the foot-off gate are drawn too: a gate
-# of 1.0 stance opens at the previous foot-off extremum, one of 1.5 after
-# most of the stance.
+# made NaN or infinite, or moved in time (a step of 0 or 1 ms lands in the
+# refractory window). The refractory time and the foot-off gate are drawn
+# too: a gate of 1.0 stance opens at the previous foot-off extremum, one of
+# 1.5 after most of the stance.
 @st.composite
 def detector_streams(draw):
     ft, rate = gait_frames(draw(st.sampled_from(["lw", "lr", "ra", "rd"])))
@@ -173,7 +173,8 @@ def detector_streams(draw):
     columns = (t, ft, rate)
     for i, col, v in draw(st.lists(st.tuples(
             st.integers(0, max(n - 1, 0)), st.integers(0, 2),
-            st.sampled_from([math.nan, 0.0, 1.0, 250.0])), max_size=6)):
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0,
+                             250.0])), max_size=6)):
         if i >= n:
             continue
         if col == 0 and i:      # a time step of v from the sample before
@@ -200,6 +201,36 @@ def test_detector_equals_the_per_sample_gate_reference(stream):
     for sample in samples:
         assert (detector_state(det, det.update(sample))
                 == detector_state(ref, ref.update(sample)))
+
+
+def detected(samples):
+    det = EventDetector()
+    return [ev for ev in map(det.update, samples) if ev is not None]
+
+
+@pytest.mark.parametrize("channel, value", [("theta_ft", math.nan),
+                                            ("theta_ft_rate", -math.inf)])
+def test_a_non_finite_sample_is_skipped(channel, value):
+    # 12 s of lw walking at seed 1, every 10th tick: 21 events. A NaN foot
+    # pitch at the first swing sample used to become the running maximum
+    # (0 events), and a -inf rate in a gated stance the foot-off extremum,
+    # which set fo_arm_threshold to -inf (7 events).
+    block = GaitWorld(build_template("lw"), PlantConfig(),
+                      seed=1).advance_block(0.001, 13000)
+    walking = np.flatnonzero(block.walking)[::10]
+    samples = [KinematicSample(t, *f) for t, f in zip(
+        block.t_sample[walking].tolist(), block.frames[walking].tolist())]
+    want = detected(samples)
+    assert len(want) == 21
+    if channel == "theta_ft":
+        at = 0
+    else:   # the first sample past the foot-off gate of the third stance
+        _, _, fc1, fo1, fc2 = want[:5]
+        gate = fc2.t_ms + DetectorConfig().fo_gate_fraction * (fo1.t_ms
+                                                              - fc1.t_ms)
+        at = next(i for i, s in enumerate(samples) if s.t_ms >= gate)
+    samples[at] = samples[at]._replace(**{channel: value})
+    assert detected(samples) == want
 
 
 class TestWindowAssembler:

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
-from shankexo import harness
+from shankexo import artifacts, harness, metrics
+from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
 from shankexo.cli import main as cli_main
-from shankexo.controller import ABORT_CODE, Controller, ControllerConfig
+from shankexo.controller import ABORT_CODE, MODES, Controller, ControllerConfig
 from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
-from shankexo.harness import (CONVERGENCE_SENTINEL, CSV_COLUMNS, LOG_COLUMNS,
-                              MODES, PEAK_MARGIN_N, ConfigError, MetricsError,
-                              MetricsReport, ScenarioConfig,
-                              UndefinedCorrelationError, convergence_stride,
-                              pearson, rmse_pct, run_scenario,
-                              stance_correlation, write_artifacts)
+from shankexo.harness import (PEAK_MARGIN_N, ConfigError, ScenarioConfig,
+                              run_scenario)
+from shankexo.metrics import (CONVERGENCE_SENTINEL, MetricsError,
+                              MetricsReport, UndefinedCorrelationError,
+                              convergence_stride, pearson, rmse_pct,
+                              stance_correlation)
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
@@ -455,7 +456,7 @@ class TestRunScenario:
                                                       0x7FF8_0000_DEAD_BEEF))[0]
         nan_tick = BLOCK_TICKS + 300
         rows, stretches, blocks, n_row = [], [], [], [0]
-        run, print_rows = Controller.run, harness.Artifacts.print
+        run, print_rows = Controller.run, artifacts.Artifacts.print
 
         def recording_run(self, cols, cable, reading, log_row):
             at = nan_tick - 1 - n_row[0]
@@ -479,7 +480,7 @@ class TestRunScenario:
             print_rows(self, block)
 
         monkeypatch.setattr(Controller, "run", recording_run)
-        monkeypatch.setattr(harness.Artifacts, "print", keep_rows)
+        monkeypatch.setattr(artifacts.Artifacts, "print", keep_rows)
         report = run_scenario(ScenarioConfig(
             activity="lw", n_strides=3, seed=1, output_dir=str(tmp_path),
             controller={"silent_cycles": 2}))
@@ -525,13 +526,13 @@ def stalling_detector(monkeypatch, start_ms, end_ms=math.inf):
 def record_reports(monkeypatch):
     """The arguments of each block's call of the stride reporter."""
     calls = []
-    report = harness._StrideReport.report
+    report = metrics._StrideReport.report
 
     def recording(self, log, contacts, foot_offs, adopted):
         calls.append((log, contacts, foot_offs, adopted))
         return report(self, log, contacts, foot_offs, adopted)
 
-    monkeypatch.setattr(harness._StrideReport, "report", recording)
+    monkeypatch.setattr(metrics._StrideReport, "report", recording)
     return calls
 
 
@@ -541,7 +542,7 @@ def record_rows(monkeypatch):
     later blocks overwrite), and the run's foot contacts, foot-offs and
     adopted params, filled in as the run goes."""
     blocks, events = [], []
-    report = harness._StrideReport.report
+    report = metrics._StrideReport.report
 
     def recording(self, log, contacts, foot_offs, adopted):
         seen = blocks[-1][-1, 0] if blocks else -math.inf
@@ -549,7 +550,7 @@ def record_rows(monkeypatch):
         events[:] = contacts, foot_offs, adopted
         return report(self, log, contacts, foot_offs, adopted)
 
-    monkeypatch.setattr(harness._StrideReport, "report", recording)
+    monkeypatch.setattr(metrics._StrideReport, "report", recording)
     return blocks, events
 
 
@@ -582,15 +583,15 @@ class TestStreamedRun:
             stalling_detector(monkeypatch, *stall_ms)
         calls = record_reports(monkeypatch)
         blocks = []
-        print_rows = harness.Artifacts.print
-        monkeypatch.setattr(harness.Artifacts, "print", lambda self, rows: (
+        print_rows = artifacts.Artifacts.print
+        monkeypatch.setattr(artifacts.Artifacts, "print", lambda self, rows: (
             blocks.append(rows.copy()), print_rows(self, rows)))
         report = run_scenario(ScenarioConfig(
             activity="lw", scenario="perturb", n_strides=30, seed=3,
             output_dir=str(tmp_path)))
         sizes = {len(log.base) for log, *_ in calls}
         assert (len(sizes) > 1) == bool(stall_ms)
-        whole = harness._StrideReport(30)
+        whole = metrics._StrideReport(30)
         whole.report(np.concatenate(blocks), *calls[-1][1:])
         assert len(report.per_stride) >= 28
         assert repr(whole.per_stride) == repr(report.per_stride)
@@ -671,7 +672,7 @@ class TestPrinter:
     def test_a_printer_failure_fails_the_run(self, tmp_path, monkeypatch,
                                              capsys):
         # The printer inherits the patch; its third chunk fails.
-        block, calls = harness._csv_block, []
+        block, calls = artifacts._csv_block, []
 
         def failing(rows):
             calls.append(len(rows))
@@ -679,7 +680,7 @@ class TestPrinter:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return block(rows)
 
-        monkeypatch.setattr(harness, "_csv_block", failing)
+        monkeypatch.setattr(artifacts, "_csv_block", failing)
         printers = record_forks(monkeypatch)
         with pytest.raises(OSError) as err:
             run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1,
@@ -702,7 +703,7 @@ class TestPrinter:
         # Killed once the last block is handed over, the printer fails the
         # run through its exit status alone.
         printers = record_forks(monkeypatch)
-        print_rows, blocks = harness.Artifacts.print, []
+        print_rows, blocks = artifacts.Artifacts.print, []
         write = harness.write_artifacts
 
         def killing(self, rows):
@@ -716,7 +717,7 @@ class TestPrinter:
                 os.kill(printers[-1], signal.SIGKILL)
             write(*args)
 
-        monkeypatch.setattr(harness.Artifacts, "print", killing)
+        monkeypatch.setattr(artifacts.Artifacts, "print", killing)
         monkeypatch.setattr(harness, "write_artifacts", killing_write)
         with pytest.raises(OSError, match="printer killed by SIGKILL"):
             run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1,
@@ -730,8 +731,8 @@ class TestPrinter:
         printers = record_forks(monkeypatch)
         rows = zero_rows(2500)
         first, second = tmp_path / "first", tmp_path / "second"
-        with harness.Artifacts(str(first)) as a:
-            with harness.Artifacts(str(second)) as b:
+        with artifacts.Artifacts(str(first)) as a:
+            with artifacts.Artifacts(str(second)) as b:
                 a.print(rows[:1000])
                 b.print(rows)
                 a.print(rows[1000:])
@@ -745,10 +746,10 @@ class TestPrinter:
                 assert_reaped(printers[:1], 1)
                 b.print(rows)
                 write_artifacts(str(second), b, REPORT)
-        want = HEADER + harness._csv_rows(rows)
+        want = HEADER + artifacts._csv_rows(rows)
         assert (first / "timeseries.csv").read_bytes() == want
         assert (second / "timeseries.csv").read_bytes() == (
-            want + harness._csv_rows(rows))
+            want + artifacts._csv_rows(rows))
         assert_reaped(printers, 2)
 
     def test_a_failed_fork_leaves_nothing(self, tmp_path, monkeypatch):
@@ -768,14 +769,14 @@ class TestPrinter:
     def test_a_print_of_no_rows(self, tmp_path, monkeypatch, sizes):
         printers = record_forks(monkeypatch)
         rows = zero_rows(sum(sizes))
-        with harness.Artifacts(str(tmp_path)) as artifacts:
+        with artifacts.Artifacts(str(tmp_path)) as files:
             at = 0
             for n in sizes:
-                artifacts.print(rows[at:at + n])
+                files.print(rows[at:at + n])
                 at += n
-            write_artifacts(str(tmp_path), artifacts, REPORT)
+            write_artifacts(str(tmp_path), files, REPORT)
         assert (tmp_path / "timeseries.csv").read_bytes() == (
-            HEADER + harness._csv_rows(rows))
+            HEADER + artifacts._csv_rows(rows))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "summary.json", "timeseries.csv"]
         assert_reaped(printers, 1)

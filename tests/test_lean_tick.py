@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
-from shankexo.controller import ControlMode, Controller, ControllerConfig
+from shankexo.artifacts import LOG_COLUMNS, Artifacts
+from shankexo.controller import (MODES, ControlMode, Controller,
+                                 ControllerConfig)
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
-from shankexo.harness import LOG_COLUMNS, ScenarioConfig, run_scenario
+from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
                             _sample_clock, build_template, free_length)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
@@ -401,8 +403,8 @@ def test_log_records_the_profile_force_on_aborted_stance_ticks(tmp_path,
     the log is the rows each block hands the printer."""
     from shankexo import harness
     blocks, ctrls = [], []
-    print_rows = harness.Artifacts.print
-    monkeypatch.setattr(harness.Artifacts, "print", lambda self, rows: (
+    print_rows = Artifacts.print
+    monkeypatch.setattr(Artifacts, "print", lambda self, rows: (
         blocks.append(rows.copy()), print_rows(self, rows)))
     monkeypatch.setattr(harness, "Controller",
                         lambda *a: ctrls.append(Controller(*a)) or ctrls[-1])
@@ -412,7 +414,7 @@ def test_log_records_the_profile_force_on_aborted_stance_ticks(tmp_path,
     st = ctrls[0].state
     assert st.aborted and st.mode is ControlMode.STANCE
     col = dict(zip(LOG_COLUMNS, np.concatenate(blocks).T))
-    aborted = col["mode"] == harness.MODES.index("abort")
+    aborted = col["mode"] == MODES.index("abort")
     assert col["t_ms"][aborted][0] == 8600.0
     want = [eval_force(st.active_params, th)
             for th in col["theta_sk_deg"][aborted].tolist()]

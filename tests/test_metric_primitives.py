@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as hs
 
 import scalar_reference as ref
-from shankexo import harness
+from shankexo import metrics
 
 # Values the arithmetic treats apart: signed zeros, subnormals, the least
 # normal, and magnitudes near 1e150, whose squares and their sums over 2000
@@ -88,7 +88,7 @@ def test_rmse_pct_equals_the_loop(xy, peak):
     """rmse_pct takes NaN and infinities: f_meas is NaN after a NaN force
     reading."""
     desired, actual = xy
-    assert_same(outcome(harness.rmse_pct, desired, actual, peak),
+    assert_same(outcome(metrics.rmse_pct, desired, actual, peak),
                 outcome(ref.rmse_pct, desired, actual, peak))
 
 
@@ -101,14 +101,14 @@ def test_rmse_pct_equals_the_loop(xy, peak):
 @given(xy=pairs(FINITE))
 def test_pearson_equals_the_loop(xy):
     x, y = xy
-    assert_same(outcome(harness.pearson, x, y), outcome(ref.pearson, x, y))
+    assert_same(outcome(metrics.pearson, x, y), outcome(ref.pearson, x, y))
 
 
 @settings(max_examples=150, deadline=None)
 @given(xy=pairs(FINITE))
 def test_stance_correlation_equals_the_loop(xy):
     m, b = xy
-    assert_same(outcome(harness.stance_correlation, m, b),
+    assert_same(outcome(metrics.stance_correlation, m, b),
                 outcome(ref.stance_correlation, m, b))
 
 
@@ -118,7 +118,7 @@ def test_a_sum_of_negative_zeros_is_zero():
     x = np.array([1.0, -1.0, -0.0, 0.0])    # mean 0.0
     y = np.array([-0.0, 0.0, 1.0, -1.0])    # mean 0.0
     assert np.signbit(np.add.accumulate(x * y)).all()
-    for f in (harness.pearson, ref.pearson):
+    for f in (metrics.pearson, ref.pearson):
         r = f(x, y)
         assert r == 0.0 and not np.signbit(r)
 
@@ -133,12 +133,12 @@ def test_squares_are_c_pow_not_products():
     assert len(hard) > 40
     for h in hard:
         d = np.array([h, 0.3])
-        assert_same(harness.rmse_pct(d, np.zeros(2), 1.0),
+        assert_same(metrics.rmse_pct(d, np.zeros(2), 1.0),
                     ref.rmse_pct(d, np.zeros(2), 1.0))
         x = np.array([h, -h, 0.0])
         y = np.array([1.0, 2.0, 4.0])
-        assert_same(harness.pearson(x, y), ref.pearson(x, y))
-        assert_same(harness.pearson(y, x), ref.pearson(y, x))
+        assert_same(metrics.pearson(x, y), ref.pearson(x, y))
+        assert_same(metrics.pearson(y, x), ref.pearson(y, x))
 
 
 # -- range of the correlation -------------------------------------------------
@@ -154,15 +154,15 @@ def test_pearson_where_sxx_syy_or_their_product_is_not_normal():
         x, y = np.array(x), np.array(y)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert harness.pearson(x, y) == 1.0
-            assert harness.pearson(x, -y) == -1.0
+            assert metrics.pearson(x, y) == 1.0
+            assert metrics.pearson(x, -y) == -1.0
 
 
 def test_pearson_where_the_squared_deviations_all_underflow():
     """Deviations near 1e-170 square to 0.0, so sxx is 0.0 though the series
     is not constant; the scaled sums give the correlation."""
     x = np.array([1e-170, -1e-170, 0.0])
-    for f in (harness.pearson, ref.pearson):
+    for f in (metrics.pearson, ref.pearson):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert f(x, x) == 1.0
@@ -179,11 +179,11 @@ def test_sd_where_the_squared_deviations_overflow():
     series = [[0.5, 1.75, -2.25, 5.0], [1.0, 3.0, None, 5.0], [-1.0, 1.0],
               [1.0, -1.0] * 5]
     for vals in series:
-        want = harness._sd(vals)
+        want = metrics._sd(vals)
         for k in (500, 511, 600, 1020):
             big = [None if v is None else math.ldexp(v, k) for v in vals]
-            assert harness._sd(big) == math.ldexp(want, k)
-    assert harness._sd([1.5e308, -1.5e308]) == math.inf
+            assert metrics._sd(big) == math.ldexp(want, k)
+    assert metrics._sd([1.5e308, -1.5e308]) == math.inf
 
 
 def test_mean_where_the_sum_overflows():
@@ -195,14 +195,14 @@ def test_mean_where_the_sum_overflows():
     series = [[0.5, 1.75, 1.5, 0.75], [1.0, 1.0, None, 1.0, 1.0],
               [1.0, -0.25, 1.5, 1.0, 1.0], [1.5] * 10]
     for vals in series:
-        want_mean, want_sd = harness._mean(vals), harness._sd(vals)
+        want_mean, want_sd = metrics._mean(vals), metrics._sd(vals)
         for k in (1022, 1023):
             big = [None if v is None else math.ldexp(v, k) for v in vals]
             assert sum(v for v in big if v is not None) == math.inf
-            assert harness._mean(big) == math.ldexp(want_mean, k)
-            assert harness._sd(big) == math.ldexp(want_sd, k)
-    assert harness._mean([1.5e308, 1.5e308, math.inf]) == math.inf
-    assert math.isnan(harness._mean([1.5e308, 1.5e308, math.nan]))
+            assert metrics._mean(big) == math.ldexp(want_mean, k)
+            assert metrics._sd(big) == math.ldexp(want_sd, k)
+    assert metrics._mean([1.5e308, 1.5e308, math.inf]) == math.inf
+    assert math.isnan(metrics._mean([1.5e308, 1.5e308, math.nan]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,6 +210,6 @@ def test_mean_where_the_sum_overflows():
 def test_pearson_stays_in_range(xy):
     """Left-to-right sums of up to 2000 terms drift by a few hundred ulps,
     so the bound is not a few ulps."""
-    r = outcome(harness.pearson, *xy)
+    r = outcome(metrics.pearson, *xy)
     assume(not isinstance(r, type))
     assert abs(r) <= 1.0 + 1e-12, r

@@ -9,7 +9,7 @@ from shankexo.profile import (EstimationSkipped, GaussianParams, ParameterError,
                               ShankByPercentGC, eval_force, eval_force_rate,
                               extract_raw, feature_targets)
 from shankexo.profile import eval_time_profile_array
-from shankexo.harness import (STANCE_GRID_POINTS, MetricsError,
+from shankexo.metrics import (STANCE_GRID_POINTS, MetricsError,
                               stance_correlation, stance_grid,
                               time_comparator)
 from hypothesis import given, settings, strategies as hs
