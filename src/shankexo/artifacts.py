@@ -18,20 +18,19 @@ float64:
 
 The artifacts are written under temporary names (_PARTIAL) in out_dir.
 timeseries.csv is printed by a printer process that `Artifacts` forks at
-the run's start (`os.fork`; the run starts no thread), so the printing
-overlaps the run. The printer writes the header and the rows to the
-temporary file, which the parent creates first. `Artifacts.print` hands it
-log rows through a pipe: per call, the row count as 8 bytes, then the rows
-as they lie in memory, (m, 14) float64 in C order; EOF ends the rows. The
-printer keeps only fds 0-2, its pipe end, its status pipe and the CSV, so a
-printer forked later holds no pipe end of this one, and it leaves only
-through os._exit. write_artifacts writes summary.json while the printer
-drains, reaps it, and only then renames both files into place. A failed or
-killed printer sends one message on its status pipe and fails the run with
-OSError, at the next `print` or in write_artifacts. Leaving the `Artifacts`
-block reaps the printer and removes what is still under a temporary name,
-so a run that raises leaves neither the files nor their temporaries, nor a
-process.
+the run's start, so the printing overlaps the run; the process plumbing
+(the fork, the fds it keeps, its exit and the reap) is `forked`'s. The
+printer writes the header and the rows to the temporary file, which the
+parent creates first. `Artifacts.print` hands it log rows through a pipe:
+per call, the row count as 8 bytes, then the rows as they lie in memory,
+(m, 14) float64 in C order; EOF ends the rows. The printer keeps its pipe
+end, its status pipe and the CSV. write_artifacts writes summary.json
+while the printer drains, reaps it, and only then renames both files into
+place. A failed printer reports on its status pipe; it, or a killed one,
+fails the run with OSError, at the next `print` or in write_artifacts.
+Leaving the `Artifacts` block reaps the printer and removes what is still
+under a temporary name, so a run that raises leaves neither the files nor
+their temporaries, nor a process.
 
 timeseries.csv holds the first twelve columns, the mode by name, and
 `perturbed` = (perturb_kind != 0), in the format of _CSV_ROW: t_ms as %.1f,
@@ -67,9 +66,11 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
+from . import forked
 from .controller import MODES
 
 LOG_COLUMNS = ("t_ms", "stride", "mode", "theta_sk_deg", "theta_ft_deg",
@@ -163,25 +164,19 @@ class Artifacts:
         path = os.path.join(out_dir, "timeseries.csv" + _PARTIAL)
         fds = [os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)]
         try:
+            fds += forked.pipe()
             fds += os.pipe()
-            fds += os.pipe()
-            self._pid = os.fork()
+            csv, rows_r, self._rows, self._status, status_w = fds
+            self._pid = forked.fork(
+                (rows_r, status_w, csv), partial(_printer, rows_r, csv),
+                partial(forked.report_line, status_w))
         except BaseException:
             for fd in fds:
                 os.close(fd)
             os.remove(path)
             raise
-        csv, rows_r, self._rows, self._status, status_w = fds
-        if self._pid == 0:
-            _printer(rows_r, status_w, csv)       # never returns
         for fd in (csv, rows_r, status_w):
             os.close(fd)
-        # Room for two blocks in the pipe (Linux; the default is 64 KiB),
-        # so a block's hand-over waits for the printer only when it is that
-        # far behind.
-        import fcntl
-        with suppress(AttributeError, OSError):
-            fcntl.fcntl(self._rows, fcntl.F_SETPIPE_SZ, 1 << 20)
 
     def print(self, rows: np.ndarray) -> None:
         """Hand the rows of the run log `rows` to the printer."""
@@ -189,8 +184,8 @@ class Artifacts:
             return
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         try:
-            _send(self._rows, len(rows).to_bytes(8, "little"))
-            _send(self._rows, memoryview(rows).cast("B"))
+            forked.send(self._rows, len(rows).to_bytes(8, "little"))
+            forked.send(self._rows, memoryview(rows).cast("B"))
         except BrokenPipeError:
             self.wait()        # raises the printer's failure
             raise
@@ -207,21 +202,8 @@ class Artifacts:
         self.end_rows()
         if not self._pid:
             return
-        status = os.waitpid(self._pid, 0)[1]
-        self._pid = 0
-        with open(self._status, "rb") as fh:
-            message = fh.read().decode()
-        code = os.waitstatus_to_exitcode(status)
-        if message:
-            err, _, text = message.partition("\n")
-            text = f"timeseries.csv printer: {text}"
-            raise OSError(int(err), text) if int(err) else OSError(text)
-        if code < 0:
-            from signal import Signals
-            raise OSError(f"timeseries.csv printer killed by "
-                          f"{Signals(-code).name}")
-        if code:
-            raise OSError(f"timeseries.csv printer exited with {code}")
+        pid, self._pid = self._pid, 0
+        forked.reap(pid, "timeseries.csv printer", self._status)
 
     def __enter__(self) -> Artifacts:
         return self
@@ -238,41 +220,17 @@ class Artifacts:
                     os.remove(os.path.join(self.out_dir, name + _PARTIAL))
 
 
-def _send(fd: int, data) -> None:
-    """Write all of `data` to the pipe fd."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _printer(rows_fd: int, status_fd: int, csv_fd: int) -> None:
-    """The printer process: print the rows read from rows_fd to csv_fd
-    until EOF, report a failure on status_fd as its errno (0 for an error
-    without one) and one line, and leave through os._exit."""
-    code = 1
-    try:
-        keep = sorted((rows_fd, status_fd, csv_fd))
-        for lo, hi in zip([2, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
-            os.closerange(lo + 1, hi)
-        with open(rows_fd, "rb") as pipe, open(csv_fd, "wb") as csv:
-            csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-            while head := pipe.read(8):
-                rows = np.empty((int.from_bytes(head, "little"),
-                                 len(LOG_COLUMNS)))
-                if pipe.readinto(memoryview(rows).cast("B")) != rows.nbytes:
-                    raise EOFError("the rows ended within a block")
-                for i in range(0, len(rows), _CSV_CHUNK):
-                    csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
-        code = 0
-    except BaseException as exc:    # the process ends below either way
-        if isinstance(exc, OSError) and exc.errno:
-            err, text = exc.errno, exc.strerror
-        else:
-            err, text = 0, f"{type(exc).__name__}: {exc}"
-        with suppress(OSError):
-            os.write(status_fd, f"{err}\n{' '.join(text.split())}".encode())
-    finally:
-        os._exit(code)
+def _printer(rows_fd: int, csv_fd: int) -> None:
+    """The printer process's body: print the rows read from rows_fd to
+    csv_fd until EOF."""
+    with open(rows_fd, "rb") as pipe, open(csv_fd, "wb") as csv:
+        csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+        while head := pipe.read(8):
+            rows = np.empty((int.from_bytes(head, "little"), len(LOG_COLUMNS)))
+            if pipe.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                raise EOFError("the rows ended within a block")
+            for i in range(0, len(rows), _CSV_CHUNK):
+                csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
 
 
 def write_artifacts(out_dir: str, artifacts: Artifacts, report) -> None:

@@ -25,6 +25,20 @@ fill's is the row after the gap); a gap of more than MAX_GAP_SAMPLES - 1
 samples raises SignalLossError. Either is raised after the samples of the
 rows before it.
 
+That reading runs in a reader process (`_reader`), so it overlaps the
+caller's use of the samples. At the first sample the caller's process
+opens the stream, forks the reader (`forked.fork`) and closes its own copy
+of the file. The reader keeps the stream and its end of a pipe of
+forked.PIPE_BYTES, which bounds how far it runs ahead, and sends records:
+per block, its sample count n > 0 as 8 bytes and its (7, n) float64
+sample columns; after the last block, the end record, a count of 0; or,
+after the blocks before it, the error that ended the stream as -m and m
+bytes of the pickled exception, raised again with its type, message and
+errno. A pipe that ends without either means the reader died: OSError
+names its signal or exit status, after the samples it sent, so a stream
+is never silently shorter. An end or an error reaps the reader, and an
+iterator dropped early kills and reaps it.
+
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
 period, ahead of each block's 1 kHz closed loop, and `plant` validates gait
@@ -36,14 +50,21 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
+import pickle
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain, islice, repeat
+from math import inf
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
+
+from . import forked
 
 log = logging.getLogger(__name__)
 
@@ -124,14 +145,15 @@ class EventDetector:
     above it. Emitted events carry the extremum sample time. `fc_t_ms` is
     the last foot contact's time, which stance follows; `fo_arm_threshold`
     the rate (deg/s) the seeker arms below. A sample whose channel the mode
-    reads is not finite is skipped, as no extremum or threshold can use it.
+    reads is not finite is skipped, as no extremum or threshold can use it,
+    and so is a sample whose time is not finite.
     """
 
     def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config or DetectorConfig()
         self.mode = GaitPhase.SWING
         self.gc_count = 0
-        self._refractory_until = -math.inf
+        self._refractory_until = -sys.float_info.max   # below every finite t
         self.fo_arm_threshold = self.config.fo_arm_init
         self._armed = False
         self._ext_value: Optional[float] = None
@@ -142,7 +164,7 @@ class EventDetector:
 
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
         t = sample.t_ms
-        if t < self._refractory_until:
+        if not self._refractory_until <= t < inf:    # also NaN and +-inf
             return None
         if self.mode is _SWING:
             value = sample.theta_ft
@@ -258,40 +280,93 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
 
     Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
     over the stream, and chains the blocks' samples; nothing is opened
-    before the first sample is asked for. A leading UTF-8 byte-order mark
-    is skipped. A row that is not five numbers (a byte that is not UTF-8
-    text, read as a lone surrogate, makes it so), a field past csv's size
-    limit, or a timestamp, angle, rate or derived DF angle or rate that is
-    not finite raises SignalQualityError naming its line. Any error is
-    raised after the samples of the rows before it.
+    before the first sample is asked for. A reader process forked then
+    parses and conditions the next blocks while the caller uses these (see
+    the module docstring). A leading UTF-8 byte-order mark is skipped. A
+    row that is not five numbers (a byte that is not UTF-8 text, read as a
+    lone surrogate, makes it so), a field past csv's size limit, or a
+    timestamp, angle, rate or derived DF angle or rate that is not finite
+    raises SignalQualityError naming its line. Any error is raised after
+    the samples of the rows before it; a reader process that dies raises
+    OSError after the samples it sent. Dropping the iterator early kills
+    and reaps the reader.
     """
     return chain.from_iterable(_blocks(path))
 
 
 def _blocks(path):
-    """Each block's samples, then the error that ended the stream, if any."""
+    """Each block's samples, as the reader process sends them, then the
+    error that ended the stream, if any."""
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+        r, w = forked.pipe()
         try:
-            header = next(reader, [])     # [] for an empty file
-        except csv.Error as exc:
-            raise SignalQualityError(f"replay line {reader.line_num}: "
-                                     f"{exc}") from None
-        if [h.strip() for h in header] != REPLAY_HEADER:
-            raise SignalQualityError(f"unexpected replay header: {header}")
-        line, tail = reader.line_num, np.empty((0, 5))
-        while True:
-            rows, ends, failure = _read_block(fh, line)
-            samples, tail, rejection = _condition(rows, ends, tail)
-            yield samples
-            if rejection is not None:
-                raise rejection
-            if failure is not None:
-                raise failure
-            if not ends:
+            pid = forked.fork((w, fh.fileno()), partial(_reader, fh, w),
+                              partial(_send_error, w))
+        except BaseException:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            while head := pipe.read(8):
+                n = int.from_bytes(head, "little", signed=True)
+                record = np.empty((7, n)) if n > 0 else bytearray(-n)
+                view = memoryview(record).cast("B")
+                if pipe.readinto(view) != view.nbytes:
+                    break
+                if n > 0:
+                    yield map(tuple.__new__, repeat(KinematicSample),
+                              zip(*record.tolist()))
+                    continue
+                os.waitpid(pid, 0)
+                pid = 0
+                if n:
+                    raise pickle.loads(record)    # our reader's bytes
                 return
-            line = ends[-1]
+        pid, dead = 0, pid      # no end record: the reader died
+        forked.reap(dead, "replay reader")
+        raise OSError("replay reader exited without an end record")
+    finally:
+        if pid:                 # the iterator was closed or dropped early
+            forked.kill(pid)
+
+
+def _reader(fh, out: int) -> None:
+    """The reader process's body: send each block's sample columns on the
+    pipe `out`, then the end record; an error that ends the stream is
+    raised after the blocks before it."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, [])     # [] for an empty file
+    except csv.Error as exc:
+        raise SignalQualityError(f"replay line {reader.line_num}: "
+                                 f"{exc}") from None
+    if [h.strip() for h in header] != REPLAY_HEADER:
+        raise SignalQualityError(f"unexpected replay header: {header}")
+    line, tail = reader.line_num, np.empty((0, 5))
+    while True:
+        rows, ends, failure = _read_block(fh, line)
+        cols, tail, rejection = _condition(rows, ends, tail)
+        if cols.shape[1]:
+            forked.send(out, cols.shape[1].to_bytes(8, "little"))
+            forked.send(out, memoryview(np.ascontiguousarray(cols)).cast("B"))
+        if rejection is not None:
+            raise rejection
+        if failure is not None:
+            raise failure
+        if not ends:
+            break
+        line = ends[-1]
+    forked.send(out, bytes(8))
+
+
+def _send_error(out: int, exc: BaseException) -> None:
+    """The reader's error record: the exception that ended the stream,
+    pickled, after its negated length."""
+    data = pickle.dumps(exc)
+    forked.send(out, (-len(data)).to_bytes(8, "little", signed=True) + data)
 
 
 def _read_block(fh, line: int):
@@ -349,9 +424,10 @@ def _raising(exc: Exception):
 
 
 def _condition(rows, ends, tail):
-    """The samples of `rows` (t, ft, sk, ft rate, sk rate) up to the first
-    row that fails a check, the stream's last two rows for the next block,
-    and that row's error, or None.
+    """The sample columns (`_columns`) of `rows` (t, ft, sk, ft rate, sk
+    rate) and their fills up to the first row that fails a check, the
+    stream's last two rows for the next block, and that row's error, or
+    None.
 
     A gap of up to MAX_GAP_SAMPLES - 1 samples is filled by linear
     extrapolation from the two rows before it, `tail` carrying them across
@@ -359,7 +435,7 @@ def _condition(rows, ends, tail):
     """
     n, k = len(rows), len(tail)
     if not n:
-        return (), tail, None
+        return np.empty((7, 0)), tail, None
     t = rows[:, 0]
     with np.errstate(all="ignore"):
         gap = np.rint(np.diff(t, prepend=tail[-1, 0] if k else t[0])
@@ -381,12 +457,11 @@ def _condition(rows, ends, tail):
             cols = _columns(out)
         else:
             cols = cols[:, :stop]
-    samples = map(tuple.__new__, repeat(KinematicSample), zip(*cols.tolist()))
     if stop == n:
-        return samples, np.concatenate((tail, rows))[-2:], None
-    return samples, tail, _rejection(rows[stop].tolist(), float(gap[stop]),
-                                     [f[stop].tolist() for f in fills],
-                                     ends[stop])
+        return cols, np.concatenate((tail, rows))[-2:], None
+    return cols, tail, _rejection(rows[stop].tolist(), float(gap[stop]),
+                                  [f[stop].tolist() for f in fills],
+                                  ends[stop])
 
 
 def _columns(rows):

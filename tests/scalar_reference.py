@@ -586,12 +586,12 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
 class ReferenceDetector(EventDetector):
     """`EventDetector` with the per-sample update it had before: the
     foot-off gate fc_t_ms + fo_gate_fraction * stance duration is
-    evaluated on every stance sample. A sample whose channel the mode reads
-    is not finite is skipped."""
+    evaluated on every stance sample. A sample whose time, or whose channel
+    the mode reads, is not finite is skipped."""
 
     def update(self, sample: KinematicSample) -> Optional[GaitEvent]:
         cfg = self.config
-        if sample.t_ms < self._refractory_until:
+        if not self._refractory_until <= sample.t_ms < math.inf:
             return None
         if self.mode is GaitPhase.SWING:
             value = sample.theta_ft

@@ -154,8 +154,8 @@ def gait_frames(activity):
 # A stretch of simulated gait with drawn sensor noise, which moves the
 # extrema a sample or two from stride to stride, rounded or not (to whole
 # degrees and tens of deg/s, so extrema repeat). A few drawn samples are
-# made NaN or infinite, or moved in time (a step of 0 or 1 ms lands in the
-# refractory window). The refractory time and the foot-off gate are drawn
+# made NaN or infinite, in a channel or in time, or moved in time (a step
+# of 0 or 1 ms lands in the refractory window). The refractory time and the foot-off gate are drawn
 # too: a gate of 1.0 stance opens at the previous foot-off extremum, one of
 # 1.5 after most of the stance.
 @st.composite
@@ -208,18 +208,22 @@ def detected(samples):
     return [ev for ev in map(det.update, samples) if ev is not None]
 
 
-@pytest.mark.parametrize("channel, value", [("theta_ft", math.nan),
-                                            ("theta_ft_rate", -math.inf)])
-def test_a_non_finite_sample_is_skipped(channel, value):
-    # 12 s of lw walking at seed 1, every 10th tick: 21 events. A NaN foot
-    # pitch at the first swing sample used to become the running maximum
-    # (0 events), and a -inf rate in a gated stance the foot-off extremum,
-    # which set fo_arm_threshold to -inf (7 events).
+def lw_probe():
+    """12 s of lw walking at seed 1, every 10th tick: 21 events."""
     block = GaitWorld(build_template("lw"), PlantConfig(),
                       seed=1).advance_block(0.001, 13000)
     walking = np.flatnonzero(block.walking)[::10]
-    samples = [KinematicSample(t, *f) for t, f in zip(
+    return [KinematicSample(t, *f) for t, f in zip(
         block.t_sample[walking].tolist(), block.frames[walking].tolist())]
+
+
+@pytest.mark.parametrize("channel, value", [("theta_ft", math.nan),
+                                            ("theta_ft_rate", -math.inf)])
+def test_a_non_finite_sample_is_skipped(channel, value):
+    # A NaN foot pitch at the first swing sample used to become the running
+    # maximum (0 events), and a -inf rate in a gated stance the foot-off
+    # extremum, which set fo_arm_threshold to -inf (7 events).
+    samples = lw_probe()
     want = detected(samples)
     assert len(want) == 21
     if channel == "theta_ft":
@@ -230,6 +234,19 @@ def test_a_non_finite_sample_is_skipped(channel, value):
                                                               - fc1.t_ms)
         at = next(i for i, s in enumerate(samples) if s.t_ms >= gate)
     samples[at] = samples[at]._replace(**{channel: value})
+    assert detected(samples) == want
+
+
+@pytest.mark.parametrize("t_ms", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 50])
+def test_a_sample_at_a_non_finite_time_is_skipped(t_ms, at):
+    # The probe gives the events of the stream without that sample. An
+    # infinite time at sample 50 used to set the refractory end to inf (3
+    # events), and a NaN one passed the refractory check and became the
+    # foot-contact extremum's time (22 events).
+    samples = lw_probe()
+    want = detected(samples[:at] + samples[at + 1:])
+    samples[at] = samples[at]._replace(t_ms=t_ms)
     assert detected(samples) == want
 
 

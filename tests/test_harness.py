@@ -4,12 +4,13 @@ import math
 import os
 import signal
 import struct
-import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
+
+from processes import assert_reaped, exits_within, record_forks
 
 from shankexo import artifacts, harness, metrics
 from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
@@ -614,43 +615,6 @@ class TestStreamedRun:
         assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
         assert list(empty.iterdir()) == []
         assert_reaped(printers, 2)
-
-
-def record_forks(monkeypatch):
-    """The pids of the processes forked from here on, as the parent sees
-    them."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def assert_reaped(pids, n):
-    """n processes were forked, and none of them is left, not even as a
-    zombie."""
-    assert len(pids) == n
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def exits_within(pid: int, seconds: float) -> bool:
-    """Whether the child pid exits within `seconds`; it is left to be
-    reaped."""
-    deadline = time.monotonic() + seconds
-    while not os.waitid(os.P_PID, pid,
-                        os.WEXITED | os.WNOHANG | os.WNOWAIT):
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
 
 
 REPORT = MetricsReport(config={}, per_stride=[], aggregate={},

@@ -7,7 +7,13 @@ block boundaries (the block size is patched small), and compare the
 samples and the error with `reference_read_replay_csv`.
 """
 
+import errno
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -16,8 +22,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from processes import assert_reaped, exits_within, pipes, record_forks
 from scalar_reference import reference_read_replay_csv
-from shankexo import gait_signals
+from shankexo import artifacts, gait_signals
 from shankexo.cli import main
 from shankexo.gait_signals import (REPLAY_HEADER, KinematicSample,
                                    SignalLossError, SignalQualityError,
@@ -161,7 +168,9 @@ def stream_path(tmp_path_factory):
 
 # The examples take a block with and without a gap: a gapless stream of
 # several blocks, a gap at a block boundary, finite angles whose DF
-# overflows, and a NaN field in an otherwise gapless block.
+# overflows, and a NaN field in an otherwise gapless block. The reader
+# raises in its own process; the error the caller gets has crossed the pipe
+# and has the in-process reference's type and message.
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=streams(), lines=st.sampled_from(BLOCK_SIZES))
@@ -344,13 +353,111 @@ def test_nothing_opens_before_the_first_sample(tmp_path):
         next(read_replay_csv(tmp_path / "missing.csv"))
 
 
+# -- the reader process ---------------------------------------------------------
+
+@pytest.mark.parametrize("how", ["ends", "raises", "is abandoned"])
+def test_a_read_leaves_no_reader_process(tmp_path, monkeypatch, how):
+    # Abandoned after its first sample, a stream that fills the pipe twice
+    # over leaves its reader waiting to write.
+    rows = regular(40_000 if how == "is abandoned" else 50)
+    if how == "raises":
+        rows[30][1] = "nan"
+    path = write(tmp_path / "s.csv", rows)
+    monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
+    readers = record_forks(monkeypatch)
+    if how == "is abandoned":
+        samples = read_replay_csv(path)
+        assert next(samples).t_ms == 10.0
+        assert not exits_within(readers[0], 0.0)
+        del samples
+    else:
+        _, error = outcome(read_replay_csv, path)
+        assert (error is None) == (how == "ends")
+    assert_reaped(readers, 1)
+
+
+@pytest.mark.parametrize("failure", ["killed", "OSError"])
+def test_a_reader_that_fails_raises_after_the_samples_it_sent(
+        tmp_path, monkeypatch, failure):
+    # The reader's second block fails: its process is killed, or it raises
+    # an OSError, which reaches the caller with its type, errno and text.
+    path = write(tmp_path / "s.csv", regular(12))
+    condition, calls = gait_signals._condition, []
+    eio = OSError(errno.EIO, os.strerror(errno.EIO), "s.csv")
+
+    def failing(*args):
+        calls.append(len(args[0]))
+        if len(calls) == 2:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise eio
+        return condition(*args)
+
+    monkeypatch.setattr(gait_signals, "_condition", failing)
+    monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
+    readers = record_forks(monkeypatch)
+    samples, error = outcome(read_replay_csv, path)
+    assert samples == outcome(reference_read_replay_csv, path)[0][:4]
+    if failure == "killed":
+        assert error == (OSError, "replay reader killed by SIGKILL")
+    else:
+        assert error == (OSError, str(eio))
+    assert calls == []        # the caller's process parses nothing itself
+    assert_reaped(readers, 1)
+
+
+def settled_pipes(pid: int, n: int, seconds: float = 10.0) -> set:
+    """The pipes of the child pid once it holds at most n of them, or
+    after `seconds`: a child just forked still holds its parent's."""
+    deadline = time.monotonic() + seconds
+    while len(held := pipes(pid)) > n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return held
+
+
+def test_reader_and_printer_hold_no_end_of_each_others_pipes(tmp_path,
+                                                             monkeypatch):
+    # A reader forked inside a live Artifacts block holds only its own
+    # pipe, and a printer forked during the read its rows and status pipes.
+    # The stream's samples fill the pipe twice over, so the reader is still
+    # there to look at.
+    path = write(tmp_path / "s.csv", regular(40_000))
+    pids = record_forks(monkeypatch)
+    with artifacts.Artifacts(str(tmp_path / "first")):
+        samples = read_replay_csv(path)
+        next(samples)
+        with artifacts.Artifacts(str(tmp_path / "second")):
+            first, reader, second = pids
+            own, printed = pipes(reader), settled_pipes(second, 2)
+            apart = (len(own) == 1 and not own & settled_pipes(first, 2)
+                     and len(printed) == 2 and not own & printed)
+            if not apart:     # a printer that holds its pipe never ends
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+            assert apart, (own, printed)
+        del samples
+    assert_reaped(pids, 3)
+
+
 # -- memory ----------------------------------------------------------------------
 
+# Replays a stream in a fresh interpreter and prints the peak RSS of its
+# children (KiB): its reader process's.
+REPLAY = """\
+import resource, sys
+from shankexo.gait_signals import read_replay_csv
+for _ in read_replay_csv(sys.argv[1]):
+    pass
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
 def test_read_memory_does_not_grow_with_the_stream(tmp_path):
-    peaks = []
+    peaks, paths = [], []
     for n in (5_000, 50_000):
         path = write(tmp_path / f"s{n}.csv",
                      [[10.0 * i, 1.25, -3.5, 40.125, -7.0] for i in range(n)])
+        paths.append(str(path))
         tracemalloc.start()
         try:
             for _ in read_replay_csv(path):
@@ -360,3 +467,11 @@ def test_read_memory_does_not_grow_with_the_stream(tmp_path):
             tracemalloc.stop()
     # Read whole, the longer stream peaks about 14 MB above the shorter.
     assert abs(peaks[1] - peaks[0]) < 200_000, peaks
+    # tracemalloc sees this process only, not its reader process, and this
+    # process's RUSAGE_CHILDREN peak holds every process it forked.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(gait_signals.__file__)))
+    rss = [int(subprocess.run([sys.executable, "-c", REPLAY, path], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout) for path in paths]
+    assert rss[1] - rss[0] < 1024, rss
