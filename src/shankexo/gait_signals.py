@@ -25,19 +25,23 @@ fill's is the row after the gap); a gap of more than MAX_GAP_SAMPLES - 1
 samples raises SignalLossError. Either is raised after the samples of the
 rows before it.
 
-That reading runs in a reader process (`_reader`), so it overlaps the
-caller's use of the samples. At the first sample the caller's process
-opens the stream, forks the reader (`forked.fork`) and closes its own copy
-of the file. The reader keeps the stream and its end of a pipe of
-forked.PIPE_BYTES, which bounds how far it runs ahead, and sends records:
-per block, its sample count n > 0 as 8 bytes and its (7, n) float64
-sample columns; after the last block, the end record, a count of 0; or,
-after the blocks before it, the error that ended the stream as -m and m
-bytes of the pickled exception, raised again with its type, message and
-errno. A pipe that ends without either means the reader died: OSError
-names its signal or exit status, after the samples it sent, so a stream
-is never silently shorter. An end or an error reaps the reader, and an
-iterator dropped early kills and reaps it.
+A stream longer than REPLAY_FORK_SAMPLES samples is read on in a reader
+process, so the reading overlaps the caller's use of the samples: the
+caller's process reads the blocks up to that many samples, forks the
+reader (`forked.fork`) and closes its own copy of the file. The reader
+keeps the stream and its end of a pipe of forked.PIPE_BYTES, which bounds
+how far it runs ahead, and sends records: per block, its sample count
+n > 0 as 8 bytes and its (7, n) float64 sample columns; after the last
+block, the end record, a count of 0; or, after the blocks before it, the
+error that ended the stream and its cause as -m and m bytes of the
+pickled pair, raised again with its type, message, errno and cause. A
+pipe that ends without either means the reader died: OSError names its
+signal or exit status, after the samples it sent, so a stream is never
+silently shorter. An end or an error reaps the reader, and an iterator
+dropped early kills and reaps it. Where the system cannot fork, the
+caller's process may run on one CPU only or runs another thread, or the
+fork fails, the caller's process reads on itself; the samples are the
+same either way.
 
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
@@ -53,6 +57,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -271,6 +276,12 @@ class WindowAssembler:
 REPLAY_HEADER = ["t_ms", "theta_ft_deg", "theta_sk_deg",
                  "theta_ft_rate_dps", "theta_sk_rate_dps"]
 REPLAY_BLOCK_LINES = 1024  # stream lines parsed and conditioned at a time
+# Samples a replay reads in the caller's process before a reader process
+# may read the rest (`_blocks`). Forking and reaping the reader costs about
+# what the overlap saves on this many samples (4-5 ms, against about 1.1 us
+# a sample on 2 vCPUs): a stream no longer never forks, and one just longer
+# loses at most that cost.
+REPLAY_FORK_SAMPLES = 4096
 # ASCII separators, which numpy strips around a number and float() does not.
 SEPARATORS = "\x1c\x1d\x1e\x1f"
 
@@ -280,36 +291,43 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
 
     Reads REPLAY_BLOCK_LINES lines at a time, so memory stays constant
     over the stream, and chains the blocks' samples; nothing is opened
-    before the first sample is asked for. A reader process forked then
-    parses and conditions the next blocks while the caller uses these (see
-    the module docstring). A leading UTF-8 byte-order mark is skipped. A
-    row that is not five numbers (a byte that is not UTF-8 text, read as a
-    lone surrogate, makes it so), a field past csv's size limit, or a
-    timestamp, angle, rate or derived DF angle or rate that is not finite
-    raises SignalQualityError naming its line. Any error is raised after
-    the samples of the rows before it; a reader process that dies raises
-    OSError after the samples it sent. Dropping the iterator early kills
-    and reaps the reader.
+    before the first sample is asked for. Past REPLAY_FORK_SAMPLES
+    samples, a reader process may parse and condition the rest while the
+    caller uses the samples (see the module docstring). A leading UTF-8
+    byte-order mark is skipped. A row that is not five numbers (a byte
+    that is not UTF-8 text, read as a lone surrogate, makes it so), a field
+    past csv's size limit, or a timestamp, angle, rate or derived DF angle
+    or rate that is not finite raises SignalQualityError naming its line.
+    Any error is raised after the samples of the rows before it; a reader
+    process that dies raises OSError after the samples it sent. Dropping
+    the iterator early kills and reaps the reader.
     """
     return chain.from_iterable(_blocks(path))
 
 
 def _blocks(path):
-    """Each block's samples, as the reader process sends them, then the
-    error that ended the stream, if any."""
+    """Each block's samples, then the error that ended the stream, if any.
+
+    The blocks are read here until more than REPLAY_FORK_SAMPLES samples
+    are read. A reader process, where one can be had (`_fork_reader`),
+    reads the rest and sends their columns, and this process builds the
+    samples while it reads on.
+    """
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
-        r, w = forked.pipe()
-        try:
-            pid = forked.fork((w, fh.fileno()), partial(_reader, fh, w),
-                              partial(_send_error, w))
-        except BaseException:
-            os.close(r)
-            raise
-        finally:
-            os.close(w)
+        stream, read = _stream(fh), 0
+        for cols in stream:
+            before, read = read, read + cols.shape[1]
+            if (before <= REPLAY_FORK_SAMPLES < read
+                    and (reader := _fork_reader(fh, stream))):
+                break
+            yield _samples(cols)
+        else:
+            return
+    pid, r = reader
     try:
         with open(r, "rb") as pipe:
+            yield _samples(cols)
             while head := pipe.read(8):
                 n = int.from_bytes(head, "little", signed=True)
                 record = np.empty((7, n)) if n > 0 else bytearray(-n)
@@ -317,13 +335,15 @@ def _blocks(path):
                 if pipe.readinto(view) != view.nbytes:
                     break
                 if n > 0:
-                    yield map(tuple.__new__, repeat(KinematicSample),
-                              zip(*record.tolist()))
+                    yield _samples(record)
                     continue
                 os.waitpid(pid, 0)
                 pid = 0
                 if n:
-                    raise pickle.loads(record)    # our reader's bytes
+                    exc, cause = pickle.loads(record)   # our reader's bytes
+                    if hasattr(exc, "add_note"):        # Python 3.11 on
+                        exc.add_note("raised in the replay reader process")
+                    raise exc from cause
                 return
         pid, dead = 0, pid      # no end record: the reader died
         forked.reap(dead, "replay reader")
@@ -333,10 +353,15 @@ def _blocks(path):
             forked.kill(pid)
 
 
-def _reader(fh, out: int) -> None:
-    """The reader process's body: send each block's sample columns on the
-    pipe `out`, then the end record; an error that ends the stream is
-    raised after the blocks before it."""
+def _samples(cols):
+    """The KinematicSamples of (7, n) sample columns."""
+    return map(tuple.__new__, repeat(KinematicSample), zip(*cols.tolist()))
+
+
+def _stream(fh):
+    """The sample columns of each block of the stream fh (`_read_block`,
+    `_condition`); an error that ends the stream is raised after the
+    blocks before it."""
     reader = csv.reader(fh)
     try:
         header = next(reader, [])     # [] for an empty file
@@ -349,23 +374,59 @@ def _reader(fh, out: int) -> None:
     while True:
         rows, ends, failure = _read_block(fh, line)
         cols, tail, rejection = _condition(rows, ends, tail)
-        if cols.shape[1]:
-            forked.send(out, cols.shape[1].to_bytes(8, "little"))
-            forked.send(out, memoryview(np.ascontiguousarray(cols)).cast("B"))
+        yield cols
         if rejection is not None:
             raise rejection
         if failure is not None:
             raise failure
         if not ends:
-            break
+            return
         line = ends[-1]
+
+
+def _fork_reader(fh, stream):
+    """A reader process that reads the rest of `stream` from fh and sends
+    it (`_send_stream`): its pid and the read end of its pipe. None where
+    it could not run beside this process, on another CPU, or could not be
+    forked: then this process reads on.
+
+    A reader is forked only from a process that runs no other thread: a
+    child of a threaded process may find a lock held that no thread of
+    its own will release.
+    """
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    if (not hasattr(os, "fork") or len(cpus) < 2
+            or threading.active_count() > 1):
+        return None
+    r, w = forked.pipe()
+    pid = 0
+    try:
+        pid = forked.fork((w, fh.fileno()), partial(_send_stream, stream, w),
+                          partial(_send_error, w))
+    except OSError:             # no process to be had: read on here
+        pass
+    finally:
+        os.close(w)
+        if not pid:
+            os.close(r)
+    return (pid, r) if pid else None
+
+
+def _send_stream(stream, out: int) -> None:
+    """The reader process's body: send each block's sample columns on the
+    pipe `out`, then the end record."""
+    for cols in stream:
+        if cols.shape[1]:
+            forked.send(out, cols.shape[1].to_bytes(8, "little"))
+            forked.send(out, memoryview(np.ascontiguousarray(cols)).cast("B"))
     forked.send(out, bytes(8))
 
 
 def _send_error(out: int, exc: BaseException) -> None:
-    """The reader's error record: the exception that ended the stream,
-    pickled, after its negated length."""
-    data = pickle.dumps(exc)
+    """The reader's error record: the exception that ended the stream and
+    its cause, pickled, after their negated length."""
+    data = pickle.dumps((exc, exc.__cause__))
     forked.send(out, (-len(data)).to_bytes(8, "little", signed=True) + data)
 
 

@@ -13,8 +13,10 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -59,6 +61,16 @@ def assert_same_as_reference(path, block_sizes=BLOCK_SIZES):
 
 def text_of(rows):
     return HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+@contextmanager
+def reader_past(samples):
+    """Reads that fork a reader process past `samples` samples, on any
+    host."""
+    with mock.patch.object(gait_signals, "REPLAY_FORK_SAMPLES", samples), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
+                              create=True):
+        yield
 
 
 def write(path, rows):
@@ -168,20 +180,25 @@ def stream_path(tmp_path_factory):
 
 # The examples take a block with and without a gap: a gapless stream of
 # several blocks, a gap at a block boundary, finite angles whose DF
-# overflows, and a NaN field in an otherwise gapless block. The reader
-# raises in its own process; the error the caller gets has crossed the pipe
-# and has the in-process reference's type and message.
+# overflows, and a NaN field in an otherwise gapless block. A reader
+# process takes over after the first block, after 5 samples or not at all;
+# an error it raises has crossed the pipe when the caller gets it, and has
+# the in-process reference's type and message.
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=streams(), lines=st.sampled_from(BLOCK_SIZES))
-@example(text=text_of(regular(11)), lines=4)
-@example(text=text_of(with_gap_at(regular(11), 4)), lines=4)
+@given(text=streams(), lines=st.sampled_from(BLOCK_SIZES),
+       past=st.sampled_from([0, 5, gait_signals.REPLAY_FORK_SAMPLES]))
+@example(text=text_of(regular(11)), lines=4, past=0)
+@example(text=text_of(with_gap_at(regular(11), 4)), lines=4, past=0)
 @example(text=text_of(with_value(with_value(regular(11), 5, 2, 1e308),
-                                 5, 1, -1e308)), lines=4)
-@example(text=text_of(with_value(regular(11), 6, 3, math.nan)), lines=4)
-def test_block_reader_equals_the_per_row_reader(stream_path, text, lines):
+                                 5, 1, -1e308)), lines=4, past=0)
+@example(text=text_of(with_value(regular(11), 6, 3, math.nan)), lines=4,
+         past=0)
+def test_block_reader_equals_the_per_row_reader(stream_path, text, lines,
+                                                past):
     stream_path.write_bytes(text.encode())
-    assert_same_as_reference(stream_path, block_sizes=(lines,))
+    with reader_past(past):
+        assert_same_as_reference(stream_path, block_sizes=(lines,))
 
 
 # -- hand-picked streams ---------------------------------------------------------
@@ -355,8 +372,52 @@ def test_nothing_opens_before_the_first_sample(tmp_path):
 
 # -- the reader process ---------------------------------------------------------
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked from here on; a read forks its
+    reader at the end of its first block."""
+    with reader_past(0):
+        yield record_forks(monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["longer", "not longer", "one CPU",
+                                  "another thread", "no process"])
+def test_a_reader_process_reads_on_where_it_runs_beside_this_one(
+        tmp_path, monkeypatch, case):
+    # A stream longer than REPLAY_FORK_SAMPLES samples forks a reader
+    # process, which reads the rest on a CPU of its own. Where it could not
+    # run beside this process or cannot be forked, this process reads on.
+    path = write(tmp_path / "s.csv", with_gap_at(regular(20), 9))
+    monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
+    monkeypatch.setattr(gait_signals, "REPLAY_FORK_SAMPLES",
+                        21 if case == "not longer" else 6)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0} if case == "one CPU" else {0, 1},
+                        raising=False)
+    forks = record_forks(monkeypatch)
+    if case == "no process":
+        def failing():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.setattr(os, "fork", failing)
+    fds, stop = os.listdir("/proc/self/fd"), threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "another thread":
+        thread.start()
+    try:
+        got = outcome(read_replay_csv, path)
+    finally:
+        stop.set()
+    if case == "another thread":
+        thread.join()
+    assert got == outcome(reference_read_replay_csv, path)
+    assert len(got[0]) == 21
+    assert_reaped(forks, int(case == "longer"))
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
 @pytest.mark.parametrize("how", ["ends", "raises", "is abandoned"])
-def test_a_read_leaves_no_reader_process(tmp_path, monkeypatch, how):
+def test_a_read_leaves_no_reader_process(tmp_path, monkeypatch, forks,
+                                         how):
     # Abandoned after its first sample, a stream that fills the pipe twice
     # over leaves its reader waiting to write.
     rows = regular(40_000 if how == "is abandoned" else 50)
@@ -364,23 +425,23 @@ def test_a_read_leaves_no_reader_process(tmp_path, monkeypatch, how):
         rows[30][1] = "nan"
     path = write(tmp_path / "s.csv", rows)
     monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
-    readers = record_forks(monkeypatch)
     if how == "is abandoned":
         samples = read_replay_csv(path)
         assert next(samples).t_ms == 10.0
-        assert not exits_within(readers[0], 0.0)
+        assert not exits_within(forks[0], 0.0)
         del samples
     else:
         _, error = outcome(read_replay_csv, path)
         assert (error is None) == (how == "ends")
-    assert_reaped(readers, 1)
+    assert_reaped(forks, 1)
 
 
 @pytest.mark.parametrize("failure", ["killed", "OSError"])
 def test_a_reader_that_fails_raises_after_the_samples_it_sent(
-        tmp_path, monkeypatch, failure):
-    # The reader's second block fails: its process is killed, or it raises
-    # an OSError, which reaches the caller with its type, errno and text.
+        tmp_path, monkeypatch, forks, failure):
+    # The caller's process reads the first block; the reader's, forked
+    # then, fails on the second: its process is killed, or it raises an
+    # OSError, which reaches the caller with its type, errno and text.
     path = write(tmp_path / "s.csv", regular(12))
     condition, calls = gait_signals._condition, []
     eio = OSError(errno.EIO, os.strerror(errno.EIO), "s.csv")
@@ -395,15 +456,29 @@ def test_a_reader_that_fails_raises_after_the_samples_it_sent(
 
     monkeypatch.setattr(gait_signals, "_condition", failing)
     monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
-    readers = record_forks(monkeypatch)
     samples, error = outcome(read_replay_csv, path)
     assert samples == outcome(reference_read_replay_csv, path)[0][:4]
     if failure == "killed":
         assert error == (OSError, "replay reader killed by SIGKILL")
     else:
         assert error == (OSError, str(eio))
-    assert calls == []        # the caller's process parses nothing itself
-    assert_reaped(readers, 1)
+    assert calls == [4]       # the caller's process read the first block
+    assert_reaped(forks, 1)
+
+
+def test_an_error_from_the_reader_keeps_its_cause(tmp_path, monkeypatch,
+                                                  forks):
+    rows = regular(8)
+    rows[6][2] = "x"
+    path = write(tmp_path / "s.csv", rows)
+    monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
+    with pytest.raises(SignalQualityError,
+                       match="replay line 8: not 5 numbers") as info:
+        list(read_replay_csv(path))
+    assert type(info.value.__cause__) is ValueError
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__ == ["raised in the replay reader process"]
+    assert_reaped(forks, 1)
 
 
 def settled_pipes(pid: int, n: int, seconds: float = 10.0) -> set:
@@ -416,19 +491,19 @@ def settled_pipes(pid: int, n: int, seconds: float = 10.0) -> set:
 
 
 def test_reader_and_printer_hold_no_end_of_each_others_pipes(tmp_path,
-                                                             monkeypatch):
+                                                             forks):
     # A reader forked inside a live Artifacts block holds only its own
     # pipe, and a printer forked during the read its rows and status pipes.
     # The stream's samples fill the pipe twice over, so the reader is still
     # there to look at.
     path = write(tmp_path / "s.csv", regular(40_000))
-    pids = record_forks(monkeypatch)
+    pids = forks
     with artifacts.Artifacts(str(tmp_path / "first")):
         samples = read_replay_csv(path)
         next(samples)
         with artifacts.Artifacts(str(tmp_path / "second")):
             first, reader, second = pids
-            own, printed = pipes(reader), settled_pipes(second, 2)
+            own, printed = settled_pipes(reader, 1), settled_pipes(second, 2)
             apart = (len(own) == 1 and not own & settled_pipes(first, 2)
                      and len(printed) == 2 and not own & printed)
             if not apart:     # a printer that holds its pipe never ends
@@ -441,12 +516,15 @@ def test_reader_and_printer_hold_no_end_of_each_others_pipes(tmp_path,
 
 # -- memory ----------------------------------------------------------------------
 
-# Replays a stream in a fresh interpreter and prints the peak RSS of its
-# children (KiB): its reader process's.
+# Replays a stream in a fresh interpreter, its reader process forked at the
+# end of the first block, and prints the peak RSS of its children (KiB):
+# the reader's.
 REPLAY = """\
-import resource, sys
-from shankexo.gait_signals import read_replay_csv
-for _ in read_replay_csv(sys.argv[1]):
+import os, resource, sys
+from shankexo import gait_signals
+gait_signals.REPLAY_FORK_SAMPLES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+for _ in gait_signals.read_replay_csv(sys.argv[1]):
     pass
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
