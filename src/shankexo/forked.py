@@ -4,9 +4,10 @@ Two parts of the program run in a child process beside the one that uses
 them: the printer of timeseries.csv (`artifacts.Artifacts`) and the reader
 of a long replay stream (`gait_signals.read_replay_csv`). Each is forked
 (`os.fork`; the program starts no thread) and talks to its parent through
-a pipe of PIPE_BYTES. `fork` runs the child: it keeps only fds 0-2 and the fds it is
-given, so a child forked later holds no pipe end of an earlier one, and it
-leaves only through os._exit, after reporting an exception that ended it.
+a pipe of PIPE_BYTES. `fork` runs the child: it keeps only fds 0-2 and the
+fds it is given, so a child forked later holds no pipe end of an earlier
+one, and it leaves only through os._exit, after reporting an exception
+that ended it.
 `reap` waits for a child and turns a failure (a one-line report, a signal
 or a non-zero exit status) into OSError.
 """

@@ -38,10 +38,10 @@ pickled pair, raised again with its type, message, errno and cause. A
 pipe that ends without either means the reader died: OSError names its
 signal or exit status, after the samples it sent, so a stream is never
 silently shorter. An end or an error reaps the reader, and an iterator
-dropped early kills and reaps it. Where the system cannot fork, the
-caller's process may run on one CPU only or runs another thread, or the
-fork fails, the caller's process reads on itself; the samples are the
-same either way.
+dropped early kills and reaps it. Where the system does not tell which
+CPUs the caller's process may run on, it may run on one only, no CPU is
+idle, it runs another thread, or the fork fails, the caller's process
+reads on itself; the samples are the same either way.
 
 IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
 here only: `harness` feeds the estimation path one world tick per IMU
@@ -386,18 +386,19 @@ def _stream(fh):
 
 def _fork_reader(fh, stream):
     """A reader process that reads the rest of `stream` from fh and sends
-    it (`_send_stream`): its pid and the read end of its pipe. None where
-    it could not run beside this process, on another CPU, or could not be
-    forked: then this process reads on.
+    it (`_send_stream`): its pid and the read end of its pipe. None, and
+    this process reads on, where the reader could not run on a CPU of its
+    own or could not be forked: this process may run on one CPU only
+    (os.sched_getaffinity, which Linux has, tells), or no CPU is idle
+    (`_idle_cpu`), as then the two processes would share one.
 
-    A reader is forked only from a process that runs no other thread: a
+    Nor is a reader forked from a process that runs another thread: a
     child of a threaded process may find a lock held that no thread of
     its own will release.
     """
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
-    if (not hasattr(os, "fork") or len(cpus) < 2
-            or threading.active_count() > 1):
+    if (not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1 or not _idle_cpu()):
         return None
     r, w = forked.pipe()
     pid = 0
@@ -411,6 +412,17 @@ def _fork_reader(fh, stream):
         if not pid:
             os.close(r)
     return (pid, r) if pid else None
+
+
+def _idle_cpu() -> bool:
+    """Whether a CPU is idle now: fewer tasks are runnable, this process
+    included, than the system has CPUs (/proc/loadavg's fourth field)."""
+    try:
+        with open("/proc/loadavg") as fh:
+            runnable = int(fh.read().split()[3].partition("/")[0])
+    except OSError:
+        return False
+    return runnable < (os.cpu_count() or 1)
 
 
 def _send_stream(stream, out: int) -> None:

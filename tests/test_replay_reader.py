@@ -66,10 +66,11 @@ def text_of(rows):
 @contextmanager
 def reader_past(samples):
     """Reads that fork a reader process past `samples` samples, on any
-    host."""
+    host, however busy."""
     with mock.patch.object(gait_signals, "REPLAY_FORK_SAMPLES", samples), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
-                              create=True):
+                              create=True), \
+            mock.patch.object(gait_signals, "_idle_cpu", lambda: True):
         yield
 
 
@@ -381,12 +382,14 @@ def forks(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["longer", "not longer", "one CPU",
-                                  "another thread", "no process"])
+                                  "no idle CPU", "another thread",
+                                  "no process"])
 def test_a_reader_process_reads_on_where_it_runs_beside_this_one(
         tmp_path, monkeypatch, case):
     # A stream longer than REPLAY_FORK_SAMPLES samples forks a reader
     # process, which reads the rest on a CPU of its own. Where it could not
     # run beside this process or cannot be forked, this process reads on.
+    # Seen from a system of one CPU, this process makes that CPU busy.
     path = write(tmp_path / "s.csv", with_gap_at(regular(20), 9))
     monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
     monkeypatch.setattr(gait_signals, "REPLAY_FORK_SAMPLES",
@@ -394,6 +397,8 @@ def test_a_reader_process_reads_on_where_it_runs_beside_this_one(
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: {0} if case == "one CPU" else {0, 1},
                         raising=False)
+    monkeypatch.setattr(os, "cpu_count",
+                        lambda: 1 if case == "no idle CPU" else 1 << 20)
     forks = record_forks(monkeypatch)
     if case == "no process":
         def failing():
