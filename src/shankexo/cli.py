@@ -2,7 +2,8 @@
 
 Bad input (a missing or unreadable file, a malformed header or stream, an
 invalid config) prints one `shankexo: error: ...` line to stderr and exits
-2, as argparse does for bad arguments. A run that the safety monitor
+2, as argparse does for bad arguments, and so does a loop kernel that
+cannot be built (no C compiler `cc`). A run that the safety monitor
 aborted exits 1.
 """
 
@@ -11,26 +12,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .gait_signals import (IMU_PERIOD_MS, STANCE_CAPACITY, GaitEventKind,
                            GaitPhase, SignalLossError, SignalQualityError,
                            read_replay_csv)
-from .harness import ConfigError, ScenarioConfig, ScenarioKind, run_scenario
-from .metrics import MetricsReport
 from .plant import Activity, TemplateError
 from .profile import EstimationPath, ParameterError
 from .tendon import IdentificationError, identify_stiffness, load_calibration_csv
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
 
 # The keys of a --config file: ScenarioConfig's override groups.
 OVERRIDE_GROUPS = ("controller", "plant", "template")
 
 # What a user mends by changing a file or a flag, not the program.
-INPUT_ERRORS = (OSError, json.JSONDecodeError, ConfigError, TemplateError,
+INPUT_ERRORS = (OSError, json.JSONDecodeError, TemplateError,
                 ParameterError, SignalQualityError, SignalLossError,
                 IdentificationError)
 
 
 def _add_run_parser(sub) -> None:
+    from .harness import ScenarioConfig, ScenarioKind
     p = sub.add_parser("run", help="run one closed-loop scenario")
     p.add_argument("--activity", choices=[a.value for a in Activity],
                    default=ScenarioConfig.activity)
@@ -48,6 +52,7 @@ def _add_run_parser(sub) -> None:
 
 
 def _run(args) -> int:
+    from .harness import ConfigError, ScenarioConfig, run_scenario
     overrides = {}
     if args.config:
         with open(args.config) as fh:
@@ -120,6 +125,13 @@ def _replay(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        # `harness` runs the loop kernel, which `controller` builds at
+        # import; its parsers read the run's defaults.
+        from .harness import ConfigError, ScenarioConfig
+    except ImportError as exc:
+        print(f"shankexo: error: {exc}", file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="shankexo",
         description="Shank-angle-based exoskeleton control, simulated")
@@ -140,7 +152,7 @@ def main(argv=None) -> int:
                "replay": _replay}[args.command]
     try:
         return command(args)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, ConfigError) as exc:
         print(f"shankexo: error: {exc}", file=sys.stderr)
         return 2
 

@@ -393,3 +393,42 @@ def test_the_nominal_script_probes_then_engages(monkeypatch):
     stance_code = list(ControlMode).index(ControlMode.STANCE)
     assert sum(code == stance_code and v == key(controller.PROBE_RATE)
                for code, v in zip(rows[0::6], rows[5::6])) > 10
+
+
+@pytest.mark.parametrize("script", [[], START, START + [event(FO, 2)],
+                                    CONFIRM_THEN_CEILING])
+def test_a_zero_tick_stretch_returns_the_reading_unchanged(script):
+    # A stretch of no ticks, as `_run` runs between two events on one tick
+    # (`done == at`), changes nothing and logs no row.
+    ctrl = make(Controller, 0.0)
+    run_script(ctrl, script, new_loop, PlantConfig(), (L_START, 0.0), True)
+    plant = PlantState(l_cable=L_START - 1.0, motor_v=-0.0)
+    before = snapshot(ctrl, plant)
+    reading = (2.5, L_START - 1.0, -0.0, math.nan)
+    rows = []
+    got = ctrl.run(np.empty((6, 0)), bind_cable(plant, TRUTH, PlantConfig(),
+                                                DT), reading, rows.append)
+    assert keys(got) == keys(reading)
+    assert [r.shape for r in rows] == [(0, 6)]
+    assert snapshot(ctrl, plant) == before
+
+
+def test_a_stance_without_params_logs_one_warning_per_stretch(caplog):
+    # Pretighten, then a foot contact that brings no params: each stance
+    # stretch holds, with one warning giving its ticks, up to the abort.
+    script = [("ticks", hold(40, L_START + 0.5)), event(FC, 2),
+              ("ticks", hold(7, L_START)), ("ticks", hold(3, L_START)),
+              ("ticks", [tick(0.0, L_START), tick(0.0, 400.0),
+                         tick(0.0, L_START)]),
+              ("ticks", hold(2, L_START))]
+    want = run_script(make(TickController, 0.0, PlantConfig.v_max), script,
+                      per_tick_loop, PlantConfig(), (L_START, 0.0), True)
+    caplog.clear()
+    caplog.set_level(logging.WARNING, controller.__name__)
+    assert run_script(make(Controller, 0.0), script, new_loop, PlantConfig(),
+                      (L_START, 0.0), True) == want
+    lines = [(r.levelno, r.getMessage()) for r in caplog.records
+             if r.name == controller.__name__]
+    held = "stance without profile parameters: held for %d ticks"
+    assert lines == [(logging.WARNING, held % 7), (logging.WARNING, held % 3),
+                     (logging.WARNING, held % 2), (logging.ERROR, want[2][0])]

@@ -281,6 +281,9 @@ cable_tick = hs.tuples(
                 (math.inf, math.inf, math.nan), (-math.inf, 300.0, 0.0)],
          v_max=250.0, l_cable=300.0, motor_v=0.0, noise_sd=0.2, noisy=True,
          dt=0.001)
+# A force of -0.0 (k_all * (-0.0 - 0.0)), which the clip reads as 0.0.
+@example(ticks=[(0.0, -0.0, 0.0)], v_max=250.0, l_cable=0.0, motor_v=0.0,
+         noise_sd=0.0, noisy=False, dt=0.001)
 def test_loop_cable_equals_the_min_max_form(ticks, v_max, l_cable, motor_v,
                                             noise_sd, noisy, dt):
     # State carries from tick to tick: the loop's cable lines against the
