@@ -8,8 +8,7 @@ float64:
     mode               index into MODES; "abort" once the safety abort latched
     theta_*_deg        truth shank, foot-pitch and DF angles
     f_des_n            desired force (N), 0 outside assisted stance: the
-                       controller's force column, the profile at the
-                       tick's shank angle
+                       profile at the tick's shank angle
     f_meas_n, f_truth_n, l_cable_mm, v_cmd_mm_s
                        plant reading and velocity command (positive retracts)
     belt_scale         phase-rate multiplier of ramps and perturbations

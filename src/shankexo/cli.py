@@ -126,7 +126,7 @@ def _replay(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        # `harness` runs the loop kernel, which `controller` builds at
+        # `harness` runs the loop kernel, which `kernel` builds at
         # import; its parsers read the run's defaults.
         from .harness import ConfigError, ScenarioConfig
     except ImportError as exc:

@@ -2,24 +2,37 @@
 
 `Controller.run` runs the ticks between two gait events, and with them
 the cable plant: the controller and the cable are the only closed loop.
-What the loop does not feed back is columns, computed once per stretch
-from the IMU kinematics and the stride's params: the profile force and
-its rate at each tick's shank angle (`eval_force_and_rate_array`), the
-feedforward, and the cable's zero-force length and load-cell noise
-(`GaitWorld.cable_columns`). The recurrence runs in one call per stretch
-to the loop kernel, `loop.c`, which this module builds with the system
-`cc` at import (`_load_loop`): the safety guard, the feedback filter, the
-PI, the overshoot shed, the envelope, the motor lag, the cable length,
-the force clip and the noise. Each tick's tier (engaged stance, PI,
-probe, abort, pretighten or a stance without params) is derived once
-before the stretch; in the kernel the abort, the engage tick and
-pretighten's confirmation each change it, and the kernel reports the
-tick of each. The tendon model's own updates (the engage tick's
-migration estimate, the pretighten baseline) and the log lines are
-applied after the call, in tick order, so `on_event` sees the state
-tick-by-tick evaluation leaves. The motor envelope is the cable's
-(`plant.Cable.v_max`), one value that clips the command, the probe and
-the cable, and sets the abort's payout speed.
+What the loop does not feed back is columns, computed once per block from
+the IMU kinematics: the shank and DF angles and rates, and the cable's
+zero-force length and load-cell noise (`GaitWorld.cable_columns`). The
+recurrence runs in one call per stretch to the loop kernel, `loop.c`,
+which `kernel` builds with the system `cc` at import: the stride's
+dual-Gaussian profile at each tick's shank angle, its rate and the
+feedforward, the safety guard, the feedback filter, the PI, the overshoot
+shed, the envelope, the motor lag, the cable length, the force clip and
+the noise. Each tick's tier (engaged stance, PI, probe, abort, pretighten
+or a stance without params) is derived once before the stretch; in the
+kernel the abort, the engage tick and pretighten's confirmation each
+change it, and the kernel reports the tick of each. The tendon model's
+own updates (the engage tick's migration estimate, the pretighten
+baseline) and the log lines are applied after the call, in tick order, so
+`on_event` sees the state tick-by-tick evaluation leaves; the kernel
+derives the same estimate and baseline for the stretch's later ticks. The
+motor envelope is the cable's (`plant.Cable.v_max`), one value that clips
+the command, the probe and the cable, and sets the abort's payout speed.
+
+The safety abort latches on a non-finite input, on a reading past the
+force ceiling or the position limit, and on a load cell that disagrees
+with the tendon model: where the model's force,
+max(0, k_all * (r * radians(df) + baseline_c - delta_l1 - l_meas)), and
+the measured one differ by more than `load_cell_residual` for
+RESIDUAL_TICKS ticks in a row. That check runs in silent walking, swing
+and a stance with params, engaged or probing. The bound's default sits
+above how far the model strays on a healthy run: until an engagement
+estimates the suit migration, its rest length is off by the migration
+(45-51 N in a first probe, after 5 to 11 silent strides), and a noisy
+load cell (1 N sd) that engages a slack cable leaves an estimate as far
+off (up to 55 N).
 
 Velocity sign convention: positive command = cable retraction = artificial
 tendon shortening. The stance command combines force-error feedback mapped
@@ -33,33 +46,28 @@ then assist. Each assisted stance opens with a tightening sub-phase that
 closes the slack gap left by swing and re-estimates suit migration at the
 moment the cable first engages.
 
-The desired force the run log shows for a tick is the force column: the
-profile force at the tick's shank angle in a stance stretch with
-parameters (engaged, probing or aborted alike), and 0.0 in any other.
+The desired force the run log shows for a tick is the profile force at
+the tick's shank angle in a stance stretch with parameters (engaged,
+probing or aborted alike), and 0.0 in any other.
 Only `on_event`, between stretches, enters or leaves stance, so a stretch
 is one or the other throughout.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import logging
-import math
-import os
-import sysconfig
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernel
 from .gait_signals import GaitEvent, GaitEventKind
 from .plant import Cable
-from .profile import GaussianParams, eval_force_and_rate_array
-from .tendon import TendonModel, estimate_migration, tendon_length
+from .profile import GaussianParams
+from .tendon import (MIGRATION_TOLERANCE_MM, TendonModel, estimate_migration,
+                     tendon_length)
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +90,10 @@ MODES = [m.value for m in ControlMode] + ["abort"]
 # engagement, _ABORT any mode once aborted, _PRETIGHTEN, and _IDLE stance
 # without params. The first two are the laws the command envelope clips.
 _STANCE, _PI, _PROBE, _ABORT, _PRETIGHTEN, _IDLE = range(6)
+# The reasons of the safety abort, in loop.c's order: a non-finite input,
+# a reading past the force ceiling or the position limit, and a load cell
+# that disagrees with the tendon model.
+_NON_FINITE, _LIMIT, _RESIDUAL = range(3)
 
 
 # The swing target, the silent release, stance entry and the profile's tail:
@@ -94,6 +106,7 @@ PROBE_MARGIN_MM = 2.0        # mm, model gap where probing takes over
 ENGAGE_FORCE = 2.0           # N, measured force confirming tautness
 TAIL_RELEASE_FORCE = 0.5     # N, desired force ending the profile
 TAIL_RELEASE_RATE = 40.0     # mm/s, extra payout after the profile ends
+RESIDUAL_TICKS = 5           # ticks in a row past load_cell_residual
 
 
 @dataclass
@@ -114,6 +127,7 @@ class ControllerConfig:
     pretighten_force: float = 5.0    # N, startup baseline confirmation
     pretighten_rate: float = 30.0    # mm/s during startup tightening
     integral_clamp: float = 50.0     # mm*s anti-windup bound
+    load_cell_residual: float = 75.0  # N, |tendon model - f_meas| bound
 
 
 @dataclass
@@ -129,6 +143,7 @@ class ControllerState:
     release_target: float = 0.0          # mm, slack hold length
     last_theta_df: float = 0.0
     v_fb_state: float = 0.0              # filtered feedback velocity
+    residual_ticks: int = 0              # ticks in a row past the residual
 
 
 class Controller:
@@ -138,6 +153,9 @@ class Controller:
         self.cfg = config
         self.tendon = tendon
         self.state = ControllerState()
+        # loop.c's vector s, refilled by each run, and its address
+        self._s = np.zeros(kernel.SLOTS)
+        self._s_at = self._s.ctypes.data
 
     # -- event interface ----------------------------------------------------
 
@@ -196,13 +214,12 @@ class Controller:
         float64 array whose columns are (mode code, f_des, f_meas, f_truth,
         l_meas, v) per tick; the mode code is the mode's index in
         ControlMode, or ABORT_CODE once the abort has latched, and f_des is
-        the tick's force column value (see the module docstring). Returns
+        the tick's desired force (see the module docstring). Returns
         the last reading; cable.state holds the motor velocity and the
         cable length. The state is read once before the stretch and written
         once after it, as tick-by-tick evaluation leaves it.
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
-        r, k_all = tendon.lever_arm_r, tendon.k_all
         plant, dt, alpha, vm, stiffness, pos_ref = cable
         if cols.ndim != 2 or len(cols) != 6:
             raise ValueError(f"cols must be (6, n), not {cols.shape}")
@@ -212,48 +229,46 @@ class Controller:
         n = cols.shape[1]
         mode, p = st.mode, st.active_params
         if mode is ControlMode.STANCE and p is not None:
-            f_col, rate_col = eval_force_and_rate_array(p, cols[0], cols[2])
-            with np.errstate(all="ignore"):    # inf - inf is NaN, silently
-                v_ff = r * np.radians(cols[3]) - rate_col / k_all
-            profile = f_col.ctypes.data, v_ff.ctypes.data
-            mu, shed_below = p.mu, 0.25 * p.amp
+            profile = p.amp, p.mu, p.sigma1, p.sigma2, p.theta_fc, p.theta_fo
             tier = _STANCE if st.engaged else _PROBE
         else:
-            profile = None, None
-            mu = shed_below = 0.0
+            profile = (0.0,) * 6        # an empty support: f_des is 0.0
             tier = (_PRETIGHTEN if mode is ControlMode.PRETIGHTEN
                     else _IDLE if mode is ControlMode.STANCE else _PI)
         code = _MODE_CODE[mode]
         if st.aborted:
             tier, code = _ABORT, ABORT_CODE
         swing = mode is ControlMode.SWING
-        # The slots of loop.c's vector s, in its order, as float64 whatever
-        # their types.
-        s = np.array((
-            r, k_all, cfg.kp, cfg.ki, cfg.kd, cfg.map_m, cfg.map_b,
-            cfg.integral_clamp, cfg.force_ceiling, cfg.position_limit_mm,
-            cfg.pretighten_force, cfg.pretighten_rate, dt, alpha, vm,
-            stiffness, pos_ref, _RADIAN, mu, shed_below,
-            tendon.baseline_c - tendon.delta_l1,
+        # The slots of loop.c's vector s up to its decisions, in its order,
+        # as float64 whatever their types.
+        s = self._s
+        s[:kernel.DECISIONS] = (
+            tendon.lever_arm_r, tendon.k_all, cfg.kp, cfg.ki, cfg.kd,
+            cfg.map_m, cfg.map_b, cfg.integral_clamp, cfg.force_ceiling,
+            cfg.position_limit_mm, cfg.pretighten_force, cfg.pretighten_rate,
+            dt, alpha, vm, stiffness, pos_ref, *profile,
+            tendon.baseline_c, tendon.delta_l1, MIGRATION_TOLERANCE_MM,
+            cfg.load_cell_residual, RESIDUAL_TICKS,
             st.l_swing if swing else st.release_target, swing,
             TIGHTEN_GAIN, PROBE_RATE, PROBE_MARGIN_MM, ENGAGE_FORCE,
             TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE, RELEASE_SLACK_MM,
             _MODE_CODE[ControlMode.SILENT], ABORT_CODE, tier, code,
             *reading, st.last_theta_df, st.v_fb_state,
             st.e_l_integral, st.f_swing_max, st.release_target,
-            plant.motor_v, plant.l_cable, *_DECISIONS), np.float64)
+            plant.motor_v, plant.l_cable, st.residual_ticks)
         rows = np.empty((n, 6))
-        _loop(n, cols.ctypes.data, cols.strides[0] // 8, *profile,
-              rows.ctypes.data, s.ctypes.data)
+        kernel.loop(n, cols.ctypes.data, cols.strides[0] // 8,
+                    rows.ctypes.data, self._s_at)
         (f_meas, l_meas, l_rate, pos, st.last_theta_df,
          st.v_fb_state, st.e_l_integral, st.f_swing_max, st.release_target,
-         plant.motor_v, plant.l_cable, engage_at, engage_f, engage_l,
-         confirm_at, baseline, abort_at, limit, *at_abort) = (
-             s[_STATE:].tolist())
+         plant.motor_v, plant.l_cable, residual_ticks, engage_at, engage_f,
+         engage_l, confirm_at, baseline, abort_at, reason, *at_abort,
+         model) = s[kernel.STATE:].tolist()
+        st.residual_ticks = int(residual_ticks)
         # The stretch's decisions, in tick order.
         if engage_at >= 0:
-            # Only a taut measurement identifies migration. No later tick
-            # of the stretch reads delta_l1: only the probe does.
+            # Only a taut measurement identifies migration. The kernel's
+            # later ticks read the same estimate.
             st.engaged = True
             estimate_migration(tendon, engage_l,
                                cols[1, int(engage_at)].item(), engage_f)
@@ -265,9 +280,13 @@ class Controller:
                         "ticks", idle)
         if abort_at >= 0:
             st.aborted = True
-            if limit:
+            if reason == _LIMIT:
                 log.error("safety abort: f=%.1f N pos=%.1f mm", at_abort[0],
                           at_abort[3])
+            elif reason == _RESIDUAL:
+                log.error("safety abort: load cell f=%.1f N against the "
+                          "tendon model's %.1f N for %d ticks", at_abort[0],
+                          model, RESIDUAL_TICKS)
             else:
                 log.error("safety abort: non-finite input (f, l, rate, "
                           "pos)=%r (sk, df, sk rate, df rate)=%r",
@@ -277,61 +296,3 @@ class Controller:
         return f_meas, l_meas, l_rate, pos
 
 
-# The kernel's flags: no option that lets the compiler reorder, contract or
-# approximate a double operation (such as -ffast-math) may join them.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_RADIAN = math.radians(1.0)    # math.radians(x) is x * this, exactly
-# Where loop.c's vector s holds the loop state, and the slots of the
-# decisions, which the kernel writes.
-_STATE = 34
-_DECISIONS = (0.0,) * 11
-
-
-def _compile(source: Path, out_dir: str) -> str:
-    """The shared library built from source by the system `cc` in
-    out_dir. ImportError, on one line, when `cc` cannot run or fails."""
-    import subprocess               # only a build pays for the import
-    out = os.path.join(out_dir, "loop.so")
-    try:
-        done = subprocess.run(["cc", *_CFLAGS, "-o", out, str(source)],
-                              capture_output=True, text=True)
-    except OSError as exc:
-        raise ImportError(f"shankexo needs the C compiler `cc` to build "
-                          f"{source}: {exc.strerror}") from None
-    if done.returncode:
-        raise ImportError(f"`cc` failed to build {source}: "
-                          f"{' '.join(done.stderr.split())}")
-    return out
-
-
-def _load_loop() -> Callable:
-    """The loop kernel's shankexo_loop(n, cols, stride, f_col, v_ff, rows,
-    s): loop.c built by the system `cc` into a shared library named by the
-    SHA-256 of its source, the flags and the platform, so no edit of any of
-    them loads a stale library. The library is kept in `__pycache__` beside
-    the source, built in a private directory there and renamed into place,
-    so a process loads only a whole library, whichever of several building
-    at once renames last. Where `__pycache__` cannot be written, or its
-    library cannot be loaded, the process builds its own in a temporary
-    directory, removed once the library is loaded."""
-    source = Path(__file__).with_name("loop.c")
-    key = b"\0".join((source.read_bytes(), " ".join(_CFLAGS).encode(),
-                      sysconfig.get_platform().encode()))
-    lib = (source.parent / "__pycache__"
-           / f"loop-{hashlib.sha256(key).hexdigest()}.so")
-    try:
-        if not lib.exists():
-            lib.parent.mkdir(exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-                os.replace(_compile(source, tmp), lib)
-        fn = ctypes.CDLL(str(lib)).shankexo_loop
-    except OSError:
-        with tempfile.TemporaryDirectory() as tmp:
-            fn = ctypes.CDLL(_compile(source, tmp)).shankexo_loop
-    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-    fn.argtypes = (size, ptr, size, ptr, ptr, ptr, ptr)
-    fn.restype = None
-    return fn
-
-
-_loop = _load_loop()

@@ -131,6 +131,8 @@ _OVERRIDE_TYPES = {
 #   them.
 # - A pretighten force of zero or less confirms the tendon baseline on the
 #   slack cable, whose reading of 0 is never below it.
+# - A load-cell residual bound of zero or less aborts the run on the
+#   load cell's noise alone.
 # - A negative load-cell noise sd is read as no noise, a negative map
 #   inertia as the static map; a negative integral clamp pins the swing
 #   integral at the wrong sign, and a negative damping gain drives the
@@ -141,7 +143,8 @@ _OVERRIDE_TYPES = {
 _OVERRIDE_ZERO_ALLOWED = {
     **dict.fromkeys((
         "controller.map_b", "controller.pretighten_rate",
-        "controller.pretighten_force", "plant.lever_arm_r", "plant.k_all",
+        "controller.pretighten_force", "controller.load_cell_residual",
+        "plant.lever_arm_r", "plant.k_all",
         "plant.baseline_c", "plant.motor_tau_s", "plant.v_max"),
         False),
     **dict.fromkeys((

@@ -1,0 +1,74 @@
+"""The C kernel, `loop.c`, built by the system `cc` at import: the 1 kHz
+controller-cable loop (`loop`, which `controller.Controller.run` calls once
+a stretch) and the dual-Gaussian profile force over an array of shank
+angles (`force`, which `profile.eval_time_profile_array` calls). One
+library serves both. `STATE`, `DECISIONS` and `SLOTS` are the layout of
+the loop's float64 vector s, as `loop.c` exports it: where the loop state
+starts, where the decisions start, and its length.
+"""
+
+import ctypes
+import hashlib
+import os
+import sysconfig
+import tempfile
+from pathlib import Path
+
+# The kernel's flags: no option that lets the compiler reorder, contract or
+# approximate a double operation (such as -ffast-math) may join them.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _compile(source: Path, out_dir: str) -> str:
+    """The shared library built from source by the system `cc` in
+    out_dir. ImportError, on one line, when `cc` cannot run or fails."""
+    import subprocess               # only a build pays for the import
+    out = os.path.join(out_dir, "loop.so")
+    try:
+        done = subprocess.run(["cc", *_CFLAGS, "-o", out, str(source)],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise ImportError(f"shankexo needs the C compiler `cc` to build "
+                          f"{source}: {exc.strerror}") from None
+    if done.returncode:
+        raise ImportError(f"`cc` failed to build {source}: "
+                          f"{' '.join(done.stderr.split())}")
+    return out
+
+
+def _load() -> ctypes.CDLL:
+    """loop.c built by the system `cc` into a shared library named by the
+    SHA-256 of its source, the flags and the platform, so no edit of any of
+    them loads a stale library. The library is kept in `__pycache__` beside
+    the source, built in a private directory there and renamed into place,
+    so a process loads only a whole library, whichever of several building
+    at once renames last. Where `__pycache__` cannot be written, or its
+    library cannot be loaded, the process builds its own in a temporary
+    directory, removed once the library is loaded."""
+    source = Path(__file__).with_name("loop.c")
+    key = b"\0".join((source.read_bytes(), " ".join(_CFLAGS).encode(),
+                      sysconfig.get_platform().encode()))
+    lib = (source.parent / "__pycache__"
+           / f"loop-{hashlib.sha256(key).hexdigest()}.so")
+    try:
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+                os.replace(_compile(source, tmp), lib)
+        return ctypes.CDLL(str(lib))
+    except OSError:
+        with tempfile.TemporaryDirectory() as tmp:
+            return ctypes.CDLL(_compile(source, tmp))
+
+
+_lib = _load()
+_size, _ptr = ctypes.c_ssize_t, ctypes.c_void_p
+# loop(n, cols, stride, rows, s): see shankexo_loop in loop.c.
+loop = _lib.shankexo_loop
+loop.argtypes = (_size, _ptr, _size, _ptr, _ptr)
+loop.restype = None
+# force(n, theta, params, out): see shankexo_force in loop.c.
+force = _lib.shankexo_force
+force.argtypes = (_size, _ptr, _ptr, _ptr)
+force.restype = None
+STATE, DECISIONS, SLOTS = (_size * 3).in_dll(_lib, "shankexo_layout")

@@ -1,61 +1,118 @@
-/* The 1 kHz controller-cable loop of `shankexo.controller.Controller.run`:
-   one call runs a stretch of ticks with no gait event inside.
+/* The 1 kHz controller-cable loop of `shankexo.controller.Controller.run`,
+   one call a stretch of ticks with no gait event inside, and the
+   dual-Gaussian profile it tracks, which the stride report's time-based
+   comparator evaluates too (`shankexo.profile.eval_time_profile_array`).
 
-   `controller` builds this file at import with -O2 -ffp-contract=off and
-   never -ffast-math, so each double operation below is the IEEE operation
-   of the Python expression it stands for, in the same order, and no
-   multiply-add is fused: the rows and the state have the bits the
+   `shankexo.kernel` builds this file at import with -O2 -ffp-contract=off
+   and never -ffast-math, so each double operation below is the IEEE
+   operation of the Python expression it stands for, in the same order, and
+   no multiply-add is fused: the rows and the state have the bits the
    per-tick reference (`tests/scalar_reference.py`) gives, NaN, the
-   infinities and -0.0 included. `a < b ? a : b` is Python's
-   `a if a < b else b`, and so min(a, b) only where neither is NaN. */
+   infinities and -0.0 included. exp is libm's, the function math.exp
+   calls. `a < b ? a : b` is Python's `a if a < b else b`, and so min(a, b)
+   only where neither is NaN. */
 
 #include <math.h>
 #include <stddef.h>
+
+/* math.radians(x) is x * rad, the quotient CPython's math module takes
+   (Py_MATH_PI / 180.0). */
+static const double rad = 3.14159265358979323846 / 180.0;
 
 /* The tiers of the loop body, in the order of controller._STANCE to
    controller._IDLE. */
 enum { STANCE, PI, PROBE, ABORT, PRETIGHTEN, IDLE };
 
+/* The reasons of the safety abort, in the order of controller._NON_FINITE
+   to controller._RESIDUAL. */
+enum { NON_FINITE, LIMIT, RESIDUAL };
+
 /* The slots of the float64 vector s, in the order controller.Controller.run
-   fills and reads them: the stretch's constants, with its first tick's
-   tier and mode code; the loop state, read before the stretch and written
-   back after it; and what the stretch decided, for Python to apply after
-   the call: the tick of the engagement, the baseline confirmation and the
-   abort (-1 where none), and the values each one needs. */
+   fills and reads them: the stretch's constants, with its profile (the
+   fields of profile.GaussianParams, in their order), the tendon model and
+   its first tick's tier and mode code; the loop state, read before the
+   stretch and written back after it; and what the stretch decided, for
+   Python to apply after the call: the tick of the engagement, the baseline
+   confirmation and the abort (-1 where none), and the values each one
+   needs. */
 enum {
     /* constants */
     R, K_ALL, KP, KI, KD, MAP_M, MAP_B, IC, CEILING, LIM, PRETIGHTEN_FORCE,
-    PRETIGHTEN_RATE, DT, ALPHA, VM, STIFFNESS, POS_REF, RAD, MU, SHED_BELOW,
-    L_REST, TARGET, SWING, TIGHTEN_GAIN, PROBE_RATE, PROBE_MARGIN,
-    ENGAGE_FORCE, TAIL_FORCE, TAIL_RATE, RELEASE_SLACK, SILENT_CODE,
-    ABORT_CODE, TIER, CODE,
+    PRETIGHTEN_RATE, DT, ALPHA, VM, STIFFNESS, POS_REF, AMP, MU, SIGMA1,
+    SIGMA2, THETA_FC, THETA_FO, BASELINE_C, DELTA_L1, MIGRATION_TOLERANCE,
+    RESIDUAL_MAX, RESIDUAL_TICKS, TARGET, SWING, TIGHTEN_GAIN, PROBE_RATE,
+    PROBE_MARGIN, ENGAGE_FORCE, TAIL_FORCE, TAIL_RATE, RELEASE_SLACK,
+    SILENT_CODE, ABORT_CODE, TIER, CODE,
     /* state */
     F_MEAS, L_MEAS, L_RATE, POS, DF, V_FB, E_INT, F_SWING_MAX,
-    RELEASE, MOTOR_V, L_CABLE,
+    RELEASE, MOTOR_V, L_CABLE, OVER,
     /* decisions */
     ENGAGE_AT, ENGAGE_F, ENGAGE_L, CONFIRM_AT, BASELINE, ABORT_AT,
-    ABORT_LIMIT, ABORT_F, ABORT_L, ABORT_RATE, ABORT_POS
+    ABORT_REASON, ABORT_F, ABORT_L, ABORT_RATE, ABORT_POS, ABORT_MODEL,
+    SLOTS
 };
+
+/* Where s holds the loop state and the decisions, and its length: the
+   layout `shankexo.kernel` reads. */
+const ptrdiff_t shankexo_layout[] = {F_MEAS, ENGAGE_AT, SLOTS};
+
+struct profile {
+    double amp, mu, sigma1, sigma2, theta_fc, theta_fo;
+};
+
+/* profile.eval_force_and_rate: the force at the shank angle theta, 0.0
+   outside the open support, and, where rate is not NULL, its time
+   derivative along theta_rate in *rate. */
+static double profile(const struct profile *p, double theta,
+                      double theta_rate, double *rate)
+{
+    if (!(p->theta_fc < theta && theta < p->theta_fo)) {
+        if (rate)
+            *rate = 0.0;
+        return 0.0;
+    }
+    const double sigma = theta <= p->mu ? p->sigma1 : p->sigma2;
+    const double z = (theta - p->mu) / sigma;
+    const double f = p->amp * exp(-0.5 * z * z);
+    if (rate)
+        *rate = f * (-(theta - p->mu) / (sigma * sigma)) * theta_rate;
+    return f;
+}
+
+/* The profile force at n shank angles theta into out; params holds the
+   fields of profile.GaussianParams, in their order. */
+void shankexo_force(ptrdiff_t n, const double *theta, const double *params,
+                    double *out)
+{
+    const struct profile p = {params[0], params[1], params[2], params[3],
+                              params[4], params[5]};
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = profile(&p, theta[i], 0.0, NULL);
+}
 
 /* Runs n ticks. cols holds the (6, n) open-loop columns (shank and DF
    angles and rates, the cable's zero-force length, the load-cell noise),
-   `stride` doubles apart, each contiguous. f_col and v_ff are the profile
-   force and the feedforward per tick, both NULL outside a stance with
-   params. rows receives the (n, 6) log rows: mode code, f_des, f_meas,
-   f_truth, l_meas, v. */
+   `stride` doubles apart, each contiguous. Outside a stance with params
+   the profile's support is empty, so each tick's f_des is 0.0. rows
+   receives the (n, 6) log rows: mode code, f_des, f_meas, f_truth,
+   l_meas, v. */
 void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
-                   const double *f_col, const double *v_ff, double *rows,
-                   double *s)
+                   double *rows, double *s)
 {
     const double *sk_col = cols, *df_col = cols + stride,
                  *sk_rate = cols + 2 * stride, *df_rate = cols + 3 * stride,
                  *l_free = cols + 4 * stride, *noise = cols + 5 * stride;
+    const struct profile p = {s[AMP], s[MU], s[SIGMA1], s[SIGMA2],
+                              s[THETA_FC], s[THETA_FO]};
     const double r = s[R], k_all = s[K_ALL], kp = s[KP], ki = s[KI],
                  kd = s[KD], map_m = s[MAP_M], map_b = s[MAP_B], ic = s[IC],
                  ceiling = s[CEILING], lim = s[LIM], dt = s[DT],
                  alpha = s[ALPHA], vm = s[VM], stiffness = s[STIFFNESS],
-                 pos_ref = s[POS_REF], rad = s[RAD], mu = s[MU],
-                 shed_below = s[SHED_BELOW], l_rest = s[L_REST],
+                 pos_ref = s[POS_REF], mu = p.mu,
+                 shed_below = 0.25 * p.amp,
+                 tolerance = s[MIGRATION_TOLERANCE],
+                 residual_max = s[RESIDUAL_MAX],
+                 residual_ticks = s[RESIDUAL_TICKS],
                  tighten_gain = s[TIGHTEN_GAIN], probe_rate = s[PROBE_RATE],
                  probe_margin = s[PROBE_MARGIN],
                  engage_force = s[ENGAGE_FORCE], tail_force = s[TAIL_FORCE],
@@ -70,40 +127,65 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
            l_rate = s[L_RATE], pos = s[POS], df = s[DF], v_fb = s[V_FB],
            e_int = s[E_INT], f_swing_max = s[F_SWING_MAX],
            release = s[RELEASE], motor_v = s[MOTOR_V],
-           l_cable = s[L_CABLE], target = s[TARGET];
+           l_cable = s[L_CABLE], over = s[OVER], target = s[TARGET],
+           baseline_c = s[BASELINE_C], delta_l1 = s[DELTA_L1];
+    double l_rest = baseline_c - delta_l1;
     /* The cable's envelope of a zero command: 0.0 for any v_max > 0. */
     double still = 0.0 < vm ? 0.0 : vm;
     still = still > neg_vm ? still : neg_vm;
 
     s[ENGAGE_AT] = s[CONFIRM_AT] = s[ABORT_AT] = -1.0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        const double sk = sk_col[i], f_des = f_col ? f_col[i] : 0.0;
-        double v, u;
+        const double sk = sk_col[i];
+        double f_des, rate, v, u;
         df = df_col[i];
         if (tier != ABORT) {
             /* The safety abort latches on a non-finite input (the sum of
-               the eight is not finite) or a reading past the force
-               ceiling or the position limit. */
+               the eight is not finite), a reading past the force ceiling
+               or the position limit, or a load cell that has disagreed
+               with the tendon model by more than residual_max for
+               residual_ticks ticks in a row, in the laws' tiers and the
+               probe. */
             const double sum = f_meas + l_meas + l_rate + pos + sk + df
                                + sk_rate[i] + df_rate[i];
             const int finite = -INFINITY < sum && sum < INFINITY;
-            if (!finite || f_meas > ceiling || pos > lim || pos < neg_lim) {
+            double model = k_all * (r * (df * rad) + l_rest - l_meas);
+            model = model > 0.0 ? model : 0.0;
+            over = tier <= PROBE && fabs(model - f_meas) > residual_max
+                   ? over + 1.0 : 0.0;
+            const int reason = !finite ? NON_FINITE
+                               : f_meas > ceiling || pos > lim
+                                 || pos < neg_lim ? LIMIT
+                               : over >= residual_ticks ? RESIDUAL : -1;
+            if (reason >= 0) {
                 tier = ABORT;
                 code = abort_code;
                 s[ABORT_AT] = (double)i;
-                s[ABORT_LIMIT] = finite;
+                s[ABORT_REASON] = reason;
                 s[ABORT_F] = f_meas;
                 s[ABORT_L] = l_meas;
                 s[ABORT_RATE] = l_rate;
                 s[ABORT_POS] = pos;
+                s[ABORT_MODEL] = model;
             } else if (tier == PROBE && f_meas >= engage_force) {
-                /* The engage tick goes on as an engaged stance tick. */
+                /* The engage tick goes on as an engaged stance tick. The
+                   later ticks read the rest length that
+                   tendon.estimate_migration gives at its reading. */
                 tier = STANCE;
                 s[ENGAGE_AT] = (double)i;
                 s[ENGAGE_F] = f_meas;
                 s[ENGAGE_L] = l_meas;
+                const double raw = baseline_c + r * (df * rad)
+                                   - f_meas / k_all - l_meas;
+                if (!(raw < -tolerance)) {
+                    delta_l1 = raw > 0.0 ? raw : 0.0;
+                    l_rest = baseline_c - delta_l1;
+                }
             }
         }
+        /* The rate and the feedforward only where the stance law reads
+           them. */
+        f_des = profile(&p, sk, sk_rate[i], tier == STANCE ? &rate : NULL);
         if (tier < PROBE) {
             if (tier == STANCE) {
                 /* 1/(M s + B) by backward Euler */
@@ -111,7 +193,7 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
                 v_fb = static_map ? err / map_b
                                   : (map_m * v_fb + dt * err)
                                     / (map_m + map_b * dt);
-                v = v_fb - v_ff[i];
+                v = v_fb - (r * (df_rate[i] * rad) - rate / k_all);
                 if (sk <= mu) {
                     /* The engagement overshoot shed,
                        min(100, 25 * max(0, excess)). */
@@ -166,7 +248,9 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
             } else {
                 /* Baseline confirmed: walk silently from here. */
                 s[CONFIRM_AT] = (double)i;
-                s[BASELINE] = l_meas + f_meas / k_all - r * (df * rad);
+                s[BASELINE] = baseline_c
+                            = l_meas + f_meas / k_all - r * (df * rad);
+                l_rest = baseline_c - delta_l1;
                 target = release = l_meas + release_slack;
                 tier = PI;
                 code = silent_code;
@@ -207,4 +291,5 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
     s[RELEASE] = release;
     s[MOTOR_V] = motor_v;
     s[L_CABLE] = l_cable;
+    s[OVER] = over;
 }

@@ -88,10 +88,9 @@ class GaussianParams:
 def eval_force_and_rate(p: GaussianParams, theta: float,
                         theta_rate: float) -> tuple[float, float]:
     """Desired force (N) at theta (deg) and its time derivative (N/s) along
-    theta(t), from one exp: the scalar reference that the array form the
-    controller calls (`eval_force_and_rate_array`) and the acceptance
-    criteria are checked against, and the body of `eval_force` and
-    `eval_force_rate`.
+    theta(t), from one exp: the scalar reference that the C profile of the
+    loop kernel (`loop.c`) and the acceptance criteria are checked against,
+    and the body of `eval_force` and `eval_force_rate`.
 
     The rate is f * (-(theta - mu) / sigma^2) * theta_rate; Python
     multiplies left to right, so reusing f gives the same bits as writing
@@ -104,33 +103,6 @@ def eval_force_and_rate(p: GaussianParams, theta: float,
     z = (theta - p.mu) / sigma
     f = p.amp * math.exp(-0.5 * z * z)
     return f, f * (-(theta - p.mu) / (sigma * sigma)) * theta_rate
-
-
-def eval_force_and_rate_array(p: GaussianParams, theta: np.ndarray,
-                              theta_rate: np.ndarray) -> tuple[np.ndarray,
-                                                                np.ndarray]:
-    """`eval_force_and_rate` over arrays, bit for bit: the same operation
-    order, math.exp on each element (np.exp differs in the last bit), and
-    no warning where a float operation overflows or makes a NaN."""
-    f, on, th, sigma = _force_array(p, theta)
-    rate = np.zeros_like(theta)
-    with np.errstate(all="ignore"):
-        rate[on] = f[on] * (-(th - p.mu) / (sigma * sigma)) * theta_rate[on]
-    return f, rate
-
-
-def _force_array(p: GaussianParams, theta: np.ndarray) -> tuple:
-    """The force of `eval_force_and_rate_array` alone, and what its rate
-    reads: (f, the support mask, theta on it, each one's sigma)."""
-    on = (p.theta_fc < theta) & (theta < p.theta_fo)
-    th = theta[on]
-    sigma = np.where(th <= p.mu, p.sigma1, p.sigma2)
-    f = np.zeros_like(theta)
-    with np.errstate(all="ignore"):     # extreme params overflow
-        z = (th - p.mu) / sigma
-        f[on] = p.amp * np.fromiter(map(math.exp, (-0.5 * z * z).tolist()),
-                                    float, len(th))
-    return f, on, th, sigma
 
 
 def eval_force(p: GaussianParams, theta: float) -> float:
@@ -282,8 +254,9 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
 
     The previous cycle's angle is a linear interpolation held at the grid's
     end values, in the scalar order w = (x - x0) / (x1 - x0), then
-    th0 + w * (th1 - th0) (np.interp's order differs), and the Gaussian keeps
-    math.exp (np.exp differs in the last bit). So it equals, bit for bit,
+    th0 + w * (th1 - th0) (np.interp's order differs), and the Gaussian is
+    the loop kernel's (`loop.c`), whose exp is the one math.exp calls
+    (np.exp differs in the last bit). So it equals, bit for bit,
     `eval_force` at a bisect interpolation, the scalar form kept in
     `tests/scalar_reference.py`. Each value depends on its own percent GC
     alone, so a caller may evaluate only the values it reads; the force
@@ -292,8 +265,16 @@ def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
     hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)
     lo = hi - 1
     w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
+    # a new float64 array, whole, as the kernel reads it
     theta = np.where(pct_gc <= pts[0], ths[0],
                      np.where(pct_gc >= pts[-1], ths[-1],
                               ths[lo] + w * (ths[hi] - ths[lo])))
-    f = _force_array(p, theta)[0]
+    # Imported here, so that importing this module (as `plant` and
+    # `shankexo replay` do) builds no kernel.
+    from . import kernel
+    params = np.array((p.amp, p.mu, p.sigma1, p.sigma2, p.theta_fc,
+                       p.theta_fo))
+    f = np.empty_like(theta)
+    kernel.force(f.size, theta.ctypes.data, params.ctypes.data,
+                 f.ctypes.data)
     return np.where((0.0 <= pct_gc) & (pct_gc < 1.0), f, 0.0)

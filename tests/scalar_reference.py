@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from shankexo.controller import (ABORT_CODE, ENGAGE_FORCE, PROBE_MARGIN_MM,
-                                 PROBE_RATE, RELEASE_SLACK_MM,
+                                 PROBE_RATE, RELEASE_SLACK_MM, RESIDUAL_TICKS,
                                  TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE,
                                  TIGHTEN_GAIN, ControlMode, Controller,
                                  ControllerConfig)
@@ -385,21 +385,40 @@ class TickController(Controller):
         finite = math.isfinite(f_meas + l_meas + l_meas_rate + motor_pos
                                + theta_sk + theta_df + theta_sk_rate
                                + theta_df_rate)
-        if not finite:
-            st.aborted = True
-        cfg = self.cfg
+        cfg, tendon = self.cfg, self.tendon
+        if not was_aborted:
+            # The load cell against the tendon model, in silent walking,
+            # swing and a stance with params.
+            model = max(0.0, tendon.k_all * (
+                tendon.lever_arm_r * math.radians(theta_df)
+                + (tendon.baseline_c - tendon.delta_l1) - l_meas))
+            checked = (st.mode in (ControlMode.SILENT, ControlMode.SWING)
+                       or (st.mode is ControlMode.STANCE
+                           and st.active_params is not None))
+            if checked and abs(model - f_meas) > cfg.load_cell_residual:
+                st.residual_ticks += 1
+            else:
+                st.residual_ticks = 0
         lim = cfg.position_limit_mm
-        if (st.aborted or f_meas > cfg.force_ceiling
-                or motor_pos > lim or motor_pos < -lim):
+        limit = (f_meas > cfg.force_ceiling or motor_pos > lim
+                 or motor_pos < -lim)
+        if (was_aborted or not finite or limit
+                or st.residual_ticks >= RESIDUAL_TICKS):
             st.aborted = True
-            if not was_aborted and finite:
-                log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
-                          motor_pos)
-            elif not was_aborted:
+            if was_aborted:
+                pass
+            elif not finite:
                 log.error("safety abort: non-finite input (f, l, rate, "
                           "pos)=%r (sk, df, sk rate, df rate)=%r",
                           (f_meas, l_meas, l_meas_rate, motor_pos),
                           (theta_sk, theta_df, theta_sk_rate, theta_df_rate))
+            elif limit:
+                log.error("safety abort: f=%.1f N pos=%.1f mm", f_meas,
+                          motor_pos)
+            else:       # the load cell's residual
+                log.error("safety abort: load cell f=%.1f N against the "
+                          "tendon model's %.1f N for %d ticks", f_meas,
+                          model, RESIDUAL_TICKS)
             if st.mode is ControlMode.STANCE and st.active_params:
                 self.f_des = eval_force(st.active_params, theta_sk)
             return self._tick_abort(l_meas)

@@ -4,6 +4,7 @@ and the block CSV printer against the one-row-at-a-time `%` format."""
 import csv
 import hashlib
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from shankexo import artifacts, harness
+from shankexo import artifacts, harness, kernel
 from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
 from shankexo.controller import MODES
 from shankexo.harness import ScenarioConfig, run_scenario
@@ -244,6 +245,29 @@ def test_float_power_is_c_pow(seed, unit, signed, sharpness):
         assert same.all(), (
             f"numpy {np.__version__}: np.float_power(x, {e}) differs from "
             f"x ** {e} at x = {base[~same][:5].tolist()}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=hs.lists(hs.floats(-40.0, 40.0), max_size=50))
+def test_kernel_exp_is_math_exp(z):
+    """The digests rest on the loop kernel's profile calling the exp that
+    math.exp calls: with amp 1, mu 0 and both widths 1, shankexo_force at
+    z is math.exp(-0.5 * z * z), bit for bit, subnormal results (|z| past
+    about 37.64) and results that underflow to 0.0 (past about 38.6)
+    included. A libm whose exp differs from Python's fails here."""
+    theta = np.array(z + [0.0, -0.0, 5e-324, 1.0, 37.64, 38.6]
+                     + np.linspace(-39.0, 39.0, 7801).tolist())
+    got = np.empty_like(theta)
+    params = np.array((1.0, 0.0, 1.0, 1.0, -math.inf, math.inf))
+    kernel.force(len(theta), theta.ctypes.data, params.ctypes.data,
+                 got.ctypes.data)
+    want = np.array([math.exp(-0.5 * x * x) for x in theta.tolist()])
+    assert ((0.0 < want) & (want < sys.float_info.min)).any()
+    assert (want == 0.0).any()
+    same = got.view(np.int64) == want.view(np.int64)
+    assert same.all(), (
+        f"the kernel's exp(-z*z/2) differs from math.exp at z = "
+        f"{theta[~same][:5].tolist()}")
 
 
 def test_a_spike_past_the_stop_tick_changes_nothing(tmp_path):

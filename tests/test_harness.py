@@ -1,5 +1,6 @@
 import errno
 import json
+import logging
 import math
 import os
 import signal
@@ -220,7 +221,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("group, key", [
         ("controller", "map_b"), ("controller", "pretighten_rate"),
-        ("controller", "pretighten_force"),
+        ("controller", "pretighten_force"), ("controller", "load_cell_residual"),
         ("plant", "lever_arm_r"), ("plant", "k_all"), ("plant", "baseline_c"),
         ("plant", "motor_tau_s"), ("plant", "v_max")])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
@@ -802,6 +803,47 @@ def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
         assert abs(p.mu - last.mu) <= step_mu
         assert abs(p.sigma1 - last.sigma1) <= step_sigma
         assert abs(p.sigma2 - last.sigma2) <= step_sigma
+
+
+@pytest.mark.parametrize("dead_from_ms", [2000.0, 10000.0])
+def test_a_dead_load_cell_aborts_before_the_true_force_reaches_the_ceiling(
+        monkeypatch, caplog, dead_from_ms):
+    """The load cell reads 0 (its noise column is -1e9) from before the
+    first assisted stance, or from t = 10 s, so the force ceiling, which
+    reads it, cannot see the cable. The tendon model can: the load cell's
+    residual against it aborts the run before the true force reaches the
+    ceiling. Without the check, the next stance's probe, which never saw
+    the cable engage, took the true force to 943.5 N (from 10 s on)."""
+    columns = GaitWorld.cable_columns
+
+    def dead_load_cell(self, block, m):
+        cols = columns(self, block, m)
+        cols[1, block.t_ms[:m] >= dead_from_ms] = -1e9
+        return cols
+    monkeypatch.setattr(GaitWorld, "cable_columns", dead_load_cell)
+    blocks, _ = record_rows(monkeypatch)
+    report = run_scenario(ScenarioConfig(activity="lw", n_strides=20, seed=1))
+    log = dict(zip(LOG_COLUMNS, np.concatenate(blocks).T))
+    assert report.aborted
+    at = int(np.argmax(log["mode"] == ABORT_CODE))
+    assert log["t_ms"][at] > dead_from_ms
+    assert log["f_truth_n"].max() < CEILING
+    (error,) = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.ERROR]
+    assert error.startswith("safety abort: load cell f=0.0 N against the "
+                            "tendon model's ")
+
+
+@pytest.mark.parametrize("activity", ["lw", "rd"])
+def test_a_noisy_load_cell_runs_without_the_residual_abort(activity):
+    # With 1 N of load-cell noise a noise draw engages the probe on a slack
+    # cable now and then, and the migration estimate at that reading is
+    # off by up to the suit's migration: the model strays from the load
+    # cell by up to about 55 N, which the residual bound must allow.
+    report = run_scenario(ScenarioConfig(activity=activity, n_strides=30,
+                                         seed=1,
+                                         plant={"force_noise_sd": 1.0}))
+    assert not report.aborted
 
 
 class TestPerturbProtocol:

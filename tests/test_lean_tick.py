@@ -1,11 +1,12 @@
 """The per-tick closed-loop path against the forms it replaced.
 
-The fused profile call and its columns, the comparison-only clamps, the
-safety pre-check, the loop's cable lines and their open-loop columns, the
-vectorized sample clock and the controller's logged desired force must
-return what the min/max, two-call, scalar, per-tick-round and harness-side
-forms return, bit for bit, for every float (NaN and infinities included).
-Those forms are kept here and in `scalar_reference` as the references.
+The fused profile call and the loop kernel's profile, the comparison-only
+clamps, the safety pre-check, the loop's cable lines and their open-loop
+columns, the vectorized sample clock and the controller's logged desired
+force must return what the min/max, two-call, scalar, per-tick-round and
+harness-side forms return, bit for bit, for every float (NaN and
+infinities included). Those forms are kept here and in `scalar_reference`
+as the references.
 """
 
 import math
@@ -23,8 +24,7 @@ from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
                             _sample_clock, build_template, free_length)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
-                              eval_force_and_rate, eval_force_and_rate_array,
-                              eval_force_rate)
+                              eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
 from scalar_reference import (TickController, loop_cable,
                               reference_cable_step, tick_row)
@@ -87,7 +87,7 @@ def test_fused_profile_equals_the_two_calls(data, p, rate):
 
 @settings(max_examples=200, deadline=None)
 @given(data=hs.data(), p=gaussian_params())
-def test_profile_columns_equal_the_scalar_profile(data, p):
+def test_kernel_profile_equals_the_scalar_profile(data, p):
     # The support edges, the peak, NaN and the infinities, angles near the
     # support and any float, at rates finite or not.
     theta = data.draw(hs.lists(angle_near(p), min_size=1, max_size=20))
@@ -97,11 +97,21 @@ def test_profile_columns_equal_the_scalar_profile(data, p):
     theta += [p.theta_fc, p.mu, p.mu, p.theta_fo, math.nan, math.inf,
               -math.inf]
     rate += [1.0, math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0]
-    f, f_rate = eval_force_and_rate_array(p, np.array(theta), np.array(rate))
-    for got, want in zip(zip(f.tolist(), f_rate.tolist()),
-                         map(eval_force_and_rate, [p] * len(theta), theta,
-                             rate)):
-        assert same(got[0], want[0]) and same(got[1], want[1])
+    # Each a tick of engaged stance under an envelope that clips no
+    # finite command: the kernel logs the scalar force as f_des, and its
+    # command is the reference's, whose feedforward reads the scalar rate.
+    # A non-finite angle or rate aborts its tick.
+    vm = 1e300
+    for th, rt in zip(theta, rate):
+        ctrl = make_controller()
+        twin = make_controller(cls=TickController)
+        twin.v_max = vm
+        ctrl.state.active_params = twin.state.active_params = p
+        row = tick_row(ctrl, th, 5.0, rt, 40.0, 2.5, 320.0, 0.0, 0.0, 0.001,
+                       vm)
+        assert same(row[1], eval_force_and_rate(p, th, rt)[0])
+        assert same(row[5], twin.tick(th, 5.0, rt, 40.0, 2.5, 320.0, 0.0,
+                                      0.0, 0.001))
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-160])

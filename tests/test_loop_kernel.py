@@ -1,4 +1,4 @@
-"""The loop kernel's build: `controller` compiles `loop.c` with the system
+"""The loop kernel's build: `kernel` compiles `loop.c` with the system
 `cc` at import into `__pycache__` beside it, or, where that cannot be
 written or its library cannot be loaded, into a temporary directory of its
 own.
