@@ -13,13 +13,16 @@ shed, the envelope, the motor lag, the cable length, the force clip and
 the noise. Each tick's tier (engaged stance, PI, probe, abort, pretighten
 or a stance without params) is derived once before the stretch; in the
 kernel the abort, the engage tick and pretighten's confirmation each
-change it, and the kernel reports the tick of each. The tendon model's
-own updates (the engage tick's migration estimate, the pretighten
-baseline) and the log lines are applied after the call, in tick order, so
-`on_event` sees the state tick-by-tick evaluation leaves; the kernel
-derives the same estimate and baseline for the stretch's later ticks. The
-motor envelope is the cable's (`plant.Cable.v_max`), one value that clips
-the command, the probe and the cable, and sets the abort's payout speed.
+change it. The loop's state is the controller's, the cable's
+(`plant.PlantState`: its length, motor velocity and load-cell reading)
+and the tendon model's rest length, which the engage tick's migration
+estimate and the pretighten baseline set; the kernel reads it before the
+stretch and writes it back after it, so `on_event` sees the state
+tick-by-tick evaluation leaves. The kernel reports the tick of the
+engagement, the confirmation and the abort, for the mode flags and the
+log lines that `run` sets after the call. The motor envelope is the
+cable's (`plant.Cable.v_max`), one value that clips the command, the probe
+and the cable, and sets the abort's payout speed.
 
 The safety abort latches on a non-finite input, on a reading past the
 force ceiling or the position limit, and on a load cell that disagrees
@@ -58,7 +61,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,8 +69,7 @@ from . import kernel
 from .gait_signals import GaitEvent, GaitEventKind
 from .plant import Cable
 from .profile import GaussianParams
-from .tendon import (MIGRATION_TOLERANCE_MM, TendonModel, estimate_migration,
-                     tendon_length)
+from .tendon import MIGRATION_TOLERANCE_MM, TendonModel, tendon_length
 
 log = logging.getLogger(__name__)
 
@@ -198,26 +200,25 @@ class Controller:
 
     # -- per-tick interface --------------------------------------------------
 
-    def run(self, cols: np.ndarray, cable: Cable, reading: tuple,
-            log_row: Callable[[np.ndarray], object]) -> tuple:
+    def run(self, cols: np.ndarray, cable: Cable) -> np.ndarray:
         """Run a stretch of ticks with no gait event inside: the controller
         and the cable, the only closed loop (see the module docstring).
 
-        cols is a (6, n) float64 array of the ticks' open-loop inputs: the
-        shank and DF angles (deg) and rates (deg/s), the cable's zero-force
+        cols is a (6, n) array of the ticks' open-loop inputs: the shank
+        and DF angles (deg) and rates (deg/s), the cable's zero-force
         length (mm) and its load-cell noise (N) (`GaitWorld.cable_columns`).
-        reading is (f_meas, l_meas, l_meas_rate, motor_pos), which the
-        first tick's command sees. Each tick computes the velocity command
-        v (mm/s, positive retracts) and steps the cable (`plant.Cable`,
-        whose v_max is the command envelope too) to the next tick's
-        reading. After the stretch log_row gets its log rows, one (n, 6)
-        float64 array whose columns are (mode code, f_des, f_meas, f_truth,
-        l_meas, v) per tick; the mode code is the mode's index in
-        ControlMode, or ABORT_CODE once the abort has latched, and f_des is
-        the tick's desired force (see the module docstring). Returns
-        the last reading; cable.state holds the motor velocity and the
-        cable length. The state is read once before the stretch and written
-        once after it, as tick-by-tick evaluation leaves it.
+        The first tick reads the cable's state: the load cell's f_meas,
+        l_meas = l_cable, its rate -motor_v and the motor position
+        pos_ref - l_cable. Each tick computes the velocity command v (mm/s,
+        positive retracts) and steps the cable (`plant.Cable`, whose v_max
+        is the command envelope too) to the next tick's reading. Returns
+        the log rows, one (n, 6) float64 array whose columns are (mode
+        code, f_des, f_meas, f_truth, l_meas, v) per tick; the mode code is
+        the mode's index in ControlMode, or ABORT_CODE once the abort has
+        latched, and f_des is the tick's desired force (see the module
+        docstring). The controller state, the tendon model and cable.state
+        are read once before the stretch and written once after it, as
+        tick-by-tick evaluation leaves them.
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
         plant, dt, alpha, vm, stiffness, pos_ref = cable
@@ -247,33 +248,30 @@ class Controller:
             cfg.map_m, cfg.map_b, cfg.integral_clamp, cfg.force_ceiling,
             cfg.position_limit_mm, cfg.pretighten_force, cfg.pretighten_rate,
             dt, alpha, vm, stiffness, pos_ref, *profile,
-            tendon.baseline_c, tendon.delta_l1, MIGRATION_TOLERANCE_MM,
-            cfg.load_cell_residual, RESIDUAL_TICKS,
+            MIGRATION_TOLERANCE_MM, cfg.load_cell_residual, RESIDUAL_TICKS,
             st.l_swing if swing else st.release_target, swing,
             TIGHTEN_GAIN, PROBE_RATE, PROBE_MARGIN_MM, ENGAGE_FORCE,
             TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE, RELEASE_SLACK_MM,
             _MODE_CODE[ControlMode.SILENT], ABORT_CODE, tier, code,
-            *reading, st.last_theta_df, st.v_fb_state,
-            st.e_l_integral, st.f_swing_max, st.release_target,
-            plant.motor_v, plant.l_cable, st.residual_ticks)
+            plant.f_meas, st.last_theta_df, st.v_fb_state, st.e_l_integral,
+            st.f_swing_max, st.release_target, plant.motor_v, plant.l_cable,
+            st.residual_ticks, tendon.baseline_c, tendon.delta_l1)
         rows = np.empty((n, 6))
         kernel.loop(n, cols.ctypes.data, cols.strides[0] // 8,
                     rows.ctypes.data, self._s_at)
-        (f_meas, l_meas, l_rate, pos, st.last_theta_df,
-         st.v_fb_state, st.e_l_integral, st.f_swing_max, st.release_target,
-         plant.motor_v, plant.l_cable, residual_ticks, engage_at, engage_f,
-         engage_l, confirm_at, baseline, abort_at, reason, *at_abort,
+        (plant.f_meas, st.last_theta_df, st.v_fb_state, st.e_l_integral,
+         st.f_swing_max, st.release_target, plant.motor_v, plant.l_cable,
+         residual_ticks, tendon.baseline_c, tendon.delta_l1, engage_at,
+         migration, confirm_at, abort_at, reason, *at_abort,
          model) = s[kernel.STATE:].tolist()
         st.residual_ticks = int(residual_ticks)
-        # The stretch's decisions, in tick order.
+        # The stretch's log lines and state flags, in tick order.
         if engage_at >= 0:
-            # Only a taut measurement identifies migration. The kernel's
-            # later ticks read the same estimate.
             st.engaged = True
-            estimate_migration(tendon, engage_l,
-                               cols[1, int(engage_at)].item(), engage_f)
+            if migration < -MIGRATION_TOLERANCE_MM:
+                log.warning("migration estimate %.3f mm below zero; keeping "
+                            "%.3f mm", migration, tendon.delta_l1)
         if confirm_at >= 0:
-            tendon.baseline_c = baseline
             st.mode = ControlMode.SILENT
         if tier == _IDLE and (idle := n if abort_at < 0 else int(abort_at)):
             log.warning("stance without profile parameters: held for %d "
@@ -292,7 +290,4 @@ class Controller:
                           "pos)=%r (sk, df, sk rate, df rate)=%r",
                           tuple(at_abort),
                           tuple(cols[:4, int(abort_at)].tolist()))
-        log_row(rows)
-        return f_meas, l_meas, l_rate, pos
-
-
+        return rows

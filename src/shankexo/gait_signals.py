@@ -321,13 +321,13 @@ def _blocks(path):
             if (before <= REPLAY_FORK_SAMPLES < read
                     and (reader := _fork_reader(fh, stream))):
                 break
-            yield _samples(cols)
+            yield kinematic_samples(cols)
         else:
             return
     pid, r = reader
     try:
         with open(r, "rb") as pipe:
-            yield _samples(cols)
+            yield kinematic_samples(cols)
             while head := pipe.read(8):
                 n = int.from_bytes(head, "little", signed=True)
                 record = np.empty((7, n)) if n > 0 else bytearray(-n)
@@ -335,7 +335,7 @@ def _blocks(path):
                 if pipe.readinto(view) != view.nbytes:
                     break
                 if n > 0:
-                    yield _samples(record)
+                    yield kinematic_samples(record)
                     continue
                 os.waitpid(pid, 0)
                 pid = 0
@@ -353,8 +353,9 @@ def _blocks(path):
             forked.kill(pid)
 
 
-def _samples(cols):
-    """The KinematicSamples of (7, n) sample columns."""
+def kinematic_samples(cols):
+    """The KinematicSamples of (7, n) sample columns: the time, then the
+    channels in KinematicSample's order."""
     return map(tuple.__new__, repeat(KinematicSample), zip(*cols.tolist()))
 
 

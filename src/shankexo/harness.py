@@ -22,21 +22,23 @@ clock is accumulated in bulk, and makes two passes over each block:
    schedule entries at a time (`Controller.run`, over the block's open-loop
    columns). Each entry is applied before its tick's command: an event
    reaches `Controller.on_event`, and the spike adds fault_spike_n to the
-   reading that tick's command sees, until the tick's cable step takes the
-   next reading.
+   load cell's reading in the cable's state (`PlantState.f_meas`), which
+   that tick's command sees until the tick's cable step takes the next
+   reading.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
 raises SignalLossError rather than report fewer strides.
 
-The run log (artifacts.LOG_COLUMNS) takes the loop's columns from
-`Controller.run`, the others from the world block, cut to the ticks the
-loop ran, and the stride column between scheduled events. The run never
-holds its whole log. One buffer, reused by every block, holds the rows from
-the oldest foot contact whose stride is not yet reported (all rows before
-the first contact is detected) and the block's rows after them. It grows
-only when a stride outlasts its room, a block and the tick bound's
-allowance of a stride, so a run's memory does not grow with its length.
+The run log (artifacts.LOG_COLUMNS) takes the loop's columns from the rows
+`Controller.run` returns, the others from the world block, cut to the
+ticks the loop ran, and the stride column between scheduled events. The
+run never holds its whole log. One buffer, reused by every block, holds
+the rows from the oldest foot contact whose stride is not yet reported
+(all rows before the first contact is detected) and the block's rows
+after them. It grows only when a stride outlasts its room, a block and
+the tick bound's allowance of a stride, so a run's memory does not grow
+with its length.
 Once the block's rows are in the buffer they are final:
 
 - the printer process prints them to timeseries.csv (`Artifacts.print`);
@@ -54,7 +56,6 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -63,7 +64,8 @@ import numpy as np
 from .artifacts import LOG_COLUMNS, Artifacts, write_artifacts
 from .controller import Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
-                           KinematicSample, SignalLossError)
+                           KinematicSample, SignalLossError,
+                           kinematic_samples)
 from .metrics import (AGGREGATION_STRIDES, MetricsReport, _build_report,
                       _StrideReport)
 from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
@@ -72,7 +74,7 @@ from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
 from .profile import EstimationPath, GaussianParams
 
 # Log columns the closed loop makes, in the order of the columns of the
-# rows Controller.run hands log_row, and those copied from the world block,
+# rows Controller.run returns, and those copied from the world block,
 # in the order run_scenario copies them.
 _STRIDE = LOG_COLUMNS.index("stride")
 _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
@@ -305,9 +307,6 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
     foot_offs: dict[int, GaitEvent] = {}   # by gc_index
     adopted: list[GaussianParams] = []     # params active per stride
     strides = _StrideReport(cfg.n_strides)
-    # The reading of the previous tick, (f_meas, l_meas, l_meas_rate,
-    # motor_pos), is the controller's input.
-    reading = (0.0, world.state.l_cable, 0.0, 0.0)
     current_stride = -1
     bound = stop = int((world.standing_s + (cfg.n_strides + 6)
                         * tmpl.period * _STRIDE_PERIODS) * 1000)
@@ -330,8 +329,8 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         schedule = []
         imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
         imu = imu[block.walking[imu]]
-        samples = map(tuple.__new__, repeat(KinematicSample), zip(
-            block.t_sample[imu].tolist(), *block.frames[imu].T.tolist()))
+        samples = kinematic_samples(np.concatenate((block.t_sample[None, imu],
+                                                    block.frames[imu].T)))
         for i, sample in zip(imu.tolist(), samples):
             if n_log + i >= stop:
                 break
@@ -360,12 +359,11 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             log = np.concatenate((log[:held], np.empty((held + m, width))))
         part = log[held:held + m]
         rows = []                 # each stretch's (n, 6) loop rows
-        log_row = rows.append
         cols = np.concatenate((block.frames[:m, _TICK_FRAMES].T,
                                world.cable_columns(block, m)))
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            reading = ctrl.run(cols[:, done:at], cable, reading, log_row)
+            rows.append(ctrl.run(cols[:, done:at], cable))
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:
@@ -373,7 +371,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
                     current_stride = ev.gc_index
                 ctrl.on_event(ev, new_params=params)
             elif at < m:              # the spike; the entry at m ends the block
-                reading = (reading[0] + cfg.fault_spike_n, *reading[1:])
+                world.state.f_meas += cfg.fault_spike_n
         # The block's own columns, cut to the ticks the loop ran.
         part[:, _LOOP_COLUMNS] = np.concatenate(rows)
         ft, sk, df = block.frames[:, :3].T

@@ -29,26 +29,26 @@ enum { NON_FINITE, LIMIT, RESIDUAL };
 
 /* The slots of the float64 vector s, in the order controller.Controller.run
    fills and reads them: the stretch's constants, with its profile (the
-   fields of profile.GaussianParams, in their order), the tendon model and
-   its first tick's tier and mode code; the loop state, read before the
-   stretch and written back after it; and what the stretch decided, for
-   Python to apply after the call: the tick of the engagement, the baseline
-   confirmation and the abort (-1 where none), and the values each one
-   needs. */
+   fields of profile.GaussianParams, in their order) and its first tick's
+   tier and mode code; the loop state, read before the stretch and written
+   back after it, the tendon model's rest length included; and the ticks
+   of the engagement, the baseline confirmation and the abort (-1 where
+   none), with the engage tick's raw migration estimate and the reading and
+   model force the abort saw, for Python's state flags and log lines. */
 enum {
     /* constants */
     R, K_ALL, KP, KI, KD, MAP_M, MAP_B, IC, CEILING, LIM, PRETIGHTEN_FORCE,
     PRETIGHTEN_RATE, DT, ALPHA, VM, STIFFNESS, POS_REF, AMP, MU, SIGMA1,
-    SIGMA2, THETA_FC, THETA_FO, BASELINE_C, DELTA_L1, MIGRATION_TOLERANCE,
-    RESIDUAL_MAX, RESIDUAL_TICKS, TARGET, SWING, TIGHTEN_GAIN, PROBE_RATE,
-    PROBE_MARGIN, ENGAGE_FORCE, TAIL_FORCE, TAIL_RATE, RELEASE_SLACK,
-    SILENT_CODE, ABORT_CODE, TIER, CODE,
+    SIGMA2, THETA_FC, THETA_FO, MIGRATION_TOLERANCE, RESIDUAL_MAX,
+    RESIDUAL_TICKS, TARGET, SWING, TIGHTEN_GAIN, PROBE_RATE, PROBE_MARGIN,
+    ENGAGE_FORCE, TAIL_FORCE, TAIL_RATE, RELEASE_SLACK, SILENT_CODE,
+    ABORT_CODE, TIER, CODE,
     /* state */
-    F_MEAS, L_MEAS, L_RATE, POS, DF, V_FB, E_INT, F_SWING_MAX,
-    RELEASE, MOTOR_V, L_CABLE, OVER,
+    F_MEAS, DF, V_FB, E_INT, F_SWING_MAX, RELEASE, MOTOR_V, L_CABLE, OVER,
+    BASELINE_C, DELTA_L1,
     /* decisions */
-    ENGAGE_AT, ENGAGE_F, ENGAGE_L, CONFIRM_AT, BASELINE, ABORT_AT,
-    ABORT_REASON, ABORT_F, ABORT_L, ABORT_RATE, ABORT_POS, ABORT_MODEL,
+    ENGAGE_AT, MIGRATION, CONFIRM_AT, ABORT_AT, ABORT_REASON, ABORT_F,
+    ABORT_L, ABORT_RATE, ABORT_POS, ABORT_MODEL,
     SLOTS
 };
 
@@ -123,13 +123,14 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
     const int swing = s[SWING] != 0.0, static_map = map_m <= 0.0;
     const double neg_ic = -ic, neg_lim = -lim, neg_vm = -vm;
     int tier = (int)s[TIER];
-    double code = s[CODE], f_meas = s[F_MEAS], l_meas = s[L_MEAS],
-           l_rate = s[L_RATE], pos = s[POS], df = s[DF], v_fb = s[V_FB],
+    double code = s[CODE], f_meas = s[F_MEAS], df = s[DF], v_fb = s[V_FB],
            e_int = s[E_INT], f_swing_max = s[F_SWING_MAX],
            release = s[RELEASE], motor_v = s[MOTOR_V],
            l_cable = s[L_CABLE], over = s[OVER], target = s[TARGET],
            baseline_c = s[BASELINE_C], delta_l1 = s[DELTA_L1];
-    double l_rest = baseline_c - delta_l1;
+    /* The first tick's reading, as the cable lines below leave it. */
+    double l_meas = l_cable, l_rate = -motor_v, pos = pos_ref - l_cable,
+           l_rest = baseline_c - delta_l1;
     /* The cable's envelope of a zero command: 0.0 for any v_max > 0. */
     double still = 0.0 < vm ? 0.0 : vm;
     still = still > neg_vm ? still : neg_vm;
@@ -169,14 +170,15 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
                 s[ABORT_MODEL] = model;
             } else if (tier == PROBE && f_meas >= engage_force) {
                 /* The engage tick goes on as an engaged stance tick. The
-                   later ticks read the rest length that
-                   tendon.estimate_migration gives at its reading. */
+                   later ticks read the rest length of the suit migration
+                   estimated at its reading by tendon.estimate_migration's
+                   operations: a raw estimate below -tolerance keeps the
+                   one before. */
                 tier = STANCE;
                 s[ENGAGE_AT] = (double)i;
-                s[ENGAGE_F] = f_meas;
-                s[ENGAGE_L] = l_meas;
                 const double raw = baseline_c + r * (df * rad)
                                    - f_meas / k_all - l_meas;
+                s[MIGRATION] = raw;
                 if (!(raw < -tolerance)) {
                     delta_l1 = raw > 0.0 ? raw : 0.0;
                     l_rest = baseline_c - delta_l1;
@@ -248,8 +250,7 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
             } else {
                 /* Baseline confirmed: walk silently from here. */
                 s[CONFIRM_AT] = (double)i;
-                s[BASELINE] = baseline_c
-                            = l_meas + f_meas / k_all - r * (df * rad);
+                baseline_c = l_meas + f_meas / k_all - r * (df * rad);
                 l_rest = baseline_c - delta_l1;
                 target = release = l_meas + release_slack;
                 tier = PI;
@@ -281,9 +282,6 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
         row[5] = v;
     }
     s[F_MEAS] = f_meas;
-    s[L_MEAS] = l_meas;
-    s[L_RATE] = l_rate;
-    s[POS] = pos;
     s[DF] = df;
     s[V_FB] = v_fb;
     s[E_INT] = e_int;
@@ -292,4 +290,6 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
     s[MOTOR_V] = motor_v;
     s[L_CABLE] = l_cable;
     s[OVER] = over;
+    s[BASELINE_C] = baseline_c;
+    s[DELTA_L1] = delta_l1;
 }

@@ -517,16 +517,22 @@ class PlantConfig:
 
 @dataclass
 class PlantState:
+    """The cable's state, which the closed loop (`Controller.run`) reads
+    before a stretch and writes after it, and the world's suit migration
+    and stride. The cable's reading is f_meas, l_cable, its rate -motor_v
+    and the motor position `Cable.pos_ref` - l_cable."""
+
     l_cable: float                # mm, current cable/tendon length
     motor_v: float = 0.0          # mm/s, lagged actual velocity (retraction +)
+    f_meas: float = 0.0           # N, the load cell's last reading
     migration: float = 0.0        # mm
     stride_index: int = 0
 
 
 class Cable(NamedTuple):
     """What the closed loop's cable lines (`Controller.run`) hold fixed
-    under ticks of dt, and the state they advance: `state.motor_v` and
-    `state.l_cable` are read before a stretch and written after it."""
+    under ticks of dt, and the state they advance: `state.motor_v`,
+    `state.l_cable` and `state.f_meas`."""
 
     state: PlantState
     dt: float

@@ -560,24 +560,36 @@ def reference_run(ctrl: TickController, ticks, step, reading, dt, log_row):
 def loop_cable(state: PlantState, tendon_truth: TendonModel,
                config: PlantConfig, dt: float):
     """step(cmd_v, l_free, noise=0.0) -> (f_truth, f_meas, l_cable, l_rate,
-    motor_pos): one tick of `Controller.run`'s cable lines under the
-    command cmd_v, as given (NaN and infinities included), at the zero-force
-    length l_free (mm) with the load-cell noise (N) added. The command
-    comes from a controller held in pretighten, which commands its
-    pretighten_rate while the force stays below pretighten_force (inf) and
-    never aborts on the fixed reading it is shown. Not a reference: it
+    motor_pos, v): one tick of `Controller.run`'s cable lines at the
+    zero-force length l_free (mm) with the load-cell noise (N) added, under
+    the command v it logged. The command comes from a controller held in
+    pretighten, which commands its pretighten_rate, cmd_v as given (NaN and
+    infinities included), while the force stays below pretighten_force
+    (inf) and no limit (inf) is crossed. A reading the cable state gives
+    that is not finite trips the guard instead, and the tick runs under the
+    abort's command; the next step starts unaborted. Not a reference: it
     runs the loop's cable alone, for tests of the cable."""
     cable = bind_cable(state, tendon_truth, config, dt)
-    ctrl = Controller(ControllerConfig(pretighten_force=math.inf),
+    ctrl = Controller(ControllerConfig(pretighten_force=math.inf,
+                                       force_ceiling=math.inf,
+                                       position_limit_mm=math.inf),
                       replace(tendon_truth))
 
     def step(cmd_v: float, l_free: float, noise: float = 0.0) -> tuple:
         ctrl.cfg.pretighten_rate = cmd_v
-        rows = []
-        reading = ctrl.run(np.array([[0.0]] * 4 + [[l_free], [noise]]),
-                           cable, (0.0,) * 4, rows.append)
-        return (float(rows[0][0, 3]), *reading)
+        ctrl.state.aborted = False
+        row = ctrl.run(np.array([[0.0]] * 4 + [[l_free], [noise]]),
+                       cable)[0].tolist()
+        return (row[3], *cable_reading(cable), row[5])
     return step
+
+
+def cable_reading(cable: Cable) -> tuple:
+    """The reading the cable's state gives: (f_meas, l_meas, l_rate,
+    motor_pos)."""
+    state = cable.state
+    return (state.f_meas, state.l_cable, -state.motor_v,
+            cable.pos_ref - state.l_cable)
 
 
 def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
@@ -589,15 +601,17 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
     (mm/s): the tick's log row (mode code, f_des, f_meas, f_truth, l_meas,
     v), the one row of the stretch's array as a list of floats, whose v,
     row[5], is the velocity command in mm/s (positive
-    retracts). The cable has no stiffness, its motor does not move, and
-    nothing reads it. Not a reference: it shows tests a tick's command and
-    logged desired force."""
-    rows = []
-    ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
-                       [theta_df_rate], [0.0], [0.0]]),
-             Cable(PlantState(0.0), dt, 0.0, v_max, 0.0, 0.0),
-             (f_meas, l_meas, l_meas_rate, motor_pos), rows.append)
-    return rows[0][0].tolist()
+    retracts). The reading is a cable's state: the load cell at f_meas,
+    the length l_meas and the motor velocity -l_meas_rate, with the motor
+    position's reference at l_meas + motor_pos, so the tick reads the
+    position (l_meas + motor_pos) - l_meas, which is motor_pos wherever
+    the sum is exact. The cable has no stiffness, its motor does not move,
+    and nothing reads it. Not a reference: it shows tests a tick's command
+    and logged desired force."""
+    return ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
+                              [theta_df_rate], [0.0], [0.0]]),
+                    Cable(PlantState(l_meas, -l_meas_rate, f_meas), dt, 0.0,
+                          v_max, 0.0, l_meas + motor_pos))[0].tolist()
 
 
 # -- event detector --------------------------------------------------------------

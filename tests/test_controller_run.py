@@ -5,11 +5,12 @@ ticks and steps the cable in the same loop body, over open-loop columns
 (the profile, the feedforward, the cable's zero-force length and its
 load-cell noise). `scalar_reference.TickController` reads and writes
 `ControllerState` on every tick, and `scalar_reference.reference_run`
-drives it with `reference_cable_step`, the cable one tick at a time. Given
-the same gait events and the same columns, the two must give the same log
-rows, readings, controller state (the tendon model included) and cable
-state after every stretch, and the same safety abort log line; and `run`
-must give the same rows however a stretch is cut.
+drives it with `reference_cable_step`, the cable one tick at a time, from
+the reading the cable's state gives. Given the same gait events and the
+same columns, the two must give the same log rows, readings, controller
+state (the tendon model included) and cable state after every stretch,
+and the same safety abort log line; and `run` must give the same rows
+however a stretch is cut.
 
 `run` tests the reading in full only on the ticks it flags, or where the
 reading passes a limit; the scripts put every kind of angle or rate fault
@@ -18,8 +19,10 @@ on the first, a middle and the last tick of a stretch, and an envelope of
 """
 
 import dataclasses
+import functools
 import logging
 import math
+import re
 import struct
 
 import numpy as np
@@ -33,8 +36,8 @@ from shankexo.plant import (INITIAL_SLACK_MM, PlantConfig, PlantState,
                             bind_cable)
 from shankexo.profile import GaussianParams
 from shankexo.tendon import TendonModel
-from scalar_reference import (TickController, reference_cable_step,
-                              reference_run)
+from scalar_reference import (TickController, cable_reading,
+                              reference_cable_step, reference_run)
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
 OTHER_PARAMS = GaussianParams(80.0, 4.0, 3.0, 5.0, -10.0, 15.0)
@@ -110,8 +113,8 @@ events = hs.builds(lambda kind, gc, params: ("event", GaitEvent(kind, 0.0, gc),
                    hs.sampled_from([FC, FO]), hs.integers(0, 4),
                    hs.sampled_from([None, PARAMS, OTHER_PARAMS]))
 stretches = hs.builds(lambda s: ("ticks", s), hs.lists(ticks(), max_size=25))
-# A fault spike added to the force reading the next stretch's first tick
-# sees, as the harness adds fault_spike_n.
+# A fault spike added to the load cell's reading in the cable's state, which
+# the next stretch's first tick sees, as the harness adds fault_spike_n.
 spikes = hs.builds(lambda x: ("spike", x), hs.sampled_from(
     [400.0, -50.0, math.nan, math.inf, -math.inf]))
 scripts = hs.lists(hs.one_of(events, stretches, stretches, spikes),
@@ -185,6 +188,22 @@ CONFIRM_THEN_CEILING = [("ticks", [*hold(40, L_START - 0.2),
 SPIKE_IN_STANCE = START + [("spike", math.nan), ("ticks", hold(3, L_START))]
 
 
+# pretighten; an assisted stance that engages the cable 2 mm shorter than
+# at pretighten, a migration estimate of 2.5 mm; its swing; and a stance
+# whose first reading, 60 N of load-cell spike, engages at an estimate of
+# about -2.8 mm, which the tendon model rejects
+REJECTED_MIGRATION = [
+    ("ticks", hold(40, L_START + 0.5)),
+    event(FC, 2, PARAMS),
+    ("ticks", hold(100, L_START - 2.0, sk=-11.0)),
+    event(FO, 2),
+    ("ticks", hold(5, L_START - 2.0)),
+    event(FC, 3, PARAMS),
+    ("spike", 60.0),
+    ("ticks", hold(3, L_START - 2.0, sk=-11.0)),
+]
+
+
 class ErrorLines(logging.Handler):
     """The messages of the error records the root logger passes on."""
 
@@ -203,7 +222,6 @@ def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
     and the error lines logged (the safety abort's)."""
     l_cable, motor_v = start
     plant = PlantState(l_cable=l_cable, motor_v=motor_v)
-    reading = (0.0, l_cable, -motor_v, L_START - l_cable)
     rows, after = [], []
     errors = ErrorLines()
     logging.getLogger().addHandler(errors)
@@ -213,44 +231,52 @@ def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
                 ctrl.on_event(item[1], new_params=item[2])
                 continue
             if item[0] == "spike":
-                reading = (reading[0] + item[1], *reading[1:])
+                plant.f_meas += item[1]
                 continue
             stretch = item[1]
             bounds = [0, *sorted({c for c in cuts if 0 < c < len(stretch)}),
                       len(stretch)]
             for lo, hi in zip(bounds, bounds[1:]):
                 reading = loop(ctrl, stretch[lo:hi], plant, plant_cfg,
-                               reading, noisy, rows.extend)
+                               noisy, rows.extend)
             after.append(keys(reading) + snapshot(ctrl, plant))
     finally:
         logging.getLogger().removeHandler(errors)
     return keys(rows), after, errors.lines
 
 
-def new_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
-    """`Controller.run` over the stretch's columns; the noise column is
-    force_noise_sd times the draws when the reading is noisy, else 0. The
-    stretch's (n, 6) float64 rows reach log_row one tick at a time, as the
-    reference logs them: the mode code, a whole number, as an int."""
+def new_loop(ctrl, stretch, plant, plant_cfg, noisy, log_row,
+             layout=lambda cols: cols):
+    """`Controller.run` over the stretch's columns, as layout lays them
+    out; the noise column is force_noise_sd times the draws when the
+    reading is noisy, else 0. The stretch's (n, 6) float64 rows reach
+    log_row one tick at a time, as the reference logs them: the mode code,
+    a whole number, as an int. Returns the reading the cable's state gives
+    after the stretch."""
     cols = np.array(stretch, dtype=float).reshape(-1, 6).T
     sd = plant_cfg.force_noise_sd
     cols[5] = sd * cols[5] if noisy and sd > 0.0 else 0.0
+    cable = bind_cable(plant, TRUTH, plant_cfg, DT)
+    rows = ctrl.run(layout(cols), cable)
+    assert rows.dtype == np.float64 and rows.shape == (len(stretch), 6)
+    for code, *values in rows.tolist():
+        assert code.is_integer()
+        log_row((int(code), *values))
+    return cable_reading(cable)
 
-    def flatten(rows):
-        assert rows.dtype == np.float64 and rows.shape == (len(stretch), 6)
-        for code, *values in rows.tolist():
-            assert code.is_integer()
-            log_row((int(code), *values))
-    return ctrl.run(cols, bind_cable(plant, TRUTH, plant_cfg, DT), reading,
-                    flatten)
 
-
-def per_tick_loop(ctrl, stretch, plant, plant_cfg, reading, noisy, log_row):
-    """`reference_run` over the stretch, with `reference_cable_step`."""
+def per_tick_loop(ctrl, stretch, plant, plant_cfg, noisy, log_row):
+    """`reference_run` over the stretch, with `reference_cable_step`, from
+    the reading the cable's state gives; the load cell's last reading goes
+    back to the state."""
     def step(v, l_free, z):
         return reference_cable_step(plant, v, l_free, z if noisy else None,
                                     plant_cfg, TRUTH, DT)
-    return reference_run(ctrl, stretch, step, reading, DT, log_row)
+    reading = reference_run(
+        ctrl, stretch, step,
+        cable_reading(bind_cable(plant, TRUTH, plant_cfg, DT)), DT, log_row)
+    plant.f_meas = reading[0]
+    return reading
 
 
 def make(cls, map_m, *envelope):
@@ -375,21 +401,22 @@ def test_the_scripts_reach_every_mode():
     assert codes == set(range(len(ControlMode) + 1))
 
 
-def test_the_nominal_script_probes_then_engages(monkeypatch):
+def test_the_nominal_script_probes_then_engages():
     # The stances probe while the cable is slack; the tick that reads it
-    # taut, in the assisted stance before the abort, engages once.
+    # taut, in the assisted stance before the abort, engages once: the
+    # controller is engaged after that stance's stretch and the swing's
+    # after it, and after no other.
     ctrl = make(Controller, 0.0)
-    engages = []
-    real = controller.estimate_migration
-
-    def watch(tendon, l_meas, theta_df, f_meas):
-        engages.append((ctrl.state.active_params,
-                        f_meas >= controller.ENGAGE_FORCE))
-        return real(tendon, l_meas, theta_df, f_meas)
-    monkeypatch.setattr(controller, "estimate_migration", watch)
-    rows = run_script(ctrl, NOMINAL, new_loop, PlantConfig(), (L_START, 0.0),
-                      True)[0]
-    assert engages == [(PARAMS, True)] and ctrl.state.aborted
+    rows, after, _ = run_script(ctrl, NOMINAL, new_loop, PlantConfig(),
+                                (L_START, 0.0), True)
+    names = [f.name for f in dataclasses.fields(ctrl.state)]
+    # after[k] is the 4 values of the reading, then the snapshot
+    engaged = [(a[4 + names.index("active_params")],
+                a[4 + names.index("engaged")]) for a in after]
+    assert engaged == [(None, False), (PARAMS, False), (PARAMS, True),
+                       (PARAMS, True), (OTHER_PARAMS, False),
+                       (OTHER_PARAMS, False)]
+    assert ctrl.state.aborted
     stance_code = list(ControlMode).index(ControlMode.STANCE)
     assert sum(code == stance_code and v == key(controller.PROBE_RATE)
                for code, v in zip(rows[0::6], rows[5::6])) > 10
@@ -397,20 +424,18 @@ def test_the_nominal_script_probes_then_engages(monkeypatch):
 
 @pytest.mark.parametrize("script", [[], START, START + [event(FO, 2)],
                                     CONFIRM_THEN_CEILING])
-def test_a_zero_tick_stretch_returns_the_reading_unchanged(script):
+def test_a_zero_tick_stretch_leaves_the_state_unchanged(script):
     # A stretch of no ticks, as `_run` runs between two events on one tick
-    # (`done == at`), changes nothing and logs no row.
+    # (`done == at`), changes nothing and logs no row, even from a reading
+    # that is not finite.
     ctrl = make(Controller, 0.0)
     run_script(ctrl, script, new_loop, PlantConfig(), (L_START, 0.0), True)
-    plant = PlantState(l_cable=L_START - 1.0, motor_v=-0.0)
-    before = snapshot(ctrl, plant)
-    reading = (2.5, L_START - 1.0, -0.0, math.nan)
-    rows = []
-    got = ctrl.run(np.empty((6, 0)), bind_cable(plant, TRUTH, PlantConfig(),
-                                                DT), reading, rows.append)
-    assert keys(got) == keys(reading)
-    assert [r.shape for r in rows] == [(0, 6)]
-    assert snapshot(ctrl, plant) == before
+    plant = PlantState(l_cable=math.nan, motor_v=-0.0, f_meas=2.5)
+    before = snapshot(ctrl, plant) + [key(plant.f_meas)]
+    rows = ctrl.run(np.empty((6, 0)), bind_cable(plant, TRUTH, PlantConfig(),
+                                                 DT))
+    assert rows.shape == (0, 6)
+    assert snapshot(ctrl, plant) + [key(plant.f_meas)] == before
 
 
 def test_a_stance_without_params_logs_one_warning_per_stretch(caplog):
@@ -432,3 +457,72 @@ def test_a_stance_without_params_logs_one_warning_per_stretch(caplog):
     held = "stance without profile parameters: held for %d ticks"
     assert lines == [(logging.WARNING, held % 7), (logging.WARNING, held % 3),
                      (logging.WARNING, held % 2), (logging.ERROR, want[2][0])]
+
+
+@pytest.mark.parametrize("spike, rejected", [(30.0, False), (35.0, True),
+                                             (60.0, True)])
+def test_a_rejected_migration_estimate_logs_the_reference_line(spike,
+                                                               rejected,
+                                                               caplog):
+    # Spikes of 30, 35 and 60 N make engage-tick estimates of about -0.4 mm,
+    # which the tendon model takes as 0.0, and -0.8 and -2.8 mm, below
+    # -0.5 mm, which it rejects, keeping 2.5 mm, with the warning that
+    # tendon.estimate_migration logs for the per-tick reference: the same
+    # text and values.
+    script = [("spike", spike) if item[0] == "spike" else item
+              for item in REJECTED_MIGRATION]
+    caplog.set_level(logging.WARNING)
+
+    def migration_lines():
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("migration estimate")]
+    want = run_script(make(TickController, 0.0, PlantConfig.v_max), script,
+                      per_tick_loop, PlantConfig(), (L_START, 0.0), False)
+    want_lines = migration_lines()
+    caplog.clear()
+    ctrl = make(Controller, 0.0)
+    assert run_script(ctrl, script, new_loop, PlantConfig(), (L_START, 0.0),
+                      False) == want
+    assert migration_lines() == want_lines
+    assert len(want_lines) == rejected
+    if rejected:
+        raw, kept = map(float, re.fullmatch(
+            r"migration estimate (\S+) mm below zero; keeping (\S+) mm",
+            want_lines[0]).groups())
+        assert raw < -0.5 and kept == round(ctrl.tendon.delta_l1, 3) > 1.0
+    else:
+        assert ctrl.tendon.delta_l1 == 0.0
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (7, 3), (3, 6), (6,), (6, 3, 1),
+                                   ()])
+def test_cols_that_are_not_6_by_n_raise(shape):
+    with pytest.raises(ValueError, match=r"cols must be \(6, n\)"):
+        make(Controller, 0.0).run(np.zeros(shape), bind_cable(
+            PlantState(l_cable=L_START), TRUTH, PlantConfig(), DT))
+
+
+# Layouts of the columns that are not C-contiguous float64.
+LAYOUTS = {
+    "float32": lambda cols: cols.astype(np.float32),
+    "big-endian": lambda cols: cols.astype(">f8"),
+    "fortran": np.asfortranarray,
+    "column step": lambda cols: np.repeat(cols, 2, axis=1)[:, ::2],
+    "rows reversed": lambda cols: np.ascontiguousarray(cols[::-1])[::-1],
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@pytest.mark.parametrize("script", [NOMINAL, REJECTED_MIGRATION])
+def test_any_layout_of_cols_runs_as_its_float64_copy(layout, script):
+    # Every stretch of the script, laid out so, gives the rows and state of
+    # the C-contiguous float64 copy of the same array.
+    assert not layout(np.zeros((6, 2))).flags.c_contiguous or (
+        layout(np.zeros((6, 2))).dtype != np.float64)
+    copy = functools.partial(new_loop, layout=lambda cols: (
+        np.ascontiguousarray(layout(cols), np.float64)))
+    got = run_script(make(Controller, 0.0), script,
+                     functools.partial(new_loop, layout=layout),
+                     PlantConfig(), (L_START, 0.0), True, cuts=[1, 3])
+    assert got == run_script(make(Controller, 0.0), script, copy,
+                             PlantConfig(), (L_START, 0.0), True, cuts=[1, 3])

@@ -448,8 +448,8 @@ class TestRunScenario:
 
     def test_log_table_holds_the_loop_rows_bit_for_bit(self, tmp_path,
                                                        monkeypatch):
-        # A 3-stride run is two world blocks. Controller.run hands each
-        # stretch's rows to a recording log_row, which makes f_truth -0.0
+        # A 3-stride run is two world blocks. A recording Controller.run
+        # returns each stretch's rows with f_truth -0.0
         # now and then in the first block, and in the second block one NaN
         # f_meas with a NaN f_truth of another payload, on the tick whose
         # zero-force length is made infinite (its infinite reading aborts
@@ -460,22 +460,20 @@ class TestRunScenario:
         rows, stretches, blocks, n_row = [], [], [], [0]
         run, print_rows = Controller.run, artifacts.Artifacts.print
 
-        def recording_run(self, cols, cable, reading, log_row):
+        def recording_run(self, cols, cable):
             at = nan_tick - 1 - n_row[0]
             if 0 <= at < cols.shape[1]:
                 cols = cols.copy()
                 cols[4, at] = math.inf
-
-            def record(loop):
-                stretches.append(loop)
-                tick = np.arange(n_row[0] + 1, n_row[0] + 1 + len(loop))
-                n_row[0] += len(loop)
-                loop = loop.copy()
-                loop[tick % 500 == 0, 3] = -0.0
-                loop[tick == nan_tick, 2:4] = (math.nan, payload_nan)
-                rows.extend(loop.tolist())
-                log_row(loop)
-            return run(self, cols, cable, reading, record)
+            loop = run(self, cols, cable)
+            stretches.append(loop)
+            tick = np.arange(n_row[0] + 1, n_row[0] + 1 + len(loop))
+            n_row[0] += len(loop)
+            loop = loop.copy()
+            loop[tick % 500 == 0, 3] = -0.0
+            loop[tick == nan_tick, 2:4] = (math.nan, payload_nan)
+            rows.extend(loop.tolist())
+            return loop
 
         def keep_rows(self, block):
             blocks.append(block.copy())

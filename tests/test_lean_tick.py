@@ -21,8 +21,9 @@ from shankexo.controller import (MODES, ControlMode, Controller,
                                  ControllerConfig)
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.harness import ScenarioConfig, run_scenario
-from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, PlantState,
-                            _sample_clock, build_template, free_length)
+from shankexo.plant import (BLOCK_TICKS, INITIAL_SLACK_MM, GaitWorld,
+                            PlantConfig, PlantState, _sample_clock,
+                            build_template, free_length)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
@@ -240,9 +241,10 @@ def test_tick_aborts_exactly_when_a_limit_is_crossed(f_meas, motor_pos,
     kw = dict(force_ceiling=ceiling, position_limit_mm=limit)
     ctrl = make_controller(mode=ControlMode.SWING, **kw)
     # The non-finite latch, or the force ceiling or the position limit
-    # crossed.
-    want = (not math.isfinite(f_meas + motor_pos) or f_meas > ceiling
-            or abs(motor_pos) > limit)
+    # crossed, at the motor position the cable of tick_row reads.
+    pos = (310.0 + motor_pos) - 310.0
+    want = (not math.isfinite(f_meas + pos) or f_meas > ceiling
+            or abs(pos) > limit)
     cmd = tick_row(ctrl, *angles(KinematicSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                                                  0.0)),
                    f_meas, 310.0, 0.0, motor_pos, 0.001)[5]
@@ -304,13 +306,19 @@ def test_loop_cable_equals_the_min_max_form(ticks, v_max, l_cable, motor_v,
     got_state = PlantState(l_cable=l_cable, motor_v=motor_v)
     want_state = PlantState(l_cable=l_cable, motor_v=motor_v)
     step = loop_cable(got_state, truth, cfg, dt)
+    reading = (0.0, l_cable, -motor_v, cfg.baseline_c + INITIAL_SLACK_MM
+               - l_cable)
     for cmd_v, l_free, z in ticks:
         noise = noise_sd * z if noisy and noise_sd > 0.0 else 0.0
-        got = step(cmd_v, l_free, noise)
-        want = reference_cable_step(want_state, cmd_v, l_free,
+        *got, v = step(cmd_v, l_free, noise)
+        # The command passes as given where the reading the tick starts
+        # from is finite; otherwise the guard's abort commands.
+        if math.isfinite(sum(reading)):
+            assert same(v, cmd_v)
+        want = reference_cable_step(want_state, v, l_free,
                                     z if noisy else None, cfg, truth, dt)
-        assert type(got) is tuple
         assert all(same(a, b) for a, b in zip(got, want)), (got, want)
+        reading = got[1:]
         assert same(got_state.motor_v, want_state.motor_v)
         assert same(got_state.l_cable, want_state.l_cable)
 

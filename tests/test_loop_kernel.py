@@ -24,11 +24,9 @@ import numpy as np
 from shankexo.controller import Controller, ControllerConfig
 from shankexo.plant import Cable, PlantState
 from shankexo.tendon import TendonModel
-rows = []
-Controller(ControllerConfig(), TendonModel(50.0, 12.5, 300.0)).run(
-    np.zeros((6, 3)), Cable(PlantState(0.0), 0.001, 0.0, 250.0, 0.0, 0.0),
-    (0.0,) * 4, rows.append)
-print(rows[0][:, 5].tolist())
+rows = Controller(ControllerConfig(), TendonModel(50.0, 12.5, 300.0)).run(
+    np.zeros((6, 3)), Cable(PlantState(0.0), 0.001, 0.0, 250.0, 0.0, 0.0))
+print(rows[:, 5].tolist())
 """
 COMMANDS = "[30.0, 30.0, 30.0]\n"
 

@@ -233,7 +233,7 @@ class TestCablePlant:
             for (ft, sk), (l_free, noise) in zip(
                     block.frames[:, :2].tolist(),
                     world.cable_columns(block, 3000).T.tolist()):
-                _, f_meas, l_meas, _, _ = step(5.0, l_free, noise)
+                _, f_meas, l_meas, *_ = step(5.0, l_free, noise)
                 acc.append((sk, ft, f_meas, l_meas))
             outs.append(acc)
         assert outs[0] == outs[1]
