@@ -1,10 +1,13 @@
 """The C kernel, `loop.c`, built by the system `cc` at import: the 1 kHz
 controller-cable loop (`loop`, which `controller.Controller.run` calls once
-a stretch) and the dual-Gaussian profile force over an array of shank
-angles (`force`, which `profile.eval_time_profile_array` calls). One
-library serves both. `STATE`, `DECISIONS` and `SLOTS` are the layout of
-the loop's float64 vector s, as `loop.c` exports it: where the loop state
-starts, where the decisions start, and its length.
+a stretch) and the per-stride report (`report`, which
+`metrics._StrideReport` calls once a stride). One library serves both.
+`STATE`, `DECISIONS` and `SLOTS` are the layout of the loop's float64
+vector s, as `loop.c` exports it: where the loop state starts, where the
+decisions start, and its length. `REPORT_STRIDE`, `REPORT_STATE`,
+`REPORT_OUT` and `REPORT_SLOTS` are the same for the report's vector v:
+where the stride's inputs, the comparator's state and the report start,
+and its length; `GRID_POINTS` is the points of the report's grids.
 """
 
 import ctypes
@@ -16,7 +19,9 @@ from pathlib import Path
 
 # The kernel's flags: no option that lets the compiler reorder, contract or
 # approximate a double operation (such as -ffast-math) may join them.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -fno-builtin-pow keeps gcc from folding the report's pow(d, 2.0) into
+# d * d, which differs from C pow (and from np.float_power) in the last bit.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 
 
 def _compile(source: Path, out_dir: str) -> str:
@@ -67,8 +72,10 @@ _size, _ptr = ctypes.c_ssize_t, ctypes.c_void_p
 loop = _lib.shankexo_loop
 loop.argtypes = (_size, _ptr, _size, _ptr, _ptr)
 loop.restype = None
-# force(n, theta, params, out): see shankexo_force in loop.c.
-force = _lib.shankexo_force
-force.argtypes = (_size, _ptr, _ptr, _ptr)
-force.restype = None
+# report(n, log, v, curves): see shankexo_report in loop.c.
+report = _lib.shankexo_report
+report.argtypes = (_size, _ptr, _ptr, _ptr)
+report.restype = None
 STATE, DECISIONS, SLOTS = (_size * 3).in_dll(_lib, "shankexo_layout")
+REPORT_STRIDE, REPORT_STATE, REPORT_OUT, REPORT_SLOTS, GRID_POINTS = (
+    _size * 5).in_dll(_lib, "shankexo_report_layout")

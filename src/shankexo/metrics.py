@@ -1,31 +1,33 @@
-"""Run metrics: the metric primitives, the per-stride report and the
+"""Run metrics: the per-stride report, the convergence stride and the
 aggregates.
 
 Each stride n is reported once foot contact n + 1 is detected
-(`_StrideReport`). It reads only its log rows (artifacts.LOG_COLUMNS), from
-foot contact n to foot contact n + 1, and the shank curve of the last clean
-stride before it, so a report over the whole log would compute the same
-bits. The aggregates and the convergence stride come at the end
-(`_build_report`).
+(`_StrideReport`), by one call of the loop kernel's report
+(`shankexo_report` in loop.c): the tracking RMSE, the stance correlations
+of the shank-angle profile and of the time-based comparator with the
+biological torque, and the swing's peak force. It reads only its log rows
+(artifacts.LOG_COLUMNS), from foot contact n to foot contact n + 1, and
+the shank curve of the last clean stride before it, so a report over the
+whole log would compute the same bits. The aggregates and the
+convergence stride come at the end (`_build_report`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernel
 from .artifacts import LOG_COLUMNS
 from .gait_signals import GaitEvent
-from .profile import (GaussianParams, ShankByPercentGC,
-                      eval_time_profile_array, feature_targets)
+from .profile import GaussianParams, feature_targets
 
-STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
-_GRID_STEPS = np.arange(float(STANCE_GRID_POINTS))
-_GRID_STEPS.flags.writeable = False
+# The log columns the report reads, in the order of loop.c's COL_* slots
+_REPORT_COLUMNS = ("t_ms", "theta_sk_deg", "f_des_n", "f_meas_n",
+                   "perturb_kind", "bio")
 AGGREGATION_STRIDES = 10    # GCs averaged in the aggregates
 # StrideMetrics fields whose mean and sd the aggregates report, in order
 _AGGREGATED = ("rmse_pct", "pearson_shank", "pearson_time", "swing_max_force")
@@ -37,77 +39,7 @@ class MetricsError(ValueError):
     """Metric inputs malformed."""
 
 
-class UndefinedCorrelationError(MetricsError):
-    """Pearson correlation undefined (zero variance)."""
-
-
-# -- metric primitives --------------------------------------------------------
-
-def _sum(x: np.ndarray) -> np.float64:
-    """sum(x) as Python adds it: left to right from 0, so a sum of -0.0s is
-    0.0 (np.sum adds pairwise, which changes the last bits)."""
-    return np.add.accumulate(x)[-1] + 0.0
-
-
-def rmse_pct(desired: Sequence[float], actual: Sequence[float],
-             peak: float) -> float:
-    """Root-mean-square tracking error as a fraction of the peak force.
-    The squares (C pow, through np.float_power) add left to right."""
-    if len(desired) == 0 or len(desired) != len(actual):
-        raise MetricsError("series must be non-empty and equal length")
-    if peak <= 0.0:
-        raise MetricsError("peak force must be positive")
-    d = np.asarray(desired, dtype=float) - np.asarray(actual, dtype=float)
-    return math.sqrt(_sum(np.float_power(d, 2.0)) / len(d)) / peak
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient. Every sum adds left to right,
-    and the squares are C pow (np.float_power).
-
-    A series has zero variance when its deviations are all zero, not when
-    sxx is: their squares can underflow. When sxx, syy or their product is
-    not a normal float (deviations near 1e-160 underflow it, near 1e150
-    overflow it), the sums are taken again over the deviations scaled by a
-    power of two to a largest magnitude in [0.5, 1). That scaling is exact
-    and r does not depend on it, and it keeps |r| within rounding of 1.
-    """
-    n = len(x)
-    if n != len(y) or n < 3:
-        raise MetricsError("series must be equal length >= 3")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - _sum(x) / n
-    dy = y - _sum(y) / n
-    if not dx.any() or not dy.any():
-        raise UndefinedCorrelationError("zero variance series")
-    sxx = float(_sum(np.float_power(dx, 2.0)))
-    syy = float(_sum(np.float_power(dy, 2.0)))
-    if not (min(sxx, syy, sxx * syy) >= sys.float_info.min
-            and sxx * syy < math.inf):
-        dx, dy = _unit_scaled(dx), _unit_scaled(dy)
-        sxx = float(_sum(np.float_power(dx, 2.0)))
-        syy = float(_sum(np.float_power(dy, 2.0)))
-    return _sum(dx * dy) / math.sqrt(sxx * syy)
-
-
-def _unit_scaled(d: np.ndarray) -> np.ndarray:
-    """d times the power of two that brings max |d| into [0.5, 1)."""
-    return np.ldexp(d, -math.frexp(np.abs(d).max())[1])
-
-
-def stance_correlation(mechanical: Sequence[float],
-                       biological: Sequence[float]) -> float:
-    """Pearson correlation after normalizing each series by its own maximum."""
-    if len(mechanical) != len(biological):
-        raise MetricsError("stance series must share one sampling grid")
-    m = np.asarray(mechanical, dtype=float)
-    b = np.asarray(biological, dtype=float)
-    m_max, b_max = m.max(), b.max()
-    if m_max <= 0.0 or b_max <= 0.0:
-        raise UndefinedCorrelationError("series without a positive peak")
-    return pearson(m / m_max, b / b_max)
-
+# -- convergence --------------------------------------------------------------
 
 def convergence_stride(param_history: Sequence[GaussianParams],
                        targets: tuple[float, float, float],
@@ -125,40 +57,6 @@ def convergence_stride(param_history: Sequence[GaussianParams],
     while i > 0 and np.all(gaps(param_history[i - 1]) <= bounds):
         i -= 1
     return i if i < n else CONVERGENCE_SENTINEL
-
-
-def stance_grid(t0: float, t1: float) -> np.ndarray:
-    """np.linspace(t0, t1, STANCE_GRID_POINTS), by its own formula for a
-    float step (k * ((t1 - t0) / (points - 1)) + t0, the last point t1)
-    without its per-call overhead."""
-    grid = _GRID_STEPS * ((t1 - t0) / (STANCE_GRID_POINTS - 1))
-    grid += t0
-    grid[-1] = t1
-    return grid
-
-
-# Percent GC of a clean stride's shank angle (ShankByPercentGC), read-only
-_PCT_GRID = stance_grid(0.0, 1.0)
-_PCT_GRID.flags.writeable = False
-
-
-def time_comparator(params: GaussianParams, tt: np.ndarray, t_fc: float,
-                    prev_duration: float, prev_clean: ShankByPercentGC,
-                    grid: np.ndarray) -> np.ndarray:
-    """The time-based comparator of the stance ticks tt (ms, ascending) at
-    percent GC (tt - t_fc) / prev_duration, linearly resampled onto grid
-    (within [tt[0], tt[-1]]): np.interp(grid, tt, eval_time_profile_array(
-    ...)). np.interp reads, for each grid point, only the two ticks around
-    it (the tick itself at a tick, or at the last one), so the comparator
-    is evaluated at those ticks alone, and the result keeps the bits of the
-    evaluation at every tick (`tests/scalar_reference.py`)."""
-    after = np.searchsorted(tt, grid, side="right")
-    read = np.zeros(len(tt), bool)
-    read[after - 1] = True
-    read[np.minimum(after, len(tt) - 1)] = True
-    ts = tt[read]
-    return np.interp(grid, ts, eval_time_profile_array(
-        params, (ts - t_fc) / prev_duration, prev_clean))
 
 
 # -- the report -------------------------------------------------------------------
@@ -191,14 +89,21 @@ class MetricsReport:
 
 class _StrideReport:
     """The per-stride metrics, stride by stride as the run passes them
-    (see the module docstring)."""
+    (see the module docstring): one call of the kernel's report
+    (`shankexo_report` in loop.c) a stride."""
 
     def __init__(self, n_strides: int):
         self.n_strides = n_strides
         self.reported = 0            # strides reported or skipped
         self.per_stride: list[StrideMetrics] = []
-        self.prev_clean: Optional[ShankByPercentGC] = None
-        self.prev_duration: Optional[float] = None
+        # loop.c's report vector v, from the log's layout on, and its
+        # curves, whose first row and v's clean duration hold the time-based
+        # comparator's state: the last clean stride's shank angle.
+        self.v = np.zeros(kernel.REPORT_SLOTS)
+        self.v[:kernel.REPORT_STRIDE] = (
+            len(LOG_COLUMNS), *map(LOG_COLUMNS.index, _REPORT_COLUMNS))
+        self.curves = np.zeros((4, kernel.GRID_POINTS))
+        self._at = self.v.ctypes.data, self.curves.ctypes.data
 
     def report(self, log: np.ndarray, contacts: Sequence[GaitEvent],
                foot_offs: dict[int, GaitEvent],
@@ -207,70 +112,38 @@ class _StrideReport:
         from the log rows `log`, which start at or before the oldest
         unreported foot contact's row. Return the index in `log` of that
         row once the contact is known, else 0."""
+        log = np.ascontiguousarray(log, np.float64)
+        if log.ndim != 2 or log.shape[1] != len(LOG_COLUMNS):
+            raise ValueError(f"log rows must be (n, {len(LOG_COLUMNS)}), "
+                             f"not {log.shape}")
+        v = self.v
         while self.reported < min(len(contacts) - 1, self.n_strides):
             n = self.reported
-            self._add(n, log, contacts[n], foot_offs.get(n), contacts[n + 1],
-                      adopted[n])
             self.reported += 1
+            fc, fo, nxt, p = (contacts[n], foot_offs.get(n), contacts[n + 1],
+                              adopted[n])
+            if fo is None or not (fc.t_ms < fo.t_ms < nxt.t_ms):
+                continue
+            v[kernel.REPORT_STRIDE:kernel.REPORT_STATE] = (
+                fc.t_ms, fo.t_ms, nxt.t_ms, p.amp, p.mu, p.sigma1, p.sigma2,
+                p.theta_fc, p.theta_fo)
+            kernel.report(len(log), log.ctypes.data, *self._at)
+            # the report past its four cuts
+            (kind, _, rmse, r_sk, r_tm, swing_max, has_rmse, has_r_sk,
+             has_r_tm) = v[kernel.REPORT_OUT + 4:].tolist()
+            self.per_stride.append(StrideMetrics(
+                stride=n, t_fc_ms=fc.t_ms,
+                stance_ratio=(fo.t_ms - fc.t_ms) / (nxt.t_ms - fc.t_ms),
+                rmse_pct=rmse if has_rmse else None,
+                pearson_shank=r_sk if has_r_sk else None,
+                pearson_time=r_tm if has_r_tm else None,
+                swing_max_force=swing_max, perturbed=int(kind),
+                mu=p.mu, sigma1=p.sigma1, sigma2=p.sigma2,
+                theta_fc=p.theta_fc, theta_fo=p.theta_fo))
         if self.reported < len(contacts):
             return int(np.searchsorted(log[:, 0],
                                        contacts[self.reported].t_ms))
         return 0
-
-    def _add(self, n: int, log: np.ndarray, fc: GaitEvent,
-             fo: Optional[GaitEvent], nxt: GaitEvent,
-             params: GaussianParams) -> None:
-        if fo is None or not (fc.t_ms < fo.t_ms < nxt.t_ms):
-            return
-        col = dict(zip(LOG_COLUMNS, log.T))
-        t, sk, bio = col["t_ms"], col["theta_sk_deg"], col["bio"]
-        f_des, f_meas, pk = col["f_des_n"], col["f_meas_n"], col["perturb_kind"]
-        i0 = int(np.searchsorted(t, fc.t_ms))
-        i1 = int(np.searchsorted(t, fo.t_ms, side="right"))
-        i2 = int(np.searchsorted(t, nxt.t_ms))
-        duration = nxt.t_ms - fc.t_ms
-        ratio = (fo.t_ms - fc.t_ms) / duration
-        kind = int(pk[i0:i2].max()) if i2 > i0 else 0
-
-        des = f_des[i0:i1]
-        mea = f_meas[i0:i1]
-        peak = float(des.max()) if len(des) else 0.0
-        stride_rmse = (rmse_pct(des, mea, peak) if peak > 1.0 else None)
-
-        r_sk = r_tm = None
-        bio_seg = bio[i0:i1]
-        if peak > 1.0 and bio_seg.max() > 0.0:
-            # The stance series, linearly resampled onto one uniform grid
-            tt = t[i0:i1]
-            grid = stance_grid(tt[0], tt[-1])
-            bio_g = np.interp(grid, tt, bio_seg)
-            try:
-                r_sk = stance_correlation(np.interp(grid, tt, des), bio_g)
-            except MetricsError:
-                r_sk = None
-            if self.prev_clean is not None and self.prev_duration:
-                try:
-                    r_tm = stance_correlation(time_comparator(
-                        params, tt, fc.t_ms, self.prev_duration,
-                        self.prev_clean, grid), bio_g)
-                except MetricsError:
-                    r_tm = None
-
-        swing = f_meas[int(np.searchsorted(t, fo.t_ms)):i2]
-        swing_max = float(swing.max()) if len(swing) else 0.0
-
-        self.per_stride.append(StrideMetrics(
-            stride=n, t_fc_ms=fc.t_ms, stance_ratio=ratio,
-            rmse_pct=stride_rmse, pearson_shank=r_sk, pearson_time=r_tm,
-            swing_max_force=swing_max, perturbed=kind,
-            mu=params.mu, sigma1=params.sigma1, sigma2=params.sigma2,
-            theta_fc=params.theta_fc, theta_fo=params.theta_fo))
-
-        if kind == 0:
-            pct = (t[i0:i2] - fc.t_ms) / duration
-            self.prev_clean = ShankByPercentGC(
-                _PCT_GRID, np.interp(_PCT_GRID, pct, sk[i0:i2]))
-            self.prev_duration = duration
 
 
 def _build_report(cfg, ctrl_cfg, tmpl, per_stride, adopted, landmarks,

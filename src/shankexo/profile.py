@@ -18,9 +18,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .gait_signals import (EventDetector, GaitEvent, KinematicSample,
                            StanceWindow, WindowAssembler)
@@ -228,53 +226,3 @@ class EstimationPath:
         if window is not None:
             self.estimator.update_from_window(window)
         return event
-
-
-class ShankByPercentGC:
-    """Previous cycle's shank angle as a function of percent gait cycle.
-
-    Backs the time-based comparator profile (`eval_time_profile_array`):
-    linear interpolation over a uniform percent-GC grid recorded from the
-    last unperturbed cycle. Holds both as float arrays, without a copy of
-    an array given as one.
-    """
-
-    def __init__(self, pct: Sequence[float], theta_sk: Sequence[float]):
-        if len(pct) != len(theta_sk) or len(pct) < 2:
-            raise ValueError("need matching pct/theta arrays with >= 2 points")
-        self.pct = np.asarray(pct, dtype=float)
-        self.theta = np.asarray(theta_sk, dtype=float)
-
-
-def eval_time_profile_array(p: GaussianParams, pct_gc: np.ndarray,
-                            prev_cycle: ShankByPercentGC) -> np.ndarray:
-    """Time-based comparator: the same dual-Gaussian shape progressed by
-    percent GC through the previous cycle's shank trajectory, over an array
-    of percent-GC values; 0 outside [0, 1) and outside the support.
-
-    The previous cycle's angle is a linear interpolation held at the grid's
-    end values, in the scalar order w = (x - x0) / (x1 - x0), then
-    th0 + w * (th1 - th0) (np.interp's order differs), and the Gaussian is
-    the loop kernel's (`loop.c`), whose exp is the one math.exp calls
-    (np.exp differs in the last bit). So it equals, bit for bit,
-    `eval_force` at a bisect interpolation, the scalar form kept in
-    `tests/scalar_reference.py`. Each value depends on its own percent GC
-    alone, so a caller may evaluate only the values it reads; the force
-    is computed without its rate."""
-    pts, ths = prev_cycle.pct, prev_cycle.theta
-    hi = np.clip(np.searchsorted(pts, pct_gc, side="right"), 1, len(pts) - 1)
-    lo = hi - 1
-    w = (pct_gc - pts[lo]) / (pts[hi] - pts[lo])
-    # a new float64 array, whole, as the kernel reads it
-    theta = np.where(pct_gc <= pts[0], ths[0],
-                     np.where(pct_gc >= pts[-1], ths[-1],
-                              ths[lo] + w * (ths[hi] - ths[lo])))
-    # Imported here, so that importing this module (as `plant` and
-    # `shankexo replay` do) builds no kernel.
-    from . import kernel
-    params = np.array((p.amp, p.mu, p.sigma1, p.sigma2, p.theta_fc,
-                       p.theta_fo))
-    f = np.empty_like(theta)
-    kernel.force(f.size, theta.ctypes.data, params.ctypes.data,
-                 f.ctypes.data)
-    return np.where((0.0 <= pct_gc) & (pct_gc < 1.0), f, 0.0)

@@ -8,9 +8,12 @@ bit-equality tests can compare the array code against an independent
 evaluation. The array code repeats these operation orders; a reordered
 product or sum in `src/` shows up here as a last-bit difference.
 
-The report's metric primitives (`rmse_pct`, `pearson`,
-`stance_correlation`) are numpy over whole arrays; their per-element Python
-loops are kept here as well.
+The per-stride report is one call of the C kernel a stride
+(`shankexo_report` in `loop.c`). `ReferenceStrideReport` is the numpy
+report it replaced, over the per-element Python loops of its metric
+primitives (`rmse_pct`, `pearson`, `stance_correlation`) and the
+time-based comparator evaluated at every stance tick
+(`full_time_comparator`).
 
 `Controller.run` holds the controller state in locals across a stretch of
 ticks and runs the cable in the same loop body, over open-loop columns.
@@ -39,11 +42,12 @@ import csv
 import logging
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from shankexo.artifacts import LOG_COLUMNS
 from shankexo.controller import (ABORT_CODE, ENGAGE_FORCE, PROBE_MARGIN_MM,
                                  PROBE_RATE, RELEASE_SLACK_MM, RESIDUAL_TICKS,
                                  TAIL_RELEASE_FORCE, TAIL_RELEASE_RATE,
@@ -53,13 +57,12 @@ from shankexo.gait_signals import (IMU_PERIOD_MS, MAX_GAP_SAMPLES,
                                    REPLAY_HEADER, EventDetector, GaitEvent,
                                    GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError)
-from shankexo.metrics import MetricsError, UndefinedCorrelationError
+from shankexo.metrics import MetricsError, StrideMetrics
 from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
                             GaitWorld, PerturbationKind, PerturbationSpec,
                             PlantConfig, PlantState, _ds3, _s3, bind_cable)
-from shankexo.profile import (GaussianParams, ShankByPercentGC, eval_force,
-                              eval_force_and_rate, eval_time_profile_array)
+from shankexo.profile import GaussianParams, eval_force, eval_force_and_rate
 from shankexo.tendon import TendonModel, estimate_migration, tendon_length
 
 CODE = {None: 0, PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
@@ -166,7 +169,36 @@ def biological_torque(tmpl: GaitTemplate, phase: float) -> float:
     return base ** tmpl.torque_sharpness
 
 
-# -- time-based comparator -------------------------------------------------------
+# -- the per-stride report -------------------------------------------------------
+
+STANCE_GRID_POINTS = 101    # uniform grid the stance correlations resample to
+
+
+class UndefinedCorrelationError(MetricsError):
+    """Pearson correlation undefined (zero variance)."""
+
+
+def stance_grid(t0: float, t1: float) -> np.ndarray:
+    """np.linspace(t0, t1, STANCE_GRID_POINTS) by its own formula for a
+    float step: k * ((t1 - t0) / (points - 1)) + t0, the last point t1."""
+    grid = np.arange(float(STANCE_GRID_POINTS)) * (
+        (t1 - t0) / (STANCE_GRID_POINTS - 1)) + t0
+    grid[-1] = t1
+    return grid
+
+
+# The percent-GC grid of a clean stride's shank angle
+PCT_GRID = stance_grid(0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class ShankByPercentGC:
+    """A clean stride's shank angle theta (deg) at ascending percent GC
+    pct, which backs the time-based comparator."""
+
+    pct: np.ndarray
+    theta: np.ndarray
+
 
 def lookup(prev_cycle: ShankByPercentGC, pct_gc: float) -> float:
     """The previous cycle's shank angle at pct_gc: linear interpolation,
@@ -198,14 +230,25 @@ def full_time_comparator(p: GaussianParams, tt: np.ndarray, t_fc: float,
                          prev_duration: float, prev_cycle: ShankByPercentGC,
                          grid: np.ndarray) -> np.ndarray:
     """The time-based comparator evaluated at every stance tick tt (ms),
-    then linearly resampled onto grid: the oracle of
-    `metrics.time_comparator`, which evaluates it only at the ticks
-    np.interp reads."""
-    return np.interp(grid, tt, eval_time_profile_array(
-        p, (tt - t_fc) / prev_duration, prev_cycle))
+    then linearly resampled onto grid."""
+    return np.interp(grid, tt, [
+        eval_time_profile(p, (t - t_fc) / prev_duration, prev_cycle)
+        for t in tt.tolist()])
 
 
-# -- metric primitives -----------------------------------------------------------
+def array_max(xs):
+    """ndarray.max as a loop: NaN where one value is NaN, else the first of
+    the largest. (Of a tie of 0.0 and -0.0, ndarray.max returns the one its
+    SIMD reduction order leaves, neither the first nor the last; the run's
+    f_meas never holds -0.0.)"""
+    m = xs[0]
+    for x in xs[1:]:
+        if m != m:
+            break
+        if not x <= m:
+            m = x
+    return m
+
 
 def rmse_pct(desired, actual, peak: float) -> float:
     """Root-mean-square tracking error as a fraction of the peak force."""
@@ -247,15 +290,103 @@ def pearson(x, y) -> float:
 
 
 def stance_correlation(mechanical, biological) -> float:
-    """Pearson correlation after normalizing each series by its own maximum."""
+    """Pearson correlation after normalizing each series by its own maximum
+    (ndarray.max's: NaN where one value is NaN)."""
     if len(mechanical) != len(biological):
         raise MetricsError("stance series must share one sampling grid")
-    m_max = max(mechanical)
-    b_max = max(biological)
+    m_max = array_max(mechanical)
+    b_max = array_max(biological)
     if m_max <= 0.0 or b_max <= 0.0:
         raise UndefinedCorrelationError("series without a positive peak")
     return pearson([m / m_max for m in mechanical],
                    [b / b_max for b in biological])
+
+
+class ReferenceStrideReport:
+    """The per-stride report as numpy computed it before the C kernel did,
+    over the loops above: `metrics._StrideReport` with the same interface
+    and, per stride, `grids`, the stance's (f_des, bio, comparator) on its
+    grid, NaN where the stride has none."""
+
+    COLUMNS = ("t_ms", "theta_sk_deg", "bio", "f_des_n", "f_meas_n",
+               "perturb_kind")
+
+    def __init__(self, n_strides: int):
+        self.n_strides = n_strides
+        self.reported = 0
+        self.per_stride: list[StrideMetrics] = []
+        self.grids: list[np.ndarray] = []
+        self.prev_clean: Optional[ShankByPercentGC] = None
+        self.prev_duration: Optional[float] = None
+
+    def report(self, log, contacts, foot_offs, adopted) -> int:
+        while self.reported < min(len(contacts) - 1, self.n_strides):
+            n = self.reported
+            self._add(n, log, contacts[n], foot_offs.get(n), contacts[n + 1],
+                      adopted[n])
+            self.reported += 1
+        if self.reported < len(contacts):
+            return int(np.searchsorted(log[:, 0],
+                                       contacts[self.reported].t_ms))
+        return 0
+
+    def _add(self, n, log, fc, fo, nxt, params) -> None:
+        if fo is None or not (fc.t_ms < fo.t_ms < nxt.t_ms):
+            return
+        t, sk, bio, f_des, f_meas, pk = (
+            log[:, LOG_COLUMNS.index(c)] for c in self.COLUMNS)
+        i0 = int(np.searchsorted(t, fc.t_ms))
+        i1 = int(np.searchsorted(t, fo.t_ms, side="right"))
+        i2 = int(np.searchsorted(t, nxt.t_ms))
+        duration = nxt.t_ms - fc.t_ms
+        ratio = (fo.t_ms - fc.t_ms) / duration
+        kind = int(array_max(pk[i0:i2])) if i2 > i0 else 0
+
+        des = f_des[i0:i1]
+        mea = f_meas[i0:i1]
+        peak = float(array_max(des)) if len(des) else 0.0
+        stride_rmse = (rmse_pct(des, mea, peak) if peak > 1.0 else None)
+
+        r_sk = r_tm = None
+        grids = np.full((3, STANCE_GRID_POINTS), math.nan)
+        bio_seg = bio[i0:i1]
+        if peak > 1.0 and array_max(bio_seg) > 0.0:
+            # The stance series, linearly resampled onto one uniform grid
+            tt = t[i0:i1]
+            grid = stance_grid(tt[0], tt[-1])
+            grids[0] = np.interp(grid, tt, des)
+            grids[1] = bio_g = np.interp(grid, tt, bio_seg)
+            try:
+                r_sk = stance_correlation(grids[0], bio_g)
+            except MetricsError:
+                r_sk = None
+            if self.prev_clean is not None and self.prev_duration:
+                grids[2] = full_time_comparator(
+                    params, tt, fc.t_ms, self.prev_duration, self.prev_clean,
+                    grid)
+                try:
+                    r_tm = stance_correlation(grids[2], bio_g)
+                except MetricsError:
+                    r_tm = None
+        self.grids.append(grids)
+
+        swing = f_meas[int(np.searchsorted(t, fo.t_ms)):i2]
+        swing_max = float(array_max(swing)) if len(swing) else 0.0
+
+        self.per_stride.append(StrideMetrics(
+            stride=n, t_fc_ms=fc.t_ms, stance_ratio=ratio,
+            rmse_pct=stride_rmse, pearson_shank=r_sk, pearson_time=r_tm,
+            swing_max_force=swing_max, perturbed=kind,
+            mu=params.mu, sigma1=params.sigma1, sigma2=params.sigma2,
+            theta_fc=params.theta_fc, theta_fo=params.theta_fo))
+
+        # A stride with no row keeps the clean stride before it (np.interp
+        # over no row raised ValueError before the kernel).
+        if kind == 0 and i2 > i0:
+            pct = (t[i0:i2] - fc.t_ms) / duration
+            self.prev_clean = ShankByPercentGC(
+                PCT_GRID, np.interp(PCT_GRID, pct, sk[i0:i2]))
+            self.prev_duration = duration
 
 
 # -- world clock -----------------------------------------------------------------

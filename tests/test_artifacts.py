@@ -18,6 +18,9 @@ from shankexo.controller import MODES
 from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.metrics import MetricsReport
 from shankexo.plant import Activity, build_template
+from shankexo.profile import GaussianParams
+
+from strides import TIME_G, report_stride, stance_report, stride_log
 
 # SHA-256 of (timeseries.csv, summary.json). A change to either digest means
 # the simulated behaviour or the artifact format moved; regenerate only when
@@ -221,22 +224,16 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
 @settings(max_examples=40, deadline=None)
 @given(seed=hs.integers(0, 2**32 - 1),
        unit=hs.lists(hs.floats(0.0, 1.0), max_size=50),
-       signed=hs.lists(hs.one_of(hs.floats(-1e150, 1e150),
-                                 hs.sampled_from([math.inf, -math.inf,
-                                                  math.nan])), max_size=50),
        sharpness=hs.floats(0.01, 10.0))
-def test_float_power_is_c_pow(seed, unit, signed, sharpness):
+def test_float_power_is_c_pow(seed, unit, sharpness):
     """The digests rest on np.float_power calling C pow on each element, as
     Python ** does: the biological torque raises [0, 1] to the activity's
-    torque_sharpness, and the report's metrics square their terms (finite
-    squares: Python ** raises where C pow overflows). A numpy whose
-    float_power is vectorized fails here, by its version."""
+    torque_sharpness. A numpy whose float_power is vectorized fails here,
+    by its version."""
     rng = np.random.default_rng(seed)
     u = np.concatenate([unit, rng.uniform(0.0, 1.0, 2000)])
-    x = np.concatenate([signed, rng.standard_normal(2000)
-                        * 10.0 ** rng.integers(-170, 150, 2000)])
     cases = [(u, build_template(a).torque_sharpness) for a in Activity]
-    cases += [(u, sharpness), (x, 2.0)]
+    cases += [(u, sharpness)]
     for base, e in cases:
         got = np.float_power(base, e)
         want = np.array([b ** e for b in base.tolist()])
@@ -247,27 +244,82 @@ def test_float_power_is_c_pow(seed, unit, signed, sharpness):
             f"x ** {e} at x = {base[~same][:5].tolist()}")
 
 
+def report_rmse(d):
+    """The report's RMSE of a stance whose f_des - f_meas is (0.0, d,
+    0.25), against a peak f_des of 10 N."""
+    rep = stance_report(np.array([10.0, 0.0, 0.0]), np.zeros(3),
+                        np.array([10.0, -d, -0.25]))
+    return rep.per_stride[0].rmse_pct
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed=hs.lists(hs.one_of(hs.floats(-1e150, 1e150),
+                                 hs.sampled_from([math.inf, -math.inf,
+                                                  math.nan])), max_size=50))
+def test_report_squares_are_c_pow(signed):
+    """The digests rest on the kernel's report squaring with C pow, as
+    Python ** does (finite squares: Python ** raises where C pow
+    overflows), which `kernel` keeps gcc from folding into d * d
+    (-fno-builtin-pow)."""
+    for d in signed:
+        got = report_rmse(d)
+        want = math.sqrt((0.0 + d ** 2 + 0.25 ** 2) / 3) / 10.0
+        assert got == want or (math.isnan(got) and math.isnan(want)), d
+
+
+def test_report_squares_are_not_products():
+    """A square that C pow and d * d round apart, in a sum of two, moves
+    the RMSE's last bit."""
+    d = -0.9261120045793674
+    assert (d ** 2, d * d) == (0.8576834450260141, 0.8576834450260142)
+    assert math.sqrt((0.0 + d * d + 0.0625) / 3) / 10.0 == 0.05538301319074933
+    assert report_rmse(d) == 0.05538301319074932
+
+
+def report_exp(z):
+    """The loop kernel's exp(-z * z / 2) at the values z, read off the
+    report's time-based comparator: a profile of amp 1, mu 0 and both
+    widths 1 on a clean stride whose shank angle holds each z over two
+    percent-GC points, and a stance whose grid is its 101 ticks, tick k
+    at percent GC (k + 0.25) / 50, between the two points of the kth z."""
+    params = GaussianParams(1.0, 0.0, 1.0, 1.0, -1e300, 1e300)
+    t = 1000.0 + np.arange(102.0)
+    log = stride_log(t, f_des_n=2.0, bio=1.0)
+    out = []
+    for at in range(0, len(z), 50):
+        chunk = z[at:at + 50]
+        clean = np.zeros(kernel.GRID_POINTS)
+        clean[:2 * len(chunk)] = np.repeat(chunk, 2)
+        rep = report_stride(log, 999.75, 1100.0, 1102.0, params, clean, 50.0)
+        out.extend(rep.curves[TIME_G, :len(chunk)].tolist())
+    return np.array(out)
+
+
+def assert_exp(z):
+    got = report_exp(z)
+    want = np.array([math.exp(-0.5 * x * x) for x in z])
+    same = got.view(np.int64) == want.view(np.int64)
+    assert same.all(), (
+        f"the kernel's exp(-z*z/2) differs from math.exp at z = "
+        f"{np.array(z)[~same][:5].tolist()}")
+    return want
+
+
 @settings(max_examples=40, deadline=None)
 @given(z=hs.lists(hs.floats(-40.0, 40.0), max_size=50))
 def test_kernel_exp_is_math_exp(z):
     """The digests rest on the loop kernel's profile calling the exp that
-    math.exp calls: with amp 1, mu 0 and both widths 1, shankexo_force at
-    z is math.exp(-0.5 * z * z), bit for bit, subnormal results (|z| past
+    math.exp calls: with amp 1, mu 0 and both widths 1, the profile at z
+    is math.exp(-0.5 * z * z), bit for bit, subnormal results (|z| past
     about 37.64) and results that underflow to 0.0 (past about 38.6)
     included. A libm whose exp differs from Python's fails here."""
-    theta = np.array(z + [0.0, -0.0, 5e-324, 1.0, 37.64, 38.6]
-                     + np.linspace(-39.0, 39.0, 7801).tolist())
-    got = np.empty_like(theta)
-    params = np.array((1.0, 0.0, 1.0, 1.0, -math.inf, math.inf))
-    kernel.force(len(theta), theta.ctypes.data, params.ctypes.data,
-                 got.ctypes.data)
-    want = np.array([math.exp(-0.5 * x * x) for x in theta.tolist()])
+    assert_exp(z + [0.0, -0.0, 5e-324, 1.0, 37.64, 38.6])
+
+
+def test_kernel_exp_is_math_exp_over_a_sweep():
+    want = assert_exp(np.linspace(-39.0, 39.0, 7801).tolist())
     assert ((0.0 < want) & (want < sys.float_info.min)).any()
     assert (want == 0.0).any()
-    same = got.view(np.int64) == want.view(np.int64)
-    assert same.all(), (
-        f"the kernel's exp(-z*z/2) differs from math.exp at z = "
-        f"{theta[~same][:5].tolist()}")
 
 
 def test_a_spike_past_the_stop_tick_changes_nothing(tmp_path):

@@ -12,10 +12,12 @@ state (the tendon model included) and cable state after every stretch,
 and the same safety abort log line; and `run` must give the same rows
 however a stretch is cut.
 
-`run` tests the reading in full only on the ticks it flags, or where the
-reading passes a limit; the scripts put every kind of angle or rate fault
-on the first, a middle and the last tick of a stretch, and an envelope of
-1.1e300 flags every tick.
+The loop kernel tests every tick's reading, angles and rates in full: the
+non-finite guard's sum of eight, the limits and the load-cell check. The
+scripts put every kind of angle or rate fault on the first, a middle and
+the last tick of a stretch, with magnitudes just below and just past
+1e300 and under an envelope of 1.1e300, where an earlier `run` switched
+from testing only flagged ticks to testing every tick.
 """
 
 import dataclasses
@@ -72,11 +74,11 @@ def snapshot(ctrl: Controller, plant: PlantState) -> list:
 # -- scripts: gait events and stretches of ticks --------------------------------
 
 # An angle or rate that fires the guard (NaN, an infinity), one just below
-# the magnitude from which `run` flags its tick (9.9e299), and one just
-# past it (1.1e300); the channels of the four.
+# 1e300 (9.9e299) and one just past it (1.1e300), where an earlier `run`
+# began to flag a tick; the channels of the four.
 CHANNEL_FAULTS = (math.nan, math.inf, -math.inf, 9.9e299, 1.1e300)
 CHANNELS = ("sk", "df", "sk_rate", "df_rate")
-# Inputs that fire a guard or border on `run`'s flags: each channel fault in
+# Inputs that fire a guard or border on one: each channel fault in
 # each channel, finite angles and rates whose sum overflows in the guard's
 # order (and in no order that pairs them off), a zero-force length that is
 # non-finite or far past the force ceiling (inf reads an infinite force;
@@ -354,8 +356,8 @@ def channel_fault_script(lead, channel, value, at):
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_a_channel_fault_aborts_as_the_reference(channel, value, at, lead,
                                                  v_max, caplog):
-    # The first tick of a stretch is flagged, the others only by their own
-    # angles and rates (or, at an envelope of 1.1e300, all of them).
+    # The kernel tests each tick's angles and rates in full, the first
+    # tick of a stretch, a middle one and the last alike.
     script = channel_fault_script(lead, channel, value, at)
     plant_cfg = PlantConfig(v_max=v_max)
     want = run_script(make(TickController, 0.0, v_max), script,

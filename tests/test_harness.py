@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
 from processes import assert_reaped, exits_within, record_forks
+from strides import out, report_stride, stance_report, stride_log
 
 from shankexo import artifacts, harness, metrics
 from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
@@ -21,9 +22,7 @@ from shankexo.gait_signals import EventDetector, GaitEventKind, SignalLossError
 from shankexo.harness import (PEAK_MARGIN_N, ConfigError, ScenarioConfig,
                               run_scenario)
 from shankexo.metrics import (CONVERGENCE_SENTINEL, MetricsError,
-                              MetricsReport, UndefinedCorrelationError,
-                              convergence_stride, pearson, rmse_pct,
-                              stance_correlation)
+                              MetricsReport, convergence_stride)
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
@@ -33,59 +32,67 @@ CEILING = ControllerConfig.force_ceiling
 
 
 class TestRmsePct:
+    """The report's tracking RMSE over a stance, against its peak f_des."""
+
+    @staticmethod
+    def rmse(des, mea):
+        rep = out(stance_report(des, np.zeros(len(des)), mea))
+        return rep["rmse"] if rep["has_rmse"] else None
+
     def test_identical_series(self):
-        assert rmse_pct([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 3.0) == 0.0
+        assert self.rmse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_hand_value(self):
-        assert rmse_pct([100.0, 100.0], [90.0, 110.0], 100.0) == pytest.approx(0.10)
+        assert self.rmse([100.0, 100.0], [90.0, 110.0]) == pytest.approx(0.10)
 
     def test_constant_offset(self):
-        d = [50.0] * 10
-        a = [50.0 + 3.0] * 10
-        assert rmse_pct(d, a, 60.0) == pytest.approx(3.0 / 60.0)
+        assert self.rmse([50.0] * 10, [53.0] * 10) == pytest.approx(3.0 / 50.0)
 
     def test_errors(self):
-        with pytest.raises(MetricsError):
-            rmse_pct([1.0], [1.0, 2.0], 1.0)
-        with pytest.raises(MetricsError):
-            rmse_pct([], [], 1.0)
-        with pytest.raises(MetricsError):
-            rmse_pct([1.0], [1.0], 0.0)
+        # Undefined without a peak f_des above 1 N
+        assert self.rmse([1.0, 0.5], [1.0, 2.0]) is None
+        assert self.rmse([math.nan, 5.0], [1.0, 2.0]) is None
+        # or without a stance tick: foot-off before the first
+        rep = report_stride(stride_log([1000.0, 1001.0], f_des_n=5.0),
+                            999.0, 999.5, 1002.0)
+        assert rep.per_stride[0].rmse_pct is None
+
+
+def r_shank(des, bio):
+    """The report's correlation of f_des with bio over a stance, each
+    normalized by its peak."""
+    rep = out(stance_report(np.asarray(des, float), np.asarray(bio, float)))
+    return rep["r_shank"] if rep["has_r_shank"] else None
 
 
 class TestPearson:
+    RAMP = np.arange(1.0, 102.0)
+
     def test_perfect_correlation(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+        assert r_shank(self.RAMP, self.RAMP) == pytest.approx(1.0)
 
     def test_perfect_anticorrelation(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert r_shank(self.RAMP, self.RAMP[::-1]) == pytest.approx(-1.0)
 
     def test_hand_value(self):
-        # cov = 3, sd product = sqrt(2 * 42/9)
-        expected = 3.0 / math.sqrt(2.0 * 42.0 / 9.0)
-        assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(expected)
-        assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(0.98198, abs=1e-5)
+        x = np.tile([1.0, 2.0, 3.0], 34)[:101]
+        y = np.tile([1.0, 2.0, 4.0], 34)[:101]
+        assert r_shank(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1])
 
     def test_errors(self):
-        with pytest.raises(MetricsError):
-            pearson([1, 2], [1, 2])
-        with pytest.raises(UndefinedCorrelationError):
-            pearson([1, 1, 1], [1, 2, 3])
+        # zero variance
+        assert r_shank(np.full(101, 5.0), self.RAMP) is None
 
 
 class TestStanceCorrelation:
     def test_scale_invariance(self):
-        bio = [0.0, 0.4, 1.0, 0.6, 0.1]
-        mech = [sc * 73.0 for sc in bio]
-        assert stance_correlation(mech, bio) == pytest.approx(1.0)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(MetricsError):
-            stance_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
+        bio = np.sin(np.linspace(0.0, np.pi, 101)) ** 2
+        assert r_shank(bio * 73.0, bio) == pytest.approx(1.0)
 
     def test_no_positive_peak(self):
-        with pytest.raises(UndefinedCorrelationError):
-            stance_correlation([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        bio = np.sin(np.linspace(0.0, np.pi, 101))
+        assert r_shank(bio * 73.0, np.zeros(101)) is None
+        assert r_shank(bio, bio) is None        # f_des peaks at 1 N
 
 
 def params_at(mu, s1, s2):

@@ -1,14 +1,18 @@
-"""The report's metric primitives against their per-element Python loops
+"""The report's metric primitives, the tracking RMSE and the stance
+correlation, against their per-element Python loops
 (`tests/scalar_reference.py`), bit for bit.
 
-The numpy forms square with np.float_power, which is C pow as `**` on a
-float is, and add with np.add.accumulate, left to right as `sum` and `+=`
-do. The series are numpy arrays, as `_build_report` hands them, so both
-sides do their scalar arithmetic on numpy floats. numpy's floating-point
-warnings are silenced on both sides: an overflow of the squares is then inf
-on both, and the property compares the values. Where sxx, syy or their
-product is not a normal float, both correlations take the sums again over
-deviations scaled by a power of two, and the range test holds |r| to 1.
+The loop kernel's report (`shankexo_report` in `loop.c`) computes both, in
+C: each square is C pow, as `**` on a numpy float is, and each sum adds
+left to right from its first term, as `sum` and `+=` do. The series are
+numpy arrays, so the loops do their scalar arithmetic on numpy floats,
+whose overflow is inf (numpy's warnings are silenced). A stance of
+`STANCE_GRID` ticks a ms apart has its grid at the ticks, so the report
+correlates the drawn series themselves. Each series' maximum is
+ndarray.max's, NaN where one value is NaN (`scalar_reference.array_max`).
+Where sxx, syy or their product is not a normal float, both correlations
+take the sums again over deviations scaled by a power of two, and the
+range test holds |r| to 1.
 
 A NaN result compares as NaN. Which NaN a sum of two NaNs returns depends
 on the operand order of the add instruction, and summary.json prints every
@@ -16,12 +20,12 @@ NaN alike.
 """
 
 import math
-import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as hs
 
 import scalar_reference as ref
+from strides import BIO_G, DES_G, STANCE_GRID, out, stance_report
 from shankexo import metrics
 
 # Values the arithmetic treats apart: signed zeros, subnormals, the least
@@ -55,25 +59,24 @@ def series(draw, n, elements):
 
 
 @hs.composite
-def pairs(draw, elements):
-    """Two series, mostly of one length in 0-2000."""
-    n = draw(hs.integers(0, 2000))
-    m = draw(hs.one_of(hs.just(n), hs.just(n), hs.integers(0, 2000)))
-    return draw(series(n, elements)), draw(series(m, elements))
+def pairs(draw, elements, n=None):
+    """Two series of one length, n or drawn in 1-2000."""
+    n = draw(hs.integers(1, 2000)) if n is None else n
+    return draw(series(n, elements)), draw(series(n, elements))
 
 
 def outcome(f, *args):
-    """f's value, or the class of what it raised, with numpy's warnings
-    silenced."""
+    """f's value, or None where it raised MetricsError (the report's
+    undefined metric), with numpy's warnings silenced."""
     with np.errstate(all="ignore"):
         try:
             return f(*args)
-        except Exception as exc:
-            return type(exc)
+        except metrics.MetricsError:
+            return None
 
 
 def assert_same(got, want):
-    if isinstance(want, type) or isinstance(got, type):
+    if got is None or want is None:
         assert got is want
     elif math.isnan(want):
         assert math.isnan(got)
@@ -82,91 +85,114 @@ def assert_same(got, want):
                 == np.float64(want).view(np.int64)), (got, want)
 
 
+def rmse(des, mea):
+    """The report's RMSE of a stance of f_des des and f_meas mea."""
+    rep = out(stance_report(des, np.zeros(len(des)), mea))
+    return rep["rmse"] if rep["has_rmse"] else None
+
+
+def r_shank(des, bio):
+    """The report's stance correlation of f_des des with bio, over a
+    STANCE_GRID-tick stance; its resampled series are des and bio."""
+    rep = stance_report(des, bio)
+    curves = rep.curves[[DES_G, BIO_G]]
+    if ref.array_max(des) > 1.0 and ref.array_max(bio) > 0.0:
+        assert np.array_equal(curves.view(np.int64),
+                              np.stack((des, bio)).view(np.int64))
+    else:
+        assert np.isnan(curves).all()
+    rep = out(rep)
+    return rep["r_shank"] if rep["has_r_shank"] else None
+
+
+def want_r_shank(des, bio):
+    """The loops' stance correlation, where the report takes one: f_des
+    peaks above 1 N and bio above 0."""
+    if not (ref.array_max(des) > 1.0 and ref.array_max(bio) > 0.0):
+        return None
+    return outcome(ref.stance_correlation, des, bio)
+
+
 @settings(max_examples=150, deadline=None)
-@given(xy=pairs(ANY), peak=hs.one_of(hs.floats(), hs.sampled_from(SPECIAL)))
-def test_rmse_pct_equals_the_loop(xy, peak):
-    """rmse_pct takes NaN and infinities: f_meas is NaN after a NaN force
-    reading."""
+@given(xy=pairs(ANY))
+def test_rmse_pct_equals_the_loop(xy):
+    """The RMSE takes NaN and infinities (f_meas is NaN after a NaN force
+    reading), against the peak f_des, where it is above 1 N."""
     desired, actual = xy
-    assert_same(outcome(metrics.rmse_pct, desired, actual, peak),
-                outcome(ref.rmse_pct, desired, actual, peak))
-
-
-# The correlations get finite series only. The report cannot hand them a
-# NaN: they see f_des, which is the profile's force or 0, the comparator's
-# force and bio, all finite. And the builtin max the loops use and
-# ndarray.max differ once a NaN is present.
-
-@settings(max_examples=150, deadline=None)
-@given(xy=pairs(FINITE))
-def test_pearson_equals_the_loop(xy):
-    x, y = xy
-    assert_same(outcome(metrics.pearson, x, y), outcome(ref.pearson, x, y))
+    peak = ref.array_max(desired)
+    assert_same(rmse(desired, actual),
+                outcome(ref.rmse_pct, desired, actual, peak)
+                if peak > 1.0 else None)
 
 
 @settings(max_examples=150, deadline=None)
-@given(xy=pairs(FINITE))
+@given(xy=pairs(ANY, STANCE_GRID))
 def test_stance_correlation_equals_the_loop(xy):
-    m, b = xy
-    assert_same(outcome(metrics.stance_correlation, m, b),
-                outcome(ref.stance_correlation, m, b))
+    des, bio = xy
+    assert_same(r_shank(des, bio), want_r_shank(des, bio))
 
 
 def test_a_sum_of_negative_zeros_is_zero():
     """sum starts from 0, so products that are all -0.0 add to 0.0; a plain
-    np.add.accumulate would give -0.0, and so a correlation of -0.0."""
-    x = np.array([1.0, -1.0, -0.0, 0.0])    # mean 0.0
-    y = np.array([-0.0, 0.0, 1.0, -1.0])    # mean 0.0
+    left-to-right sum from the first product would give -0.0, and so a
+    correlation of -0.0."""
+    des = np.full(STANCE_GRID, -0.0)    # normalized: mean 0.0
+    des[:4] = 2.0, -2.0, -0.0, 0.0
+    bio = np.zeros(STANCE_GRID)         # normalized: mean 0.0
+    bio[:4] = -0.0, 0.0, 2.0, -2.0
+    x, y = des / 2.0, bio / 2.0
     assert np.signbit(np.add.accumulate(x * y)).all()
-    for f in (metrics.pearson, ref.pearson):
-        r = f(x, y)
+    for r in (r_shank(des, bio), ref.stance_correlation(des, bio)):
         assert r == 0.0 and not np.signbit(r)
 
 
 def test_squares_are_c_pow_not_products():
     """x * x and C pow differ in the last bit for about one normal draw in
-    1,300. Short series keep that bit where long sums wash it out; the
-    square root of a single square is |x| either way, so rmse_pct gets a
-    second term."""
+    1,300. Short sums keep that bit where long sums wash it out; the
+    square root of a single square is |x| either way, so the RMSE gets
+    further terms. The differences reach the reported bits for some of
+    these draws, in the RMSE and in the correlation alike."""
     draws = np.random.default_rng(0).standard_normal(100_000).tolist()
-    hard = [v for v in draws if v ** 2 != v * v]
+    hard = [v for v in draws if v ** 2 != v * v and abs(v) < 1.0]
     assert len(hard) > 40
+    bio = np.linspace(0.0, 1.0, STANCE_GRID) ** 2
+    changed = set()
     for h in hard:
-        d = np.array([h, 0.3])
-        assert_same(metrics.rmse_pct(d, np.zeros(2), 1.0),
-                    ref.rmse_pct(d, np.zeros(2), 1.0))
-        x = np.array([h, -h, 0.0])
-        y = np.array([1.0, 2.0, 4.0])
-        assert_same(metrics.pearson(x, y), ref.pearson(x, y))
-        assert_same(metrics.pearson(y, x), ref.pearson(y, x))
+        # d = des - mea = (0.0, h, 0.25) against a peak of 10 N
+        des, mea = np.array([10.0, 0.0, 0.0]), np.array([10.0, -h, -0.25])
+        got = rmse(des, mea)
+        assert_same(got, ref.rmse_pct(des, mea, 10.0))
+        if got != math.sqrt((0.0 + h * h + 0.0625) / 3) / 10.0:
+            changed.add("rmse")
+        # normalized by its peak 2, des holds h with mean 0.0
+        des = np.zeros(STANCE_GRID)
+        des[:4] = 2.0, -2.0, 2.0 * h, -2.0 * h
+        got = r_shank(des, bio)
+        assert_same(got, ref.stance_correlation(des, bio))
+        dy = bio - sum(bio) / STANCE_GRID
+        x = des / 2.0
+        if got != (sum(x * dy) + 0.0) / math.sqrt(
+                sum(v * v for v in x) * sum(v * v for v in dy)):
+            changed.add("r")
+    assert changed == {"rmse", "r"}
 
 
 # -- range of the correlation -------------------------------------------------
 
-def test_pearson_where_sxx_syy_or_their_product_is_not_normal():
-    """sxx * syy underflows to 0.0 for deviations near 1e-160 and overflows
-    to inf near 1e150, though both sums are non-zero and finite. Near 1e-161
-    syy itself is subnormal, with few significant bits, so taking the two
-    square roots apart is not enough: that gave |r| up to 1.67."""
-    cases = [([1e-160, -1e-160, 0.0],) * 2, ([1e150, -1e150, 0.0],) * 2,
-             ([0.0, 1.0, 1.0], [0.0, 3e-161, 3e-161])]
-    for x, y in cases:
-        x, y = np.array(x), np.array(y)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert metrics.pearson(x, y) == 1.0
-            assert metrics.pearson(x, -y) == -1.0
-
-
-def test_pearson_where_the_squared_deviations_all_underflow():
-    """Deviations near 1e-170 square to 0.0, so sxx is 0.0 though the series
-    is not constant; the scaled sums give the correlation."""
-    x = np.array([1e-170, -1e-170, 0.0])
-    for f in (metrics.pearson, ref.pearson):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert f(x, x) == 1.0
-            assert abs(f(x, -x) + 1.0) <= 1e-15
+def test_correlation_where_the_squares_overflow():
+    """Normalized by a peak of 2, values near -1e155 leave deviations near
+    5e154, whose squares pass the float range though the deviations are
+    finite: the sums are taken again over the deviations scaled by a power
+    of two, and r stays within rounding of 1."""
+    for big in (1e155, 1e300, 1.7e308):
+        des = np.zeros(STANCE_GRID)
+        des[:3] = 2.0, -big, -big / 3.0
+        bio = des.copy()
+        assert r_shank(des, bio) == outcome(ref.stance_correlation, des, bio)
+        assert abs(r_shank(des, bio) - 1.0) <= 2e-16
+        bio[3] = 1.0
+        assert_same(r_shank(des, bio),
+                    outcome(ref.stance_correlation, des, bio))
 
 
 def test_sd_where_the_squared_deviations_overflow():
@@ -206,10 +232,11 @@ def test_mean_where_the_sum_overflows():
 
 
 @settings(max_examples=150, deadline=None)
-@given(xy=pairs(FINITE))
-def test_pearson_stays_in_range(xy):
-    """Left-to-right sums of up to 2000 terms drift by a few hundred ulps,
-    so the bound is not a few ulps."""
-    r = outcome(metrics.pearson, *xy)
-    assume(not isinstance(r, type))
-    assert abs(r) <= 1.0 + 1e-12, r
+@given(xy=pairs(FINITE, STANCE_GRID))
+def test_correlation_stays_in_range(xy):
+    """Left-to-right sums drift by a few ulps, so the bound is not 1. A
+    series normalized by a peak near 1e-310 can overflow to inf, and r is
+    then NaN."""
+    r = r_shank(*xy)
+    assume(r is not None)
+    assert not abs(r) > 1.0 + 1e-12, r

@@ -5,15 +5,14 @@ import pytest
 
 from shankexo.gait_signals import StanceWindow
 from shankexo.profile import (EstimationSkipped, GaussianParams, ParameterError,
-                              ProfileEstimator, RawStrideFeatures,
-                              ShankByPercentGC, eval_force, eval_force_rate,
-                              extract_raw, feature_targets)
-from shankexo.profile import eval_time_profile_array
-from shankexo.metrics import (STANCE_GRID_POINTS, MetricsError,
-                              stance_correlation, stance_grid,
-                              time_comparator)
-from hypothesis import given, settings, strategies as hs
-from scalar_reference import eval_time_profile, full_time_comparator
+                              ProfileEstimator, RawStrideFeatures, eval_force,
+                              eval_force_rate, extract_raw, feature_targets)
+from shankexo.metrics import MetricsError
+from hypothesis import example, given, settings, strategies as hs
+from scalar_reference import (PCT_GRID, STANCE_GRID_POINTS, ShankByPercentGC,
+                              eval_time_profile, full_time_comparator,
+                              stance_correlation, stance_grid)
+from strides import DES_G, TIME_G, out, report_stride, stride_log
 
 TABLE_PARAMS = GaussianParams(amp=150.0, mu=15.0, sigma1=10.0, sigma2=5.0,
                               theta_fc=-25.0, theta_fo=40.0)
@@ -240,29 +239,6 @@ class TestTimeProfile:
         assert f_shank < f_time * 0.6
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=hs.integers(0, 2**32 - 1), n_grid=hs.integers(2, 120))
-def test_time_profile_array_equals_scalar(seed, n_grid):
-    """The report's array comparator is bit-equal to eval_time_profile,
-    including percent-GC values on grid points, at 0 and 1 and outside."""
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, n_grid)
-    sk = np.cumsum(rng.uniform(-1.0, 3.0, n_grid)) - 15.0
-    prev = ShankByPercentGC(grid, sk)
-    mu = float(rng.uniform(-5.0, 20.0))
-    p = GaussianParams(float(rng.uniform(50.0, 150.0)), mu,
-                       float(rng.uniform(1.0, 15.0)),
-                       float(rng.uniform(1.0, 10.0)),
-                       mu - float(rng.uniform(1.0, 30.0)),
-                       mu + float(rng.uniform(1.0, 30.0)))
-    pct = np.concatenate([rng.uniform(-0.1, 1.1, 300), grid,
-                          [0.0, 1.0, -0.0, 1.0 - 1e-16, -1e-300]])
-    got = eval_time_profile_array(p, pct, prev)
-    want = [eval_time_profile(p, float(x), prev) for x in pct]
-    np.testing.assert_array_equal(got.view(np.int64),
-                                  np.array(want).view(np.int64))
-
-
 def outcome(f, *args):
     """f(*args) by its bits, or the MetricsError type it raised."""
     try:
@@ -272,35 +248,46 @@ def outcome(f, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(10, 400),
+@given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(2, 400),
        t_fc=hs.floats(1000.0, 200_000.0), lag=hs.floats(0.0, 1.0),
        ratio=hs.floats(0.25, 2.5))
-def test_sparse_time_comparator_equals_the_full_one(seed, n, t_fc, lag,
+@example(seed=0, n=300, t_fc=1000.0, lag=0.0, ratio=0.5)   # a tick at pct 1
+@example(seed=0, n=37, t_fc=1234.5678, lag=0.3, ratio=1.0)
+def test_report_time_comparator_equals_the_full_one(seed, n, t_fc, lag,
                                                     ratio):
-    """The report's comparator, evaluated only at the ticks np.interp reads,
-    gives the bits of the one evaluated at every stance tick, and so the
-    same pearson_time. The stance's ticks are whole ms apart from up to a
-    tick after foot contact; the previous cycle lasted ratio times the
-    stance, so a stance longer than it reads 0 past pct 1."""
+    """The report's comparator, which the kernel evaluates only at the
+    ticks np.interp reads, gives the bits of the one evaluated at every
+    stance tick by the scalar eval_time_profile, and so the same
+    pearson_time. The stance's ticks are whole ms apart from up to a tick
+    after foot contact; the previous clean stride lasted ratio times the
+    stance, so a stance longer than it reads 0 past pct 1, and its first
+    tick reads pct 0 where lag is 0."""
     rng = np.random.default_rng(seed)
     tt = t_fc + lag + np.arange(float(n))
     prev_duration = ratio * n
-    pct = np.linspace(0.0, 1.0, STANCE_GRID_POINTS)
-    prev = ShankByPercentGC(pct, np.cumsum(rng.uniform(-1.0, 3.0, len(pct)))
-                            - 15.0)
+    clean = np.cumsum(rng.uniform(-1.0, 3.0, STANCE_GRID_POINTS)) - 15.0
     mu = float(rng.uniform(-5.0, 20.0))
     p = GaussianParams(float(rng.uniform(50.0, 150.0)), mu,
                        float(rng.uniform(1.0, 15.0)),
                        float(rng.uniform(1.0, 10.0)),
                        mu - float(rng.uniform(1.0, 30.0)),
                        mu + float(rng.uniform(1.0, 30.0)))
+    bio = np.sin(np.linspace(0.0, np.pi, n + 2)[1:-1]) ** 2
+    log = stride_log(np.append(tt, tt[-1] + 1.0), bio=np.append(bio, 0.0),
+                     f_des_n=np.append(100.0 * bio + 2.0, 0.0))
+    rep = report_stride(log, t_fc, tt[-1], tt[-1] + 2.0, p, clean,
+                        prev_duration)
     grid = stance_grid(tt[0], tt[-1])
     want_grid = np.linspace(tt[0], tt[-1], STANCE_GRID_POINTS)
     np.testing.assert_array_equal(grid.view(np.int64),
                                   want_grid.view(np.int64))
-    got = time_comparator(p, tt, t_fc, prev_duration, prev, grid)
-    want = full_time_comparator(p, tt, t_fc, prev_duration, prev, grid)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    bio = np.interp(grid, tt, np.sin(np.linspace(0.0, np.pi, n)) ** 2)
-    assert (outcome(stance_correlation, got, bio)
-            == outcome(stance_correlation, want, bio))
+    want = full_time_comparator(p, tt, t_fc, prev_duration,
+                                ShankByPercentGC(PCT_GRID, clean), grid)
+    np.testing.assert_array_equal(rep.curves[TIME_G].view(np.int64),
+                                  want.view(np.int64))
+    np.testing.assert_array_equal(rep.curves[DES_G].view(np.int64), np.interp(
+        grid, tt, 100.0 * bio + 2.0).view(np.int64))
+    r, want_r = out(rep), outcome(stance_correlation, want,
+                                  np.interp(grid, tt, bio))
+    assert (np.float64(r["r_time"]).view(np.int64) if r["has_r_time"]
+            else None) == (None if isinstance(want_r, type) else want_r)
