@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .gait_signals import (IMU_PERIOD_MS, STANCE_CAPACITY, GaitEventKind,
                            GaitPhase, SignalLossError, SignalQualityError,
-                           read_replay_csv)
+                           read_replay_columns)
 from .plant import Activity, TemplateError
 from .profile import EstimationPath, ParameterError
 from .tendon import IdentificationError, identify_stiffness, load_calibration_csv
@@ -105,21 +105,27 @@ def _fit_stiffness(args) -> int:
 def _replay(args) -> int:
     estimation = EstimationPath(args.amp_n)
     strides = 0
-    for sample in read_replay_csv(args.csv):
-        ev = estimation.feed(sample)
-        if ev is not None and ev.kind is GaitEventKind.FOOT_OFF:
-            p = estimation.estimator.params
-            print(f"stride {strides}: mu={p.mu:.3f} sigma1={p.sigma1:.3f} "
-                  f"sigma2={p.sigma2:.3f} fc={p.theta_fc:.3f} fo={p.theta_fo:.3f}")
-            strides += 1
+    for cols in read_replay_columns(args.csv):
+        at, n = 0, cols.shape[1]
+        while (hit := estimation.run(cols, at, n)) is not None:
+            at, ev = hit
+            if ev.kind is GaitEventKind.FOOT_OFF:
+                p = estimation.estimator.params
+                print(f"stride {strides}: mu={p.mu:.3f} "
+                      f"sigma1={p.sigma1:.3f} sigma2={p.sigma2:.3f} "
+                      f"fc={p.theta_fc:.3f} fo={p.theta_fo:.3f}")
+                strides += 1
+        if n:
+            t_ms = cols[0, -1]
     # A stance longer than the assembler holds means the foot-off seeker
     # never armed: the strides after that foot contact are lost.
-    det, longest = estimation.detector, STANCE_CAPACITY * IMU_PERIOD_MS
-    if det.mode is GaitPhase.STANCE and sample.t_ms - det.fc_t_ms > longest:
+    mode, fc_t_ms, threshold = estimation.detector_state()
+    longest = STANCE_CAPACITY * IMU_PERIOD_MS
+    if mode is GaitPhase.STANCE and t_ms - fc_t_ms > longest:
         raise SignalLossError(
             f"no foot-off within {longest:g} ms of the foot contact at "
-            f"t={det.fc_t_ms} ms: the foot-pitch rate never fell below the "
-            f"arming threshold of {det.fo_arm_threshold:g} deg/s")
+            f"t={fc_t_ms} ms: the foot-pitch rate never fell below the "
+            f"arming threshold of {threshold:g} deg/s")
     print(f"{strides} strides estimated")
     return 0
 

@@ -2,7 +2,7 @@
 
 Two parts of the program run in a child process beside the one that uses
 them: the printer of timeseries.csv (`artifacts.Artifacts`) and the reader
-of a long replay stream (`gait_signals.read_replay_csv`). Each is forked
+of a long replay stream (`gait_signals.read_replay_columns`). Each is forked
 (`os.fork`; the program starts no thread) and talks to its parent through
 a pipe of PIPE_BYTES. `fork` runs the child: it keeps only fds 0-2 and the
 fds it is given, so a child forked later holds no pipe end of an earlier

@@ -6,13 +6,18 @@ ankle dorsiflexion channel is the difference theta_sk - theta_ft (zero at
 upright stand). Foot contact is marked by the foot-pitch maximum, foot-off by
 the foot-pitch-rate minimum.
 
-`WindowAssembler` keeps each stance in one buffer of `KinematicSample`s,
-backfilled at foot contact from the extremum sample and cut at foot-off to
-the samples at or before the extremum; a `StanceWindow` is the immutable
-shank/DF pair of lists it hands out.
+`EventDetector` and `WindowAssembler` work one `KinematicSample` at a
+time. They are the reference that `profile.EstimationPath`, which runs the
+same detector in the C kernel once per event over blocks of sample
+columns, is held to, and the API the benchmark calls. `WindowAssembler`
+keeps each stance in one buffer of samples, backfilled at foot contact
+from its ring of the last RING_SAMPLES samples, from the extremum sample
+on, and cut at foot-off to the samples at or before the extremum; a
+`StanceWindow` is the immutable shank/DF pair of lists it hands out.
 
-`read_replay_csv` reads a recorded stream a block of REPLAY_BLOCK_LINES
-lines at a time, so its memory does not grow with the stream. numpy parses
+`read_replay_columns` reads a recorded stream a block of
+REPLAY_BLOCK_LINES lines at a time, so its memory does not grow with the
+stream, and `read_replay_csv` yields the blocks' samples. numpy parses
 a block of plain numbers; csv.reader and float(), which define the accepted
 format, parse any other. Each block is conditioned over columns: the gap
 check, the DF channel and the extrapolated fill of up to MAX_GAP_SAMPLES - 1
@@ -43,10 +48,11 @@ CPUs the caller's process may run on, it may run on one only, no CPU is
 idle, it runs another thread, or the fork fails, the caller's process
 reads on itself; the samples are the same either way.
 
-IMU_PERIOD_MS, STANCE_CAPACITY and the DetectorConfig defaults are defined
-here only: `harness` feeds the estimation path one world tick per IMU
-period, ahead of each block's 1 kHz closed loop, and `plant` validates gait
-templates against it and the detector's thresholds.
+IMU_PERIOD_MS, STANCE_CAPACITY, RING_SAMPLES and the DetectorConfig
+defaults are defined here only: `harness` feeds the estimation path one
+world tick per IMU period, ahead of each block's 1 kHz closed loop, and
+`plant` validates gait templates against it and the detector's
+thresholds.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ log = logging.getLogger(__name__)
 IMU_PERIOD_MS = 10.0  # 100 Hz sensor cadence
 MAX_GAP_SAMPLES = 3
 STANCE_CAPACITY = 300  # samples, >= 2 s of stance at 100 Hz
+RING_SAMPLES = 120  # recent samples a foot contact's stance backfills from
 
 
 class SignalQualityError(ValueError):
@@ -246,7 +253,7 @@ class WindowAssembler:
     """
 
     def __init__(self):
-        self._ring: deque = deque(maxlen=120)   # recent samples
+        self._ring: deque = deque(maxlen=RING_SAMPLES)
         self._stance: Optional[deque] = None    # None in swing
         self._first: Optional[KinematicSample] = None   # the stance's first
 
@@ -277,10 +284,10 @@ REPLAY_HEADER = ["t_ms", "theta_ft_deg", "theta_sk_deg",
                  "theta_ft_rate_dps", "theta_sk_rate_dps"]
 REPLAY_BLOCK_LINES = 1024  # stream lines parsed and conditioned at a time
 # Samples a replay reads in the caller's process before a reader process
-# may read the rest (`_blocks`). Forking and reaping the reader costs about
-# what the overlap saves on this many samples (4-5 ms, against about 1.1 us
-# a sample on 2 vCPUs): a stream no longer never forks, and one just longer
-# loses at most that cost.
+# may read the rest (`read_replay_columns`). Forking and reaping the reader
+# costs about what the overlap saves on this many samples (4-5 ms, against
+# about 1.1 us a sample on 2 vCPUs): a stream no longer never forks, and
+# one just longer loses at most that cost.
 REPLAY_FORK_SAMPLES = 4096
 # ASCII separators, which numpy strips around a number and float() does not.
 SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -302,16 +309,18 @@ def read_replay_csv(path) -> Iterator[KinematicSample]:
     process that dies raises OSError after the samples it sent. Dropping
     the iterator early kills and reaps the reader.
     """
-    return chain.from_iterable(_blocks(path))
+    return chain.from_iterable(map(kinematic_samples,
+                                   read_replay_columns(path)))
 
 
-def _blocks(path):
-    """Each block's samples, then the error that ended the stream, if any.
+def read_replay_columns(path):
+    """The (7, n) sample columns of each block of the stream, as
+    `read_replay_csv` reads it, then the error that ended the stream, if
+    any.
 
     The blocks are read here until more than REPLAY_FORK_SAMPLES samples
     are read. A reader process, where one can be had (`_fork_reader`),
-    reads the rest and sends their columns, and this process builds the
-    samples while it reads on.
+    reads the rest and sends their columns while the caller uses them.
     """
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
@@ -321,13 +330,13 @@ def _blocks(path):
             if (before <= REPLAY_FORK_SAMPLES < read
                     and (reader := _fork_reader(fh, stream))):
                 break
-            yield kinematic_samples(cols)
+            yield cols
         else:
             return
     pid, r = reader
     try:
         with open(r, "rb") as pipe:
-            yield kinematic_samples(cols)
+            yield cols
             while head := pipe.read(8):
                 n = int.from_bytes(head, "little", signed=True)
                 record = np.empty((7, n)) if n > 0 else bytearray(-n)
@@ -335,7 +344,7 @@ def _blocks(path):
                 if pipe.readinto(view) != view.nbytes:
                     break
                 if n > 0:
-                    yield kinematic_samples(record)
+                    yield record
                     continue
                 os.waitpid(pid, 0)
                 pid = 0

@@ -11,11 +11,12 @@ the estimation path never read cable state. So a run advances the world one
 block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
 clock is accumulated in bulk, and makes two passes over each block:
 
-1. Open loop: the estimation path over the block's IMU ticks (every
-   imu_every-th tick of the run while walking). It records a schedule of
-   (tick offset, event, params adopted at foot contact). Foot contact
-   n_strides lowers the run's stop tick to its confirmation + 20 ticks, and
-   no IMU tick past the stop tick is fed. The fault spike, when its tick
+1. Open loop: the estimation path over the columns of the block's IMU
+   ticks (every imu_every-th tick of the run while walking), one call a
+   gait event (`EstimationPath.run`). It records a schedule of (tick
+   offset, event, params adopted at foot contact). Foot contact n_strides
+   lowers the run's stop tick to its confirmation + 20 ticks, and no IMU
+   tick at or past the stop tick is fed. The fault spike, when its tick
    (fault_spike_t_ms rounded to whole ms) is among the block's ticks up to
    the stop tick, joins the schedule as an entry without an event.
 2. Closed loop: the block's ticks up to the stop tick, one stretch between
@@ -64,8 +65,7 @@ import numpy as np
 from .artifacts import LOG_COLUMNS, Artifacts, write_artifacts
 from .controller import Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
-                           KinematicSample, SignalLossError,
-                           kinematic_samples)
+                           KinematicSample, SignalLossError)
 from .metrics import (AGGREGATION_STRIDES, MetricsReport, _build_report,
                       _StrideReport)
 from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
@@ -325,18 +325,17 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         block = world.advance_block(dt, min(BLOCK_TICKS, stop - n_log))
         n = len(block.t_ms)
         # Open loop: the IMU ticks are the global ticks that are multiples
-        # of imu_every; each event is scheduled at its offset in the block.
+        # of imu_every; each event is scheduled at its offset in the block,
+        # and only the samples before `stop` are fed.
         schedule = []
         imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
         imu = imu[block.walking[imu]]
-        samples = kinematic_samples(np.concatenate((block.t_sample[None, imu],
-                                                    block.frames[imu].T)))
-        for i, sample in zip(imu.tolist(), samples):
-            if n_log + i >= stop:
-                break
-            ev = estimation.feed(sample)
-            if ev is None:
-                continue
+        samples = np.empty((7, len(imu)))   # C order, or run copies it
+        samples[0], samples[1:] = block.t_sample[imu], block.frames[imu].T
+        at, limit = 0, int(np.searchsorted(imu, stop - n_log))
+        while (hit := estimation.run(samples, at, limit)) is not None:
+            at, ev = hit
+            i = int(imu[at - 1])
             params = None
             if ev.kind is foot_contact:
                 params = estimator.params
@@ -344,6 +343,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
                 adopted.append(params)
                 if ev.gc_index >= cfg.n_strides:
                     stop = min(stop, n_log + i + 21)
+                    limit = int(np.searchsorted(imu, stop - n_log))
             else:
                 foot_offs[ev.gc_index] = ev
             schedule.append((i, ev, params))

@@ -1,13 +1,17 @@
-"""The C kernel, `loop.c`, built by the system `cc` at import: the 1 kHz
-controller-cable loop (`loop`, which `controller.Controller.run` calls once
-a stretch) and the per-stride report (`report`, which
-`metrics._StrideReport` calls once a stride). One library serves both.
-`STATE`, `DECISIONS` and `SLOTS` are the layout of the loop's float64
-vector s, as `loop.c` exports it: where the loop state starts, where the
-decisions start, and its length. `REPORT_STRIDE`, `REPORT_STATE`,
-`REPORT_OUT` and `REPORT_SLOTS` are the same for the report's vector v:
-where the stride's inputs, the comparator's state and the report start,
-and its length; `GRID_POINTS` is the points of the report's grids.
+"""The C kernel, `loop.c`, built by the system `cc` at import, and its
+three entry points in one library: the 1 kHz controller-cable loop
+(`loop`, which `controller.Controller.run` calls once a stretch), the gait
+event detector (`detect`, which `profile.EstimationPath` calls once an
+event) and the per-stride report (`report`, which `metrics._StrideReport`
+calls once a stride). `STATE`, `DECISIONS` and `SLOTS` are the layout of
+the loop's float64 vector s, as `loop.c` exports it: where the loop state
+starts, where the decisions start, and its length. `DETECTOR_STATE` and
+`DETECTOR_SLOTS` are the same for the detector's vector d: where its
+state starts after the DetectorConfig fields, and its length.
+`REPORT_STRIDE`, `REPORT_STATE`, `REPORT_OUT` and `REPORT_SLOTS` are the
+same for the report's vector v: where the stride's inputs, the
+comparator's state and the report start, and its length; `GRID_POINTS` is
+the points of the report's grids.
 """
 
 import ctypes
@@ -72,10 +76,16 @@ _size, _ptr = ctypes.c_ssize_t, ctypes.c_void_p
 loop = _lib.shankexo_loop
 loop.argtypes = (_size, _ptr, _size, _ptr, _ptr)
 loop.restype = None
+# detect(d, start, limit, cols, stride): see shankexo_detect in loop.c.
+detect = _lib.shankexo_detect
+detect.argtypes = (_ptr, _size, _size, _ptr, _size)
+detect.restype = _size
 # report(n, log, v, curves): see shankexo_report in loop.c.
 report = _lib.shankexo_report
 report.argtypes = (_size, _ptr, _ptr, _ptr)
 report.restype = None
 STATE, DECISIONS, SLOTS = (_size * 3).in_dll(_lib, "shankexo_layout")
+DETECTOR_STATE, DETECTOR_SLOTS = (_size * 2).in_dll(
+    _lib, "shankexo_detector_layout")
 REPORT_STRIDE, REPORT_STATE, REPORT_OUT, REPORT_SLOTS, GRID_POINTS = (
     _size * 5).in_dll(_lib, "shankexo_report_layout")

@@ -1,8 +1,9 @@
 /* The 1 kHz controller-cable loop of `shankexo.controller.Controller.run`,
    one call a stretch of ticks with no gait event inside, with the
-   dual-Gaussian profile it tracks; and the per-stride report of
-   `shankexo.metrics._StrideReport`, one call a stride, whose time-based
-   comparator evaluates the same profile.
+   dual-Gaussian profile it tracks; the gait event detector of
+   `shankexo.profile.EstimationPath`, one call an event; and the
+   per-stride report of `shankexo.metrics._StrideReport`, one call a
+   stride, whose time-based comparator evaluates the same profile.
 
    `shankexo.kernel` builds this file at import with -O2 -ffp-contract=off
    -fno-builtin-pow and never -ffast-math, so each double operation below
@@ -10,7 +11,8 @@
    in the same order, no multiply-add is fused, and pow(x, 2.0) stays C pow
    (gcc would fold it into x * x, which differs in the last bit): the rows,
    the state and the report have the bits the references in
-   `tests/scalar_reference.py` give, NaN, the infinities and -0.0
+   `tests/scalar_reference.py` give, and the events and detector state
+   those of `gait_signals.EventDetector`, NaN, the infinities and -0.0
    included. exp is libm's, the function math.exp calls. `a < b ? a : b` is
    Python's `a if a < b else b`, and so min(a, b) only where neither is
    NaN. */
@@ -285,6 +287,116 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
     s[OVER] = over;
     s[BASELINE_C] = baseline_c;
     s[DELTA_L1] = delta_l1;
+}
+
+/* -- The gait event detector ------------------------------------------- */
+
+/* The slots of the detector's float64 vector d, in the order
+   profile.EstimationPath fills and reads them: the fields of
+   gait_signals.DetectorConfig, in their order; then the state of
+   gait_signals.EventDetector, first those Python reads: its mode (0
+   swing, 1 stance), last foot contact time, foot-off arming threshold,
+   gait cycle count and the last extremum's time. NaN stands for None:
+   an extremum value and a stance duration, once set, are never NaN. */
+enum {
+    /* DetectorConfig */
+    DELTA_ANG, DELTA_VEL, REFRACTORY_MS, FO_GATE_FRACTION, FO_ARM_INIT,
+    FO_ARM_FRACTION, FO_ARM_CAP,
+    /* state */
+    MODE, FC_T_MS, FO_ARM_THRESHOLD, GC_COUNT, EXT_T, REFRACTORY_UNTIL,
+    ARMED, EXT_VALUE, STANCE_DUR, FO_GATE,
+    DETECTOR_SLOTS
+};
+
+/* Where d holds the state, and its length: the layout `shankexo.kernel`
+   reads. */
+const ptrdiff_t shankexo_detector_layout[] = {MODE, DETECTOR_SLOTS};
+
+/* EventDetector.update, line for line, with its config and state in d,
+   over samples start to limit - 1 of the (7, n) sample columns cols (the
+   time, then the channels of gait_signals.KinematicSample, `stride`
+   doubles apart, each contiguous). Returns the index of the first sample
+   that confirms an event, or limit. The event is the new mode's (foot
+   contact on entering stance), at EXT_T, of gait cycle GC_COUNT - 1. */
+ptrdiff_t shankexo_detect(double *d, ptrdiff_t start, ptrdiff_t limit,
+                          const double *cols, ptrdiff_t stride)
+{
+    const double *t_col = cols, *ft = cols + stride,
+                 *ft_rate = cols + 4 * stride;
+    const double delta_ang = d[DELTA_ANG], delta_vel = d[DELTA_VEL],
+                 refractory_ms = d[REFRACTORY_MS],
+                 fo_gate_fraction = d[FO_GATE_FRACTION],
+                 fo_arm_fraction = d[FO_ARM_FRACTION],
+                 fo_arm_cap = d[FO_ARM_CAP];
+    int stance = d[MODE] != 0.0, armed = d[ARMED] != 0.0;
+    double fc_t_ms = d[FC_T_MS], fo_arm_threshold = d[FO_ARM_THRESHOLD],
+           gc_count = d[GC_COUNT], ext_t = d[EXT_T],
+           refractory_until = d[REFRACTORY_UNTIL], ext_value = d[EXT_VALUE],
+           stance_dur = d[STANCE_DUR], fo_gate = d[FO_GATE];
+    ptrdiff_t i;
+    for (i = start; i < limit; i++) {
+        const double t = t_col[i];
+        if (!(refractory_until <= t && t < INFINITY))   /* also NaN */
+            continue;
+        if (!stance) {
+            const double value = ft[i];
+            if (value - value != 0.0)   /* NaN for a NaN or an infinity */
+                continue;
+            const double ext = ext_value;
+            if (ext != ext || value > ext) {
+                ext_value = value;
+                ext_t = t;
+            } else if (ext - value >= delta_ang) {
+                gc_count += 1.0;
+                fc_t_ms = ext_t;
+                if (stance_dur == stance_dur)
+                    fo_gate = fc_t_ms + fo_gate_fraction * stance_dur;
+                stance = 1;
+                break;
+            }
+            continue;
+        }
+        if (t < fo_gate)
+            continue;
+        const double rate = ft_rate[i];
+        if (rate - rate != 0.0)
+            continue;
+        const double ext = ext_value;
+        if (!armed) {
+            if (rate < fo_arm_threshold) {
+                armed = 1;
+                ext_value = rate;
+                ext_t = t;
+            }
+        } else if (rate < ext) {
+            ext_value = rate;
+            ext_t = t;
+        } else if (rate - ext >= delta_vel) {
+            /* min(fo_arm_cap, fo_arm_fraction * ext) */
+            const double arm = fo_arm_fraction * ext;
+            fo_arm_threshold = arm < fo_arm_cap ? arm : fo_arm_cap;
+            stance_dur = ext_t - fc_t_ms;
+            stance = 0;
+            break;
+        }
+    }
+    if (i < limit) {
+        /* EventDetector._enter at the confirming sample */
+        refractory_until = t_col[i] + refractory_ms;
+        ext_value = NAN;
+        armed = 0;
+    }
+    d[MODE] = stance;
+    d[FC_T_MS] = fc_t_ms;
+    d[FO_ARM_THRESHOLD] = fo_arm_threshold;
+    d[GC_COUNT] = gc_count;
+    d[EXT_T] = ext_t;
+    d[REFRACTORY_UNTIL] = refractory_until;
+    d[ARMED] = armed;
+    d[EXT_VALUE] = ext_value;
+    d[STANCE_DUR] = stance_dur;
+    d[FO_GATE] = fo_gate;
+    return i;
 }
 
 /* -- The per-stride report --------------------------------------------- */

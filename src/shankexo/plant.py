@@ -605,8 +605,8 @@ def _positive_dt(dt: float) -> None:
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
     pass, the closed loop and the log read. A tick's KinematicSample is its
-    `t_sample` and its `frames` row; the estimation pass builds the samples
-    of the ticks it reads. A block of one tick is the same columns of
+    `t_sample` and its `frames` row; the estimation pass reads its IMU
+    ticks' columns. A block of one tick is the same columns of
     length one: `GaitWorld.advance` returns its sample. The clock columns
     are accumulated in bulk (see "Blocks" in the module docstring)."""
 

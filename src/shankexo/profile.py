@@ -7,9 +7,13 @@ support (theta_fc, theta_fo) the profile is clamped to zero; the /4 rule in
 the width targets keeps the endpoint tails near exp(-8) of the peak, so the
 clamp is negligible.
 
-`EstimationPath` wires the 100 Hz estimation path once (event detector,
-stance-window assembler, estimator) for the scenario runner and for
-`shankexo replay`.
+`EstimationPath` is the 100 Hz estimation path of the scenario runner and
+of `shankexo replay`, per block of sample columns: the event detector of
+the C kernel (`kernel.detect`, a transcription of
+`gait_signals.EventDetector.update`) once an event, the stance windows
+that `gait_signals.WindowAssembler` would hand out, cut from carried
+columns, and `ProfileEstimator`. The per-sample classes are its reference
+and the benchmark's API.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Optional
 
-from .gait_signals import (EventDetector, GaitEvent, KinematicSample,
-                           StanceWindow, WindowAssembler)
+import numpy as np
+
+from .gait_signals import (RING_SAMPLES, STANCE_CAPACITY, DetectorConfig,
+                           GaitEvent, GaitEventKind, GaitPhase, StanceWindow)
 
 log = logging.getLogger(__name__)
 
@@ -206,23 +213,79 @@ class ProfileEstimator:
 
 
 class EstimationPath:
-    """The 100 Hz estimation path: EventDetector -> WindowAssembler ->
-    ProfileEstimator, starting from the INITIAL_* profile at peak force amp
-    (N). It reads IMU kinematics only, never cable state, so it can run
-    ahead of the closed loop over a stream or a block of world ticks."""
+    """The 100 Hz estimation path over blocks of IMU sample columns,
+    starting from the INITIAL_* profile at peak force amp (N). It reads IMU
+    kinematics only, never cable state, so it can run ahead of the closed
+    loop over a stream or a block of world ticks.
+
+    `detector` is the kernel detector's vector d (`loop.c`), filled from
+    DetectorConfig() and the state EventDetector starts in. Between calls the path
+    carries the time and the foot, shank and DF angles of the last
+    RING_SAMPLES samples and, in stance, of the newest STANCE_CAPACITY
+    stance samples.
+    """
 
     def __init__(self, amp: float):
-        self.detector = EventDetector()
-        self.assembler = WindowAssembler()
+        from . import kernel    # built at import, which cli.main reports
+        config = DetectorConfig()
+        self.detector = np.array((*astuple(config), 0.0, 0.0,
+                                  config.fo_arm_init, 0.0, 0.0,
+                                  -sys.float_info.max, 0.0, math.nan,
+                                  math.nan, -math.inf))
+        self._state = self.detector[kernel.DETECTOR_STATE:]
+        self._detect = partial(kernel.detect, self.detector.ctypes.data)
         self.estimator = ProfileEstimator(GaussianParams(
             amp, INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
             INITIAL_THETA_FC, INITIAL_THETA_FO))
+        self._recent = np.empty((4, 0))
+        self._stance: Optional[np.ndarray] = None     # None in swing
+        self._held = 0      # samples the stance was given
 
-    def feed(self, sample: KinematicSample) -> Optional[GaitEvent]:
-        """Feed one IMU sample; returns the event it confirmed. A foot-off's
-        stance window has updated the estimator before this returns."""
-        event = self.detector.update(sample)
-        window = self.assembler.process(sample, event)
-        if window is not None:
-            self.estimator.update_from_window(window)
-        return event
+    def detector_state(self) -> tuple[GaitPhase, float, float]:
+        """EventDetector's mode, fc_t_ms and fo_arm_threshold."""
+        mode, fc_t_ms, threshold = self._state[:3].tolist()
+        return (GaitPhase.STANCE if mode else GaitPhase.SWING, fc_t_ms,
+                threshold)
+
+    def run(self, cols: np.ndarray, start: int,
+            limit: int) -> Optional[tuple[int, GaitEvent]]:
+        """Feed samples start to limit - 1 of the (7, n) float64 sample
+        columns cols (the time, then KinematicSample's channels) up to
+        the first that confirms an event: the index after it and the
+        event, or None at limit. A foot-off's stance window has updated
+        the estimator before this returns."""
+        if cols.ndim != 2 or len(cols) != 7 or not (
+                0 <= start <= limit <= cols.shape[1]):
+            raise ValueError(f"cannot feed samples {start} to {limit} of "
+                             f"columns {cols.shape}")
+        cols = np.ascontiguousarray(cols, np.float64)
+        at = self._detect(start, limit, cols.ctypes.data, cols.shape[1])
+        fed = cols[:4, start:min(at + 1, limit)]    # t, ft, sk, df
+        self._recent = np.concatenate((self._recent, fed),
+                                      axis=1)[:, -RING_SAMPLES:]
+        # WindowAssembler.process: each sample joins the ring, and, but
+        # for the event's, the stance.
+        if self._stance is not None:
+            fed = fed[:, :at - start]
+            self._held += fed.shape[1]
+            self._stance = np.concatenate((self._stance, fed),
+                                          axis=1)[:, -STANCE_CAPACITY:]
+        if at == limit:
+            return None
+        mode, _, _, gc_count, t_ms = self._state[:5].tolist()
+        event = GaitEvent(GaitEventKind.FOOT_CONTACT if mode
+                          else GaitEventKind.FOOT_OFF, t_ms, int(gc_count) - 1)
+        if mode:
+            self._stance = self._recent[:, self._recent[0] >= t_ms]
+            # WindowAssembler warns for a stance that backfilled no sample
+            # as for one that dropped samples.
+            self._held = self._stance.shape[1] or math.inf
+            return at + 1, event
+        stance, self._stance = self._stance, None
+        if self._held > stance.shape[1] > 0:
+            log.warning("stance window exceeded %d samples; dropped the "
+                        "oldest", STANCE_CAPACITY)
+        _, _, sk, df = stance[:, stance[0] <= t_ms]
+        self.estimator.update_from_window(StanceWindow(sk.tolist(),
+                                                       df.tolist()))
+        return at + 1, event

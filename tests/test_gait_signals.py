@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import ReferenceDetector
+from shankexo import kernel
 from shankexo.cli import main
 from shankexo.gait_signals import (REPLAY_HEADER, STANCE_CAPACITY,
                                    DetectorConfig, EventDetector, GaitEvent,
                                    GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError,
                                    WindowAssembler, read_replay_csv)
-from shankexo.plant import GaitWorld, PlantConfig, build_template
+from shankexo.plant import GaitWorld, PlantConfig, RampSpec, build_template
+from shankexo.profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
+                              INITIAL_THETA_FC, INITIAL_THETA_FO,
+                              EstimationPath, GaussianParams,
+                              ProfileEstimator)
 
 
 def make_stream(theta_ft, theta_ft_rate=None, dt_ms=10.0):
@@ -144,23 +149,25 @@ class TestEventDetector:
 
 @functools.lru_cache(maxsize=None)
 def gait_frames(activity):
-    """Foot pitch (deg) and pitch rate (deg/s) of 6 s of simulated gait,
-    100 Hz."""
+    """Foot pitch (deg), pitch rate (deg/s), shank and DF angle (deg) of
+    6 s of simulated gait, 100 Hz."""
     frames = GaitWorld(build_template(activity), PlantConfig()).advance_block(
         0.01, 600).frames
-    return frames[:, 0], frames[:, 3]
+    return frames[:, 0], frames[:, 3], frames[:, 1], frames[:, 2]
 
 
 # A stretch of simulated gait with drawn sensor noise, which moves the
 # extrema a sample or two from stride to stride, rounded or not (to whole
-# degrees and tens of deg/s, so extrema repeat). A few drawn samples are
+# degrees and tens of deg/s, so extrema repeat), and its noiseless shank
+# and DF angles. A few drawn samples are
 # made NaN or infinite, in a channel or in time, or moved in time (a step
 # of 0 or 1 ms lands in the refractory window). The refractory time and the foot-off gate are drawn
 # too: a gate of 1.0 stance opens at the previous foot-off extremum, one of
 # 1.5 after most of the stance.
 @st.composite
 def detector_streams(draw):
-    ft, rate = gait_frames(draw(st.sampled_from(["lw", "lr", "ra", "rd"])))
+    ft, rate, sk, df = gait_frames(draw(st.sampled_from(["lw", "lr", "ra",
+                                                         "rd"])))
     start, n = draw(st.integers(0, 300)), draw(st.integers(0, 300))
     t = (10.0 * np.arange(start, start + n)).tolist()
     noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
@@ -183,8 +190,9 @@ def detector_streams(draw):
     config = DetectorConfig(
         refractory_ms=draw(st.sampled_from([200.0, 0.0, 50.0])),
         fo_gate_fraction=draw(st.sampled_from([0.5, 0.0, 0.9, 1.0, 1.5])))
-    return config, [KinematicSample(ts, f, 0.0, 0.0, r, 0.0, 0.0)
-                    for ts, f, r in zip(t, ft, rate)]
+    sk, df = sk[start:start + n].tolist(), df[start:start + n].tolist()
+    return config, [KinematicSample(*s, 0.0, 0.0)
+                    for s in zip(t, ft, sk, df, rate)]
 
 
 def detector_state(det, event):
@@ -201,6 +209,165 @@ def test_detector_equals_the_per_sample_gate_reference(stream):
     for sample in samples:
         assert (detector_state(det, det.update(sample))
                 == detector_state(ref, ref.update(sample)))
+
+
+def long_stances(n_stance, hold=0, peak_t_ms=None):
+    """Two strides whose stance windows hold n_stance samples; theta_sk is
+    the sample index. The foot pitch peaks at 10 deg, is held 0.5 deg
+    below for `hold` samples, then drops 2 deg (the foot contact); the
+    pitch rate stays 0 until it dips to -85 deg/s, which arms the foot-off
+    seeker and caps its next threshold at -40 deg/s, at the stance's last
+    sample (the foot-off). The first peak's time may be peak_t_ms."""
+    rows = []
+
+    def stride(hold):
+        rows.extend((float(v), 0.0) for v in range(-10, 10))
+        rows.extend([(10.0, 0.0)] + [(9.5, 0.0)] * hold + [(8.0, 0.0)])
+        rows.extend([(0.0, 0.0)] * (n_stance - 3 - hold)
+                    + [(0.0, -85.0), (0.0, 0.0)])
+    stride(hold)
+    stride(0)
+    rows.extend([(-10.0, 0.0)] * 30)
+    t = [10.0 * i for i in range(len(rows))]
+    if peak_t_ms is not None:
+        t[20] = peak_t_ms
+    return DetectorConfig(), [
+        KinematicSample(ts, ft, float(i), float(-i), rate, 0.0, 0.0)
+        for i, (ts, (ft, rate)) in enumerate(zip(t, rows))]
+
+
+class Warnings(logging.Handler):
+    """The warnings shankexo logs while installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+    def __enter__(self):
+        logging.getLogger("shankexo").addHandler(self)
+        return self.records
+
+    def __exit__(self, *exc):
+        logging.getLogger("shankexo").removeHandler(self)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def path_outputs(events, windows, estimator, state, warnings):
+    return ([(e.kind, e.t_ms.hex(), e.gc_index) for e in events],
+            [(hexes(w.theta_sk_buf), hexes(w.theta_df_buf)) for w in windows],
+            repr(estimator.params), repr(estimator.landmarks), hexes(state),
+            sum(r.getMessage().startswith("stance window exceeded")
+                for r in warnings))
+
+
+def per_sample_path(config, samples):
+    """EventDetector, WindowAssembler and ProfileEstimator, sample by
+    sample."""
+    det, asm = EventDetector(config), WindowAssembler()
+    est = ProfileEstimator(GaussianParams(105.0, INITIAL_MU, INITIAL_SIGMA1,
+                                          INITIAL_SIGMA2, INITIAL_THETA_FC,
+                                          INITIAL_THETA_FO))
+    events, windows = [], []
+    with Warnings() as warnings:
+        for sample in samples:
+            ev = det.update(sample)
+            window = asm.process(sample, ev)
+            if window is not None:
+                windows.append(window)
+                est.update_from_window(window)
+            if ev is not None:
+                events.append(ev)
+    # The detector's state in the order of the kernel detector's vector
+    # from its state on, None as NaN.
+    state = [float(det.mode is GaitPhase.STANCE), det.fc_t_ms,
+             det.fo_arm_threshold, float(det.gc_count), det._ext_t,
+             det._refractory_until, float(det._armed),
+             math.nan if det._ext_value is None else det._ext_value,
+             math.nan if det._stance_dur is None else det._stance_dur,
+             det._fo_gate]
+    return path_outputs(events, windows, est, state, warnings)
+
+
+def block_path(config, samples, cuts):
+    """EstimationPath over the samples' columns cut into blocks at cuts,
+    with config's fields in its detector's vector (the drawn fields leave
+    the arming threshold's start as it is)."""
+    path = EstimationPath(105.0)
+    path.detector[:kernel.DETECTOR_STATE] = dataclasses.astuple(config)
+    windows, update = [], path.estimator.update_from_window
+    path.estimator.update_from_window = lambda w: (windows.append(w),
+                                                   update(w))[1]
+    cols = np.array(samples, dtype=float).reshape(-1, 7).T
+    events = []
+    with Warnings() as warnings:
+        for a, b in zip([0, *cuts], [*cuts, len(samples)]):
+            block, at = cols[:, a:b], 0
+            while (hit := path.run(block, at, b - a)) is not None:
+                at, ev = hit
+                events.append(ev)
+    state = path.detector[kernel.DETECTOR_STATE:].tolist()
+    return path_outputs(events, windows, path.estimator, state, warnings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=detector_streams(),
+       cuts=st.one_of(st.just("each"), st.just(()),
+                      st.lists(st.integers(0, 300), max_size=8)))
+@example(stream=long_stances(298), cuts=())
+@example(stream=long_stances(299), cuts="each")
+@example(stream=long_stances(300), cuts=(150, 500))
+@example(stream=long_stances(301), cuts=())
+@example(stream=long_stances(310), cuts=(333, 334))
+@example(stream=long_stances(298, hold=118), cuts=())
+@example(stream=long_stances(298, hold=119), cuts=(140,))
+@example(stream=long_stances(298, hold=130, peak_t_ms=10200.0), cuts=())
+@example(stream=long_stances(298, peak_t_ms=math.inf), cuts=(21,))
+def test_block_path_equals_the_per_sample_path(stream, cuts):
+    # The events, the stance windows the estimator was given, its params
+    # and landmarks, the detector's state and the capacity warnings.
+    config, samples = stream
+    n = len(samples)
+    cuts = range(1, n) if cuts == "each" else sorted(min(c, n) for c in cuts)
+    assert block_path(config, samples, cuts) == per_sample_path(config,
+                                                                samples)
+
+
+@pytest.mark.parametrize("n_stance", [298, 299, 300, 301, 310])
+def test_long_stances_reach_the_stance_capacity(n_stance):
+    # Each stance holds n_stance samples; past STANCE_CAPACITY it drops
+    # its oldest and warns once.
+    events, windows, *_, warned = per_sample_path(*long_stances(n_stance))
+    assert len(events) == 4
+    assert [len(sk) for sk, _ in windows] == [min(n_stance,
+                                                  STANCE_CAPACITY)] * 2
+    assert warned == 2 * (n_stance > STANCE_CAPACITY)
+
+
+@pytest.mark.parametrize("hold, first", [(118, 20), (119, 21), (130, 32)])
+def test_a_stance_backfills_from_its_ring(hold, first):
+    # The ring holds the 120 samples up to the foot contact's confirmation,
+    # `hold` + 1 samples after its extremum (sample 20); the first window
+    # starts at the ring's oldest sample that is not before the extremum.
+    events, windows, *_, warned = per_sample_path(*long_stances(298, hold))
+    assert len(events) == 4 and not warned
+    assert float.fromhex(windows[0][0][0]) == first
+    assert [len(sk) for sk, _ in windows] == [298 - first + 20, 298]
+
+
+def test_a_stance_with_no_backfill_warns():
+    # The extremum's time is 10 s past the samples after it, and the ring
+    # no longer holds it at confirmation: the stance backfills no sample,
+    # starts after the confirmation, and warns though it dropped nothing.
+    events, windows, *_, warned = per_sample_path(*long_stances(
+        298, hold=130, peak_t_ms=10200.0))
+    assert len(events) == 4 and warned == 1
+    assert float.fromhex(windows[0][0][0]) == 20 + 132
 
 
 def detected(samples):
@@ -354,3 +521,67 @@ class TestReplayCsv:
         assert main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == (
             "shankexo: error: unexpected replay header: []\n")
+
+
+def per_sample_replay(path):
+    """The stdout and stderr of `shankexo replay path` by the per-sample
+    classes: a line per foot-off, then the stride count, or the error
+    line."""
+    det, asm = EventDetector(), WindowAssembler()
+    est = ProfileEstimator(GaussianParams(105.0, INITIAL_MU, INITIAL_SIGMA1,
+                                          INITIAL_SIGMA2, INITIAL_THETA_FC,
+                                          INITIAL_THETA_FO))
+    out, err = [], ""
+    try:
+        for sample in read_replay_csv(path):
+            window = asm.process(sample, det.update(sample))
+            if window is not None:
+                p = est.update_from_window(window)
+                out.append(f"stride {len(out)}: mu={p.mu:.3f} "
+                           f"sigma1={p.sigma1:.3f} sigma2={p.sigma2:.3f} "
+                           f"fc={p.theta_fc:.3f} fo={p.theta_fo:.3f}")
+        if (det.mode is GaitPhase.STANCE
+                and sample.t_ms - det.fc_t_ms > 3000.0):
+            err = (f"shankexo: error: no foot-off within 3000 ms of the foot "
+                   f"contact at t={det.fc_t_ms} ms: the foot-pitch rate "
+                   f"never fell below the arming threshold of "
+                   f"{det.fo_arm_threshold:g} deg/s\n")
+        else:
+            out.append(f"{len(out)} strides estimated")
+    except SignalQualityError as exc:
+        err = f"shankexo: error: {exc}\n"
+    return "".join(line + "\n" for line in out), err
+
+
+@pytest.mark.parametrize("stream", ["lw", "slow", "nan_t"])
+def test_replay_prints_what_the_per_sample_pipeline_prints(tmp_path, capsys,
+                                                          stream):
+    # 60 s of lw gait at seed 1, every 10th world tick (6000 samples, so
+    # the reader may fork); the same with a NaN time at sample 3000, whose
+    # error comes after the strides before it; and a half-speed lw stream
+    # whose first stance never ends.
+    if stream == "slow":
+        world = GaitWorld(build_template("lw"), PlantConfig(), seed=3,
+                          ramp=RampSpec(start_stride=0, hold_strides=100,
+                                        low_scale=0.5))
+        frames = world.advance_block(0.01, 3264).frames
+        t = 10.0 * np.arange(1, len(frames) + 1)
+    else:
+        block = GaitWorld(build_template("lw"), PlantConfig(),
+                          seed=1).advance_block(0.001, 60000)
+        frames, t = block.frames[::10], block.t_sample[::10].copy()
+        if stream == "nan_t":
+            t[3000] = math.nan
+    ft, sk, _, ft_rate, sk_rate, _ = frames.T
+    path = tmp_path / "stream.csv"
+    np.savetxt(path, np.column_stack((t, ft, sk, ft_rate, sk_rate)),
+               fmt="%.17g", delimiter=",", header=",".join(REPLAY_HEADER),
+               comments="")
+    code = main(["replay", str(path)])
+    out, err = capsys.readouterr()
+    assert (out, err) == per_sample_replay(path)
+    assert code == (2 if err else 0)
+    strides = out.count("stride ")
+    assert {"lw": strides >= 50, "nan_t": 20 <= strides < 30 and
+            "replay line 3002: non-finite timestamp" in err,
+            "slow": (out, err.count("\n")) == ("", 1)}[stream]

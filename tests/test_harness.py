@@ -26,7 +26,8 @@ from shankexo.metrics import (CONVERGENCE_SENTINEL, MetricsError,
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
                             build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
-                              UPDATE_GAIN, GaussianParams, eval_force)
+                              UPDATE_GAIN, EstimationPath, GaussianParams,
+                              eval_force)
 
 CEILING = ControllerConfig.force_ceiling
 
@@ -513,20 +514,23 @@ class TestRunScenario:
 
 
 def stalling_detector(monkeypatch, start_ms, end_ms=math.inf):
-    """Freeze the event detector from start_ms to end_ms: it sees no
-    sample and confirms no event there."""
-    update = EventDetector.update
+    """Freeze the event detector from start_ms to end_ms: the foot pitch
+    and its rate read NaN there, so the detector skips every sample there
+    as if it had not seen it, and confirms no event there."""
+    run = EstimationPath.run
     contacts = []
 
-    def stalling(self, sample):
-        if start_ms <= sample.t_ms < end_ms:
-            return None
-        ev = update(self, sample)
-        if ev is not None and ev.kind is GaitEventKind.FOOT_CONTACT:
-            contacts.append(ev)
-        return ev
+    def stalling(self, cols, start, limit):
+        stalled = (start_ms <= cols[0]) & (cols[0] < end_ms)
+        if stalled.any():
+            cols = cols.copy()
+            cols[1, stalled] = cols[4, stalled] = math.nan
+        hit = run(self, cols, start, limit)
+        if hit is not None and hit[1].kind is GaitEventKind.FOOT_CONTACT:
+            contacts.append(hit[1])
+        return hit
 
-    monkeypatch.setattr(EventDetector, "update", stalling)
+    monkeypatch.setattr(EstimationPath, "run", stalling)
     return contacts
 
 
