@@ -17,16 +17,16 @@ float64:
 
 The artifacts are written under temporary names (_PARTIAL) in out_dir.
 timeseries.csv is printed by a printer process that `Artifacts` forks at
-the run's start, so the printing overlaps the run; the process plumbing
-(the fork, the fds it keeps, its exit and the reap) is `forked`'s. The
-printer writes the header and the rows to the temporary file, which the
-parent creates first. `Artifacts.print` hands it log rows through a pipe:
-per call, the row count as 8 bytes, then the rows as they lie in memory,
-(m, 14) float64 in C order; EOF ends the rows. The printer keeps its pipe
-end, its status pipe and the CSV. write_artifacts writes summary.json
-while the printer drains, reaps it, and only then renames both files into
-place. A failed printer reports on its status pipe; it, or a killed one,
-fails the run with OSError, at the next `print` or in write_artifacts.
+the run's start, so the printing overlaps the run; the process and its
+protocol (the fork, the fds it keeps, the blocks on its pipe, its failure
+report and the reap) are `forked`'s. The printer writes the header and
+the rows to the temporary file, which the parent creates first.
+`Artifacts.print` hands it log rows, (m, 14) float64, as one block; EOF
+ends the rows. The printer keeps its pipe end and the CSV. write_artifacts
+writes summary.json while the printer drains, reaps it, and only then
+renames both files into place. A printer that fails, its OSError named
+"timeseries.csv printer", or is killed fails the run at the next `print`
+or in write_artifacts.
 Leaving the `Artifacts` block reaps the printer and removes what is still
 under a temporary name, so a run that raises leaves neither the files nor
 their temporaries, nor a process.
@@ -164,27 +164,22 @@ class Artifacts:
         fds = [os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)]
         try:
             fds += forked.pipe()
-            fds += os.pipe()
-            csv, rows_r, self._rows, self._status, status_w = fds
-            self._pid = forked.fork(
-                (rows_r, status_w, csv), partial(_printer, rows_r, csv),
-                partial(forked.report_line, status_w))
+            csv, rows_r, self._rows = fds
+            self._printer = forked.fork("timeseries.csv printer",
+                                        (rows_r, csv),
+                                        partial(_printer, rows_r, csv))
         except BaseException:
             for fd in fds:
                 os.close(fd)
             os.remove(path)
             raise
-        for fd in (csv, rows_r, status_w):
-            os.close(fd)
+        os.close(csv)
+        os.close(rows_r)
 
     def print(self, rows: np.ndarray) -> None:
         """Hand the rows of the run log `rows` to the printer."""
-        if not len(rows):
-            return
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
         try:
-            forked.send(self._rows, len(rows).to_bytes(8, "little"))
-            forked.send(self._rows, memoryview(rows).cast("B"))
+            forked.send_block(self._rows, rows)
         except BrokenPipeError:
             self.wait()        # raises the printer's failure
             raise
@@ -196,13 +191,9 @@ class Artifacts:
             self._rows = -1
 
     def wait(self) -> None:
-        """End the rows and reap the printer; raise OSError if it failed
-        or was killed."""
+        """End the rows and reap the printer; raise its failure."""
         self.end_rows()
-        if not self._pid:
-            return
-        pid, self._pid = self._pid, 0
-        forked.reap(pid, "timeseries.csv printer", self._status)
+        self._printer.reap()
 
     def __enter__(self) -> Artifacts:
         return self
@@ -210,7 +201,7 @@ class Artifacts:
     def __exit__(self, exc_type, *exc) -> None:
         try:
             self.wait()
-        except OSError:
+        except Exception:
             if exc_type is None:
                 raise        # else the run's own exception goes on
         finally:
@@ -221,15 +212,17 @@ class Artifacts:
 
 def _printer(rows_fd: int, csv_fd: int) -> None:
     """The printer process's body: print the rows read from rows_fd to
-    csv_fd until EOF."""
-    with open(rows_fd, "rb") as pipe, open(csv_fd, "wb") as csv:
-        csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-        while head := pipe.read(8):
-            rows = np.empty((int.from_bytes(head, "little"), len(LOG_COLUMNS)))
-            if pipe.readinto(memoryview(rows).cast("B")) != rows.nbytes:
-                raise EOFError("the rows ended within a block")
-            for i in range(0, len(rows), _CSV_CHUNK):
-                csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
+    csv_fd until EOF. An OSError names the printer, as the run reports
+    it."""
+    try:
+        with open(rows_fd, "rb") as pipe, open(csv_fd, "wb") as csv:
+            csv.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+            for rows in forked.blocks(pipe, (-1, len(LOG_COLUMNS))):
+                for i in range(0, len(rows), _CSV_CHUNK):
+                    csv.write(_csv_block(rows[i:i + _CSV_CHUNK]))
+    except OSError as exc:
+        raise OSError(exc.errno,
+                      f"timeseries.csv printer: {exc.strerror}") from None
 
 
 def write_artifacts(out_dir: str, artifacts: Artifacts, report) -> None:

@@ -24,9 +24,6 @@ from .tendon import IdentificationError, identify_stiffness, load_calibration_cs
 if TYPE_CHECKING:
     from .metrics import MetricsReport
 
-# The keys of a --config file: ScenarioConfig's override groups.
-OVERRIDE_GROUPS = ("controller", "plant", "template")
-
 # What a user mends by changing a file or a flag, not the program.
 INPUT_ERRORS = (OSError, json.JSONDecodeError, TemplateError,
                 ParameterError, SignalQualityError, SignalLossError,
@@ -52,24 +49,22 @@ def _add_run_parser(sub) -> None:
 
 
 def _run(args) -> int:
-    from .harness import ConfigError, ScenarioConfig, run_scenario
+    from .harness import (OVERRIDE_GROUPS, ConfigError, ScenarioConfig,
+                          run_scenario)
     overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: not a JSON object")
-        unknown = ", ".join(sorted(overrides.keys() - set(OVERRIDE_GROUPS)))
+        unknown = ", ".join(sorted(overrides.keys() - OVERRIDE_GROUPS.keys()))
         if unknown:
             raise ConfigError(f"{args.config}: unknown key(s) {unknown}")
     cfg = ScenarioConfig(
         activity=args.activity, scenario=args.scenario,
         n_strides=args.strides, seed=args.seed, amp_fraction=args.amp,
         body_weight=args.bw_n, output_dir=args.out,
-        controller=overrides.get("controller", {}),
-        plant=overrides.get("plant", {}),
-        template=overrides.get("template", {}),
-    )
+        **{group: overrides.get(group, {}) for group in OVERRIDE_GROUPS})
     report = run_scenario(cfg)
     _print_report(report)
     return 1 if report.aborted else 0

@@ -34,19 +34,17 @@ A stream longer than REPLAY_FORK_SAMPLES samples is read on in a reader
 process, so the reading overlaps the caller's use of the samples: the
 caller's process reads the blocks up to that many samples, forks the
 reader (`forked.fork`) and closes its own copy of the file. The reader
-keeps the stream and its end of a pipe of forked.PIPE_BYTES, which bounds
-how far it runs ahead, and sends records: per block, its sample count
-n > 0 as 8 bytes and its (7, n) float64 sample columns; after the last
-block, the end record, a count of 0; or, after the blocks before it, the
-error that ended the stream and its cause as -m and m bytes of the
-pickled pair, raised again with its type, message, errno and cause. A
-pipe that ends without either means the reader died: OSError names its
-signal or exit status, after the samples it sent, so a stream is never
-silently shorter. An end or an error reaps the reader, and an iterator
-dropped early kills and reaps it. Where the system does not tell which
-CPUs the caller's process may run on, it may run on one only, no CPU is
-idle, it runs another thread, or the fork fails, the caller's process
-reads on itself; the samples are the same either way.
+keeps the stream and its end of a pipe of forked.PIPE_BYTES, which
+bounds how far it runs ahead, and sends each block's (7, n) sample
+columns as a `forked` block. At the pipe's end the caller reaps the
+reader, which raises the error that ended the stream again, with its
+type, message, errno and cause, or OSError naming the signal or exit
+status of a reader that died, after the samples it sent, so a stream is
+never silently shorter. An iterator dropped early kills and reaps the
+reader. Where the system does not tell which CPUs the caller's process
+may run on, it may run on one only, no CPU is idle, it runs another
+thread, or the fork fails, the caller's process reads on itself; the
+samples are the same either way.
 
 IMU_PERIOD_MS, STANCE_CAPACITY, RING_SAMPLES and the DetectorConfig
 defaults are defined here only: `harness` feeds the estimation path one
@@ -61,7 +59,6 @@ import csv
 import logging
 import math
 import os
-import pickle
 import sys
 import threading
 import warnings
@@ -333,33 +330,14 @@ def read_replay_columns(path):
             yield cols
         else:
             return
-    pid, r = reader
+    child, r = reader
     try:
         with open(r, "rb") as pipe:
             yield cols
-            while head := pipe.read(8):
-                n = int.from_bytes(head, "little", signed=True)
-                record = np.empty((7, n)) if n > 0 else bytearray(-n)
-                view = memoryview(record).cast("B")
-                if pipe.readinto(view) != view.nbytes:
-                    break
-                if n > 0:
-                    yield record
-                    continue
-                os.waitpid(pid, 0)
-                pid = 0
-                if n:
-                    exc, cause = pickle.loads(record)   # our reader's bytes
-                    if hasattr(exc, "add_note"):        # Python 3.11 on
-                        exc.add_note("raised in the replay reader process")
-                    raise exc from cause
-                return
-        pid, dead = 0, pid      # no end record: the reader died
-        forked.reap(dead, "replay reader")
-        raise OSError("replay reader exited without an end record")
+            yield from forked.blocks(pipe, (7, -1))
+        child.reap()
     finally:
-        if pid:                 # the iterator was closed or dropped early
-            forked.kill(pid)
+        child.kill()            # dropped early; nothing once reaped
 
 
 def kinematic_samples(cols):
@@ -396,10 +374,10 @@ def _stream(fh):
 
 def _fork_reader(fh, stream):
     """A reader process that reads the rest of `stream` from fh and sends
-    it (`_send_stream`): its pid and the read end of its pipe. None, and
-    this process reads on, where the reader could not run on a CPU of its
-    own or could not be forked: this process may run on one CPU only
-    (os.sched_getaffinity, which Linux has, tells), or no CPU is idle
+    it (`_send_stream`): its `forked.Child` and the read end of its pipe.
+    None, and this process reads on, where the reader could not run on a
+    CPU of its own or could not be forked: this process may run on one CPU
+    only (os.sched_getaffinity, which Linux has, tells), or no CPU is idle
     (`_idle_cpu`), as then the two processes would share one.
 
     Nor is a reader forked from a process that runs another thread: a
@@ -411,17 +389,17 @@ def _fork_reader(fh, stream):
             or threading.active_count() > 1 or not _idle_cpu()):
         return None
     r, w = forked.pipe()
-    pid = 0
+    child = None
     try:
-        pid = forked.fork((w, fh.fileno()), partial(_send_stream, stream, w),
-                          partial(_send_error, w))
+        child = forked.fork("replay reader", (w, fh.fileno()),
+                            partial(_send_stream, stream, w))
     except OSError:             # no process to be had: read on here
         pass
     finally:
         os.close(w)
-        if not pid:
+        if child is None:
             os.close(r)
-    return (pid, r) if pid else None
+    return (child, r) if child else None
 
 
 def _idle_cpu() -> bool:
@@ -437,19 +415,9 @@ def _idle_cpu() -> bool:
 
 def _send_stream(stream, out: int) -> None:
     """The reader process's body: send each block's sample columns on the
-    pipe `out`, then the end record."""
+    pipe `out`."""
     for cols in stream:
-        if cols.shape[1]:
-            forked.send(out, cols.shape[1].to_bytes(8, "little"))
-            forked.send(out, memoryview(np.ascontiguousarray(cols)).cast("B"))
-    forked.send(out, bytes(8))
-
-
-def _send_error(out: int, exc: BaseException) -> None:
-    """The reader's error record: the exception that ended the stream and
-    its cause, pickled, after their negated length."""
-    data = pickle.dumps((exc, exc.__cause__))
-    forked.send(out, (-len(data)).to_bytes(8, "little", signed=True) + data)
+        forked.send_block(out, cols)
 
 
 def _read_block(fh, line: int):

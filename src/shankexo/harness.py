@@ -115,6 +115,16 @@ def _is_int(x) -> bool:
     return _is_number(x) and isinstance(x, int)
 
 
+# ScenarioConfig's override groups, the keys of a --config file: each
+# group's dataclass and the fields of it that the scenario sets itself.
+OVERRIDE_GROUPS = {
+    "controller": (ControllerConfig, {}),
+    "plant": (PlantConfig, {}),
+    "template": (GaitTemplate, {
+        "activity": "activity",
+        **dict.fromkeys(DERIVED_FIELDS, "the stance curves")}),
+}
+
 # The override value each annotation of an overridable field takes, as a
 # description and a test; JSON gives a pair as a list.
 _OVERRIDE_TYPES = {
@@ -202,12 +212,7 @@ class ScenarioConfig:
         # An override group is a mapping. An override names a field of its
         # dataclass that the scenario does not set itself, with a value of
         # the field's type.
-        for group, owner, fixed in (
-                ("controller", ControllerConfig, {}),
-                ("plant", PlantConfig, {}),
-                ("template", GaitTemplate, {
-                    "activity": "activity",
-                    **dict.fromkeys(DERIVED_FIELDS, "the stance curves")})):
+        for group, (owner, fixed) in OVERRIDE_GROUPS.items():
             overrides = getattr(self, group)
             if not isinstance(overrides, dict):
                 raise ConfigError(f"{group} overrides must be a mapping")

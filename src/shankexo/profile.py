@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gait_signals import (RING_SAMPLES, STANCE_CAPACITY, DetectorConfig,
+from .gait_signals import (RING_SAMPLES, STANCE_CAPACITY, EventDetector,
                            GaitEvent, GaitEventKind, GaitPhase, StanceWindow)
 
 log = logging.getLogger(__name__)
@@ -219,7 +219,7 @@ class EstimationPath:
     loop over a stream or a block of world ticks.
 
     `detector` is the kernel detector's vector d (`loop.c`), filled from
-    DetectorConfig() and the state EventDetector starts in. Between calls the path
+    a fresh EventDetector's config and state. Between calls the path
     carries the time and the foot, shank and DF angles of the last
     RING_SAMPLES samples and, in stance, of the newest STANCE_CAPACITY
     stance samples.
@@ -227,11 +227,12 @@ class EstimationPath:
 
     def __init__(self, amp: float):
         from . import kernel    # built at import, which cli.main reports
-        config = DetectorConfig()
-        self.detector = np.array((*astuple(config), 0.0, 0.0,
-                                  config.fo_arm_init, 0.0, 0.0,
-                                  -sys.float_info.max, 0.0, math.nan,
-                                  math.nan, -math.inf))
+        det = EventDetector()
+        self.detector = np.array((
+            *astuple(det.config), det.mode is GaitPhase.STANCE, det.fc_t_ms,
+            det.fo_arm_threshold, det.gc_count, det._ext_t,
+            det._refractory_until, det._armed, det._ext_value,
+            det._stance_dur, det._fo_gate), dtype=float)    # None as NaN
         self._state = self.detector[kernel.DETECTOR_STATE:]
         self._detect = partial(kernel.detect, self.detector.ctypes.data)
         self.estimator = ProfileEstimator(GaussianParams(

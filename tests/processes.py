@@ -1,7 +1,9 @@
 """The child processes a test forks, through the program's `os.fork`
-calls: their pids, whether they are reaped, and the pipes they hold."""
+calls: their pids, whether they are reaped, the pipes they hold, and an
+error they cannot report."""
 
 import os
+import threading
 import time
 from contextlib import suppress
 
@@ -54,3 +56,11 @@ def pipes(pid: int) -> set:
             with suppress(FileNotFoundError):    # closed meanwhile
                 names.add(os.readlink(f"{fds}/{fd}"))
     return {n for n in names if n.startswith("pipe:")}
+
+
+def unpicklable_error() -> ValueError:
+    """An error that a child that raises it cannot report: it holds a
+    lock, which does not pickle."""
+    exc = ValueError("holds a lock")
+    exc.lock = threading.Lock()
+    return exc

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
-from processes import assert_reaped, exits_within, record_forks
+from processes import (assert_reaped, exits_within, record_forks,
+                       unpicklable_error)
 from strides import out, report_stride, stance_report, stride_log
 
 from shankexo import artifacts, harness, metrics
@@ -643,14 +644,19 @@ class TestPrinter:
     """timeseries.csv is printed by a forked printer process. A run reaps
     it on every path, and its failure fails the run."""
 
+    @pytest.mark.parametrize("failure", ["ENOSPC", "unpicklable"])
     def test_a_printer_failure_fails_the_run(self, tmp_path, monkeypatch,
-                                             capsys):
-        # The printer inherits the patch; its third chunk fails.
+                                             capsys, failure):
+        # The printer inherits the patch; its third chunk fails, with an
+        # OSError that names the printer, or with an error it cannot
+        # report, which leaves its exit status.
         block, calls = artifacts._csv_block, []
 
         def failing(rows):
             calls.append(len(rows))
             if len(calls) == 3:
+                if failure == "unpicklable":
+                    raise unpicklable_error()
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return block(rows)
 
@@ -659,14 +665,15 @@ class TestPrinter:
         with pytest.raises(OSError) as err:
             run_scenario(ScenarioConfig(activity="lw", n_strides=8, seed=1,
                                         output_dir=str(tmp_path / "run")))
-        assert err.value.errno == errno.ENOSPC
-        assert "timeseries.csv printer: No space left on device" in str(
-            err.value)
+        if failure == "ENOSPC":
+            assert err.value.errno == errno.ENOSPC
+            text = "[Errno 28] timeseries.csv printer: No space left on device"
+        else:
+            text = "timeseries.csv printer exited with 1"
+        assert str(err.value) == text
         assert cli_main(["run", "--strides", "8",
                          "--out", str(tmp_path / "cli")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("shankexo: error: [Errno 28] timeseries.csv "
-                              "printer: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"shankexo: error: {text}\n"
         assert calls == []       # the parent prints nothing itself
         assert [list(d.iterdir()) for d in tmp_path.iterdir()] == [[], []]
         assert_reaped(printers, 2)

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from processes import assert_reaped, exits_within, pipes, record_forks
+from processes import (assert_reaped, exits_within, pipes, record_forks,
+                       unpicklable_error)
 from scalar_reference import reference_read_replay_csv
 from shankexo import artifacts, gait_signals
 from shankexo.cli import main
@@ -422,33 +423,48 @@ def test_a_reader_process_reads_on_where_it_runs_beside_this_one(
     assert len(os.listdir("/proc/self/fd")) == len(fds)
 
 
-@pytest.mark.parametrize("how", ["ends", "raises", "is abandoned"])
+@pytest.mark.parametrize("how", ["ends", "raises", "is abandoned",
+                                 "is abandoned as it reads"])
 def test_a_read_leaves_no_reader_process(tmp_path, monkeypatch, forks,
                                          how):
     # Abandoned after its first sample, a stream that fills the pipe twice
-    # over leaves its reader waiting to write.
+    # over leaves its reader waiting to write, and a reader that takes a
+    # minute over its first block leaves it reading: either is killed at
+    # once.
     rows = regular(40_000 if how == "is abandoned" else 50)
     if how == "raises":
         rows[30][1] = "nan"
     path = write(tmp_path / "s.csv", rows)
     monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
-    if how == "is abandoned":
+    if how == "is abandoned as it reads":
+        condition, caller = gait_signals._condition, os.getpid()
+
+        def slow(*args):
+            if os.getpid() != caller:
+                time.sleep(60.0)
+            return condition(*args)
+
+        monkeypatch.setattr(gait_signals, "_condition", slow)
+    if how.startswith("is abandoned"):
         samples = read_replay_csv(path)
         assert next(samples).t_ms == 10.0
         assert not exits_within(forks[0], 0.0)
+        start = time.monotonic()
         del samples
+        assert time.monotonic() - start < 30.0
     else:
         _, error = outcome(read_replay_csv, path)
         assert (error is None) == (how == "ends")
     assert_reaped(forks, 1)
 
 
-@pytest.mark.parametrize("failure", ["killed", "OSError"])
+@pytest.mark.parametrize("failure", ["killed", "OSError", "unpicklable"])
 def test_a_reader_that_fails_raises_after_the_samples_it_sent(
         tmp_path, monkeypatch, forks, failure):
     # The caller's process reads the first block; the reader's, forked
-    # then, fails on the second: its process is killed, or it raises an
-    # OSError, which reaches the caller with its type, errno and text.
+    # then, fails on the second: its process is killed, it raises an
+    # OSError, which reaches the caller with its type, errno and text, or
+    # it raises an error it cannot report, which leaves its exit status.
     path = write(tmp_path / "s.csv", regular(12))
     condition, calls = gait_signals._condition, []
     eio = OSError(errno.EIO, os.strerror(errno.EIO), "s.csv")
@@ -458,17 +474,16 @@ def test_a_reader_that_fails_raises_after_the_samples_it_sent(
         if len(calls) == 2:
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise eio
+            raise unpicklable_error() if failure == "unpicklable" else eio
         return condition(*args)
 
     monkeypatch.setattr(gait_signals, "_condition", failing)
     monkeypatch.setattr(gait_signals, "REPLAY_BLOCK_LINES", 4)
     samples, error = outcome(read_replay_csv, path)
     assert samples == outcome(reference_read_replay_csv, path)[0][:4]
-    if failure == "killed":
-        assert error == (OSError, "replay reader killed by SIGKILL")
-    else:
-        assert error == (OSError, str(eio))
+    assert error == (OSError, {
+        "killed": "replay reader killed by SIGKILL", "OSError": str(eio),
+        "unpicklable": "replay reader exited with 1"}[failure])
     assert calls == [4]       # the caller's process read the first block
     assert_reaped(forks, 1)
 
@@ -488,6 +503,41 @@ def test_an_error_from_the_reader_keeps_its_cause(tmp_path, monkeypatch,
     assert_reaped(forks, 1)
 
 
+def test_an_error_larger_than_a_pipe_holds_reaches_the_caller(
+        tmp_path, monkeypatch):
+    # The reader, forked past REPLAY_FORK_SAMPLES, meets a row with a
+    # 100 KB field after sample 4096: its error's text outgrows a pipe of
+    # the default 64 KiB, so the read returns only if the reader's data
+    # pipe ends before it reports and the caller reads the whole report
+    # before it waits for the reader.
+    rows = regular(6000)
+    rows[5000][1] = "x" * 100_000
+    path = write(tmp_path / "s.csv", rows)
+    forks = record_forks(monkeypatch)
+
+    def timed_out(signum, frame):
+        for pid in forks:
+            os.kill(pid, signal.SIGKILL)
+        raise TimeoutError("the read did not return")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with reader_past(gait_signals.REPLAY_FORK_SAMPLES), pytest.raises(
+                SignalQualityError,
+                match="^replay line 5002: not 5 numbers: ") as info:
+            for _ in read_replay_csv(path):
+                pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(str(info.value)) > 100_000
+    assert type(info.value.__cause__) is ValueError
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__ == ["raised in the replay reader process"]
+    assert_reaped(forks, 1)
+
+
 def settled_pipes(pid: int, n: int, seconds: float = 10.0) -> set:
     """The pipes of the child pid once it holds at most n of them, or
     after `seconds`: a child just forked still holds its parent's."""
@@ -500,7 +550,8 @@ def settled_pipes(pid: int, n: int, seconds: float = 10.0) -> set:
 def test_reader_and_printer_hold_no_end_of_each_others_pipes(tmp_path,
                                                              forks):
     # A reader forked inside a live Artifacts block holds only its own
-    # pipe, and a printer forked during the read its rows and status pipes.
+    # data and status pipes, and a printer forked during the read its own
+    # rows and status pipes.
     # The stream's samples fill the pipe twice over, so the reader is still
     # there to look at.
     path = write(tmp_path / "s.csv", regular(40_000))
@@ -510,8 +561,8 @@ def test_reader_and_printer_hold_no_end_of_each_others_pipes(tmp_path,
         next(samples)
         with artifacts.Artifacts(str(tmp_path / "second")):
             first, reader, second = pids
-            own, printed = settled_pipes(reader, 1), settled_pipes(second, 2)
-            apart = (len(own) == 1 and not own & settled_pipes(first, 2)
+            own, printed = settled_pipes(reader, 2), settled_pipes(second, 2)
+            apart = (len(own) == 2 and not own & settled_pipes(first, 2)
                      and len(printed) == 2 and not own & printed)
             if not apart:     # a printer that holds its pipe never ends
                 for pid in pids:
