@@ -59,7 +59,7 @@ is one or the other throughout.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -67,7 +67,7 @@ import numpy as np
 
 from . import kernel
 from .gait_signals import GaitEvent, GaitEventKind
-from .plant import Cable
+from .plant import FINITE, NOT_NEGATIVE, POSITIVE, Cable
 from .profile import GaussianParams
 from .tendon import MIGRATION_TOLERANCE_MM, TendonModel, tendon_length
 
@@ -114,22 +114,40 @@ RESIDUAL_TICKS = 5           # ticks in a row past load_cell_residual
 @dataclass
 class ControllerConfig:
     """Control gains and safety limits: the controller values a run's
-    config may override. Defaults follow the tuned hardware values. The
-    swing target, the silent release, the probe, the engagement and the
-    tail release are the module constants above."""
+    config may override. Defaults follow the tuned hardware values; each
+    field's metadata declares the values it admits, and where zero is
+    admitted it is the field's own setting (no damping, the static map, no
+    silent stride, no integral). The swing target, the silent release, the
+    probe, the engagement and the tail release are the module constants
+    above."""
 
-    kp: float = 23.0                 # 1/s
-    ki: float = 1e-4                 # 1/s^2
-    kd: float = 1.8                  # unitless damping injection
-    map_m: float = 0.0               # N*s/mm, force-to-velocity map inertia
-    map_b: float = 15.7              # N/mm, force-to-velocity map gain
-    silent_cycles: int = 5
-    force_ceiling: float = 300.0     # N
-    position_limit_mm: float = 80.0  # +/- about the pretighten reference
-    pretighten_force: float = 5.0    # N, startup baseline confirmation
-    pretighten_rate: float = 30.0    # mm/s during startup tightening
-    integral_clamp: float = 50.0     # mm*s anti-windup bound
-    load_cell_residual: float = 75.0  # N, |tendon model - f_meas| bound
+    kp: float = field(default=23.0, metadata=FINITE)        # 1/s
+    ki: float = field(default=1e-4, metadata=FINITE)        # 1/s^2
+    # unitless damping injection; a negative gain drives the swing cable
+    # against the shank (a swing peak of 19 N at -1.8)
+    kd: float = field(default=1.8, metadata=NOT_NEGATIVE)
+    # N*s/mm, force-to-velocity map inertia; a negative one reads as 0,
+    # the static map
+    map_m: float = field(default=0.0, metadata=NOT_NEGATIVE)
+    # N/mm, force-to-velocity map gain, which the map divides by
+    map_b: float = field(default=15.7, metadata=POSITIVE)
+    # a negative count assists as 0 does, but starts the analysis before
+    # the estimate has converged
+    silent_cycles: int = field(default=5, metadata=NOT_NEGATIVE)
+    force_ceiling: float = field(default=300.0, metadata=FINITE)   # N
+    # mm, +/- about the pretighten reference; 0 or less aborts at once
+    position_limit_mm: float = field(default=80.0, metadata=POSITIVE)
+    # N, startup baseline confirmation; 0 or less confirms the baseline
+    # on the slack cable, whose reading of 0 is never below it
+    pretighten_force: float = field(default=5.0, metadata=POSITIVE)
+    # mm/s during startup tightening; at 0 pretighten never confirms
+    pretighten_rate: float = field(default=30.0, metadata=POSITIVE)
+    # mm*s anti-windup bound; a negative one pins the swing integral at
+    # the wrong sign
+    integral_clamp: float = field(default=50.0, metadata=NOT_NEGATIVE)
+    # N, |tendon model - f_meas| bound; 0 or less aborts on the load
+    # cell's noise alone
+    load_cell_residual: float = field(default=75.0, metadata=POSITIVE)
 
 
 @dataclass

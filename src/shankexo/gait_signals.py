@@ -80,6 +80,11 @@ IMU_PERIOD_MS = 10.0  # 100 Hz sensor cadence
 MAX_GAP_SAMPLES = 3
 STANCE_CAPACITY = 300  # samples, >= 2 s of stance at 100 Hz
 RING_SAMPLES = 120  # recent samples a foot contact's stance backfills from
+# The stance windowing's warnings, which profile.EstimationPath logs in
+# lockstep with WindowAssembler.
+OVERFLOW = "stance window exceeded %d samples; dropped the oldest"
+NO_BACKFILL = ("foot contact at t=%s ms backfilled no sample from the ring; "
+               "its stance window starts after the confirmation")
 
 
 class SignalQualityError(ValueError):
@@ -243,16 +248,17 @@ class WindowAssembler:
 
     Confirmation lags the extremum by the hysteresis crossing, so the
     assembler keeps a short ring of recent samples. On FootContact it
-    backfills one stance buffer from the ring, from the extremum sample on;
-    the buffer holds STANCE_CAPACITY samples and drops its oldest past that.
-    On FootOff it hands out the window of the buffered samples at or before
-    the extremum, with one warning if the stance dropped any.
+    backfills one stance buffer from the ring, from the extremum sample on,
+    with one warning if the ring holds no such sample; the buffer holds
+    STANCE_CAPACITY samples and drops its oldest past that. On FootOff it
+    hands out the window of the buffered samples at or before the extremum,
+    with one warning if the stance dropped any.
     """
 
     def __init__(self):
         self._ring: deque = deque(maxlen=RING_SAMPLES)
         self._stance: Optional[deque] = None    # None in swing
-        self._first: Optional[KinematicSample] = None   # the stance's first
+        self._held = 0      # samples the stance was given
 
     def process(self, sample: KinematicSample,
                 event: Optional[GaitEvent]) -> Optional[StanceWindow]:
@@ -262,16 +268,18 @@ class WindowAssembler:
         if event is None:
             if self._stance is not None:
                 self._stance.append(sample)
+                self._held += 1
             return None
         if event.kind is GaitEventKind.FOOT_CONTACT:
             self._stance = deque((s for s in self._ring if s.t_ms >= event.t_ms),
                                  maxlen=STANCE_CAPACITY)
-            self._first = self._stance[0] if self._stance else None
+            self._held = len(self._stance)
+            if not self._held:
+                log.warning(NO_BACKFILL, event.t_ms)
             return None
         stance, self._stance = self._stance or (), None
-        if stance and stance[0] is not self._first:
-            log.warning("stance window exceeded %d samples; dropped the oldest",
-                        STANCE_CAPACITY)
+        if self._held > len(stance) > 0:
+            log.warning(OVERFLOW, STANCE_CAPACITY)
         kept = [s for s in stance if s.t_ms <= event.t_ms]
         return StanceWindow([s.theta_sk for s in kept],
                             [s.theta_df for s in kept])

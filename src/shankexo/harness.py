@@ -6,6 +6,12 @@ reads one tick per gait_signals.IMU_PERIOD_MS. Parameters reach the
 controller only at foot-contact ticks. Runs are fully determined by the
 scenario config and seed.
 
+A config is checked before it runs: each field and override against the
+interval its dataclass field declares (`plant.check_fields`), then across
+fields: the profile peak against the force ceiling here, the template's in
+`plant.build_template`, and the strides the scenario's protocol needs in
+the run.
+
 Only the controller and the cable form a closed loop; the gait world and
 the estimation path never read cable state. So a run advances the world one
 block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
@@ -53,7 +59,6 @@ The aggregates come at the end (`metrics._build_report`), and
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -68,9 +73,10 @@ from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
                            KinematicSample, SignalLossError)
 from .metrics import (AGGREGATION_STRIDES, MetricsReport, _build_report,
                       _StrideReport)
-from .plant import (BLOCK_TICKS, DERIVED_FIELDS, Activity, GaitTemplate,
-                    GaitWorld, PerturbationKind, PerturbationSpec, PlantConfig,
-                    RampSpec, bind_cable, build_template)
+from .plant import (BLOCK_TICKS, FINITE, FIXED_FIELDS, POSITIVE, Activity,
+                    GaitTemplate, GaitWorld, PerturbationKind,
+                    PerturbationSpec, PlantConfig, RampSpec, bind_cable,
+                    build_template, check_fields, within)
 from .profile import EstimationPath, GaussianParams
 
 # Log columns the closed loop makes, in the order of the columns of the
@@ -105,63 +111,12 @@ class ScenarioKind(Enum):
 
 # -- scenario configuration ----------------------------------------------------
 
-def _is_number(x) -> bool:
-    """A finite int or float, not a bool (JSON reads NaN and Infinity)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
-def _is_int(x) -> bool:
-    return _is_number(x) and isinstance(x, int)
-
-
 # ScenarioConfig's override groups, the keys of a --config file: each
 # group's dataclass and the fields of it that the scenario sets itself.
 OVERRIDE_GROUPS = {
     "controller": (ControllerConfig, {}),
     "plant": (PlantConfig, {}),
-    "template": (GaitTemplate, {
-        "activity": "activity",
-        **dict.fromkeys(DERIVED_FIELDS, "the stance curves")}),
-}
-
-# The override value each annotation of an overridable field takes, as a
-# description and a test; JSON gives a pair as a list.
-_OVERRIDE_TYPES = {
-    "float": ("a finite number", _is_number),
-    "int": ("an integer", _is_int),
-    "tuple[float, float]": ("a pair of finite numbers", lambda x: isinstance(
-        x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
-}
-
-# The overrides that a value below zero breaks, each with whether zero
-# itself is allowed:
-# - The run divides by or scales with the tendon model's, the motor lag and
-#   the force-to-velocity map gain: zero raises (in TendonModel, bind_cable
-#   or mid-run). Zero leaves the motor envelope empty and the pretighten
-#   rate still (pretighten never confirms), and a negative value inverts
-#   them.
-# - A pretighten force of zero or less confirms the tendon baseline on the
-#   slack cable, whose reading of 0 is never below it.
-# - A load-cell residual bound of zero or less aborts the run on the
-#   load cell's noise alone.
-# - A negative load-cell noise sd is read as no noise, a negative map
-#   inertia as the static map; a negative integral clamp pins the swing
-#   integral at the wrong sign, and a negative damping gain drives the
-#   swing cable against the shank (a swing peak of 19 N at kd = -1.8).
-#   A negative silent_cycles assists as zero does but starts the analysis
-#   before the estimate has converged. Zero is each one's own setting: no
-#   noise, no inertia, no integral, no damping, no silent strides.
-_OVERRIDE_ZERO_ALLOWED = {
-    **dict.fromkeys((
-        "controller.map_b", "controller.pretighten_rate",
-        "controller.pretighten_force", "controller.load_cell_residual",
-        "plant.lever_arm_r", "plant.k_all",
-        "plant.baseline_c", "plant.motor_tau_s", "plant.v_max"),
-        False),
-    **dict.fromkeys((
-        "controller.kd", "controller.map_m", "controller.integral_clamp",
-        "controller.silent_cycles", "plant.force_noise_sd"), True),
+    "template": (GaitTemplate, FIXED_FIELDS),
 }
 
 
@@ -175,25 +130,30 @@ PEAK_MARGIN_N = 10.0
 
 @dataclass
 class ScenarioConfig:
+    """A scenario run's settings. Each numeric field declares the values
+    it admits (`plant.check_fields`), as do the fields of each override
+    group's dataclass."""
+
     activity: str = "lw"
     scenario: str = "steady"
-    n_strides: int = 60
-    seed: int = 1
-    amp_fraction: float = 0.15
-    body_weight: float = 700.0          # N
+    n_strides: int = field(default=60, metadata=within(1, low_in=True,
+                                                       count=True))
+    seed: int = field(default=1, metadata=within(0, low_in=True, count=True))
+    amp_fraction: float = field(default=0.15,
+                                metadata=within(0.0, 0.5, high_in=True))
+    body_weight: float = field(default=700.0, metadata=POSITIVE)     # N
     output_dir: Optional[str] = None
     controller: dict = field(default_factory=dict)
     plant: dict = field(default_factory=dict)
     template: dict = field(default_factory=dict)
-    fault_spike_t_ms: Optional[float] = None
-    fault_spike_n: float = 0.0
+    fault_spike_t_ms: Optional[float] = field(default=None, metadata=FINITE)
+    # N, added to the load cell's reading; a NaN or infinite reading is a
+    # fault to inject too
+    fault_spike_n: float = field(default=0.0, metadata=within(finite=False))
 
     def validate(self) -> None:
-        for name, low in (("n_strides", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
-                raise ConfigError(f"{name} must be an integer >= {low}, not "
-                                  f"{value!r}")
+        check_fields(ScenarioConfig, {f.name: getattr(self, f.name) for f in
+                                      fields(self) if f.metadata}, ConfigError)
         try:
             Activity(self.activity)
         except ValueError as exc:
@@ -202,38 +162,11 @@ class ScenarioConfig:
             ScenarioKind(self.scenario)
         except ValueError as exc:
             raise ConfigError(f"unknown scenario {self.scenario!r}") from exc
-        if not 0.0 < self.amp_fraction <= 0.5:
-            raise ConfigError("amp_fraction outside (0, 0.5]")
-        if not 0.0 < self.body_weight < math.inf:      # NaN fails it too
-            raise ConfigError("body_weight must be positive and finite")
-        if not (self.fault_spike_t_ms is None
-                or math.isfinite(self.fault_spike_t_ms)):
-            raise ConfigError("fault_spike_t_ms must be finite")
-        # An override group is a mapping. An override names a field of its
-        # dataclass that the scenario does not set itself, with a value of
-        # the field's type.
         for group, (owner, fixed) in OVERRIDE_GROUPS.items():
             overrides = getattr(self, group)
             if not isinstance(overrides, dict):
                 raise ConfigError(f"{group} overrides must be a mapping")
-            kinds = {f.name: f.type for f in fields(owner)}
-            for key, value in overrides.items():
-                if key in fixed:
-                    raise ConfigError(f"{group}.{key} is set from "
-                                      f"{fixed[key]}, not overridden")
-                if key not in kinds:
-                    raise ConfigError(f"{group}.{key} is not a field of "
-                                      f"{owner.__name__}")
-                what, fits = _OVERRIDE_TYPES[kinds[key]]
-                if not fits(value):
-                    raise ConfigError(f"{group}.{key} must be {what}, not "
-                                      f"{value!r}")
-                zero = _OVERRIDE_ZERO_ALLOWED.get(f"{group}.{key}")
-                if zero is not None and not (value >= 0 if zero else value > 0):
-                    raise ConfigError(
-                        f"{group}.{key} must "
-                        f"{'not be negative' if zero else 'be positive'}, "
-                        f"not {value!r}")
+            check_fields(owner, overrides, ConfigError, f"{group}.", fixed)
         peak = self.amp_fraction * self.body_weight
         ceiling = self.controller.get("force_ceiling",
                                       ControllerConfig.force_ceiling)

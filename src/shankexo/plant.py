@@ -64,15 +64,24 @@ motor-position reference). The envelope is the run's one: the controller
 clips its commands to it too. The clamps are bare comparisons that return
 what the `max`/`min` forms return, NaN included.
 
-Template validation reads the numbers of the parts that run on a template
-from the modules that own them: the detector thresholds and the IMU period
-from `gait_signals`, the initial profile and the update guard from `profile`.
+Settable values. Each numeric field of the configs a run may set
+(`PlantConfig`, `GaitTemplate`, and `controller.ControllerConfig` and
+`harness.ScenarioConfig`, which import this module) declares the values it
+admits once, as an `Interval` in its `dataclasses.field` metadata, beside
+its unit and the reason for the bound; `check_fields` reads them.
+
+Template validation. `build_template` checks each field alone
+(`check_fields`), then the fields together: the knot order, the shank
+span, the swing return window, and the numbers of the parts that run on a
+template, read from the modules that own them: the detector thresholds and
+the IMU period from `gait_signals`, the initial profile and the update
+guard from `profile`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -89,6 +98,93 @@ BLOCK_TICKS = 4000   # world ticks per block: four simulated seconds at 1 kHz
 
 class TemplateError(ValueError):
     """Template parameters violate the event-feature or landmark contracts."""
+
+
+# -- settable values ----------------------------------------------------------
+
+def _is_number(x) -> bool:
+    """A finite int or float, not a bool (JSON reads NaN and Infinity)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+# The value each annotation of a settable field takes, as a description and
+# a test; JSON gives a pair as a list.
+_VALUE_TYPES = {
+    "float": ("a finite number", _is_number),
+    "int": ("an integer", lambda x: _is_number(x) and isinstance(x, int)),
+    "Optional[float]": ("a finite number or None",
+                        lambda x: x is None or _is_number(x)),
+    "tuple[float, float]": ("a pair of finite numbers", lambda x: isinstance(
+        x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))),
+}
+
+# The value of a field whose Interval is not finite: NaN and the infinities
+# are floats.
+_ANY_NUMBER = ("a number", lambda x: _is_number(x) or isinstance(x, float))
+
+
+class Interval(NamedTuple):
+    """The values a numeric field admits, from low to high, each end
+    admitted when its flag is set. A count is an integer from low on, and
+    its type and its bound have one wording. A field that is not finite
+    admits any int or float, NaN and the infinities too."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    low_in: bool = False
+    high_in: bool = False
+    count: bool = False
+    finite: bool = True
+
+    def admits(self, x) -> bool:
+        return ((x >= self.low if self.low_in else x > self.low)
+                and (x <= self.high if self.high_in else x < self.high))
+
+    def rule(self) -> str:
+        """What a value must be, in the words of its error."""
+        if self.count:
+            return f"be an integer >= {self.low}"
+        if (self.low, self.high) == (0.0, math.inf):
+            return "not be negative" if self.low_in else "be positive"
+        return (f"be in {'(['[self.low_in]}{self.low:g}, "
+                f"{self.high:g}{')]'[self.high_in]}")
+
+
+def within(*args, **kwargs) -> dict:
+    """The `dataclasses.field` metadata that declares a field's Interval."""
+    return {"interval": Interval(*args, **kwargs)}
+
+
+FINITE = within()
+POSITIVE = within(0.0)
+NOT_NEGATIVE = within(0.0, low_in=True)
+
+
+def check_fields(owner, values: dict, error: type, prefix: str = "",
+                 fixed: Optional[dict] = None) -> None:
+    """Raise error for the first of values (field name -> value) that is
+    not a field of the dataclass owner, is one that fixed maps to what
+    sets it, is not of its field's type, or is outside the Interval its
+    field declares. The message names the field as prefix + name."""
+    declared = {f.name: f for f in fields(owner)}
+    for name, value in values.items():
+        if fixed and name in fixed:
+            raise error(f"{prefix}{name} is set from {fixed[name]}, not "
+                        "overridden")
+        if name not in declared:
+            raise error(f"{prefix}{name} is not a field of {owner.__name__}")
+        what, fits = _VALUE_TYPES[declared[name].type]
+        bound = declared[name].metadata.get("interval")
+        if bound and not bound.finite:
+            (what, fits), bound = _ANY_NUMBER, None
+        if not fits(value):
+            rule = bound.rule() if bound and bound.count else f"be {what}"
+        elif bound and value is not None and not bound.admits(value):
+            rule = bound.rule()
+        else:
+            continue
+        raise error(f"{prefix}{name} must {rule}, not {value!r}")
 
 
 class Activity(Enum):
@@ -122,20 +218,22 @@ class GaitTemplate:
     """
 
     activity: Activity
-    period: float               # s
-    stance_ratio: float
+    period: float = field(metadata=POSITIVE)         # s
+    stance_ratio: float = field(metadata=within(0.0, 1.0))
     theta_sk_span: tuple[float, float]
-    ft_peak: float              # deg, foot pitch at the contact extremum
-    g_max: float                # deg, mid-stance excess hump
-    g_rise_end: float           # u, end of the excess rise
-    g_fall_start: float         # u
-    g_fall_end: float           # u
-    u_plunge: float             # u, start of the terminal plunge
-    g_dip: float                # deg, excess floor before the plunge
-    g_plunge: float             # deg, excess gained across the plunge
-    swing_ease_s: float = 0.0015  # s, rate ease-out after foot-off
-    swing_hold: float = 0.30     # swing fraction held at the foot-off pose
-    torque_sharpness: float = 1.0
+    ft_peak: float = field(metadata=FINITE)      # deg, contact foot-pitch peak
+    g_max: float = field(metadata=POSITIVE)      # deg, mid-stance excess hump
+    g_rise_end: float = field(metadata=FINITE)   # u, end of the excess rise
+    g_fall_start: float = field(metadata=FINITE)  # u
+    g_fall_end: float = field(metadata=FINITE)   # u
+    u_plunge: float = field(metadata=FINITE)     # u, start of the plunge
+    g_dip: float = field(metadata=POSITIVE)      # deg, floor before the plunge
+    g_plunge: float = field(metadata=POSITIVE)   # deg, gained in the plunge
+    # s, rate ease-out after foot-off
+    swing_ease_s: float = field(default=0.0015, metadata=POSITIVE)
+    # swing fraction held at the foot-off pose
+    swing_hold: float = field(default=0.30, metadata=NOT_NEGATIVE)
+    torque_sharpness: float = field(default=1.0, metadata=POSITIVE)
     df_peak: tuple[float, float] = (0.0, 0.0)   # (value deg, phase-of-stance)
     landmarks: tuple[float, float, float] = (0.0, 0.0, 0.0)  # nominal fc/mdf/fo
 
@@ -307,21 +405,21 @@ ACTIVITY_DEFAULTS: dict[Activity, dict] = {
 }
 
 _SAMPLE_ATTENUATION = 0.85   # worst-case sampled plunge extremum vs true peak
-# GaitTemplate fields that build_template derives (`_finalize`)
-DERIVED_FIELDS = frozenset({"df_peak", "landmarks"})
+# The GaitTemplate fields that no override sets, each with what sets it:
+# build_template's activity, and the stance curves (`_finalize`).
+FIXED_FIELDS = {"activity": "activity",
+                **dict.fromkeys(("df_peak", "landmarks"), "the stance curves")}
 
 
 def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
     """Construct and validate the gait template for an activity."""
     act = Activity(activity) if not isinstance(activity, Activity) else activity
-    derived = DERIVED_FIELDS & overrides.keys()
-    if derived:
-        raise TemplateError(f"{', '.join(sorted(derived))}: derived from the "
-                            "stance curves, not overridden")
     params = dict(ACTIVITY_DEFAULTS[act])
     params.update(overrides)
+    check_fields(GaitTemplate, params, TemplateError, fixed=FIXED_FIELDS)
     params.setdefault("ft_peak", params["g_dip"] + params["g_plunge"] + 1.5)
     tmpl = GaitTemplate(activity=act, **params)
+    _validate_knots(tmpl)
     grid = _sample_stance(tmpl)
     tmpl = _finalize(tmpl, grid)
     _validate(tmpl, grid)
@@ -347,33 +445,26 @@ def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
                    landmarks=(tmpl.theta_sk_span[0], float(sk[i_pk]), float(sk[-1])))
 
 
-def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
-    if not 0.0 < tmpl.period < math.inf:       # NaN fails it too
-        raise TemplateError(f"period must be positive and finite, got "
-                            f"{tmpl.period!r}")
-    sk0, sk1 = tmpl.theta_sk_span
-    if not (0.0 < tmpl.stance_ratio < 1.0):
-        raise TemplateError("stance ratio outside (0, 1)")
-    for key in ("torque_sharpness", "swing_ease_s"):
-        value = getattr(tmpl, key)
-        if not 0.0 < value < math.inf:             # NaN fails it too
-            raise TemplateError(f"{key} must be positive and finite, got "
-                                f"{value!r}")
+def _validate_knots(tmpl: GaitTemplate) -> None:
+    """The checks across fields that need no curve, made before the
+    curves divide by the knot spans; `check_fields` has checked each
+    field alone."""
     # The swing ease and hold must leave a window for the return to the
     # contact pose (w_h < 1 in `_swing_curves`).
     w_e = tmpl.swing_ease_s / (tmpl.period * (1.0 - tmpl.stance_ratio))
-    if not (tmpl.swing_hold >= 0.0 and w_e + tmpl.swing_hold < 1.0):
-        raise TemplateError(f"swing_hold must be non-negative and leave a "
-                            f"return window after the {w_e:.4f} swing ease, "
-                            f"got {tmpl.swing_hold!r}")
+    if not w_e + tmpl.swing_hold < 1.0:
+        raise TemplateError(f"swing_hold must leave a return window after the "
+                            f"{w_e:.4f} swing ease, got {tmpl.swing_hold!r}")
+    sk0, sk1 = tmpl.theta_sk_span
     if not sk0 < sk1:
         raise TemplateError("shank span must increase across stance")
     if not (0.0 < tmpl.g_rise_end <= tmpl.g_fall_start < tmpl.g_fall_end
             <= tmpl.u_plunge < 1.0):
         raise TemplateError("excess-profile knots out of order")
-    if min(tmpl.g_max, tmpl.g_dip, tmpl.g_plunge) <= 0:
-        raise TemplateError("excess magnitudes must be positive")
 
+
+def _validate(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> None:
+    """The checks of the sampled stance curves."""
     t_st = tmpl.period * tmpl.stance_ratio
     us, sk, ft, dft, g0, g1 = grid
     df = sk - ft
@@ -507,12 +598,16 @@ class PlantConfig:
     plant values a run's config may override. The world around the cable
     (initial slack, suit migration, sway) is the module constants above."""
 
-    lever_arm_r: float = 50.0     # mm
-    k_all: float = 12.5           # N/mm
-    baseline_c: float = 300.0     # mm
-    v_max: float = 250.0          # mm/s motor envelope
-    motor_tau_s: float = 0.001    # velocity-loop lag
-    force_noise_sd: float = 0.2   # N, measurement only
+    # The run divides by the tendon model's values and the motor lag (zero
+    # raises in TendonModel or bind_cable), a zero envelope stalls the
+    # motor, and a negative value of any of them inverts the plant.
+    lever_arm_r: float = field(default=50.0, metadata=POSITIVE)    # mm
+    k_all: float = field(default=12.5, metadata=POSITIVE)          # N/mm
+    baseline_c: float = field(default=300.0, metadata=POSITIVE)    # mm
+    v_max: float = field(default=250.0, metadata=POSITIVE)   # mm/s envelope
+    motor_tau_s: float = field(default=0.001, metadata=POSITIVE)   # s, lag
+    # N, measurement only; a negative sd reads as no noise
+    force_noise_sd: float = field(default=0.2, metadata=NOT_NEGATIVE)
 
 
 @dataclass

@@ -27,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gait_signals import (RING_SAMPLES, STANCE_CAPACITY, EventDetector,
-                           GaitEvent, GaitEventKind, GaitPhase, StanceWindow)
+from .gait_signals import (NO_BACKFILL, OVERFLOW, RING_SAMPLES,
+                           STANCE_CAPACITY, EventDetector, GaitEvent,
+                           GaitEventKind, GaitPhase, StanceWindow)
 
 log = logging.getLogger(__name__)
 
@@ -278,14 +279,13 @@ class EstimationPath:
                           else GaitEventKind.FOOT_OFF, t_ms, int(gc_count) - 1)
         if mode:
             self._stance = self._recent[:, self._recent[0] >= t_ms]
-            # WindowAssembler warns for a stance that backfilled no sample
-            # as for one that dropped samples.
-            self._held = self._stance.shape[1] or math.inf
+            self._held = self._stance.shape[1]
+            if not self._held:
+                log.warning(NO_BACKFILL, t_ms)
             return at + 1, event
         stance, self._stance = self._stance, None
         if self._held > stance.shape[1] > 0:
-            log.warning("stance window exceeded %d samples; dropped the "
-                        "oldest", STANCE_CAPACITY)
+            log.warning(OVERFLOW, STANCE_CAPACITY)
         _, _, sk, df = stance[:, stance[0] <= t_ms]
         self.estimator.update_from_window(StanceWindow(sk.tolist(),
                                                        df.tolist()))

@@ -262,8 +262,7 @@ def path_outputs(events, windows, estimator, state, warnings):
     return ([(e.kind, e.t_ms.hex(), e.gc_index) for e in events],
             [(hexes(w.theta_sk_buf), hexes(w.theta_df_buf)) for w in windows],
             repr(estimator.params), repr(estimator.landmarks), hexes(state),
-            sum(r.getMessage().startswith("stance window exceeded")
-                for r in warnings))
+            [r.getMessage() for r in warnings])
 
 
 def per_sample_path(config, samples):
@@ -330,7 +329,7 @@ def block_path(config, samples, cuts):
 @example(stream=long_stances(298, peak_t_ms=math.inf), cuts=(21,))
 def test_block_path_equals_the_per_sample_path(stream, cuts):
     # The events, the stance windows the estimator was given, its params
-    # and landmarks, the detector's state and the capacity warnings.
+    # and landmarks, the detector's state and the stance warnings.
     config, samples = stream
     n = len(samples)
     cuts = range(1, n) if cuts == "each" else sorted(min(c, n) for c in cuts)
@@ -346,7 +345,8 @@ def test_long_stances_reach_the_stance_capacity(n_stance):
     assert len(events) == 4
     assert [len(sk) for sk, _ in windows] == [min(n_stance,
                                                   STANCE_CAPACITY)] * 2
-    assert warned == 2 * (n_stance > STANCE_CAPACITY)
+    assert warned == [f"stance window exceeded {STANCE_CAPACITY} samples; "
+                      "dropped the oldest"] * (2 * (n_stance > STANCE_CAPACITY))
 
 
 @pytest.mark.parametrize("hold, first", [(118, 20), (119, 21), (130, 32)])
@@ -363,10 +363,12 @@ def test_a_stance_backfills_from_its_ring(hold, first):
 def test_a_stance_with_no_backfill_warns():
     # The extremum's time is 10 s past the samples after it, and the ring
     # no longer holds it at confirmation: the stance backfills no sample,
-    # starts after the confirmation, and warns though it dropped nothing.
+    # starts after the confirmation, and warns that it backfilled none.
     events, windows, *_, warned = per_sample_path(*long_stances(
         298, hold=130, peak_t_ms=10200.0))
-    assert len(events) == 4 and warned == 1
+    assert len(events) == 4 and warned == [
+        "foot contact at t=10200.0 ms backfilled no sample from the ring; "
+        "its stance window starts after the confirmation"]
     assert float.fromhex(windows[0][0][0]) == 20 + 132
 
 

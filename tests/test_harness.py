@@ -3,9 +3,11 @@ import json
 import logging
 import math
 import os
+import re
 import signal
 import struct
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from shankexo.harness import (PEAK_MARGIN_N, ConfigError, ScenarioConfig,
                               run_scenario)
 from shankexo.metrics import (CONVERGENCE_SENTINEL, MetricsError,
                               MetricsReport, convergence_stride)
-from shankexo.plant import (BLOCK_TICKS, GaitWorld, PlantConfig, RampSpec,
-                            build_template)
+from shankexo.plant import (BLOCK_TICKS, GaitTemplate, GaitWorld, Interval,
+                            PlantConfig, RampSpec, build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
                               UPDATE_GAIN, EstimationPath, GaussianParams,
                               eval_force)
@@ -159,10 +161,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="moonwalk").validate()
 
-    @pytest.mark.parametrize("field", ["body_weight", "fault_spike_t_ms"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+    @pytest.mark.parametrize("value, field", [
+        *((v, f) for v in (math.nan, math.inf, -math.inf, True, "0.1")
+          for f in ("body_weight", "fault_spike_t_ms", "amp_fraction")),
+        # a load-cell fault may read NaN or inf, but is a number
+        (True, "fault_spike_n"), ("0.1", "fault_spike_n")])
+    def test_non_finite_input_rejected(self, value, field):
+        with pytest.raises(ConfigError,
+                           match=f"^{field} must be a (finite )?number"):
             ScenarioConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("group, key", [
@@ -210,7 +216,8 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("name, value, low", [
         ("seed", -1, 0), ("seed", 1.5, 0), ("seed", True, 0),
         ("seed", "1", 0), ("n_strides", 0, 1), ("n_strides", 2.5, 1),
-        ("n_strides", True, 1), ("n_strides", 3.0, 1)])
+        ("n_strides", True, 1), ("n_strides", 3.0, 1), ("seed", math.nan, 0),
+        ("n_strides", None, 1)])
     def test_count_that_is_not_an_integer_in_range_rejected(self, name,
                                                             value, low):
         with pytest.raises(ConfigError, match=(
@@ -231,6 +238,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("group, key", [
         ("controller", "map_b"), ("controller", "pretighten_rate"),
         ("controller", "pretighten_force"), ("controller", "load_cell_residual"),
+        ("controller", "position_limit_mm"),
         ("plant", "lever_arm_r"), ("plant", "k_all"), ("plant", "baseline_c"),
         ("plant", "motor_tau_s"), ("plant", "v_max")])
     @pytest.mark.parametrize("value", [0, -0.0, -1.0])
@@ -353,6 +361,73 @@ class TestScenarioConfig:
         assert rc == 2
         assert err.startswith("shankexo: error: ") and f"{group}.{key}" in err
         assert "is not a field of" in err and err.count("\n") == 1
+
+
+# Every settable numeric field, as (prefix of its name, field): the
+# scenario's own and each override group's.
+SETTABLE = [("", f) for f in fields(ScenarioConfig) if f.metadata] + [
+    (f"{group}.", f) for group, (owner, _) in harness.OVERRIDE_GROUPS.items()
+    for f in fields(owner) if f.metadata]
+
+
+def admitted(f, inside: bool):
+    """Values of field f's type inside the Interval it declares, or outside
+    it; None when every value of its type is inside."""
+    iv = f.metadata["interval"]
+    if f.type == "int":     # every int field is bounded below only
+        assert iv.high == math.inf and iv.low_in
+        return (hs.integers(min_value=iv.low) if inside
+                else hs.integers(max_value=iv.low - 1))
+    floats = partial(hs.floats, allow_nan=not iv.finite,
+                     allow_infinity=not iv.finite)
+    low = None if iv.low == -math.inf else iv.low
+    high = None if iv.high == math.inf else iv.high
+    if inside:
+        values = floats(low, high,
+                        exclude_min=low is not None and not iv.low_in,
+                        exclude_max=high is not None and not iv.high_in)
+        return (hs.one_of(hs.none(), values) if f.type == "Optional[float]"
+                else values)
+    outside = [*([floats(max_value=low, exclude_max=iv.low_in)]
+                 if low is not None else []),
+               *([floats(min_value=high, exclude_min=iv.high_in)]
+                 if high is not None else [])]
+    return hs.one_of(outside) if outside else None
+
+
+@pytest.mark.parametrize("owner", [ScenarioConfig, ControllerConfig,
+                                   PlantConfig, GaitTemplate])
+def test_every_numeric_field_declares_an_interval(owner):
+    numeric = [f for f in fields(owner) if f.type in ("int", "float",
+                                                      "Optional[float]")]
+    assert numeric and [f.name for f in numeric
+                        if not isinstance(f.metadata.get("interval"),
+                                          Interval)] == []
+
+
+@pytest.mark.parametrize("prefix, f", SETTABLE,
+                         ids=[p + f.name for p, f in SETTABLE])
+@settings(max_examples=20, deadline=None)
+@given(data=hs.data())
+def test_a_value_is_checked_against_its_declared_interval(prefix, f, data):
+    """Inside its interval a value passes validate, but for the peak
+    against the force ceiling, which amp_fraction, body_weight and
+    controller.force_ceiling reach; outside it, validate raises one error
+    that names the field."""
+    def validate(value):
+        group = prefix.rstrip(".")
+        (ScenarioConfig(**{group: {f.name: value}}) if group
+         else ScenarioConfig(**{f.name: value})).validate()
+
+    try:
+        validate(data.draw(admitted(f, inside=True)))
+    except ConfigError as exc:
+        assert str(exc).startswith("profile peak amp_fraction * body_weight")
+    outside = admitted(f, inside=False)
+    if outside is not None:
+        with pytest.raises(ConfigError, match=(
+                "^" + re.escape(f"{prefix}{f.name} must "))):
+            validate(data.draw(outside))
 
 
 @pytest.fixture(scope="module")
@@ -1008,6 +1083,11 @@ class TestCli:
          "controller.swing_target_force is not a field of ControllerConfig"),
         (["fit-stiffness", "{long_calibration}"],
          "calibration line 2: field larger than field limit (131072)"),
+        (["run", "--amp", "0.6"], "amp_fraction must be in (0, 0.5], not 0.6"),
+        (["run", "--config", "{zero_position_limit}"],
+         "controller.position_limit_mm must be positive, not 0"),
+        (["run", "--config", "{whole_stance}"],
+         "template.stance_ratio must be in (0, 1), not 1.0"),
     ], ids=["zero-strides", "bad-config", "missing-config",
             "missing-calibration", "calibration-header", "missing-stream",
             "stream-header", "stream-non-numeric-field", "stream-short-row",
@@ -1020,7 +1100,9 @@ class TestCli:
             "negative-seed", "negative-silent-cycles", "all-strides-silent",
             "steady-run-too-short",
             "config-constant-overridden",
-            "calibration-field-too-long"])
+            "calibration-field-too-long", "amp-out-of-range",
+            "config-position-limit-not-positive",
+            "config-stance-ratio-out-of-range"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv,
                                          message):
         stream_header = ("t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
@@ -1045,6 +1127,9 @@ class TestCli:
                  "all_silent": '{"controller": {"silent_cycles": 12}}',
                  "negative_swing_target":
                      '{"controller": {"swing_target_force": -1}}',
+                 "zero_position_limit":
+                     '{"controller": {"position_limit_mm": 0}}',
+                 "whole_stance": '{"template": {"stance_ratio": 1.0}}',
                  "long_calibration":
                      "force_n,deflection_mm\n1," + "1" * 131073 + "\n"}
         paths = {name: tmp_path / f"{name}.txt" for name in files}

@@ -118,6 +118,15 @@ def test_swing_and_torque_values_inside_the_bounds_build(key, value):
     assert getattr(build_template("lw", **{key: value}), key) == value
 
 
+@pytest.mark.filterwarnings("error")
+def test_knots_out_of_order_rejected_before_the_curves_divide():
+    # The excess rise divides by g_rise_end; sampled first, a rise ending
+    # at 0 also printed numpy's 0/0 warning, so the command's error was
+    # not one line.
+    with pytest.raises(TemplateError, match="knots out of order"):
+        build_template("lw", g_rise_end=0.0)
+
+
 @pytest.mark.parametrize("key", ["df_peak", "landmarks"])
 def test_derived_fields_cannot_be_overridden(key):
     # _finalize derives them, and used to overwrite an override silently.
