@@ -2,10 +2,11 @@
 
 `Controller.run` runs the ticks between two gait events, and with them
 the cable plant: the controller and the cable are the only closed loop.
-What the loop does not feed back is columns, computed once per block from
-the IMU kinematics: the shank and DF angles and rates, and the cable's
-zero-force length and load-cell noise (`GaitWorld.cable_columns`). The
-recurrence runs in one call per stretch to the loop kernel, `loop.c`,
+What the loop does not feed back is the world block's columns
+(`plant.WorldBlock.cols`), computed once per block: the IMU kinematics,
+of which it reads the shank and DF angles and rates, and the cable's
+zero-force length and load-cell noise. The kernel reads them in place.
+The recurrence runs in one call per stretch to the loop kernel, `loop.c`,
 which `kernel` builds with the system `cc` at import: the stride's
 dual-Gaussian profile at each tick's shank angle, its rate and the
 feedforward, the safety guard, the feedback filter, the PI, the overshoot
@@ -67,7 +68,7 @@ import numpy as np
 
 from . import kernel
 from .gait_signals import GaitEvent, GaitEventKind
-from .plant import FINITE, NOT_NEGATIVE, POSITIVE, Cable
+from .plant import FINITE, NOT_NEGATIVE, POSITIVE, Cable, Row
 from .profile import GaussianParams
 from .tendon import MIGRATION_TOLERANCE_MM, TendonModel, tendon_length
 
@@ -222,12 +223,13 @@ class Controller:
         """Run a stretch of ticks with no gait event inside: the controller
         and the cable, the only closed loop (see the module docstring).
 
-        cols is a (6, n) array of the ticks' open-loop inputs: the shank
-        and DF angles (deg) and rates (deg/s), the cable's zero-force
-        length (mm) and its load-cell noise (N) (`GaitWorld.cable_columns`).
-        The first tick reads the cable's state: the load cell's f_meas,
-        l_meas = l_cable, its rate -motor_v and the motor position
-        pos_ref - l_cable. Each tick computes the velocity command v (mm/s,
+        cols is a (9, n) array of the ticks' open-loop inputs, a world
+        block's rows (`plant.Row`), of which the loop reads the shank and
+        DF angles (deg) and rates (deg/s), the cable's zero-force length
+        (mm) and its load-cell noise (N); a view whose rows are each
+        contiguous float64 is read in place. The first tick reads the
+        cable's state: the load cell's f_meas, l_meas = l_cable, its rate
+        -motor_v and the motor position pos_ref - l_cable. Each tick computes the velocity command v (mm/s,
         positive retracts) and steps the cable (`plant.Cable`, whose v_max
         is the command envelope too) to the next tick's reading. Returns
         the log rows, one (n, 6) float64 array whose columns are (mode
@@ -240,8 +242,8 @@ class Controller:
         """
         st, cfg, tendon = self.state, self.cfg, self.tendon
         plant, dt, alpha, vm, stiffness, pos_ref = cable
-        if cols.ndim != 2 or len(cols) != 6:
-            raise ValueError(f"cols must be (6, n), not {cols.shape}")
+        if cols.ndim != 2 or len(cols) != len(Row):
+            raise ValueError(f"cols must be ({len(Row)}, n), not {cols.shape}")
         if cols.dtype != np.float64 or cols.strides[1] != 8 or (
                 cols.strides[0] % 8):
             cols = np.ascontiguousarray(cols, np.float64)
@@ -306,6 +308,7 @@ class Controller:
             else:
                 log.error("safety abort: non-finite input (f, l, rate, "
                           "pos)=%r (sk, df, sk rate, df rate)=%r",
-                          tuple(at_abort),
-                          tuple(cols[:4, int(abort_at)].tolist()))
+                          tuple(at_abort), tuple(cols[
+                              [Row.theta_sk, Row.theta_df, Row.theta_sk_rate,
+                               Row.theta_df_rate], int(abort_at)].tolist()))
         return rows

@@ -17,21 +17,23 @@ the estimation path never read cable state. So a run advances the world one
 block at a time (plant.BLOCK_TICKS ticks, `GaitWorld.advance_block`), whose
 clock is accumulated in bulk, and makes two passes over each block:
 
-1. Open loop: the estimation path over the columns of the block's IMU
-   ticks (every imu_every-th tick of the run while walking), one call a
-   gait event (`EstimationPath.run`). It records a schedule of (tick
-   offset, event, params adopted at foot contact). Foot contact n_strides
-   lowers the run's stop tick to its confirmation + 20 ticks, and no IMU
-   tick at or past the stop tick is fed. The fault spike, when its tick
+1. Open loop: the estimation path over the sample rows of the block's
+   columns (`plant.WorldBlock.cols`) at its IMU ticks (every imu_every-th
+   tick of the run while walking), taken in one copy, one call a gait
+   event (`EstimationPath.run`). It records a schedule of (tick offset,
+   event, params adopted at foot contact). Foot contact n_strides lowers
+   the run's stop tick to its confirmation + 20 ticks, and no IMU tick at
+   or past the stop tick is fed. The fault spike, when its tick
    (fault_spike_t_ms rounded to whole ms) is among the block's ticks up to
-   the stop tick, joins the schedule as an entry without an event.
+   the stop tick, joins the schedule as an entry without an event; a
+   spike that no block held logs one warning at the end of the run.
 2. Closed loop: the block's ticks up to the stop tick, one stretch between
-   schedule entries at a time (`Controller.run`, over the block's open-loop
-   columns). Each entry is applied before its tick's command: an event
-   reaches `Controller.on_event`, and the spike adds fault_spike_n to the
-   load cell's reading in the cable's state (`PlantState.f_meas`), which
-   that tick's command sees until the tick's cable step takes the next
-   reading.
+   schedule entries at a time (`Controller.run`, which reads a view of the
+   block's columns in place). Each entry is applied before its tick's
+   command: an event reaches `Controller.on_event`, and the spike adds
+   fault_spike_n to the load cell's reading in the cable's state
+   (`PlantState.f_meas`), which that tick's command sees until the tick's
+   cable step takes the next reading.
 
 The block may run past the end of the run; the extra ticks are never
 logged. If the tick bound comes before foot contact n_strides, the run
@@ -59,6 +61,7 @@ The aggregates come at the end (`metrics._build_report`), and
 
 from __future__ import annotations
 
+import logging
 from bisect import insort
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -70,28 +73,27 @@ import numpy as np
 from .artifacts import LOG_COLUMNS, Artifacts, write_artifacts
 from .controller import Controller, ControllerConfig
 from .gait_signals import (IMU_PERIOD_MS, GaitEvent, GaitEventKind,
-                           KinematicSample, SignalLossError)
+                           SignalLossError)
 from .metrics import (AGGREGATION_STRIDES, MetricsReport, _build_report,
                       _StrideReport)
 from .plant import (BLOCK_TICKS, FINITE, FIXED_FIELDS, POSITIVE, Activity,
                     GaitTemplate, GaitWorld, PerturbationKind,
-                    PerturbationSpec, PlantConfig, RampSpec, bind_cable,
-                    build_template, check_fields, within)
+                    PerturbationSpec, PlantConfig, RampSpec, Row,
+                    bind_cable, build_template, check_fields, within)
 from .profile import EstimationPath, GaussianParams
+
+logger = logging.getLogger(__name__)
 
 # Log columns the closed loop makes, in the order of the columns of the
 # rows Controller.run returns, and those copied from the world block,
-# in the order run_scenario copies them.
+# in the order _run copies them: the log's clock, the angle rows
+# (`plant.Row`) and the clock columns.
 _STRIDE = LOG_COLUMNS.index("stride")
 _LOOP_COLUMNS = [LOG_COLUMNS.index(c) for c in (
     "mode", "f_des_n", "f_meas_n", "f_truth_n", "l_cable_mm", "v_cmd_mm_s")]
 _BLOCK_COLUMNS = [LOG_COLUMNS.index(c) for c in (
-    "t_ms", "theta_sk_deg", "theta_ft_deg", "theta_df_deg", "belt_scale",
+    "t_ms", "theta_ft_deg", "theta_sk_deg", "theta_df_deg", "belt_scale",
     "perturb_kind", "bio")]
-# The columns of a world block's frames that Controller.run reads, in the
-# order of a tick's values.
-_TICK_FRAMES = [KinematicSample._fields[1:].index(c) for c in (
-    "theta_sk", "theta_df", "theta_sk_rate", "theta_df_rate")]
 
 # Template periods a stride may last: the allowance of the run's tick bound
 # and of the log buffer.
@@ -268,8 +270,7 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         schedule = []
         imu = np.arange(-(n_log + 1) % imu_every, n, imu_every)
         imu = imu[block.walking[imu]]
-        samples = np.empty((7, len(imu)))   # C order, or run copies it
-        samples[0], samples[1:] = block.t_sample[imu], block.frames[imu].T
+        samples = block.cols[:Row.free_length].take(imu, axis=1)   # C order
         at, limit = 0, int(np.searchsorted(imu, stop - n_log))
         while (hit := estimation.run(samples, at, limit)) is not None:
             at, ev = hit
@@ -291,17 +292,16 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             hit = np.flatnonzero(block.t_ms[:m] == spike_tick)
             if len(hit):
                 insort(schedule, (int(hit[0]), None, None), key=itemgetter(0))
+                spike_tick = None
 
         # Closed loop: the block's ticks up to `stop`.
         if held + m > len(log):
             log = np.concatenate((log[:held], np.empty((held + m, width))))
         part = log[held:held + m]
-        rows = []                 # each stretch's (n, 6) loop rows
-        cols = np.concatenate((block.frames[:m, _TICK_FRAMES].T,
-                               world.cable_columns(block, m)))
         done = 0
         for at, ev, params in [*schedule, (m, None, None)]:
-            rows.append(ctrl.run(cols[:, done:at], cable))
+            part[done:at, _LOOP_COLUMNS] = ctrl.run(block.cols[:, done:at],
+                                                    cable)
             part[done:at, _STRIDE] = current_stride
             done = at
             if ev is not None:
@@ -311,11 +311,9 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
             elif at < m:              # the spike; the entry at m ends the block
                 world.state.f_meas += cfg.fault_spike_n
         # The block's own columns, cut to the ticks the loop ran.
-        part[:, _LOOP_COLUMNS] = np.concatenate(rows)
-        ft, sk, df = block.frames[:, :3].T
         for c, values in zip(_BLOCK_COLUMNS, (
-                block.t_ms, sk, ft, df, block.scale, block.perturb_kind,
-                block.bio)):
+                block.t_ms, *block.cols[Row.theta_ft:Row.theta_ft_rate],
+                block.scale, block.perturb_kind, block.bio)):
             part[:, c] = values[:m]
         n_log += m
         held += m
@@ -325,6 +323,9 @@ def _run(cfg: ScenarioConfig, artifacts: Optional[Artifacts]) -> MetricsReport:
         keep = strides.report(log[:held], contacts, foot_offs, adopted)
         log[:held - keep] = log[keep:held]
         held -= keep
+    if spike_tick is not None:
+        logger.warning("fault_spike_t_ms = %g misses the run's ticks, which "
+                       "end at %d ms", cfg.fault_spike_t_ms, block.t_ms[m - 1])
     if current_stride < cfg.n_strides:
         raise SignalLossError(
             f"tick bound of {bound} reached with {len(adopted)} foot contacts "

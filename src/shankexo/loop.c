@@ -25,6 +25,14 @@
    (Py_MATH_PI / 180.0). */
 static const double rad = 3.14159265358979323846 / 180.0;
 
+/* The rows of a world block's columns, `shankexo.plant.Row`, each
+   contiguous and `stride` doubles after the one before: the time and the
+   channels of gait_signals.KinematicSample, in their order, which are the
+   replay stream's (7, n) sample columns, then the cable's zero-force
+   length and load-cell noise. */
+enum { ROW_T, ROW_FT, ROW_SK, ROW_DF, ROW_FT_RATE, ROW_SK_RATE, ROW_DF_RATE,
+       ROW_L_FREE, ROW_NOISE };
+
 /* The tiers of the loop body, in the order of controller._STANCE to
    controller._IDLE. */
 enum { STANCE, PI, PROBE, ABORT, PRETIGHTEN, IDLE };
@@ -85,18 +93,20 @@ static double profile(const struct profile *p, double theta,
     return f;
 }
 
-/* Runs n ticks. cols holds the (6, n) open-loop columns (shank and DF
-   angles and rates, the cable's zero-force length, the load-cell noise),
-   `stride` doubles apart, each contiguous. Outside a stance with params
-   the profile's support is empty, so each tick's f_des is 0.0. rows
-   receives the (n, 6) log rows: mode code, f_des, f_meas, f_truth,
-   l_meas, v. */
+/* Runs n ticks over the ROW_* columns cols of a world block, of which it
+   reads the shank and DF angles and rates, the cable's zero-force length
+   and the load-cell noise. Outside a stance with params the profile's
+   support is empty, so each tick's f_des is 0.0. rows receives the (n, 6)
+   log rows: mode code, f_des, f_meas, f_truth, l_meas, v. */
 void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
                    double *rows, double *s)
 {
-    const double *sk_col = cols, *df_col = cols + stride,
-                 *sk_rate = cols + 2 * stride, *df_rate = cols + 3 * stride,
-                 *l_free = cols + 4 * stride, *noise = cols + 5 * stride;
+    const double *sk_col = cols + ROW_SK * stride,
+                 *df_col = cols + ROW_DF * stride,
+                 *sk_rate = cols + ROW_SK_RATE * stride,
+                 *df_rate = cols + ROW_DF_RATE * stride,
+                 *l_free = cols + ROW_L_FREE * stride,
+                 *noise = cols + ROW_NOISE * stride;
     const struct profile p = {s[AMP], s[MU], s[SIGMA1], s[SIGMA2],
                               s[THETA_FC], s[THETA_FO]};
     const double r = s[R], k_all = s[K_ALL], kp = s[KP], ki = s[KI],
@@ -313,16 +323,16 @@ enum {
 const ptrdiff_t shankexo_detector_layout[] = {MODE, DETECTOR_SLOTS};
 
 /* EventDetector.update, line for line, with its config and state in d,
-   over samples start to limit - 1 of the (7, n) sample columns cols (the
-   time, then the channels of gait_signals.KinematicSample, `stride`
-   doubles apart, each contiguous). Returns the index of the first sample
-   that confirms an event, or limit. The event is the new mode's (foot
-   contact on entering stance), at EXT_T, of gait cycle GC_COUNT - 1. */
+   over samples start to limit - 1 of the ROW_* sample columns cols, of
+   which it reads the time, the foot pitch and its rate. Returns the index
+   of the first sample that confirms an event, or limit. The event is the
+   new mode's (foot contact on entering stance), at EXT_T, of gait cycle
+   GC_COUNT - 1. */
 ptrdiff_t shankexo_detect(double *d, ptrdiff_t start, ptrdiff_t limit,
                           const double *cols, ptrdiff_t stride)
 {
-    const double *t_col = cols, *ft = cols + stride,
-                 *ft_rate = cols + 4 * stride;
+    const double *t_col = cols + ROW_T * stride, *ft = cols + ROW_FT * stride,
+                 *ft_rate = cols + ROW_FT_RATE * stride;
     const double delta_ang = d[DELTA_ANG], delta_vel = d[DELTA_VEL],
                  refractory_ms = d[REFRACTORY_MS],
                  fo_gate_fraction = d[FO_GATE_FRACTION],
@@ -412,9 +422,9 @@ ptrdiff_t shankexo_detect(double *d, ptrdiff_t start, ptrdiff_t limit,
    adopted profile (the fields of profile.GaussianParams, in their order);
    the last clean stride's duration, 0.0 before the first, which with the
    curve CLEAN is the time-based comparator's state; and the report: the
-   four searchsorted cuts, the stride's perturbation kind and peak f_des,
-   its RMSE and stance correlations, each with a flag that it is defined,
-   and its swing's peak f_meas. */
+   stride's perturbation kind and peak f_des, its RMSE and stance
+   correlations, each with a flag that it is defined, and its swing's peak
+   f_meas. */
 enum {
     /* the log */
     WIDTH, COL_T, COL_SK, COL_F_DES, COL_F_MEAS, COL_KIND, COL_BIO,
@@ -423,8 +433,8 @@ enum {
     /* state */
     CLEAN_DURATION = PARAMS + 6,
     /* the report */
-    CUT_FC, CUT_FO, CUT_SWING, CUT_NEXT, KIND, PEAK, RMSE, R_SHANK, R_TIME,
-    SWING_MAX, HAS_RMSE, HAS_R_SHANK, HAS_R_TIME,
+    KIND, PEAK, RMSE, R_SHANK, R_TIME, SWING_MAX, HAS_RMSE, HAS_R_SHANK,
+    HAS_R_TIME,
     REPORT_SLOTS
 };
 
@@ -435,7 +445,7 @@ enum { CLEAN, DES_G, BIO_G, TIME_G };
 
 /* Where v holds the stride, the state and the report, its length and the
    grid's points: the layout `shankexo.kernel` reads. */
-const ptrdiff_t shankexo_report_layout[] = {FC_MS, CLEAN_DURATION, CUT_FC,
+const ptrdiff_t shankexo_report_layout[] = {FC_MS, CLEAN_DURATION, KIND,
                                             REPORT_SLOTS, GRID};
 
 /* Point k of the grid from t0 to t1 by np.linspace's formula for a float
@@ -723,10 +733,6 @@ void shankexo_report(ptrdiff_t n, const double *log, double *v,
                                          : r[c_mea];
     }
 
-    v[CUT_FC] = (double)i0;
-    v[CUT_FO] = (double)i1;
-    v[CUT_SWING] = (double)i_swing;
-    v[CUT_NEXT] = (double)i2;
     v[KIND] = kind;
     v[PEAK] = peak;
     v[SWING_MAX] = swing_max;

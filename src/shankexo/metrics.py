@@ -128,9 +128,8 @@ class _StrideReport:
                 fc.t_ms, fo.t_ms, nxt.t_ms, p.amp, p.mu, p.sigma1, p.sigma2,
                 p.theta_fc, p.theta_fo)
             kernel.report(len(log), log.ctypes.data, *self._at)
-            # the report past its four cuts
             (kind, _, rmse, r_sk, r_tm, swing_max, has_rmse, has_r_sk,
-             has_r_tm) = v[kernel.REPORT_OUT + 4:].tolist()
+             has_r_tm) = v[kernel.REPORT_OUT:].tolist()
             self.per_stride.append(StrideMetrics(
                 stride=n, t_fc_ms=fc.t_ms,
                 stance_ratio=(fo.t_ms - fc.t_ms) / (nxt.t_ms - fc.t_ms),

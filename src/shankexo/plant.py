@@ -25,15 +25,17 @@ open window's multiplier and accumulates the phase increment, up to the
 first wrap, pending onset or window close. Scalar code runs once per such
 event: the wrap's stride and migration, and the onset that opens a window.
 numpy then evaluates the gait curves and the biological torque of the
-whole block, and the block hands them over as columns only. This is the
-world's only path: `advance(dt)` is the sample of a block of one tick,
-built from its columns. Nothing in the world reads cable state, so a
-block may run ahead of the closed loop; the world's scalar attributes
-(`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
-hold end-of-block values. The block's columns
-(`WorldBlock`) carry each tick's own values of what the closed loop reads;
-a tick's phase and stride are the scalar attributes of a world advanced
-one tick at a time.
+whole block, and the block hands them over as columns only: the clock
+columns the log reads, and one (9, n) array, `WorldBlock.cols`, whose rows
+(`Row`) are the replay stream's sample columns, then the cable's open-loop
+columns. This is the world's only path: `advance(dt)` is the sample of a
+block of one tick, its first seven rows. Nothing in the world reads cable
+state, so a block may run ahead of the closed loop; the world's scalar
+attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
+`state.migration`) then hold end-of-block values. The block's columns
+carry each tick's own values of what the closed loop reads; a tick's
+phase and stride are the scalar attributes of a world advanced one tick
+at a time.
 
 Bit-equality. Each curve is written once, over arrays. Its scalar form, one
 value at a time in plain Python, is kept in the tests
@@ -52,11 +54,11 @@ np.rint(x * 1e6) / 1e6 and leaves to `round` only at the exact ties of
 x * 1e6 and where |x * 1e6| >= 2**52.
 
 Cable. Only the cable's velocity state and length form a loop with the
-controller, so the plant splits in two. The open-loop part is columns
-(`GaitWorld.cable_columns`): the zero-force length r * radians(df) + c -
-migration of each tick (`free_length`) and the load-cell noise, drawn from
-the world's Generator a block at a time; n draws equal n scalar
-`standard_normal()` draws, so every column of a world reads one stream.
+controller, so the plant splits in two. The open-loop part is the block's
+last two rows: the zero-force length r * radians(df) + c - migration of
+each tick (`free_length`) and the load-cell noise, drawn from the world's
+Generator a block at a time; n draws equal n scalar `standard_normal()`
+draws, so every block of a world reads one stream.
 The loop part is a few lines that live once, in `Controller.run`'s loop
 body, over the constants `bind_cable` returns (`Cable`: the motor lag
 alpha = 1 - exp(-dt / motor_tau_s), the envelope, the stiffness, the
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -643,8 +645,8 @@ def bind_cable(state: PlantState, tendon_truth: TendonModel,
     clamps the command to the envelope, lags the motor velocity by alpha,
     shortens the cable by motor_v * dt, and reads the force
     k_all * (l_free - l_cable) clipped at 0, plus the load-cell noise
-    clipped at 0. l_free and the noise are the open-loop columns of
-    `GaitWorld.cable_columns`. The clamps are the comparisons
+    clipped at 0. l_free and the noise are the cable's rows of a world
+    block (`Row`). The clamps are the comparisons
     max(lo, min(hi, x)) performs, so a NaN command drives at +v_max, and
     a NaN force reads 0."""
     return Cable(state, dt, 1.0 - math.exp(-dt / config.motor_tau_s),
@@ -697,22 +699,32 @@ def _positive_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt!r}")
 
 
+# The rows of a world block's columns (`WorldBlock.cols`): the replay
+# stream's sample columns (the time, then KinematicSample's channels, in
+# their order), then the cable's open-loop columns, its zero-force length
+# (`free_length`) and its load-cell noise. loop.c's ROW_* enum declares the
+# same rows.
+Row = IntEnum("Row", [*KinematicSample._fields, "free_length", "noise"],
+              start=0)
+
+
 class WorldBlock(NamedTuple):
     """Per-tick columns of one block of world ticks: what the estimation
-    pass, the closed loop and the log read. A tick's KinematicSample is its
-    `t_sample` and its `frames` row; the estimation pass reads its IMU
-    ticks' columns. A block of one tick is the same columns of
-    length one: `GaitWorld.advance` returns its sample. The clock columns
-    are accumulated in bulk (see "Blocks" in the module docstring)."""
+    pass, the closed loop and the log read. `cols` is one C-order (9, n)
+    float64 array whose rows are `Row`: a tick's KinematicSample is its
+    first seven rows, which the estimation pass reads at its IMU ticks,
+    and the closed loop reads views of it in place. A block of one tick is
+    the same columns of length one: `GaitWorld.advance` returns its
+    sample. The clock columns are accumulated in bulk (see "Blocks" in the
+    module docstring)."""
 
     t_ms: np.ndarray          # tick time rounded to whole ms (the log's clock)
-    t_sample: np.ndarray      # tick time rounded to 1e-6 ms (the sample's)
     walking: np.ndarray       # bool, False while standing
     scale: np.ndarray         # phase-rate multiplier of ramps and perturbations
     migration: np.ndarray     # mm
     perturb_kind: np.ndarray  # 0 none, 1 forward, 2 backward perturbation window
     bio: np.ndarray           # normalized biological torque, 0 while standing
-    frames: np.ndarray        # (n, 6) floats: a sample's values after t_ms
+    cols: np.ndarray          # (9, n) floats, one row per Row
 
 
 class _Clock(NamedTuple):
@@ -737,9 +749,9 @@ class GaitWorld:
     Drives a standing segment first (all angles zero) so the controller can
     pretighten, then runs the gait from swing onset. Stride count follows
     the phase wrap; suit migration steps once per stride. The open-loop
-    part advances in blocks (`advance_block`, with the cable's columns
-    from `cable_columns`); the closed loop steps the cable one tick at a
-    time over the constants `cable` binds.
+    part advances in blocks (`advance_block`), the cable's open-loop
+    columns included; the closed loop steps the cable one tick at a time
+    over the constants `bind_cable` binds.
     """
 
     def __init__(self, tmpl: GaitTemplate, config: PlantConfig, seed: int = 0,
@@ -767,33 +779,44 @@ class GaitWorld:
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
         time: the sample of the block of one tick."""
-        block = self.advance_block(dt, 1)
-        return KinematicSample(block.t_sample.item(), *block.frames[0].tolist())
+        return KinematicSample(
+            *self.advance_block(dt, 1).cols[:Row.free_length, 0].tolist())
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
-        """Advance n ticks of dt and return each tick's world values."""
+        """Advance n ticks of dt and return each tick's world values. The
+        cable's rows are the zero-force length (`free_length`) at each
+        tick's DF angle and migration, and the load-cell noise
+        force_noise_sd * z, whose draws z are the next n of the world's one
+        stream, the values of n scalar rng.standard_normal() draws;
+        noiseless readings (force_noise_sd not above 0) draw none and read
+        zeros."""
         _positive_dt(dt)
         if n <= 0:
             raise ValueError(f"n must be positive, got {n!r}")
         tmpl = self.tmpl
         clock = self._clock(dt, n)
         # Walking never stops once started: ticks w0.. walk, the rest stand
-        # with every angle and rate zero. frames holds the six
-        # KinematicSample channels after t_ms, one row per tick.
+        # with every angle and rate zero.
         w0 = _first(clock.walking)
-        frames = np.zeros((n, 6))
+        cols = np.zeros((len(Row), n))
+        t_ms, cols[Row.t_ms] = _sample_clock(clock.t_s)
         bio = np.zeros(n)
         if w0 < n:
             walk_phase = clock.phase[w0:]
-            frames.T[:, w0:] = gen_frames(tmpl, walk_phase, clock.scale[w0:])
+            cols[Row.theta_ft:Row.free_length, w0:] = gen_frames(
+                tmpl, walk_phase, clock.scale[w0:])
             bio[w0:] = biological_torques(tmpl, walk_phase)
         if clock.sway:
             at, sway, sway_rate = clock.sway
-            frames[at, 1:3] += sway[:, None]        # theta_sk, theta_df
-            frames[at, 4:6] += sway_rate[:, None]   # and their rates
-        return WorldBlock(*_sample_clock(clock.t_s), clock.walking,
-                          clock.scale, clock.migration, clock.perturb_kind,
-                          bio, frames)
+            cols[Row.theta_sk:Row.theta_df + 1, at] += sway
+            cols[Row.theta_sk_rate:Row.theta_df_rate + 1, at] += sway_rate
+        cols[Row.free_length] = free_length(
+            self.truth_tendon, cols[Row.theta_df], clock.migration)
+        sd = self.config.force_noise_sd
+        if sd > 0.0:
+            cols[Row.noise] = sd * self.rng.standard_normal(n)
+        return WorldBlock(t_ms, clock.walking, clock.scale, clock.migration,
+                          clock.perturb_kind, bio, cols)
 
     def _clock(self, dt: float, n: int) -> _Clock:
         """The clock columns of the next n ticks of dt. Time is one
@@ -893,18 +916,3 @@ class GaitWorld:
         steps[0] = x
         clip = np.minimum if x < target else np.maximum
         return clip(np.add.accumulate(steps)[1:], target)
-
-    def cable_columns(self, block: WorldBlock, m: int) -> np.ndarray:
-        """The cable's open-loop columns over the block's first m ticks, a
-        (2, m) array: the zero-force length (`free_length`) at each tick's
-        DF angle and migration, and the load-cell noise force_noise_sd * z.
-        The draws z are the next m of the world's one stream, the values of
-        m scalar rng.standard_normal() draws; noiseless readings
-        (force_noise_sd not above 0) draw none and read zeros."""
-        cols = np.zeros((2, m))
-        cols[0] = free_length(self.truth_tendon, block.frames[:m, 2],
-                              block.migration[:m])
-        sd = self.config.force_noise_sd
-        if sd > 0.0:
-            cols[1] = sd * self.rng.standard_normal(m)
-        return cols

@@ -61,7 +61,8 @@ from shankexo.metrics import MetricsError, StrideMetrics
 from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
                             GaitWorld, PerturbationKind, PerturbationSpec,
-                            PlantConfig, PlantState, _ds3, _s3, bind_cable)
+                            PlantConfig, PlantState, Row, _ds3, _s3,
+                            bind_cable)
 from shankexo.profile import GaussianParams, eval_force, eval_force_and_rate
 from shankexo.tendon import TendonModel, estimate_migration, tendon_length
 
@@ -709,10 +710,20 @@ def loop_cable(state: PlantState, tendon_truth: TendonModel,
     def step(cmd_v: float, l_free: float, noise: float = 0.0) -> tuple:
         ctrl.cfg.pretighten_rate = cmd_v
         ctrl.state.aborted = False
-        row = ctrl.run(np.array([[0.0]] * 4 + [[l_free], [noise]]),
+        row = ctrl.run(block_cols(free_length=l_free, noise=noise),
                        cable)[0].tolist()
         return (row[3], *cable_reading(cable), row[5])
     return step
+
+
+def block_cols(**rows) -> np.ndarray:
+    """The (9, 1) columns (`plant.Row`) of one world-block tick whose named
+    rows hold the given values, every other row 0.0: the open-loop inputs
+    `Controller.run` takes."""
+    cols = np.zeros((len(Row), 1))
+    for name, values in rows.items():
+        cols[Row[name]] = values
+    return cols
 
 
 def cable_reading(cable: Cable) -> tuple:
@@ -739,8 +750,9 @@ def tick_row(ctrl: Controller, theta_sk: float, theta_df: float,
     the sum is exact. The cable has no stiffness, its motor does not move,
     and nothing reads it. Not a reference: it shows tests a tick's command
     and logged desired force."""
-    return ctrl.run(np.array([[theta_sk], [theta_df], [theta_sk_rate],
-                              [theta_df_rate], [0.0], [0.0]]),
+    return ctrl.run(block_cols(theta_sk=theta_sk, theta_df=theta_df,
+                               theta_sk_rate=theta_sk_rate,
+                               theta_df_rate=theta_df_rate),
                     Cable(PlantState(l_meas, -l_meas_rate, f_meas), dt, 0.0,
                           v_max, 0.0, l_meas + motor_pos))[0].tolist()
 

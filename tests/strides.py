@@ -14,7 +14,7 @@ from shankexo.gait_signals import GaitEvent, GaitEventKind
 from shankexo.profile import GaussianParams
 
 PARAMS = GaussianParams(100.0, 10.0, 8.0, 5.0, -20.0, 25.0)
-# The report's slots past its four cuts, in loop.c's order
+# The report's slots, in loop.c's order
 OUT = ("kind", "peak", "rmse", "r_shank", "r_time", "swing_max", "has_rmse",
        "has_r_shank", "has_r_time")
 # The rows of its curves
@@ -55,8 +55,8 @@ def report_stride(log, fc, fo, nxt, params=PARAMS, clean=None,
 
 
 def out(rep: metrics._StrideReport) -> dict:
-    """The report's slots past its four cuts, by name."""
-    return dict(zip(OUT, rep.v[kernel.REPORT_OUT + 4:].tolist()))
+    """The report's slots, by name."""
+    return dict(zip(OUT, rep.v[kernel.REPORT_OUT:].tolist()))
 
 
 def stance_report(des, bio, mea=None, params=PARAMS):

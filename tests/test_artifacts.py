@@ -3,6 +3,7 @@ and the block CSV printer against the one-row-at-a-time `%` format."""
 
 import csv
 import hashlib
+import logging
 import math
 import sys
 import tempfile
@@ -185,13 +186,31 @@ GOLDEN = {
 }
 
 
+class Warnings(logging.Handler):
+    """The messages of the warnings a logger passes on."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
 @pytest.fixture(scope="module")
 def golden_runs(tmp_path_factory):
+    """Each golden config's report, output directory and the warnings the
+    harness logged."""
     runs = {}
     for name, (cfg, _, _) in GOLDEN.items():
         out = tmp_path_factory.mktemp(name)
-        report = run_scenario(ScenarioConfig(output_dir=str(out), **cfg))
-        runs[name] = report, out
+        warnings = Warnings()
+        harness.logger.addHandler(warnings)
+        try:
+            report = run_scenario(ScenarioConfig(output_dir=str(out), **cfg))
+        finally:
+            harness.logger.removeHandler(warnings)
+        runs[name] = report, out, warnings.lines
     return runs
 
 
@@ -201,10 +220,18 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(golden_runs, name):
-    _, out = golden_runs[name]
+    _, out, _ = golden_runs[name]
     _, csv_digest, summary_digest = GOLDEN[name]
     assert _sha256(out / "timeseries.csv") == csv_digest
     assert _sha256(out / "summary.json") == summary_digest
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (cfg, _, _) in GOLDEN.items() if "fault_spike_t_ms" in cfg))
+def test_golden_spikes_reach_the_load_cell(golden_runs, name):
+    # Each golden spike falls on a tick of its run, so none warns that it
+    # never reached the load cell.
+    assert golden_runs[name][2] == []
 
 
 @pytest.mark.parametrize("block_ticks", [7, 997, 1000, 1003, 4001])
@@ -346,7 +373,7 @@ def _read_csv(out):
 
 
 def test_swing_max_force_is_csv_max_over_swing(golden_runs):
-    report, out = golden_runs["perturb"]
+    report, out, _ = golden_runs["perturb"]
     t, f_meas, _ = _read_csv(out)
     checked = 0
     for s, nxt in zip(report.per_stride, report.per_stride[1:]):
@@ -360,7 +387,7 @@ def test_swing_max_force_is_csv_max_over_swing(golden_runs):
 
 
 def test_perturbed_column_marks_exactly_the_perturbed_strides(golden_runs):
-    report, out = golden_runs["perturb"]
+    report, out, _ = golden_runs["perturb"]
     t, _, perturbed = _read_csv(out)
     t_fc = np.array([s.t_fc_ms for s in report.per_stride])
     assert set(np.unique(perturbed)) == {0, 1}

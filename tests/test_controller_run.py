@@ -34,7 +34,7 @@ from hypothesis import example, given, settings, strategies as hs
 from shankexo import controller
 from shankexo.controller import ControlMode, Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
-from shankexo.plant import (INITIAL_SLACK_MM, PlantConfig, PlantState,
+from shankexo.plant import (INITIAL_SLACK_MM, PlantConfig, PlantState, Row,
                             bind_cable)
 from shankexo.profile import GaussianParams
 from shankexo.tendon import TendonModel
@@ -94,6 +94,11 @@ def tick(sk, l_free, df=5.0, sk_rate=60.0, df_rate=40.0, z=0.5):
     """One tick's open-loop inputs: the angles and rates, the cable's
     zero-force length and the load-cell noise draw."""
     return (sk, df, sk_rate, df_rate, l_free, z)
+
+
+# The world-block rows (`plant.Row`) of a tick's inputs, in their order.
+TICK_ROWS = [Row.theta_sk, Row.theta_df, Row.theta_sk_rate, Row.theta_df_rate,
+             Row.free_length, Row.noise]
 
 
 @hs.composite
@@ -249,15 +254,18 @@ def run_script(ctrl, script, loop, plant_cfg, start, noisy, cuts=()):
 
 def new_loop(ctrl, stretch, plant, plant_cfg, noisy, log_row,
              layout=lambda cols: cols):
-    """`Controller.run` over the stretch's columns, as layout lays them
-    out; the noise column is force_noise_sd times the draws when the
-    reading is noisy, else 0. The stretch's (n, 6) float64 rows reach
-    log_row one tick at a time, as the reference logs them: the mode code,
-    a whole number, as an int. Returns the reading the cable's state gives
-    after the stretch."""
-    cols = np.array(stretch, dtype=float).reshape(-1, 6).T
+    """`Controller.run` over the stretch's world-block columns, as layout
+    lays them out; the noise row is force_noise_sd times the draws when the
+    reading is noisy, else 0, and the rows the loop does not read (the
+    time and the foot pitch and its rate) are NaN. The stretch's (n, 6)
+    float64 rows reach log_row one tick at a time, as the reference logs
+    them: the mode code, a whole number, as an int. Returns the reading
+    the cable's state gives after the stretch."""
+    cols = np.full((len(Row), len(stretch)), math.nan)
+    cols[TICK_ROWS] = np.array(stretch, dtype=float).reshape(-1, 6).T
     sd = plant_cfg.force_noise_sd
-    cols[5] = sd * cols[5] if noisy and sd > 0.0 else 0.0
+    cols[Row.noise] = (sd * cols[Row.noise] if noisy and sd > 0.0
+                       else 0.0)
     cable = bind_cable(plant, TRUTH, plant_cfg, DT)
     rows = ctrl.run(layout(cols), cable)
     assert rows.dtype == np.float64 and rows.shape == (len(stretch), 6)
@@ -434,8 +442,8 @@ def test_a_zero_tick_stretch_leaves_the_state_unchanged(script):
     run_script(ctrl, script, new_loop, PlantConfig(), (L_START, 0.0), True)
     plant = PlantState(l_cable=math.nan, motor_v=-0.0, f_meas=2.5)
     before = snapshot(ctrl, plant) + [key(plant.f_meas)]
-    rows = ctrl.run(np.empty((6, 0)), bind_cable(plant, TRUTH, PlantConfig(),
-                                                 DT))
+    rows = ctrl.run(np.empty((len(Row), 0)),
+                    bind_cable(plant, TRUTH, PlantConfig(), DT))
     assert rows.shape == (0, 6)
     assert snapshot(ctrl, plant) + [key(plant.f_meas)] == before
 
@@ -496,16 +504,20 @@ def test_a_rejected_migration_estimate_logs_the_reference_line(spike,
         assert ctrl.tendon.delta_l1 == 0.0
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (7, 3), (3, 6), (6,), (6, 3, 1),
-                                   ()])
-def test_cols_that_are_not_6_by_n_raise(shape):
-    with pytest.raises(ValueError, match=r"cols must be \(6, n\)"):
+@pytest.mark.parametrize("shape", [(6, 3), (7, 3), (8, 3), (10, 3), (3, 9),
+                                   (9,), (9, 3, 1), ()])
+def test_cols_that_are_not_9_by_n_raise(shape):
+    with pytest.raises(ValueError, match=r"cols must be \(9, n\)"):
         make(Controller, 0.0).run(np.zeros(shape), bind_cable(
             PlantState(l_cable=L_START), TRUTH, PlantConfig(), DT))
 
 
-# Layouts of the columns that are not C-contiguous float64.
+# Layouts of the columns that are not C-contiguous float64: the ticks of a
+# wider block, which `run` reads in place as the harness hands them, and
+# layouts it copies.
 LAYOUTS = {
+    "block view": lambda cols: np.concatenate((cols, cols), axis=1)[
+        :, cols.shape[1]:],
     "float32": lambda cols: cols.astype(np.float32),
     "big-endian": lambda cols: cols.astype(">f8"),
     "fortran": np.asfortranarray,
@@ -519,8 +531,8 @@ LAYOUTS = {
 def test_any_layout_of_cols_runs_as_its_float64_copy(layout, script):
     # Every stretch of the script, laid out so, gives the rows and state of
     # the C-contiguous float64 copy of the same array.
-    assert not layout(np.zeros((6, 2))).flags.c_contiguous or (
-        layout(np.zeros((6, 2))).dtype != np.float64)
+    assert not layout(np.zeros((len(Row), 2))).flags.c_contiguous or (
+        layout(np.zeros((len(Row), 2))).dtype != np.float64)
     copy = functools.partial(new_loop, layout=lambda cols: (
         np.ascontiguousarray(layout(cols), np.float64)))
     got = run_script(make(Controller, 0.0), script,

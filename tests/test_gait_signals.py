@@ -16,7 +16,8 @@ from shankexo.gait_signals import (REPLAY_HEADER, STANCE_CAPACITY,
                                    GaitEventKind, GaitPhase, KinematicSample,
                                    SignalLossError, SignalQualityError,
                                    WindowAssembler, read_replay_csv)
-from shankexo.plant import GaitWorld, PlantConfig, RampSpec, build_template
+from shankexo.plant import (GaitWorld, PlantConfig, RampSpec, Row,
+                            build_template)
 from shankexo.profile import (INITIAL_MU, INITIAL_SIGMA1, INITIAL_SIGMA2,
                               INITIAL_THETA_FC, INITIAL_THETA_FO,
                               EstimationPath, GaussianParams,
@@ -151,9 +152,10 @@ class TestEventDetector:
 def gait_frames(activity):
     """Foot pitch (deg), pitch rate (deg/s), shank and DF angle (deg) of
     6 s of simulated gait, 100 Hz."""
-    frames = GaitWorld(build_template(activity), PlantConfig()).advance_block(
-        0.01, 600).frames
-    return frames[:, 0], frames[:, 3], frames[:, 1], frames[:, 2]
+    cols = GaitWorld(build_template(activity), PlantConfig()).advance_block(
+        0.01, 600).cols
+    return (cols[Row.theta_ft], cols[Row.theta_ft_rate], cols[Row.theta_sk],
+            cols[Row.theta_df])
 
 
 # A stretch of simulated gait with drawn sensor noise, which moves the
@@ -382,8 +384,8 @@ def lw_probe():
     block = GaitWorld(build_template("lw"), PlantConfig(),
                       seed=1).advance_block(0.001, 13000)
     walking = np.flatnonzero(block.walking)[::10]
-    return [KinematicSample(t, *f) for t, f in zip(
-        block.t_sample[walking].tolist(), block.frames[walking].tolist())]
+    return [KinematicSample(*sample) for sample in
+            block.cols[:Row.free_length, walking].T.tolist()]
 
 
 @pytest.mark.parametrize("channel, value", [("theta_ft", math.nan),
@@ -566,15 +568,16 @@ def test_replay_prints_what_the_per_sample_pipeline_prints(tmp_path, capsys,
         world = GaitWorld(build_template("lw"), PlantConfig(), seed=3,
                           ramp=RampSpec(start_stride=0, hold_strides=100,
                                         low_scale=0.5))
-        frames = world.advance_block(0.01, 3264).frames
-        t = 10.0 * np.arange(1, len(frames) + 1)
+        cols = world.advance_block(0.01, 3264).cols
+        t = 10.0 * np.arange(1, cols.shape[1] + 1)
     else:
-        block = GaitWorld(build_template("lw"), PlantConfig(),
-                          seed=1).advance_block(0.001, 60000)
-        frames, t = block.frames[::10], block.t_sample[::10].copy()
+        cols = GaitWorld(build_template("lw"), PlantConfig(),
+                         seed=1).advance_block(0.001, 60000).cols[:, ::10]
+        t = cols[Row.t_ms].copy()
         if stream == "nan_t":
             t[3000] = math.nan
-    ft, sk, _, ft_rate, sk_rate, _ = frames.T
+    ft, sk, ft_rate, sk_rate = cols[[Row.theta_ft, Row.theta_sk,
+                                     Row.theta_ft_rate, Row.theta_sk_rate]]
     path = tmp_path / "stream.csv"
     np.savetxt(path, np.column_stack((t, ft, sk, ft_rate, sk_rate)),
                fmt="%.17g", delimiter=",", header=",".join(REPLAY_HEADER),

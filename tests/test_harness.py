@@ -27,7 +27,7 @@ from shankexo.harness import (PEAK_MARGIN_N, ConfigError, ScenarioConfig,
 from shankexo.metrics import (CONVERGENCE_SENTINEL, MetricsError,
                               MetricsReport, convergence_stride)
 from shankexo.plant import (BLOCK_TICKS, GaitTemplate, GaitWorld, Interval,
-                            PlantConfig, RampSpec, build_template)
+                            PlantConfig, RampSpec, Row, build_template)
 from shankexo.profile import (MAX_DELTA_MU, MAX_DELTA_SIGMA, SIGMA_BOUNDS,
                               UPDATE_GAIN, EstimationPath, GaussianParams,
                               eval_force)
@@ -548,7 +548,7 @@ class TestRunScenario:
             at = nan_tick - 1 - n_row[0]
             if 0 <= at < cols.shape[1]:
                 cols = cols.copy()
-                cols[4, at] = math.inf
+                cols[Row.free_length, at] = math.inf
             loop = run(self, cols, cable)
             stretches.append(loop)
             tick = np.arange(n_row[0] + 1, n_row[0] + 1 + len(loop))
@@ -899,19 +899,19 @@ def test_an_accepted_peak_runs_without_abort_below_the_ceiling(
 @pytest.mark.parametrize("dead_from_ms", [2000.0, 10000.0])
 def test_a_dead_load_cell_aborts_before_the_true_force_reaches_the_ceiling(
         monkeypatch, caplog, dead_from_ms):
-    """The load cell reads 0 (its noise column is -1e9) from before the
+    """The load cell reads 0 (its noise row is -1e9) from before the
     first assisted stance, or from t = 10 s, so the force ceiling, which
     reads it, cannot see the cable. The tendon model can: the load cell's
     residual against it aborts the run before the true force reaches the
     ceiling. Without the check, the next stance's probe, which never saw
     the cable engage, took the true force to 943.5 N (from 10 s on)."""
-    columns = GaitWorld.cable_columns
+    advance_block = GaitWorld.advance_block
 
-    def dead_load_cell(self, block, m):
-        cols = columns(self, block, m)
-        cols[1, block.t_ms[:m] >= dead_from_ms] = -1e9
-        return cols
-    monkeypatch.setattr(GaitWorld, "cable_columns", dead_load_cell)
+    def dead_load_cell(self, dt, n):
+        block = advance_block(self, dt, n)
+        block.cols[Row.noise, block.t_ms >= dead_from_ms] = -1e9
+        return block
+    monkeypatch.setattr(GaitWorld, "advance_block", dead_load_cell)
     blocks, _ = record_rows(monkeypatch)
     report = run_scenario(ScenarioConfig(activity="lw", n_strides=20, seed=1))
     log = dict(zip(LOG_COLUMNS, np.concatenate(blocks).T))
@@ -935,6 +935,27 @@ def test_a_noisy_load_cell_runs_without_the_residual_abort(activity):
                                          seed=1,
                                          plant={"force_noise_sd": 1.0}))
     assert not report.aborted
+
+
+@pytest.mark.parametrize("spike_t_ms", [1e9, -5.0])
+def test_a_spike_that_no_tick_holds_logs_one_warning(tmp_path, caplog,
+                                                     spike_t_ms):
+    # A spike past the run's last tick, or before its first, never reaches
+    # the load cell: the run says so once, naming its last tick, and logs
+    # the bytes of the run without a spike.
+    caplog.set_level(logging.WARNING, harness.__name__)
+    outs = [tmp_path / "spike", tmp_path / "none"]
+    run_scenario(ScenarioConfig(n_strides=8, output_dir=str(outs[0]),
+                                fault_spike_t_ms=spike_t_ms,
+                                fault_spike_n=400.0))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == harness.__name__]
+    run_scenario(ScenarioConfig(n_strides=8, output_dir=str(outs[1])))
+    csv_bytes = [(out / "timeseries.csv").read_bytes() for out in outs]
+    assert csv_bytes[0] == csv_bytes[1]
+    last_ms = int(float(csv_bytes[0].splitlines()[-1].split(b",")[0]))
+    assert lines == [f"fault_spike_t_ms = {spike_t_ms:g} misses the run's "
+                     f"ticks, which end at {last_ms} ms"]
 
 
 class TestPerturbProtocol:
@@ -1006,7 +1027,8 @@ class TestCli:
         # A simulated lw stream at 100 Hz with 500 ms cut out after 6 s:
         # the strides before the gap print, then one line names the gap.
         world = GaitWorld(build_template("lw"), PlantConfig())
-        frames = world.advance_block(0.01, 900).frames
+        frames = world.advance_block(0.01, 900).cols[
+            Row.theta_ft:Row.free_length].T
         rows = ["t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
                 "theta_sk_rate_dps"]
         for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist()):
@@ -1028,7 +1050,8 @@ class TestCli:
         tmpl = build_template(activity)
         world = GaitWorld(tmpl, PlantConfig(), seed=3, ramp=RampSpec(
             start_stride=0, hold_strides=100, low_scale=0.5))
-        frames = world.advance_block(0.01, 3264).frames
+        frames = world.advance_block(0.01, 3264).cols[
+            Row.theta_ft:Row.free_length].T
         rows = ["t_ms,theta_ft_deg,theta_sk_deg,theta_ft_rate_dps,"
                 "theta_sk_rate_dps"]
         for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist()):

@@ -22,7 +22,7 @@ from shankexo.controller import (MODES, ControlMode, Controller,
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, INITIAL_SLACK_MM, GaitWorld,
-                            PlantConfig, PlantState, _sample_clock,
+                            PlantConfig, PlantState, Row, _sample_clock,
                             build_template, free_length)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
@@ -336,9 +336,9 @@ def test_free_length_column_equals_the_scalar_length(df, migration):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_cable_columns_draw_the_world_noise_in_blocks(seed):
-    # Across two boundaries of BLOCK_TICKS draws, in calls of other
-    # lengths: the noise column reads one stream, the draws of
+def test_noise_row_draws_the_world_noise_in_blocks(seed):
+    # Across two boundaries of BLOCK_TICKS draws, in blocks of other
+    # lengths: the noise row reads one stream, the draws of
     # standard_normal(BLOCK_TICKS) calls, times force_noise_sd.
     cfg = PlantConfig()
     world = GaitWorld(build_template("lw"), cfg, seed=seed)
@@ -347,8 +347,7 @@ def test_cable_columns_draw_the_world_noise_in_blocks(seed):
                             for _ in range(3)]).tolist()
     got = []
     for m in (7, BLOCK_TICKS, 1, BLOCK_TICKS - 3, 5):
-        block = world.advance_block(0.001, m)
-        got.extend(world.cable_columns(block, m)[1].tolist())
+        got.extend(world.advance_block(0.001, m).cols[Row.noise].tolist())
     want = [cfg.force_noise_sd * z for z in draws[:len(got)]]
     assert [bits(x) for x in got] == [bits(x) for x in want]
 
@@ -409,7 +408,7 @@ def test_a_drifted_clock_rounds_tick_by_tick(n):
         t += 0.001
         want.append(round(t * 1000.0, 6))
     block = world.advance_block(0.001, n)
-    got = block.t_sample.tolist()
+    got = block.cols[Row.t_ms].tolist()
     assert [bits(x) for x in got] == [bits(x) for x in want]
     assert all(g != w for g, w in zip(got, block.t_ms))   # not whole ms
 

@@ -25,7 +25,7 @@ from shankexo.controller import Controller, ControllerConfig
 from shankexo.plant import Cable, PlantState
 from shankexo.tendon import TendonModel
 rows = Controller(ControllerConfig(), TendonModel(50.0, 12.5, 300.0)).run(
-    np.zeros((6, 3)), Cable(PlantState(0.0), 0.001, 0.0, 250.0, 0.0, 0.0))
+    np.zeros((9, 3)), Cable(PlantState(0.0), 0.001, 0.0, 250.0, 0.0, 0.0))
 print(rows[:, 5].tolist())
 """
 COMMANDS = "[30.0, 30.0, 30.0]\n"

@@ -5,8 +5,8 @@ import pytest
 
 from shankexo.plant import (ACTIVITY_DEFAULTS, INITIAL_SLACK_MM, Activity,
                             GaitWorld, PerturbationKind, PerturbationSpec,
-                            PlantConfig, PlantState, RampSpec, TemplateError,
-                            build_template)
+                            PlantConfig, PlantState, RampSpec, Row,
+                            TemplateError, build_template)
 from shankexo.tendon import TendonModel
 from scalar_reference import (biological_torque, gen_frame, loop_cable,
                               reference_clock)
@@ -139,7 +139,7 @@ class TestPhaseAdvance:
         world = GaitWorld(tmpl, PlantConfig(force_noise_sd=0.0), seed=0,
                           perturbations=[spec])
         strides = np.array(reference_clock(world, 0.001, 4000)["stride"])
-        sk = world.advance_block(0.001, 4000).frames[:, 1]    # theta_sk
+        sk = world.advance_block(0.001, 4000).cols[Row.theta_sk]
         seg = sk[strides == 1]
         stance_len = int(tmpl.stance_ratio * len(seg) * 0.9)
         diffs = np.diff(seg[:stance_len])
@@ -230,9 +230,9 @@ class TestCablePlant:
                               0.001)
             block = world.advance_block(0.001, 3000)
             acc = []
-            for (ft, sk), (l_free, noise) in zip(
-                    block.frames[:, :2].tolist(),
-                    world.cable_columns(block, 3000).T.tolist()):
+            for ft, sk, l_free, noise in block.cols[
+                    [Row.theta_ft, Row.theta_sk, Row.free_length,
+                     Row.noise]].T.tolist():
                 _, f_meas, l_meas, *_ = step(5.0, l_free, noise)
                 acc.append((sk, ft, f_meas, l_meas))
             outs.append(acc)

@@ -32,7 +32,7 @@ from shankexo.cli import main
 from shankexo.gait_signals import (REPLAY_HEADER, KinematicSample,
                                    SignalLossError, SignalQualityError,
                                    read_replay_csv)
-from shankexo.plant import GaitWorld, PlantConfig, build_template
+from shankexo.plant import GaitWorld, PlantConfig, Row, build_template
 
 HEADER = ",".join(REPLAY_HEADER) + "\n"
 BLOCK_SIZES = (1, 2, 3, 4, 7, gait_signals.REPLAY_BLOCK_LINES)
@@ -349,7 +349,7 @@ def test_latin_1_stream_is_one_error_line(tmp_path, capsys, where):
 def test_byte_order_mark_replays_as_the_stream(tmp_path, capsys):
     # A stream saved as "CSV UTF-8" starts with a UTF-8 byte-order mark.
     frames = GaitWorld(build_template("lw"), PlantConfig()).advance_block(
-        0.01, 600).frames
+        0.01, 600).cols[Row.theta_ft:Row.free_length].T
     path = write(tmp_path / "s.csv", [
         [(k + 1) * 10.0, ft, sk, ft_rate, sk_rate]
         for k, (ft, sk, _, ft_rate, sk_rate, _) in enumerate(frames.tolist())])

@@ -2,10 +2,11 @@
 
 Block columns must not depend on the block size, must equal the scalar
 reference curves (gen_frame, biological_torque, through
-`scalar_reference.reference_frames`) bit for bit, and the cable's noise
-column, drawn a block at a time, must equal scalar draws. A tick's phase,
-scale and stride, which the block does not carry, come from the per-tick
-clock recurrence (`scalar_reference.reference_clock`).
+`scalar_reference.reference_frames`) bit for bit, and the cable's rows
+must be the zero-force length at each tick's DF angle and migration and
+the load-cell noise, drawn a block at a time, equal to scalar draws. A
+tick's phase, scale and stride, which the block does not carry, come from
+the per-tick clock recurrence (`scalar_reference.reference_clock`).
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as hs
 
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, RampSpec,
-                            build_template)
+                            PerturbationSpec, PlantConfig, RampSpec, Row,
+                            build_template, free_length)
 from scalar_reference import reference_clock, reference_frames
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
@@ -48,14 +49,16 @@ def make_world(activity: str, scenario: str, seed: int) -> GaitWorld:
 
 
 def run_blocks(world: GaitWorld, size: int) -> dict:
+    """Each column of the world's blocks of size ticks, over N_TICKS;
+    "cols" is the (9, N_TICKS) rows."""
     cols: dict[str, list] = {}
     done = 0
     while done < N_TICKS:
         block = world.advance_block(0.001, min(size, N_TICKS - done))
         for name, col in block._asdict().items():
-            cols.setdefault(name, []).extend(col)
+            cols.setdefault(name, []).append(col)
         done += len(block.t_ms)
-    return cols
+    return {name: np.concatenate(col, axis=-1) for name, col in cols.items()}
 
 
 world_cases = dict(activity=hs.sampled_from(sorted(TEMPLATES)),
@@ -71,7 +74,7 @@ def test_columns_do_not_depend_on_block_size(activity, scenario, seed, size):
     assert got.keys() == ref.keys()
     for name in ref:
         if name == "walking":
-            assert got[name] == ref[name]
+            np.testing.assert_array_equal(got[name], ref[name])
         else:
             np.testing.assert_array_equal(bits(got[name]), bits(ref[name]),
                                           err_msg=name)
@@ -82,8 +85,8 @@ def test_one_tick_advance_is_the_block_of_one():
     b = make_world("lw", "perturb", 3)
     ref = run_blocks(b, BLOCK_TICKS)
     kins = [a.advance(0.001) for _ in range(N_TICKS)]
-    np.testing.assert_array_equal(
-        bits(kins), bits(np.column_stack((ref["t_sample"], ref["frames"]))))
+    np.testing.assert_array_equal(bits(kins),
+                                  bits(ref["cols"][:Row.free_length].T))
     assert (a.t_s, a.phase, a.scale, a.state.stride_index,
             a.state.migration) == (b.t_s, b.phase, b.scale,
                                    b.state.stride_index, b.state.migration)
@@ -102,9 +105,10 @@ def test_columns_equal_the_scalar_curves(activity, scenario, seed):
         assert set(cols["perturb_kind"]) == {0, 1, 2}
     # standing ticks are all zeros; walking ticks are gen_frame at the
     # tick's phase and scale, plus the sway in backward windows
-    assert cols["walking"] == twin["walking"]
+    assert cols["walking"].tolist() == twin["walking"]
     frames, bio = reference_frames(tmpl, twin)
-    np.testing.assert_array_equal(bits(cols["frames"]), bits(frames))
+    np.testing.assert_array_equal(
+        bits(cols["cols"][Row.theta_ft:Row.free_length].T), bits(frames))
     np.testing.assert_array_equal(bits(cols["bio"]), bits(bio))
 
 
@@ -130,16 +134,25 @@ def test_block_noise_equals_scalar_draws(seed):
     rng = np.random.default_rng(seed)
     got = []
     for m in (BLOCK_TICKS, 3, BLOCK_TICKS, 1):
-        block = world.advance_block(0.001, m)
-        got.extend(world.cable_columns(block, m)[1].tolist())
+        got.extend(world.advance_block(0.001, m).cols[Row.noise].tolist())
     assert got == [cfg.force_noise_sd * rng.standard_normal()
                    for _ in range(len(got))]
+
+
+def test_free_length_row_is_the_df_row_less_migration():
+    world = make_world("lw", "perturb", 5)
+    cols = run_blocks(world, 997)
+    want = free_length(world.truth_tendon, cols["cols"][Row.theta_df],
+                       cols["migration"])
+    np.testing.assert_array_equal(bits(cols["cols"][Row.free_length]),
+                                  bits(want))
+    assert cols["migration"][-1] > 0.0
 
 
 def test_noiseless_readings_draw_no_noise():
     world = GaitWorld(TEMPLATES["lw"], PlantConfig(force_noise_sd=0.0), seed=1)
     block = world.advance_block(0.001, 50)
-    assert bits(world.cable_columns(block, 50)[1]).tolist() == [0] * 50
+    assert bits(block.cols[Row.noise]).tolist() == [0] * 50
     assert world.rng.standard_normal() == np.random.default_rng(
         1).standard_normal()
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, RampSpec,
+                            PerturbationSpec, PlantConfig, RampSpec, Row,
                             build_template)
 from scalar_reference import reference_clock, reference_frames
 
@@ -81,7 +81,7 @@ def check_blocks(make, dt: float, sizes: list[int]) -> dict:
                      "perturb_kind"):
             cols.setdefault(name, []).extend(getattr(clock, name).tolist())
         sway.extend((i + done, s, r) for i, s, r in zip(*clock.sway))
-        frames.append(block.frames)
+        frames.append(block.cols[Row.theta_ft:Row.free_length].T)
         bio.append(block.bio)
         for name in ("walking", "scale", "migration", "perturb_kind"):
             np.testing.assert_array_equal(getattr(block, name),
