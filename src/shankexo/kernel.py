@@ -1,17 +1,21 @@
 """The C kernel, `loop.c`, built by the system `cc` at import, and its
-three entry points in one library: the 1 kHz controller-cable loop
+five entry points in one library: the 1 kHz controller-cable loop
 (`loop`, which `controller.Controller.run` calls once a stretch), the gait
 event detector (`detect`, which `profile.EstimationPath` calls once an
-event) and the per-stride report (`report`, which `metrics._StrideReport`
-calls once a stride). `STATE`, `DECISIONS` and `SLOTS` are the layout of
-the loop's float64 vector s, as `loop.c` exports it: where the loop state
-starts, where the decisions start, and its length. `DETECTOR_STATE` and
-`DETECTOR_SLOTS` are the same for the detector's vector d: where its
-state starts after the DetectorConfig fields, and its length.
-`REPORT_STRIDE`, `REPORT_STATE`, `REPORT_OUT` and `REPORT_SLOTS` are the
-same for the report's vector v: where the stride's inputs, the
-comparator's state and the report start, and its length; `GRID_POINTS` is
-the points of the report's grids.
+event), the per-stride report (`report`, which `metrics._StrideReport`
+calls once a stride), and the world's gait curves: `world`, the kinematic
+rows and the biological torque of a block, which `plant.GaitWorld` calls
+once a block, and `stance`, the stance curves at stance fractions, which
+`plant.build_template` calls once a template. `STATE`, `DECISIONS` and
+`SLOTS` are the layout of the loop's float64 vector s, as `loop.c` exports
+it: where the loop state starts, where the decisions start, and its
+length. `DETECTOR_STATE` and `DETECTOR_SLOTS` are the same for the
+detector's vector d: where its state starts after the DetectorConfig
+fields, and its length. `REPORT_STRIDE`, `REPORT_STATE`, `REPORT_OUT` and
+`REPORT_SLOTS` are the same for the report's vector v: where the stride's
+inputs, the comparator's state and the report start, and its length;
+`GRID_POINTS` is the points of the report's grids. `TEMPLATE_SLOTS` names
+the slots of the curves' template vector, in their order.
 """
 
 import ctypes
@@ -89,3 +93,13 @@ DETECTOR_STATE, DETECTOR_SLOTS = (_size * 2).in_dll(
     _lib, "shankexo_detector_layout")
 REPORT_STRIDE, REPORT_STATE, REPORT_OUT, REPORT_SLOTS, GRID_POINTS = (
     _size * 5).in_dll(_lib, "shankexo_report_layout")
+# world(t, start, n, phase, scale, cols, stride, bio): see shankexo_world.
+world = _lib.shankexo_world
+world.argtypes = (_ptr, _size, _size, _ptr, _ptr, _ptr, _size, _ptr)
+world.restype = None
+# stance(t, n, u, out): see shankexo_stance.
+stance = _lib.shankexo_stance
+stance.argtypes = (_ptr, _size, _ptr, _ptr)
+stance.restype = None
+TEMPLATE_SLOTS = tuple(ctypes.string_at(ctypes.addressof(ctypes.c_char.in_dll(
+    _lib, "shankexo_template_slots"))).decode().lower().split())

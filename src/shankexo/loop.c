@@ -1,6 +1,8 @@
 /* The 1 kHz controller-cable loop of `shankexo.controller.Controller.run`,
    one call a stretch of ticks with no gait event inside, with the
-   dual-Gaussian profile it tracks; the gait event detector of
+   dual-Gaussian profile it tracks; the gait curves and the biological
+   torque of `shankexo.plant.GaitWorld`, one call a block of world ticks,
+   and its stance curves, one call a template; the gait event detector of
    `shankexo.profile.EstimationPath`, one call an event; and the
    per-stride report of `shankexo.metrics._StrideReport`, one call a
    stride, whose time-based comparator evaluates the same profile.
@@ -10,20 +12,23 @@
    is the IEEE operation of the Python or numpy expression it stands for,
    in the same order, no multiply-add is fused, and pow(x, 2.0) stays C pow
    (gcc would fold it into x * x, which differs in the last bit): the rows,
-   the state and the report have the bits the references in
-   `tests/scalar_reference.py` give, and the events and detector state
-   those of `gait_signals.EventDetector`, NaN, the infinities and -0.0
-   included. exp is libm's, the function math.exp calls. `a < b ? a : b` is
-   Python's `a if a < b else b`, and so min(a, b) only where neither is
-   NaN. */
+   the state, the world's columns and the report have the bits the
+   references in `tests/scalar_reference.py` give, and the events and
+   detector state those of `gait_signals.EventDetector`, NaN, the
+   infinities and -0.0 included. exp, sin, cos, pow and fmod are libm's,
+   the functions math.exp, math.sin, math.cos and Python's float ** and %
+   call; gcc may join a sin and a cos of one argument into libm's sincos,
+   which gives their bits. `a < b ? a : b` is Python's `a if a < b else b`,
+   and so min(a, b) only where neither is NaN. */
 
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
 
-/* math.radians(x) is x * rad, the quotient CPython's math module takes
-   (Py_MATH_PI / 180.0). */
-static const double rad = 3.14159265358979323846 / 180.0;
+/* math.pi, and math.radians(x) is x * rad, the quotient CPython's math
+   module takes (Py_MATH_PI / 180.0). */
+static const double pi = 3.14159265358979323846,
+                    rad = 3.14159265358979323846 / 180.0;
 
 /* The rows of a world block's columns, `shankexo.plant.Row`, each
    contiguous and `stride` doubles after the one before: the time and the
@@ -297,6 +302,203 @@ void shankexo_loop(ptrdiff_t n, const double *cols, ptrdiff_t stride,
     s[OVER] = over;
     s[BASELINE_C] = baseline_c;
     s[DELTA_L1] = delta_l1;
+}
+
+/* -- The gait curves --------------------------------------------------- */
+
+/* The slots of the template vector, which `shankexo.plant` fills by
+   these names, lowercased: the GaitTemplate fields the curves read, with
+   SK0 and SK1 the ends of theta_sk_span and U_PK the phase of df_peak.
+   TEMPLATE lists them once; the enum and the names `shankexo.kernel`
+   reads are both made from it. */
+#define TEMPLATE(X) X(PERIOD) X(STANCE_RATIO) X(SK0) X(SK1) X(FT_PEAK) \
+    X(G_MAX) X(G_RISE_END) X(G_FALL_START) X(G_FALL_END) X(U_PLUNGE)    \
+    X(G_DIP) X(G_PLUNGE) X(SWING_EASE_S) X(SWING_HOLD) X(TORQUE_SHARPNESS) \
+    X(U_PK)
+#define SLOT(name) name,
+#define SLOT_NAME(name) #name " "
+enum { TEMPLATE(SLOT) };
+const char shankexo_template_slots[] = TEMPLATE(SLOT_NAME);
+
+/* A template's curve constants, each computed as the scalar curves
+   (`tests/scalar_reference.py`) compute it. */
+struct gait {
+    double rho, period, sk0, sk1, dsk, ft_peak, g_max, g_rise_end,
+           g_fall_start, g_fall_end, fall_span, drop, u_plunge, plunge_span,
+           g_dip, g_plunge, w_e, w_h, ft_fo, ft_hold, ease_drop, ease_rate,
+           return_span, return_gain, sharpness, u_pk;
+};
+
+static struct gait read_template(const double *t)
+{
+    struct gait c;
+    c.rho = t[STANCE_RATIO];
+    c.period = t[PERIOD];
+    c.sk0 = t[SK0];
+    c.sk1 = t[SK1];
+    c.dsk = c.sk1 - c.sk0;
+    c.ft_peak = t[FT_PEAK];
+    c.g_max = t[G_MAX];
+    c.g_rise_end = t[G_RISE_END];
+    c.g_fall_start = t[G_FALL_START];
+    c.g_fall_end = t[G_FALL_END];
+    c.fall_span = c.g_fall_end - c.g_fall_start;
+    c.u_plunge = t[U_PLUNGE];
+    c.plunge_span = 1.0 - c.u_plunge;
+    c.g_dip = t[G_DIP];
+    c.g_plunge = t[G_PLUNGE];
+    c.drop = c.g_max - c.g_dip;
+    /* the swing's knots, its foot-off pose and the ease-out gain */
+    const double g_end = c.g_dip + c.g_plunge,
+                 plunge_rate = 2.0 * c.g_plunge / (1.0 - c.u_plunge),
+                 t_sw = c.period * (1.0 - c.rho),
+                 gain = 0.5 * (plunge_rate / (c.period * c.rho))
+                        * t[SWING_EASE_S],
+                 rate_w = plunge_rate * (t_sw / (c.period * c.rho));
+    c.w_e = t[SWING_EASE_S] / t_sw;
+    c.w_h = c.w_e + t[SWING_HOLD];
+    c.ft_fo = c.ft_peak - g_end;
+    c.ft_hold = c.ft_fo - gain;
+    c.ease_drop = 0.5 * rate_w * c.w_e;
+    c.ease_rate = -0.5 * rate_w;
+    c.return_span = 1.0 - c.w_h;
+    c.return_gain = g_end + gain;
+    c.sharpness = t[TORQUE_SHARPNESS];
+    c.u_pk = t[U_PK];
+    return c;
+}
+
+static double s3(double v)
+{
+    return v * v * (3.0 - 2.0 * v);
+}
+
+static double ds3(double v)
+{
+    return 6.0 * v * (1.0 - v);
+}
+
+/* The stance pose at stance fraction u into pose: theta_sk, theta_ft and
+   their derivatives in u; and the excess G and dG/du into g, a piece
+   chosen by an `if u <= knot` chain. */
+static void stance_pose(const struct gait *c, double u, double *pose, double *g)
+{
+    if (u <= c->g_rise_end) {
+        const double v = u / c->g_rise_end;
+        g[0] = c->g_max * s3(v);
+        g[1] = c->g_max * ds3(v) / c->g_rise_end;
+    } else if (u <= c->g_fall_start) {
+        g[0] = c->g_max;
+        g[1] = 0.0;
+    } else if (u <= c->g_fall_end) {
+        const double v = (u - c->g_fall_start) / c->fall_span;
+        g[0] = c->g_max - c->drop * s3(v);
+        g[1] = -c->drop * ds3(v) / c->fall_span;
+    } else if (u <= c->u_plunge) {
+        g[0] = c->g_dip;
+        g[1] = 0.0;
+    } else {
+        const double xi = (u - c->u_plunge) / c->plunge_span;
+        g[0] = c->g_dip + c->g_plunge * (xi - sin(pi * xi) / pi);
+        g[1] = c->g_plunge * (1.0 - cos(pi * xi)) / c->plunge_span;
+    }
+    pose[0] = c->sk0 + c->dsk * s3(u);
+    pose[1] = c->ft_peak - g[0];
+    pose[2] = c->dsk * ds3(u);
+    pose[3] = -g[1];
+}
+
+/* The swing pose at swing fraction w: the foot-pitch rate eases out from
+   the plunge, the pose holds at foot-off, then half-cosines return every
+   channel to its contact pose. */
+static void swing_pose(const struct gait *c, double w, double *pose)
+{
+    if (w <= c->w_e) {
+        const double xi = w / c->w_e;
+        pose[0] = c->sk1;
+        pose[1] = c->ft_fo - c->ease_drop * (xi + sin(pi * xi) / pi);
+        pose[2] = 0.0;
+        pose[3] = c->ease_rate * (1.0 + cos(pi * xi));
+    } else if (w <= c->w_h) {
+        pose[0] = c->sk1;
+        pose[1] = c->ft_hold;
+        pose[2] = pose[3] = 0.0;
+    } else {
+        const double v = (w - c->w_h) / c->return_span;
+        const double cv = 0.5 * (1.0 + cos(pi * v)),
+                     dc = -0.5 * pi * sin(pi * v) / c->return_span;
+        pose[0] = c->sk0 + c->dsk * cv;
+        pose[1] = c->ft_peak - c->return_gain * cv;
+        pose[2] = c->dsk * dc;
+        pose[3] = -c->return_gain * dc;
+    }
+}
+
+/* The (6, n) rows out of the template vector t at the n stance fractions
+   u: theta_sk, theta_ft, dsk/du, dft/du, G and dG/du. */
+void shankexo_stance(const double *t, ptrdiff_t n, const double *u,
+                     double *out)
+{
+    const struct gait c = read_template(t);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double pose[4], g[2];
+        stance_pose(&c, u[i], pose, g);
+        for (int k = 0; k < 4; k++)
+            out[k * n + i] = pose[k];
+        out[4 * n + i] = g[0];
+        out[5 * n + i] = g[1];
+    }
+}
+
+/* Ticks start to n - 1 of a world block, from the template vector t and
+   the ticks' gait phase and speed scale (which rescales rates only): rows
+   ROW_FT to ROW_DF_RATE of the ROW_* columns cols, the kinematic frame,
+   and bio, the normalized single-crest ankle torque, peaking at the
+   DF-peak phase and 0.0 outside stance. A frame's phase outside [0, 1) is
+   first taken as Python's phase % 1.0; bio reads the phase as it is. */
+void shankexo_world(const double *t, ptrdiff_t start, ptrdiff_t n,
+                    const double *phase, const double *scale, double *cols,
+                    ptrdiff_t stride, double *bio)
+{
+    const struct gait c = read_template(t);
+    double *ft_col = cols + ROW_FT * stride, *sk_col = cols + ROW_SK * stride,
+           *df_col = cols + ROW_DF * stride,
+           *ft_rate = cols + ROW_FT_RATE * stride,
+           *sk_rate = cols + ROW_SK_RATE * stride,
+           *df_rate = cols + ROW_DF_RATE * stride;
+    for (ptrdiff_t i = start; i < n; i++) {
+        const double cycle_rate = scale[i] / c.period;
+        double p = phase[i], pose[4], g[2], mult;
+        if (!(0.0 <= p && p < 1.0)) {
+            p = fmod(p, 1.0);
+            p = p == 0.0 ? 0.0 : p < 0.0 ? p + 1.0 : p;
+        }
+        if (p < c.rho) {
+            stance_pose(&c, p / c.rho, pose, g);
+            mult = cycle_rate / c.rho;
+        } else {
+            swing_pose(&c, (p - c.rho) / (1.0 - c.rho), pose);
+            mult = cycle_rate / (1.0 - c.rho);
+        }
+        const double sk_r = pose[2] * mult, ft_r = pose[3] * mult;
+        ft_col[i] = pose[1];
+        sk_col[i] = pose[0];
+        df_col[i] = pose[0] - pose[1];
+        ft_rate[i] = ft_r;
+        sk_rate[i] = sk_r;
+        df_rate[i] = sk_r - ft_r;
+
+        p = phase[i];
+        if (0.0 <= p && p <= c.rho) {
+            const double u = p / c.rho;
+            const double base = u <= c.u_pk
+                ? 0.5 * (1.0 - cos(pi * u / c.u_pk))
+                : 0.5 * (1.0 + cos(pi * (u - c.u_pk) / (1.0 - c.u_pk)));
+            bio[i] = pow(base, c.sharpness);
+        } else {
+            bio[i] = 0.0;
+        }
+    }
 }
 
 /* -- The gait event detector ------------------------------------------- */

@@ -24,28 +24,33 @@ in stretches. A stretch accumulates the ramp scale, multiplies it by the
 open window's multiplier and accumulates the phase increment, up to the
 first wrap, pending onset or window close. Scalar code runs once per such
 event: the wrap's stride and migration, and the onset that opens a window.
-numpy then evaluates the gait curves and the biological torque of the
-whole block, and the block hands them over as columns only: the clock
-columns the log reads, and one (9, n) array, `WorldBlock.cols`, whose rows
-(`Row`) are the replay stream's sample columns, then the cable's open-loop
-columns. This is the world's only path: `advance(dt)` is the sample of a
-block of one tick, its first seven rows. Nothing in the world reads cable
-state, so a block may run ahead of the closed loop; the world's scalar
-attributes (`t_s`, `phase`, `scale`, `state.stride_index`,
-`state.migration`) then hold end-of-block values. The block's columns
-carry each tick's own values of what the closed loop reads; a tick's
-phase and stride are the scalar attributes of a world advanced one tick
-at a time.
+The C kernel (`loop.c`'s `shankexo_world`, one call a block) then evaluates
+the gait curves and the biological torque at each walking tick's phase and
+scale, from the template's vector of curve values (`_template_vector`,
+built once per world), and numpy adds the sway. The block hands them over
+as columns only: the clock columns the log reads, and one (9, n) array,
+`WorldBlock.cols`, whose rows (`Row`) are the replay stream's sample
+columns, then the cable's open-loop columns. This is the world's only path:
+`advance(dt)` is the sample of a block of one tick, its first seven rows.
+Nothing in the world reads cable state, so a block may run ahead of the
+closed loop; the world's scalar attributes (`t_s`, `phase`, `scale`,
+`state.stride_index`, `state.migration`) then hold end-of-block values. The
+block's columns carry each tick's own values of what the closed loop reads;
+a tick's phase and stride are the scalar attributes of a world advanced one
+tick at a time.
 
-Bit-equality. Each curve is written once, over arrays. Its scalar form, one
-value at a time in plain Python, is kept in the tests
-(`tests/scalar_reference.py`), and the block columns equal it bit for bit,
-for any block size. That holds because the array code repeats the scalar
-operation order and uses only operations where numpy matches `math`
-exactly here: arithmetic, `sin`, `cos`, `radians`, `rint`,
-`np.add.accumulate`, which adds strictly in sequence as `+=` does, and
-`np.float_power`, which is C `pow` as Python `**` is (the torque
-sharpness and the sway). Where it does not (`exp`, `np.power`,
+Bit-equality. Each curve is written once: the gait curves and the torque in
+`loop.c` (`shankexo_world` for a block, `shankexo_stance` for the
+template's stance grid and `GaitTemplate.stance_pose`), the clock and the
+sway over numpy arrays here. Their scalar forms, one value at a time in
+plain Python, are kept in the tests (`tests/scalar_reference.py`), and the
+block columns equal them bit for bit, for any block size. That holds
+because the kernel and the array code repeat the scalar operation order and
+use only operations that match `math` exactly here: the kernel's arithmetic
+and libm's `sin`, `cos` and `pow`, which `math` and Python `**` call; and
+numpy's arithmetic, `sin`, `radians`, `rint`, `np.add.accumulate`, which
+adds strictly in sequence as `+=` does, and `np.float_power`, which is C
+`pow` as `**` is (the sway). Where numpy does not (`exp`, `np.power`,
 `round(x, ndigits)`) the scalar Python operation stays: `math.exp` for
 migration. The ramp's clamped steps are an accumulation clipped at the
 target, and the window's triangle is `np.minimum` of its two sides. The
@@ -85,6 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -201,14 +207,6 @@ class PerturbationKind(Enum):
     BACKWARD = "backward"
 
 
-def _s3(v: float) -> float:
-    return v * v * (3.0 - 2.0 * v)
-
-
-def _ds3(v: float) -> float:
-    return 6.0 * v * (1.0 - v)
-
-
 @dataclass(frozen=True)
 class GaitTemplate:
     """Closed-form gait curves for one activity.
@@ -248,141 +246,30 @@ class GaitTemplate:
         """Peak excess slope across the terminal plunge (deg per unit u)."""
         return 2.0 * self.g_plunge / (1.0 - self.u_plunge)
 
-    def _swing_ease_gain(self) -> float:
-        """Foot-pitch angle shed while the plunge rate eases out in swing."""
-        t_st = self.period * self.stance_ratio
-        return 0.5 * (self.plunge_rate_pu / t_st) * self.swing_ease_s
-
-    # -- poses ---------------------------------------------------------------
-
     def stance_pose(self, u: float) -> tuple[float, float, float, float]:
         """(theta_sk, theta_ft, dsk_du, dft_du) at stance fraction u."""
-        return tuple(c.item() for c in _stance_poses(self, np.array([u])))
+        return tuple(_stance_curves(self, [u])[:4, 0].tolist())
 
 
-def _piecewise(x: np.ndarray, knots: tuple, pieces: tuple,
-               side: str = "left") -> list[np.ndarray]:
-    """Evaluate each piece only on the x it covers.
-
-    With side="left", pieces[i] covers knots[i-1] < x <= knots[i] (an
-    `if x <= knot` chain, as in the scalar references); with side="right",
-    knots[i-1] <= x < knots[i]. The last piece covers the rest. Every piece
-    returns the same number of columns, arrays or scalars.
-    """
-    seg = np.searchsorted(knots, x, side=side)
-    cols: list[np.ndarray] = []
-    for i in np.flatnonzero(np.bincount(seg)).tolist():
-        at = seg == i
-        vals = pieces[i](x[at])
-        if not cols:
-            cols = [np.empty_like(x) for _ in vals]
-        for col, v in zip(cols, vals):
-            col[at] = v
-    return cols
-
-
-def _g_array(tmpl: GaitTemplate, u: np.ndarray) -> list[np.ndarray]:
-    """The excess G and dG/du over an array of stance fractions.
-
-    The terminal plunge is a half cosine bump in rate, so the rate
-    extremum lands exactly on stance end and the angle arrives there
-    still steep; the swing ease-out finishes the bump in time.
-    """
-    def rise(u):
-        v = u / tmpl.g_rise_end
-        return (tmpl.g_max * _s3(v),
-                tmpl.g_max * _ds3(v) / tmpl.g_rise_end)
-
-    def fall(u):
-        span = tmpl.g_fall_end - tmpl.g_fall_start
-        v = (u - tmpl.g_fall_start) / span
-        drop = tmpl.g_max - tmpl.g_dip
-        return tmpl.g_max - drop * _s3(v), -drop * _ds3(v) / span
-
-    def plunge(u):
-        span = 1.0 - tmpl.u_plunge
-        xi = (u - tmpl.u_plunge) / span
-        return (tmpl.g_dip + tmpl.g_plunge * (xi - np.sin(np.pi * xi) / np.pi),
-                tmpl.g_plunge * (1.0 - np.cos(np.pi * xi)) / span)
-
-    return _piecewise(
-        u, (tmpl.g_rise_end, tmpl.g_fall_start, tmpl.g_fall_end,
-            tmpl.u_plunge),
-        (rise, lambda u: (tmpl.g_max, 0.0), fall, lambda u: (tmpl.g_dip, 0.0),
-         plunge))
-
-
-def _stance_poses(tmpl: GaitTemplate, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(theta_sk, theta_ft, dsk_du, dft_du) over an array of stance
-    fractions."""
+def _template_vector(tmpl: GaitTemplate) -> np.ndarray:
+    """loop.c's template vector of tmpl: in each slot the value that
+    `kernel.TEMPLATE_SLOTS` names, a GaitTemplate field, sk0 or sk1, the
+    ends of theta_sk_span, or u_pk, the phase of df_peak."""
+    from . import kernel    # built at import, which cli.main reports
     sk0, sk1 = tmpl.theta_sk_span
-    dsk = sk1 - sk0
-    g, dg = _g_array(tmpl, u)
-    return sk0 + dsk * _s3(u), tmpl.ft_peak - g, dsk * _ds3(u), -dg
+    named = dict(vars(tmpl), sk0=sk0, sk1=sk1, u_pk=tmpl.df_peak[1])
+    return np.array([named[slot] for slot in kernel.TEMPLATE_SLOTS],
+                    dtype=np.float64)
 
 
-def _swing_curves(tmpl: GaitTemplate, w: np.ndarray) -> list[np.ndarray]:
-    """(theta_sk, theta_ft, dsk_dw, dft_dw) over an array of swing fractions:
-    the foot-pitch rate eases out from the plunge, the pose holds at foot-off,
-    then half-cosines return every channel to its contact pose."""
-    sk0, sk1 = tmpl.theta_sk_span
-    dsk = sk1 - sk0
-    t_sw = tmpl.period * (1.0 - tmpl.stance_ratio)
-    w_e = tmpl.swing_ease_s / t_sw
-    w_h = w_e + tmpl.swing_hold
-    ft_fo = tmpl.ft_peak - tmpl.g_end
-    gain = tmpl._swing_ease_gain()
-
-    def ease(w):
-        rate_w = tmpl.plunge_rate_pu * (t_sw / (tmpl.period * tmpl.stance_ratio))
-        xi = w / w_e
-        return (sk1,
-                ft_fo - 0.5 * rate_w * w_e * (xi + np.sin(np.pi * xi) / np.pi),
-                0.0, -0.5 * rate_w * (1.0 + np.cos(np.pi * xi)))
-
-    def ret(w):
-        v = (w - w_h) / (1.0 - w_h)
-        c = 0.5 * (1.0 + np.cos(np.pi * v))
-        dc = -0.5 * np.pi * np.sin(np.pi * v) / (1.0 - w_h)
-        return (sk0 + dsk * c, tmpl.ft_peak - (tmpl.g_end + gain) * c,
-                dsk * dc, -(tmpl.g_end + gain) * dc)
-
-    return _piecewise(w, (w_e, w_h),
-                      (ease, lambda w: (sk1, ft_fo - gain, 0.0, 0.0), ret))
-
-
-def gen_frames(tmpl: GaitTemplate, phase: np.ndarray,
-               speed_scale: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Kinematic frames at arrays of gait phases in [0, 1) and speed scales,
-    which rescale rates only: (theta_ft, theta_sk, theta_df, theta_ft_rate,
-    theta_sk_rate, theta_df_rate)."""
-    rho = tmpl.stance_ratio
-    cycle_rate = speed_scale / tmpl.period
-    sk, ft, dsk, dft = _piecewise(
-        phase, (rho,),
-        (lambda p: _stance_poses(tmpl, p / rho),
-         lambda p: _swing_curves(tmpl, (p - rho) / (1.0 - rho))), side="right")
-    mult = np.where(phase < rho, cycle_rate / rho, cycle_rate / (1.0 - rho))
-    sk_rate = dsk * mult
-    ft_rate = dft * mult
-    return ft, sk, sk - ft, ft_rate, sk_rate, sk_rate - ft_rate
-
-
-def biological_torques(tmpl: GaitTemplate, phase: np.ndarray) -> np.ndarray:
-    """Normalized single-crest ankle torque at an array of phases, peaking
-    at the DF-peak phase and zero outside stance."""
-    rho = tmpl.stance_ratio
-    out = np.zeros_like(phase)
-    stance = (0.0 <= phase) & (phase <= rho)
-    u = phase[stance] / rho
-    u_pk = tmpl.df_peak[1]
-    base = np.where(u <= u_pk,
-                    0.5 * (1.0 - np.cos(np.pi * u / u_pk)),
-                    0.5 * (1.0 + np.cos(np.pi * (u - u_pk) / (1.0 - u_pk))))
-    # Python ** is C pow. np.power (and ** on arrays) differs from it in the
-    # last bit; np.float_power calls C pow on each element, so it is the
-    # bit-equal array form (tests/test_artifacts.py pins that).
-    out[stance] = np.float_power(base, tmpl.torque_sharpness)
+def _stance_curves(tmpl: GaitTemplate, u) -> np.ndarray:
+    """(theta_sk, theta_ft, dsk_du, dft_du, G, dG/du) of tmpl at the n
+    stance fractions u, a (6, n) array (loop.c's `shankexo_stance`)."""
+    from . import kernel
+    vector = _template_vector(tmpl)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    out = np.empty((6, len(u)))
+    kernel.stance(vector.ctypes.data, len(u), u.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -431,8 +318,8 @@ def build_template(activity: Activity | str, **overrides) -> GaitTemplate:
 def _sample_stance(tmpl: GaitTemplate) -> tuple[np.ndarray, ...]:
     """(u, theta_sk, theta_ft, dft/du, G, dG/du) on the uniform stance grid."""
     us = np.linspace(0.0, 1.0, _GRID_N + 1)
-    sk, ft, _, dft = _stance_poses(tmpl, us)
-    return (us, sk, ft, dft, *_g_array(tmpl, us))
+    sk, ft, _, dft, g, dg = _stance_curves(tmpl, us)
+    return us, sk, ft, dft, g, dg
 
 
 def _finalize(tmpl: GaitTemplate, grid: tuple[np.ndarray, ...]) -> GaitTemplate:
@@ -452,7 +339,7 @@ def _validate_knots(tmpl: GaitTemplate) -> None:
     curves divide by the knot spans; `check_fields` has checked each
     field alone."""
     # The swing ease and hold must leave a window for the return to the
-    # contact pose (w_h < 1 in `_swing_curves`).
+    # contact pose (w_h < 1 in loop.c's `swing_pose`).
     w_e = tmpl.swing_ease_s / (tmpl.period * (1.0 - tmpl.stance_ratio))
     if not w_e + tmpl.swing_hold < 1.0:
         raise TemplateError(f"swing_hold must leave a return window after the "
@@ -758,7 +645,11 @@ class GaitWorld:
                  standing_s: float = 1.0,
                  perturbations: Optional[list[PerturbationSpec]] = None,
                  ramp: Optional[RampSpec] = None):
+        from . import kernel    # built at import, which cli.main reports
         self.tmpl = tmpl
+        # loop.c's template vector, kept alive for the world entry
+        self._template = _template_vector(tmpl)
+        self._world = partial(kernel.world, self._template.ctypes.data)
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.standing_s = standing_s
@@ -793,19 +684,15 @@ class GaitWorld:
         _positive_dt(dt)
         if n <= 0:
             raise ValueError(f"n must be positive, got {n!r}")
-        tmpl = self.tmpl
         clock = self._clock(dt, n)
-        # Walking never stops once started: ticks w0.. walk, the rest stand
-        # with every angle and rate zero.
-        w0 = _first(clock.walking)
         cols = np.zeros((len(Row), n))
         t_ms, cols[Row.t_ms] = _sample_clock(clock.t_s)
         bio = np.zeros(n)
-        if w0 < n:
-            walk_phase = clock.phase[w0:]
-            cols[Row.theta_ft:Row.free_length, w0:] = gen_frames(
-                tmpl, walk_phase, clock.scale[w0:])
-            bio[w0:] = biological_torques(tmpl, walk_phase)
+        # Walking never stops once started: ticks w0.. walk, the rest stand
+        # with every angle and rate zero.
+        self._world(_first(clock.walking), n, clock.phase.ctypes.data,
+                    clock.scale.ctypes.data, cols.ctypes.data, n,
+                    bio.ctypes.data)
         if clock.sway:
             at, sway, sway_rate = clock.sway
             cols[Row.theta_sk:Row.theta_df + 1, at] += sway

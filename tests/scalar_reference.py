@@ -1,12 +1,13 @@
 """Scalar references for the array code and the segment loop, one value or
 one tick at a time.
 
-`shankexo` computes each gait curve, the biological torque, the time-based
-comparator and the world clock once, over numpy arrays. This module keeps
-the scalar forms they were written from, as plain Python over floats, so the
-bit-equality tests can compare the array code against an independent
-evaluation. The array code repeats these operation orders; a reordered
-product or sum in `src/` shows up here as a last-bit difference.
+`shankexo` computes each gait curve and the biological torque once, in the C
+kernel (`shankexo_world` and `shankexo_stance` in `loop.c`), and the world
+clock once, over numpy arrays. This module keeps the scalar forms they were
+written from, as plain Python over floats, so the bit-equality tests can
+compare the kernel and the array code against an independent evaluation.
+They repeat these operation orders; a reordered product or sum in `src/`
+shows up here as a last-bit difference.
 
 The per-stride report is one call of the C kernel a stride
 (`shankexo_report` in `loop.c`). `ReferenceStrideReport` is the numpy
@@ -61,8 +62,7 @@ from shankexo.metrics import MetricsError, StrideMetrics
 from shankexo.plant import (INITIAL_SLACK_MM, MIG_MAX, MIG_STRIDE_TAU,
                             SWAY_DEG, SWAY_WINDOW_S, Cable, GaitTemplate,
                             GaitWorld, PerturbationKind, PerturbationSpec,
-                            PlantConfig, PlantState, Row, _ds3, _s3,
-                            bind_cable)
+                            PlantConfig, PlantState, Row, bind_cable)
 from shankexo.profile import GaussianParams, eval_force, eval_force_and_rate
 from shankexo.tendon import TendonModel, estimate_migration, tendon_length
 
@@ -71,6 +71,20 @@ log = logging.getLogger(__name__)
 
 
 # -- gait curves ---------------------------------------------------------------
+
+def _s3(v: float) -> float:
+    return v * v * (3.0 - 2.0 * v)
+
+
+def _ds3(v: float) -> float:
+    return 6.0 * v * (1.0 - v)
+
+
+def swing_ease_gain(tmpl: GaitTemplate) -> float:
+    """Foot-pitch angle shed while the plunge rate eases out in swing."""
+    t_st = tmpl.period * tmpl.stance_ratio
+    return 0.5 * (tmpl.plunge_rate_pu / t_st) * tmpl.swing_ease_s
+
 
 def g(tmpl: GaitTemplate, u: float) -> tuple[float, float]:
     """Excess G(u) and dG/du over stance.
@@ -117,7 +131,7 @@ def swing_pose(tmpl: GaitTemplate,
     w_e = tmpl.swing_ease_s / t_sw
     w_h = w_e + tmpl.swing_hold
     ft_fo = tmpl.ft_peak - tmpl.g_end
-    gain = tmpl._swing_ease_gain()
+    gain = swing_ease_gain(tmpl)
     if w <= w_e:
         # foot-pitch rate eases from the plunge extremum to zero
         rate_w = tmpl.plunge_rate_pu * (t_sw / (tmpl.period * tmpl.stance_ratio))

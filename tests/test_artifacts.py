@@ -254,9 +254,11 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
        sharpness=hs.floats(0.01, 10.0))
 def test_float_power_is_c_pow(seed, unit, sharpness):
     """The digests rest on np.float_power calling C pow on each element, as
-    Python ** does: the biological torque raises [0, 1] to the activity's
-    torque_sharpness. A numpy whose float_power is vectorized fails here,
-    by its version."""
+    Python ** does: the clock's shank sway squares a sine with it, and is
+    what still rests on np.float_power (the biological torque calls C pow
+    in the loop kernel). The draws raise [0, 1] to each activity's
+    torque_sharpness and to any sharpness. A numpy whose float_power is
+    vectorized fails here, by its version."""
     rng = np.random.default_rng(seed)
     u = np.concatenate([unit, rng.uniform(0.0, 1.0, 2000)])
     cases = [(u, build_template(a).torque_sharpness) for a in Activity]

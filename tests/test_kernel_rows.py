@@ -10,6 +10,11 @@ them; the estimation pass (`EstimationPath.run`) reads the time, the three
 angles and the foot-pitch rate. A NaN row that an entry point does not
 read leaves its output bit for bit, and one that it reads changes it, so a
 row enum that drifts from `Row` fails here.
+
+The world's curve entry (`shankexo_world`) writes the six kinematic rows of
+the walking ticks and the torque column, and nothing else; it reads the
+template's values from the slots `loop.c` names (`kernel.TEMPLATE_SLOTS`),
+which `plant._template_vector` fills by those names.
 """
 
 import struct
@@ -18,10 +23,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shankexo import kernel
 from shankexo.controller import Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
-from shankexo.plant import (GaitWorld, PlantConfig, Row, bind_cable,
-                            build_template)
+from shankexo.plant import (GaitWorld, PlantConfig, Row, _template_vector,
+                            bind_cable, build_template)
 from shankexo.profile import EstimationPath, GaussianParams
 
 PARAMS = GaussianParams(105.0, 9.0, 6.0, 2.2, -14.0, 18.0)
@@ -148,3 +154,68 @@ def test_the_estimation_pass_reads_none_of_the_rows_it_does_not_use(samples):
 def test_the_estimation_pass_reads_each_of_its_rows(samples, row):
     assert estimation_pass(with_nan(samples, [row])) != estimation_pass(
         samples)
+
+
+# -- the world's curve entry ---------------------------------------------------
+
+LW = build_template("lw")
+# The rows the world entry writes.
+WORLD_ROWS = list(Row)[Row.theta_ft:Row.free_length]
+SENTINEL = np.array([0x7FF8DEADBEEF0001], dtype=np.int64).view(np.float64)[0]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def world_rows(vector: np.ndarray, start: int = 0):
+    """The world entry over 3 s of lw phases (every stance and swing
+    piece) from tick start on, into columns that are a view of a wider
+    array and a torque column, all filled with the NaN payload SENTINEL
+    first: (the wider array, the torque column)."""
+    n = 3000
+    phase = np.arange(n) * (0.001 / LW.period) % 1.0
+    scale = np.linspace(0.5, 1.5, n)
+    wide, bio = np.full((len(Row), n + 5), SENTINEL), np.full(n, SENTINEL)
+    kernel.world(vector.ctypes.data, start, n, phase.ctypes.data,
+                 scale.ctypes.data, wide.ctypes.data, wide.shape[1],
+                 bio.ctypes.data)
+    return wide, bio
+
+
+def test_the_template_vector_holds_the_value_each_slot_names():
+    sk0, sk1 = LW.theta_sk_span
+    named = {"period": LW.period, "stance_ratio": LW.stance_ratio,
+             "sk0": sk0, "sk1": sk1, "ft_peak": LW.ft_peak,
+             "g_max": LW.g_max, "g_rise_end": LW.g_rise_end,
+             "g_fall_start": LW.g_fall_start, "g_fall_end": LW.g_fall_end,
+             "u_plunge": LW.u_plunge, "g_dip": LW.g_dip,
+             "g_plunge": LW.g_plunge, "swing_ease_s": LW.swing_ease_s,
+             "swing_hold": LW.swing_hold,
+             "torque_sharpness": LW.torque_sharpness, "u_pk": LW.df_peak[1]}
+    assert kernel.TEMPLATE_SLOTS == tuple(named)    # loop.c's order
+    assert bits(_template_vector(LW)).tolist() == bits(
+        list(named.values())).tolist()
+
+
+@pytest.mark.parametrize("slot", kernel.TEMPLATE_SLOTS)
+def test_the_world_reads_each_template_slot(slot):
+    vector = _template_vector(LW)
+    clean = world_rows(vector)
+    vector[kernel.TEMPLATE_SLOTS.index(slot)] = np.nan
+    wide, bio = world_rows(vector)
+    assert bits(wide).tolist() != bits(clean[0]).tolist() or bits(
+        bio).tolist() != bits(clean[1]).tolist()
+
+
+@pytest.mark.parametrize("start", [0, 1, 1234])
+def test_the_world_writes_only_its_rows_of_the_walking_ticks(start):
+    wide, bio = world_rows(_template_vector(LW), start)
+    n = len(bio)
+    kept = np.full(wide.shape, True)
+    kept[WORLD_ROWS, start:n] = False
+    assert (bits(wide)[kept] == bits(SENTINEL)).all()
+    assert (bits(bio[:start]) == bits(SENTINEL)).all()
+    assert not (bits(wide[WORLD_ROWS, start:n]) == bits(SENTINEL)).any()
+    assert not (bits(bio[start:]) == bits(SENTINEL)).any()
+    assert np.isfinite(wide[WORLD_ROWS, start:n]).all()

@@ -71,9 +71,10 @@ def test_stance_grid_equals_the_scalar_curves(activity, tie):
 
 @pytest.mark.parametrize("activity", sorted(TEMPLATES))
 def test_stance_pose_equals_the_scalar_pose(activity):
-    # GaitTemplate.stance_pose is the array curve at one point; it returns
-    # the scalar pose's floats at the knots, just past them, between them
-    # and at the stance ends. The foot-off landmark is its value at u = 1.
+    # GaitTemplate.stance_pose is the kernel's stance curve at one point
+    # (`shankexo_stance`, as the grid above); it returns the scalar pose's
+    # floats at the knots, just past them, between them and at the stance
+    # ends. The foot-off landmark is its value at u = 1.
     tmpl = TEMPLATES[activity]
     knots = [tmpl.g_rise_end, tmpl.g_fall_start, tmpl.g_fall_end,
              tmpl.u_plunge]

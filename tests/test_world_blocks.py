@@ -7,17 +7,27 @@ must be the zero-force length at each tick's DF angle and migration and
 the load-cell noise, drawn a block at a time, equal to scalar draws. A
 tick's phase, scale and stride, which the block does not carry, come from
 the per-tick clock recurrence (`scalar_reference.reference_clock`).
+
+The kernel's curve entries (`shankexo_world`, `shankexo_stance`) equal the
+scalar curves bit for bit at any phase, scale and template: at the knots
+of each piece and one ulp either side, NaN and the infinities included.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import given, reject, settings, strategies as hs
 
+from shankexo import kernel
 from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
                             PerturbationSpec, PlantConfig, RampSpec, Row,
+                            TemplateError, _stance_curves, _template_vector,
                             build_template, free_length)
-from scalar_reference import reference_clock, reference_frames
+from scalar_reference import (biological_torque, g, gen_frame,
+                              reference_clock, reference_frames, stance_pose)
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
 N_TICKS = 2500      # 0.05 s standing, then strides 0-2 at every activity
@@ -155,6 +165,95 @@ def test_noiseless_readings_draw_no_noise():
     assert bits(block.cols[Row.noise]).tolist() == [0] * 50
     assert world.rng.standard_normal() == np.random.default_rng(
         1).standard_normal()
+
+
+def neighbours(x: float) -> list[float]:
+    """x and the floats one ulp below and above it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Phases outside [0, 1) reduce as Python's % does, -1.0 to +0.0.
+SPECIAL = [0.0, -0.0, math.nextafter(1.0, 0.0), 1.0, math.nan, -math.nan,
+           math.inf, -math.inf, -1.0, -0.25, 1.5]
+
+
+@hs.composite
+def templates(draw):
+    """A template from build_template's override space, or, with tied
+    knots, one that the scalar `u <= knot` chain reads as its first
+    piece. A dyadic template's knot phases map exactly onto its knots:
+    with a stance ratio of 0.5, a period of 1 s and a swing ease of a
+    whole number of 2**-53 s, u = p / 0.5 and w = (p - 0.5) / 0.5 are
+    exact, so the pieces meet at the drawn phases themselves."""
+    activity = draw(hs.sampled_from(sorted(TEMPLATES)))
+    overrides = draw(hs.fixed_dictionaries({}, optional={
+        "period": hs.floats(0.9, 1.3),
+        "torque_sharpness": hs.floats(0.5, 4.0),
+        "swing_ease_s": hs.floats(0.0005, 0.004),
+        "swing_hold": hs.floats(0.0, 0.5),
+        "ft_peak": hs.floats(8.5, 20.0),
+        "g_fall_start": hs.floats(0.61, 0.66),
+        "g_dip": hs.floats(1.0, 2.0),
+    }))
+    try:
+        tmpl = build_template(activity, **overrides)
+    except TemplateError:
+        reject()
+    if draw(hs.booleans()):
+        tmpl = replace(tmpl, g_fall_start=tmpl.g_rise_end,
+                       u_plunge=tmpl.g_fall_end)
+    if draw(hs.booleans()):
+        tmpl = replace(tmpl, stance_ratio=0.5, period=1.0, swing_hold=0.25,
+                       swing_ease_s=round(0.0015 * 2**53) / 2**53)
+    return tmpl
+
+
+def knot_phases(tmpl) -> list[float]:
+    """0, each G knot times rho, rho, the swing knots w_e and w_h mapped
+    to phase, each with its neighbours, 1 - ulp, NaN and the infinities."""
+    rho = tmpl.stance_ratio
+    w_e = tmpl.swing_ease_s / (tmpl.period * (1.0 - rho))
+    knots = [tmpl.g_rise_end * rho, tmpl.g_fall_start * rho,
+             tmpl.g_fall_end * rho, tmpl.u_plunge * rho, rho,
+             rho + w_e * (1.0 - rho),
+             rho + (w_e + tmpl.swing_hold) * (1.0 - rho)]
+    return SPECIAL + [p for k in knots for p in neighbours(k)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(tmpl=templates(), data=hs.data())
+def test_world_entry_equals_the_scalar_curves(tmpl, data):
+    phases = knot_phases(tmpl) + data.draw(hs.lists(
+        hs.floats(0.0, 1.0, exclude_max=True), max_size=40))
+    n = len(phases)
+    scales = data.draw(hs.lists(hs.floats(0.3, 2.0), min_size=n, max_size=n))
+    start = data.draw(hs.integers(0, 3))
+    phase, scale = np.array(phases), np.array(scales)
+    cols, bio = np.zeros((len(Row), n)), np.zeros(n)
+    vector = _template_vector(tmpl)
+    kernel.world(vector.ctypes.data, start, n, phase.ctypes.data,
+                 scale.ctypes.data, cols.ctypes.data, n, bio.ctypes.data)
+    want = [gen_frame(tmpl, p, s)[Row.theta_ft:] for p, s in zip(phases,
+                                                                   scales)]
+    np.testing.assert_array_equal(
+        bits(cols[Row.theta_ft:Row.free_length, start:].T),
+        bits(want[start:]))
+    np.testing.assert_array_equal(
+        bits(bio[start:]),
+        bits([biological_torque(tmpl, p) for p in phases[start:]]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(tmpl=templates(), extra=hs.lists(hs.floats(0.0, 1.0), max_size=40))
+def test_stance_entry_equals_the_scalar_curves(tmpl, extra):
+    knots = [tmpl.g_rise_end, tmpl.g_fall_start, tmpl.g_fall_end,
+             tmpl.u_plunge]
+    # math.sin raises at +inf, the plunge's end, where libm returns NaN
+    us = [u for u in SPECIAL if u != math.inf] + [
+        u for k in knots for u in neighbours(k)] + extra
+    want = [stance_pose(tmpl, u) + g(tmpl, u) for u in us]
+    np.testing.assert_array_equal(bits(_stance_curves(tmpl, us).T),
+                                  bits(want))
 
 
 @pytest.mark.parametrize("record", [
