@@ -1,21 +1,24 @@
 """The C kernel, `loop.c`, built by the system `cc` at import, and its
-five entry points in one library: the 1 kHz controller-cable loop
-(`loop`, which `controller.Controller.run` calls once a stretch), the gait
-event detector (`detect`, which `profile.EstimationPath` calls once an
-event), the per-stride report (`report`, which `metrics._StrideReport`
-calls once a stride), and the world's gait curves: `world`, the kinematic
-rows and the biological torque of a block, which `plant.GaitWorld` calls
-once a block, and `stance`, the stance curves at stance fractions, which
-`plant.build_template` calls once a template. `STATE`, `DECISIONS` and
-`SLOTS` are the layout of the loop's float64 vector s, as `loop.c` exports
-it: where the loop state starts, where the decisions start, and its
-length. `DETECTOR_STATE` and `DETECTOR_SLOTS` are the same for the
-detector's vector d: where its state starts after the DetectorConfig
-fields, and its length. `REPORT_STRIDE`, `REPORT_STATE`, `REPORT_OUT` and
-`REPORT_SLOTS` are the same for the report's vector v: where the stride's
-inputs, the comparator's state and the report start, and its length;
-`GRID_POINTS` is the points of the report's grids. `TEMPLATE_SLOTS` names
-the slots of the curves' template vector, in their order.
+entry points in one library: the 1 kHz controller-cable loop (`loop`,
+which `controller.Controller.run` calls once a stretch), the gait event
+detector (`detect`, which `profile.EstimationPath` calls once an event),
+the per-stride report (`report`, which `metrics._StrideReport` calls once
+a stride), and the world: `advance`, a block of world ticks but its noise
+row, which `plant.GaitWorld` calls once a block; `world`, the block's gait
+curves and torque at given phases; and `stance`, the stance curves at
+stance fractions, which `plant.build_template` calls once a template.
+`STATE`, `DECISIONS` and `SLOTS` are the layout of the loop's float64
+vector s, as `loop.c` exports it: where the loop state starts, where the
+decisions start, and its length. `DETECTOR_STATE` and `DETECTOR_SLOTS` are
+the same for the detector's vector d: where its state starts after the
+DetectorConfig fields, and its length. `REPORT_STRIDE`, `REPORT_STATE`,
+`REPORT_OUT` and `REPORT_SLOTS` are the same for the report's vector v:
+where the stride's inputs, the comparator's state and the report start,
+and its length; `GRID_POINTS` is the points of the report's grids.
+`TEMPLATE_SLOTS` names the slots of the curves' template vector, in their
+order; `WORLD_SLOTS` and `PERTURBATION_SLOTS` those of the world's vector
+and of each row of its perturbation table, and `CLOCK_SLOTS` those of the
+clock's state vector. `BLOCK_ROWS` is the rows of a block's buffer.
 """
 
 import ctypes
@@ -27,8 +30,9 @@ from pathlib import Path
 
 # The kernel's flags: no option that lets the compiler reorder, contract or
 # approximate a double operation (such as -ffast-math) may join them.
-# -fno-builtin-pow keeps gcc from folding the report's pow(d, 2.0) into
-# d * d, which differs from C pow (and from np.float_power) in the last bit.
+# -fno-builtin-pow keeps gcc from folding pow(d, 2.0), the report's squares
+# and the sway's, into d * d, which differs from C pow (Python's **) in the
+# last bit.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 
 
@@ -93,6 +97,12 @@ DETECTOR_STATE, DETECTOR_SLOTS = (_size * 2).in_dll(
     _lib, "shankexo_detector_layout")
 REPORT_STRIDE, REPORT_STATE, REPORT_OUT, REPORT_SLOTS, GRID_POINTS = (
     _size * 5).in_dll(_lib, "shankexo_report_layout")
+# advance(t, world, w, dt, n, buf, stride, walking): see shankexo_advance.
+advance = _lib.shankexo_advance
+advance.argtypes = (_ptr, _ptr, _ptr, ctypes.c_double, _size, _ptr, _size,
+                    _ptr)
+advance.restype = _size
+BLOCK_ROWS = _size.in_dll(_lib, "shankexo_block_rows").value
 # world(t, start, n, phase, scale, cols, stride, bio): see shankexo_world.
 world = _lib.shankexo_world
 world.argtypes = (_ptr, _size, _size, _ptr, _ptr, _ptr, _size, _ptr)
@@ -101,5 +111,7 @@ world.restype = None
 stance = _lib.shankexo_stance
 stance.argtypes = (_ptr, _size, _ptr, _ptr)
 stance.restype = None
-TEMPLATE_SLOTS = tuple(ctypes.string_at(ctypes.addressof(ctypes.c_char.in_dll(
-    _lib, "shankexo_template_slots"))).decode().lower().split())
+TEMPLATE_SLOTS, WORLD_SLOTS, PERTURBATION_SLOTS, CLOCK_SLOTS = (
+    tuple(ctypes.string_at(ctypes.addressof(ctypes.c_char.in_dll(
+        _lib, f"shankexo_{names}_slots"))).decode().lower().split())
+    for names in ("template", "world", "perturbation", "clock"))

@@ -1,8 +1,9 @@
 /* The 1 kHz controller-cable loop of `shankexo.controller.Controller.run`,
    one call a stretch of ticks with no gait event inside, with the
-   dual-Gaussian profile it tracks; the gait curves and the biological
-   torque of `shankexo.plant.GaitWorld`, one call a block of world ticks,
-   and its stance curves, one call a template; the gait event detector of
+   dual-Gaussian profile it tracks; the world of `shankexo.plant.GaitWorld`,
+   one call a block of world ticks: its clock, its gait curves and
+   biological torque, its sway and its cable's zero-force length, and its
+   stance curves, one call a template; the gait event detector of
    `shankexo.profile.EstimationPath`, one call an event; and the
    per-stride report of `shankexo.metrics._StrideReport`, one call a
    stride, whose time-based comparator evaluates the same profile.
@@ -15,11 +16,12 @@
    the state, the world's columns and the report have the bits the
    references in `tests/scalar_reference.py` give, and the events and
    detector state those of `gait_signals.EventDetector`, NaN, the
-   infinities and -0.0 included. exp, sin, cos, pow and fmod are libm's,
-   the functions math.exp, math.sin, math.cos and Python's float ** and %
-   call; gcc may join a sin and a cos of one argument into libm's sincos,
-   which gives their bits. `a < b ? a : b` is Python's `a if a < b else b`,
-   and so min(a, b) only where neither is NaN. */
+   infinities and -0.0 included. exp, sin, cos, pow, fmod and rint are
+   libm's, the functions math.exp, math.sin, math.cos and Python's float
+   ** and % call, and np.rint's rounding; gcc may join a sin and a cos of
+   one argument into libm's sincos, which gives their bits. `a < b ? a : b`
+   is Python's `a if a < b else b`, and so min(a, b) only where neither is
+   NaN. */
 
 #include <float.h>
 #include <math.h>
@@ -450,55 +452,263 @@ void shankexo_stance(const double *t, ptrdiff_t n, const double *u,
     }
 }
 
-/* Ticks start to n - 1 of a world block, from the template vector t and
-   the ticks' gait phase and speed scale (which rescales rates only): rows
-   ROW_FT to ROW_DF_RATE of the ROW_* columns cols, the kinematic frame,
-   and bio, the normalized single-crest ankle torque, peaking at the
-   DF-peak phase and 0.0 outside stance. A frame's phase outside [0, 1) is
-   first taken as Python's phase % 1.0; bio reads the phase as it is. */
+/* Tick i's kinematic frame at gait phase p and speed scale (which
+   rescales rates only) into rows ROW_FT to ROW_DF_RATE of the ROW_*
+   columns cols, and the normalized single-crest ankle torque, peaking at
+   the DF-peak phase and 0.0 outside stance, into *bio. A frame's phase
+   outside [0, 1) is first taken as Python's p % 1.0; the torque reads the
+   phase as it is. */
+static void frame(const struct gait *c, double p, double scale, double *cols,
+                  ptrdiff_t stride, ptrdiff_t i, double *bio)
+{
+    const double cycle_rate = scale / c->period, phase = p;
+    double pose[4], g[2], mult;
+    if (!(0.0 <= p && p < 1.0)) {
+        p = fmod(p, 1.0);
+        p = p == 0.0 ? 0.0 : p < 0.0 ? p + 1.0 : p;
+    }
+    if (p < c->rho) {
+        stance_pose(c, p / c->rho, pose, g);
+        mult = cycle_rate / c->rho;
+    } else {
+        swing_pose(c, (p - c->rho) / (1.0 - c->rho), pose);
+        mult = cycle_rate / (1.0 - c->rho);
+    }
+    const double sk_r = pose[2] * mult, ft_r = pose[3] * mult;
+    cols[ROW_FT * stride + i] = pose[1];
+    cols[ROW_SK * stride + i] = pose[0];
+    cols[ROW_DF * stride + i] = pose[0] - pose[1];
+    cols[ROW_FT_RATE * stride + i] = ft_r;
+    cols[ROW_SK_RATE * stride + i] = sk_r;
+    cols[ROW_DF_RATE * stride + i] = sk_r - ft_r;
+
+    if (0.0 <= phase && phase <= c->rho) {
+        const double u = phase / c->rho;
+        const double base = u <= c->u_pk
+            ? 0.5 * (1.0 - cos(pi * u / c->u_pk))
+            : 0.5 * (1.0 + cos(pi * (u - c->u_pk) / (1.0 - c->u_pk)));
+        *bio = pow(base, c->sharpness);
+    } else {
+        *bio = 0.0;
+    }
+}
+
+/* The frames and torques of ticks start to n - 1 at the ticks' gait phase
+   and speed scale, from the template vector t: the curves of
+   shankexo_advance's walking ticks at any phase and scale. */
 void shankexo_world(const double *t, ptrdiff_t start, ptrdiff_t n,
                     const double *phase, const double *scale, double *cols,
                     ptrdiff_t stride, double *bio)
 {
     const struct gait c = read_template(t);
-    double *ft_col = cols + ROW_FT * stride, *sk_col = cols + ROW_SK * stride,
-           *df_col = cols + ROW_DF * stride,
-           *ft_rate = cols + ROW_FT_RATE * stride,
-           *sk_rate = cols + ROW_SK_RATE * stride,
-           *df_rate = cols + ROW_DF_RATE * stride;
-    for (ptrdiff_t i = start; i < n; i++) {
-        const double cycle_rate = scale[i] / c.period;
-        double p = phase[i], pose[4], g[2], mult;
-        if (!(0.0 <= p && p < 1.0)) {
-            p = fmod(p, 1.0);
-            p = p == 0.0 ? 0.0 : p < 0.0 ? p + 1.0 : p;
-        }
-        if (p < c.rho) {
-            stance_pose(&c, p / c.rho, pose, g);
-            mult = cycle_rate / c.rho;
-        } else {
-            swing_pose(&c, (p - c.rho) / (1.0 - c.rho), pose);
-            mult = cycle_rate / (1.0 - c.rho);
-        }
-        const double sk_r = pose[2] * mult, ft_r = pose[3] * mult;
-        ft_col[i] = pose[1];
-        sk_col[i] = pose[0];
-        df_col[i] = pose[0] - pose[1];
-        ft_rate[i] = ft_r;
-        sk_rate[i] = sk_r;
-        df_rate[i] = sk_r - ft_r;
+    for (ptrdiff_t i = start; i < n; i++)
+        frame(&c, phase[i], scale[i], cols, stride, i, bio + i);
+}
 
-        p = phase[i];
-        if (0.0 <= p && p <= c.rho) {
-            const double u = p / c.rho;
-            const double base = u <= c.u_pk
-                ? 0.5 * (1.0 - cos(pi * u / c.u_pk))
-                : 0.5 * (1.0 + cos(pi * (u - c.u_pk) / (1.0 - c.u_pk)));
-            bio[i] = pow(base, c.sharpness);
+/* -- The world's clock ------------------------------------------------- */
+
+/* The slots of the world vector, which `shankexo.plant` fills by these
+   names, lowercased, once a world: the standing time; the ramp, the fields
+   of plant.RampSpec (START_STRIDE +inf without a ramp); the truth tendon's
+   lever arm and baseline; the suit migration and the backward sway, the
+   constants of `shankexo.plant`; and SPECS, the rows of the perturbation
+   table that follows, one row of PERTURBATION slots a stride with a
+   perturbation: the stride, NaN once the perturbation has begun, its kind
+   code (plant._PERTURB_CODE) and PerturbationSpec's fields. */
+#define WORLD(X) X(STANDING_S) X(START_STRIDE) X(HOLD_STRIDES) X(LOW_SCALE) \
+    X(RATE_PER_S) X(LEVER_ARM_R) X(BASELINE_C) X(MIG_MAX) X(MIG_STRIDE_TAU) \
+    X(SWAY_DEG) X(SWAY_WINDOW_S) X(SPECS)
+#define PERTURBATION(X) X(STRIDE) X(KIND) X(ONSET_PCT_GC) X(MAGNITUDE) \
+    X(RAMP_TIME)
+/* The slots of the clock's state vector w, which `shankexo.plant.GaitWorld`
+   writes before a block and reads back after it, in this order: the time,
+   the gait phase, the speed scale, the ramp's scale, the stride and the
+   suit migration, and the open perturbation window: its table row (-1
+   where none is open) and its onset time. */
+#define CLOCK(X) X(T_S) X(PHASE) X(SCALE) X(RAMP_SCALE) X(STRIDE) \
+    X(MIGRATION) X(WINDOW) X(ONSET_T)
+#define WORLD_SLOT(name) W_##name,
+#define PERTURBATION_SLOT(name) P_##name,
+#define CLOCK_SLOT(name) C_##name,
+enum { WORLD(WORLD_SLOT) W_SLOTS };
+enum { PERTURBATION(PERTURBATION_SLOT) P_SLOTS };
+enum { CLOCK(CLOCK_SLOT) C_SLOTS };
+const char shankexo_world_slots[] = WORLD(SLOT_NAME);
+const char shankexo_perturbation_slots[] = PERTURBATION(SLOT_NAME);
+const char shankexo_clock_slots[] = CLOCK(SLOT_NAME);
+
+/* The perturbation kind codes of plant._PERTURB_CODE. */
+enum { FORWARD = 1, BACKWARD = 2 };
+
+/* The rows of a block's buffer past its ROW_* columns: the float fields
+   of plant.WorldBlock but cols, in their order, then the indices of the
+   ticks that Python rounds, as doubles. BLOCK_ROWS is the buffer's rows,
+   which `shankexo.kernel` reads. */
+enum { CLOCK_T_MS = ROW_NOISE + 1, CLOCK_SCALE, CLOCK_MIGRATION, CLOCK_KIND,
+       CLOCK_BIO, ODD, BLOCK_ROWS };
+const ptrdiff_t shankexo_block_rows = BLOCK_ROWS;
+
+/* The table row of the perturbation of stride that has not begun, -1
+   where there is none. */
+static ptrdiff_t pending(const double *table, ptrdiff_t specs, double stride)
+{
+    for (ptrdiff_t k = 0; k < specs; k++)
+        if (table[k * P_SLOTS + P_STRIDE] == stride)
+            return k;
+    return -1;
+}
+
+/* The phase-rate multiplier of the perturbation row p tau s after its
+   onset: 1 +- magnitude * tri, where tri rises from 0 to 1 over ramp_time
+   and falls back over the next; 1 outside the window. */
+static double multiplier(const double *p, double tau)
+{
+    const double rt = p[P_RAMP_TIME];
+    if (tau < 0.0 || tau > 2.0 * rt)
+        return 1.0;
+    const double tri = tau <= rt ? tau / rt : (2.0 * rt - tau) / rt;
+    return p[P_KIND] == FORWARD ? 1.0 + p[P_MAGNITUDE] * tri
+                                : 1.0 - p[P_MAGNITUDE] * tri;
+}
+
+/* n world ticks of dt from the state w, one tick at a time, as
+   `tests/scalar_reference.py`'s reference_clock steps them, from the
+   template vector t and the world vector `world`, whose perturbation
+   table it marks as the perturbations begin. Per tick: the time; while
+   walking (from standing_s on) the ramp scale's step toward the stride's
+   target, the open window's multiplier or its close, the phase step, the
+   wrap, with its stride and migration, and the onset of the stride's
+   perturbation; the frame and torque at the phase and scale (zeros while
+   standing), plus the backward sway; the zero-force length
+   r * radians(df) + c - migration; and the time rows: ROW_T, the
+   KinematicSample time round(t * 1000.0, 6), and the log clock
+   rint(t * 1000.0). The buffer buf holds the rows, each contiguous and
+   stride doubles after the one before; the entry writes each tick's rows
+   ROW_T to ROW_L_FREE and CLOCK_T_MS to CLOCK_BIO, and walking, and
+   nothing else but ODD's first entries. ROW_T is rint(p) / 1e6 of
+   p = t * 1000.0 * 1e6, which is the rounding `round` gives except at an
+   exact tie of p and where |p| >= 2**52 (see "Bit-equality" in
+   `shankexo.plant`): such a finite tick's ROW_T holds t * 1000.0, its
+   index goes into ODD, and Python rounds it. Returns the number of such
+   ticks. */
+ptrdiff_t shankexo_advance(const double *t, double *world, double *w,
+                           double dt, ptrdiff_t n, double *buf,
+                           ptrdiff_t stride, unsigned char *walking)
+{
+    const struct gait c = read_template(t);
+    double *table = world + W_SLOTS;
+    const ptrdiff_t specs = (ptrdiff_t)world[W_SPECS];
+    const double standing_s = world[W_STANDING_S],
+                 start = world[W_START_STRIDE],
+                 back = start + world[W_HOLD_STRIDES],
+                 low = world[W_LOW_SCALE],
+                 ramp_step = world[W_RATE_PER_S] * dt,
+                 r = world[W_LEVER_ARM_R], base_c = world[W_BASELINE_C],
+                 mig_max = world[W_MIG_MAX], mig_tau = world[W_MIG_STRIDE_TAU],
+                 sway_a = world[W_SWAY_DEG], sway_w = world[W_SWAY_WINDOW_S];
+    double t_s = w[C_T_S], phase = w[C_PHASE], scale = w[C_SCALE],
+           ramp_scale = w[C_RAMP_SCALE], stride_index = w[C_STRIDE],
+           migration = w[C_MIGRATION], onset_t = w[C_ONSET_T];
+    ptrdiff_t window = (ptrdiff_t)w[C_WINDOW],
+              next = pending(table, specs, stride_index), k = 0;
+    /* dt * scale / period, the phase step, at the scale step_scale */
+    double step_scale = NAN, step = NAN;
+    double *t_col = buf + ROW_T * stride, *sk = buf + ROW_SK * stride,
+           *df = buf + ROW_DF * stride,
+           *sk_rate = buf + ROW_SK_RATE * stride,
+           *df_rate = buf + ROW_DF_RATE * stride,
+           *l_free = buf + ROW_L_FREE * stride,
+           *odd = buf + ODD * stride;
+
+    for (ptrdiff_t i = 0; i < n; i++) {
+        t_s += dt;
+        const int walks = t_s >= standing_s;
+        walking[i] = (unsigned char)walks;
+        if (walks) {
+            if (stride_index >= start) {
+                /* min(target, x) and max(target, x) */
+                const double target = stride_index < back ? low : 1.0;
+                if (ramp_scale < target) {
+                    const double x = ramp_scale + ramp_step;
+                    ramp_scale = x < target ? x : target;
+                } else if (ramp_scale > target) {
+                    const double x = ramp_scale - ramp_step;
+                    ramp_scale = x > target ? x : target;
+                }
+            }
+            scale = ramp_scale;
+            if (window >= 0) {
+                /* max(2 * ramp_time, sway_w) for a backward one */
+                const double *p = table + window * P_SLOTS;
+                double span = 2.0 * p[P_RAMP_TIME];
+                if (p[P_KIND] == BACKWARD && sway_w > span)
+                    span = sway_w;
+                if (t_s - onset_t > span)
+                    window = -1;
+                else
+                    scale *= multiplier(p, t_s - onset_t);
+            }
+            if (scale != step_scale
+                || !signbit(scale) != !signbit(step_scale)) {
+                step_scale = scale;     /* its bits changed, or NaN */
+                step = dt * scale / c.period;
+            }
+            phase += step;
+            if (phase >= 1.0) {
+                phase -= 1.0;
+                stride_index += 1.0;
+                migration = mig_max * (1.0 - exp(-stride_index / mig_tau));
+                next = pending(table, specs, stride_index);
+            }
+            if (next >= 0 && window < 0
+                && phase >= table[next * P_SLOTS + P_ONSET_PCT_GC]) {
+                window = next;
+                onset_t = t_s;
+                table[next * P_SLOTS + P_STRIDE] = NAN;
+                next = -1;
+            }
+            frame(&c, phase, scale, buf, stride, i,
+                  buf + CLOCK_BIO * stride + i);
+            if (window >= 0 && table[window * P_SLOTS + P_KIND] == BACKWARD
+                && t_s - onset_t <= sway_w) {
+                const double tau = t_s - onset_t,
+                             sway = -sway_a * pow(sin(pi * tau / sway_w), 2.0),
+                             rate = -sway_a * pi / sway_w
+                                    * sin(2.0 * pi * tau / sway_w);
+                sk[i] += sway;
+                df[i] += sway;
+                sk_rate[i] += rate;
+                df_rate[i] += rate;
+            }
         } else {
-            bio[i] = 0.0;
+            for (int row = ROW_FT; row <= ROW_DF_RATE; row++)
+                buf[row * stride + i] = 0.0;
+            buf[CLOCK_BIO * stride + i] = 0.0;
+        }
+        l_free[i] = r * (df[i] * rad) + base_c - migration;
+        buf[CLOCK_SCALE * stride + i] = scale;
+        buf[CLOCK_MIGRATION * stride + i] = migration;
+        buf[CLOCK_KIND * stride + i] =
+            window < 0 ? 0.0 : table[window * P_SLOTS + P_KIND];
+
+        const double ms = t_s * 1000.0, p = ms * 1e6, whole = rint(p);
+        buf[CLOCK_T_MS * stride + i] = rint(ms);
+        if (isfinite(ms) && (fabs(p - whole) == 0.5 || fabs(p) >= 0x1p52)) {
+            t_col[i] = ms;
+            odd[k++] = (double)i;
+        } else {
+            t_col[i] = whole / 1e6;
         }
     }
+    w[C_T_S] = t_s;
+    w[C_PHASE] = phase;
+    w[C_SCALE] = scale;
+    w[C_RAMP_SCALE] = ramp_scale;
+    w[C_STRIDE] = stride_index;
+    w[C_MIGRATION] = migration;
+    w[C_WINDOW] = (double)window;
+    w[C_ONSET_T] = onset_t;
+    return k;
 }
 
 /* -- The gait event detector ------------------------------------------- */

@@ -16,52 +16,44 @@ the stance shank angle regresses, which is the non-steady condition the
 shank-based profile is meant to survive.
 
 Blocks. GaitWorld advances in blocks of ticks (BLOCK_TICKS, four simulated
-seconds at 1 kHz, so a 60-stride run pays the fixed numpy cost of a block
-about 16 times, not 62). The clock (time, ramp, perturbation window, phase
-wrap, stride, migration and sway) is accumulated in bulk: time is one
-`np.add.accumulate` of dt from the carried value, and the walking ticks go
-in stretches. A stretch accumulates the ramp scale, multiplies it by the
-open window's multiplier and accumulates the phase increment, up to the
-first wrap, pending onset or window close. Scalar code runs once per such
-event: the wrap's stride and migration, and the onset that opens a window.
-The C kernel (`loop.c`'s `shankexo_world`, one call a block) then evaluates
-the gait curves and the biological torque at each walking tick's phase and
-scale, from the template's vector of curve values (`_template_vector`,
-built once per world), and numpy adds the sway. The block hands them over
-as columns only: the clock columns the log reads, and one (9, n) array,
-`WorldBlock.cols`, whose rows (`Row`) are the replay stream's sample
-columns, then the cable's open-loop columns. This is the world's only path:
-`advance(dt)` is the sample of a block of one tick, its first seven rows.
-Nothing in the world reads cable state, so a block may run ahead of the
-closed loop; the world's scalar attributes (`t_s`, `phase`, `scale`,
-`state.stride_index`, `state.migration`) then hold end-of-block values. The
-block's columns carry each tick's own values of what the closed loop reads;
-a tick's phase and stride are the scalar attributes of a world advanced one
-tick at a time.
+seconds at 1 kHz, so a 60-stride run pays the fixed cost of a block about
+16 times, not 62). One call of the C kernel (`loop.c`'s `shankexo_advance`)
+builds a block but its noise row. Tick by tick it steps the clock (time,
+ramp, perturbation window, phase wrap, stride, migration and the onset of
+a stride's perturbation), evaluates the gait curves and the biological
+torque at the walking tick's phase and scale, adds the sway, and writes the
+time rows and the zero-force length. It reads the template's vector
+(`_template_vector`), the world's vector (`_world_vector`: the standing
+time, the ramp, the constants and the perturbations), both built once per
+world, and the clock's state, which the world's attributes hold between
+blocks. The block hands them over as columns only: the clock columns the
+log reads, and one (9, n) array, `WorldBlock.cols`, whose rows (`Row`) are
+the replay stream's sample columns, then the cable's open-loop columns.
+This is the world's only path: `advance(dt)` is the sample of a block of
+one tick, its first seven rows. Nothing in the world reads cable state, so
+a block may run ahead of the closed loop; the world's scalar attributes
+(`t_s`, `phase`, `scale`, `state.stride_index`, `state.migration`) then
+hold end-of-block values. The block's columns carry each tick's own values
+of what the closed loop reads; a tick's phase and stride are the scalar
+attributes of a world advanced one tick at a time.
 
-Bit-equality. Each curve is written once: the gait curves and the torque in
-`loop.c` (`shankexo_world` for a block, `shankexo_stance` for the
-template's stance grid and `GaitTemplate.stance_pose`), the clock and the
-sway over numpy arrays here. Their scalar forms, one value at a time in
-plain Python, are kept in the tests (`tests/scalar_reference.py`), and the
-block columns equal them bit for bit, for any block size. That holds
-because the kernel and the array code repeat the scalar operation order and
-use only operations that match `math` exactly here: the kernel's arithmetic
-and libm's `sin`, `cos` and `pow`, which `math` and Python `**` call; and
-numpy's arithmetic, `sin`, `radians`, `rint`, `np.add.accumulate`, which
-adds strictly in sequence as `+=` does, and `np.float_power`, which is C
-`pow` as `**` is (the sway). Where numpy does not (`exp`, `np.power`,
-`round(x, ndigits)`) the scalar Python operation stays: `math.exp` for
-migration. The ramp's clamped steps are an accumulation clipped at the
-target, and the window's triangle is `np.minimum` of its two sides. The
-sample time is `round(t * 1000.0, 6)`, which `_sample_clock` computes as
-np.rint(x * 1e6) / 1e6 and leaves to `round` only at the exact ties of
-x * 1e6 and where |x * 1e6| >= 2**52.
+Bit-equality. Each curve is written once, in `loop.c`: the clock, the gait
+curves, the torque and the sway in `shankexo_advance` (its curves are
+`shankexo_world`'s at any phase), the stance curves in `shankexo_stance`
+(the template's stance grid and `GaitTemplate.stance_pose`). Their scalar
+forms, one value at a time in plain Python, are kept in the tests
+(`tests/scalar_reference.py`), and the block columns equal them bit for
+bit, for any block size. That holds because the kernel repeats the scalar
+operation order and uses only operations that match Python exactly here:
+IEEE arithmetic and libm's `sin`, `cos`, `pow`, `exp` and `rint`, which
+`math`, Python `**` and `np.rint` call. The sample time is
+`round(t * 1000.0, 6)`, which the kernel computes as rint(x * 1e6) / 1e6,
+leaving to `round` only the exact ties of x * 1e6 and |x * 1e6| >= 2**52.
 
 Cable. Only the cable's velocity state and length form a loop with the
 controller, so the plant splits in two. The open-loop part is the block's
 last two rows: the zero-force length r * radians(df) + c - migration of
-each tick (`free_length`) and the load-cell noise, drawn from the world's
+each tick and the load-cell noise, drawn from the world's
 Generator a block at a time; n draws equal n scalar `standard_normal()`
 draws, so every block of a world reads one stream.
 The loop part is a few lines that live once, in `Controller.run`'s loop
@@ -448,16 +440,6 @@ class PerturbationSpec:
     ramp_time: float = 0.1        # s, each of the two ramps
     affected_cycles: frozenset = field(default_factory=frozenset)
 
-    def multiplier(self, tau):
-        """Phase-rate multiplier tau seconds after onset, of a float or an
-        array: 1 +- magnitude * tri, where tri rises from 0 to 1 over
-        ramp_time and falls back over the next; 1 outside the window."""
-        rt = self.ramp_time
-        mag = (self.magnitude if self.kind is PerturbationKind.FORWARD
-               else -self.magnitude)
-        tri = np.minimum(tau, 2.0 * rt - tau) / rt
-        return np.where((tau < 0.0) | (tau > 2.0 * rt), 1.0, 1.0 + mag * tri)
-
 
 @dataclass(frozen=True)
 class RampSpec:
@@ -541,55 +523,15 @@ def bind_cable(state: PlantState, tendon_truth: TendonModel,
                  config.baseline_c + INITIAL_SLACK_MM)
 
 
-def free_length(tendon_truth: TendonModel, theta_df, migration):
-    """The cable's zero-force length (mm) at DF angles theta_df (deg) and
-    suit migrations (mm): r * radians(theta_df) + c - migration, in that
-    order, over arrays, with no warning where one is not a number."""
-    with np.errstate(all="ignore"):
-        return (tendon_truth.lever_arm_r * np.radians(theta_df)
-                + tendon_truth.baseline_c - migration)
-
-
-def _sample_clock(t_s) -> tuple[np.ndarray, np.ndarray]:
-    """(log clock, sample time) of tick times in s: np.rint(t * 1000.0), the
-    whole ms, and round(t * 1000.0, 6), the KinematicSample time.
-
-    `round` rounds the exact binary value of x = t * 1000.0 at six decimals,
-    half to even. The product p = x * 1e6 is off the exact one by at most
-    half its ulp, and below 2**52 every .5 boundary is a float on p's grid,
-    so a p that is not one rounds by rint as the exact value does; the
-    integer n = rint(p) is exact, and n / 1e6 is the correctly rounded float
-    that `round` returns. Only the finite ticks whose p is an exact tie or
-    has |p| >= 2**52 round by `round`; a non-finite x is its own n / 1e6.
-    """
-    ms = np.asarray(t_s) * 1000.0
-    # p overflows past 1.8e302 ms, and p - n is inf - inf at an infinity
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = ms * 1e6
-        n = np.rint(p)
-        odd = np.flatnonzero(((np.abs(p - n) == 0.5) | (np.abs(p) >= 2.0**52))
-                             & np.isfinite(ms))
-    t_sample = n / 1e6
-    if len(odd):
-        t_sample[odd] = [round(x, 6) for x in ms[odd].tolist()]
-    return np.rint(ms), t_sample
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True of mask, len(mask) when there is none."""
-    k = int(mask.argmax())
-    return k if mask[k] else len(mask)
-
-
 def _positive_dt(dt: float) -> None:
-    if not dt > 0.0:     # NaN too
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0.0 < dt < math.inf:     # NaN too
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
 # The rows of a world block's columns (`WorldBlock.cols`): the replay
 # stream's sample columns (the time, then KinematicSample's channels, in
 # their order), then the cable's open-loop columns, its zero-force length
-# (`free_length`) and its load-cell noise. loop.c's ROW_* enum declares the
+# and its load-cell noise. loop.c's ROW_* enum declares the
 # same rows.
 Row = IntEnum("Row", [*KinematicSample._fields, "free_length", "noise"],
               start=0)
@@ -602,32 +544,40 @@ class WorldBlock(NamedTuple):
     first seven rows, which the estimation pass reads at its IMU ticks,
     and the closed loop reads views of it in place. A block of one tick is
     the same columns of length one: `GaitWorld.advance` returns its
-    sample. The clock columns are accumulated in bulk (see "Blocks" in the
-    module docstring)."""
+    sample. The float columns are rows of one buffer, which `cols` begins
+    (see "Blocks" in the module docstring)."""
 
     t_ms: np.ndarray          # tick time rounded to whole ms (the log's clock)
     walking: np.ndarray       # bool, False while standing
     scale: np.ndarray         # phase-rate multiplier of ramps and perturbations
     migration: np.ndarray     # mm
-    perturb_kind: np.ndarray  # 0 none, 1 forward, 2 backward perturbation window
+    perturb_kind: np.ndarray  # 0. none, 1. forward, 2. backward window
     bio: np.ndarray           # normalized biological torque, 0 while standing
     cols: np.ndarray          # (9, n) floats, one row per Row
 
 
-class _Clock(NamedTuple):
-    """Per-tick clock columns of one block (`GaitWorld._clock`)."""
-
-    t_s: np.ndarray
-    walking: np.ndarray
-    phase: np.ndarray
-    scale: np.ndarray
-    migration: np.ndarray
-    perturb_kind: np.ndarray
-    sway: tuple       # (ticks, sway, sway rate) of backward sway windows,
-                      # () without one
-
-
 _PERTURB_CODE = {PerturbationKind.FORWARD: 1, PerturbationKind.BACKWARD: 2}
+
+
+def _world_vector(config: PlantConfig, standing_s: float,
+                  ramp: Optional[RampSpec],
+                  specs: list[tuple[int, PerturbationSpec]]) -> np.ndarray:
+    """loop.c's world vector: in each slot the value that
+    `kernel.WORLD_SLOTS` names, then a row of `kernel.PERTURBATION_SLOTS`
+    for each (stride, spec) of specs. Without a ramp, the ramp never
+    starts."""
+    from . import kernel
+    named = dict(vars(ramp or RampSpec(start_stride=math.inf)),
+                 standing_s=standing_s, lever_arm_r=config.lever_arm_r,
+                 baseline_c=config.baseline_c, mig_max=MIG_MAX,
+                 mig_stride_tau=MIG_STRIDE_TAU, sway_deg=SWAY_DEG,
+                 sway_window_s=SWAY_WINDOW_S, specs=len(specs))
+    rows = [dict(vars(spec), stride=stride, kind=_PERTURB_CODE[spec.kind])
+            for stride, spec in specs]
+    return np.array([named[slot] for slot in kernel.WORLD_SLOTS]
+                    + [row[slot] for row in rows
+                       for slot in kernel.PERTURBATION_SLOTS],
+                    dtype=np.float64)
 
 
 class GaitWorld:
@@ -638,7 +588,8 @@ class GaitWorld:
     the phase wrap; suit migration steps once per stride. The open-loop
     part advances in blocks (`advance_block`), the cable's open-loop
     columns included; the closed loop steps the cable one tick at a time
-    over the constants `bind_cable` binds.
+    over the constants `bind_cable` binds. The template, the config, the
+    standing time, the ramp and the perturbations are read once, here.
     """
 
     def __init__(self, tmpl: GaitTemplate, config: PlantConfig, seed: int = 0,
@@ -647,16 +598,22 @@ class GaitWorld:
                  ramp: Optional[RampSpec] = None):
         from . import kernel    # built at import, which cli.main reports
         self.tmpl = tmpl
-        # loop.c's template vector, kept alive for the world entry
-        self._template = _template_vector(tmpl)
-        self._world = partial(kernel.world, self._template.ctypes.data)
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.standing_s = standing_s
-        # The specs of the strides whose perturbation has not begun
-        self.perturbations = {s: p for p in (perturbations or [])
-                              for s in p.affected_cycles}
         self.ramp = ramp
+        # (stride, spec) of each stride with a perturbation, in the rows of
+        # loop.c's perturbation table
+        self._specs = list({s: p for p in (perturbations or [])
+                            for s in p.affected_cycles}.items())
+        # loop.c's template vector, world vector and clock state, kept
+        # alive for the entry
+        self._template = _template_vector(tmpl)
+        self._world = _world_vector(config, standing_s, ramp, self._specs)
+        self._w = np.empty(len(kernel.CLOCK_SLOTS))
+        self._rows = kernel.BLOCK_ROWS      # of a block's buffer
+        self._advance = partial(kernel.advance, self._template.ctypes.data,
+                                self._world.ctypes.data, self._w.ctypes.data)
         self.truth_tendon = TendonModel(config.lever_arm_r, config.k_all,
                                         config.baseline_c, 0.0)
         self.state = PlantState(
@@ -665,7 +622,25 @@ class GaitWorld:
         self.t_s = 0.0
         self.scale = 1.0
         self._ramp_scale = 1.0
-        self._pert_active: Optional[tuple[PerturbationSpec, float]] = None
+        self._window = -1           # the open window's row, -1 when none
+        self._onset_t = 0.0
+
+    @property
+    def perturbations(self) -> dict[int, PerturbationSpec]:
+        """The specs of the strides whose perturbation has not begun, by
+        stride: the table rows whose stride loop.c has not set to NaN."""
+        from . import kernel
+        table = self._world[len(kernel.WORLD_SLOTS):].reshape(
+            -1, len(kernel.PERTURBATION_SLOTS))
+        begun = np.isnan(table[:, kernel.PERTURBATION_SLOTS.index("stride")])
+        return {s: p for (s, p), b in zip(self._specs, begun) if not b}
+
+    @property
+    def _pert_active(self) -> Optional[tuple[PerturbationSpec, float]]:
+        """(spec, onset time) of the open perturbation window, or None."""
+        if self._window < 0:
+            return None
+        return self._specs[self._window][1], self._onset_t
 
     def advance(self, dt: float) -> KinematicSample:
         """Advance time by dt and return the truth kinematics at the new
@@ -675,131 +650,39 @@ class GaitWorld:
 
     def advance_block(self, dt: float, n: int) -> WorldBlock:
         """Advance n ticks of dt and return each tick's world values. The
-        cable's rows are the zero-force length (`free_length`) at each
-        tick's DF angle and migration, and the load-cell noise
-        force_noise_sd * z, whose draws z are the next n of the world's one
-        stream, the values of n scalar rng.standard_normal() draws;
-        noiseless readings (force_noise_sd not above 0) draw none and read
-        zeros."""
+        cable's rows are the zero-force length r * radians(df) + c -
+        migration at each tick's DF angle and migration, and the load-cell
+        noise force_noise_sd * z, whose draws z are the next n of the
+        world's one stream, the values of n scalar rng.standard_normal()
+        draws; noiseless readings (force_noise_sd not above 0) draw none
+        and read zeros. dt must be finite and above 0, n an int above 0."""
         _positive_dt(dt)
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n!r}")
-        clock = self._clock(dt, n)
-        cols = np.zeros((len(Row), n))
-        t_ms, cols[Row.t_ms] = _sample_clock(clock.t_s)
-        bio = np.zeros(n)
-        # Walking never stops once started: ticks w0.. walk, the rest stand
-        # with every angle and rate zero.
-        self._world(_first(clock.walking), n, clock.phase.ctypes.data,
-                    clock.scale.ctypes.data, cols.ctypes.data, n,
-                    bio.ctypes.data)
-        if clock.sway:
-            at, sway, sway_rate = clock.sway
-            cols[Row.theta_sk:Row.theta_df + 1, at] += sway
-            cols[Row.theta_sk_rate:Row.theta_df_rate + 1, at] += sway_rate
-        cols[Row.free_length] = free_length(
-            self.truth_tendon, cols[Row.theta_df], clock.migration)
-        sd = self.config.force_noise_sd
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be positive and an int, got {n!r}")
+        return self._block(dt, n)
+
+    def _block(self, dt: float, n: int) -> WorldBlock:
+        """advance_block's n ticks of dt, unchecked: one call of loop.c's
+        `shankexo_advance` over the clock state, read before it and
+        written back after it, and the noise draws."""
+        st, w = self.state, self._w
+        w[:] = (self.t_s, self.phase, self.scale, self._ramp_scale,
+                st.stride_index, st.migration, self._window, self._onset_t)
+        buf, walking = np.empty((self._rows, n)), np.empty(n, dtype=bool)
+        k = self._advance(dt, n, buf.ctypes.data, n, walking.ctypes.data)
+        (self.t_s, self.phase, self.scale, self._ramp_scale, stride,
+         st.migration, window, self._onset_t) = w.tolist()
+        st.stride_index, self._window = int(stride), int(window)
+        # the Row columns, then loop.c's CLOCK_* rows and ODD
+        cols = buf[:len(Row)]
+        t_ms, scale, migration, kind, bio, odd = buf[len(Row):]
+        if k:
+            t, at = cols[Row.t_ms], odd[:k].astype(np.intp)
+            t[at] = [round(x, 6) for x in t[at].tolist()]
+        noise, sd = cols[Row.noise], self.config.force_noise_sd
         if sd > 0.0:
-            cols[Row.noise] = sd * self.rng.standard_normal(n)
-        return WorldBlock(t_ms, clock.walking, clock.scale, clock.migration,
-                          clock.perturb_kind, bio, cols)
-
-    def _clock(self, dt: float, n: int) -> _Clock:
-        """The clock columns of the next n ticks of dt. Time is one
-        accumulation from the carried t_s. The walking ticks go in
-        stretches, each one accumulation of the ramp scale and one of the
-        phase, ended at the first wrap, pending onset or window close; the
-        scalar code runs once per such event."""
-        t = np.full(n + 1, dt)
-        t[0] = self.t_s
-        t = np.add.accumulate(t)[1:]
-        walking = t >= self.standing_s
-        phase, scale, migration = np.empty(n), np.empty(n), np.empty(n)
-        kind = np.zeros(n, dtype=np.int64)   # no window opens while standing
-        tau = np.zeros(n)    # s since a window's onset, set only inside one
-        st, period = self.state, self.tmpl.period
-        i = _first(walking)     # the standing ticks keep the carried clock
-        phase[:i], scale[:i] = self.phase, self.scale
-        migration[:i] = st.migration
-        while i < n:
-            # A stretch writes its columns up to the block's end; the next
-            # stretch overwrites them from its own first tick on.
-            ramp, pert = self._ramp(dt, n - i), self._pert_active
-            s, end, stop = ramp, n - i, 1.0
-            if pert is None:
-                stop = min(stop, self._onset())
-            else:
-                spec, t0 = pert
-                window = 2.0 * spec.ramp_time
-                if spec.kind is PerturbationKind.BACKWARD:
-                    window = max(window, SWAY_WINDOW_S)
-                since = t[i:] - t0
-                end = _first(since > window)   # its close tick has no window
-                s = ramp * spec.multiplier(since)
-            steps = np.empty(n - i + 1)
-            steps[0] = self.phase
-            steps[1:] = dt * s / period
-            phase[i:] = np.add.accumulate(steps)[1:]
-            scale[i:], migration[i:] = s, st.migration
-            e = _first(phase[i:i + end] >= stop) if end else 0
-            j = i + min(e + 1, end)     # the stretch is ticks i..j-1
-            if j > i:
-                self.phase = phase[j - 1].item()
-                self.scale = scale[j - 1].item()
-                if isinstance(ramp, np.ndarray):
-                    self._ramp_scale = ramp[j - i - 1].item()
-                if pert is not None:
-                    kind[i:j] = _PERTURB_CODE[pert[0].kind]
-                    tau[i:j] = since[:j - i]
-            if e < end:     # tick j - 1 wraps, then may reach a pending onset
-                if self.phase >= 1.0:
-                    self.phase -= 1.0
-                    st.stride_index += 1
-                    st.migration = MIG_MAX * (
-                        1.0 - math.exp(-st.stride_index / MIG_STRIDE_TAU))
-                    phase[j - 1], migration[j - 1] = self.phase, st.migration
-                if pert is None and self.phase >= self._onset():
-                    spec = self.perturbations.pop(st.stride_index)
-                    self._pert_active = (spec, t[j - 1].item())
-                    kind[j - 1], tau[j - 1] = _PERTURB_CODE[spec.kind], 0.0
-            elif end < n - i:
-                self._pert_active = None
-            i = j
-        self.t_s = t[-1].item()
-        sway = ()
-        if np.count_nonzero(kind):
-            w, a = SWAY_WINDOW_S, SWAY_DEG
-            at = np.flatnonzero(
-                (kind == _PERTURB_CODE[PerturbationKind.BACKWARD]) & (tau <= w))
-            # the scalar operand order; np.float_power is C pow, as ** is
-            tau = tau[at]
-            sway = (at, -a * np.float_power(np.sin(np.pi * tau / w), 2.0),
-                    -a * np.pi / w * np.sin(2.0 * np.pi * tau / w))
-        return _Clock(t, walking, phase, scale, migration, kind, sway)
-
-    def _onset(self) -> float:
-        """The onset phase of the current stride's perturbation; inf when
-        no spec is left for the stride (a spec leaves `perturbations` when
-        its perturbation begins)."""
-        spec = self.perturbations.get(self.state.stride_index)
-        return math.inf if spec is None else spec.onset_pct_gc
-
-    def _ramp(self, dt: float, n: int):
-        """The ramp scale over the next n walking ticks in the current
-        stride: the held float, or one accumulation of rate_per_s * dt
-        toward the stride's target from _ramp_scale, clipped at the target.
-        Once the accumulation reaches the target every later value clips to
-        it, so it equals the tick-by-tick min(target, x + rate * dt) (going
-        down, max(target, x - rate * dt): x + -c is x - c exactly)."""
-        ramp, x, stride = self.ramp, self._ramp_scale, self.state.stride_index
-        if ramp is None or stride < ramp.start_stride:
-            return x
-        target = (ramp.low_scale if stride < ramp.start_stride
-                  + ramp.hold_strides else 1.0)
-        if x == target:
-            return x
-        steps = np.full(n + 1, math.copysign(ramp.rate_per_s * dt, target - x))
-        steps[0] = x
-        clip = np.minimum if x < target else np.maximum
-        return clip(np.add.accumulate(steps)[1:], target)
+            self.rng.standard_normal(out=noise)
+            noise *= sd
+        else:
+            noise[:] = 0.0
+        return WorldBlock(t_ms, walking, scale, migration, kind, bio, cols)

@@ -1,11 +1,11 @@
 """Scalar references for the array code and the segment loop, one value or
 one tick at a time.
 
-`shankexo` computes each gait curve and the biological torque once, in the C
-kernel (`shankexo_world` and `shankexo_stance` in `loop.c`), and the world
-clock once, over numpy arrays. This module keeps the scalar forms they were
-written from, as plain Python over floats, so the bit-equality tests can
-compare the kernel and the array code against an independent evaluation.
+`shankexo` computes the world clock, each gait curve and the biological
+torque once, in the C kernel (`shankexo_advance`, `shankexo_world` and
+`shankexo_stance` in `loop.c`). This module keeps the scalar forms they
+were written from, as plain Python over floats, so the bit-equality tests
+can compare the kernel against an independent evaluation.
 They repeat these operation orders; a reordered product or sum in `src/`
 shows up here as a last-bit difference.
 

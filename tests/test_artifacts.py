@@ -18,7 +18,6 @@ from shankexo.artifacts import CSV_COLUMNS, LOG_COLUMNS, write_artifacts
 from shankexo.controller import MODES
 from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.metrics import MetricsReport
-from shankexo.plant import Activity, build_template
 from shankexo.profile import GaussianParams
 
 from strides import TIME_G, report_stride, stance_report, stride_log
@@ -246,31 +245,6 @@ def test_artifacts_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
     run_scenario(ScenarioConfig(output_dir=str(tmp_path), **cfg))
     assert _sha256(tmp_path / "timeseries.csv") == csv_digest
     assert _sha256(tmp_path / "summary.json") == summary_digest
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=hs.integers(0, 2**32 - 1),
-       unit=hs.lists(hs.floats(0.0, 1.0), max_size=50),
-       sharpness=hs.floats(0.01, 10.0))
-def test_float_power_is_c_pow(seed, unit, sharpness):
-    """The digests rest on np.float_power calling C pow on each element, as
-    Python ** does: the clock's shank sway squares a sine with it, and is
-    what still rests on np.float_power (the biological torque calls C pow
-    in the loop kernel). The draws raise [0, 1] to each activity's
-    torque_sharpness and to any sharpness. A numpy whose float_power is
-    vectorized fails here, by its version."""
-    rng = np.random.default_rng(seed)
-    u = np.concatenate([unit, rng.uniform(0.0, 1.0, 2000)])
-    cases = [(u, build_template(a).torque_sharpness) for a in Activity]
-    cases += [(u, sharpness)]
-    for base, e in cases:
-        got = np.float_power(base, e)
-        want = np.array([b ** e for b in base.tolist()])
-        same = (got.view(np.int64) == want.view(np.int64)) | (
-            np.isnan(got) & np.isnan(want))
-        assert same.all(), (
-            f"numpy {np.__version__}: np.float_power(x, {e}) differs from "
-            f"x ** {e} at x = {base[~same][:5].tolist()}")
 
 
 def report_rmse(d):

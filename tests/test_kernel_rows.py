@@ -14,7 +14,13 @@ row enum that drifts from `Row` fails here.
 The world's curve entry (`shankexo_world`) writes the six kinematic rows of
 the walking ticks and the torque column, and nothing else; it reads the
 template's values from the slots `loop.c` names (`kernel.TEMPLATE_SLOTS`),
-which `plant._template_vector` fills by those names.
+which `plant._template_vector` fills by those names. The world's block
+entry (`shankexo_advance`) writes every row of a block but the noise row,
+its clock rows and its walking column, for the block's ticks only; it
+reads the world's values from the slots `loop.c` names
+(`kernel.WORLD_SLOTS`, `kernel.PERTURBATION_SLOTS`), which
+`plant._world_vector` fills by those names, and its clock state in the
+order of `kernel.CLOCK_SLOTS`.
 """
 
 import struct
@@ -26,7 +32,9 @@ import pytest
 from shankexo import kernel
 from shankexo.controller import Controller, ControllerConfig
 from shankexo.gait_signals import GaitEvent, GaitEventKind
-from shankexo.plant import (GaitWorld, PlantConfig, Row, _template_vector,
+from shankexo.plant import (MIG_MAX, MIG_STRIDE_TAU, SWAY_DEG, SWAY_WINDOW_S,
+                            GaitWorld, PerturbationKind, PerturbationSpec,
+                            PlantConfig, RampSpec, Row, _template_vector,
                             bind_cable, build_template)
 from shankexo.profile import EstimationPath, GaussianParams
 
@@ -219,3 +227,55 @@ def test_the_world_writes_only_its_rows_of_the_walking_ticks(start):
     assert not (bits(wide[WORLD_ROWS, start:n]) == bits(SENTINEL)).any()
     assert not (bits(bio[start:]) == bits(SENTINEL)).any()
     assert np.isfinite(wide[WORLD_ROWS, start:n]).all()
+
+
+# -- the world's block entry ---------------------------------------------------
+
+def test_the_world_vector_holds_the_value_each_slot_names():
+    cfg, ramp = PlantConfig(), RampSpec(start_stride=2)
+    spec = PerturbationSpec(PerturbationKind.BACKWARD, onset_pct_gc=0.3,
+                            magnitude=0.7, ramp_time=0.2,
+                            affected_cycles=frozenset({4}))
+    world = GaitWorld(LW, cfg, standing_s=0.5, perturbations=[spec],
+                      ramp=ramp)
+    named = {"standing_s": 0.5, "start_stride": 2,
+             "hold_strides": ramp.hold_strides, "low_scale": ramp.low_scale,
+             "rate_per_s": ramp.rate_per_s, "lever_arm_r": cfg.lever_arm_r,
+             "baseline_c": cfg.baseline_c, "mig_max": MIG_MAX,
+             "mig_stride_tau": MIG_STRIDE_TAU, "sway_deg": SWAY_DEG,
+             "sway_window_s": SWAY_WINDOW_S, "specs": 1}
+    row = {"stride": 4, "kind": 2, "onset_pct_gc": 0.3, "magnitude": 0.7,
+           "ramp_time": 0.2}
+    assert kernel.WORLD_SLOTS == tuple(named)       # loop.c's order
+    assert kernel.PERTURBATION_SLOTS == tuple(row)
+    assert world._world.tolist() == [*named.values(), *row.values()]
+    # GaitWorld._block writes and reads the clock state in this order
+    assert kernel.CLOCK_SLOTS == ("t_s", "phase", "scale", "ramp_scale",
+                                  "stride", "migration", "window", "onset_t")
+
+
+def test_the_block_entry_writes_only_its_rows_of_the_block():
+    # 0.5 s standing, then strides 0-2 with a backward window in stride 1:
+    # every branch of the clock but the ramp's, into a buffer wider than
+    # the block, filled with SENTINEL (and the walking bytes with 7) first.
+    n, wider = 3000, 3005
+    spec = PerturbationSpec(PerturbationKind.BACKWARD,
+                            affected_cycles=frozenset({1}))
+    world = GaitWorld(LW, PlantConfig(), standing_s=0.5, perturbations=[spec])
+    world._w[:] = (0.0, LW.stance_ratio, 1.0, 1.0, 0, 0.0, -1, 0.0)
+    buf = np.full((kernel.BLOCK_ROWS, wider), SENTINEL)
+    walking = np.full(wider, 7, dtype=np.uint8)
+    k = kernel.advance(world._template.ctypes.data, world._world.ctypes.data,
+                       world._w.ctypes.data, 0.001, n, buf.ctypes.data,
+                       wider, walking.ctypes.data)
+    # the rows past the noise row: WorldBlock's float fields but cols,
+    # then the ticks Python rounds, none at whole ms
+    written = [*range(Row.noise), *range(len(Row), kernel.BLOCK_ROWS - 1)]
+    kept = np.full(buf.shape, True)
+    kept[written, :n] = False
+    assert k == 0 and (bits(buf)[kept] == bits(SENTINEL)).all()
+    assert not (bits(buf[written, :n]) == bits(SENTINEL)).any()
+    assert set(walking[:n].tolist()) == {0, 1} and set(walking[n:]) == {7}
+    # the perturbation kind, after t_ms, scale and migration: the window
+    # opened
+    assert set(buf[len(Row) + 3, :n].tolist()) == {0.0, 2.0}

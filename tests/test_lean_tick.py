@@ -2,7 +2,7 @@
 
 The fused profile call and the loop kernel's profile, the comparison-only
 clamps, the safety pre-check, the loop's cable lines and their open-loop
-columns, the vectorized sample clock and the controller's logged desired
+columns, the kernel's sample clock and the controller's logged desired
 force must return what the min/max, two-call, scalar, per-tick-round and
 harness-side forms return, bit for bit, for every float (NaN and
 infinities included). Those forms are kept here and in `scalar_reference`
@@ -22,8 +22,7 @@ from shankexo.controller import (MODES, ControlMode, Controller,
 from shankexo.gait_signals import GaitEvent, GaitEventKind, KinematicSample
 from shankexo.harness import ScenarioConfig, run_scenario
 from shankexo.plant import (BLOCK_TICKS, INITIAL_SLACK_MM, GaitWorld,
-                            PlantConfig, PlantState, Row, _sample_clock,
-                            build_template, free_length)
+                            PlantConfig, PlantState, Row, build_template)
 from shankexo.profile import (GaussianParams, ParameterError, eval_force,
                               eval_force_and_rate, eval_force_rate)
 from shankexo.tendon import TendonModel
@@ -31,6 +30,7 @@ from scalar_reference import (TickController, loop_cable,
                               reference_cable_step, tick_row)
 
 any_float = hs.floats(allow_nan=True, allow_infinity=True)
+LW = build_template("lw")
 finite = hs.floats(-1e6, 1e6)
 
 
@@ -324,15 +324,21 @@ def test_loop_cable_equals_the_min_max_form(ticks, v_max, l_cable, motor_v,
 
 
 @settings(max_examples=100, deadline=None)
-@given(df=hs.lists(hs.one_of(hs.floats(-40.0, 40.0), any_float), min_size=1,
-                   max_size=20),
+@given(phase=hs.one_of(hs.floats(0.0, 1.0), any_float),
        migration=hs.one_of(hs.floats(0.0, 4.0), any_float))
-def test_free_length_column_equals_the_scalar_length(df, migration):
-    truth = TendonModel(50.0, 12.5, 300.0)
-    got = free_length(truth, np.array(df), np.full(len(df), migration))
-    want = [truth.lever_arm_r * math.radians(x) + truth.baseline_c
-            - migration for x in df]
-    assert all(same(a, b) for a, b in zip(got.tolist(), want))
+def test_free_length_column_equals_the_scalar_length(phase, migration):
+    # The kernel's zero-force length of each tick, from any phase (a
+    # phase that is not a number makes every angle NaN) and any carried
+    # migration (a wrap sets the next).
+    world = GaitWorld(LW, PlantConfig(), standing_s=0.0)
+    world.phase, world.state.migration = phase, migration
+    block = world.advance_block(0.001, 20)
+    truth = world.truth_tendon
+    want = [truth.lever_arm_r * math.radians(df) + truth.baseline_c - mig
+            for df, mig in zip(block.cols[Row.theta_df].tolist(),
+                               block.migration.tolist())]
+    assert all(same(a, b) for a, b in zip(
+        block.cols[Row.free_length].tolist(), want))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -352,7 +358,7 @@ def test_noise_row_draws_the_world_noise_in_blocks(seed):
     assert [bits(x) for x in got] == [bits(x) for x in want]
 
 
-# -- vectorized sample clock ------------------------------------------------------
+# -- the sample clock ---------------------------------------------------------------
 
 # Tick times in s near whole ms, off them by up to +-1e-6 ms, or any.
 TICK_TIMES = hs.lists(hs.one_of(
@@ -361,8 +367,23 @@ TICK_TIMES = hs.lists(hs.one_of(
     hs.floats(0.0, 1e6)), min_size=1, max_size=40)
 
 
+def sample_clock(t_s: list) -> tuple[list, list]:
+    """(log clock, sample time) of the ticks at times t_s, as a world
+    block gives them: each a block of one standing tick of dt = -0.0
+    from the time t, which keeps the time t (x + -0.0 is x for every x)."""
+    world = GaitWorld(LW, PlantConfig(force_noise_sd=0.0),
+                      standing_s=math.inf)
+    t_ms, t_sample = [], []
+    for t in t_s:
+        world.t_s = t
+        block = world._block(-0.0, 1)
+        t_ms.append(block.t_ms[0].item())
+        t_sample.append(block.cols[Row.t_ms, 0].item())
+    return t_ms, t_sample
+
+
 def assert_clock_equals_per_tick_round(t_s: list) -> None:
-    t_ms, t_sample = _sample_clock(t_s)
+    t_ms, t_sample = sample_clock(t_s)
     assert [bits(x) for x in t_ms] == [
         bits(x) for x in np.rint(np.array(t_s) * 1000.0).tolist()]
     assert [bits(x) for x in t_sample] == [bits(round(t * 1000.0, 6))
@@ -394,14 +415,13 @@ def test_sample_clock_near_whole_ms(offset_ms, sign):
 
 def test_whole_ms_ticks_share_the_log_clock():
     t_s = [k / 1000.0 for k in range(1, 5000, 7)]
-    t_ms, t_sample = _sample_clock(t_s)
+    t_ms, t_sample = sample_clock(t_s)
     assert [bits(x) for x in t_sample] == [bits(x) for x in t_ms]
 
 
 @pytest.mark.parametrize("n", [1, 5, 1000])
 def test_a_drifted_clock_rounds_tick_by_tick(n):
-    world = GaitWorld(build_template("lw"), PlantConfig(), seed=1,
-                      standing_s=0.002)
+    world = GaitWorld(LW, PlantConfig(), seed=1, standing_s=0.002)
     world.t_s = 0.37e-6          # 3.7e-4 ms off every whole ms
     t, want = world.t_s, []
     for _ in range(n):

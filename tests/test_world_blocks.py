@@ -25,7 +25,7 @@ from shankexo.gait_signals import KinematicSample
 from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
                             PerturbationSpec, PlantConfig, RampSpec, Row,
                             TemplateError, _stance_curves, _template_vector,
-                            build_template, free_length)
+                            build_template)
 from scalar_reference import (biological_torque, g, gen_frame,
                               reference_clock, reference_frames, stance_pose)
 
@@ -152,8 +152,9 @@ def test_block_noise_equals_scalar_draws(seed):
 def test_free_length_row_is_the_df_row_less_migration():
     world = make_world("lw", "perturb", 5)
     cols = run_blocks(world, 997)
-    want = free_length(world.truth_tendon, cols["cols"][Row.theta_df],
-                       cols["migration"])
+    r, c = world.truth_tendon.lever_arm_r, world.truth_tendon.baseline_c
+    want = [r * math.radians(df) + c - mig for df, mig in zip(
+        cols["cols"][Row.theta_df].tolist(), cols["migration"].tolist())]
     np.testing.assert_array_equal(bits(cols["cols"][Row.free_length]),
                                   bits(want))
     assert cols["migration"][-1] > 0.0

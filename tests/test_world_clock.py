@@ -1,21 +1,24 @@
 """The world block's clock against the per-tick clock recurrence.
 
-`GaitWorld._clock` covers each stretch of walking ticks up to a wrap,
-onset or window close with one accumulation of the ramp scale and one of
-the phase, and runs scalar code once per such event.
-`scalar_reference.reference_clock` is the per-tick recurrence it
-replaced. Every column must equal it bit for bit, for any block sizes:
-time, phase, scale, migration, perturbation kind, the sway rows, the
-stride at each block's end, and the frames and torque built from them.
+`GaitWorld.advance_block` steps the clock one tick at a time in the C
+kernel (`shankexo_advance` in `loop.c`), which transcribes
+`scalar_reference.reference_clock`, the per-tick recurrence. Every column
+of the blocks must equal it bit for bit, for any block sizes: the time
+rows, walking, scale, migration, perturbation kind, the frames and torque
+built from the phase and scale with the sway added, and the zero-force
+length; and the world's time, phase and stride at each block's end.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from shankexo.plant import (BLOCK_TICKS, GaitWorld, PerturbationKind,
-                            PerturbationSpec, PlantConfig, RampSpec, Row,
-                            build_template)
+from shankexo.plant import (BLOCK_TICKS, SWAY_WINDOW_S, GaitWorld,
+                            PerturbationKind, PerturbationSpec, PlantConfig,
+                            RampSpec, Row, WorldBlock, build_template)
 from scalar_reference import reference_clock, reference_frames
 
 TEMPLATES = {a: build_template(a) for a in ("lw", "lr", "ra", "rd")}
@@ -68,52 +71,92 @@ def check_blocks(make, dt: float, sizes: list[int]) -> dict:
     reference; returns the reference."""
     n = ticks_for(make(), dt)
     ref = reference_clock(make(), dt, n)
-    clocks, blocks = make(), make()
-    cols: dict[str, list] = {}
-    frames, bio, sway = [], [], []
+    world = make()
+    r, c = world.truth_tendon.lever_arm_r, world.truth_tendon.baseline_c
+    blocks = []
     done = k = 0
     while done < n:
         size = min(sizes[k] if k < len(sizes) else BLOCK_TICKS, n - done)
         k += 1
-        clock = clocks._clock(dt, size)
-        block = blocks.advance_block(dt, size)
-        for name in ("t_s", "walking", "phase", "scale", "migration",
-                     "perturb_kind"):
-            cols.setdefault(name, []).extend(getattr(clock, name).tolist())
-        sway.extend((i + done, s, r) for i, s, r in zip(*clock.sway))
-        frames.append(block.cols[Row.theta_ft:Row.free_length].T)
-        bio.append(block.bio)
-        for name in ("walking", "scale", "migration", "perturb_kind"):
-            np.testing.assert_array_equal(getattr(block, name),
-                                          getattr(clock, name), err_msg=name)
+        blocks.append(world.advance_block(dt, size))
         done += size
-        for world in (clocks, blocks):
-            assert world.state.stride_index == ref["stride"][done - 1]
-            assert bits(world.phase) == bits(ref["phase"][done - 1])
-            assert bits(world.t_s) == bits(ref["t_s"][done - 1])
-    assert cols["walking"] == ref["walking"]
-    assert cols["perturb_kind"] == ref["perturb_kind"]
-    for name in ("t_s", "phase", "scale", "migration"):
-        np.testing.assert_array_equal(bits(cols[name]), bits(ref[name]),
+        assert world.state.stride_index == ref["stride"][done - 1]
+        assert bits(world.phase) == bits(ref["phase"][done - 1])
+        assert bits(world.t_s) == bits(ref["t_s"][done - 1])
+    got = {name: np.concatenate([getattr(b, name) for b in blocks], axis=-1)
+           for name in WorldBlock._fields}
+    assert got["walking"].tolist() == ref["walking"]
+    assert got["perturb_kind"].tolist() == ref["perturb_kind"]
+    for name in ("scale", "migration"):
+        np.testing.assert_array_equal(bits(got[name]), bits(ref[name]),
                                       err_msg=name)
-    assert [(i, *bits([s, r])) for i, s, r in sway] == [
-        (i, *bits([s, r])) for i, s, r in ref["sway"]]
+    ms = [t * 1000.0 for t in ref["t_s"]]
+    np.testing.assert_array_equal(bits(got["t_ms"]), bits(np.rint(ms)))
+    np.testing.assert_array_equal(bits(got["cols"][Row.t_ms]),
+                                  bits([round(x, 6) for x in ms]))
     want_frames, want_bio = reference_frames(make().tmpl, ref)
-    np.testing.assert_array_equal(bits(np.concatenate(frames)),
-                                  bits(want_frames))
-    np.testing.assert_array_equal(bits(np.concatenate(bio)), bits(want_bio))
+    np.testing.assert_array_equal(
+        bits(got["cols"][Row.theta_ft:Row.free_length].T), bits(want_frames))
+    np.testing.assert_array_equal(bits(got["bio"]), bits(want_bio))
+    np.testing.assert_array_equal(
+        bits(got["cols"][Row.free_length]),
+        bits([r * math.radians(df) + c - mig
+              for df, mig in zip(want_frames[:, 2].tolist(),
+                                 ref["migration"])]))
     assert ref["stride"][-1] >= STRIDES
     return ref
+
+
+def drifted(make, t_s: float):
+    """make, with its world's clock started at t_s."""
+    def make_drifted():
+        world = make()
+        world.t_s = t_s
+        return world
+    return make_drifted
+
+
+# Clock starts off the whole ms: (k + 0.5) ns puts ticks on exact ties of
+# round(t * 1000.0, 6), which the kernel leaves to Python's round.
+DRIFTS = hs.one_of(hs.just(0.0),
+                   hs.builds(lambda k: (k + 0.5) / 1e9, hs.integers(0, 2000)),
+                   hs.floats(0.0, 1e-6))
 
 
 @settings(max_examples=25, deadline=None)
 @given(activity=hs.sampled_from(sorted(TEMPLATES)),
        scenario=hs.sampled_from(["steady", "perturb", "ramp", "both"]),
        seed=hs.integers(0, 2**16), dt=hs.sampled_from([0.001, 0.0023]),
-       sizes=hs.lists(hs.integers(1, 1500), min_size=1, max_size=6))
+       sizes=hs.lists(hs.integers(1, 1500), min_size=1, max_size=6),
+       drift=DRIFTS)
 def test_clock_equals_the_per_tick_recurrence(activity, scenario, seed, dt,
-                                              sizes):
-    check_blocks(lambda: make_world(activity, scenario, seed), dt, sizes)
+                                              sizes, drift):
+    check_blocks(drifted(lambda: make_world(activity, scenario, seed), drift),
+                 dt, sizes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(activity=hs.sampled_from(sorted(TEMPLATES)),
+       scenario=hs.sampled_from(["perturb", "both"]),
+       seed=hs.integers(0, 2**16), data=hs.data())
+def test_a_window_spans_a_block_boundary(activity, scenario, seed, data):
+    # A block ends inside a perturbation window and the next one carries
+    # the window on: its spec, onset time and sway.
+    make = lambda: make_world(activity, scenario, seed)
+    ref = reference_clock(make(), 0.001, ticks_for(make(), 0.001))
+    kind = np.array(ref["perturb_kind"])
+    inside = np.flatnonzero((kind[1:] != 0) & (kind[:-1] != 0)) + 1
+    cut = int(data.draw(hs.sampled_from(inside.tolist())))
+    check_blocks(make, 0.001, [cut, data.draw(hs.integers(1, 1500))])
+
+
+def test_drifted_clock_rounds_its_ties_in_python():
+    # At a drift of 0.5 ns, some lw ticks fall on exact ties of the sample
+    # clock, where rint(p) / 1e6 would differ from round.
+    make = drifted(lambda: make_world("lw", "steady", 0), 0.5e-9)
+    ref = check_blocks(make, 0.001, [])
+    ms = [t * 1000.0 for t in ref["t_s"]]
+    assert any(round(x, 6) != np.rint(x * 1e6) / 1e6 for x in ms)
 
 
 @pytest.mark.parametrize("activity", sorted(TEMPLATES))
@@ -188,3 +231,30 @@ def test_held_ramp_scale_steps_the_phase_in_the_clock_body_order():
     ref = check_blocks(make, 0.001, [1, 500])
     assert set(ref["scale"]) == {0.9}
     assert ref["phase"][0] == 0.001 * 0.9 / tmpl.period
+
+
+def test_a_dyadic_clock_meets_each_threshold_exactly():
+    # With a dyadic period, dt, ramp and perturbations every sum of the
+    # clock is exact, so the phase lands on 1.0 and on the onset phase, a
+    # window's time on its close and on the sway's end, and the ramp scale
+    # on its target: each comparison of the clock at its tie, where its
+    # strict and non-strict forms part.
+    tmpl = replace(TEMPLATES["lw"], stance_ratio=0.5, period=1.0)
+    specs = [PerturbationSpec(kind, onset_pct_gc=0.75, magnitude=0.5,
+                              ramp_time=2**-4,
+                              affected_cycles=frozenset({stride}))
+             for stride, kind in ((1, PerturbationKind.FORWARD),
+                                  (2, PerturbationKind.BACKWARD))]
+    ramp = RampSpec(start_stride=3, hold_strides=1, rate_per_s=2**-1)
+    ref = check_blocks(lambda: GaitWorld(tmpl, PlantConfig(),
+                                         standing_s=2**-3,
+                                         perturbations=specs, ramp=ramp),
+                       2**-10, [700, 129, 1000])
+    phase, kind = np.array(ref["phase"]), np.array(ref["perturb_kind"])
+    first_wrap = np.flatnonzero(np.diff(ref["stride"]))[0] + 1
+    assert phase[first_wrap] == 0.0                 # from exactly 1.0
+    assert phase[np.flatnonzero(kind)[0]] == 0.75   # onset at its phase
+    # each window holds the tick at which it has run exactly its span
+    assert np.count_nonzero(kind == 1) == 2**-3 / 2**-10 + 1
+    assert np.count_nonzero(kind == 2) == SWAY_WINDOW_S / 2**-10 + 1
+    assert 0.5 in ref["scale"]
